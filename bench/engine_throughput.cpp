@@ -494,6 +494,32 @@ void BM_FullElection(benchmark::State& state) {
 BENCHMARK(BM_FullElection)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
+// Per-trial bind at the paper's sizes: each iteration constructs and
+// destroys machine, fsm_protocol and engine, as every sweep trial does.
+// The threads:4 row binds on four threads at once, so allocator costs
+// that hit other cores (munmap TLB shootdowns) show up in its rate.
+void BM_EngineBind(benchmark::State& state, graph::graph (*make)()) {
+  const graph::graph g = make();
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    const core::bfw_machine machine(0.5);
+    beeping::fsm_protocol proto(machine);
+    beeping::engine sim(g, proto, seed++);
+    benchmark::DoNotOptimize(sim.leader_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_EngineBind, grid8x8,
+                  +[] { return graph::make_grid(8, 8); });
+BENCHMARK_CAPTURE(BM_EngineBind, grid8x8,
+                  +[] { return graph::make_grid(8, 8); })
+    ->Threads(4)->UseRealTime();
+BENCHMARK_CAPTURE(BM_EngineBind, path65, +[] { return graph::make_path(65); });
+BENCHMARK_CAPTURE(BM_EngineBind, complete64,
+                  +[] { return graph::make_complete(64); });
+BENCHMARK_CAPTURE(BM_EngineBind, star1024,
+                  +[] { return graph::make_star(1024); });
+
 // The parallel Monte-Carlo runner: trials/sec and rounds/sec of
 // analysis::run_trials at 1/2/4/8 workers on a fixed workload. The
 // statistical output is bit-identical across rows (tested in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <sstream>
 
 #include "baselines/clique_lottery.hpp"
@@ -108,24 +109,28 @@ trial_stats aggregate_trial_points(const cell_meta& meta,
   return stats;
 }
 
+// The BFW machines are immutable, so each algorithm builds its machine
+// once and every trial - on any worker - binds to that one instance.
 algorithm make_bfw(double p) {
   std::ostringstream name;
   name << "BFW(p=" << p << ")";
+  auto machine = std::make_shared<const core::bfw_machine>(p);
   return {name.str(),
-          [p](const graph::topology_view& view, std::uint64_t seed,
-              std::uint64_t max_rounds) {
-            return core::run_bfw_election(view, p, seed, max_rounds);
+          [machine](const graph::topology_view& view, std::uint64_t seed,
+                    std::uint64_t max_rounds) {
+            return core::run_fsm_election(view, *machine, seed, max_rounds);
           }};
 }
 
 algorithm make_bfw_known_diameter(std::uint32_t diameter) {
   std::ostringstream name;
   name << "BFW(p=1/(D+1), D=" << diameter << ")";
+  auto machine = std::make_shared<const core::bfw_machine>(
+      core::make_known_diameter_bfw(diameter));
   return {name.str(),
-          [diameter](const graph::topology_view& view, std::uint64_t seed,
-                     std::uint64_t max_rounds) {
-            const auto machine = core::make_known_diameter_bfw(diameter);
-            return core::run_fsm_election(view, machine, seed, max_rounds);
+          [machine](const graph::topology_view& view, std::uint64_t seed,
+                    std::uint64_t max_rounds) {
+            return core::run_fsm_election(view, *machine, seed, max_rounds);
           }};
 }
 

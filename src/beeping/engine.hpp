@@ -621,9 +621,9 @@ class engine : private fsm_protocol::lazy_source {
   bool fast_enabled_ = true;
   std::uint64_t synced_version_ = 0;  // fsm_->config_version() last synced
   // Owns every packed word array below (planes, ledgers, beep/heard/
-  // active/leader sets, dirty bits) - mmap chunks, huge pages on the
-  // giant ones, first-touch commit. Declared before the buffers it
-  // backs.
+  // active/leader sets, dirty bits) - heap blocks for small engines,
+  // mmap chunks with huge pages and first-touch commit for giant ones.
+  // Declared before the buffers it backs.
   support::plane_arena arena_;
   // mutable: total_coins_consumed() is const but the lazy store folds
   // its scratch cursor back on read.

@@ -1,7 +1,7 @@
 #include "beeping/plane_kernel.hpp"
 
 #include <memory>
-#include <sstream>
+#include <string>
 
 namespace beepkit::beeping {
 
@@ -17,25 +17,32 @@ std::vector<std::unique_ptr<compiled_kernel>>& registry() {
 
 }  // namespace
 
+// Runs at every engine bind (find_compiled_kernel), so it appends to
+// one std::string instead of formatting through a stream. The bytes
+// are baked into kernels/*.gen.cpp and must not change.
 std::string serialize_table_structure(const machine_table& table) {
-  std::ostringstream out;
+  std::string out;
   const std::size_t q = table.state_count();
-  out << "q=" << q;
+  out.reserve(8 + q * 12);
+  out += "q=";
+  out += std::to_string(q);
   for (std::size_t s = 0; s < q; ++s) {
-    out << ";" << static_cast<unsigned>(table.meta[s]);
+    out += ';';
+    out += std::to_string(static_cast<unsigned>(table.meta[s]));
     for (const bool heard : {false, true}) {
       const transition_rule& rule = table.rule(static_cast<state_id>(s), heard);
       if (rule.draw == transition_rule::draw_kind::none) {
-        out << ",d" << rule.next;
+        out += ",d";
+        out += std::to_string(rule.next);
       } else {
         // Stochastic rows are structure-equal regardless of successor
         // targets, parameter, or coin-vs-bernoulli: the kernel resolves
         // all three per node through plane_ctx::rules.
-        out << ",r";
+        out += ",r";
       }
     }
   }
-  return out.str();
+  return out;
 }
 
 void register_compiled_kernel(const compiled_kernel& kernel) {

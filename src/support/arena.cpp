@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <utility>
 
@@ -31,10 +32,17 @@ namespace beepkit::support {
 namespace {
 
 constexpr std::size_t kHugePage = 2u << 20;  // 2 MiB
-// Buffers at or above this size get a dedicated chunk; smaller ones
-// share bump blocks of this size. One bump block covers all fifteen
-// word arrays of an engine up to n ~ 100k nodes.
+// Buffers at or above this size get a dedicated mmap chunk, so giant
+// planes keep lazy first-touch commit and huge pages. Smaller buffers
+// are bump-allocated from heap blocks: binding a small engine then
+// costs no mmap/munmap syscall, and the heap recycles a finished
+// trial's blocks on the same thread instead of unmapping them (every
+// munmap shoots down the TLBs of the other sweep workers).
 constexpr std::size_t kBlockBytes = 256u << 10;
+// Minimum heap block: one covers all fifteen word arrays of an engine
+// up to n ~ 8k nodes; a larger small buffer gets a block of its size.
+constexpr std::size_t kHeapBlockBytes = 16u << 10;
+constexpr std::align_val_t kHeapAlign{64};
 
 constexpr std::size_t round_up(std::size_t v, std::size_t align) noexcept {
   return (v + align - 1) / align * align;
@@ -85,13 +93,13 @@ plane_arena::~plane_arena() { release(); }
 
 plane_arena::plane_arena(plane_arena&& other) noexcept
     : chunks_(std::move(other.chunks_)),
+      blocks_(std::move(other.blocks_)),
       bump_(std::exchange(other.bump_, nullptr)),
       bump_left_(std::exchange(other.bump_left_, 0)),
       reserved_(std::exchange(other.reserved_, 0)),
-      touched_(std::exchange(other.touched_, 0)),
-      prefault_(other.prefault_),
       interleave_(other.interleave_) {
   other.chunks_.clear();
+  other.blocks_.clear();
 }
 
 plane_arena& plane_arena::operator=(plane_arena&& other) noexcept {
@@ -99,11 +107,11 @@ plane_arena& plane_arena::operator=(plane_arena&& other) noexcept {
     release();
     chunks_ = std::move(other.chunks_);
     other.chunks_.clear();
+    blocks_ = std::move(other.blocks_);
+    other.blocks_.clear();
     bump_ = std::exchange(other.bump_, nullptr);
     bump_left_ = std::exchange(other.bump_left_, 0);
     reserved_ = std::exchange(other.reserved_, 0);
-    touched_ = std::exchange(other.touched_, 0);
-    prefault_ = other.prefault_;
     interleave_ = other.interleave_;
   }
   return *this;
@@ -115,11 +123,12 @@ void plane_arena::release() noexcept {
 #else
   for (const chunk& c : chunks_) std::free(c.base);
 #endif
+  for (const chunk& b : blocks_) ::operator delete(b.base, b.bytes, kHeapAlign);
   chunks_.clear();
+  blocks_.clear();
   bump_ = nullptr;
   bump_left_ = 0;
   reserved_ = 0;
-  touched_ = 0;
 }
 
 std::byte* plane_arena::map_chunk(std::size_t bytes, bool want_huge) {
@@ -209,29 +218,25 @@ void plane_arena::distribute_first_touch(tile_executor& exec,
 word_buffer plane_arena::alloc_words(std::size_t words) {
   if (words == 0) return {};
   const std::size_t bytes = round_up(words * sizeof(std::uint64_t), 64);
-  std::byte* out = nullptr;
   if (bytes >= kBlockBytes) {
     const std::size_t mapped =
         bytes >= kHugePage ? round_up(bytes, kHugePage) : round_up(bytes, page_size());
-    out = map_chunk(mapped, mapped >= kHugePage);
-  } else {
-    if (bump_left_ < bytes) {
-      bump_ = map_chunk(kBlockBytes, false);
-      bump_left_ = kBlockBytes;
-    }
-    out = bump_;
-    bump_ += bytes;
-    bump_left_ -= bytes;
+    return {reinterpret_cast<std::uint64_t*>(
+                map_chunk(mapped, mapped >= kHugePage)),
+            words};
   }
-  if (prefault_) {
-    const std::size_t page = page_size();
-    for (std::size_t off = 0; off < bytes; off += page) {
-      // Mapping is zero-filled; a zero write commits the page without
-      // changing contents.
-      *reinterpret_cast<volatile std::byte*>(out + off) = std::byte{0};
-    }
-    touched_ += round_up(bytes, page);
+  if (bump_left_ < bytes) {
+    const std::size_t block = std::max(kHeapBlockBytes, bytes);
+    bump_ = static_cast<std::byte*>(::operator new(block, kHeapAlign));
+    blocks_.push_back({bump_, block});
+    reserved_ += block;
+    bump_left_ = block;
   }
+  std::byte* const out = bump_;
+  bump_ += bytes;
+  bump_left_ -= bytes;
+  // Heap memory is recycled, not freshly mapped: zero what we hand out.
+  std::memset(out, 0, bytes);
   return {reinterpret_cast<std::uint64_t*>(out), words};
 }
 

@@ -1,23 +1,26 @@
-// plane_arena: mmap-backed storage for the engines' per-round bit
-// planes, ledgers and word sets.
+// plane_arena: storage for the engines' per-round bit planes, ledgers
+// and word sets.
 //
 // Why not std::vector: a giant trial (10^8-10^9 nodes, core/giant.hpp)
 // is nothing *but* planes - fifteen-odd O(n/64)-word arrays - and they
 // deserve the allocation policy the heap cannot give them:
 //
-//  * anonymous mmap per large buffer, so the address space is
-//    zero-filled on first touch and RSS grows only with the words a
-//    trial actually writes (reserve-then-touch);
+//  * anonymous mmap per large buffer (256 KiB and up), so the address
+//    space is zero-filled on first touch and RSS grows only with the
+//    words a trial actually writes (reserve-then-touch);
 //  * MADV_HUGEPAGE on buffers of 2 MiB and up, with the mapping
 //    aligned to a 2 MiB boundary so transparent huge pages can
 //    actually back it - plane sweeps are pure sequential word streams
 //    and TLB misses are their only non-compulsory stalls;
-//  * a shared small-allocation block, so the per-trial engines of an
-//    ordinary sweep (n in the thousands) cost two mmap calls, not
-//    fifteen.
+//  * small buffers bump-allocated from 64-byte-aligned heap blocks and
+//    zeroed on hand-out, so the per-trial engines of an ordinary sweep
+//    (n in the thousands) bind with no mmap or munmap call at all: a
+//    finished trial's blocks go back to the heap for the next trial on
+//    the same thread, and no munmap flushes the TLBs of the other
+//    sweep workers.
 //
 // The arena never frees individual buffers - engines allocate their
-// planes once in the constructor - and unmaps everything on
+// planes once in the constructor - and releases everything on
 // destruction. Buffers are handed out as non-owning word_buffer views.
 #pragma once
 
@@ -65,45 +68,37 @@ class plane_arena {
   plane_arena& operator=(plane_arena&& other) noexcept;
 
   /// Allocates a zero-initialized buffer of `words` 64-bit words,
-  /// 64-byte aligned. Throws std::bad_alloc when the mapping fails.
+  /// 64-byte aligned. Throws std::bad_alloc when the mapping or heap
+  /// block cannot be obtained.
   [[nodiscard]] word_buffer alloc_words(std::size_t words);
 
-  /// When enabled, alloc_words pre-touches every page of subsequent
-  /// allocations (one write per page), converting first-touch faults
-  /// during the measured rounds into construction-time work and making
-  /// bytes_touched() the eager RSS bill of the buffers so far.
-  void set_prefault(bool on) noexcept { prefault_ = on; }
-
   /// Best-effort: ask the kernel to interleave the pages of subsequent
-  /// chunks across all online NUMA nodes (raw mbind(MPOL_INTERLEAVE),
-  /// no libnuma). Applied at map time, before first touch, so it wins
-  /// over first-touch placement. Returns false where the syscall is
-  /// unavailable (non-Linux); a failing mbind on a single-node box is
-  /// silently harmless.
+  /// mapped chunks across all online NUMA nodes (raw
+  /// mbind(MPOL_INTERLEAVE), no libnuma). Applied at map time, before
+  /// first touch, so it wins over first-touch placement. Small buffers
+  /// live on the heap and keep the allocating thread's placement.
+  /// Returns false where the syscall is unavailable (non-Linux); a
+  /// failing mbind on a single-node box is silently harmless.
   bool set_numa_interleave(bool on) noexcept;
   [[nodiscard]] bool numa_interleave() const noexcept { return interleave_; }
 
-  /// Re-touches every page of every chunk, tiled through `exec`: each
-  /// page is read and written back with the same value, so pages that
-  /// are still uncommitted take their write fault on the worker that
-  /// claims the tile and land NUMA-local under the kernel's default
-  /// first-touch policy. Already-committed pages keep contents and
-  /// placement. Call between set_parallelism and the measured rounds;
-  /// the caller must guarantee no concurrent access to the buffers.
+  /// Re-touches every page of every mapped chunk, tiled through
+  /// `exec`: each page is read and written back with the same value, so
+  /// pages that are still uncommitted take their write fault on the
+  /// worker that claims the tile and land NUMA-local under the kernel's
+  /// default first-touch policy. Already-committed pages keep contents
+  /// and placement; heap blocks were committed when zeroed. Call
+  /// between set_parallelism and the measured rounds; the caller must
+  /// guarantee no concurrent access to the buffers.
   void distribute_first_touch(tile_executor& exec, std::size_t tile_words);
 
-  /// Address space reserved across all chunks (what ulimit -v sees).
+  /// Bytes held across mapped chunks and heap blocks (address space,
+  /// as ulimit -v sees it).
   [[nodiscard]] std::size_t bytes_reserved() const noexcept {
     return reserved_;
   }
-  /// Bytes pre-touched by set_prefault(true) allocations. Buffers
-  /// allocated without prefault commit lazily on first write and are
-  /// not counted here.
-  [[nodiscard]] std::size_t bytes_touched() const noexcept {
-    return touched_;
-  }
-  /// mmap chunks held (large buffers get one each; small allocations
-  /// share bump blocks).
+  /// mmap chunks held: one per large buffer. Small buffers come from
+  /// heap blocks and map nothing.
   [[nodiscard]] std::size_t chunk_count() const noexcept {
     return chunks_.size();
   }
@@ -118,12 +113,11 @@ class plane_arena {
   void apply_interleave(void* base, std::size_t bytes) noexcept;
   void release() noexcept;
 
-  std::vector<chunk> chunks_;
-  std::byte* bump_ = nullptr;  // current small-allocation block
+  std::vector<chunk> chunks_;  // mapped, one per large buffer
+  std::vector<chunk> blocks_;  // heap blocks behind the small buffers
+  std::byte* bump_ = nullptr;  // free tail of the newest heap block
   std::size_t bump_left_ = 0;
   std::size_t reserved_ = 0;
-  std::size_t touched_ = 0;
-  bool prefault_ = false;
   bool interleave_ = false;
 };
 

@@ -306,6 +306,31 @@ TEST(KernelRegistryTest, BuiltinKernelsRegistered) {
   }
 }
 
+TEST(KernelRegistryTest, BakedKeysMatch) {
+  // beepc bakes serialize_table_structure() into kernels/*.gen.cpp;
+  // the bind-time key must reproduce those strings byte for byte or
+  // every engine silently falls back to the interpreted gear.
+  const struct {
+    const char* kernel;
+    core::protocol_spec spec;
+  } cases[] = {
+      {"bfw", core::bfw_spec(0.5)},
+      {"timeout_bfw_t9", core::timeout_bfw_spec(0.5, 9)},
+      {"bw", core::bw_spec(0.5)},
+  };
+  const auto kernels = beeping::list_compiled_kernels();
+  for (const auto& c : cases) {
+    const auto it =
+        std::find_if(kernels.begin(), kernels.end(),
+                     [&](const auto* k) { return k->name == c.kernel; });
+    ASSERT_NE(it, kernels.end()) << c.kernel;
+    EXPECT_EQ(beeping::serialize_table_structure(
+                  core::compile_spec_table(c.spec)),
+              (*it)->structure)
+        << c.kernel;
+  }
+}
+
 TEST(KernelRegistryTest, StructureMatchIsParameterIndependent) {
   // One BFW kernel serves every p: the structure string classifies
   // stochastic rows uniformly, so p = 0.25 (bernoulli) binds the same

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/bfw.hpp"
@@ -89,6 +90,42 @@ TEST(EngineTest, DeterministicTrajectoriesForSameSeed) {
     sim_b.step();
   }
   EXPECT_EQ(sim_a.total_coins_consumed(), sim_b.total_coins_consumed());
+}
+
+TEST(EngineTest, RebindOnRecycledArena) {
+  // An engine's planes, ledger planes and dirty words come from heap
+  // blocks that a destroyed engine on the same thread leaves dirty. A
+  // rebind of the same view and seed must still start from zero and
+  // match an engine bound before the dirty run, draw for draw.
+  const auto g = graph::make_grid(12, 12);  // 144 nodes: 3 words + tail
+  const core::bfw_machine machine(0.5);
+  constexpr std::uint64_t seed = 777;
+  fsm_protocol fresh_proto(machine);
+  engine fresh(g, fresh_proto, seed);
+  {
+    fsm_protocol dirty_proto(machine);
+    engine dirty(g, dirty_proto, seed);
+    dirty.run_rounds(300);
+  }
+  fsm_protocol re_proto(machine);
+  engine rebound(g, re_proto, seed);
+  for (int round = 0; round < 300; ++round) {
+    ASSERT_EQ(fresh_proto.states(), re_proto.states())
+        << "diverged at round " << round;
+    ASSERT_EQ(fresh.leader_count(), rebound.leader_count()) << round;
+    fresh.step();
+    rebound.step();
+  }
+  EXPECT_GT(fresh.plane_rounds(), 0U);
+  const auto fresh_counts = fresh.beep_counts();
+  const auto re_counts = rebound.beep_counts();
+  EXPECT_TRUE(std::equal(fresh_counts.begin(), fresh_counts.end(),
+                         re_counts.begin(), re_counts.end()));
+  EXPECT_EQ(fresh.total_coins_consumed(), rebound.total_coins_consumed());
+  for (graph::node_id u = 0; u < g.node_count(); ++u) {
+    ASSERT_EQ(fresh.node_rng(u).next_u64(), rebound.node_rng(u).next_u64())
+        << "node " << u;
+  }
 }
 
 TEST(EngineTest, DifferentSeedsDiverge) {

@@ -6,6 +6,7 @@
 // total draw count - to the uninterrupted one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -48,12 +49,32 @@ TEST(PlaneArena, AllocationsAreZeroedAndAligned) {
   EXPECT_EQ(large[0], 0U);
   EXPECT_EQ(large[large.size() - 1], 0U);
   EXPECT_GE(arena.bytes_reserved(), (std::size_t{1} << 22));
-  EXPECT_GE(arena.chunk_count(), 2U);  // bump block + dedicated chunk
+  EXPECT_EQ(arena.chunk_count(), 1U);  // the large buffer; small ones map nothing
   // Buffers are writable and independent.
   small[0] = ~0ULL;
   large[0] = 42;
   EXPECT_EQ(small[0], ~0ULL);
   EXPECT_EQ(large[0], 42U);
+}
+
+TEST(PlaneArena, ZeroedOnReuse) {
+  // Small buffers come from heap blocks, which the heap hands straight
+  // back to the next arena on this thread - dirty. The arena must zero
+  // them itself.
+  const std::vector<std::size_t> sizes = {1, 2, 17, 333, 2048, 20000};
+  for (int pass = 0; pass < 3; ++pass) {
+    support::plane_arena arena;
+    std::vector<support::word_buffer> bufs;
+    for (const std::size_t words : sizes) bufs.push_back(arena.alloc_words(words));
+    for (const support::word_buffer& buf : bufs) {
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        ASSERT_EQ(buf[i], 0U) << "pass " << pass << " size " << buf.size()
+                              << " word " << i;
+      }
+      std::fill(buf.begin(), buf.end(), ~0ULL);
+    }
+    EXPECT_EQ(arena.chunk_count(), 0U);
+  }
 }
 
 TEST(PlaneArena, MoveTransfersOwnership) {
