@@ -52,19 +52,18 @@ election_outcome finish_election(beeping::engine& sim,
   outcome.gather_kernel = sim.gather_kernel_used();
   outcome.engine_threads = sim.parallel_threads();
   outcome.engine_tile_words = sim.tile_words();
-  // Trial boundary: fold the engine's telemetry scratch into the global
-  // registry (the one mutex-protected touch per trial).
+  // Trial boundary: fold the engine's telemetry scratch and the trial's
+  // bookkeeping into the global registry (one locked update per trial).
   namespace tel = support::telemetry;
   if (tel::compiled_in && tel::enabled() && sim.telemetry_enabled()) {
-    tel::fold_engine_metrics(sim.telemetry_metrics(), "engine");
-    tel::registry& reg = tel::registry::global();
-    reg.add("engine_trials_total");
-    reg.record("engine_trial_rounds", result.rounds);
-    reg.set_gauge("engine_compiled_width",
-                  static_cast<double>(sim.compiled_width()));
-    reg.set_info("engine_compiled_kernel", sim.compiled_kernel_name());
-    reg.set_info("engine_gather_kernel",
-                 graph::gather_kernel_name(sim.gather_kernel_used()));
+    const std::string compiled_kernel = sim.compiled_kernel_name();
+    const std::string gather_kernel =
+        graph::gather_kernel_name(sim.gather_kernel_used());
+    const tel::trial_fold trial{result.rounds,
+                                static_cast<double>(sim.compiled_width()),
+                                compiled_kernel, gather_kernel};
+    tel::registry::global().fold_engine(sim.telemetry_metrics(), "engine",
+                                        &trial);
   }
   return outcome;
 }

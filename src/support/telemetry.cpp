@@ -1,6 +1,7 @@
 #include "support/telemetry.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -129,24 +130,6 @@ json log2_histogram::to_json() const {
 
 // ---- registry ------------------------------------------------------------
 
-struct registry::impl {
-  mutable std::mutex mutex;
-  std::map<std::string, std::uint64_t, std::less<>> counters;
-  std::map<std::string, double, std::less<>> gauges;
-  std::map<std::string, std::string, std::less<>> infos;
-  std::map<std::string, log2_histogram, std::less<>> histograms;
-};
-
-registry& registry::global() {
-  static registry instance;
-  return instance;
-}
-
-registry::impl& registry::state() const {
-  static impl the_state;
-  return the_state;
-}
-
 namespace {
 
 template <typename Map, typename Key>
@@ -158,7 +141,118 @@ auto& slot(Map& map, const Key& name) {
   return it->second;
 }
 
+template <typename T>
+using metric_map = std::map<std::string, T, std::less<>>;
+
+// Name suffixes registry::fold_engine writes under an engine prefix.
+enum fold_counter : std::size_t {
+  fc_rounds_virtual,
+  fc_rounds_sparse,
+  fc_rounds_plane_interpreted,
+  fc_rounds_plane_compiled,
+  fc_plane_entries,
+  fc_plane_exits,
+  fc_materializations,
+  fc_quiet_words,
+  fc_scanned_words,
+  fc_sampled_rounds,
+  fc_faults_applied,
+  fc_fault_patched_words,
+  fc_noise_passes_tiled,
+  fc_noise_passes_serial,
+  fc_sparse_rounds_tiled,
+  fc_sparse_rounds_serial,
+  fc_tile_claims,
+  fc_tile_claimed_words,
+  fc_trials,
+  fc_count
+};
+constexpr std::array<std::string_view, fc_count> kCounterSuffixes = {
+    "_rounds_virtual_total",
+    "_rounds_sparse_total",
+    "_rounds_plane_interpreted_total",
+    "_rounds_plane_compiled_total",
+    "_plane_entries_total",
+    "_plane_exits_total",
+    "_materializations_total",
+    "_quiet_words_sampled_total",
+    "_scanned_words_sampled_total",
+    "_sampled_rounds_total",
+    "_faults_applied_total",
+    "_fault_patched_words_total",
+    "_noise_passes_tiled_total",
+    "_noise_passes_serial_total",
+    "_sparse_rounds_tiled_total",
+    "_sparse_rounds_serial_total",
+    "_tile_claims_total",
+    "_tile_claimed_words_total",
+    "_trials_total",
+};
+enum : std::size_t { fh_round_ns, fh_trial_rounds };
+constexpr std::array<std::string_view, 2> kHistogramSuffixes = {
+    "_round_ns", "_trial_rounds"};
+enum : std::size_t { fg_tile_imbalance, fg_compiled_width };
+constexpr std::array<std::string_view, 2> kGaugeSuffixes = {
+    "_tile_imbalance", "_compiled_width"};
+enum : std::size_t { fi_compiled_kernel, fi_gather_kernel };
+constexpr std::array<std::string_view, 2> kInfoSuffixes = {
+    "_compiled_kernel", "_gather_kernel"};
+
+/// One prefix's keys plus the map entries they resolved to. An entry is
+/// resolved on first write and then reused: std::map nodes never move,
+/// and reset() drops every cache together with the maps.
+template <typename T, std::size_t N>
+class slot_cache {
+ public:
+  slot_cache(std::string_view prefix,
+             const std::array<std::string_view, N>& suffixes) {
+    for (std::size_t i = 0; i < N; ++i) {
+      keys_[i].reserve(prefix.size() + suffixes[i].size());
+      keys_[i].append(prefix).append(suffixes[i]);
+    }
+  }
+  T& operator()(metric_map<T>& map, std::size_t i) {
+    if (slots_[i] == nullptr) slots_[i] = &slot(map, keys_[i]);
+    return *slots_[i];
+  }
+
+ private:
+  std::array<std::string, N> keys_;
+  std::array<T*, N> slots_{};
+};
+
+struct prefix_slots {
+  explicit prefix_slots(std::string_view prefix)
+      : counters(prefix, kCounterSuffixes),
+        histograms(prefix, kHistogramSuffixes),
+        gauges(prefix, kGaugeSuffixes),
+        infos(prefix, kInfoSuffixes) {}
+  slot_cache<std::uint64_t, fc_count> counters;
+  slot_cache<log2_histogram, 2> histograms;
+  slot_cache<double, 2> gauges;
+  slot_cache<std::string, 2> infos;
+};
+
 }  // namespace
+
+struct registry::impl {
+  mutable std::mutex mutex;
+  metric_map<std::uint64_t> counters;
+  metric_map<double> gauges;
+  metric_map<std::string> infos;
+  metric_map<log2_histogram> histograms;
+  metric_map<prefix_slots> folds;  // fold_engine's per-prefix key cache
+};
+
+registry& registry::global() {
+  static registry instance;
+  return instance;
+}
+
+registry::impl& registry::state() const {
+  static impl the_state;
+  return the_state;
+}
 
 void registry::add(std::string_view name, std::uint64_t delta) {
   impl& s = state();
@@ -277,43 +371,71 @@ void registry::reset() {
   s.gauges.clear();
   s.infos.clear();
   s.histograms.clear();
+  s.folds.clear();
+}
+
+void registry::fold_engine(const engine_metrics& m, std::string_view prefix,
+                           const trial_fold* trial) {
+  const bool fold_metrics = m.rounds_total() != 0 || m.tile_claims != 0;
+  if (!fold_metrics && trial == nullptr) return;
+  impl& s = state();
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  auto it = s.folds.find(prefix);
+  if (it == s.folds.end()) {
+    it = s.folds.emplace(std::string(prefix), prefix_slots(prefix)).first;
+  }
+  prefix_slots& keys = it->second;
+  const auto add = [&](fold_counter c, std::uint64_t delta) {
+    keys.counters(s.counters, c) += delta;
+  };
+  if (fold_metrics) {
+    add(fc_rounds_virtual, m.rounds_virtual);
+    add(fc_rounds_sparse, m.rounds_sparse);
+    add(fc_rounds_plane_interpreted, m.rounds_plane_interpreted);
+    add(fc_rounds_plane_compiled, m.rounds_plane_compiled);
+    add(fc_plane_entries, m.plane_entries);
+    add(fc_plane_exits, m.plane_exits);
+    add(fc_materializations, m.materializations);
+    add(fc_quiet_words, m.quiet_words);
+    add(fc_scanned_words, m.scanned_words);
+    add(fc_sampled_rounds, m.sampled_rounds);
+    if (m.faults_applied != 0) add(fc_faults_applied, m.faults_applied);
+    if (m.fault_patched_words != 0) {
+      add(fc_fault_patched_words, m.fault_patched_words);
+    }
+    if (m.noise_passes_tiled + m.noise_passes_serial != 0) {
+      add(fc_noise_passes_tiled, m.noise_passes_tiled);
+      add(fc_noise_passes_serial, m.noise_passes_serial);
+    }
+    if (m.sparse_rounds_tiled + m.sparse_rounds_serial != 0) {
+      add(fc_sparse_rounds_tiled, m.sparse_rounds_tiled);
+      add(fc_sparse_rounds_serial, m.sparse_rounds_serial);
+    }
+    if (m.round_ns.count() != 0) {
+      keys.histograms(s.histograms, fh_round_ns).merge(m.round_ns);
+    }
+    if (m.tile_claims != 0) {
+      add(fc_tile_claims, m.tile_claims);
+      add(fc_tile_claimed_words, m.tile_claimed_words);
+      keys.gauges(s.gauges, fg_tile_imbalance) = m.tile_imbalance;
+    }
+  }
+  if (trial != nullptr) {
+    add(fc_trials, 1);
+    keys.histograms(s.histograms, fh_trial_rounds).record(trial->rounds);
+    keys.gauges(s.gauges, fg_compiled_width) = trial->compiled_width;
+    const auto set_info = [&](std::size_t i, std::string_view value) {
+      std::string& info = keys.infos(s.infos, i);
+      if (info != value) info.assign(value);  // repeats cost no copy
+    };
+    set_info(fi_compiled_kernel, trial->compiled_kernel);
+    set_info(fi_gather_kernel, trial->gather_kernel);
+  }
 }
 
 void fold_engine_metrics(const engine_metrics& m, std::string_view prefix) {
   if (!compiled_in || !enabled()) return;
-  if (m.rounds_total() == 0 && m.tile_claims == 0) return;
-  registry& reg = registry::global();
-  const std::string p(prefix);
-  reg.add(p + "_rounds_virtual_total", m.rounds_virtual);
-  reg.add(p + "_rounds_sparse_total", m.rounds_sparse);
-  reg.add(p + "_rounds_plane_interpreted_total", m.rounds_plane_interpreted);
-  reg.add(p + "_rounds_plane_compiled_total", m.rounds_plane_compiled);
-  reg.add(p + "_plane_entries_total", m.plane_entries);
-  reg.add(p + "_plane_exits_total", m.plane_exits);
-  reg.add(p + "_materializations_total", m.materializations);
-  reg.add(p + "_quiet_words_sampled_total", m.quiet_words);
-  reg.add(p + "_scanned_words_sampled_total", m.scanned_words);
-  reg.add(p + "_sampled_rounds_total", m.sampled_rounds);
-  if (m.faults_applied != 0) {
-    reg.add(p + "_faults_applied_total", m.faults_applied);
-  }
-  if (m.fault_patched_words != 0) {
-    reg.add(p + "_fault_patched_words_total", m.fault_patched_words);
-  }
-  if (m.noise_passes_tiled + m.noise_passes_serial != 0) {
-    reg.add(p + "_noise_passes_tiled_total", m.noise_passes_tiled);
-    reg.add(p + "_noise_passes_serial_total", m.noise_passes_serial);
-  }
-  if (m.sparse_rounds_tiled + m.sparse_rounds_serial != 0) {
-    reg.add(p + "_sparse_rounds_tiled_total", m.sparse_rounds_tiled);
-    reg.add(p + "_sparse_rounds_serial_total", m.sparse_rounds_serial);
-  }
-  reg.merge_histogram(p + "_round_ns", m.round_ns);
-  if (m.tile_claims != 0) {
-    reg.add(p + "_tile_claims_total", m.tile_claims);
-    reg.add(p + "_tile_claimed_words_total", m.tile_claimed_words);
-    reg.set_gauge(p + "_tile_imbalance", m.tile_imbalance);
-  }
+  registry::global().fold_engine(m, prefix);
 }
 
 json snapshot() { return registry::global().snapshot(); }

@@ -154,9 +154,21 @@ struct engine_metrics {
 
 // ---- registry ------------------------------------------------------------
 
+/// One finished election's bookkeeping, folded next to its engine
+/// scratch: `<prefix>_trials_total` += 1, `<prefix>_trial_rounds`
+/// records `rounds`, and the width gauge and the two kernel infos
+/// describe the trial that finished last.
+struct trial_fold {
+  std::uint64_t rounds = 0;
+  double compiled_width = 0.0;
+  std::string_view compiled_kernel;
+  std::string_view gather_kernel;
+};
+
 /// Process-wide metrics registry. Mutex-protected and deliberately NOT
-/// for hot loops: engines fold engine_metrics into it once per trial,
-/// the sweep once per checkpoint/batch. Names are flat snake_case
+/// for hot loops: a finished trial folds its engine_metrics and its
+/// trial_fold under one lock (fold_engine), the sweep folds once per
+/// run. Names are flat snake_case
 /// ("engine_rounds_plane_compiled_total"); snapshot() keys them in
 /// sorted order so dumps are deterministic.
 class registry {
@@ -168,6 +180,15 @@ class registry {
   void set_info(std::string_view name, std::string_view value);
   void record(std::string_view name, std::uint64_t value);
   void merge_histogram(std::string_view name, const log2_histogram& h);
+
+  /// Folds one engine's scratch under `prefix` (see
+  /// fold_engine_metrics) and, when `trial` is given, that trial's
+  /// bookkeeping, in a single locked update. Key strings are built once
+  /// per prefix; a name still enters the registry only when first
+  /// written, so the contents match the equivalent add/record/set_*
+  /// calls exactly.
+  void fold_engine(const engine_metrics& m, std::string_view prefix,
+                   const trial_fold* trial = nullptr);
 
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;
   [[nodiscard]] double gauge(std::string_view name) const;
@@ -190,6 +211,7 @@ class registry {
 
 /// Fold one engine's scratch into the global registry under `prefix`
 /// (e.g. "engine" for beeping, "stoneage" for the stone-age engine).
+/// An engine that ran no round and claimed no tile folds nothing.
 /// No-op when built OFF or runtime-disabled.
 void fold_engine_metrics(const engine_metrics& m, std::string_view prefix);
 

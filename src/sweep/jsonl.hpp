@@ -83,16 +83,17 @@ struct trial_exec {
 };
 
 /// Streams one shard's records to disk through a buffered writer
-/// thread: the producer (the aggregation thread - this class is still
-/// single-producer) serializes records into an in-memory queue and a
-/// background thread performs the actual ofstream writes, so the
-/// serializer never stalls trial aggregation at high trials/sec. Error
-/// semantics are unchanged: flush() drains the queue synchronously and
-/// healthy() reflects every write that already hit the stream, so
-/// disk-full and quota failures still surface as errors at checkpoint
-/// boundaries, not silence. Always truncates: resumed runs rewrite the
-/// file (header + salvaged records) rather than appending, so output
-/// is always well-formed.
+/// thread: the producer (whichever sweep worker holds the fold; calls
+/// come from different threads but never concurrently, so this class
+/// is still single-producer) serializes records into an in-memory
+/// queue and a background thread performs the actual ofstream writes,
+/// so the serializer never stalls trial aggregation at high
+/// trials/sec. Error semantics are unchanged: flush() drains the queue
+/// synchronously and healthy() reflects every write that already hit
+/// the stream, so disk-full and quota failures still surface as errors
+/// at checkpoint boundaries, not silence. Always truncates: resumed
+/// runs rewrite the file (header + salvaged records) rather than
+/// appending, so output is always well-formed.
 class record_writer {
  public:
   record_writer() = default;

@@ -2,14 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "graph/gather.hpp"
-#include "support/parallel.hpp"
 #include "support/table.hpp"
 #include "support/telemetry.hpp"
 #include "sweep/jsonl.hpp"
@@ -41,6 +45,141 @@ cell_record make_cell_record(std::size_t index,
   record.seed = cell.seed;
   record.max_rounds = cell.max_rounds;
   return record;
+}
+
+/// One unit in the reorder window.
+struct window_slot {
+  unit u;
+  bool resumed = false;
+  bool done = false;  ///< Outcome (or error) ready to fold.
+  core::election_outcome outcome;
+  double seconds = 0.0;
+  std::exception_ptr error;  ///< The trial threw; rethrown when folded.
+};
+
+/// Units a worker may run ahead of the oldest unfolded one: room for
+/// the other workers to keep going behind a trial that runs to its
+/// horizon (~0.6 MB of slots at 4 threads).
+constexpr std::size_t kWindowUnitsPerThread = 1024;
+
+/// Barrier-free in-order executor (an in-order-commit reorder window,
+/// Smith & Pleszkun, ISCA 1985). `threads` workers - the caller is one
+/// of them - each pull the next unit into a bounded ring and run it
+/// outside the lock. Whichever worker finds the window head complete
+/// folds every ready head unit, strictly in global order, while the
+/// others keep running trials (flat combining, Hendler et al., SPAA
+/// 2010); only one thread folds at a time.
+///
+/// `pull(slot)` fills the next unit and returns false when the source
+/// is exhausted; it may mark the slot done (a resumed unit). `run(slot)`
+/// computes a fresh unit. `fold(slot)` commits one unit. A trial's
+/// exception stops new pulls and is rethrown when the fold reaches its
+/// unit, so every earlier unit is committed first; a pull or fold
+/// exception stops the workers at once. Either way every worker is
+/// joined before the exception reaches the caller.
+template <typename Pull, typename Run, typename Fold>
+void stream_in_order(std::size_t threads, std::size_t window, Pull& pull,
+                     Run& run, Fold& fold) {
+  std::mutex mutex;
+  std::condition_variable wake;
+  std::vector<window_slot> ring(window);
+  std::uint64_t head = 0;  // oldest unfolded unit, in pull order
+  std::uint64_t tail = 0;  // next unit to pull
+  bool exhausted = false;  // pull() returned false
+  bool trial_failed = false;
+  bool folding = false;
+  std::size_t waiting = 0;
+  std::exception_ptr error;
+
+  const auto fail = [&](std::exception_ptr e) {  // under the lock
+    if (!error) error = std::move(e);
+    wake.notify_all();
+  };
+
+  // All three read state guarded by `mutex`.
+  const auto head_ready = [&] {
+    return !folding && head < tail && ring[head % window].done;
+  };
+  const auto can_pull = [&] {
+    return !exhausted && !trial_failed && tail - head < window;
+  };
+  const auto finished = [&] { return exhausted && head == tail; };
+
+  const auto work = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    while (!error && !finished()) {
+      if (head_ready()) {
+        // [head, end) is complete and stays put: no pull reuses a slot
+        // until head moves past it.
+        std::uint64_t end = head + 1;
+        while (end < tail && ring[end % window].done) ++end;
+        folding = true;
+        lock.unlock();
+        std::exception_ptr failure;
+        try {
+          for (std::uint64_t i = head; i < end; ++i) {
+            const window_slot& p = ring[i % window];
+            if (p.error) std::rethrow_exception(p.error);
+            fold(p);
+          }
+        } catch (...) {
+          failure = std::current_exception();
+        }
+        lock.lock();
+        folding = false;
+        head = end;
+        if (failure) {
+          fail(failure);
+        } else if (waiting != 0) {
+          wake.notify_all();  // window space, or the end of the stream
+        }
+      } else if (can_pull()) {
+        window_slot& p = ring[tail % window];
+        p = window_slot{};
+        try {
+          exhausted = !pull(p);
+        } catch (...) {
+          fail(std::current_exception());
+          break;
+        }
+        if (exhausted) {
+          if (waiting != 0) wake.notify_all();
+          continue;
+        }
+        ++tail;
+        if (p.done) continue;
+        lock.unlock();
+        try {
+          run(p);
+        } catch (...) {
+          p.error = std::current_exception();
+        }
+        lock.lock();
+        p.done = true;
+        trial_failed = trial_failed || p.error != nullptr;
+      } else {
+        // Window full behind a running head, another thread folding, or
+        // the last units still running.
+        ++waiting;
+        wake.wait(lock, [&] {
+          return error || finished() || head_ready() || can_pull();
+        });
+        --waiting;
+      }
+    }
+  };
+
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads - 1);
+  try {
+    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(work);
+  } catch (...) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    fail(std::current_exception());
+  }
+  work();
+  for (std::thread& helper : helpers) helper.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace
@@ -104,7 +243,7 @@ std::optional<unit> work_source::next() {
 shard_result run(const spec& s, const options& opts) {
   // Sweep-layer telemetry: per-trial latency histogram, checkpoint
   // latency, writer backpressure, resume/salvage events. Probes live
-  // outside the trial computations (the serial fold loop and the
+  // outside the trial computations (the in-order fold and the
   // already-measured per-trial clocks), so they cannot perturb any
   // number. Local scratch; folded into the registry once at the end.
   namespace tel = support::telemetry;
@@ -225,110 +364,91 @@ shard_result run(const spec& s, const options& opts) {
     }
   }
 
-  struct pending {
-    unit u;
-    bool resumed = false;
-    core::election_outcome outcome;
-    double seconds = 0.0;
-  };
-
   std::vector<std::vector<analysis::trial_point>> points(s.cells.size());
   std::vector<double> busy(s.cells.size(), 0.0);
-  const std::size_t threads = std::max<std::size_t>(1, opts.threads);
-  const std::size_t batch_size = std::max<std::size_t>(64, threads * 32);
   std::uint64_t done_units = 0;
-  std::uint64_t since_checkpoint = 0;
+  // Read once here: fold() runs while another worker's pull() advances
+  // `source`.
+  const std::uint64_t owned = source.shard_units();
 
-  for (;;) {
-    // Pull the next slice of owned units; memory stays bounded by the
-    // batch no matter how large the sweep is.
-    std::vector<pending> batch;
-    batch.reserve(batch_size);
-    while (batch.size() < batch_size) {
-      const auto u = source.next();
-      if (!u) break;
-      pending p;
-      p.u = *u;
-      if (!recorded.empty()) {
-        const auto it = recorded.find(u->global);
-        if (it != recorded.end()) {
-          const trial_record& rec = it->second;
-          if (rec.cell != u->cell || rec.trial != u->trial ||
-              rec.seed != u->seed) {
-            throw std::runtime_error(
-                opts.jsonl_path + ": resume record for unit " +
-                std::to_string(u->global) +
-                " does not match this sweep (different spec or seed?)");
-          }
-          p.resumed = true;
-          p.outcome.converged = rec.converged;
-          p.outcome.rounds = rec.rounds;
-          p.outcome.total_coins = rec.coins;
-          p.outcome.leader = static_cast<graph::node_id>(rec.leader);
-          p.outcome.final_leader_count = rec.converged ? 1 : 0;
+  // Next owned unit into `p`; a unit already recorded in the resume file
+  // comes back complete, its outcome rebuilt from the record.
+  const auto pull = [&](window_slot& p) {
+    const auto u = source.next();
+    if (!u) return false;
+    p.u = *u;
+    if (!recorded.empty()) {
+      const auto it = recorded.find(u->global);
+      if (it != recorded.end()) {
+        const trial_record& rec = it->second;
+        if (rec.cell != u->cell || rec.trial != u->trial ||
+            rec.seed != u->seed) {
+          throw std::runtime_error(
+              opts.jsonl_path + ": resume record for unit " +
+              std::to_string(u->global) +
+              " does not match this sweep (different spec or seed?)");
         }
+        p.resumed = true;
+        p.done = true;
+        p.outcome.converged = rec.converged;
+        p.outcome.rounds = rec.rounds;
+        p.outcome.total_coins = rec.coins;
+        p.outcome.leader = static_cast<graph::node_id>(rec.leader);
+        p.outcome.final_leader_count = rec.converged ? 1 : 0;
       }
-      batch.push_back(std::move(p));
     }
-    if (batch.empty()) break;
+    return true;
+  };
 
-    std::vector<std::size_t> fresh;
-    fresh.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (!batch[i].resumed) fresh.push_back(i);
+  const auto run_trial = [&](window_slot& p) {
+    const analysis::matrix_cell& cell = s.cells[p.u.cell];
+    const auto start = std::chrono::steady_clock::now();
+    p.outcome = cell.algo.run(cell.inst->view(), p.u.seed, cell.max_rounds);
+    p.seconds = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    if (tel_on && tel::trace_enabled()) {
+      // Span from the already-measured trial clock: one extra read
+      // pins the end on the telemetry epoch, the duration is reused.
+      const auto dur_ns = static_cast<std::uint64_t>(p.seconds * 1e9);
+      const std::uint64_t end_ns = tel::now_ns();
+      tel::trace_complete("trial", "sweep",
+                          end_ns > dur_ns ? end_ns - dur_ns : 0, dur_ns);
     }
-    support::parallel_for(fresh.size(), opts.threads, [&](std::size_t k) {
-      pending& p = batch[fresh[k]];
-      const analysis::matrix_cell& cell = s.cells[p.u.cell];
-      const auto start = std::chrono::steady_clock::now();
-      p.outcome = cell.algo.run(cell.inst->view(), p.u.seed, cell.max_rounds);
-      p.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-      if (tel_on && tel::trace_enabled()) {
-        // Span from the already-measured trial clock: one extra read
-        // pins the end on the telemetry epoch, the duration is reused.
-        const auto dur_ns = static_cast<std::uint64_t>(p.seconds * 1e9);
-        const std::uint64_t end_ns = tel::now_ns();
-        tel::trace_complete("trial", "sweep",
-                            end_ns > dur_ns ? end_ns - dur_ns : 0, dur_ns);
-      }
-    });
+  };
 
-    // Stream + fold in global unit order (the aggregation order is
-    // part of the bit-identity contract).
-    for (const pending& p : batch) {
-      points[p.u.cell].push_back(
-          {p.outcome.rounds, p.outcome.converged, p.outcome.total_coins});
-      busy[p.u.cell] += p.seconds;
-      if (tel_on && !p.resumed) {
-        trial_us_hist.record(static_cast<std::uint64_t>(p.seconds * 1e6));
-      }
-      if (p.resumed) {
-        ++result.units_resumed;
-      } else {
-        ++result.units_run;
-        if (writer.is_open()) {
-          // Fresh trials carry the execution audit fields (gather
-          // kernel + tile/thread config); salvaged records predate the
-          // run and are re-emitted without them.
-          writer.write_trial({p.u.cell, p.u.trial, p.u.global, p.u.seed,
-                              p.outcome.rounds, p.outcome.converged,
-                              p.outcome.total_coins, p.outcome.leader},
-                             meta[p.u.cell],
-                             {graph::gather_kernel_name(p.outcome.gather_kernel),
-                              p.outcome.engine_threads,
-                              p.outcome.engine_tile_words});
-        }
-      }
-      if (opts.on_trial) opts.on_trial(p.u, p.outcome);
-      ++done_units;
-      ++since_checkpoint;
+  // Stream + fold in global unit order (the aggregation order is part
+  // of the bit-identity contract).
+  const auto fold = [&](const window_slot& p) {
+    points[p.u.cell].push_back(
+        {p.outcome.rounds, p.outcome.converged, p.outcome.total_coins});
+    busy[p.u.cell] += p.seconds;
+    if (tel_on && !p.resumed) {
+      trial_us_hist.record(static_cast<std::uint64_t>(p.seconds * 1e6));
     }
+    if (p.resumed) {
+      ++result.units_resumed;
+    } else {
+      ++result.units_run;
+      if (writer.is_open()) {
+        // Fresh trials carry the execution audit fields (gather
+        // kernel + tile/thread config); salvaged records predate the
+        // run and are re-emitted without them.
+        writer.write_trial({p.u.cell, p.u.trial, p.u.global, p.u.seed,
+                            p.outcome.rounds, p.outcome.converged,
+                            p.outcome.total_coins, p.outcome.leader},
+                           meta[p.u.cell],
+                           {graph::gather_kernel_name(p.outcome.gather_kernel),
+                            p.outcome.engine_threads,
+                            p.outcome.engine_tile_words});
+      }
+    }
+    if (opts.on_trial) opts.on_trial(p.u, p.outcome);
+    ++done_units;
     if (writer.is_open() && opts.checkpoint_every > 0 &&
-        since_checkpoint >= opts.checkpoint_every) {
+        done_units % opts.checkpoint_every == 0) {
       const std::uint64_t cp_start = tel_on ? tel::now_ns() : 0;
-      writer.write_checkpoint(done_units, source.shard_units());
+      writer.write_checkpoint(done_units, owned);
       if (tel_on) {
         const std::uint64_t cp_ns = tel::now_ns() - cp_start;
         checkpoint_us_hist.record(cp_ns / 1000);
@@ -336,12 +456,22 @@ shard_result run(const spec& s, const options& opts) {
           tel::trace_complete("checkpoint", "sweep", cp_start, cp_ns);
         }
       }
-      since_checkpoint = 0;
       if (!writer.healthy()) {  // fail fast, not after hours of trials
         throw std::runtime_error(write_path + ": write failure");
       }
     }
-  }
+  };
+
+  // threads == 0 means one worker per hardware thread; never more
+  // workers or window slots than the shard has units.
+  const std::uint64_t units = std::max<std::uint64_t>(1, owned);
+  const auto threads = static_cast<std::size_t>(std::min<std::uint64_t>(
+      opts.threads != 0 ? opts.threads
+                        : std::max(1U, std::thread::hardware_concurrency()),
+      units));
+  const auto window = static_cast<std::size_t>(
+      std::min<std::uint64_t>(threads * kWindowUnitsPerThread, units));
+  stream_in_order(threads, window, pull, run_trial, fold);
 
   result.cells.reserve(s.cells.size());
   for (std::size_t c = 0; c < s.cells.size(); ++c) {

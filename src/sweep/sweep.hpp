@@ -85,6 +85,8 @@ class work_source {
 
 /// Optional per-trial hook, invoked in global unit order (resumed
 /// units included, with the outcome reconstructed from their record).
+/// It may be called from any worker thread, but never concurrently:
+/// calls are serialized, each one happens-after the previous one.
 /// Benches use this for bespoke statistics the aggregates do not
 /// carry, e.g. which endpoint survived in the tightness experiment.
 using trial_hook =
@@ -98,7 +100,9 @@ struct options {
   /// Fold and skip units already recorded in jsonl_path (crash
   /// recovery); fresh records are appended to the same file.
   bool resume = false;
-  std::uint64_t checkpoint_every = 4096;  ///< Units between checkpoints.
+  /// A checkpoint record follows exactly every this many folded units
+  /// (0 = none), independent of the thread count.
+  std::uint64_t checkpoint_every = 4096;
   trial_hook on_trial;
   /// Write a telemetry snapshot (support::telemetry JSON, plus a
   /// Prometheus text sibling at `<path>.prom`) when the shard finishes.

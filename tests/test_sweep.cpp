@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -172,6 +174,173 @@ TEST(SweepRunTest, TrialHookSeesEveryUnitInGlobalOrder) {
   for (std::size_t i = 0; i < globals.size(); ++i) {
     EXPECT_EQ(globals[i], i);
   }
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(SweepRunTest, ShardFileBytesIndependentOfThreads) {
+  // Checkpoints land after exactly every checkpoint_every folded units,
+  // so nothing in the file depends on the worker count.
+  const analysis::instance inst =
+      analysis::make_instance(graph::make_path(16));
+  const sweep::spec spec{"bytes",
+                         {{&inst, analysis::make_bfw(0.5), 200, 7,
+                           core::default_horizon(inst.g, inst.diameter)}}};
+  std::string first;
+  for (const std::size_t threads : {1U, 3U, 4U}) {
+    const std::string path =
+        temp_path("bytes_" + std::to_string(threads) + ".jsonl");
+    sweep::options opts;
+    opts.threads = threads;
+    opts.jsonl_path = path;
+    opts.checkpoint_every = 50;
+    (void)sweep::run(spec, opts);
+    const std::string bytes = read_bytes(path);
+    std::remove(path.c_str());
+    if (first.empty()) {
+      first = bytes;
+      for (const int done : {50, 100, 150, 200}) {
+        EXPECT_NE(first.find("{\"type\":\"checkpoint\",\"units_done\":" +
+                             std::to_string(done) + ","),
+                  std::string::npos)
+            << "no checkpoint after unit " << done;
+      }
+    } else {
+      EXPECT_EQ(bytes, first) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(SweepRunTest, TrialExceptionPropagatesAndResumes) {
+  const analysis::instance inst =
+      analysis::make_instance(graph::make_grid(4, 4));
+  const std::uint64_t horizon = core::default_horizon(inst.g, inst.diameter);
+  constexpr std::uint64_t kFailingTrial = 37;
+  std::vector<std::uint64_t> seeds(100);
+  support::rng seeder(11);
+  for (auto& seed : seeds) seed = seeder.next_u64();
+  // Same name with and without the fault, so the resume sees one spec.
+  std::atomic<bool> armed{true};
+  analysis::algorithm faulty = analysis::make_bfw(0.5);
+  faulty.run = [&armed, inner = faulty.run, bad = seeds[kFailingTrial]](
+                   const graph::topology_view& view, std::uint64_t seed,
+                   std::uint64_t max_rounds) {
+    if (armed.load() && seed == bad) {
+      throw std::runtime_error("injected trial failure");
+    }
+    return inner(view, seed, max_rounds);
+  };
+  const sweep::spec spec{"faulty", {{&inst, faulty, 100, 11, horizon}}};
+  const std::string path = temp_path("faulty.jsonl");
+  const std::string clean = temp_path("faulty_clean.jsonl");
+  sweep::options opts;
+  opts.threads = 4;
+  opts.jsonl_path = path;
+  opts.checkpoint_every = 10;
+  try {
+    (void)sweep::run(spec, opts);
+    ADD_FAILURE() << "the trial's exception was swallowed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "injected trial failure");
+  }
+  // Every unit before the failing one was committed, none after it.
+  const sweep::shard_file partial = sweep::read_shard_file(path);
+  EXPECT_FALSE(partial.done);
+  ASSERT_EQ(partial.trials.size(), kFailingTrial);
+  for (std::uint64_t t = 0; t < kFailingTrial; ++t) {
+    EXPECT_EQ(partial.trials[t].global, t);
+  }
+
+  armed = false;
+  opts.resume = true;
+  const auto resumed = sweep::run(spec, opts);
+  EXPECT_EQ(resumed.units_resumed, kFailingTrial);
+  EXPECT_EQ(resumed.units_run, 100 - kFailingTrial);
+  opts.resume = false;
+  opts.jsonl_path = clean;
+  (void)sweep::run(spec, opts);
+  const std::vector<std::string> resumed_paths = {path};
+  const std::vector<std::string> clean_paths = {clean};
+  EXPECT_EQ(sweep::merge_summary(sweep::merge_shards(resumed_paths)).dump(),
+            sweep::merge_summary(sweep::merge_shards(clean_paths)).dump());
+  std::remove(path.c_str());
+  std::remove(clean.c_str());
+}
+
+TEST(SweepRunTest, HookExceptionPropagatesWithoutHanging) {
+  // A fold-side failure (here the trial hook) stops all four workers at
+  // once; the unit whose hook threw was already recorded.
+  const sweep_fixture fixture;
+  const std::string path = temp_path("hook_throws.jsonl");
+  sweep::options opts;
+  opts.threads = 4;
+  opts.jsonl_path = path;
+  opts.on_trial = [](const sweep::unit& u, const core::election_outcome&) {
+    if (u.global == 5) throw std::runtime_error("hook failure");
+  };
+  try {
+    (void)sweep::run(fixture.spec(), opts);
+    ADD_FAILURE() << "the hook's exception was swallowed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "hook failure");
+  }
+  const sweep::shard_file partial = sweep::read_shard_file(path);
+  EXPECT_FALSE(partial.done);
+  EXPECT_EQ(partial.trials.size(), 6U);
+  std::remove(path.c_str());
+}
+
+TEST(SweepRunTest, ResumeRecordMismatchUnderFourWorkersIsReported) {
+  // A recorded seed that disagrees with the spec fails the pull of its
+  // unit; the message names the unit, and no worker is left behind.
+  const sweep_fixture fixture;
+  const std::string path = temp_path("seed_mismatch.jsonl");
+  sweep::options opts;
+  opts.threads = 4;
+  opts.jsonl_path = path;
+  (void)sweep::run(fixture.spec(), opts);
+  std::string bytes = read_bytes(path);
+  const std::size_t record = bytes.find("\"global\":9,");
+  ASSERT_NE(record, std::string::npos);
+  const std::size_t seed = bytes.find("\"seed\":", record) + 7;
+  bytes.replace(seed, bytes.find(',', seed) - seed, "12345");
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  opts.resume = true;
+  try {
+    (void)sweep::run(fixture.spec(), opts);
+    ADD_FAILURE() << "the mismatched record was folded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              path + ": resume record for unit 9 does not match this sweep "
+                     "(different spec or seed?)");
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+}
+
+TEST(SweepRunTest, EmptyShardWritesCompleteFile) {
+  // A shard that owns no unit (and a sweep with no cell) still runs the
+  // executor to a clean finish.
+  const sweep_fixture fixture;
+  const std::string path = temp_path("empty_shard.jsonl");
+  sweep::options opts;
+  opts.threads = 4;
+  opts.shard = {20, 40};  // the fixture has 18 units
+  opts.jsonl_path = path;
+  const auto result = sweep::run(fixture.spec(), opts);
+  EXPECT_EQ(result.units_run, 0U);
+  EXPECT_EQ(result.cells.size(), fixture.spec().cells.size());
+  const sweep::shard_file file = sweep::read_shard_file(path);
+  EXPECT_TRUE(file.done);
+  EXPECT_TRUE(file.trials.empty());
+  std::remove(path.c_str());
+  opts.shard = {};
+  opts.jsonl_path.clear();
+  EXPECT_TRUE(sweep::run(sweep::spec{"no_cells", {}}, opts).cells.empty());
 }
 
 TEST(SweepMergeTest, AnyShardCountBitIdenticalToRunMatrix) {

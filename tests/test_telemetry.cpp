@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/experiment.hpp"
 #include "beeping/engine.hpp"
 #include "core/bfw.hpp"
 #include "core/bfw_stoneage.hpp"
@@ -39,6 +40,7 @@
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/telemetry.hpp"
+#include "sweep/sweep.hpp"
 
 namespace beepkit {
 namespace {
@@ -332,6 +334,41 @@ TEST_F(TelemetryTest, ElectionOptionsToggleAndRegistryFold) {
   EXPECT_EQ(with.leader, without.leader);
   EXPECT_EQ(with.total_coins, without.total_coins);
   EXPECT_EQ(tel::registry::global().counter("engine_trials_total"), 0U);
+}
+
+// Four sweep workers fold their trials into the registry concurrently
+// (CI runs this under TSan): no trial may be lost or double-counted.
+TEST_F(TelemetryTest, SweepFoldCountsExactUnderFourWorkers) {
+  if (!tel::compiled_in) GTEST_SKIP() << "built with BEEPKIT_TELEMETRY=OFF";
+  tel::set_enabled(true);
+  const analysis::instance path = analysis::make_instance(graph::make_path(40));
+  const analysis::instance grid =
+      analysis::make_instance(graph::make_grid(8, 8));
+  const sweep::spec spec{
+      "fold",
+      {{&path, analysis::make_bfw(0.5), 60, 3,
+        core::default_horizon(path.g, path.diameter)},
+       {&grid, analysis::make_bfw(0.5), 60, 4,
+        core::default_horizon(grid.g, grid.diameter)}}};
+  std::uint64_t rounds = 0;
+  sweep::options opts;
+  opts.threads = 4;
+  opts.on_trial = [&rounds](const sweep::unit&,
+                            const core::election_outcome& outcome) {
+    rounds += outcome.rounds;
+  };
+  const auto result = sweep::run(spec, opts);
+  ASSERT_EQ(result.units_run, 120U);
+  const tel::registry& reg = tel::registry::global();
+  EXPECT_EQ(reg.counter("engine_trials_total"), 120U);
+  const tel::log2_histogram trial_rounds = reg.histogram("engine_trial_rounds");
+  EXPECT_EQ(trial_rounds.count(), 120U);
+  EXPECT_EQ(trial_rounds.sum(), rounds);
+  EXPECT_EQ(reg.counter("engine_rounds_virtual_total") +
+                reg.counter("engine_rounds_sparse_total") +
+                reg.counter("engine_rounds_plane_interpreted_total") +
+                reg.counter("engine_rounds_plane_compiled_total"),
+            rounds);
 }
 
 // ---- histogram / registry / exposition ------------------------------
