@@ -3,7 +3,10 @@
 // b = 1. With coupled coins, the beeping-model and stone-age-model
 // simulations must produce the identical trajectory; this bench runs
 // the pair across topologies and reports divergences (zero) plus the
-// relative simulation cost of the richer census.
+// relative simulation cost of the richer census. The stone-age side
+// runs its generic census path: its default fast path is a
+// beeping::engine on the same machine, so only the census path is an
+// independent witness. Exits 1 on any divergence (a CI verdict).
 //
 //   ./build/bench/stoneage_equivalence [--rounds 2000] [--seed 8]
 //                                      [--threads 0]
@@ -60,6 +63,7 @@ int main(int argc, char** argv) {
     beeping::engine beep_sim(g, proto, seed);
     const core::bfw_stone_automaton automaton(0.5);
     stoneage::engine stone_sim(g, automaton, 1, seed);
+    stone_sim.set_fast_path_enabled(false);
 
     pair_result& res = results[i];
     for (std::uint64_t r = 0; r < rounds; ++r) {

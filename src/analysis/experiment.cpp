@@ -118,7 +118,9 @@ algorithm make_bfw(double p) {
   return {name.str(),
           [machine](const graph::topology_view& view, std::uint64_t seed,
                     std::uint64_t max_rounds) {
-            return core::run_fsm_election(view, *machine, seed, max_rounds);
+            core::election_options options;
+            options.max_rounds = max_rounds;
+            return core::run_election(view, *machine, seed, options);
           }};
 }
 
@@ -130,7 +132,9 @@ algorithm make_bfw_known_diameter(std::uint32_t diameter) {
   return {name.str(),
           [machine](const graph::topology_view& view, std::uint64_t seed,
                     std::uint64_t max_rounds) {
-            return core::run_fsm_election(view, *machine, seed, max_rounds);
+            core::election_options options;
+            options.max_rounds = max_rounds;
+            return core::run_election(view, *machine, seed, options);
           }};
 }
 

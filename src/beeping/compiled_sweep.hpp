@@ -49,11 +49,6 @@
 
 namespace beepkit::beeping {
 
-enum class sweep_mode {
-  full,     ///< beeping engine: chains, active set, leader words, ledger
-  display,  ///< stone-age engine: planes + beep + leader count only
-};
-
 namespace sweep_detail {
 
 /// Compile-time-unrolled loop: f receives integral_constant<size_t, I>,
@@ -67,9 +62,12 @@ inline void unroll(F&& f) {
 
 }  // namespace sweep_detail
 
-template <class Traits, std::size_t W, sweep_mode M>
-sweep_result compiled_sweep_impl(const plane_ctx& ctx, std::uint64_t* dirty,
-                                 std::size_t wb, std::size_t we) {
+/// The plane round over words [wb, we) - the beeping engine's, which
+/// also carries the stone-age fast path - register-ready as
+/// compiled_kernel::sweep.
+template <class Traits, std::size_t W>
+sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
+                            std::size_t wb, std::size_t we) {
   using vec = support::simd::wordvec<W>;
   using sweep_detail::unroll;
   constexpr std::size_t P = Traits::plane_count;
@@ -82,7 +80,7 @@ sweep_result compiled_sweep_impl(const plane_ctx& ctx, std::uint64_t* dirty,
       // W = 1, so tiling boundaries never change a number).
       if (w + W > we) {
         const sweep_result tail =
-            compiled_sweep_impl<Traits, 1, M>(ctx, dirty, w, we);
+            compiled_sweep<Traits, 1>(ctx, dirty, w, we);
         result.leaders += tail.leaders;
         result.active += tail.active;
         break;
@@ -91,19 +89,16 @@ sweep_result compiled_sweep_impl(const plane_ctx& ctx, std::uint64_t* dirty,
     vec valid = vec::splat(~0ULL);
     if (w + W >= ctx.words) valid.set_lane(ctx.words - 1 - w, ctx.tail_mask);
     const vec h = vec::load(ctx.heard + w);
-    if constexpr (M == sweep_mode::full) {
-      const vec act = vec::load(ctx.active + w);
-      if (!(((h | act) & valid)).any()) {
-        // Fully quiet batch: nothing moves, beeps, or draws; the
-        // stored leader and active lanes still count.
-        for (std::size_t l = 0; l < W; ++l) {
-          result.leaders +=
-              static_cast<std::size_t>(std::popcount(ctx.leader[w + l]));
-          result.active +=
-              static_cast<std::size_t>(std::popcount(act.lane(l)));
-        }
-        continue;
+    const vec act = vec::load(ctx.active + w);
+    if (!(((h | act) & valid)).any()) {
+      // Fully quiet batch: nothing moves, beeps, or draws; the stored
+      // leader and active lanes still count.
+      for (std::size_t l = 0; l < W; ++l) {
+        result.leaders +=
+            static_cast<std::size_t>(std::popcount(ctx.leader[w + l]));
+        result.active += static_cast<std::size_t>(std::popcount(act.lane(l)));
       }
+      continue;
     }
     vec b[P];
     unroll<P>([&](auto J) { b[J] = vec::load(ctx.planes[J] + w); });
@@ -283,54 +278,33 @@ sweep_result compiled_sweep_impl(const plane_ctx& ctx, std::uint64_t* dirty,
     }
     unroll<P>([&](auto J) { np[J].store(ctx.planes[J] + w); });
     beep_bits.store(ctx.beep + w);
-    if constexpr (M == sweep_mode::full) {
-      leader_bits.store(ctx.leader + w);
-      active_bits.store(ctx.active + w);
-    }
+    leader_bits.store(ctx.leader + w);
+    active_bits.store(ctx.active + w);
     for (std::size_t l = 0; l < W; ++l) {
       result.leaders +=
           static_cast<std::size_t>(std::popcount(leader_bits.lane(l)));
-      if constexpr (M == sweep_mode::full) {
-        result.active +=
-            static_cast<std::size_t>(std::popcount(active_bits.lane(l)));
-      }
+      result.active +=
+          static_cast<std::size_t>(std::popcount(active_bits.lane(l)));
     }
-    if constexpr (M == sweep_mode::full) {
-      // Ledger: bank this round's +1s with one ripple-carry add into
-      // the vertical counters; a zero carry lane rewrites its word
-      // unchanged, so the vectorized add stays value-identical to the
-      // interpreted per-word loop.
-      if (beep_bits.any()) {
-        for (std::size_t l = 0; l < W; ++l) {
-          if (beep_bits.lane(l) != 0) {
-            dirty[(w + l) >> 6] |= 1ULL << ((w + l) & 63);
-          }
+    // Ledger: bank this round's +1s with one ripple-carry add into the
+    // vertical counters; a zero carry lane rewrites its word unchanged,
+    // so the vectorized add stays value-identical to the interpreted
+    // per-word loop.
+    if (beep_bits.any()) {
+      for (std::size_t l = 0; l < W; ++l) {
+        if (beep_bits.lane(l) != 0) {
+          dirty[(w + l) >> 6] |= 1ULL << ((w + l) & 63);
         }
-        vec carry = beep_bits;
-        for (std::size_t j = 0; j < 8 && carry.any(); ++j) {
-          const vec old = vec::load(ctx.ledger[j] + w);
-          (old ^ carry).store(ctx.ledger[j] + w);
-          carry = carry & old;
-        }
+      }
+      vec carry = beep_bits;
+      for (std::size_t j = 0; j < 8 && carry.any(); ++j) {
+        const vec old = vec::load(ctx.ledger[j] + w);
+        (old ^ carry).store(ctx.ledger[j] + w);
+        carry = carry & old;
       }
     }
   }
   return result;
-}
-
-/// Full-mode entry point (beeping engine), register-ready.
-template <class Traits, std::size_t W>
-sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
-                            std::size_t wb, std::size_t we) {
-  return compiled_sweep_impl<Traits, W, sweep_mode::full>(ctx, dirty, wb, we);
-}
-
-/// Display-mode entry point (stone-age engine).
-template <class Traits, std::size_t W>
-sweep_result compiled_display_sweep(const plane_ctx& ctx, std::size_t wb,
-                                    std::size_t we) {
-  return compiled_sweep_impl<Traits, W, sweep_mode::display>(ctx, nullptr, wb,
-                                                             we);
 }
 
 }  // namespace beepkit::beeping

@@ -48,10 +48,6 @@ const compiled_kernel& kernel_bfw() {
     k.sweep[1] = &compiled_sweep<bfw_traits, 2>;
     k.sweep[2] = &compiled_sweep<bfw_traits, 4>;
     k.sweep[3] = &compiled_sweep<bfw_traits, 8>;
-    k.display[0] = &compiled_display_sweep<bfw_traits, 1>;
-    k.display[1] = &compiled_display_sweep<bfw_traits, 2>;
-    k.display[2] = &compiled_display_sweep<bfw_traits, 4>;
-    k.display[3] = &compiled_display_sweep<bfw_traits, 8>;
     return k;
   }();
   return kernel;

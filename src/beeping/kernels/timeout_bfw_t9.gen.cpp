@@ -64,10 +64,6 @@ const compiled_kernel& kernel_timeout_bfw_t9() {
     k.sweep[1] = &compiled_sweep<timeout_bfw_t9_traits, 2>;
     k.sweep[2] = &compiled_sweep<timeout_bfw_t9_traits, 4>;
     k.sweep[3] = &compiled_sweep<timeout_bfw_t9_traits, 8>;
-    k.display[0] = &compiled_display_sweep<timeout_bfw_t9_traits, 1>;
-    k.display[1] = &compiled_display_sweep<timeout_bfw_t9_traits, 2>;
-    k.display[2] = &compiled_display_sweep<timeout_bfw_t9_traits, 4>;
-    k.display[3] = &compiled_display_sweep<timeout_bfw_t9_traits, 8>;
     return k;
   }();
   return kernel;

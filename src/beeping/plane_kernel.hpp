@@ -34,8 +34,7 @@ namespace beepkit::beeping {
 /// Everything a compiled sweep reads or writes, borrowed from the
 /// engine for the duration of one round. Pointers are word arrays
 /// (word w covers nodes [64w, 64w+63]); `planes`/`ledger` are arrays
-/// of plane pointers. Display-mode sweeps (the stone-age engine) leave
-/// `active`, `leader` and `ledger` null.
+/// of plane pointers.
 struct plane_ctx {
   const std::uint64_t* heard = nullptr;
   std::uint64_t* beep = nullptr;
@@ -61,16 +60,12 @@ struct sweep_result {
   std::size_t active = 0;
 };
 
-/// Full-mode sweep over words [wb, we): the beeping engine's plane
-/// round (chains, active set, leader words, beep ledger + `dirty`
-/// slot-scratch marking). Tiles may run concurrently on disjoint
-/// ranges.
+/// Sweep over words [wb, we): the beeping engine's plane round
+/// (chains, active set, leader words, beep ledger + `dirty`
+/// slot-scratch marking), which also serves the stone-age fast path.
+/// Tiles may run concurrently on disjoint ranges.
 using sweep_fn = sweep_result (*)(const plane_ctx&, std::uint64_t* dirty,
                                   std::size_t wb, std::size_t we);
-/// Display-mode sweep (the stone-age engine): planes + heard ->
-/// planes + beep + leader count, no active/leader/ledger upkeep.
-using display_sweep_fn = sweep_result (*)(const plane_ctx&, std::size_t wb,
-                                          std::size_t we);
 
 /// Width variants a kernel carries: W words per vector op.
 inline constexpr std::size_t kernel_widths[] = {1, 2, 4, 8};
@@ -105,7 +100,6 @@ struct compiled_kernel {
   std::size_t state_count = 0;
   std::size_t plane_count = 0;
   sweep_fn sweep[kernel_width_slots] = {};
-  display_sweep_fn display[kernel_width_slots] = {};
 };
 
 /// Canonical structural form of a compiled table: state count, per-state

@@ -102,25 +102,6 @@ election_outcome run_election(const graph::topology_view& view,
   return run_election(view, *machine, seed, options);
 }
 
-election_outcome run_bfw_election(const graph::topology_view& view, double p,
-                                  std::uint64_t seed,
-                                  std::uint64_t max_rounds,
-                                  const engine_exec& exec) {
-  const bfw_machine machine(p);
-  return run_fsm_election(view, machine, seed, max_rounds, exec);
-}
-
-election_outcome run_fsm_election(const graph::topology_view& view,
-                                  const beeping::state_machine& machine,
-                                  std::uint64_t seed,
-                                  std::uint64_t max_rounds,
-                                  const engine_exec& exec) {
-  election_options options;
-  options.max_rounds = max_rounds;
-  options.exec = exec;
-  return run_election(view, machine, seed, options);
-}
-
 election_outcome run_bfw_election_from(const graph::topology_view& view,
                                        double p,
                                        std::vector<beeping::state_id> initial,
@@ -141,10 +122,12 @@ std::vector<double> convergence_rounds(const graph::topology_view& view,
                                        std::uint64_t max_rounds) {
   std::vector<double> rounds;
   rounds.reserve(trials);
+  election_options options;
+  options.max_rounds = max_rounds;
   support::rng seeder(seed);
   for (std::size_t trial = 0; trial < trials; ++trial) {
     const auto outcome =
-        run_fsm_election(view, machine, seeder.next_u64(), max_rounds);
+        run_election(view, machine, seeder.next_u64(), options);
     rounds.push_back(static_cast<double>(
         outcome.converged ? outcome.rounds : max_rounds));
   }

@@ -112,21 +112,6 @@ struct election_options {
     const graph::topology_view& view, const protocol_spec& spec,
     std::uint64_t seed, const election_options& options = {});
 
-// ---- legacy entry points ---------------------------------------------
-// Thin shims over run_election, kept so no caller breaks; new code
-// should pass election_options directly.
-
-/// Runs BFW with parameter `p` from the all-W• initial configuration.
-[[nodiscard]] election_outcome run_bfw_election(
-    const graph::topology_view& view, double p, std::uint64_t seed,
-    std::uint64_t max_rounds, const engine_exec& exec = {});
-
-/// Runs any state machine through the beeping engine.
-[[nodiscard]] election_outcome run_fsm_election(
-    const graph::topology_view& view, const beeping::state_machine& machine,
-    std::uint64_t seed, std::uint64_t max_rounds,
-    const engine_exec& exec = {});
-
 /// Runs BFW from an explicit initial configuration (used by the
 /// Section-5 experiments: two leaders at path ends, adversarial
 /// states, ...). `initial` must hold valid BFW state ids.

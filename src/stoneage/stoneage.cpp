@@ -1,11 +1,7 @@
 #include "stoneage/stoneage.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <stdexcept>
-
-#include "graph/patch.hpp"
 
 namespace beepkit::stoneage {
 
@@ -26,15 +22,12 @@ engine::engine(graph::topology_view view, const automaton& machine,
   if (threshold_ == 0) {
     throw std::invalid_argument("stoneage::engine: threshold must be >= 1");
   }
-  const std::size_t n = n_;
-  rngs_ = support::make_node_streams(seed, n);
-  states_.assign(n, machine.initial_state());
-  next_states_.assign(n, machine.initial_state());
   census_.assign(machine.alphabet_size(), 0);
   // Fast-path bind: an automaton that is a beeping machine in disguise
-  // runs its compiled table. The hook contract (two symbols, matching
-  // display/leader predicates) is verified here; any violation is a
-  // bug in the automaton, not a reason to fall back silently.
+  // runs on the beeping engine. The hook contract (two symbols,
+  // matching display/leader predicates) is verified here; any
+  // violation is a bug in the automaton, not a reason to fall back
+  // silently.
   if (const beeping::state_machine* bm = machine.beep_machine();
       bm != nullptr) {
     if (machine.alphabet_size() != 2 ||
@@ -43,182 +36,119 @@ engine::engine(graph::topology_view view, const automaton& machine,
           "stoneage::engine: beep_machine() automaton must have alphabet "
           "{silent, beep} and matching state count");
     }
-    table_ = bm->compile_table();
-    if (table_.has_value() && table_->state_count() > 64) {
-      // The bit-sliced plane round covers 64 states (6 planes); a
-      // larger machine simply keeps the generic census path - the
-      // same graceful degradation the beeping engine applies via its
-      // plane_capable_ gate.
-      table_.reset();
+    for (std::size_t s = 0; s < machine.state_count(); ++s) {
+      const auto state = static_cast<state_id>(s);
+      if ((machine.display(state) == beep_symbol) != bm->beeps(state) ||
+          machine.is_leader(state) != bm->is_leader(state)) {
+        throw std::invalid_argument(
+            "stoneage::engine: beep_machine() display/leader predicates "
+            "disagree with the automaton");
+      }
     }
-    if (table_.has_value()) {
-      for (std::size_t s = 0; s < machine.state_count(); ++s) {
-        const auto state = static_cast<state_id>(s);
-        if ((machine.display(state) == beep_symbol) != table_->beeps(state) ||
-            machine.is_leader(state) != table_->is_leader(state)) {
-          throw std::invalid_argument(
-              "stoneage::engine: beep_machine() display/leader predicates "
-              "disagree with the automaton");
-        }
-      }
-      gather_.emplace(view_);
-      beep_words_.assign((n + 63) / 64, 0);
-      heard_words_.assign((n + 63) / 64, 0);
-      plane_count_ = 1;
-      while ((std::size_t{1} << plane_count_) < table_->state_count()) {
-        ++plane_count_;
-      }
-      for (std::size_t j = 0; j < plane_count_; ++j) {
-        planes_[j].assign((n + 63) / 64, 0);
-      }
-      pack_planes();
-      // beepc dispatch: a registered kernel matching this table's
-      // structure runs the fast-path rounds through its display-mode
-      // sweep entry points.
-      compiled_kernel_ = beeping::find_compiled_kernel(*table_);
+    // The bit-sliced plane round covers 64 states (6 planes); a larger
+    // or uncompiled machine simply keeps the generic census path.
+    const auto table = bm->compile_table();
+    if (table.has_value() && table->state_count() <= 64) {
+      plane_ = std::make_unique<plane_delegate>(view_, *bm, seed);
+      return;
     }
   }
-  tail_mask_ = (n % 64 == 0) ? ~0ULL : ((1ULL << (n % 64)) - 1);
-  slot_leaders_.assign(1, 0);
+  rngs_ = support::make_node_streams(seed, n_);
+  states_.assign(n_, machine.initial_state());
+  next_states_.assign(n_, machine.initial_state());
   refresh_counters();
 }
 
-// Fast-path entry: transpose states_ into the planes and rebuild the
-// displayed-beep word (the sweep maintains both incrementally from
-// here on - the per-round O(n) scalar display packing is gone).
-void engine::pack_planes() {
-  const std::size_t n = n_;
-  const beeping::machine_table& table = *table_;
-  for (std::size_t j = 0; j < plane_count_; ++j) {
-    std::fill(planes_[j].begin(), planes_[j].end(), 0);
-  }
-  std::fill(beep_words_.begin(), beep_words_.end(), 0);
-  for (std::size_t u = 0; u < n; ++u) {
-    const std::uint64_t bit = 1ULL << (u & 63);
-    const state_id s = states_[u];
-    for (std::size_t j = 0; j < plane_count_; ++j) {
-      if ((s >> j) & 1U) planes_[j][u >> 6] |= bit;
-    }
-    if (table.beep_flag[s] != 0) beep_words_[u >> 6] |= bit;
-  }
-  planes_fresh_ = true;
-}
-
-void engine::materialize() const {
-  if (states_valid_) return;
-  states_valid_ = true;
-  ++materializations_;
-  // SWAR bit-to-u16 transpose (support::simd), replacing the old
-  // per-node bit-gather loop - same unpack the beeping engine uses.
-  const std::uint64_t* plane_ptrs[6] = {};
-  for (std::size_t j = 0; j < plane_count_; ++j) {
-    plane_ptrs[j] = planes_[j].data();
-  }
-  support::simd::transpose_planes_to_u16(plane_ptrs, plane_count_, n_,
-                                         states_.data());
-}
-
 void engine::set_fast_path_enabled(bool enabled) {
-  if (enabled == fast_enabled_) return;
-  if (!enabled) {
-    // The generic census path reads and writes states_ directly; hand
-    // the authority back to the vector.
-    materialize();
-    planes_fresh_ = false;
-    fast_enabled_ = false;
+  if (!plane_ || enabled == fast_enabled_) {
+    fast_enabled_ = enabled;
     return;
   }
-  fast_enabled_ = true;
-  if (table_.has_value()) pack_planes();
+  fast_enabled_ = enabled;
+  if (!enabled) {
+    // Hand the configuration to the census path; the per-node streams
+    // stay in the delegate (node_rng).
+    states_ = plane_->proto.states();
+    next_states_.resize(n_);
+    leader_count_ = plane_->sim.leader_count();
+    return;
+  }
+  // Adopt the census path's configuration as the current round; the
+  // round counter keeps running.
+  plane_->proto.set_states(states_);
+  plane_->sim.resync_with_protocol();
 }
 
 void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
-  tile_words_ = tile_words;
-  const std::size_t resolved =
-      threads == 0 ? support::resolve_threads(0) : threads;
-  if (resolved <= 1) {
-    exec_.reset();
-    if (gather_.has_value()) gather_->set_executor(nullptr, 0);
-    slot_leaders_.assign(1, 0);
-    return;
-  }
-  if (!exec_ || exec_->thread_count() != resolved) {
-    exec_ = std::make_unique<support::tile_executor>(resolved);
-  }
-  if (gather_.has_value()) gather_->set_executor(exec_.get(), tile_words_);
-  slot_leaders_.assign(resolved, 0);
+  if (plane_) plane_->sim.set_parallelism(threads, tile_words);
+}
+
+void engine::set_compiled_width(std::size_t width) {
+  if (plane_) plane_->sim.set_compiled_width(width);
 }
 
 void engine::set_gather_kernel(graph::gather_kernel kernel) {
-  if (!gather_.has_value()) {
+  if (!plane_) {
     throw std::logic_error(
         "stoneage::engine::set_gather_kernel: no packed gather - the "
         "automaton exposes no beep_machine(), so rounds take the generic "
         "census path");
   }
-  gather_->force_kernel(kernel);
+  plane_->sim.set_gather_kernel(kernel);
 }
 
 void engine::set_topology_patch(const graph::patch_overlay* patch) {
-  if (!gather_.has_value()) {
+  if (!plane_) {
     throw std::logic_error(
         "stoneage::engine::set_topology_patch: no packed gather - the "
         "automaton exposes no beep_machine(), so rounds take the generic "
         "census path");
   }
-  if (patch != nullptr && patch->view().node_count() != n_) {
-    throw std::invalid_argument(
-        "stoneage::engine::set_topology_patch: overlay node count mismatch");
-  }
-  gather_->set_patch(patch);
+  plane_->sim.set_topology_patch(patch);
+}
+
+void engine::set_telemetry_enabled(bool enabled) noexcept {
+  telemetry_enabled_ = enabled;
+  if (plane_) plane_->sim.set_telemetry_enabled(enabled);
 }
 
 void engine::refresh_counters() {
-  materialize();
   leader_count_ = 0;
-  if (fast_path_active()) {
-    for (state_id s : states_) {
-      leader_count_ += table_->leader_flag[s];
-    }
-    return;
-  }
   for (state_id s : states_) {
     if (machine_->is_leader(s)) ++leader_count_;
   }
 }
 
 void engine::step() {
+  if (fast_path_active()) {
+    plane_->sim.step();
+  } else {
+    step_census();
+  }
+}
+
+// The generic round: clipped census of the neighbors' displayed
+// symbols, then the automaton's virtual transition.
+void engine::step_census() {
   // Same probe discipline as beeping::engine::step: counter bumps when
   // enabled, clock reads and trace spans only on sampled rounds, and
   // never a probe that could touch RNG streams or iteration order.
   namespace tel = support::telemetry;
   const bool tel_on = tel::compiled_in && telemetry_enabled_ && tel::enabled();
-  const bool sampled = tel_on && tel::round_sampled(round_);
+  const bool sampled = tel_on && tel::round_sampled(round());
   const std::uint64_t probe_start = sampled ? tel::now_ns() : 0;
-  if (fast_path_active()) {
-    if (tel_on) {
-      if (compiled_kernel_active()) {
-        ++metrics_.rounds_plane_compiled;
-      } else {
-        ++metrics_.rounds_plane_interpreted;
-      }
-    }
-    step_fast();
-  } else {
-    if (tel_on) ++metrics_.rounds_virtual;
-    const std::size_t n = n_;
-    for (graph::node_id u = 0; u < n; ++u) {
-      std::fill(census_.begin(), census_.end(), 0U);
-      view_.for_each_neighbor(u, [&](graph::node_id v) {
-        const symbol sigma = machine_->display(states_[v]);
-        if (census_[sigma] < threshold_) ++census_[sigma];
-      });
-      next_states_[u] = machine_->transition(states_[u], census_, rngs_[u]);
-    }
-    states_.swap(next_states_);
-    ++round_;
-    refresh_counters();
+  if (tel_on) ++metrics_.rounds_virtual;
+  for (graph::node_id u = 0; u < n_; ++u) {
+    std::fill(census_.begin(), census_.end(), 0U);
+    view_.for_each_neighbor(u, [&](graph::node_id v) {
+      const symbol sigma = machine_->display(states_[v]);
+      if (census_[sigma] < threshold_) ++census_[sigma];
+    });
+    next_states_[u] = machine_->transition(states_[u], census_, node_rng(u));
   }
+  states_.swap(next_states_);
+  ++round_;
+  refresh_counters();
   if (sampled) {
     const std::uint64_t dur = tel::now_ns() - probe_start;
     metrics_.round_ns.record(dur);
@@ -230,242 +160,37 @@ void engine::step() {
 }
 
 support::telemetry::engine_metrics engine::telemetry_metrics() const {
-  support::telemetry::engine_metrics m = metrics_;
-  m.materializations = materializations_;
-  if (exec_) {
-    const auto claims = exec_->claim_counts();
-    std::uint64_t max_words = 0;
-    for (const auto& c : claims) {
-      m.tile_claims += c.tiles;
-      m.tile_claimed_words += c.words;
-      max_words = std::max(max_words, c.words);
-    }
-    if (m.tile_claimed_words != 0) {
-      const double mean = static_cast<double>(m.tile_claimed_words) /
-                          static_cast<double>(claims.size());
-      m.tile_imbalance = static_cast<double>(max_words) / mean;
-    }
-  }
+  if (!plane_) return metrics_;
+  support::telemetry::engine_metrics m = plane_->sim.telemetry_metrics();
+  m.rounds_virtual += metrics_.rounds_virtual;
+  m.sampled_rounds += metrics_.sampled_rounds;
+  m.round_ns.merge(metrics_.round_ns);
   return m;
 }
 
-// Table-driven bit-sliced round: the displayed-beep word is already
-// maintained by the previous sweep (no scalar packing), the shared
-// word-parallel heard-gather computes the heard set (stencil /
-// word-CSR push / packed pull, same dispatch as the beeping engine),
-// and the transition function is evaluated with word-parallel set
-// algebra over the state planes - per-state decode masks route 64
-// nodes at a time, the new beep word and the leader count fall out of
-// the per-successor masks. With any threshold b >= 1 the clipped
-// census entry for `beep` is positive iff some neighbor displays it,
-// so this is exactly the generic round - same transitions, same
-// generator draws (stochastic rules visit their nodes individually, in
-// ascending node order, off per-node streams). The protocol's state
-// vector is not written at all; states() unpacks the planes lazily.
-void engine::step_fast() {
-  std::copy(beep_words_.begin(), beep_words_.end(), heard_words_.begin());
-  (*gather_)(beep_words_, heard_words_);
-  if (compiled_kernel_ != nullptr && compiled_enabled_) {
-    step_compiled();
-    ++round_;
+void engine::run_rounds(std::uint64_t count) {
+  if (fast_path_active()) {
+    plane_->sim.run_rounds(count);
     return;
   }
-  switch (plane_count_) {
-    case 1:
-      step_plane_impl<1>();
-      break;
-    case 2:
-      step_plane_impl<2>();
-      break;
-    case 3:
-      step_plane_impl<3>();
-      break;
-    case 4:
-      step_plane_impl<4>();
-      break;
-    case 5:
-      step_plane_impl<5>();
-      break;
-    default:
-      step_plane_impl<6>();
-      break;
-  }
-  ++round_;
-}
-
-template <std::size_t P>
-void engine::step_plane_impl() {
-  const beeping::machine_table& table = *table_;
-  const std::size_t q = table.state_count();
-  const std::size_t words = heard_words_.size();
-  support::rng* const rngs = rngs_.data();
-  const std::uint64_t* const heard = heard_words_.data();
-  std::uint64_t* const beep = beep_words_.data();
-  std::uint64_t* plane[P];
-  for (std::size_t j = 0; j < P; ++j) plane[j] = planes_[j].data();
-  std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
-  // Tiled sweep: per-word updates are independent (own planes, own
-  // node streams); leader counts fold per slot after the barrier.
-  const auto sweep_range = [&](std::size_t slot, std::size_t wb,
-                               std::size_t we) {
-    std::size_t leaders = 0;
-    for (std::size_t w = wb; w < we; ++w) {
-      const std::uint64_t valid = (w + 1 == words) ? tail_mask_ : ~0ULL;
-      const std::uint64_t h = heard[w];
-      std::uint64_t b[P];
-      for (std::size_t j = 0; j < P; ++j) b[j] = plane[j][w];
-      std::uint64_t moved[64];  // moved[t]: nodes whose successor is t
-      for (std::size_t t = 0; t < q; ++t) moved[t] = 0;
-      // Stochastic parts are deferred so their draws happen jointly in
-      // ascending node order, exactly as the scalar loop drew them.
-      struct pending_draw {
-        const beeping::transition_rule* rule;
-        std::uint64_t part;
-      };
-      std::array<pending_draw, 128> draws;  // <= 2 per state
-      std::size_t draw_rules = 0;
-      std::uint64_t draw_union = 0;
-      std::uint64_t rem = valid;
-      for (std::size_t s = q; s-- > 0;) {
-        if (rem == 0) break;
-        std::uint64_t dec = rem;
-        for (std::size_t j = 0; j < P; ++j) {
-          dec &= ((s >> j) & 1U) ? b[j] : ~b[j];
-        }
-        if (dec == 0) continue;
-        rem &= ~dec;
-        const beeping::transition_rule& top =
-            table.rule(static_cast<state_id>(s), true);
-        const beeping::transition_rule& bot =
-            table.rule(static_cast<state_id>(s), false);
-        const std::uint64_t top_part = dec & h;
-        const std::uint64_t bot_part = dec & ~h;
-        if (top_part != 0) {
-          if (top.draw == beeping::transition_rule::draw_kind::none) {
-            moved[top.next] |= top_part;
-          } else {
-            draws[draw_rules++] = {&top, top_part};
-            draw_union |= top_part;
-          }
-        }
-        if (bot_part != 0) {
-          if (bot.draw == beeping::transition_rule::draw_kind::none) {
-            moved[bot.next] |= bot_part;
-          } else {
-            draws[draw_rules++] = {&bot, bot_part};
-            draw_union |= bot_part;
-          }
-        }
-      }
-      while (draw_union != 0) {
-        const auto offset =
-            static_cast<std::size_t>(std::countr_zero(draw_union));
-        const std::uint64_t mask = draw_union & (~draw_union + 1);
-        draw_union &= draw_union - 1;
-        const auto u = static_cast<graph::node_id>((w << 6) + offset);
-        for (std::size_t i = 0; i < draw_rules; ++i) {
-          if ((draws[i].part & mask) != 0) {
-            moved[beeping::apply_rule(*draws[i].rule, rngs[u])] |= mask;
-            break;
-          }
-        }
-      }
-      std::uint64_t np[P] = {};
-      std::uint64_t beep_bits = 0;
-      std::uint64_t leader_bits = 0;
-      for (std::size_t t = 0; t < q; ++t) {
-        const std::uint64_t m = moved[t];
-        if (m == 0) continue;
-        for (std::size_t j = 0; j < P; ++j) {
-          if ((t >> j) & 1U) np[j] |= m;
-        }
-        const std::uint8_t t_meta = table.meta[t];
-        if ((t_meta & beeping::machine_table::meta_beep) != 0) beep_bits |= m;
-        if ((t_meta & beeping::machine_table::meta_leader) != 0) {
-          leader_bits |= m;
-        }
-      }
-      for (std::size_t j = 0; j < P; ++j) plane[j][w] = np[j];
-      beep[w] = beep_bits;
-      leaders += static_cast<std::size_t>(std::popcount(leader_bits));
-    }
-    slot_leaders_[slot] += leaders;
-  };
-  if (exec_) {
-    exec_->run_tiles(words, tile_words_, sweep_range);
-  } else {
-    sweep_range(0, 0, words);
-  }
-  std::size_t leaders = 0;
-  for (const std::size_t part : slot_leaders_) leaders += part;
-  leader_count_ = leaders;
-  states_valid_ = false;  // planes authoritative; unpack on read
-  planes_fresh_ = true;
-}
-
-void engine::set_compiled_width(std::size_t width) {
-  if (width != 1 && width != 2 && width != 4 && width != 8) {
-    throw std::invalid_argument(
-        "stoneage::engine::set_compiled_width: width must be 1, 2, 4 or 8");
-  }
-  compiled_width_ = width;
-}
-
-// The beepc-compiled fast-path round: the kernel's display-mode sweep
-// (planes + beep word + leader count; no active set or ledger exists in
-// this engine) over the same tiling as step_plane_impl, required
-// bit-identical to it.
-void engine::step_compiled() {
-  const std::size_t words = heard_words_.size();
-  std::uint64_t* plane_ptrs[6] = {};
-  for (std::size_t j = 0; j < plane_count_; ++j) {
-    plane_ptrs[j] = planes_[j].data();
-  }
-  beeping::plane_ctx ctx;
-  ctx.heard = heard_words_.data();
-  ctx.beep = beep_words_.data();
-  ctx.planes = plane_ptrs;
-  ctx.rngs = support::rng_source{rngs_.data(), nullptr};
-  ctx.rules = table_->rules.data();
-  ctx.tail_mask = tail_mask_;
-  ctx.words = words;
-  const beeping::display_sweep_fn sweep =
-      compiled_kernel_->display[beeping::kernel_width_slot(compiled_width_)];
-  std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
-  const auto sweep_range = [&](std::size_t slot, std::size_t wb,
-                               std::size_t we) {
-    slot_leaders_[slot] += sweep(ctx, wb, we).leaders;
-  };
-  if (exec_) {
-    exec_->run_tiles(words, tile_words_, sweep_range);
-  } else {
-    sweep_range(0, 0, words);
-  }
-  std::size_t leaders = 0;
-  for (const std::size_t part : slot_leaders_) leaders += part;
-  leader_count_ = leaders;
-  ++compiled_rounds_;
-  states_valid_ = false;  // planes authoritative; unpack on read
-  planes_fresh_ = true;
-}
-
-void engine::run_rounds(std::uint64_t count) {
-  for (std::uint64_t i = 0; i < count; ++i) step();
+  for (std::uint64_t i = 0; i < count; ++i) step_census();
 }
 
 engine::run_result engine::run_until_single_leader(std::uint64_t max_rounds) {
-  while (round_ < max_rounds) {
-    if (leader_count_ <= 1) break;
-    step();
+  if (fast_path_active()) {
+    // The delegate counts only its own rounds; census rounds run
+    // before a toggle are the offset.
+    const auto r = plane_->sim.run_until_single_leader(
+        max_rounds - std::min(round_, max_rounds));
+    return {round(), r.converged, r.leaders};
   }
-  return {round_, leader_count_ == 1, leader_count_};
+  while (round() < max_rounds && leader_count_ > 1) step_census();
+  return {round(), leader_count_ == 1, leader_count_};
 }
 
 graph::node_id engine::sole_leader() const {
-  if (leader_count_ != 1) {
-    return static_cast<graph::node_id>(n_);
-  }
-  materialize();
+  if (fast_path_active()) return plane_->sim.sole_leader();
+  if (leader_count_ != 1) return static_cast<graph::node_id>(n_);
   for (graph::node_id u = 0; u < n_; ++u) {
     if (machine_->is_leader(states_[u])) return u;
   }
@@ -473,7 +198,7 @@ graph::node_id engine::sole_leader() const {
 }
 
 void engine::set_states(std::vector<state_id> states) {
-  if (states.size() != states_.size()) {
+  if (states.size() != n_) {
     throw std::invalid_argument("stoneage::engine::set_states: size mismatch");
   }
   for (state_id s : states) {
@@ -482,9 +207,12 @@ void engine::set_states(std::vector<state_id> states) {
           "stoneage::engine::set_states: invalid state id");
     }
   }
+  if (fast_path_active()) {
+    plane_->proto.set_states(std::move(states));
+    plane_->sim.resync_with_protocol();
+    return;
+  }
   states_ = std::move(states);
-  states_valid_ = true;  // wholesale overwrite: the vector is truth
-  if (fast_path_active()) pack_planes();
   refresh_counters();
 }
 

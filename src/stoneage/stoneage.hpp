@@ -11,22 +11,18 @@
 // makes the BFW embedding work (src/core/bfw_stoneage.hpp).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "beeping/plane_kernel.hpp"
+#include "beeping/engine.hpp"
 #include "beeping/protocol.hpp"
 #include "graph/gather.hpp"
 #include "graph/graph.hpp"
 #include "graph/view.hpp"
-#include "support/parallel.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "support/telemetry.hpp"
 
 namespace beepkit::stoneage {
@@ -59,7 +55,7 @@ class automaton {
   /// the machine beeps in s, is_leader matching, and transition(s,
   /// counts, rng) == (beeps(s) || counts[1] > 0 ? delta_top : delta_bot)
   /// with identical generator draws - return that machine, and the
-  /// engine runs its compiled table instead of the virtual
+  /// engine runs it on beeping::engine instead of the virtual
   /// display/transition calls. Default: nullptr (generic path).
   [[nodiscard]] virtual const beeping::state_machine* beep_machine() const {
     return nullptr;
@@ -70,14 +66,21 @@ class automaton {
 /// and transitions on the clipped census of the *current* round's
 /// displayed symbols (double-buffered, like the beeping engine).
 ///
-/// Fast path (automaton::beep_machine): states are held bit-sliced in
-/// ceil(log2 q) planes, the displayed-beep word is maintained by the
-/// sweep itself (the old O(n) scalar display packing is gone), and the
-/// whole round - gather plus transition routing - is word-parallel and
-/// tileable via set_parallelism. The planes are authoritative while
-/// the fast path runs; states()/state_of()/displayed() unpack them
-/// lazily on first read, exactly like the beeping engine's
-/// plane-authoritative model.
+/// Fast path (automaton::beep_machine, compiled table of <= 64
+/// states): with any threshold b >= 1 the clipped census entry for
+/// `beep` is positive iff some neighbor displays it, so a round is
+/// exactly one beeping-model round of the disguised machine. The
+/// engine therefore binds a beeping::fsm_protocol over that machine and
+/// a beeping::engine on the same view and seed (node u draws from the
+/// same stream in both engines) and forwards every fast-path call to
+/// it: rounds, states, leader counts, tiling, gather and compiled-kernel
+/// knobs, telemetry. One plane round serves both weak models.
+///
+/// The generic census path - per-neighbor display() calls, clipped
+/// counts, per-node transition() - is the independent stone-age
+/// reference; set_fast_path_enabled(false) forces it, and toggling at
+/// any round is bit-identical (states and per-node streams are handed
+/// across in both directions).
 class engine {
  public:
   /// Binds to a topology view (explicit graphs convert implicitly;
@@ -100,17 +103,17 @@ class engine {
   };
   run_result run_until_single_leader(std::uint64_t max_rounds);
 
-  [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
+  [[nodiscard]] std::uint64_t round() const noexcept {
+    return round_ + (plane_ ? plane_->sim.round() : 0);
+  }
   [[nodiscard]] std::size_t leader_count() const noexcept {
-    return leader_count_;
+    return fast_path_active() ? plane_->sim.leader_count() : leader_count_;
   }
   [[nodiscard]] state_id state_of(graph::node_id u) const {
-    materialize();
-    return states_[u];
+    return fast_path_active() ? plane_->proto.state_of(u) : states_[u];
   }
   [[nodiscard]] const std::vector<state_id>& states() const noexcept {
-    materialize();
-    return states_;
+    return fast_path_active() ? plane_->proto.states() : states_;
   }
   [[nodiscard]] symbol displayed(graph::node_id u) const {
     return machine_->display(state_of(u));
@@ -118,146 +121,109 @@ class engine {
   [[nodiscard]] graph::node_id sole_leader() const;
   [[nodiscard]] std::uint32_t threshold() const noexcept { return threshold_; }
 
-  /// How many lazy plane-to-vector unpacks have happened (fast-path
-  /// rounds write no state vector eagerly; reads materialize it).
+  /// How many lazy plane-to-vector unpacks the fast path's protocol has
+  /// performed (unobserved plane rounds write no state vector).
   [[nodiscard]] std::uint64_t state_materializations() const noexcept {
-    return materializations_;
+    return plane_ ? plane_->proto.materialization_count() : 0;
   }
 
   /// Overrides the configuration (adversarial-initialization tests).
+  /// The round counter keeps running.
   void set_states(std::vector<state_id> states);
 
-  /// Forces the generic virtual-dispatch round (`enabled == false`) or
-  /// re-enables the compiled-table fast path; bit-identical either way.
+  /// Forces the generic census path (`enabled == false`) or re-enables
+  /// the beeping-engine fast path; bit-identical either way, also when
+  /// toggled mid-run.
   void set_fast_path_enabled(bool enabled);
   [[nodiscard]] bool fast_path_active() const noexcept {
-    return fast_enabled_ && table_.has_value();
+    return fast_enabled_ && plane_ != nullptr;
   }
 
-  /// Tiled intra-trial parallelism for the fast path (same contract as
-  /// beeping::engine::set_parallelism: bit-identical for every
-  /// (threads, tile_words) point; threads == 1 is the serial default).
+  // Fast-path knobs: forwarded to the bound beeping::engine (same
+  // contracts - none of them ever changes a number). On the generic
+  // census path the setters are no-ops and the getters read "serial,
+  // no kernel".
   void set_parallelism(std::size_t threads, std::size_t tile_words = 0);
   [[nodiscard]] std::size_t parallel_threads() const noexcept {
-    return exec_ ? exec_->thread_count() : 1;
+    return plane_ ? plane_->sim.parallel_threads() : 1;
   }
   [[nodiscard]] std::size_t tile_words() const noexcept {
-    return tile_words_;
+    return plane_ ? plane_->sim.tile_words() : 0;
   }
-
-  /// Disables (or re-enables) the beepc-compiled round kernel; the
-  /// fast path then runs the interpreted plane sweep. Bit-identical
-  /// either way (the compiled kernels' standing contract).
   void set_compiled_kernel_enabled(bool enabled) noexcept {
-    compiled_enabled_ = enabled;
+    if (plane_) plane_->sim.set_compiled_kernel_enabled(enabled);
   }
-  /// True iff fast-path rounds dispatch to a compiled display kernel.
   [[nodiscard]] bool compiled_kernel_active() const noexcept {
-    return compiled_kernel_ != nullptr && compiled_enabled_;
+    return plane_ && plane_->sim.compiled_kernel_active();
   }
-  /// Name of the matched compiled kernel ("" when none matched).
   [[nodiscard]] std::string compiled_kernel_name() const {
-    return compiled_kernel_ != nullptr ? compiled_kernel_->name
-                                       : std::string{};
+    return plane_ ? plane_->sim.compiled_kernel_name() : std::string{};
   }
-  /// Pins the kernel batch width (1, 2, 4 or 8 words per vector op;
-  /// std::invalid_argument otherwise). Purely a throughput knob.
   void set_compiled_width(std::size_t width);
   [[nodiscard]] std::size_t compiled_width() const noexcept {
-    return compiled_width_;
+    return plane_ ? plane_->sim.compiled_width() : 0;
   }
-  /// Fast-path rounds executed through a compiled kernel so far.
   [[nodiscard]] std::uint64_t compiled_rounds() const noexcept {
-    return compiled_rounds_;
+    return plane_ ? plane_->sim.compiled_rounds() : 0;
   }
 
-  /// Pins one heard-gather kernel for the fast path (debugging and
-  /// differential tests; kernels never change results). Throws
-  /// std::invalid_argument when the kernel cannot serve this graph,
-  /// and std::logic_error when the automaton exposes no beep_machine()
-  /// (no packed gather exists on the generic census path).
+  /// Pins one heard-gather kernel / attaches a dynamic-topology patch
+  /// overlay (nullptr detaches) on the fast path. Both throw
+  /// std::logic_error when the automaton exposes no plane-capable
+  /// beep_machine() (no packed gather exists on the generic census
+  /// path), and std::invalid_argument as beeping::engine does.
   void set_gather_kernel(graph::gather_kernel kernel);
-  /// Attaches a dynamic-topology patch overlay to the fast-path gather
-  /// (nullptr detaches); the overlay's exact per-touched-node fix runs
-  /// after every base kernel, so churn works under every kernel and
-  /// tiling. Same preconditions as set_gather_kernel (std::logic_error
-  /// on the generic census path), std::invalid_argument on a
-  /// node-count mismatch. The overlay must outlive the engine.
   void set_topology_patch(const graph::patch_overlay* patch);
   /// The kernel the most recent fast-path gather actually ran
   /// (auto_select when the generic census path is in use).
   [[nodiscard]] graph::gather_kernel gather_kernel_used() const noexcept {
-    return gather_.has_value() ? gather_->last_used()
-                               : graph::gather_kernel::auto_select;
+    return plane_ ? plane_->sim.gather_kernel_used()
+                  : graph::gather_kernel::auto_select;
   }
 
   /// Telemetry: engine-local probe toggle (same contract as
   /// beeping::engine — probes never change a number).
-  void set_telemetry_enabled(bool enabled) noexcept {
-    telemetry_enabled_ = enabled;
-  }
+  void set_telemetry_enabled(bool enabled) noexcept;
   [[nodiscard]] bool telemetry_enabled() const noexcept {
     return telemetry_enabled_;
   }
-  /// Per-engine probe scratch with tile claims and materializations
-  /// folded in; hand to support::telemetry::fold_engine_metrics.
+  /// The fast path's engine metrics plus the census rounds' probes;
+  /// hand to support::telemetry::fold_engine_metrics.
   [[nodiscard]] support::telemetry::engine_metrics telemetry_metrics() const;
 
  private:
+  /// The fast path: the protocol and the engine bound to it, held in
+  /// one heap block so this engine stays movable while the engine's
+  /// protocol pointer stays stable.
+  struct plane_delegate {
+    plane_delegate(const graph::topology_view& view,
+                   const beeping::state_machine& machine, std::uint64_t seed)
+        : proto(machine), sim(view, proto, seed) {}
+    beeping::fsm_protocol proto;
+    beeping::engine sim;
+  };
+
+  [[nodiscard]] support::rng& node_rng(graph::node_id u) {
+    return plane_ ? plane_->sim.node_rng(u) : rngs_[u];
+  }
+  void step_census();
   void refresh_counters();
-  void step_fast();
-  template <std::size_t P>
-  void step_plane_impl();
-  void step_compiled();
-  /// Packs states_ into the bit planes + the displayed-beep word (fast
-  /// path entry: construction, set_states, re-enable).
-  void pack_planes();
-  /// Unpacks the authoritative planes back into states_ (lazy).
-  void materialize() const;
 
   graph::topology_view view_;
   std::size_t n_ = 0;
   const automaton* machine_;
   std::uint32_t threshold_;
-  // Set when the automaton exposes a compiled beeping machine
-  // (automaton::beep_machine): rounds then run table-driven and
-  // bit-sliced through the same word-parallel heard-gather kernels as
-  // the beeping engine (graph::heard_gather - stencil / word-CSR push
-  // / packed pull), replacing the per-neighbor virtual display() and
-  // per-node transition() calls.
-  std::optional<beeping::machine_table> table_;
+  std::unique_ptr<plane_delegate> plane_;
   bool fast_enabled_ = true;
-  // beepc display kernel matched at bind time (display mode: planes +
-  // beep word + leader count, no active/ledger upkeep).
-  const beeping::compiled_kernel* compiled_kernel_ = nullptr;
-  bool compiled_enabled_ = true;
-  std::size_t compiled_width_ = support::simd::autotuned_width();
-  std::uint64_t compiled_rounds_ = 0;
-  std::optional<graph::heard_gather> gather_;     // fast path only
-  std::vector<std::uint64_t> beep_words_;   // fast path: packed displays
-  std::vector<std::uint64_t> heard_words_;  // fast path: packed heard set
-  // Fast path: bit j of node u's state id lives in planes_[j]; the
-  // authoritative representation while plane_fresh_ (states_ is then a
-  // lazily-refreshed cache, valid iff states_valid_).
-  std::array<std::vector<std::uint64_t>, 6> planes_;
-  std::size_t plane_count_ = 0;
-  std::uint64_t tail_mask_ = ~0ULL;
-  bool planes_fresh_ = false;
-  mutable bool states_valid_ = true;
-  mutable std::uint64_t materializations_ = 0;
-  // Intra-trial tiling (set_parallelism); slot partials merged after
-  // each tiled sweep.
-  std::unique_ptr<support::tile_executor> exec_;
-  std::size_t tile_words_ = 0;
-  std::vector<std::size_t> slot_leaders_;
+  // Census path. Streams live in the delegate when one is bound, so a
+  // mid-run toggle keeps drawing from the same per-node generators.
   std::vector<support::rng> rngs_;
-  mutable std::vector<state_id> states_;
-  std::vector<state_id> next_states_;  // generic path double buffer
+  std::vector<state_id> states_;
+  std::vector<state_id> next_states_;
   std::vector<std::uint32_t> census_;  // scratch: alphabet_size entries
-  std::uint64_t round_ = 0;
+  std::uint64_t round_ = 0;            // rounds run on the census path
   std::size_t leader_count_ = 0;
-  // Telemetry scratch — bumped only from step(), never inside the
-  // tiled word loops; folded at trial boundaries.
+  // Census-round probes, folded into the delegate's metrics on read.
   support::telemetry::engine_metrics metrics_;
   bool telemetry_enabled_ = true;
 };

@@ -246,7 +246,7 @@ TEST(CompiledKernelDifferentialTest, TiledParallelismStaysBitIdentical) {
   }
 }
 
-// --- Stone-age engine: compiled display kernels ---
+// --- Stone-age engine: compiled kernels via its beeping::engine ---
 
 TEST(StoneAgeCompiledKernelTest, MatchesInterpretedAllWidths) {
   const core::bfw_stone_automaton automaton(0.5);
@@ -301,7 +301,6 @@ TEST(KernelRegistryTest, BuiltinKernelsRegistered) {
   for (const auto* k : kernels) {
     for (std::size_t slot = 0; slot < beeping::kernel_width_slots; ++slot) {
       EXPECT_NE(k->sweep[slot], nullptr) << k->name;
-      EXPECT_NE(k->display[slot], nullptr) << k->name;
     }
   }
 }

@@ -23,7 +23,8 @@ TEST_P(ConvergenceBatteryTest, BfwElectsExactlyOneLeader) {
     const auto g = gcase.make(seed);
     const auto diameter = graph::diameter_exact(g);
     const auto horizon = default_horizon(g, diameter);
-    const auto outcome = run_bfw_election(g, 0.5, seed, horizon);
+    const auto outcome =
+        run_election(g, bfw_machine(0.5), seed, {.max_rounds = horizon});
     EXPECT_TRUE(outcome.converged)
         << gcase.label << " seed " << seed << " did not converge within "
         << horizon << " rounds";
@@ -46,7 +47,8 @@ TEST_P(PSweepTest, AnyConstantPElects) {
   const double p = GetParam();
   const auto g = graph::make_grid(5, 5);
   const auto horizon = default_horizon(g, 8);
-  const auto outcome = run_bfw_election(g, p, 7, horizon);
+  const auto outcome =
+      run_election(g, bfw_machine(p), 7, {.max_rounds = horizon});
   EXPECT_TRUE(outcome.converged) << "p=" << p;
   EXPECT_EQ(outcome.final_leader_count, 1U);
 }
@@ -57,7 +59,7 @@ INSTANTIATE_TEST_SUITE_P(PGrid, PSweepTest,
 
 TEST(ConvergenceTest, SingleNodeGraphIsImmediatelyElected) {
   const auto g = graph::make_path(1);
-  const auto outcome = run_bfw_election(g, 0.5, 1, 100);
+  const auto outcome = run_election(g, bfw_machine(0.5), 1, {.max_rounds = 100});
   EXPECT_TRUE(outcome.converged);
   EXPECT_EQ(outcome.rounds, 0U);
   EXPECT_EQ(outcome.leader, 0U);
@@ -66,7 +68,8 @@ TEST(ConvergenceTest, SingleNodeGraphIsImmediatelyElected) {
 TEST(ConvergenceTest, TwoNodesElect) {
   const auto g = graph::make_path(2);
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    const auto outcome = run_bfw_election(g, 0.5, seed, 4096);
+    const auto outcome =
+        run_election(g, bfw_machine(0.5), seed, {.max_rounds = 4096});
     EXPECT_TRUE(outcome.converged) << "seed " << seed;
   }
 }
@@ -75,7 +78,7 @@ TEST(ConvergenceTest, KnownDiameterVariantElects) {
   const auto g = graph::make_path(40);
   const auto machine = make_known_diameter_bfw(39);
   const auto horizon = default_horizon(g, 39);
-  const auto outcome = run_fsm_election(g, machine, 3, horizon);
+  const auto outcome = run_election(g, machine, 3, {.max_rounds = horizon});
   EXPECT_TRUE(outcome.converged);
   EXPECT_EQ(outcome.final_leader_count, 1U);
 }
@@ -107,7 +110,7 @@ TEST(ConvergenceTest, ApproximateDiameterKnowledgeSuffices) {
   for (const std::uint32_t d_estimate : {24U, 47U, 94U}) {
     const auto machine = make_known_diameter_bfw(d_estimate);
     const auto outcome =
-        run_fsm_election(g, machine, 9, default_horizon(g, 47));
+        run_election(g, machine, 9, {.max_rounds = default_horizon(g, 47)});
     EXPECT_TRUE(outcome.converged) << "D estimate " << d_estimate;
   }
 }
@@ -147,8 +150,9 @@ TEST(ConvergenceTest, ConvergenceRoundsVectorShape) {
 
 TEST(ConvergenceTest, DeterministicInSeed) {
   const auto g = graph::make_grid(4, 5);
-  const auto a = run_bfw_election(g, 0.5, 4242, 100000);
-  const auto b = run_bfw_election(g, 0.5, 4242, 100000);
+  const bfw_machine machine(0.5);
+  const auto a = run_election(g, machine, 4242, {.max_rounds = 100000});
+  const auto b = run_election(g, machine, 4242, {.max_rounds = 100000});
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.leader, b.leader);
   EXPECT_EQ(a.total_coins, b.total_coins);

@@ -166,7 +166,8 @@ TEST(EdgeCaseTest, TraceOnZeroRounds) {
 
 TEST(EdgeCaseTest, RunBfwElectionRespectsZeroHorizon) {
   const auto g = graph::make_path(4);
-  const auto outcome = core::run_bfw_election(g, 0.5, 1, 0);
+  const auto outcome =
+      core::run_election(g, core::bfw_machine(0.5), 1, {.max_rounds = 0});
   EXPECT_FALSE(outcome.converged);
   EXPECT_EQ(outcome.rounds, 0U);
   EXPECT_EQ(outcome.final_leader_count, 4U);

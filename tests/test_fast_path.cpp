@@ -330,15 +330,26 @@ TEST(StoneAgeFastPathTest, TableMatchesVirtualOnWordBoundaries) {
     const auto g = graph::make_path(n);
     stoneage::engine fast(g, automaton, 1, 21);
     stoneage::engine ref(g, automaton, 1, 21);
+    // Toggled mid-run every 37 rounds: states and per-node streams are
+    // handed across in both directions, the round counter keeps going.
+    stoneage::engine toggled(g, automaton, 1, 21);
     ref.set_fast_path_enabled(false);
     ASSERT_TRUE(fast.fast_path_active());
     ASSERT_FALSE(ref.fast_path_active());
     for (int round = 0; round < 300; ++round) {
+      if (round % 37 == 36) {
+        toggled.set_fast_path_enabled(!toggled.fast_path_active());
+      }
       fast.step();
       ref.step();
+      toggled.step();
       ASSERT_EQ(fast.states(), ref.states())
           << "n=" << n << " diverged at round " << round;
       ASSERT_EQ(fast.leader_count(), ref.leader_count()) << "n=" << n;
+      ASSERT_EQ(toggled.states(), ref.states())
+          << "n=" << n << " toggled engine diverged at round " << round;
+      ASSERT_EQ(toggled.leader_count(), ref.leader_count()) << "n=" << n;
+      ASSERT_EQ(toggled.round(), ref.round()) << "n=" << n;
     }
   }
 }

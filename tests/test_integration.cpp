@@ -150,7 +150,8 @@ TEST(IntegrationTest, ParallelTimeGapBetweenModels) {
   const double pp_parallel_time =
       static_cast<double>(pp.interactions) / static_cast<double>(n);
 
-  const auto bfw = core::run_bfw_election(g, 0.5, 3, 100000);
+  const auto bfw =
+      core::run_election(g, core::bfw_machine(0.5), 3, {.max_rounds = 100000});
   ASSERT_TRUE(bfw.converged);
 
   // fight needs ~2 C(n,2)/n ~ n parallel time; BFW ~ O(log n) rounds.

@@ -212,12 +212,14 @@ TEST(ProtocolSpecJsonTest, RejectsUnknownStateNames) {
 // --- election_options runner ------------------------------------------
 
 TEST(ElectionOptionsTest, LegacyShimsMatchNewRunner) {
+  // run_bfw_election_from, the one shim left, from the machine's own
+  // initial configuration.
   const auto g = graph::make_complete(32);
   const core::bfw_machine machine(0.5);
-  const auto legacy = core::run_fsm_election(g, machine, 9, 100000);
-  core::election_options options;
-  options.max_rounds = 100000;
-  const auto fresh = core::run_election(g, machine, 9, options);
+  const auto legacy = core::run_bfw_election_from(
+      g, 0.5, std::vector<beeping::state_id>(32, machine.initial_state()), 9,
+      100000);
+  const auto fresh = core::run_election(g, machine, 9, {.max_rounds = 100000});
   EXPECT_EQ(legacy.converged, fresh.converged);
   EXPECT_EQ(legacy.rounds, fresh.rounds);
   EXPECT_EQ(legacy.leader, fresh.leader);

@@ -255,11 +255,6 @@ std::string emit_kernel(const kernel_source& src) {
     out << "    k.sweep[" << i << "] = &compiled_sweep<" << src.name
         << "_traits, " << width << ">;\n";
   }
-  for (std::size_t i = 0; i < beepkit::beeping::kernel_width_slots; ++i) {
-    const std::size_t width = beepkit::beeping::kernel_widths[i];
-    out << "    k.display[" << i << "] = &compiled_display_sweep<" << src.name
-        << "_traits, " << width << ">;\n";
-  }
   out << "    return k;\n";
   out << "  }();\n";
   out << "  return kernel;\n";
