@@ -2,18 +2,18 @@
 // instantiated per (protocol structure, SIMD width) by the generated
 // TUs under src/beeping/kernels/.
 //
-// This is the engine's interpreted plane gear (engine.cpp,
-// finish_step_plane_impl) with every runtime lookup hoisted to compile
-// time through a Traits block: state and plane counts, per-state decode
-// targets, beep/leader/identity routing, and the patience-chain layout
-// all become constexpr, so the decode and routing unroll into
+// This is the interpreted sweep (plane_kernel.hpp, interpreted_sweep)
+// with every runtime lookup hoisted to compile time through a Traits
+// block: state and plane counts, per-state decode targets,
+// beep/leader/identity routing, and the patience-chain layout of
+// make_plane_plan() all become constexpr, so the decode and routing unroll into
 // straight-line word algebra with the transition masks folded into
 // constants - no moved[] successor array, no table loads, no draw-kind
 // branches. Batches of W words run through support::simd::wordvec<W>,
 // which lowers to the native vector ISA (or unrolled scalar ILP).
 //
 // Bit-identity contract (the registry's acceptance bar): for any word
-// range and any W, the sweep computes exactly the interpreted gear's
+// range and any W, the sweep computes exactly the interpreted sweep's
 // planes, beep/leader/active words, ledger banks and leader/active
 // counts, and consumes exactly its generator draws in the same order.
 // The two liberties it takes are proven-safe:

@@ -81,28 +81,17 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   // machines take the sparse sweep.
   plane_capable_ = table_.has_value() && table_->state_count() <= 64 &&
                    std::endian::native == std::endian::little;
-  if (config_.pin_plane_mode && (!plane_capable_ || fsm_ == nullptr)) {
-    throw std::invalid_argument(
-        "beeping::engine: pin_plane_mode requires a plane-capable "
-        "fsm_protocol machine");
-  }
-  if (!config_.track_beep_counts && !config_.pin_plane_mode) {
-    // The sparse/virtual gears count beeps unconditionally; only the
-    // pinned plane sweep can run without the per-node count array.
-    throw std::invalid_argument(
-        "beeping::engine: track_beep_counts = false requires "
-        "pin_plane_mode");
-  }
   support::draw_mode mode = support::draw_mode::coins;
-  if (config_.lazy_rng) {
+  if (config_.giant_mode) {
+    if (!plane_capable_) {
+      throw std::invalid_argument(
+          "beeping::engine: giant mode requires a plane-capable "
+          "fsm_protocol machine");
+    }
     if (noise_.enabled()) {
       throw std::invalid_argument(
-          "beeping::engine: lazy_rng cannot serve a noise model "
+          "beeping::engine: giant mode cannot serve a noise model "
           "(dedicated noise streams stay dense)");
-    }
-    if (!table_.has_value()) {
-      throw std::invalid_argument(
-          "beeping::engine: lazy_rng requires a compiled machine table");
     }
     // A 4-byte cursor can only replay a stream whose draws are uniform
     // in kind: all fair coins (one bit each) or all raw words.
@@ -114,16 +103,16 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
     }
     if (any_coin && any_raw) {
       throw std::invalid_argument(
-          "beeping::engine: lazy_rng requires draw rules uniform in kind "
+          "beeping::engine: giant mode requires draw rules uniform in kind "
           "(all coin or all bernoulli)");
     }
     mode = any_raw ? support::draw_mode::raw64 : support::draw_mode::coins;
   }
   // Stream n (never a node id) initializes the protocol, so identifier
   // draws in baselines do not perturb the per-node round streams.
-  rngs_ = config_.lazy_rng ? support::rng_store::lazy(seed, n + 1, mode)
-                           : support::rng_store::dense(seed, n + 1);
-  if (config_.pin_plane_mode) {
+  rngs_ = config_.giant_mode ? support::rng_store::lazy(seed, n + 1, mode)
+                             : support::rng_store::dense(seed, n + 1);
+  if (config_.giant_mode) {
     // No O(n) state vector: the planes are seeded from the machine's
     // initial state below and stay authoritative for the whole run.
     fsm_->reset_deferred(n);
@@ -139,17 +128,15 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   beep_words_ = arena_.alloc_words(words);
   heard_words_ = arena_.alloc_words(words);
   active_words_ = arena_.alloc_words(words);
-  if (config_.track_beep_counts) beep_counts_.assign(n, 0);
+  // Giant mode keeps no per-node count array (only the pinned plane
+  // sweep can run without it; giant runs never read counts).
+  if (!config_.giant_mode) beep_counts_.assign(n, 0);
   if (plane_capable_) {
-    plane_count_ = 1;
-    while ((std::size_t{1} << plane_count_) < table_->state_count()) {
-      ++plane_count_;
-    }
-    for (std::size_t j = 0; j < plane_count_; ++j) {
+    plan_ = make_plane_plan(*table_);
+    for (std::size_t j = 0; j < plan_.plane_count; ++j) {
       planes_[j] = arena_.alloc_words(words);
     }
     leader_words_ = arena_.alloc_words(words);
-    analyze_plane_plan();
     // beepc kernel dispatch: a registered kernel whose baked-in
     // structure matches this table takes over the plane rounds
     // (stochastic rows stay runtime data, so e.g. the one bfw kernel
@@ -167,8 +154,7 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   slot_leaders_.assign(1, 0);
   slot_active_.assign(1, 0);
   slot_dirty_.assign(1, std::vector<std::uint64_t>(dirty_ledger_words_.size(), 0));
-  if (config_.pin_plane_mode) {
-    plane_pinned_ = true;
+  if (config_.giant_mode) {
     enter_plane_mode_initial();
     if (fsm_ != nullptr) synced_version_ = fsm_->config_version();
   } else {
@@ -183,7 +169,7 @@ engine::~engine() {
   // mode exists to avoid, and the run's result was read off the
   // planes already.
   if (fsm_ != nullptr && plane_capable_) {
-    if (plane_pinned_) {
+    if (config_.giant_mode) {
       fsm_->abandon_lazy_source(this);
     } else {
       fsm_->unbind_lazy_source(this);
@@ -227,46 +213,6 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
 
 void engine::distribute_plane_pages() {
   if (exec_) arena_.distribute_first_touch(*exec_, tile_words_);
-}
-
-// Detects the bit-sliced-counter runs (see plane_chain in the header):
-// maximal state ranges [first, last] where every member shares one
-// draw-free delta_top target and one meta byte, and delta_bot below
-// `last` is exactly "state + 1". Runs shorter than 4 states are left
-// to the per-state decode (the range comparison costs ~4 plane ops, so
-// tiny runs would not pay for it).
-void engine::analyze_plane_plan() {
-  const machine_table& table = *table_;
-  const std::size_t q = table.state_count();
-  plane_chain_member_.assign(q, 0);
-  plane_chains_.clear();
-  const auto det_next = [&table](std::size_t s, bool heard,
-                                 state_id& next) noexcept {
-    const transition_rule& rule =
-        table.rule(static_cast<state_id>(s), heard);
-    if (rule.draw != transition_rule::draw_kind::none) return false;
-    next = rule.next;
-    return true;
-  };
-  for (std::size_t s = 0; s < q; ++s) {
-    if (plane_chain_member_[s] != 0) continue;
-    state_id top_next = 0;
-    if (!det_next(s, true, top_next)) continue;
-    std::size_t last = s;
-    while (last + 1 < q && plane_chain_member_[last + 1] == 0) {
-      state_id bot_next = 0;
-      if (!det_next(last, false, bot_next) || bot_next != last + 1) break;
-      state_id next_top = 0;
-      if (!det_next(last + 1, true, next_top) || next_top != top_next) break;
-      if (table.meta[last + 1] != table.meta[s]) break;
-      ++last;
-    }
-    if (last - s + 1 < 4) continue;
-    plane_chains_.push_back({static_cast<state_id>(s),
-                             static_cast<state_id>(last), top_next,
-                             table.meta[s]});
-    for (std::size_t t = s; t <= last; ++t) plane_chain_member_[t] = 1;
-  }
 }
 
 void engine::add_observer(observer* obs) {
@@ -343,10 +289,10 @@ void engine::set_fast_path_enabled(bool enabled) {
     rebuild_active_set();
     return;
   }
-  if (!enabled && plane_pinned_) {
+  if (!enabled && config_.giant_mode) {
     throw std::logic_error(
         "beeping::engine: the virtual gear is unavailable under "
-        "pin_plane_mode");
+        "giant mode");
   }
   if (!enabled && plane_mode_) {
     // The virtual path reads the protocol's vector directly; hand the
@@ -416,14 +362,14 @@ void engine::enter_plane_mode() {
   const std::size_t n = n_;
   const machine_table& table = *table_;
   const state_id* const states = fsm_->raw_states().data();
-  for (std::size_t j = 0; j < plane_count_; ++j) {
+  for (std::size_t j = 0; j < plan_.plane_count; ++j) {
     std::fill(planes_[j].begin(), planes_[j].end(), 0);
   }
   std::fill(leader_words_.begin(), leader_words_.end(), 0);
   for (std::size_t u = 0; u < n; ++u) {
     const std::uint64_t bit = 1ULL << (u & 63);
     const state_id s = states[u];
-    for (std::size_t j = 0; j < plane_count_; ++j) {
+    for (std::size_t j = 0; j < plan_.plane_count; ++j) {
       if ((s >> j) & 1U) planes_[j][u >> 6] |= bit;
     }
     if ((table.meta[s] & machine_table::meta_leader) != 0) {
@@ -433,11 +379,6 @@ void engine::enter_plane_mode() {
   plane_mode_ = true;
 }
 
-// The lazy unpack behind fsm_protocol::states(): transposes the
-// authoritative bit planes back into the uint16 vector (SWAR
-// bit-to-byte spread + widening store). This is exactly the write-back
-// every plane round used to perform eagerly; now it runs at most once
-// per batch of unobserved rounds, on first read.
 // Seeds the planes directly from the machine's initial state: every
 // lane starts identical, so each plane/flag word is all-ones (masked
 // by the tail) or all-zeros. O(words) - the pinned giant path never
@@ -451,7 +392,7 @@ void engine::enter_plane_mode_initial() {
       buf[w] = (w + 1 == words) ? tail_mask_ : ~0ULL;
     }
   };
-  for (std::size_t j = 0; j < plane_count_; ++j) {
+  for (std::size_t j = 0; j < plan_.plane_count; ++j) {
     if ((init >> j) & 1U) fill_all(planes_[j]);
   }
   const std::uint8_t meta = table.meta[init];
@@ -480,11 +421,16 @@ void engine::enter_plane_mode_initial() {
   fsm_->mark_states_stale();
 }
 
+// The lazy unpack behind fsm_protocol::states(): transposes the
+// authoritative bit planes back into the uint16 vector (SWAR
+// bit-to-byte spread + widening store). This is exactly the write-back
+// every plane round used to perform eagerly; now it runs at most once
+// per batch of unobserved rounds, on first read.
 void engine::materialize_states(std::span<state_id> out) {
   const std::size_t n = n_;
   state_id* const states = out.data();
   const std::size_t words = word_count(n);
-  const std::size_t p = plane_count_;
+  const std::size_t p = plan_.plane_count;
   for (std::size_t w = 0; w < words; ++w) {
     const std::size_t base = w << 6;
     const std::size_t in_word = std::min<std::size_t>(64, n - base);
@@ -559,10 +505,10 @@ round_view engine::make_view() const {
 }
 
 void engine::restart_from_protocol() {
-  if (plane_pinned_) {
+  if (config_.giant_mode) {
     throw std::logic_error(
         "beeping::engine: restart_from_protocol is unavailable under "
-        "pin_plane_mode (the planes are the only state authority)");
+        "giant mode (the planes are the only state authority)");
   }
   round_ = 0;
   // Per-run introspection restarts with the configuration: plane/kernel
@@ -584,10 +530,10 @@ void engine::restart_from_protocol() {
 }
 
 void engine::resync_with_protocol() {
-  if (plane_pinned_) {
+  if (config_.giant_mode) {
     throw std::logic_error(
         "beeping::engine: resync_with_protocol is unavailable under "
-        "pin_plane_mode");
+        "giant mode");
   }
   // Undo the current round's ledger contribution (added by the refresh
   // that entered this round), then recompute all bookkeeping from the
@@ -617,10 +563,10 @@ void engine::require_fault_capable() const {
         "beeping::engine: fault injection requires a compiled "
         "fsm_protocol machine");
   }
-  if (plane_pinned_) {
+  if (config_.giant_mode) {
     throw std::logic_error(
         "beeping::engine: fault injection is unavailable under "
-        "pin_plane_mode (frozen snapshots would materialize O(n) state)");
+        "giant mode (frozen snapshots would materialize O(n) state)");
   }
 }
 
@@ -629,7 +575,7 @@ void engine::ensure_fault_buffers() {
   if (crashed_words_.size() != words) crashed_words_.assign(words, 0);
   if (frozen_states_.size() != n_) frozen_states_.assign(n_, 0);
   if (plane_capable_) {
-    for (std::size_t j = 0; j < plane_count_; ++j) {
+    for (std::size_t j = 0; j < plan_.plane_count; ++j) {
       if (frozen_planes_[j].size() != words) {
         frozen_planes_[j].assign(words, 0);
       }
@@ -648,7 +594,7 @@ state_id engine::current_state_of(graph::node_id u) {
     const std::size_t w = u >> 6;
     const std::uint64_t shift = u & 63;
     state_id s = 0;
-    for (std::size_t j = 0; j < plane_count_; ++j) {
+    for (std::size_t j = 0; j < plan_.plane_count; ++j) {
       s |= static_cast<state_id>(((planes_[j][w] >> shift) & 1ULL) << j);
     }
     return s;
@@ -665,7 +611,7 @@ void engine::write_lane_state(graph::node_id u, state_id s, bool frozen) {
   const bool act = table.bot_identity[s] == 0;
   if (plane_mode_) {
     const state_id prev = current_state_of(u);
-    for (std::size_t j = 0; j < plane_count_; ++j) {
+    for (std::size_t j = 0; j < plan_.plane_count; ++j) {
       planes_[j][w] =
           (planes_[j][w] & ~bit) | ((((s >> j) & 1U) != 0) ? bit : 0);
     }
@@ -684,7 +630,7 @@ void engine::write_lane_state(graph::node_id u, state_id s, bool frozen) {
   if (frozen) {
     frozen_states_[u] = s;
     if (plane_capable_) {
-      for (std::size_t j = 0; j < plane_count_; ++j) {
+      for (std::size_t j = 0; j < plan_.plane_count; ++j) {
         frozen_planes_[j][w] =
             (frozen_planes_[j][w] & ~bit) | ((((s >> j) & 1U) != 0) ? bit : 0);
       }
@@ -866,7 +812,7 @@ void engine::fixup_crashed_plane() {
         borrow &= ~old;
       }
     }
-    for (std::size_t j = 0; j < plane_count_; ++j) {
+    for (std::size_t j = 0; j < plan_.plane_count; ++j) {
       planes_[j][w] = (planes_[j][w] & ~c) | (frozen_planes_[j][w] & c);
     }
     const std::uint64_t cur_lead = leader_words_[w] & c;
@@ -899,7 +845,7 @@ void engine::refreeze_crashed() {
       frozen_states_[u] = s;
       crashed_leaders_ += table.leader_flag[s];
       if (plane_capable_) {
-        for (std::size_t j = 0; j < plane_count_; ++j) {
+        for (std::size_t j = 0; j < plan_.plane_count; ++j) {
           frozen_planes_[j][w] =
               (frozen_planes_[j][w] & ~bit) | ((((s >> j) & 1U) != 0) ? bit : 0);
         }
@@ -1101,259 +1047,63 @@ void engine::finish_step_fast() {
   notify_round_observers();
 }
 
-// Word-parallel phase 2 for machines with <= 64 states: per word,
-// decode a membership mask for every state, split it by the heard
-// plane, and route each part to its successor's mask with pure word
-// ops. Bit-sliced-counter runs (Timeout-BFW patience) bypass per-state
-// decoding: one range comparison finds the run members and one
-// ripple-carry add over the planes advances all silent ones at once.
-// Words whose lanes are all silent and sitting in draw-free self-loops
-// are skipped wholesale (their beep word is provably 0 and their
-// states, leader lanes and active lanes are unchanged). Only
-// stochastic rules visit nodes individually - their parts are iterated
-// jointly in ascending node order, so the per-node generator draws are
-// exactly those of the scalar loop. The new planes, beep set, leader
-// count and ledger all fall out of the per-successor masks, and the
-// protocol's state vector is rewritten through a SWAR transpose so
-// outside readers never see stale states.
-// Dispatch to a plane-count-specialized instantiation: the inner loops
-// over the planes then unroll and the per-word plane words live in
-// registers (a runtime plane count costs ~40% on wave-saturated
-// rounds).
-void engine::finish_step_plane() {
-  if (compiled_kernel_ != nullptr && compiled_enabled_) {
-    return finish_step_plane_compiled();
+void engine::set_compiled_width(std::size_t width) {
+  if (width != 1 && width != 2 && width != 4 && width != 8) {
+    throw std::invalid_argument(
+        "beeping::engine::set_compiled_width: width must be 1, 2, 4 or 8");
   }
-  switch (plane_count_) {
-    case 1:
-      return finish_step_plane_impl<1>();
-    case 2:
-      return finish_step_plane_impl<2>();
-    case 3:
-      return finish_step_plane_impl<3>();
-    case 4:
-      return finish_step_plane_impl<4>();
-    case 5:
-      return finish_step_plane_impl<5>();
-    default:
-      return finish_step_plane_impl<6>();
-  }
+  compiled_width_ = width;
 }
 
-template <std::size_t P>
-void engine::finish_step_plane_impl() {
-  const machine_table& table = *table_;
-  const std::size_t q = table.state_count();
+// The plane round: one sweep over word-range tiles - the matched beepc
+// kernel at the configured width, else the interpreted reference (the
+// two are draw-for-draw bit-identical; the differential tests enforce
+// it per width) - then the shared fold and epilogue. Every word's
+// update is independent (per-word planes, per-node generator streams),
+// so tiles of consecutive words run on any worker; leader/active
+// counts and dirty-ledger bits accumulate per slot and are folded
+// after the barrier (sums and ORs - order never matters). Serial
+// execution is the one-tile special case. No state write-back: the
+// planes stay authoritative and the protocol's vector is unpacked
+// lazily on first outside read (materialize_states).
+void engine::finish_step_plane() {
   const std::size_t n = n_;
   const std::size_t words = heard_words_.size();
-  const std::uint64_t* const heard = heard_words_.data();
-  std::uint64_t* const beep = beep_words_.data();
-  std::uint64_t* const active = active_words_.data();
-  std::uint64_t* const leader = leader_words_.data();
-  std::uint64_t* plane[P];
-  for (std::size_t j = 0; j < P; ++j) plane[j] = planes_[j].data();
-  std::uint64_t* ledger[8];
-  for (std::size_t j = 0; j < 8; ++j) ledger[j] = ledger_planes_[j].data();
+  std::uint64_t* plane_ptrs[6] = {};
+  for (std::size_t j = 0; j < plan_.plane_count; ++j) {
+    plane_ptrs[j] = planes_[j].data();
+  }
+  std::uint64_t* ledger_ptrs[8];
+  for (std::size_t j = 0; j < 8; ++j) ledger_ptrs[j] = ledger_planes_[j].data();
+  plane_ctx ctx;
+  ctx.heard = heard_words_.data();
+  ctx.beep = beep_words_.data();
+  ctx.active = active_words_.data();
+  ctx.leader = leader_words_.data();
+  ctx.planes = plane_ptrs;
+  ctx.ledger = ledger_ptrs;
+  ctx.rules = table_->rules.data();
+  ctx.table = &*table_;
+  ctx.plan = &plan_;
+  ctx.tail_mask = tail_mask_;
+  ctx.words = words;
+  const bool compiled = compiled_kernel_active();
+  const sweep_fn sweep =
+      compiled ? compiled_kernel_->sweep[kernel_width_slot(compiled_width_)]
+               : interpreted_sweep(plan_.plane_count);
   beep_flags_valid_ = false;
-  // Tiled sweep: every word's update is independent (per-word planes,
-  // per-node generator streams), so tiles of consecutive words run on
-  // any worker; leader/active counts and dirty-ledger bits accumulate
-  // per slot and are folded after the barrier (sums and ORs - order
-  // never matters). Serial execution is the one-tile special case.
   std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
   std::fill(slot_active_.begin(), slot_active_.end(), 0);
   const auto sweep_range = [&](std::size_t slot, std::size_t wb,
                                std::size_t we) {
-  // Slot-local generator source: in lazy-cursor mode each slot owns a
-  // scratch generator, so concurrent tiles never share mutable state
-  // (post-barrier sync_all writes the cursors back).
-  const support::rng_source rngs = rngs_.source(slot);
-  std::uint64_t* const dirty = slot_dirty_[slot].data();
-  std::size_t leaders = 0;
-  std::size_t active_next = 0;
-  for (std::size_t w = wb; w < we; ++w) {
-    const std::uint64_t valid = (w + 1 == words) ? tail_mask_ : ~0ULL;
-    const std::uint64_t h = heard[w];
-    const std::uint64_t act = active[w];
-    if (((h | act) & valid) == 0) {
-      // Fully quiet word: every lane is silent (so beep[w] is already
-      // 0 - a beeper always hears itself) and sits in a draw-free bot
-      // self-loop. Nothing moves, beeps, or draws; the stored leader
-      // and active lanes still count.
-      leaders += static_cast<std::size_t>(std::popcount(leader[w]));
-      active_next += static_cast<std::size_t>(std::popcount(act));
-      continue;
-    }
-    std::uint64_t b[P];
-    for (std::size_t j = 0; j < P; ++j) b[j] = plane[j][w];
-    std::uint64_t moved[64];  // moved[t]: nodes whose successor is t
-    for (std::size_t t = 0; t < q; ++t) moved[t] = 0;
-    // Stochastic parts are deferred so their draws happen jointly in
-    // ascending node order, interleaved exactly as the scalar loop.
-    struct pending_draw {
-      const transition_rule* rule;
-      std::uint64_t part;
-    };
-    std::array<pending_draw, 128> draws;  // <= 2 per state + 1 per run
-    std::size_t draw_rules = 0;
-    std::uint64_t draw_union = 0;
-    // Bit-sliced comparison of the plane-encoded state ids against a
-    // constant: gt/eq masks accumulated from the highest plane down.
-    const auto compare = [&b, valid](std::uint64_t k, std::uint64_t& gt,
-                                     std::uint64_t& eq) noexcept {
-      gt = 0;
-      eq = valid;
-      for (std::size_t j = P; j-- > 0;) {
-        if ((k >> j) & 1U) {
-          eq &= b[j];
-        } else {
-          gt |= eq & b[j];
-          eq &= ~b[j];
-        }
-      }
-    };
-    std::uint64_t chain_np[P] = {};
-    std::uint64_t chain_members = 0;
-    std::uint64_t chain_beep = 0;
-    std::uint64_t chain_leader = 0;
-    std::uint64_t chain_active = 0;
-    for (const plane_chain& chain : plane_chains_) {
-      std::uint64_t gt_last = 0;
-      std::uint64_t eq_last = 0;
-      compare(chain.last, gt_last, eq_last);
-      std::uint64_t ge_first = valid;
-      if (chain.first != 0) {
-        std::uint64_t gt_before = 0;
-        std::uint64_t eq_before = 0;
-        compare(static_cast<std::uint64_t>(chain.first) - 1, gt_before,
-                eq_before);
-        ge_first = gt_before;
-      }
-      const std::uint64_t members = ge_first & ~gt_last;
-      if (members == 0) continue;
-      chain_members |= members;
-      const std::uint64_t top_part = members & h;
-      if (top_part != 0) moved[chain.top_next] |= top_part;
-      // The run's last state exits the counter; its silent transition
-      // is routed individually (it may even draw).
-      const std::uint64_t last_bot = eq_last & ~h;
-      if (last_bot != 0) {
-        const transition_rule& rule = table.rule(chain.last, false);
-        if (rule.draw == transition_rule::draw_kind::none) {
-          moved[rule.next] |= last_bot;
-        } else {
-          draws[draw_rules++] = {&rule, last_bot};
-          draw_union |= last_bot;
-        }
-      }
-      // Every other silent member ticks its counter: state id += 1 is
-      // a ripple-carry add over the planes, restricted to those lanes.
-      const std::uint64_t inc = members & ~eq_last & ~h;
-      if (inc != 0) {
-        std::uint64_t carry = inc;
-        for (std::size_t j = 0; j < P; ++j) {
-          chain_np[j] |= (b[j] ^ carry) & inc;
-          carry &= b[j];
-        }
-        if ((chain.meta & machine_table::meta_beep) != 0) chain_beep |= inc;
-        if ((chain.meta & machine_table::meta_leader) != 0) {
-          chain_leader |= inc;
-        }
-        if ((chain.meta & machine_table::meta_bot_identity) == 0) {
-          chain_active |= inc;
-        }
-      }
-    }
-    // Decode states in descending id order with a remaining-lanes mask:
-    // once every lane of the word is accounted for, the loop exits -
-    // wave-phase words typically hold only the 2-3 highest follower
-    // states, so the leader states are usually never decoded. State
-    // iteration order is free: the routed parts are disjoint and the
-    // draw loop below visits nodes in ascending order regardless.
-    std::uint64_t rem = valid & ~chain_members;
-    for (std::size_t s = q; s-- > 0;) {
-      if (rem == 0) break;
-      if (plane_chain_member_[s] != 0) continue;  // handled above
-      std::uint64_t dec = rem;
-      for (std::size_t j = 0; j < P; ++j) {
-        dec &= ((s >> j) & 1U) ? b[j] : ~b[j];
-      }
-      if (dec == 0) continue;
-      rem &= ~dec;
-      const transition_rule& top = table.rule(static_cast<state_id>(s), true);
-      const transition_rule& bot = table.rule(static_cast<state_id>(s), false);
-      const std::uint64_t top_part = dec & h;
-      const std::uint64_t bot_part = dec & ~h;
-      if (top_part != 0) {
-        if (top.draw == transition_rule::draw_kind::none) {
-          moved[top.next] |= top_part;
-        } else {
-          draws[draw_rules++] = {&top, top_part};
-          draw_union |= top_part;
-        }
-      }
-      if (bot_part != 0) {
-        if (bot.draw == transition_rule::draw_kind::none) {
-          moved[bot.next] |= bot_part;
-        } else {
-          draws[draw_rules++] = {&bot, bot_part};
-          draw_union |= bot_part;
-        }
-      }
-    }
-    while (draw_union != 0) {
-      const auto offset = static_cast<std::size_t>(std::countr_zero(draw_union));
-      const std::uint64_t mask = draw_union & (~draw_union + 1);
-      draw_union &= draw_union - 1;
-      const auto u = static_cast<graph::node_id>((w << 6) + offset);
-      for (std::size_t i = 0; i < draw_rules; ++i) {
-        if ((draws[i].part & mask) != 0) {
-          moved[apply_rule(*draws[i].rule, rngs[u])] |= mask;
-          break;
-        }
-      }
-    }
-    std::uint64_t np[P];
-    for (std::size_t j = 0; j < P; ++j) np[j] = chain_np[j];
-    std::uint64_t beep_bits = chain_beep;
-    std::uint64_t leader_bits = chain_leader;
-    std::uint64_t active_bits = chain_active;
-    for (std::size_t t = 0; t < q; ++t) {
-      const std::uint64_t m = moved[t];
-      if (m == 0) continue;
-      for (std::size_t j = 0; j < P; ++j) {
-        if ((t >> j) & 1U) np[j] |= m;
-      }
-      const std::uint8_t t_meta = table.meta[t];
-      if ((t_meta & machine_table::meta_beep) != 0) beep_bits |= m;
-      if ((t_meta & machine_table::meta_leader) != 0) leader_bits |= m;
-      if ((t_meta & machine_table::meta_bot_identity) == 0) active_bits |= m;
-    }
-    for (std::size_t j = 0; j < P; ++j) plane[j][w] = np[j];
-    beep[w] = beep_bits;
-    leader[w] = leader_bits;
-    active[w] = active_bits;
-    leaders += static_cast<std::size_t>(std::popcount(leader_bits));
-    active_next += static_cast<std::size_t>(std::popcount(active_bits));
-    // Ledger: bank this round's +1s with one ripple-carry add into the
-    // vertical counters (counts stay < 255: flushed in time), and mark
-    // the word dirty (in the slot's scratch bitset - tiles may share a
-    // dirty word) so the flush visits only beeping regions.
-    if (beep_bits != 0) {
-      dirty[w >> 6] |= 1ULL << (w & 63);
-      std::uint64_t carry = beep_bits;
-      for (std::size_t j = 0; carry != 0; ++j) {
-        const std::uint64_t old = ledger[j][w];
-        ledger[j][w] = old ^ carry;
-        carry &= old;
-      }
-    }
-    // No state write-back: the planes stay authoritative and the
-    // protocol's vector is unpacked lazily on first outside read
-    // (materialize_states).
-  }
-  slot_leaders_[slot] += leaders;
-  slot_active_[slot] += active_next;
+    // Per-tile ctx copy with a slot-local generator source: in
+    // lazy-cursor mode each slot owns a scratch generator, so
+    // concurrent tiles never share mutable state.
+    plane_ctx tile_ctx = ctx;
+    tile_ctx.rngs = rngs_.source(slot);
+    const sweep_result part = sweep(tile_ctx, slot_dirty_[slot].data(), wb, we);
+    slot_leaders_[slot] += part.leaders;
+    slot_active_[slot] += part.active;
   };
   if (exec_) {
     exec_->run_tiles(words, tile_words_, sweep_range);
@@ -1382,6 +1132,7 @@ void engine::finish_step_plane_impl() {
   fsm_->mark_states_stale();
   ++round_;
   ++plane_rounds_;
+  if (compiled) ++compiled_rounds_;
   if (++pending_rounds_ >= 254) flush_pending_ledger();
   // Hysteresis: when the wave traffic dies down, hand the next rounds
   // back to the sparse sweep - which reads the protocol's vector, so
@@ -1389,87 +1140,7 @@ void engine::finish_step_plane_impl() {
   // maintained in plane rounds, so no rebuild is needed on the way
   // out). Pinned engines never leave: the sparse gear would need the
   // O(n) state vector the giant path refuses to materialize.
-  if (!plane_pinned_ && active_next * 8 < n) {
-    plane_mode_ = false;
-    fsm_->ensure_states_fresh();
-  }
-  notify_round_observers();
-}
-
-void engine::set_compiled_width(std::size_t width) {
-  if (width != 1 && width != 2 && width != 4 && width != 8) {
-    throw std::invalid_argument(
-        "beeping::engine::set_compiled_width: width must be 1, 2, 4 or 8");
-  }
-  compiled_width_ = width;
-}
-
-// The beepc-compiled plane round: same tiling, bookkeeping and epilogue
-// as finish_step_plane_impl, with the per-word sweep delegated to the
-// matched kernel's width-selected entry point. Required bit-identical
-// to the interpreted sweep (the differential tests enforce it per
-// width).
-void engine::finish_step_plane_compiled() {
-  const std::size_t n = n_;
-  const std::size_t words = heard_words_.size();
-  std::uint64_t* plane_ptrs[6] = {};
-  for (std::size_t j = 0; j < plane_count_; ++j) {
-    plane_ptrs[j] = planes_[j].data();
-  }
-  std::uint64_t* ledger_ptrs[8];
-  for (std::size_t j = 0; j < 8; ++j) ledger_ptrs[j] = ledger_planes_[j].data();
-  plane_ctx ctx;
-  ctx.heard = heard_words_.data();
-  ctx.beep = beep_words_.data();
-  ctx.active = active_words_.data();
-  ctx.leader = leader_words_.data();
-  ctx.planes = plane_ptrs;
-  ctx.ledger = ledger_ptrs;
-  ctx.rngs = rngs_.source();
-  ctx.rules = table_->rules.data();
-  ctx.tail_mask = tail_mask_;
-  ctx.words = words;
-  const sweep_fn sweep =
-      compiled_kernel_->sweep[kernel_width_slot(compiled_width_)];
-  beep_flags_valid_ = false;
-  std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
-  std::fill(slot_active_.begin(), slot_active_.end(), 0);
-  const auto sweep_range = [&](std::size_t slot, std::size_t wb,
-                               std::size_t we) {
-    // Per-tile ctx copy with a slot-local generator source (lazy-mode
-    // scratch generators must not be shared across concurrent tiles).
-    plane_ctx tile_ctx = ctx;
-    tile_ctx.rngs = rngs_.source(slot);
-    const sweep_result part = sweep(tile_ctx, slot_dirty_[slot].data(), wb, we);
-    slot_leaders_[slot] += part.leaders;
-    slot_active_[slot] += part.active;
-  };
-  if (exec_) {
-    exec_->run_tiles(words, tile_words_, sweep_range);
-    rngs_.sync_all();  // flush slot-cached cursors (no-op in dense mode)
-  } else {
-    sweep_range(0, 0, words);
-  }
-  std::size_t leaders = 0;
-  std::size_t active_next = 0;
-  for (std::size_t s = 0; s < slot_leaders_.size(); ++s) {
-    leaders += slot_leaders_[s];
-    active_next += slot_active_[s];
-  }
-  for (auto& dirty : slot_dirty_) {
-    for (std::size_t d = 0; d < dirty.size(); ++d) {
-      dirty_ledger_words_[d] |= dirty[d];
-      dirty[d] = 0;
-    }
-  }
-  leader_count_ = leaders;
-  if (crashed_count_ != 0) fixup_crashed_plane();
-  fsm_->mark_states_stale();
-  ++round_;
-  ++plane_rounds_;
-  ++compiled_rounds_;
-  if (++pending_rounds_ >= 254) flush_pending_ledger();
-  if (!plane_pinned_ && active_next * 8 < n) {
+  if (!config_.giant_mode && active_next * 8 < n) {
     plane_mode_ = false;
     fsm_->ensure_states_fresh();
   }
@@ -1692,8 +1363,8 @@ engine::plane_state engine::plane_snapshot() {
         "authoritative in plane mode");
   }
   plane_state st;
-  st.plane_count = plane_count_;
-  for (std::size_t j = 0; j < plane_count_; ++j) {
+  st.plane_count = plan_.plane_count;
+  for (std::size_t j = 0; j < plan_.plane_count; ++j) {
     st.planes[j] = {planes_[j].data(), planes_[j].size()};
   }
   st.beep = {beep_words_.data(), beep_words_.size()};

@@ -17,8 +17,8 @@
 // topology-tagged path/ring/grid/torus graphs, a word-CSR push
 // (premasked neighbor words per beeper) on general sparse rounds, and
 // a packed-row pull on dense beep sets, with the original single-bit
-// push/pull kept as forceable reference kernels. Every kernel computes
-// the same set, so the choice never affects results;
+// pull as the fallback where no adjacency layout applies. Every kernel
+// computes the same set, so the choice never affects results;
 // `step_reference()` keeps the original scalar byte-array path alive
 // for differential tests and benchmarks, and `set_gather_kernel` pins
 // one kernel for debugging.
@@ -64,7 +64,12 @@
 // and the plane sweep per round with hysteresis; both are bit-identical
 // to the virtual path - same states, same beep counts, same generator
 // draws - and set_fast_path_enabled(false) forces the virtual
-// reference for differential testing.
+// reference for differential testing. The engine owns only the plane
+// round's driver (tiling, folds, crash fix-up, ledger flush,
+// hysteresis); the per-word sweep it drives lives beside the beepc
+// kernels in plane_kernel.hpp - the layout from make_plane_plan(), the
+// body from interpreted_sweep(), or a compiled kernel whose structure
+// matches the bound table.
 //
 // Observer ledger: plane rounds bank per-node beep increments in
 // bit-sliced vertical counters (a ripple-carry add per beeping word)
@@ -141,36 +146,30 @@ struct noise_model {
 
 /// Construction-time switches for the streaming giant-trial mode
 /// (core/giant.hpp). The default configuration is the historical
-/// engine; every switch individually preserves draw-for-draw
-/// bit-identity with it - they only remove O(n) side structures a
-/// giant run cannot afford (and never reads).
+/// engine; neither switch changes a number - they only remove O(n)
+/// side structures a giant run cannot afford (and never reads), or
+/// place pages.
 struct engine_config {
-  /// Per-node generators as 4-byte lazy draw cursors (rng_store) in
-  /// place of the materialized 56-byte-per-node array. Requires a
-  /// compiled table whose draw rules are uniform in kind (all
-  /// fair-coin or all bernoulli), no noise model, and serial rounds.
-  bool lazy_rng = false;
-  /// When false, skip the O(n) beep-count ledger behind the observer
-  /// API (beep_count reads zero). Giant runs attach no observers.
-  bool track_beep_counts = true;
-  /// Enter the word-parallel plane gear at round 0 - the planes are
-  /// seeded straight from the machine's initial state, no O(n) state
-  /// vector is ever materialized (the protocol is reset in deferred
-  /// mode) - and never leave it. Requires plane capability and an
-  /// fsm_protocol.
-  bool pin_plane_mode = false;
+  /// Giant mode: per-node generators as 4-byte lazy draw cursors
+  /// (rng_store) in place of the materialized 56-byte-per-node array;
+  /// no O(n) beep-count ledger behind the observer API (giant runs
+  /// attach no observers); and the word-parallel plane gear entered at
+  /// round 0 - the planes are seeded straight from the machine's
+  /// initial state, no O(n) state vector is ever materialized (the
+  /// protocol is reset in deferred mode) - and never left. Requires a
+  /// plane-capable fsm_protocol machine whose draw rules are uniform in
+  /// kind (all fair-coin or all bernoulli), and no noise model.
+  bool giant_mode = false;
   /// Best-effort: interleave the plane arena's pages across all NUMA
   /// nodes (plane_arena::set_numa_interleave) so 2-socket boxes don't
   /// serialize tiled rounds on one node's memory controller. Placement
   /// only - never changes a number. Silently a no-op off Linux.
   bool numa_interleave = false;
 
-  /// The giant-trial bundle: lazy cursors, no ledger, pinned planes.
+  /// The giant-trial configuration.
   [[nodiscard]] static engine_config giant() noexcept {
     engine_config config;
-    config.lazy_rng = true;
-    config.track_beep_counts = false;
-    config.pin_plane_mode = true;
+    config.giant_mode = true;
     return config;
   }
 };
@@ -188,9 +187,8 @@ class engine : private fsm_protocol::lazy_source {
          const noise_model& noise);
 
   /// Same, with the giant-trial construction switches. Throws
-  /// std::invalid_argument when a switch's requirements are unmet
-  /// (lazy_rng with mixed draw kinds or noise, pin_plane_mode on a
-  /// plane-incapable machine).
+  /// std::invalid_argument when giant mode's requirements are unmet
+  /// (a plane-incapable machine, mixed draw kinds, or noise).
   engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
          const noise_model& noise, const engine_config& config);
 
@@ -244,8 +242,8 @@ class engine : private fsm_protocol::lazy_source {
   // --- fault-injection surface (core/faults drives this) -----------
   //
   // All fault entry points require a compiled fsm_protocol machine and
-  // are unavailable under engine_config::pin_plane_mode (std::logic_
-  // error otherwise - faults keep per-node frozen snapshots the giant
+  // are unavailable under engine_config::giant_mode (std::logic_error
+  // otherwise - faults keep per-node frozen snapshots the giant
   // path refuses to materialize). The crash model is crash-stop with
   // rejoin: a crashed node is frozen in place, never beeps (its packed
   // beep bit is forced 0, so neighbors stop hearing it with no
@@ -342,9 +340,9 @@ class engine : private fsm_protocol::lazy_source {
 
   /// N_beep_t(u): beeps of u up to and including the current round.
   /// (Plane-mode rounds bank increments in the bit-sliced ledger
-  /// planes; the sum is always exact.) With
-  /// engine_config::track_beep_counts off only the <= 254 pending
-  /// rounds are visible - giant runs never read counts.
+  /// planes; the sum is always exact.) Under engine_config::giant_mode
+  /// only the <= 254 pending rounds are visible - giant runs never
+  /// read counts.
   [[nodiscard]] std::uint64_t beep_count(graph::node_id u) const {
     return (beep_counts_.empty() ? 0 : beep_counts_[u]) + pending_count(u);
   }
@@ -534,15 +532,11 @@ class engine : private fsm_protocol::lazy_source {
   void finish_step();
   void finish_step_fast();
   void finish_step_plane();
-  template <std::size_t P>
-  void finish_step_plane_impl();
-  void finish_step_plane_compiled();
   void enter_plane_mode();
   /// Pinned-mode round-0 entry: seeds the planes and the beep/active/
   /// leader sets straight from the machine's initial state - all-equal
   /// lanes, so this is O(words), never O(n).
   void enter_plane_mode_initial();
-  void analyze_plane_plan();
   /// fsm_protocol::lazy_source: unpacks the authoritative planes into
   /// the protocol's state vector (SWAR bit-to-byte transpose) - the
   /// on-demand replacement for the deleted per-round write-back.
@@ -596,23 +590,11 @@ class engine : private fsm_protocol::lazy_source {
   void mask_crashed_heard();
   [[nodiscard]] round_view make_view() const;
 
-  // A maximal run of states [first, last] whose silent transitions
-  // count: delta_bot(s) = s+1 for s < last, with a uniform draw-free
-  // delta_top target and uniform beep/leader/identity flags across the
-  // run. The plane sweep advances all silent run members with one
-  // ripple-carry add over the bit planes (last's exit transition is
-  // decoded individually) - the bit-sliced-counter gear that keeps
-  // Timeout-BFW's patience states word-parallel for any T.
-  struct plane_chain {
-    state_id first = 0;
-    state_id last = 0;
-    state_id top_next = 0;   ///< uniform delta_top target of the run
-    std::uint8_t meta = 0;   ///< uniform machine_table::meta byte
-  };
-
   graph::topology_view view_;
   std::size_t n_ = 0;
   protocol* proto_;
+  // config_.giant_mode pins plane mode: never exit to the O(n) sparse
+  // sweep, never materialize the state vector.
   engine_config config_;
   // Non-null iff the bound protocol is an fsm_protocol; paired with the
   // compiled table this enables the devirtualized round sweep.
@@ -664,14 +646,9 @@ class engine : private fsm_protocol::lazy_source {
   // protocol's state vector is rewritten every plane round, so it is
   // never stale for outside readers.
   std::array<support::word_buffer, 6> planes_;
-  std::size_t plane_count_ = 0;  // ceil(log2(state_count)), >= 1
-  // Pinned plane mode (engine_config::pin_plane_mode): never exit to
-  // the O(n) sparse sweep, never materialize the state vector.
-  bool plane_pinned_ = false;
-  // Bit-sliced-counter runs (see plane_chain) + the per-state skip
-  // bytes telling the decode loop which states the chains cover.
-  std::vector<plane_chain> plane_chains_;
-  std::vector<std::uint8_t> plane_chain_member_;
+  // Plane count and bit-sliced-counter runs of the bound table
+  // (make_plane_plan); empty unless plane-capable.
+  plane_plan plan_;
   bool plane_capable_ = false;
   bool plane_mode_ = false;
   std::uint64_t plane_rounds_ = 0;

@@ -1,19 +1,25 @@
-// Compiled round-kernel registry: the dispatch point between the
-// engine's interpreted plane gear and the ahead-of-time kernels
-// emitted by tools/beepc.
+// The plane round's shared pieces: the plane layout of a machine
+// table, the interpreted sweep, and the registry of compiled round
+// kernels emitted by tools/beepc.
+//
+// make_plane_plan() is the one place the plane layout is decided: the
+// engine binds it for the interpreted sweep, and beepc bakes the same
+// plan into every generated kernel, so the two gears always cover the
+// same states with the same bit-sliced counters.
 //
 // A compiled kernel is the plane sweep of ONE protocol structure with
-// everything the interpreted gear reads from machine_table at runtime -
-// state count, plane count, per-state decode targets, beep/leader/
-// identity meta, patience-chain layout - baked in as constexpr
-// (src/beeping/compiled_sweep.hpp instantiates the template per
-// structure and SIMD width). Kernels are matched at engine bind time by
-// *structure*, not by protocol instance: serialize_table_structure()
-// captures exactly what the kernel bakes in and classifies every
-// stochastic row uniformly (the kernel applies draws through the
-// runtime rule table, so one BFW kernel serves every p, coin or
-// bernoulli). The interpreted gear stays as the differential reference;
-// a kernel is required to be draw-for-draw bit-identical to it.
+// everything the interpreted sweep reads from machine_table and the
+// plan at runtime - state count, plane count, per-state decode targets,
+// beep/leader/identity meta, patience-chain layout - baked in as
+// constexpr (src/beeping/compiled_sweep.hpp instantiates the template
+// per structure and SIMD width). Kernels are matched at engine bind
+// time by *structure*, not by protocol instance:
+// serialize_table_structure() captures exactly what the kernel bakes in
+// and classifies every stochastic row uniformly (the kernel applies
+// draws through the runtime rule table, so one BFW kernel serves every
+// p, coin or bernoulli). The interpreted sweep stays as the
+// differential reference; a kernel is required to be draw-for-draw
+// bit-identical to it.
 //
 // Registration is explicit: beepc emits one factory function per
 // kernel plus a manifest TU whose ensure_builtin_kernels_registered()
@@ -31,7 +37,35 @@
 
 namespace beepkit::beeping {
 
-/// Everything a compiled sweep reads or writes, borrowed from the
+/// One bit-sliced-counter run: a maximal state range [first, last]
+/// whose silent transitions count (delta_bot(s) = s+1 for s < last),
+/// with one draw-free delta_top target and one meta byte across the
+/// run. The plane sweep advances all silent members with one
+/// ripple-carry add over the planes (last's exit transition is decoded
+/// individually) - the counter that keeps Timeout-BFW's patience states
+/// word-parallel for any T.
+struct kernel_chain {
+  state_id first = 0;
+  state_id last = 0;
+  state_id top_next = 0;  ///< uniform delta_top target of the run
+  std::uint8_t meta = 0;  ///< uniform machine_table::meta byte
+};
+
+/// How a machine table lives in bit-planes: bit j of a node's state id
+/// sits in plane j, and the counting runs tick as bit-sliced counters.
+struct plane_plan {
+  std::size_t plane_count = 0;  ///< ceil(log2(state_count)), >= 1
+  std::vector<kernel_chain> chains;
+  /// Per state: 1 iff a chain covers it (the per-state decode skips it).
+  std::vector<std::uint8_t> chain_member;
+};
+
+/// The plane layout of `table`: its plane count and its counting runs
+/// (runs shorter than 4 states are left to the per-state decode - the
+/// range comparison costs ~4 plane ops, so tiny runs would not pay).
+[[nodiscard]] plane_plan make_plane_plan(const machine_table& table);
+
+/// Everything a plane sweep reads or writes, borrowed from the
 /// engine for the duration of one round. Pointers are word arrays
 /// (word w covers nodes [64w, 64w+63]); `planes`/`ledger` are arrays
 /// of plane pointers.
@@ -50,6 +84,9 @@ struct plane_ctx {
   /// are applied per node through this, so the kernel structure stays
   /// independent of p / coin-vs-bernoulli.
   const transition_rule* rules = nullptr;
+  /// The bound table and its plan: read by the interpreted sweep only.
+  const machine_table* table = nullptr;
+  const plane_plan* plan = nullptr;
   std::uint64_t tail_mask = ~0ULL;
   std::size_t words = 0;
 };
@@ -67,6 +104,12 @@ struct sweep_result {
 using sweep_fn = sweep_result (*)(const plane_ctx&, std::uint64_t* dirty,
                                   std::size_t wb, std::size_t we);
 
+/// The interpreted plane round over words [wb, we), specialized on the
+/// plane count (1..6): the reference every compiled kernel is held to
+/// and the sweep for tables no kernel serves. Reads ctx.table and
+/// ctx.plan.
+[[nodiscard]] sweep_fn interpreted_sweep(std::size_t plane_count);
+
 /// Width variants a kernel carries: W words per vector op.
 inline constexpr std::size_t kernel_widths[] = {1, 2, 4, 8};
 inline constexpr std::size_t kernel_width_slots = 4;
@@ -75,21 +118,14 @@ inline constexpr std::size_t kernel_width_slots = 4;
   return width == 8 ? 3 : width == 4 ? 2 : width == 2 ? 1 : 0;
 }
 
-// Constexpr record types the generated Traits blocks are built from
-// (see compiled_sweep.hpp for how the sweep consumes them).
-/// One compiled transition row: a deterministic successor, or a
-/// reference (`draw`) into the kernel's stochastic-slot list.
+/// One compiled transition row of a generated Traits block (with
+/// kernel_chain, the constexpr records compiled_sweep.hpp consumes): a
+/// deterministic successor, or a reference (`draw`) into the kernel's
+/// stochastic-slot list.
 struct kernel_rule {
   bool stochastic = false;
   state_id next = 0;     ///< successor when !stochastic
   std::uint8_t draw = 0; ///< index into Traits::draw_slots otherwise
-};
-/// One bit-sliced-counter run (mirrors engine::plane_chain).
-struct kernel_chain {
-  state_id first = 0;
-  state_id last = 0;
-  state_id top_next = 0;
-  std::uint8_t meta = 0;
 };
 
 /// One registered kernel: the structure it serves plus its sweep
@@ -97,8 +133,6 @@ struct kernel_chain {
 struct compiled_kernel {
   std::string name;       ///< beepc kernel name (bench/test labels)
   std::string structure;  ///< serialize_table_structure() of the source
-  std::size_t state_count = 0;
-  std::size_t plane_count = 0;
   sweep_fn sweep[kernel_width_slots] = {};
 };
 
@@ -115,7 +149,7 @@ struct compiled_kernel {
 void register_compiled_kernel(const compiled_kernel& kernel);
 
 /// Bind-time lookup: the kernel whose structure matches `table`, or
-/// nullptr (interpreted gear only). Triggers builtin registration.
+/// nullptr (interpreted sweep only). Triggers builtin registration.
 [[nodiscard]] const compiled_kernel* find_compiled_kernel(
     const machine_table& table);
 

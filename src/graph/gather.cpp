@@ -83,8 +83,6 @@ std::string gather_kernel_name(gather_kernel k) {
       return "word_csr_push";
     case gather_kernel::packed_pull:
       return "packed_pull";
-    case gather_kernel::legacy_push:
-      return "legacy_push";
     case gather_kernel::legacy_pull:
       return "legacy_pull";
   }
@@ -248,9 +246,6 @@ void heard_gather::operator()(std::span<const std::uint64_t> beep,
       } else {
         gather_packed_pull(beep, heard, 0, heard.size());
       }
-      break;
-    case gather_kernel::legacy_push:
-      gather_legacy_push(beep, heard);
       break;
     case gather_kernel::legacy_pull:
       gather_legacy_pull(beep, heard);
@@ -431,19 +426,6 @@ void heard_gather::gather_packed_pull(std::span<const std::uint64_t> beep,
         set_bit(heard, u);
         break;
       }
-    }
-  }
-}
-
-void heard_gather::gather_legacy_push(std::span<const std::uint64_t> beep,
-                                      std::span<std::uint64_t> heard) const {
-  for (std::size_t w = 0; w < beep.size(); ++w) {
-    std::uint64_t bits = beep[w];
-    while (bits != 0) {
-      const auto u = static_cast<node_id>(
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
-      bits &= bits - 1;
-      view_.for_each_neighbor(u, [&](node_id v) { set_bit(heard, v); });
     }
   }
 }

@@ -18,8 +18,9 @@
 //  * packed_pull - for dense beep sets on small/dense graphs: one
 //    AND-with-early-exit word loop per silent row over the packed
 //    adjacency bitmap.
-//  * legacy_push / legacy_pull - the original single-bit kernels, kept
-//    as the differential-testing reference.
+//  * legacy_pull - the original single-bit pull: the fallback when no
+//    adjacency layout applies (implicit views), and forceable as a
+//    differential-testing cross-check.
 //
 // Every kernel computes exactly the same heard set, so selection is
 // free to be heuristic: the topology tag wins outright, and otherwise
@@ -51,8 +52,7 @@ enum class gather_kernel : std::uint8_t {
   stencil,        ///< shifted word ops (tagged graphs only)
   word_csr_push,  ///< premasked word OR per beeper
   packed_pull,    ///< packed-row AND scan per silent node
-  legacy_push,    ///< single-bit OR per beeper arc (reference)
-  legacy_pull,    ///< per-bit probe with early exit (reference)
+  legacy_pull,    ///< per-bit probe with early exit (fallback)
 };
 
 /// Stable lowercase kernel name for logs, JSONL records and bench
@@ -72,7 +72,7 @@ class heard_gather {
   /// A tag whose stencil preconditions fail (torus smaller than 3x3,
   /// ring below 3 nodes, rows*cols not matching the node count) is
   /// dropped here: explicit graphs fall back to the CSR kernels,
-  /// implicit views to the arithmetic-neighbor legacy kernels - both
+  /// implicit views to the arithmetic-neighbor legacy pull - both
   /// compute the same heard set as always. An explicit view's graph
   /// must outlive the gather.
   explicit heard_gather(topology_view view);
@@ -150,8 +150,6 @@ class heard_gather {
   void gather_packed_pull(std::span<const std::uint64_t> beep,
                           std::span<std::uint64_t> heard, std::size_t wb,
                           std::size_t we) const;
-  void gather_legacy_push(std::span<const std::uint64_t> beep,
-                          std::span<std::uint64_t> heard) const;
   void gather_legacy_pull(std::span<const std::uint64_t> beep,
                           std::span<std::uint64_t> heard) const;
 

@@ -1,6 +1,6 @@
 // Width-agnostic SIMD wrapper over 64-bit word lanes, used by the
-// beepc-generated round kernels for their decode, ripple-carry and
-// transpose loops (src/beeping/compiled_sweep.hpp).
+// beepc-generated round kernels for their decode and ripple-carry
+// loops (src/beeping/compiled_sweep.hpp).
 //
 // The unit is `wordvec<W>`: W packed std::uint64_t lanes supporting the
 // bitwise algebra the bit-plane sweeps are written in (&, |, ^, ~,
@@ -233,44 +233,5 @@ struct wordvec {
     return acc != 0;
   }
 };
-
-/// Transposes `plane_count` bit planes back into a uint16 state vector
-/// (the lazy-materialization unpack shared by the beeping and stone-age
-/// engines): bit i of planes[j][w] is bit j of out[64w + i]. SWAR
-/// spread - the multiply parks source bit k at the top of byte 7-k, one
-/// byte swap restores ascending order, and the planes are merged before
-/// the swap so all of them pay it once.
-inline void transpose_planes_to_u16(const std::uint64_t* const* planes,
-                                    std::size_t plane_count,
-                                    std::size_t node_count,
-                                    std::uint16_t* out) noexcept {
-  const std::size_t words = (node_count + 63) / 64;
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::size_t base = w << 6;
-    const std::size_t in_word =
-        node_count - base < 64 ? node_count - base : std::size_t{64};
-    std::size_t i = 0;
-    for (; i + 8 <= in_word; i += 8) {
-      std::uint64_t acc = 0;
-      for (std::size_t j = 0; j < plane_count; ++j) {
-        acc |= ((((planes[j][w] >> i) & 0xFF) * 0x8040201008040201ULL) &
-                0x8080808080808080ULL) >>
-               (7 - j);
-      }
-      std::uint64_t bytes = __builtin_bswap64(acc);
-      for (std::size_t k = 0; k < 8; ++k) {
-        out[base + i + k] = static_cast<std::uint16_t>(bytes & 0xFF);
-        bytes >>= 8;
-      }
-    }
-    for (; i < in_word; ++i) {
-      std::uint16_t s = 0;
-      for (std::size_t j = 0; j < plane_count; ++j) {
-        s |= static_cast<std::uint16_t>(((planes[j][w] >> i) & 1U) << j);
-      }
-      out[base + i] = s;
-    }
-  }
-}
 
 }  // namespace beepkit::support::simd

@@ -4,7 +4,10 @@
 // (kernel, SIMD width, graph, seed, noise) combination - same state
 // trajectories, same leader counts, same beep ledgers, same generator
 // draws. Word-boundary sizes {63, 64, 65, 128} exercise the batch
-// tails; widths {1, 2, 4, 8} cover every wordvec instantiation.
+// tails; widths {1, 2, 4, 8} cover every wordvec instantiation. Below
+// the engine, every registered kernel's width entry points are also
+// called directly against interpreted_sweep on random valid plane
+// contexts (KernelRegistryTest.BuiltinKernelsRegistered).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,9 +21,11 @@
 #include "core/adversarial.hpp"
 #include "core/bfw.hpp"
 #include "core/bfw_stoneage.hpp"
+#include "core/protocol_spec.hpp"
 #include "core/timeout_bfw.hpp"
 #include "graph/generators.hpp"
 #include "stoneage/stoneage.hpp"
+#include "support/rng.hpp"
 
 namespace beepkit {
 namespace {
@@ -30,7 +35,7 @@ using beeping::fsm_protocol;
 using beeping::noise_model;
 using beeping::state_id;
 
-constexpr std::size_t kernel_widths[] = {1, 2, 4, 8};
+using beeping::kernel_widths;
 
 struct graph_case {
   std::string label;
@@ -85,6 +90,150 @@ void expect_compiled_matches_interpreted(const graph::graph& g,
   for (graph::node_id u = 0; u < g.node_count(); ++u) {
     ASSERT_EQ(compiled.node_rng(u).next_u64(), ref.node_rng(u).next_u64())
         << label << " generator diverged at node " << u;
+  }
+}
+
+/// The buffers one plane sweep reads and writes, owned.
+struct sweep_buffers {
+  std::vector<std::vector<std::uint64_t>> planes;
+  std::vector<std::uint64_t> heard, beep, active, leader, dirty;
+  std::vector<std::vector<std::uint64_t>> ledger;
+  std::vector<support::rng> rngs;
+};
+
+/// A random *valid* plane-round input for `table` over n nodes: every
+/// lane's state is drawn below q and written into the planes, the
+/// beep/active/leader words follow from those states, heard contains
+/// every beeper (a beeper hears itself), the ledger holds pending
+/// counts low enough for one more bank, and about one word in four is
+/// fully quiet (silent lanes in a draw-free bot self-loop) so the
+/// skip paths run too.
+sweep_buffers random_valid_sweep_input(const beeping::machine_table& table,
+                                       std::size_t plane_count,
+                                       std::size_t n, std::uint64_t seed) {
+  const std::size_t words = (n + 63) / 64;
+  const std::size_t q = table.state_count();
+  support::rng gen(seed);
+  std::vector<state_id> quiet_states;
+  for (std::size_t s = 0; s < q; ++s) {
+    if (table.bot_identity[s] != 0 && table.beep_flag[s] == 0) {
+      quiet_states.push_back(static_cast<state_id>(s));
+    }
+  }
+  sweep_buffers in;
+  in.planes.assign(plane_count, std::vector<std::uint64_t>(words, 0));
+  in.ledger.assign(8, std::vector<std::uint64_t>(words, 0));
+  for (auto* buf : {&in.heard, &in.beep, &in.active, &in.leader}) {
+    buf->assign(words, 0);
+  }
+  in.dirty.assign((words + 63) / 64, 0);
+  in.rngs = support::make_node_streams(seed ^ 0x5eedULL, n);
+  for (std::size_t w = 0; w < words; ++w) {
+    const bool quiet = !quiet_states.empty() && gen.uniform_below(4) == 0;
+    const state_id quiet_state =
+        quiet ? quiet_states[gen.uniform_below(quiet_states.size())] : 0;
+    const std::uint64_t noise = quiet ? 0 : gen.next_u64();
+    for (std::size_t i = 0; i < 64 && (w << 6) + i < n; ++i) {
+      const std::uint64_t bit = 1ULL << i;
+      const auto s = quiet ? quiet_state
+                           : static_cast<state_id>(gen.uniform_below(q));
+      for (std::size_t j = 0; j < plane_count; ++j) {
+        if (((s >> j) & 1U) != 0) in.planes[j][w] |= bit;
+      }
+      if (table.beeps(s)) in.beep[w] |= bit;
+      if (table.is_leader(s)) in.leader[w] |= bit;
+      if (table.bot_identity[s] == 0) in.active[w] |= bit;
+      if ((noise & bit) != 0) in.heard[w] |= bit;
+      const std::uint64_t pending = gen.uniform_below(200);
+      for (std::size_t j = 0; j < 8; ++j) {
+        if (((pending >> j) & 1U) != 0) in.ledger[j][w] |= bit;
+      }
+    }
+    in.heard[w] |= in.beep[w];
+  }
+  return in;
+}
+
+/// Runs `sweep` over words [wb, we) of `buf` (mutated in place).
+beeping::sweep_result run_sweep(beeping::sweep_fn sweep,
+                                const beeping::machine_table& table,
+                                const beeping::plane_plan& plan,
+                                std::size_t n, sweep_buffers& buf,
+                                std::size_t wb, std::size_t we) {
+  std::uint64_t* planes[6] = {};
+  for (std::size_t j = 0; j < buf.planes.size(); ++j) {
+    planes[j] = buf.planes[j].data();
+  }
+  std::uint64_t* ledger[8];
+  for (std::size_t j = 0; j < 8; ++j) ledger[j] = buf.ledger[j].data();
+  beeping::plane_ctx ctx;
+  ctx.heard = buf.heard.data();
+  ctx.beep = buf.beep.data();
+  ctx.active = buf.active.data();
+  ctx.leader = buf.leader.data();
+  ctx.planes = planes;
+  ctx.ledger = ledger;
+  ctx.rngs = support::rng_source{buf.rngs.data(), nullptr, 0};
+  ctx.rules = table.rules.data();
+  ctx.table = &table;
+  ctx.plan = &plan;
+  ctx.tail_mask = (n % 64 == 0) ? ~0ULL : ((1ULL << (n % 64)) - 1);
+  ctx.words = buf.heard.size();
+  return sweep(ctx, buf.dirty.data(), wb, we);
+}
+
+/// Kernel-level differential: every width entry point of `kernel`
+/// against interpreted_sweep(P) on random valid inputs at word-boundary
+/// node counts, over word ranges that start and end off the W grid -
+/// planes, beep/leader/active words, ledger, dirty bits, returned
+/// counts and the next draw of every stream.
+void expect_kernel_matches_interpreted_sweep(
+    const beeping::compiled_kernel& kernel,
+    const beeping::machine_table& table) {
+  const beeping::plane_plan plan = beeping::make_plane_plan(table);
+  const beeping::sweep_fn reference =
+      beeping::interpreted_sweep(plan.plane_count);
+  // 63..128 nodes are one or two words; 65 * 64 - 3 nodes give 65
+  // words, so every width runs whole batches and a ragged tail.
+  for (const std::size_t n : {63U, 64U, 65U, 128U, 65U * 64U - 3U}) {
+    const std::size_t words = (n + 63) / 64;
+    std::vector<std::pair<std::size_t, std::size_t>> ranges = {{0, words}};
+    if (words > 2) {
+      ranges.insert(ranges.end(),
+                    {{1, words}, {0, words - 1}, {3, words - 2}, {5, 18}});
+    } else if (words == 2) {
+      ranges.insert(ranges.end(), {{0, 1}, {1, 2}});
+    }
+    for (std::size_t slot = 0; slot < beeping::kernel_width_slots; ++slot) {
+      for (const auto& [wb, we] : ranges) {
+        const std::string label = kernel.name + " n=" + std::to_string(n) +
+                                  " w=" + std::to_string(kernel_widths[slot]) +
+                                  " [" + std::to_string(wb) + "," +
+                                  std::to_string(we) + ")";
+        const std::uint64_t seed = n * 131 + slot * 17 + wb * 7 + we;
+        sweep_buffers ref = random_valid_sweep_input(table, plan.plane_count,
+                                                     n, seed);
+        sweep_buffers got = ref;
+        const auto ref_counts =
+            run_sweep(reference, table, plan, n, ref, wb, we);
+        const auto got_counts =
+            run_sweep(kernel.sweep[slot], table, plan, n, got, wb, we);
+        EXPECT_EQ(got_counts.leaders, ref_counts.leaders) << label;
+        EXPECT_EQ(got_counts.active, ref_counts.active) << label;
+        EXPECT_EQ(got.planes, ref.planes) << label;
+        EXPECT_EQ(got.beep, ref.beep) << label;
+        EXPECT_EQ(got.leader, ref.leader) << label;
+        EXPECT_EQ(got.active, ref.active) << label;
+        EXPECT_EQ(got.ledger, ref.ledger) << label;
+        EXPECT_EQ(got.dirty, ref.dirty) << label;
+        for (std::size_t u = 0; u < n; ++u) {
+          ASSERT_EQ(got.rngs[u].coins_consumed(), ref.rngs[u].coins_consumed())
+              << label << " node " << u;
+          ASSERT_EQ(got.rngs[u].next_u64(), ref.rngs[u].next_u64())
+              << label << " node " << u;
+        }
+      }
+    }
   }
 }
 
@@ -300,8 +449,26 @@ TEST(KernelRegistryTest, BuiltinKernelsRegistered) {
   EXPECT_NE(std::find(names.begin(), names.end(), "bw"), names.end());
   for (const auto* k : kernels) {
     for (std::size_t slot = 0; slot < beeping::kernel_width_slots; ++slot) {
-      EXPECT_NE(k->sweep[slot], nullptr) << k->name;
+      ASSERT_NE(k->sweep[slot], nullptr) << k->name;
     }
+  }
+  // Every registered kernel, at every width, sweeps exactly like the
+  // interpreted reference - for coin and bernoulli rows alike.
+  std::vector<std::string> checked;
+  for (const auto& spec :
+       {core::bfw_spec(0.5), core::bfw_spec(0.3),
+        core::timeout_bfw_spec(0.5, 9), core::timeout_bfw_spec(0.25, 9),
+        core::bw_spec(0.5)}) {
+    const auto table = core::compile_spec_table(spec);
+    const auto* kernel = beeping::find_compiled_kernel(table);
+    ASSERT_NE(kernel, nullptr) << spec.name;
+    expect_kernel_matches_interpreted_sweep(*kernel, table);
+    checked.push_back(kernel->name);
+  }
+  for (const auto* k : kernels) {
+    EXPECT_NE(std::find(checked.begin(), checked.end(), k->name),
+              checked.end())
+        << k->name << " has no differential input";
   }
 }
 

@@ -2,7 +2,7 @@
 // the generalized plane gear:
 //
 //  * every gather kernel (stencil, word-CSR push, packed-row pull, and
-//    the legacy single-bit push/pull) must produce bit-identical runs -
+//    the legacy single-bit pull) must produce bit-identical runs -
 //    same state trajectories, same ledgers, same generator draws - on
 //    path/ring/grid/torus/complete at word-boundary sizes
 //    {63, 64, 65, 128}, with reception noise and under Section-5
@@ -72,7 +72,7 @@ std::vector<graph_case> stencil_boundary_graphs() {
 std::vector<gather_kernel> applicable_kernels(const graph::graph& g) {
   std::vector<gather_kernel> kernels = {
       gather_kernel::word_csr_push, gather_kernel::packed_pull,
-      gather_kernel::legacy_push, gather_kernel::legacy_pull};
+      gather_kernel::legacy_pull};
   if (g.topology_tag().has_value()) {
     kernels.insert(kernels.begin(), gather_kernel::stencil);
   }
@@ -580,8 +580,7 @@ TEST(StoneAgeGatherTest, ForcedKernelsMatchVirtualPath) {
   const auto g = graph::make_grid(8, 8);
   for (const gather_kernel kernel :
        {gather_kernel::stencil, gather_kernel::word_csr_push,
-        gather_kernel::packed_pull, gather_kernel::legacy_push,
-        gather_kernel::legacy_pull}) {
+        gather_kernel::packed_pull, gather_kernel::legacy_pull}) {
     stoneage::engine fast(g, automaton, 1, 21);
     stoneage::engine ref(g, automaton, 1, 21);
     fast.set_gather_kernel(kernel);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,8 @@
 #include "core/bfw.hpp"
 #include "core/convergence.hpp"
 #include "core/giant.hpp"
+#include "core/protocol_spec.hpp"
+#include "core/timeout_bfw.hpp"
 #include "graph/generators.hpp"
 #include "graph/view.hpp"
 #include "support/arena.hpp"
@@ -277,17 +280,45 @@ TEST(RngStore, SlotScratchContextsMatchDenseDrawForDraw) {
 
 TEST(GiantTrial, GiantConfigMatchesOrdinaryEngine) {
   const auto view = topology_view::implicit({topology::kind::grid, 9, 23});
-  const core::bfw_machine machine(0.5);
-  const auto ordinary =
-      core::run_election(view, machine, 1234, {.max_rounds = 500000});
-  const auto giant =
-      core::run_giant_trial(view, machine, 1234, {.max_rounds = 500000});
-  ASSERT_TRUE(ordinary.converged);
-  EXPECT_TRUE(giant.converged);
-  EXPECT_EQ(giant.rounds, ordinary.rounds);
-  EXPECT_EQ(giant.leader, ordinary.leader);
-  EXPECT_EQ(giant.draws, ordinary.total_coins);
-  EXPECT_GT(giant.arena_bytes, 0U);
+  // BFW runs the compiled bfw kernel; Timeout-BFW with T = 7 (12
+  // states) has no kernel and runs the interpreted sweep.
+  const core::bfw_machine bfw(0.5);
+  const core::timeout_bfw_machine timeout_bfw(0.5, 7);
+  for (const beeping::state_machine* machine :
+       {static_cast<const beeping::state_machine*>(&bfw),
+        static_cast<const beeping::state_machine*>(&timeout_bfw)}) {
+    const auto ordinary =
+        core::run_election(view, *machine, 1234, {.max_rounds = 500000});
+    const auto giant =
+        core::run_giant_trial(view, *machine, 1234, {.max_rounds = 500000});
+    ASSERT_TRUE(ordinary.converged) << machine->name();
+    EXPECT_TRUE(giant.converged) << machine->name();
+    EXPECT_EQ(giant.rounds, ordinary.rounds) << machine->name();
+    EXPECT_EQ(giant.leader, ordinary.leader) << machine->name();
+    // Timeout-BFW draws bernoulli words, which total_coins does not
+    // count; its rounds and leader pin it instead.
+    if (machine == &bfw) EXPECT_EQ(giant.draws, ordinary.total_coins);
+    EXPECT_GT(giant.arena_bytes, 0U);
+  }
+
+  // ...and the giant bundle refuses what it cannot serve: a noise model
+  // (noise streams stay dense), a machine mixing coin and bernoulli
+  // draws (a 4-byte cursor replays one kind), and more than 64 states
+  // (no plane gear).
+  const auto giant_engine = [&view](const beeping::state_machine& machine,
+                                    const beeping::noise_model& noise) {
+    beeping::fsm_protocol proto(machine);
+    beeping::engine sim(view, proto, 1, noise,
+                        beeping::engine_config::giant());
+  };
+  EXPECT_THROW(giant_engine(bfw, {0.1, 0.0}), std::invalid_argument);
+  core::protocol_spec mixed = core::bfw_spec(0.5);
+  mixed.set_heard(0, beeping::transition_rule::bernoulli_draw(0.3, 1, 0));
+  const auto mixed_machine = core::make_protocol(mixed);
+  EXPECT_THROW(giant_engine(*mixed_machine, {}), std::invalid_argument);
+  const core::timeout_bfw_machine wide(0.5, 60);
+  ASSERT_GT(wide.state_count(), 64U);
+  EXPECT_THROW(giant_engine(wide, {}), std::invalid_argument);
 }
 
 TEST(GiantTrial, ExplicitGraphsWorkToo) {

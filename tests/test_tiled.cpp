@@ -195,28 +195,36 @@ TEST(TiledEngineBitIdentityTest, AllConfigsMatchSerialOnAllTopologies) {
 }
 
 TEST(TiledEngineBitIdentityTest, TimeoutBfwRippleCarryTiledMatchesSerial) {
-  // T = 9: the bit-sliced patience counters advance via ripple-carry
-  // adds - the seam-sensitive kernel. The run must also actually be in
-  // the plane gear, not the sparse fallback.
-  const core::timeout_bfw_machine machine(0.5, 9);
-  for (const auto& shape :
-       {graph_case{"path65", graph::make_path(65)},
-        graph_case{"grid8x16", graph::make_grid(8, 16)},
-        graph_case{"torus8x8", graph::make_torus(8, 8)}}) {
-    for (const tile_config& cfg : tile_configs()) {
-      fsm_protocol serial_proto(machine);
-      fsm_protocol tiled_proto(machine);
-      engine serial(shape.g, serial_proto, 11);
-      engine tiled(shape.g, tiled_proto, 11);
-      tiled.set_parallelism(cfg.threads, cfg.tile_words);
-      serial.run_rounds(60);
-      tiled.run_rounds(60);
-      ASSERT_GT(tiled.plane_rounds(), 0U) << shape.label;
-      ASSERT_EQ(tiled.plane_rounds(), serial.plane_rounds()) << shape.label;
-      ASSERT_EQ(tiled_proto.states(), serial_proto.states())
-          << shape.label << " threads=" << cfg.threads
-          << " tile=" << cfg.tile_words;
-      ASSERT_EQ(tiled.total_coins_consumed(), serial.total_coins_consumed());
+  // The bit-sliced patience counters advance via ripple-carry adds -
+  // the seam-sensitive kernel. T = 9 runs the compiled chain kernel;
+  // T = 7 (12 states) has none, so it drives the interpreted sweep
+  // through the same tiled plane driver. The run must also actually be
+  // in the plane gear, not the sparse fallback.
+  for (const std::uint32_t timeout : {9U, 7U}) {
+    const core::timeout_bfw_machine machine(0.5, timeout);
+    for (const auto& shape :
+         {graph_case{"path65", graph::make_path(65)},
+          graph_case{"grid8x16", graph::make_grid(8, 16)},
+          graph_case{"torus8x8", graph::make_torus(8, 8)}}) {
+      for (const tile_config& cfg : tile_configs()) {
+        const std::string label =
+            shape.label + " T=" + std::to_string(timeout) +
+            " threads=" + std::to_string(cfg.threads) +
+            " tile=" + std::to_string(cfg.tile_words);
+        fsm_protocol serial_proto(machine);
+        fsm_protocol tiled_proto(machine);
+        engine serial(shape.g, serial_proto, 11);
+        engine tiled(shape.g, tiled_proto, 11);
+        if (timeout == 7) ASSERT_FALSE(tiled.compiled_kernel_active()) << label;
+        tiled.set_parallelism(cfg.threads, cfg.tile_words);
+        serial.run_rounds(60);
+        tiled.run_rounds(60);
+        ASSERT_GT(tiled.plane_rounds(), 0U) << label;
+        ASSERT_EQ(tiled.plane_rounds(), serial.plane_rounds()) << label;
+        ASSERT_EQ(tiled_proto.states(), serial_proto.states()) << label;
+        ASSERT_EQ(tiled.total_coins_consumed(), serial.total_coins_consumed())
+            << label;
+      }
     }
   }
 }

@@ -4,9 +4,10 @@
 // bundled factories and/or JSON documents) and emits one C++ TU per
 // protocol structure under --out-dir, each instantiating the templated
 // SIMD round sweep (beeping/compiled_sweep.hpp) with the protocol's
-// state count, plane count, transition masks, meta flags and
-// patience-chain layout baked in as a constexpr Traits block, at every
-// kernel width (1/2/4/8 words). A manifest TU defining
+// transition masks, meta flags and plane layout - plane count and
+// patience chains, from the same beeping::make_plane_plan() the
+// engine's interpreted sweep binds - baked in as a constexpr Traits
+// block, at every kernel width (1/2/4/8 words). A manifest TU defining
 // ensure_builtin_kernels_registered() registers them all in the kernel
 // registry; the engine picks them up at bind time by structure match.
 //
@@ -38,56 +39,8 @@
 namespace {
 
 using beepkit::beeping::machine_table;
-using beepkit::beeping::state_id;
 using beepkit::beeping::transition_rule;
 using beepkit::core::protocol_spec;
-
-// Mirrors engine::analyze_plane_plan exactly: the generated kernel must
-// cover the same states with chains as the interpreted gear, or the
-// two would route different lanes through the per-state decode.
-struct chain_plan {
-  struct chain {
-    state_id first = 0;
-    state_id last = 0;
-    state_id top_next = 0;
-    std::uint8_t meta = 0;
-  };
-  std::vector<chain> chains;
-  std::vector<bool> member;
-};
-
-chain_plan analyze_chains(const machine_table& table) {
-  const std::size_t q = table.state_count();
-  chain_plan plan;
-  plan.member.assign(q, false);
-  const auto det_next = [&table](std::size_t s, bool heard,
-                                 state_id& next) noexcept {
-    const transition_rule& rule = table.rule(static_cast<state_id>(s), heard);
-    if (rule.draw != transition_rule::draw_kind::none) return false;
-    next = rule.next;
-    return true;
-  };
-  for (std::size_t s = 0; s < q; ++s) {
-    if (plan.member[s]) continue;
-    state_id top_next = 0;
-    if (!det_next(s, true, top_next)) continue;
-    std::size_t last = s;
-    while (last + 1 < q && !plan.member[last + 1]) {
-      state_id bot_next = 0;
-      if (!det_next(last, false, bot_next) || bot_next != last + 1) break;
-      state_id next_top = 0;
-      if (!det_next(last + 1, true, next_top) || next_top != top_next) break;
-      if (table.meta[last + 1] != table.meta[s]) break;
-      ++last;
-    }
-    if (last - s + 1 < 4) continue;
-    plan.chains.push_back({static_cast<state_id>(s),
-                           static_cast<state_id>(last), top_next,
-                           table.meta[s]});
-    for (std::size_t t = s; t <= last; ++t) plan.member[t] = true;
-  }
-  return plan;
-}
 
 std::string sanitize_identifier(const std::string& name) {
   std::string out;
@@ -148,9 +101,9 @@ std::string generated_banner() {
 std::string emit_kernel(const kernel_source& src) {
   const machine_table& table = src.table;
   const std::size_t q = table.state_count();
-  std::size_t plane_count = 1;
-  while ((std::size_t{1} << plane_count) < q) ++plane_count;
-  const chain_plan plan = analyze_chains(table);
+  const beepkit::beeping::plane_plan plan =
+      beepkit::beeping::make_plane_plan(table);
+  const std::size_t plane_count = plan.plane_count;
   // Stochastic rows get stable slot ids in (state, bot-then-top) order;
   // the kernel resolves them per node through plane_ctx::rules.
   std::vector<int> draw_index(q * 2, -1);
@@ -215,7 +168,8 @@ std::string emit_kernel(const kernel_source& src) {
   out << "  };\n";
   out << "  static constexpr bool chain_member[state_count] = {";
   for (std::size_t s = 0; s < q; ++s) {
-    out << (s == 0 ? "" : ", ") << (plan.member[s] ? "true" : "false");
+    out << (s == 0 ? "" : ", ")
+        << (plan.chain_member[s] != 0 ? "true" : "false");
   }
   out << "};\n";
   out << "  static constexpr kernel_chain chains[" << std::max<std::size_t>(
@@ -224,7 +178,7 @@ std::string emit_kernel(const kernel_source& src) {
     out << "{}";
   } else {
     for (std::size_t c = 0; c < plan.chains.size(); ++c) {
-      const chain_plan::chain& chain = plan.chains[c];
+      const beepkit::beeping::kernel_chain& chain = plan.chains[c];
       out << (c == 0 ? "" : ", ") << "{" << chain.first << ", " << chain.last
           << ", " << chain.top_next << ", "
           << static_cast<unsigned>(chain.meta) << "}";
@@ -248,8 +202,6 @@ std::string emit_kernel(const kernel_source& src) {
   out << "    compiled_kernel k;\n";
   out << "    k.name = \"" << escape_literal(src.name) << "\";\n";
   out << "    k.structure = \"" << escape_literal(src.structure) << "\";\n";
-  out << "    k.state_count = " << q << ";\n";
-  out << "    k.plane_count = " << plane_count << ";\n";
   for (std::size_t i = 0; i < beepkit::beeping::kernel_width_slots; ++i) {
     const std::size_t width = beepkit::beeping::kernel_widths[i];
     out << "    k.sweep[" << i << "] = &compiled_sweep<" << src.name

@@ -8,9 +8,9 @@
 //    recovery-epoch table from analysis::measure_recovery.
 //  * --differential: replays one crash-burst recovery trial across
 //    engine gears (default plane/compiled pipeline, interpreted sweep,
-//    virtual gear, tiled execution) and fails with a nonzero exit when
-//    any gear disagrees on any epoch, round count or coin draw - the
-//    CI bit-exactness check for faulted runs.
+//    virtual gear, tiled execution with either sweep) and fails with a
+//    nonzero exit when any gear disagrees on any epoch, round count or
+//    coin draw - the CI bit-exactness check for faulted runs.
 //
 //   ./build/tools/fault_sweep [--trials 8] [--seed 11] [--threads 0]
 //                             [--engine-threads 1] [--tile-words 0]
@@ -109,6 +109,13 @@ int run_differential(std::uint64_t seed) {
     auto options = base;
     options.exec = {2, 1};
     run_gear("tiled 1-word tiles", options);
+  }
+  {
+    // The interpreted sweep through the shared plane driver's tile path.
+    auto options = base;
+    options.compiled_kernel = false;
+    options.exec = {2, 1};
+    run_gear("interpreted tiled threads=2 tile=1", options);
   }
 
   const gear_point& ref = gears.front();
