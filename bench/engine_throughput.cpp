@@ -20,13 +20,20 @@
 // BM_BfwOnGridCompiledWidth sweeps the kernel batch width (1/2/4/8
 // words per vector op) on one fixed instance.
 // The RunTrials suite measures the parallel Monte-Carlo runner's
-// trials-per-second scaling across worker counts.
+// trials-per-second scaling across worker counts. The observer rows
+// price round views: BM_NoopObserverOnGrid attaches an observer that
+// reads nothing, BM_WaveTrackerOnPath the Section-5 wave tracker on its
+// two-leader path, and BM_BfwWithInvariantChecker the Section-3
+// checker.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 
 #include "analysis/experiment.hpp"
+#include "analysis/wave_tracker.hpp"
 #include "beeping/engine.hpp"
+#include "core/adversarial.hpp"
 #include "core/bfw.hpp"
 #include "core/bfw_stoneage.hpp"
 #include "core/invariants.hpp"
@@ -478,6 +485,63 @@ void BM_BfwWithInvariantChecker(benchmark::State& state) {
                           static_cast<std::int64_t>(g.node_count()));
 }
 BENCHMARK(BM_BfwWithInvariantChecker)->Arg(16)->Arg(64);
+
+class noop_observer final : public beeping::observer {
+ public:
+  void on_round(const beeping::round_view& /*view*/) override {}
+};
+
+void BM_NoopObserverOnGrid(benchmark::State& state) {
+  const auto side = static_cast<std::size_t>(state.range(0));
+  const auto g = graph::make_grid(side, side);
+  const core::bfw_machine machine(0.5);
+  beeping::fsm_protocol proto(machine);
+  beeping::engine sim(g, proto, 42);
+  noop_observer obs;
+  sim.add_observer(&obs);
+  for (auto _ : state) {
+    sim.step();
+    benchmark::DoNotOptimize(sim.leader_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.node_count()));
+}
+BENCHMARK(BM_NoopObserverOnGrid)->Arg(64);
+
+// The Section-5 microscope: two leaders at the path ends with the wave
+// tracker attached. When one leader dies, the next trial (new seed) is
+// bound outside the timed region.
+void BM_WaveTrackerOnPath(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto g = graph::make_path(n);
+  const core::bfw_machine machine(0.5);
+  struct trial {
+    beeping::fsm_protocol proto;
+    beeping::engine sim;
+    analysis::wave_crash_tracker tracker;
+    trial(const graph::graph& g, const core::bfw_machine& machine,
+          std::uint64_t seed)
+        : proto(machine), sim(g, proto, seed), tracker(proto) {
+      proto.set_states(core::two_leaders_at_path_ends(g.node_count()));
+      sim.restart_from_protocol();
+      sim.add_observer(&tracker);
+    }
+  };
+  std::uint64_t seed = 42;
+  auto t = std::make_unique<trial>(g, machine, seed);
+  for (auto _ : state) {
+    if (t->sim.leader_count() <= 1) {
+      state.PauseTiming();
+      t = std::make_unique<trial>(g, machine, ++seed);
+      state.ResumeTiming();
+    }
+    t->sim.step();
+    benchmark::DoNotOptimize(t->tracker.crashes().size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_WaveTrackerOnPath)->Arg(97);
 
 void BM_FullElection(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));

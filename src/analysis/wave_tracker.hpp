@@ -13,7 +13,12 @@
 // grow ~ linearly in lag if the random-walk picture is right
 // (verified in bench/tightness_conjecture part 2).
 //
-// Only meaningful on path topologies (nodes 0..n-1 in line order).
+// Word-level: the three colours (left, right, merged) are packed
+// sets, one std::uint64_t per 64 nodes, updated from the round's beep
+// and leader words with one-bit shifts, so a round costs O(n/64) plus
+// one entry per crash. Only meaningful on path topologies (nodes
+// 0..n-1 in line order): the first round throws std::invalid_argument
+// on any other topology.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +38,9 @@ struct wave_crash {
 
 class wave_crash_tracker final : public beeping::observer {
  public:
-  /// `proto` must run a BFW-shaped machine on a path graph.
-  explicit wave_crash_tracker(const beeping::fsm_protocol& proto)
-      : proto_(&proto) {}
+  /// `proto` must run a BFW-shaped machine on a path graph. The
+  /// tracker reads only the round views' packed beep and leader sets.
+  explicit wave_crash_tracker(const beeping::fsm_protocol& /*proto*/) {}
 
   void on_round(const beeping::round_view& view) override;
 
@@ -44,12 +49,19 @@ class wave_crash_tracker final : public beeping::observer {
   }
 
  private:
-  static constexpr std::int8_t no_color = -1;
-  static constexpr std::int8_t merged = 2;
+  /// Per-round colour sets: every beeper is in exactly one of them.
+  struct colour_sets {
+    std::vector<std::uint64_t> left;    ///< wave from the left half
+    std::vector<std::uint64_t> right;   ///< wave from the right half
+    std::vector<std::uint64_t> merged;  ///< relay where two fronts met
+  };
 
-  const beeping::fsm_protocol* proto_;
-  std::vector<std::int8_t> colors_;       // per node, this round's beep color
-  std::vector<std::int8_t> prev_colors_;  // previous round
+  void start(const beeping::round_view& view);
+
+  std::vector<std::uint64_t> left_side_;  // u with 2u < n
+  colour_sets prev_;
+  colour_sets cur_;
+  std::vector<std::uint64_t> crash_bits_;  // scratch: this round's crash sites
   bool have_prev_ = false;
   std::vector<wave_crash> crashes_;
 };

@@ -128,6 +128,7 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   beep_words_ = arena_.alloc_words(words);
   heard_words_ = arena_.alloc_words(words);
   active_words_ = arena_.alloc_words(words);
+  leader_words_ = arena_.alloc_words(words);
   // Giant mode keeps no per-node count array (only the pinned plane
   // sweep can run without it; giant runs never read counts).
   if (!config_.giant_mode) beep_counts_.assign(n, 0);
@@ -136,7 +137,6 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
     for (std::size_t j = 0; j < plan_.plane_count; ++j) {
       planes_[j] = arena_.alloc_words(words);
     }
-    leader_words_ = arena_.alloc_words(words);
     // beepc kernel dispatch: a registered kernel whose baked-in
     // structure matches this table takes over the plane rounds
     // (stochastic rows stay runtime data, so e.g. the one bfw kernel
@@ -216,8 +216,10 @@ void engine::distribute_plane_pages() {
 }
 
 void engine::add_observer(observer* obs) {
-  observers_.push_back(obs);
+  // The round-0 call runs first: an observer that rejects the binding
+  // (throws) is never attached.
   obs->on_round(make_view());
+  observers_.push_back(obs);
 }
 
 void engine::refresh_round_state() {
@@ -229,7 +231,7 @@ void engine::refresh_round_state() {
   plane_mode_ = false;
   leader_count_ = 0;
   std::fill(beep_words_.begin(), beep_words_.end(), 0);
-  beep_flags_valid_ = false;  // byte mirror rebuilt lazily on demand
+  std::fill(leader_words_.begin(), leader_words_.end(), 0);
   if (fast_path_active()) {
     // Table-driven refresh: same sweep, zero virtual calls; also
     // rebuilds the active set the fused round sweep relies on.
@@ -242,7 +244,9 @@ void engine::refresh_round_state() {
         ++beep_counts_[u];
         set_bit(beep_words_, u);
       }
-      leader_count_ += table.leader_flag[s];
+      const std::uint64_t lead = table.leader_flag[s];
+      leader_count_ += lead;
+      leader_words_[u >> 6] |= lead << (u & 63);
       if (table.bot_identity[s] == 0) set_bit(active_words_, u);
     }
   } else if (fsm_ != nullptr) {
@@ -257,7 +261,10 @@ void engine::refresh_round_state() {
         ++beep_counts_[u];
         set_bit(beep_words_, u);
       }
-      if (machine.is_leader(states[u])) ++leader_count_;
+      if (machine.is_leader(states[u])) {
+        ++leader_count_;
+        set_bit(leader_words_, u);
+      }
     }
   } else {
     for (graph::node_id u = 0; u < n; ++u) {
@@ -265,7 +272,10 @@ void engine::refresh_round_state() {
         ++beep_counts_[u];
         set_bit(beep_words_, u);
       }
-      if (proto_->is_leader(u)) ++leader_count_;
+      if (proto_->is_leader(u)) {
+        ++leader_count_;
+        set_bit(leader_words_, u);
+      }
     }
   }
   if (fsm_ != nullptr) synced_version_ = fsm_->config_version();
@@ -355,25 +365,20 @@ void engine::flush_pending_ledger() const {
   pending_rounds_ = 0;
 }
 
-// Transposes the state vector into the bit-planes (and snapshots the
-// packed leader set); called when a dense round engages the
-// word-parallel sweep.
+// Transposes the state vector into the bit-planes; called when a dense
+// round engages the word-parallel sweep. (The beep, leader and active
+// sets are current in every gear already.)
 void engine::enter_plane_mode() {
   const std::size_t n = n_;
-  const machine_table& table = *table_;
   const state_id* const states = fsm_->raw_states().data();
   for (std::size_t j = 0; j < plan_.plane_count; ++j) {
     std::fill(planes_[j].begin(), planes_[j].end(), 0);
   }
-  std::fill(leader_words_.begin(), leader_words_.end(), 0);
   for (std::size_t u = 0; u < n; ++u) {
     const std::uint64_t bit = 1ULL << (u & 63);
     const state_id s = states[u];
     for (std::size_t j = 0; j < plan_.plane_count; ++j) {
       if ((s >> j) & 1U) planes_[j][u >> 6] |= bit;
-    }
-    if ((table.meta[s] & machine_table::meta_leader) != 0) {
-      leader_words_[u >> 6] |= bit;
     }
   }
   plane_mode_ = true;
@@ -416,7 +421,6 @@ void engine::enter_plane_mode_initial() {
   if ((meta & machine_table::meta_bot_identity) == 0) {
     fill_all(active_words_);
   }
-  beep_flags_valid_ = false;
   plane_mode_ = true;
   fsm_->mark_states_stale();
 }
@@ -479,29 +483,86 @@ void engine::check_in_sync() const {
   }
 }
 
-void engine::ensure_beep_flags() const {
-  if (beep_flags_valid_) return;
-  const std::size_t n = n_;
-  // Giant engines skip the O(n) byte mirror at bind time; size it on
-  // the first observer/reference read instead.
-  if (beeping_.size() != n) beeping_.assign(n, 0);
-  for (graph::node_id u = 0; u < n; ++u) {
-    beeping_[u] = test_bit(beep_words_, u) ? 1 : 0;
-  }
-  beep_flags_valid_ = true;
-}
-
 round_view engine::make_view() const {
-  ensure_beep_flags();     // observers read the byte flags
-  flush_pending_ledger();  // ... and the exact beep counts
   round_view view;
   view.round = round_;
-  view.g = view_.explicit_graph();  // null for implicit topologies
+  view.topology = &view_;
   view.proto = proto_;
-  view.beeping = beeping_;
-  view.beep_counts = beep_counts_;
+  view.beep_words = beep_words_;
+  view.leader_words = leader_words_;
   view.leader_count = leader_count_;
+  view.source = this;
   return view;
+}
+
+std::span<const std::uint64_t> round_view::beep_counts() const {
+  return source->beep_counts();
+}
+
+std::uint64_t round_view::beep_count(graph::node_id u) const {
+  return source->beep_count(u);
+}
+
+const std::vector<state_id>& round_view::states() const {
+  if (source->fsm_ == nullptr) {
+    throw std::logic_error(
+        "beeping::round_view::states: the bound protocol is not an "
+        "fsm_protocol");
+  }
+  return source->fsm_->states();
+}
+
+void round_view::class_words(std::uint64_t state_mask,
+                             std::span<std::uint64_t> out) const {
+  source->class_words(state_mask, out);
+}
+
+void engine::class_words(std::uint64_t state_mask,
+                         std::span<std::uint64_t> out) const {
+  if (fsm_ == nullptr) {
+    throw std::logic_error(
+        "beeping::engine::class_words: the bound protocol is not an "
+        "fsm_protocol");
+  }
+  const std::size_t words = beep_words_.size();
+  if (out.size() != words) {
+    throw std::invalid_argument(
+        "beeping::engine::class_words: output must hold one word per 64 "
+        "nodes");
+  }
+  if (words == 0) return;
+  if (plane_mode_) {
+    // Each member state s decodes as the AND over planes of plane j or
+    // its complement, by bit j of s; ids past the plane range cannot
+    // occur.
+    const std::size_t p = plan_.plane_count;
+    if (p < 6) state_mask &= (1ULL << (1U << p)) - 1;
+    std::fill(out.begin(), out.end(), 0);
+    for (std::uint64_t m = state_mask; m != 0; m &= m - 1) {
+      const auto s = static_cast<std::uint64_t>(std::countr_zero(m));
+      std::uint64_t flip[6];  // 0 keeps plane j, ~0 complements it
+      for (std::size_t j = 0; j < p; ++j) flip[j] = ((s >> j) & 1U) - 1;
+      for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t t = ~0ULL;
+        for (std::size_t j = 0; j < p; ++j) t &= planes_[j][w] ^ flip[j];
+        out[w] |= t;
+      }
+    }
+    out[words - 1] &= tail_mask_;
+    return;
+  }
+  const std::size_t n = n_;
+  const state_id* const states = fsm_->states().data();
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t base = w << 6;
+    const std::size_t in_word = std::min<std::size_t>(64, n - base);
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < in_word; ++i) {
+      const state_id s = states[base + i];
+      if (s < 64 && ((state_mask >> s) & 1ULL) != 0) bits |= 1ULL << i;
+    }
+    out[w] = bits;
+  }
 }
 
 void engine::restart_from_protocol() {
@@ -617,7 +678,6 @@ void engine::write_lane_state(graph::node_id u, state_id s, bool frozen) {
     }
     leader_count_ += lead ? 1 : 0;
     leader_count_ -= table.leader_flag[prev];
-    leader_words_[w] = (leader_words_[w] & ~bit) | (lead ? bit : 0);
     fsm_->mark_states_stale();
   } else {
     fsm_->ensure_states_fresh();
@@ -626,6 +686,7 @@ void engine::write_lane_state(graph::node_id u, state_id s, bool frozen) {
     leader_count_ -= table.leader_flag[states[u]];
     states[u] = s;
   }
+  leader_words_[w] = (leader_words_[w] & ~bit) | (lead ? bit : 0);
   active_words_[w] = (active_words_[w] & ~bit) | (act ? bit : 0);
   if (frozen) {
     frozen_states_[u] = s;
@@ -652,7 +713,6 @@ bool engine::suppress_current_beep(graph::node_id u) {
   flush_pending_ledger();
   beep_words_[w] &= ~bit;
   if (!beep_counts_.empty()) --beep_counts_[u];
-  beep_flags_valid_ = false;
   return true;
 }
 
@@ -679,7 +739,6 @@ void engine::crash_with_state(graph::node_id u, state_id s) {
   if (!was_crashed) ++crashed_count_;
   crashed_leaders_ += table_->leader_flag[s];
   ++metrics_.faults_applied;
-  beep_flags_valid_ = false;
 }
 
 void engine::fault_crash(graph::node_id u) {
@@ -731,7 +790,6 @@ void engine::fault_restart_as(graph::node_id u, state_id s) {
     if (!beep_counts_.empty()) ++beep_counts_[u];
   }
   ++metrics_.faults_applied;
-  beep_flags_valid_ = false;
 }
 
 void engine::clear_faults() noexcept {
@@ -788,11 +846,12 @@ void engine::fixup_crashed_vector() {
         leader_count_ -= table.leader_flag[cur];
         states[u] = frozen;
       }
+      leader_words_[w] =
+          (leader_words_[w] & ~bit) | (table.is_leader(frozen) ? bit : 0);
       active_words_[w] = (active_words_[w] & ~bit) |
                          (table.bot_identity[frozen] == 0 ? bit : 0);
     }
   }
-  beep_flags_valid_ = false;
 }
 
 void engine::fixup_crashed_plane() {
@@ -824,7 +883,6 @@ void engine::fixup_crashed_plane() {
     }
     active_words_[w] = (active_words_[w] & ~c) | (frozen_active_words_[w] & c);
   }
-  beep_flags_valid_ = false;
 }
 
 void engine::refreeze_crashed() {
@@ -979,11 +1037,13 @@ void engine::finish_step_fast() {
     tiled = populated >= kSparseTiledMinWords;
   }
   // Every current beeper is in the heard set (it hears itself), so the
-  // new beep set is rebuilt entirely from visited nodes. Bookkeeping
-  // accumulates in locals: the loop stores into std::uint64_t arrays,
-  // which would otherwise force the member counters back to memory on
-  // every iteration (they may alias under TBAA).
-  beep_flags_valid_ = false;
+  // new beep set is rebuilt entirely from visited nodes; visited leader
+  // lanes are rebuilt too, while skipped nodes keep their state, hence
+  // their leader and active lanes. Bookkeeping accumulates in locals:
+  // the loop stores into std::uint64_t arrays, which would otherwise
+  // force the member counters back to memory on every iteration (they
+  // may alias under TBAA).
+  std::uint64_t* const leader = leader_words_.data();
   std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
   const auto sweep_range = [&](std::size_t slot, std::size_t wb,
                                std::size_t we) {
@@ -996,6 +1056,7 @@ void engine::finish_step_fast() {
       std::uint64_t bits = heard_bits | active[w];
       std::uint64_t beep_bits = 0;
       std::uint64_t active_bits = active[w];
+      std::uint64_t leader_bits = leader[w] & ~bits;
       while (bits != 0) {
         const auto offset = static_cast<std::size_t>(std::countr_zero(bits));
         const std::uint64_t mask = bits & (~bits + 1);
@@ -1015,10 +1076,12 @@ void engine::finish_step_fast() {
         leaders -= (meta[s] >> 1) & 1U;
         beep_counts[u] += is_beep;
         beep_bits |= mask & (0 - is_beep);
+        leader_bits |= mask & (0 - ((next_meta >> 1) & 1U));
         active_bits =
             (active_bits | mask) ^ (mask & (0 - ((next_meta >> 2) & 1U)));
       }
       beep[w] = beep_bits;
+      leader[w] = leader_bits;
       active[w] = active_bits;
     }
     slot_leaders_[slot] += leaders;
@@ -1091,7 +1154,6 @@ void engine::finish_step_plane() {
   const sweep_fn sweep =
       compiled ? compiled_kernel_->sweep[kernel_width_slot(compiled_width_)]
                : interpreted_sweep(plan_.plane_count);
-  beep_flags_valid_ = false;
   std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
   std::fill(slot_active_.begin(), slot_active_.end(), 0);
   const auto sweep_range = [&](std::size_t slot, std::size_t wb,
@@ -1239,23 +1301,26 @@ void engine::step_reference() {
   check_in_sync();
   const std::size_t n = n_;
   // The original scalar loop, kept verbatim in behavior: per-node
-  // neighbor scan over byte flags, writing the packed heard set.
-  ensure_beep_flags();
+  // neighbor scan reading the beep set one bit at a time, writing the
+  // packed heard set.
+  const auto beeping = [&](graph::node_id v) {
+    return test_bit(beep_words_, v);
+  };
   const graph::graph* const g = view_.explicit_graph();
   std::fill(heard_words_.begin(), heard_words_.end(), 0);
   for (graph::node_id u = 0; u < n; ++u) {
-    bool heard = beeping_[u] != 0;
+    bool heard = beeping(u);
     if (!heard) {
       bool neighbor_beeped = false;
       if (patch_ != nullptr && patch_->touched(u)) {
         // Churned neighborhood: the overlay's effective neighbor list
         // replaces the base scan (matches gather + fix_heard exactly).
         patch_->for_each_neighbor(u, [&](graph::node_id v) {
-          if (beeping_[v] != 0) neighbor_beeped = true;
+          if (beeping(v)) neighbor_beeped = true;
         });
       } else if (g != nullptr) {
         for (graph::node_id v : g->neighbors(u)) {
-          if (beeping_[v] != 0) {
+          if (beeping(v)) {
             neighbor_beeped = true;
             break;
           }
@@ -1264,7 +1329,7 @@ void engine::step_reference() {
         graph::node_id nb[4];
         const std::size_t deg = view_.implicit_neighbors(u, nb);
         for (std::size_t i = 0; i < deg; ++i) {
-          if (beeping_[nb[i]] != 0) {
+          if (beeping(nb[i])) {
             neighbor_beeped = true;
             break;
           }
@@ -1313,21 +1378,15 @@ graph::node_id engine::sole_leader() const {
   if (leader_count_ != 1) {
     return static_cast<graph::node_id>(n_);
   }
-  if (plane_mode_) {
-    // The packed leader set is authoritative in plane rounds; scanning
-    // it avoids materializing the O(n) state vector (essential for
-    // pinned giant engines, a free speedup otherwise).
-    for (std::size_t w = 0; w < leader_words_.size(); ++w) {
-      if (leader_words_[w] != 0) {
-        return static_cast<graph::node_id>(
-            (w << 6) + static_cast<std::size_t>(
-                           std::countr_zero(leader_words_[w])));
-      }
+  // The packed leader set is current in every gear; scanning it never
+  // materializes the O(n) state vector (essential for pinned giant
+  // engines).
+  for (std::size_t w = 0; w < leader_words_.size(); ++w) {
+    if (leader_words_[w] != 0) {
+      return static_cast<graph::node_id>(
+          (w << 6) +
+          static_cast<std::size_t>(std::countr_zero(leader_words_[w])));
     }
-    return static_cast<graph::node_id>(n_);
-  }
-  for (graph::node_id u = 0; u < n_; ++u) {
-    if (proto_->is_leader(u)) return u;
   }
   return static_cast<graph::node_id>(n_);
 }
@@ -1390,7 +1449,6 @@ void engine::adopt_plane_state(std::uint64_t round, std::size_t leaders,
   round_ = round;
   leader_count_ = leaders;
   pending_rounds_ = pending_rounds;
-  beep_flags_valid_ = false;
   if (fsm_ != nullptr) fsm_->mark_states_stale();
 }
 

@@ -23,10 +23,12 @@
 // for differential tests and benchmarks, and `set_gather_kernel` pins
 // one kernel for debugging.
 //
-// The per-node byte flags behind the observer API are a *mirror* of
-// the packed beep set and are materialized lazily: a round only pays
-// the O(n) byte refresh when an observer is attached or beep_flags()
-// is actually called.
+// Observers read the packed sets directly (beeping::round_view): the
+// engine keeps the beep set and the leader set current as words in
+// every gear, so handing a round to an observer costs nothing beyond
+// what the observer itself reads. Per-node beep counts, the state
+// vector and state-class masks are pulls that do their work only when
+// an observer asks.
 //
 // FSM fast path: when the bound protocol is an fsm_protocol whose
 // machine compiles to a flat table (state_machine::compile_table), the
@@ -355,18 +357,22 @@ class engine : private fsm_protocol::lazy_source {
   [[nodiscard]] bool beeping(graph::node_id u) const {
     return (beep_words_[u >> 6] >> (u & 63)) & 1ULL;
   }
-  /// Per-node byte flags of B_t. The byte array is materialized from
-  /// the packed beep set on demand - observer-free rounds never build
-  /// it (see the lazy-refresh note in the header comment).
-  [[nodiscard]] std::span<const std::uint8_t> beep_flags() const {
-    ensure_beep_flags();
-    return beeping_;
-  }
-
   /// Packed beep set: bit u of word u/64 is set iff u in B_t.
   [[nodiscard]] std::span<const std::uint64_t> beep_words() const noexcept {
     return beep_words_;
   }
+  /// Packed leader set: bit u of word u/64 is set iff u is in a leader
+  /// state. Current in every gear.
+  [[nodiscard]] std::span<const std::uint64_t> leader_words() const noexcept {
+    return leader_words_;
+  }
+  /// Writes into `out` (word_count words) the packed set of nodes whose
+  /// state id s has bit s set in `state_mask` - decoded from the planes
+  /// in plane rounds, read off the state vector otherwise. Requires an
+  /// fsm_protocol (std::logic_error) and a word-count-sized `out`
+  /// (std::invalid_argument).
+  void class_words(std::uint64_t state_mask,
+                   std::span<std::uint64_t> out) const;
 
   /// Total fair coins consumed by all nodes so far (Section 1.3: with
   /// p = 1/2 a waiting leader consumes exactly one coin per round).
@@ -526,8 +532,9 @@ class engine : private fsm_protocol::lazy_source {
   }
 
  private:
+  friend struct round_view;  // the pulls read the ledger and states
+
   void refresh_round_state();
-  void ensure_beep_flags() const;
   void apply_noise();
   void finish_step();
   void finish_step_fast();
@@ -612,11 +619,6 @@ class engine : private fsm_protocol::lazy_source {
   mutable support::rng_store rngs_;
   std::vector<support::rng> noise_rngs_;  // empty unless noise enabled
   noise_model noise_;
-  // Byte mirror of beep_words_ for the observer API; rebuilt lazily
-  // (only when observers are attached or beep_flags() is queried), so
-  // observer-free rounds skip the O(n) byte refresh entirely.
-  mutable std::vector<std::uint8_t> beeping_;
-  mutable bool beep_flags_valid_ = false;
   support::word_buffer beep_words_;   // packed B_t
   support::word_buffer heard_words_;  // packed delta_top set
   // The heard-gather kernels (word-CSR, packed rows, stencil masks)
@@ -637,9 +639,10 @@ class engine : private fsm_protocol::lazy_source {
   // heard ∪ active nodes (the plane sweep skips whole quiet words).
   // Maintained by both the sparse and the plane rounds.
   support::word_buffer active_words_;
-  // Plane mode only: packed leader set, so skipped quiet words still
-  // contribute their (unchanged) leader lanes to the round's count.
-  // Built on plane entry, maintained by plane rounds.
+  // Packed leader set, kept current by every gear: the refresh, the
+  // sparse and plane sweeps and the crash fix-ups all write it. Plane
+  // rounds skip quiet words, which keep their (unchanged) leader lanes;
+  // observers read it through round_view::leader_words.
   support::word_buffer leader_words_;
   // Plane mode (machines with <= 64 states): bit j of node u's state
   // id lives in planes_[j]; valid only while plane_mode_ is set - the

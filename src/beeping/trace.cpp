@@ -1,12 +1,13 @@
 #include "beeping/trace.hpp"
 
+#include <bit>
 #include <sstream>
 
 namespace beepkit::beeping {
 
-void trace_recorder::on_round(const round_view& /*view*/) {
+void trace_recorder::on_round(const round_view& view) {
   if (max_rounds_ != 0 && history_.size() >= max_rounds_) return;
-  history_.push_back(proto_->states());
+  history_.push_back(view.states());
 }
 
 std::string trace_recorder::render_ascii() const {
@@ -35,8 +36,8 @@ std::string trace_recorder::render_ascii() const {
 void series_recorder::on_round(const round_view& view) {
   leaders_.push_back(view.leader_count);
   std::size_t beeps = 0;
-  for (std::uint8_t b : view.beeping) {
-    beeps += b;
+  for (const std::uint64_t word : view.beep_words) {
+    beeps += static_cast<std::size_t>(std::popcount(word));
   }
   beeps_.push_back(beeps);
 }

@@ -2,16 +2,46 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "core/bfw.hpp"
 #include "graph/algorithms.hpp"
 
 namespace beepkit::core {
 
+namespace {
+
+constexpr std::uint64_t state_bit(bfw_state s) noexcept {
+  return 1ULL << static_cast<unsigned>(s);
+}
+
+constexpr std::uint64_t kWaiting =
+    state_bit(bfw_state::leader_wait) | state_bit(bfw_state::follower_wait);
+constexpr std::uint64_t kBeeping =
+    state_bit(bfw_state::leader_beep) | state_bit(bfw_state::follower_beep);
+constexpr std::uint64_t kFrozen =
+    state_bit(bfw_state::leader_frozen) | state_bit(bfw_state::follower_frozen);
+constexpr std::uint64_t kRelay = state_bit(bfw_state::follower_beep);
+
+bool test_bit(const std::vector<std::uint64_t>& words, graph::node_id u) {
+  return ((words[u >> 6] >> (u & 63)) & 1ULL) != 0;
+}
+
+}  // namespace
+
 invariant_checker::invariant_checker(const graph::graph& g,
-                                     const beeping::fsm_protocol& proto,
+                                     const beeping::fsm_protocol& /*proto*/,
                                      invariant_options options)
-    : g_(&g), proto_(&proto), options_(options) {
+    : g_(&g), options_(options), gather_(g) {
+  const std::size_t words = (g.node_count() + 63) / 64;
+  for (class_masks* masks : {&previous_, &current_}) {
+    masks->waiting.assign(words, 0);
+    masks->beeping.assign(words, 0);
+    masks->frozen.assign(words, 0);
+    masks->relay.assign(words, 0);
+  }
+  near_beeping_.assign(words, 0);
+  near_frozen_.assign(words, 0);
   if (options_.check_ohms_law && options_.sampled_paths > 0) {
     support::rng path_rng(options_.path_sample_seed);
     paths_ = sample_paths(g, options_.sampled_paths,
@@ -32,16 +62,52 @@ void invariant_checker::report(std::uint64_t round,
 
 void invariant_checker::on_round(const beeping::round_view& view) {
   ++rounds_checked_;
+  const bool classes =
+      options_.check_claim6 || (options_.check_ohms_law && !paths_.empty());
+  if (classes) load_classes(view);
   if (options_.check_leader_floor) check_leader_floor(view);
   if (options_.check_claim6 && have_previous_) check_claim6(view);
   if (options_.check_ohms_law) check_ohms_law(view);
   if (options_.check_lemma11) check_lemma11(view);
   if (options_.check_lemma12) check_lemma12(view);
 
-  previous_states_ = proto_->states();
-  previous_beeping_.assign(view.beeping.begin(), view.beeping.end());
+  if (classes) std::swap(previous_, current_);
   previous_leader_count_ = view.leader_count;
   have_previous_ = true;
+}
+
+void invariant_checker::load_classes(const beeping::round_view& view) {
+  view.class_words(kWaiting, current_.waiting);
+  view.class_words(kBeeping, current_.beeping);
+  view.class_words(kFrozen, current_.frozen);
+  view.class_words(kRelay, current_.relay);
+}
+
+// Eqs. (3)-(11) as identities between the class masks of rounds t-1
+// (p) and t (c). Each term is the set of nodes the equation's scan
+// would report; (6), (10) and (11) read the neighbour-ORs, which also
+// contain the set itself - harmless: a W node is never in B or F, and
+// a B_follower node inside B_{t-1} already fails Eq. (8).
+bool invariant_checker::claim6_identities_hold() {
+  const class_masks& p = previous_;
+  const class_masks& c = current_;
+  std::copy(p.beeping.begin(), p.beeping.end(), near_beeping_.begin());
+  gather_(p.beeping, near_beeping_);
+  std::copy(c.frozen.begin(), c.frozen.end(), near_frozen_.begin());
+  gather_(c.frozen, near_frozen_);
+  std::uint64_t bad = 0;
+  for (std::size_t w = 0; w < near_beeping_.size(); ++w) {
+    bad |= p.waiting[w] & c.frozen[w];                        // (3)
+    bad |= p.beeping[w] & ~c.frozen[w];                       // (4)
+    bad |= p.frozen[w] & ~c.waiting[w];                       // (5)
+    bad |= p.waiting[w] & ~c.relay[w] & near_beeping_[w];     // (6)
+    bad |= c.waiting[w] & p.beeping[w];                       // (7)
+    bad |= c.beeping[w] & ~p.waiting[w];                      // (8)
+    bad |= c.frozen[w] & ~p.beeping[w];                       // (9)
+    bad |= c.waiting[w] & ~p.frozen[w] & near_frozen_[w];     // (10)
+    bad |= c.relay[w] & ~near_beeping_[w];                    // (11)
+  }
+  return bad == 0;
 }
 
 void invariant_checker::check_leader_floor(const beeping::round_view& view) {
@@ -57,42 +123,45 @@ void invariant_checker::check_leader_floor(const beeping::round_view& view) {
 }
 
 void invariant_checker::check_claim6(const beeping::round_view& view) {
-  const auto& current = proto_->states();
-  const auto& previous = previous_states_;
+  // Nothing to add once the log is full; otherwise only a failing
+  // identity pays for the node-ordered scan that words the report.
+  if (violations_.size() >= max_violations || claim6_identities_hold()) {
+    return;
+  }
+  const class_masks& p = previous_;
+  const class_masks& c = current_;
   const std::size_t n = g_->node_count();
 
   for (graph::node_id u = 0; u < n; ++u) {
-    const auto prev = previous[u];
-    const auto curr = current[u];
     // Eq. (3): u in W_{t-1}  =>  u not in F_t.
-    if (bfw_is_waiting(prev) && bfw_is_frozen(curr)) {
+    if (test_bit(p.waiting, u) && test_bit(c.frozen, u)) {
       report(view.round, "Eq.(3): waiting node froze without beeping");
     }
     // Eq. (4): u in B_{t-1}  =>  u in F_t.
-    if (bfw_is_beeping(prev) && !bfw_is_frozen(curr)) {
+    if (test_bit(p.beeping, u) && !test_bit(c.frozen, u)) {
       report(view.round, "Eq.(4): beeping node did not freeze");
     }
     // Eq. (5): u in F_{t-1}  =>  u in W_t.
-    if (bfw_is_frozen(prev) && !bfw_is_waiting(curr)) {
+    if (test_bit(p.frozen, u) && !test_bit(c.waiting, u)) {
       report(view.round, "Eq.(5): frozen node did not return to waiting");
     }
     // Eq. (7): u in W_t  =>  u not in B_{t-1}.
-    if (bfw_is_waiting(curr) && bfw_is_beeping(prev)) {
+    if (test_bit(c.waiting, u) && test_bit(p.beeping, u)) {
       report(view.round, "Eq.(7): waiting node was beeping last round");
     }
     // Eq. (8): u in B_t  =>  u in W_{t-1}.
-    if (bfw_is_beeping(curr) && !bfw_is_waiting(prev)) {
+    if (test_bit(c.beeping, u) && !test_bit(p.waiting, u)) {
       report(view.round, "Eq.(8): beeping node was not waiting last round");
     }
     // Eq. (9): u in F_t  =>  u in B_{t-1}.
-    if (bfw_is_frozen(curr) && !bfw_is_beeping(prev)) {
+    if (test_bit(c.frozen, u) && !test_bit(p.beeping, u)) {
       report(view.round, "Eq.(9): frozen node was not beeping last round");
     }
     // Eq. (11): u in B_follower_t => some neighbor beeped in t-1.
-    if (curr == static_cast<beeping::state_id>(bfw_state::follower_beep)) {
+    if (test_bit(c.relay, u)) {
       bool neighbor_beeped = false;
       for (graph::node_id v : g_->neighbors(u)) {
-        if (bfw_is_beeping(previous[v])) {
+        if (test_bit(p.beeping, v)) {
           neighbor_beeped = true;
           break;
         }
@@ -108,14 +177,13 @@ void invariant_checker::check_claim6(const beeping::round_view& view) {
   for (graph::node_id u = 0; u < n; ++u) {
     for (graph::node_id v : g_->neighbors(u)) {
       // Eq. (6): u in B_{t-1}, v in W_{t-1}  =>  v in B_follower_t.
-      if (bfw_is_beeping(previous[u]) && bfw_is_waiting(previous[v]) &&
-          current[v] !=
-              static_cast<beeping::state_id>(bfw_state::follower_beep)) {
+      if (test_bit(p.beeping, u) && test_bit(p.waiting, v) &&
+          !test_bit(c.relay, v)) {
         report(view.round, "Eq.(6): waiting neighbor of a beeper did not beep");
       }
       // Eq. (10): u in F_t, v in W_t  =>  v in F_{t-1}.
-      if (bfw_is_frozen(current[u]) && bfw_is_waiting(current[v]) &&
-          !bfw_is_frozen(previous[v])) {
+      if (test_bit(c.frozen, u) && test_bit(c.waiting, v) &&
+          !test_bit(p.frozen, v)) {
         report(view.round, "Eq.(10): F/W edge without frozen predecessor");
       }
     }
@@ -123,12 +191,23 @@ void invariant_checker::check_claim6(const beeping::round_view& view) {
 }
 
 void invariant_checker::check_ohms_law(const beeping::round_view& view) {
-  const auto& states = proto_->states();
+  // Definition 5's flow read off this round's W and B class masks, and
+  // the two endpoint counts pulled one node at a time.
+  const class_masks& c = current_;
   for (const auto& path : paths_) {
     if (path.size() < 2) continue;
-    const int flow = path_flow(states, path);
-    const auto first = static_cast<std::int64_t>(view.beep_counts[path.front()]);
-    const auto last = static_cast<std::int64_t>(view.beep_counts[path.back()]);
+    int flow = 0;
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      const graph::node_id u = path[i];
+      const graph::node_id v = path[i + 1];
+      if (test_bit(c.beeping, u) && test_bit(c.waiting, v)) {
+        ++flow;
+      } else if (test_bit(c.waiting, u) && test_bit(c.beeping, v)) {
+        --flow;
+      }
+    }
+    const auto first = static_cast<std::int64_t>(view.beep_count(path.front()));
+    const auto last = static_cast<std::int64_t>(view.beep_count(path.back()));
     if (flow != first - last) {
       std::ostringstream out;
       out << "Corollary 8 (Ohm's law) violated on path " << path.front()
@@ -141,10 +220,11 @@ void invariant_checker::check_ohms_law(const beeping::round_view& view) {
 
 void invariant_checker::check_lemma11(const beeping::round_view& view) {
   const std::size_t n = g_->node_count();
+  const auto counts = view.beep_counts();
   for (graph::node_id u = 0; u < n; ++u) {
     for (graph::node_id v = u + 1; v < n; ++v) {
-      const auto nu = static_cast<std::int64_t>(view.beep_counts[u]);
-      const auto nv = static_cast<std::int64_t>(view.beep_counts[v]);
+      const auto nu = static_cast<std::int64_t>(counts[u]);
+      const auto nv = static_cast<std::int64_t>(counts[v]);
       const auto spread = static_cast<std::uint64_t>(nu > nv ? nu - nv
                                                              : nv - nu);
       if (spread > distances_[u][v]) {
@@ -160,7 +240,7 @@ void invariant_checker::check_lemma11(const beeping::round_view& view) {
 void invariant_checker::check_lemma12(const beeping::round_view& view) {
   // Discharge obligations satisfied by a beep this round.
   std::erase_if(obligations_, [&](const obligation& ob) {
-    return view.beeping[ob.debtor] != 0;
+    return ((view.beep_words[ob.debtor >> 6] >> (ob.debtor & 63)) & 1ULL) != 0;
   });
   // Anything past its deadline is a violation.
   for (const auto& ob : obligations_) {
@@ -184,7 +264,7 @@ void invariant_checker::check_lemma12(const beeping::round_view& view) {
     const auto u = static_cast<graph::node_id>(pair_rng.uniform_below(n));
     const auto v = static_cast<graph::node_id>(pair_rng.uniform_below(n));
     if (u == v) continue;
-    if (view.beep_counts[u] > view.beep_counts[v]) {
+    if (view.beep_count(u) > view.beep_count(v)) {
       obligations_.push_back(
           {v, view.round + distances_[u][v], view.round, u});
     }

@@ -17,6 +17,14 @@
 //
 // Violations are collected (not thrown) so tests can assert on them
 // and failure-injection experiments can count them.
+//
+// Claim 6 runs on words: each round pulls the packed W/B/F/B_follower
+// class masks (beeping::round_view::class_words), and every equation
+// becomes an identity between two consecutive rounds' masks - the
+// edge relations (6), (10) and (11) through a neighbour-OR computed by
+// a checker-owned graph::heard_gather (a stencil on tagged grids). Only
+// a round where some identity fails re-runs the node-ordered scan, so
+// the violation text, order and count are those of the scan.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +34,7 @@
 #include "beeping/observer.hpp"
 #include "beeping/protocol.hpp"
 #include "core/flow.hpp"
+#include "graph/gather.hpp"
 #include "graph/graph.hpp"
 #include "support/rng.hpp"
 
@@ -34,7 +43,7 @@ namespace beepkit::core {
 /// Which checks to run each round; the quadratic ones default off so
 /// the checker can also ride along in larger benchmark runs.
 struct invariant_options {
-  bool check_claim6 = true;        ///< O(n + m) per round.
+  bool check_claim6 = true;        ///< O(n/64) per round when it holds.
   bool check_leader_floor = true;  ///< O(1) per round (Lemma 9 + monotone).
   bool check_ohms_law = true;      ///< O(total path length) per round.
   bool check_lemma11 = false;      ///< O(n^2) per round; needs distances.
@@ -49,7 +58,8 @@ struct invariant_options {
 class invariant_checker final : public beeping::observer {
  public:
   /// `proto` must be an fsm_protocol over a BFW-shaped machine (six
-  /// states with the bfw_state numbering).
+  /// states with the bfw_state numbering); the checker reads it through
+  /// the round views of the engine it is attached to.
   invariant_checker(const graph::graph& g, const beeping::fsm_protocol& proto,
                     invariant_options options = {});
 
@@ -64,6 +74,17 @@ class invariant_checker final : public beeping::observer {
   }
 
  private:
+  /// Packed BFW state classes of one round (bfw_state numbering); loaded
+  /// for Claim 6 and for the flows of Ohm's law.
+  struct class_masks {
+    std::vector<std::uint64_t> waiting;
+    std::vector<std::uint64_t> beeping;
+    std::vector<std::uint64_t> frozen;
+    std::vector<std::uint64_t> relay;  ///< B_follower (B◦)
+  };
+
+  void load_classes(const beeping::round_view& view);
+  [[nodiscard]] bool claim6_identities_hold();
   void check_claim6(const beeping::round_view& view);
   void check_leader_floor(const beeping::round_view& view);
   void check_ohms_law(const beeping::round_view& view);
@@ -72,12 +93,15 @@ class invariant_checker final : public beeping::observer {
   void report(std::uint64_t round, const std::string& message);
 
   const graph::graph* g_;
-  const beeping::fsm_protocol* proto_;
   invariant_options options_;
+  graph::heard_gather gather_;
   std::vector<vertex_path> paths_;
   std::vector<std::vector<std::uint32_t>> distances_;  // lazy, quadratic
-  std::vector<beeping::state_id> previous_states_;
-  std::vector<std::uint8_t> previous_beeping_;
+  class_masks previous_;
+  class_masks current_;
+  // Neighbour-ORs (with the set itself): B_{t-1} and F_t.
+  std::vector<std::uint64_t> near_beeping_;
+  std::vector<std::uint64_t> near_frozen_;
   std::size_t previous_leader_count_ = 0;
   bool have_previous_ = false;
 

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
+#include "baselines/id_broadcast.hpp"
 #include "core/bfw.hpp"
+#include "core/timeout_bfw.hpp"
 #include "graph/generators.hpp"
 
 namespace beepkit::beeping {
@@ -239,48 +242,210 @@ TEST(EngineTest, RunUntilHorizonReportsNonConvergence) {
 }
 
 TEST(EngineTest, LazyBeepFlagsMatchPackedWords) {
-  // The byte flags behind the observer API are materialized lazily;
-  // querying them at any round must agree with the packed beep set
-  // and with the per-node beeping() accessor.
+  // The packed beep and leader sets are the observer API; at any round
+  // they must agree with a scalar recomputation from the states and
+  // with the per-node beeping() accessor.
   const auto g = graph::make_grid(5, 13);  // 65 nodes: crosses a word
   const core::bfw_machine machine(0.5);
   fsm_protocol proto(machine);
   engine sim(g, proto, 77);
   for (int round = 0; round < 40; ++round) {
     sim.step();
-    const auto flags = sim.beep_flags();
     const auto words = sim.beep_words();
-    ASSERT_EQ(flags.size(), g.node_count());
+    const auto leaders = sim.leader_words();
+    const auto& states = proto.states();
     for (graph::node_id u = 0; u < g.node_count(); ++u) {
       const bool packed = (words[u >> 6] >> (u & 63)) & 1ULL;
-      EXPECT_EQ(flags[u] != 0, packed) << "node " << u;
+      EXPECT_EQ(machine.beeps(states[u]), packed) << "node " << u;
       EXPECT_EQ(sim.beeping(u), packed) << "node " << u;
+      EXPECT_EQ(machine.is_leader(states[u]),
+                ((leaders[u >> 6] >> (u & 63)) & 1ULL) != 0)
+          << "node " << u;
     }
   }
 }
 
+// Pulls every per-node array a round view offers.
+struct pulling_observer final : observer {
+  std::uint64_t sink = 0;
+  void on_round(const round_view& view) override {
+    for (const std::uint64_t c : view.beep_counts()) sink += c;
+    for (const state_id s : view.states()) sink += s;
+    std::vector<std::uint64_t> words(view.beep_words.size());
+    view.class_words(0b10010, words);
+    for (const std::uint64_t w : words) sink ^= w;
+  }
+};
+
 TEST(EngineTest, LazyBeepFlagsObserverFreeRunUnchanged) {
-  // An observer-free run (which skips the byte refresh entirely) must
-  // stay bit-identical to a run that queries the flags every round.
+  // An observer-free run must stay bit-identical to a run whose
+  // observer pulls the counts, the states and a class mask every round.
   const auto g = graph::make_cycle(64);  // exact word boundary
   const core::bfw_machine machine(0.5);
   fsm_protocol lazy_proto(machine);
   fsm_protocol eager_proto(machine);
   engine lazy(g, lazy_proto, 31);
   engine eager(g, eager_proto, 31);
+  pulling_observer puller;
+  eager.add_observer(&puller);
   for (int round = 0; round < 200; ++round) {
     lazy.step();
     eager.step();
-    (void)eager.beep_flags();  // force materialization every round
     ASSERT_EQ(lazy_proto.states(), eager_proto.states())
         << "diverged at round " << round;
   }
   EXPECT_EQ(lazy.total_coins_consumed(), eager.total_coins_consumed());
-  // The flags are still correct when finally queried.
-  const auto flags = lazy.beep_flags();
-  for (graph::node_id u = 0; u < g.node_count(); ++u) {
-    EXPECT_EQ(flags[u] != 0, lazy.beeping(u));
+  const auto lazy_words = lazy.beep_words();
+  const auto eager_words = eager.beep_words();
+  EXPECT_TRUE(std::equal(lazy_words.begin(), lazy_words.end(),
+                         eager_words.begin(), eager_words.end()));
+}
+
+// Recomputes every round's packed sets from states() one node at a
+// time and counts the words that differ from what the view handed out.
+struct word_audit final : observer {
+  explicit word_audit(const engine& sim) : sim(&sim) {}
+  void on_round(const round_view& view) override {
+    const auto* fsm = dynamic_cast<const fsm_protocol*>(view.proto);
+    const state_machine& machine = fsm->machine();
+    const auto& states = view.states();
+    const std::size_t words = view.beep_words.size();
+    std::vector<std::uint64_t> beep(words, 0);
+    std::vector<std::uint64_t> leader(words, 0);
+    for (graph::node_id u = 0; u < states.size(); ++u) {
+      const std::uint64_t bit = 1ULL << (u & 63);
+      if (machine.beeps(states[u]) && !sim->crashed(u)) beep[u >> 6] |= bit;
+      if (machine.is_leader(states[u])) leader[u >> 6] |= bit;
+    }
+    std::vector<std::uint64_t> got(words);
+    for (const std::uint64_t mask : {0x1ULL, 0x9ULL, 0x12ULL, 0x24ULL, 0x10ULL,
+                                     0x3FULL, 0x0ULL}) {
+      view.class_words(mask, got);
+      for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t want = 0;
+        for (std::size_t i = 0; i < 64 && (w << 6) + i < states.size(); ++i) {
+          const state_id st = states[(w << 6) + i];
+          if (st < 64 && ((mask >> st) & 1ULL) != 0) want |= 1ULL << i;
+        }
+        mismatches += got[w] != want ? 1 : 0;
+      }
+    }
+    for (std::size_t w = 0; w < words; ++w) {
+      mismatches += view.beep_words[w] != beep[w] ? 1 : 0;
+      mismatches += view.leader_words[w] != leader[w] ? 1 : 0;
+    }
+    ++rounds;
   }
+  const engine* sim;
+  std::size_t rounds = 0;
+  std::size_t mismatches = 0;
+};
+
+TEST(EngineTest, ViewWordsInGears) {
+  // The view's beep, leader and class words must be exact in every
+  // gear, with and without crashes and restarts between rounds.
+  // Timeout-BFW with T = 60 has 65 states, too many for planes, so it
+  // runs the sparse sweep throughout.
+  enum class gear { virtual_path, sparse, interpreted_plane, compiled_plane };
+  const core::bfw_machine bfw(0.5);
+  const core::timeout_bfw_machine no_planes(0.5, 60);
+  const auto g = graph::make_grid(9, 15);  // 135 nodes: three words
+  for (const gear kind : {gear::virtual_path, gear::sparse,
+                          gear::interpreted_plane, gear::compiled_plane}) {
+    for (const bool faults : {false, true}) {
+      const state_machine& machine =
+          kind == gear::sparse ? static_cast<const state_machine&>(no_planes)
+                               : bfw;
+      fsm_protocol proto(machine);
+      engine sim(g, proto, 41);
+      if (kind == gear::virtual_path) sim.set_fast_path_enabled(false);
+      if (kind == gear::interpreted_plane) {
+        sim.set_compiled_kernel_enabled(false);
+      }
+      word_audit audit(sim);
+      sim.add_observer(&audit);
+      for (std::uint64_t round = 0; round < 120; ++round) {
+        if (faults && round % 9 == 4) {
+          const auto u =
+              static_cast<graph::node_id>((round * 37) % g.node_count());
+          if (sim.crashed(u)) {
+            sim.fault_restart(u);
+          } else if (round % 2 == 0) {
+            sim.fault_crash(u);
+          } else {
+            // Frozen in the last state: for Timeout-BFW a follower whose
+            // patience runs out this round, so the rolled-back lane
+            // turns leader inside every sweep.
+            sim.fault_crash_as(u, static_cast<state_id>(
+                                      proto.machine().state_count() - 1));
+          }
+        }
+        sim.step();
+      }
+      EXPECT_EQ(audit.rounds, 121U);
+      EXPECT_EQ(audit.mismatches, 0U)
+          << "gear " << static_cast<int>(kind) << " faults " << faults;
+      if (faults) {
+        EXPECT_GT(sim.crashed_count(), 0U);
+      }
+      switch (kind) {
+        case gear::virtual_path:
+          EXPECT_FALSE(sim.fast_path_active());
+          break;
+        case gear::sparse:
+          EXPECT_TRUE(sim.fast_path_active());
+          EXPECT_FALSE(sim.plane_capable());
+          break;
+        case gear::interpreted_plane:
+          EXPECT_GT(sim.plane_rounds(), 0U);
+          EXPECT_EQ(sim.compiled_rounds(), 0U);
+          break;
+        case gear::compiled_plane:
+          EXPECT_GT(sim.compiled_rounds(), 0U);
+          break;
+      }
+    }
+  }
+}
+
+// Records whether the state pull refused a non-FSM protocol.
+struct state_pull_probe final : observer {
+  void on_round(const round_view& view) override {
+    try {
+      (void)view.states();
+    } catch (const std::logic_error&) {
+      ++refusals;
+    }
+  }
+  int refusals = 0;
+};
+
+TEST(EngineTest, PullsRejectBadRequests) {
+  const auto g = graph::make_grid(5, 13);
+  const core::bfw_machine machine(0.5);
+  fsm_protocol proto(machine);
+  engine sim(g, proto, 3);
+  std::vector<std::uint64_t> short_out(1);
+  EXPECT_THROW(sim.class_words(0x9, short_out), std::invalid_argument);
+
+  // A protocol without a state machine has no classes and no state
+  // vector, but its leader words are still current every round.
+  baselines::id_broadcast_election id_proto(8);
+  engine id_sim(g, id_proto, 3);
+  std::vector<std::uint64_t> out(id_sim.beep_words().size());
+  EXPECT_THROW(id_sim.class_words(0x9, out), std::logic_error);
+  state_pull_probe probe;
+  id_sim.add_observer(&probe);
+  for (int round = 0; round < 60; ++round) {
+    id_sim.step();
+    const auto leaders = id_sim.leader_words();
+    for (graph::node_id u = 0; u < g.node_count(); ++u) {
+      ASSERT_EQ(((leaders[u >> 6] >> (u & 63)) & 1ULL) != 0,
+                id_proto.is_leader(u))
+          << "round " << round << " node " << u;
+    }
+  }
+  EXPECT_EQ(probe.refusals, 61);
 }
 
 TEST(EngineTest, FairCoinRateMatchesWaitingLeaders) {

@@ -382,7 +382,8 @@ struct count_probe final : beeping::observer {
   std::vector<std::uint64_t> last_counts;
   std::uint64_t rounds_seen = 0;
   void on_round(const beeping::round_view& view) override {
-    last_counts.assign(view.beep_counts.begin(), view.beep_counts.end());
+    const auto counts = view.beep_counts();
+    last_counts.assign(counts.begin(), counts.end());
     ++rounds_seen;
   }
 };

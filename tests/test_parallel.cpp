@@ -191,18 +191,24 @@ void expect_packed_matches_reference(const graph::graph& g,
     reference.step_reference();
     ASSERT_EQ(packed_proto.states(), reference_proto.states())
         << g.name() << " diverged at round " << r;
-    const auto packed_flags = packed.beep_flags();
-    const auto reference_flags = reference.beep_flags();
-    ASSERT_TRUE(std::equal(packed_flags.begin(), packed_flags.end(),
-                           reference_flags.begin()));
+    const auto packed_words = packed.beep_words();
+    const auto reference_words = reference.beep_words();
+    ASSERT_TRUE(std::equal(packed_words.begin(), packed_words.end(),
+                           reference_words.begin(), reference_words.end()));
     ASSERT_EQ(packed.leader_count(), reference.leader_count());
     ASSERT_EQ(packed.total_coins_consumed(),
               reference.total_coins_consumed());
-    // The packed beep words must agree with the byte flags bit for bit.
-    const auto words = packed.beep_words();
+    const auto packed_leaders = packed.leader_words();
+    const auto reference_leaders = reference.leader_words();
+    ASSERT_TRUE(std::equal(packed_leaders.begin(), packed_leaders.end(),
+                           reference_leaders.begin(), reference_leaders.end()));
+    // The packed sets must agree with the scalar states bit for bit.
+    const auto& states = reference_proto.states();
     for (graph::node_id u = 0; u < g.node_count(); ++u) {
-      ASSERT_EQ((words[u >> 6] >> (u & 63)) & 1ULL,
-                static_cast<std::uint64_t>(packed_flags[u] ? 1 : 0));
+      ASSERT_EQ((packed_words[u >> 6] >> (u & 63)) & 1ULL,
+                machine.beeps(states[u]) ? 1ULL : 0ULL);
+      ASSERT_EQ((packed_leaders[u >> 6] >> (u & 63)) & 1ULL,
+                machine.is_leader(states[u]) ? 1ULL : 0ULL);
     }
   }
 }
