@@ -24,7 +24,8 @@
 // price round views: BM_NoopObserverOnGrid attaches an observer that
 // reads nothing, BM_WaveTrackerOnPath the Section-5 wave tracker on its
 // two-leader path, and BM_BfwWithInvariantChecker the Section-3
-// checker.
+// checker. BM_IdBroadcastOn* and BM_CliqueLotteryOnComplete price the
+// Table 1 baselines' rounds.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -32,12 +33,15 @@
 
 #include "analysis/experiment.hpp"
 #include "analysis/wave_tracker.hpp"
+#include "baselines/clique_lottery.hpp"
+#include "baselines/id_broadcast.hpp"
 #include "beeping/engine.hpp"
 #include "core/adversarial.hpp"
 #include "core/bfw.hpp"
 #include "core/bfw_stoneage.hpp"
 #include "core/invariants.hpp"
 #include "core/timeout_bfw.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/view.hpp"
 #include "stoneage/stoneage.hpp"
@@ -305,6 +309,60 @@ void BM_BfwOnTorusVirtual(benchmark::State& state) {
   run_bfw_rounds_virtual(state, g);
 }
 BENCHMARK(BM_BfwOnTorusVirtual)->Arg(16)->Arg(64);
+
+// Table 1 baselines: the unique-ID beep-wave election and the clique
+// lottery, which advance whole rounds through protocol::step_round.
+// Elections run back to back on one engine: when the protocol's round
+// budget is spent it is reset (same identifiers every time) and the
+// engine restarts from it, so every timed round is a live one.
+void run_baseline_rounds(benchmark::State& state, const graph::graph& g,
+                         beeping::protocol& proto,
+                         std::uint64_t rounds_per_run) {
+  beeping::engine sim(g, proto, 42);
+  for (auto _ : state) {
+    if (sim.round() == rounds_per_run) {
+      support::rng init(7);
+      proto.reset(g.node_count(), init);
+      sim.restart_from_protocol();
+    }
+    sim.step();
+    benchmark::DoNotOptimize(sim.leader_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.node_count()));
+  // No round kernel to name: the protocol advances the round itself.
+  state.SetLabel("gather=" +
+                 graph::gather_kernel_name(sim.gather_kernel_used()));
+}
+
+void run_id_broadcast_rounds(benchmark::State& state, const graph::graph& g) {
+  baselines::id_broadcast_election proto(graph::diameter_exact(g));
+  support::rng init(7);
+  proto.reset(g.node_count(), init);
+  run_baseline_rounds(state, g, proto, proto.termination_round());
+}
+
+void BM_IdBroadcastOnPath(benchmark::State& state) {
+  run_id_broadcast_rounds(
+      state, graph::make_path(static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_IdBroadcastOnPath)->Arg(64);
+
+void BM_IdBroadcastOnComplete(benchmark::State& state) {
+  run_id_broadcast_rounds(
+      state, graph::make_complete(static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_IdBroadcastOnComplete)->Arg(64);
+
+void BM_CliqueLotteryOnComplete(benchmark::State& state) {
+  const auto g =
+      graph::make_complete(static_cast<std::size_t>(state.range(0)));
+  baselines::clique_lottery proto(0.01);
+  support::rng init(7);
+  proto.reset(g.node_count(), init);
+  run_baseline_rounds(state, g, proto, proto.round_budget() + 1);
+}
+BENCHMARK(BM_CliqueLotteryOnComplete)->Arg(64);
 
 // Timeout-BFW with T = 9 (14 states): every waiting follower ticks its
 // patience every silent round, so pre-bit-sliced-counter engines paid

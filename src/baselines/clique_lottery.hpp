@@ -19,9 +19,16 @@
 // Only correct on single-hop (fully connected) networks - on multi-hop
 // graphs distant candidates never hear each other, which the tests
 // demonstrate.
+//
+// Representation: the round counter is one value shared by all nodes
+// (they all start at reset and advance once per round); candidates and
+// this round's beepers are packed sets, so withdrawal is one word
+// operation per 64 nodes. Coins are drawn by walking the candidate set
+// in ascending node order, each node from its own stream.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +45,12 @@ class clique_lottery final : public beeping::protocol {
   void reset(std::size_t node_count, support::rng& init_rng) override;
   [[nodiscard]] bool beeping(graph::node_id node) const override;
   [[nodiscard]] bool is_leader(graph::node_id node) const override;
-  void step(graph::node_id node, bool heard, support::rng& node_rng) override;
+  void step_round(std::size_t node_count,
+                  std::span<const std::uint64_t> heard,
+                  support::rng_source rngs) override;
+  std::size_t round_sets(std::size_t node_count,
+                         std::span<std::uint64_t> beep,
+                         std::span<std::uint64_t> leader) const override;
   [[nodiscard]] std::string describe(graph::node_id node) const override;
   [[nodiscard]] std::string name() const override;
 
@@ -46,15 +58,12 @@ class clique_lottery final : public beeping::protocol {
   [[nodiscard]] std::uint64_t round_budget() const noexcept { return budget_; }
 
  private:
-  struct node_state {
-    bool candidate = true;
-    bool beep_now = false;   ///< Decided by last round's coin.
-    std::uint64_t round = 0; ///< Local round counter (synchronized).
-  };
-
   double epsilon_;
   std::uint64_t budget_ = 0;
-  std::vector<node_state> nodes_;
+  std::uint64_t round_ = 0;  ///< Local round counter (synchronized).
+  // Packed sets, bit u of word u/64 for node u.
+  std::vector<std::uint64_t> candidate_;
+  std::vector<std::uint64_t> beep_now_;  ///< Decided by last round's coin.
 };
 
 }  // namespace beepkit::baselines

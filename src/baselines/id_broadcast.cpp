@@ -1,5 +1,7 @@
 #include "baselines/id_broadcast.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 
 namespace beepkit::baselines {
@@ -17,72 +19,98 @@ void id_broadcast_election::reset(std::size_t node_count,
   while ((std::size_t{1} << total_bits_) < node_count) ++total_bits_;
 
   const auto perm = init_rng.permutation(node_count);
-  nodes_.assign(node_count, node_state{});
+  const std::size_t words = (node_count + 63) / 64;
+  tail_mask_ = (node_count % 64 == 0) ? ~0ULL
+                                      : ((1ULL << (node_count % 64)) - 1);
+  candidate_.assign(words, ~0ULL);
+  if (words != 0) candidate_.back() = tail_mask_;
+  heard_this_phase_.assign(words, 0);
+  relay_pending_.assign(words, 0);
+  id_planes_.assign(static_cast<std::size_t>(total_bits_) * words, 0);
   for (std::size_t u = 0; u < node_count; ++u) {
-    nodes_[u].id = perm[u];
-    nodes_[u].bit_index = total_bits_ - 1;
+    for (std::uint32_t j = 0; j < total_bits_; ++j) {
+      id_planes_[j * words + (u >> 6)] |= ((perm[u] >> j) & 1ULL) << (u & 63);
+    }
   }
+  bit_index_ = total_bits_ - 1;
+  round_in_phase_ = 0;
+  finished_ = false;
 }
 
-bool id_broadcast_election::initiates(const node_state& s) const noexcept {
-  return !s.finished && s.candidate && s.round_in_phase == 0 &&
-         ((s.id >> s.bit_index) & 1ULL) != 0;
+std::uint64_t id_broadcast_election::beep_word(std::size_t w) const noexcept {
+  const bool initiating = !finished_ && round_in_phase_ == 0;
+  return relay_pending_[w] | (initiating ? candidate_[w] & id_bit_word(w) : 0);
 }
 
 bool id_broadcast_election::beeping(graph::node_id node) const {
-  const node_state& s = nodes_[node];
-  return s.relay_pending || initiates(s);
+  return ((beep_word(node >> 6) >> (node & 63)) & 1ULL) != 0;
 }
 
 bool id_broadcast_election::is_leader(graph::node_id node) const {
-  return nodes_[node].candidate;
+  return ((candidate_[node >> 6] >> (node & 63)) & 1ULL) != 0;
 }
 
-void id_broadcast_election::step(graph::node_id node, bool heard,
-                                 support::rng& /*node_rng*/) {
-  node_state& s = nodes_[node];
-  if (s.finished) return;
+std::uint64_t id_broadcast_election::id_of(graph::node_id node) const {
+  const std::size_t words = candidate_.size();
+  std::uint64_t id = 0;
+  for (std::uint32_t j = 0; j < total_bits_; ++j) {
+    id |= ((id_planes_[j * words + (node >> 6)] >> (node & 63)) & 1ULL) << j;
+  }
+  return id;
+}
 
-  const bool beeped_now = beeping(node);
-  s.relay_pending = false;
-
-  if (heard && !s.heard_this_phase) {
-    s.heard_this_phase = true;
-    // First contact with this phase's wave: relay once, unless we are
-    // its initiator (we beeped before hearing anything) or the phase
+void id_broadcast_election::step_round(std::size_t /*node_count*/,
+                                       std::span<const std::uint64_t> heard,
+                                       support::rng_source /*rngs*/) {
+  if (finished_) return;
+  const std::size_t words = candidate_.size();
+  const bool phase_end = round_in_phase_ == diameter_bound_;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t h = w + 1 == words ? heard[w] & tail_mask_ : heard[w];
+    const std::uint64_t beeped = beep_word(w);
+    // First contact with this phase's wave: relay once, unless the node
+    // is its initiator (it beeped before hearing anything) or the phase
     // is about to end.
-    if (!beeped_now && !s.relayed && s.round_in_phase < diameter_bound_) {
-      s.relay_pending = true;
-      s.relayed = true;
+    const std::uint64_t first = h & ~heard_this_phase_[w];
+    heard_this_phase_[w] |= h;
+    if (phase_end) {
+      // Phase verdict: a candidate holding bit 0 that heard a wave knows
+      // a larger ID survives.
+      candidate_[w] &= id_bit_word(w) | ~heard_this_phase_[w];
+      heard_this_phase_[w] = 0;
+      relay_pending_[w] = 0;
+    } else {
+      relay_pending_[w] = first & ~beeped;
     }
   }
-
-  if (s.round_in_phase == diameter_bound_) {
-    // Phase verdict: a candidate holding bit 0 that heard a wave knows
-    // a larger ID survives.
-    const bool my_bit = ((s.id >> s.bit_index) & 1ULL) != 0;
-    if (s.candidate && !my_bit && s.heard_this_phase) {
-      s.candidate = false;
-    }
-    s.heard_this_phase = false;
-    s.relay_pending = false;
-    s.relayed = false;
-    s.round_in_phase = 0;
-    if (s.bit_index == 0) {
-      s.finished = true;
+  if (phase_end) {
+    round_in_phase_ = 0;
+    if (bit_index_ == 0) {
+      finished_ = true;
     } else {
-      --s.bit_index;
+      --bit_index_;
     }
   } else {
-    ++s.round_in_phase;
+    ++round_in_phase_;
   }
+}
+
+std::size_t id_broadcast_election::round_sets(
+    std::size_t /*node_count*/, std::span<std::uint64_t> beep,
+    std::span<std::uint64_t> leader) const {
+  std::size_t leaders = 0;
+  for (std::size_t w = 0; w < candidate_.size(); ++w) {
+    beep[w] = beep_word(w);
+    leader[w] = candidate_[w];
+    leaders += static_cast<std::size_t>(std::popcount(candidate_[w]));
+  }
+  return leaders;
 }
 
 std::string id_broadcast_election::describe(graph::node_id node) const {
-  const node_state& s = nodes_[node];
   std::ostringstream out;
-  out << (s.candidate ? "C" : ".") << "(id=" << s.id << ",bit=" << s.bit_index
-      << ",r=" << s.round_in_phase << ")";
+  out << (is_leader(node) ? "C" : ".") << "(id=" << id_of(node)
+      << ",bit=" << bit_index_ << ",r=" << round_in_phase_ << ")";
   return out.str();
 }
 

@@ -267,14 +267,12 @@ void engine::refresh_round_state() {
       }
     }
   } else {
-    for (graph::node_id u = 0; u < n; ++u) {
-      if (proto_->beeping(u)) {
-        ++beep_counts_[u];
-        set_bit(beep_words_, u);
-      }
-      if (proto_->is_leader(u)) {
-        ++leader_count_;
-        set_bit(leader_words_, u);
+    // Any other protocol reads out the whole round in one call.
+    leader_count_ = proto_->round_sets(n, beep_words_, leader_words_);
+    for (std::size_t w = 0; w < beep_words_.size(); ++w) {
+      for (std::uint64_t bits = beep_words_[w]; bits != 0; bits &= bits - 1) {
+        ++beep_counts_[(w << 6) +
+                       static_cast<std::size_t>(std::countr_zero(bits))];
       }
     }
   }
@@ -990,9 +988,7 @@ void engine::finish_step() {
                       : machine.delta_bot(states[u], rngs_[u]);
     }
   } else {
-    for (graph::node_id u = 0; u < n; ++u) {
-      proto_->step(u, test_bit(heard_words_, u), rngs_[u]);
-    }
+    proto_->step_round(n, heard_words_, rngs_.source());
   }
   ++round_;
   refresh_round_state();

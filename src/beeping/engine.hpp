@@ -30,6 +30,18 @@
 // vector and state-class masks are pulls that do their work only when
 // an observer asks.
 //
+// Virtual gear: the path for protocols the engine cannot compile. An
+// fsm_protocol whose machine has no table (or whose fast path is
+// switched off) runs the machine's virtual delta_top/delta_bot per
+// node over the raw state vector. Any other protocol advances a whole
+// round through two calls: protocol::step_round with the packed heard
+// set and the per-node streams, then protocol::round_sets, which
+// writes the new beep and leader words and returns the leader count;
+// the engine then bumps the beep counts over the set beep bits. The
+// Table 1 baselines implement both calls with word algebra; per-node
+// protocols inherit defaults that loop their step/beeping/is_leader
+// in node order. step() and step_reference() share this gear.
+//
 // FSM fast path: when the bound protocol is an fsm_protocol whose
 // machine compiles to a flat table (state_machine::compile_table), the
 // engine runs phase 2 directly over the raw state vector with zero

@@ -35,6 +35,38 @@ void check_rule(const state_machine& machine, const transition_rule& rule,
 
 }  // namespace
 
+void protocol::step(graph::node_id /*node*/, bool /*heard*/,
+                    support::rng& /*node_rng*/) {
+  throw std::logic_error(name() +
+                         " advances whole rounds only (step_round); it has "
+                         "no per-node step");
+}
+
+void protocol::step_round(std::size_t node_count,
+                          std::span<const std::uint64_t> heard,
+                          support::rng_source rngs) {
+  for (graph::node_id u = 0; u < node_count; ++u) {
+    step(u, ((heard[u >> 6] >> (u & 63)) & 1ULL) != 0, rngs[u]);
+  }
+}
+
+std::size_t protocol::round_sets(std::size_t node_count,
+                                 std::span<std::uint64_t> beep,
+                                 std::span<std::uint64_t> leader) const {
+  std::fill(beep.begin(), beep.end(), 0);
+  std::fill(leader.begin(), leader.end(), 0);
+  std::size_t leaders = 0;
+  for (graph::node_id u = 0; u < node_count; ++u) {
+    const std::uint64_t bit = 1ULL << (u & 63);
+    if (beeping(u)) beep[u >> 6] |= bit;
+    if (is_leader(u)) {
+      ++leaders;
+      leader[u >> 6] |= bit;
+    }
+  }
+  return leaders;
+}
+
 machine_table build_machine_table(const state_machine& machine,
                                   std::span<const transition_rule> bot,
                                   std::span<const transition_rule> top) {

@@ -12,9 +12,10 @@
 //    M = (Q_listen, Q_beep, q_s, delta_bot, delta_top): a probabilistic
 //    finite-state machine, anonymous and uniform. BFW (src/core/bfw.hpp)
 //    is one of these.
-//  * `protocol` - a generic per-node behaviour interface, which also
-//    accommodates the unbounded-state baselines of Table 1 (unique IDs,
-//    phase counters). `fsm_protocol` adapts any state_machine to it.
+//  * `protocol` - a generic behaviour interface that advances per node
+//    or per round, which also accommodates the unbounded-state
+//    baselines of Table 1 (unique IDs, phase counters).
+//    `fsm_protocol` adapts any state_machine to it.
 #pragma once
 
 #include <cstdint>
@@ -171,8 +172,19 @@ class state_machine {
   }
 };
 
-/// Generic per-node protocol behaviour driven by `engine`. One protocol
+/// Generic protocol behaviour driven by `engine`. One protocol
 /// instance owns the states of all nodes of one simulation.
+///
+/// Contract: a protocol implements either the per-node `step` or the
+/// round-level `step_round`/`round_sets` pair. Engines advance a
+/// protocol only through the round-level pair (the beeping engine runs
+/// fsm_protocol machines through its own gears instead); its defaults
+/// loop the per-node `step`/`beeping`/`is_leader` in ascending node
+/// order, so a per-node protocol needs nothing else. A round-level
+/// protocol (the Table 1 baselines) keeps its state in packed sets,
+/// advances every node with word algebra, and leaves `step` at its
+/// default, which throws std::logic_error. `beeping`/`is_leader`
+/// answer per-node queries in both kinds.
 class protocol {
  public:
   virtual ~protocol() = default;
@@ -190,9 +202,25 @@ class protocol {
 
   /// Advances `node` to its next-round state. `heard` is true iff the
   /// node beeped itself or at least one neighbor beeped (the delta_top
-  /// condition).
-  virtual void step(graph::node_id node, bool heard,
-                    support::rng& node_rng) = 0;
+  /// condition). The default throws std::logic_error: round-level
+  /// protocols only advance through step_round.
+  virtual void step(graph::node_id node, bool heard, support::rng& node_rng);
+
+  /// Advances every node of the `node_count`-node network one round.
+  /// Bit u of heard[u / 64] is the delta_top condition of node u (one
+  /// word per 64 nodes; bits past node_count are ignored); node u draws
+  /// from rngs[u]. The default calls step() for u = 0, 1, ..., n-1.
+  virtual void step_round(std::size_t node_count,
+                          std::span<const std::uint64_t> heard,
+                          support::rng_source rngs);
+
+  /// Reads out the current round: overwrites every word of `beep` and
+  /// `leader` (one word per 64 nodes, bits past node_count zero) with
+  /// the packed beep and leader sets, and returns the leader count. The
+  /// default asks beeping()/is_leader() for u = 0, 1, ..., n-1.
+  virtual std::size_t round_sets(std::size_t node_count,
+                                 std::span<std::uint64_t> beep,
+                                 std::span<std::uint64_t> leader) const;
 
   /// Short human-readable state label (for traces/visualization).
   [[nodiscard]] virtual std::string describe(graph::node_id node) const = 0;

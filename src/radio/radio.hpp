@@ -69,7 +69,7 @@ class engine {
   }
   [[nodiscard]] graph::node_id sole_leader() const;
   [[nodiscard]] bool transmitting(graph::node_id u) const {
-    return transmitting_[u] != 0;
+    return ((transmit_words_[u >> 6] >> (u & 63)) & 1ULL) != 0;
   }
   /// Receiver verdict of the current round (computed during step();
   /// meaningful for the *previous* round after a step). Exposed for
@@ -86,7 +86,11 @@ class engine {
   beeping::protocol* proto_;
   bool cd_;
   std::vector<support::rng> rngs_;
-  std::vector<std::uint8_t> transmitting_;
+  // Packed sets, bit u of word u/64 for node u: the protocol advances
+  // and reads out whole rounds (beeping::protocol::step_round).
+  std::vector<std::uint64_t> transmit_words_;
+  std::vector<std::uint64_t> leader_words_;
+  std::vector<std::uint64_t> heard_words_;
   std::vector<reception> receptions_;
   std::uint64_t round_ = 0;
   std::size_t leader_count_ = 0;

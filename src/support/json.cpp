@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace beepkit::support {
@@ -14,38 +15,6 @@ namespace {
 
 const json::array kEmptyArray;
 const json::object kEmptyObject;
-
-void append_escaped(std::string& out, const std::string& text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void append_double(std::string& out, double value) {
-  if (!std::isfinite(value)) {  // JSON has no inf/nan
-    out += "null";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
 
 /// Recursive-descent parser over a string_view with a depth cap.
 class parser {
@@ -376,37 +345,200 @@ void json::set(std::string key, json value) {
   members.emplace_back(std::move(key), std::move(value));
 }
 
+namespace {
+
+/// What dump_to writes through: a stack chunk in front of the output
+/// string. A record walk makes dozens of appends of a few bytes each;
+/// here each is a bounds check and a small memcpy, and the string sees
+/// one append per chunk.
+class staged_writer {
+ public:
+  explicit staged_writer(std::string& out) : out_(out) {}
+  ~staged_writer() { flush(); }
+  staged_writer(const staged_writer&) = delete;
+  staged_writer& operator=(const staged_writer&) = delete;
+
+  void append(const char* data, std::size_t n) {
+    if (n > sizeof(buf_) - len_) {
+      flush();
+      if (n > sizeof(buf_)) {
+        out_.append(data, n);
+        return;
+      }
+    }
+    std::memcpy(buf_ + len_, data, n);
+    len_ += n;
+  }
+  void push_back(char c) {
+    if (len_ == sizeof(buf_)) flush();
+    buf_[len_++] = c;
+  }
+  /// The next `n` (<= max_room) bytes of the chunk, to be filled in
+  /// place and then committed with advance().
+  static constexpr std::size_t max_room = 64;
+  char* room(std::size_t n) {
+    if (n > sizeof(buf_) - len_) flush();
+    return buf_ + len_;
+  }
+  void advance(std::size_t n) { len_ += n; }
+
+ private:
+  void flush() {
+    out_.append(buf_, len_);
+    len_ = 0;
+  }
+
+  std::string& out_;
+  char buf_[256];
+  std::size_t len_ = 0;
+};
+
+[[nodiscard]] bool plain_char(char c) noexcept {
+  return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
+}
+
+/// Appends `"text"`, escaped, then `suffix` unless it is 0. The bytes
+/// before `first` need no escape.
+template <class Out>
+void append_escaped(Out& out, std::string_view text, std::size_t first,
+                    char suffix) {
+  out.push_back('"');
+  std::size_t plain = 0;  // start of the pending run of unescaped bytes
+  for (std::size_t i = first; i < text.size(); ++i) {
+    const char c = text[i];
+    if (plain_char(c)) continue;
+    out.append(text.data() + plain, i - plain);
+    plain = i + 1;
+    switch (c) {
+      case '"': out.append("\\\"", 2); break;
+      case '\\': out.append("\\\\", 2); break;
+      case '\n': out.append("\\n", 2); break;
+      case '\r': out.append("\\r", 2); break;
+      case '\t': out.append("\\t", 2); break;
+      default: {
+        char buf[8];
+        out.append(buf, static_cast<std::size_t>(
+                            std::snprintf(buf, sizeof(buf), "\\u%04x", c)));
+      }
+    }
+  }
+  out.append(text.data() + plain, text.size() - plain);
+  out.push_back('"');
+  if (suffix != 0) out.push_back(suffix);
+}
+
+/// append_escaped for dump_to. Short strings - every key and most
+/// values - are copied into the chunk while they are scanned; one that
+/// needs an escape is abandoned uncommitted and redone by the general
+/// path.
+void append_quoted(staged_writer& out, std::string_view text, char suffix) {
+  const std::size_t n = text.size();
+  if (n + 3 <= staged_writer::max_room) {
+    char* const p = out.room(n + 3);
+    std::size_t i = 0;
+    while (i < n && plain_char(text[i])) {
+      p[i + 1] = text[i];
+      ++i;
+    }
+    if (i == n) {
+      p[0] = '"';
+      p[n + 1] = '"';
+      p[n + 2] = suffix;
+      out.advance(n + (suffix != 0 ? 3 : 2));
+      return;
+    }
+  }
+  append_escaped(out, text, 0, suffix);
+}
+
+template <class Int>
+void append_integer(staged_writer& out, Int value) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+void append_double(staged_writer& out, double value) {
+  if (!std::isfinite(value)) {  // JSON has no inf/nan
+    out.append("null", 4);
+    return;
+  }
+  char buf[32];
+  out.append(buf, static_cast<std::size_t>(
+                      std::snprintf(buf, sizeof(buf), "%.17g", value)));
+}
+
+}  // namespace
+
+void json::append_string(std::string& out, std::string_view text) {
+  std::size_t first = 0;  // first byte that needs an escape
+  while (first < text.size() && plain_char(text[first])) ++first;
+  if (first == text.size()) {
+    out.push_back('"');
+    out.append(text);
+    out.push_back('"');
+    return;
+  }
+  append_escaped(out, text, first, 0);
+}
+
 std::string json::dump() const {
   std::string out;
-  struct dumper {
-    std::string& out;
-    void operator()(std::nullptr_t) const { out += "null"; }
-    void operator()(bool b) const { out += b ? "true" : "false"; }
-    void operator()(std::uint64_t u) const { out += std::to_string(u); }
-    void operator()(std::int64_t i) const { out += std::to_string(i); }
-    void operator()(double d) const { append_double(out, d); }
-    void operator()(const std::string& s) const { append_escaped(out, s); }
-    void operator()(const array& values) const {
+  dump_to(out);
+  return out;
+}
+
+void json::dump_to(std::string& out) const {
+  staged_writer staged(out);
+  dump_into(staged);
+}
+
+template <class Out>
+void json::dump_into(Out& out) const {
+  switch (value_.index()) {
+    case 0:
+      out.append("null", 4);
+      return;
+    case 1:
+      if (*std::get_if<bool>(&value_)) {
+        out.append("true", 4);
+      } else {
+        out.append("false", 5);
+      }
+      return;
+    case 2:
+      append_integer(out, *std::get_if<std::uint64_t>(&value_));
+      return;
+    case 3:
+      append_integer(out, *std::get_if<std::int64_t>(&value_));
+      return;
+    case 4:
+      append_double(out, *std::get_if<double>(&value_));
+      return;
+    case 5:
+      append_quoted(out, *std::get_if<std::string>(&value_), 0);
+      return;
+    case 6: {
+      const array& values = *std::get_if<array>(&value_);
       out.push_back('[');
       for (std::size_t i = 0; i < values.size(); ++i) {
         if (i != 0) out.push_back(',');
-        out += values[i].dump();
+        values[i].dump_into(out);
       }
       out.push_back(']');
+      return;
     }
-    void operator()(const object& members) const {
+    default: {
+      const object& members = *std::get_if<object>(&value_);
       out.push_back('{');
       for (std::size_t i = 0; i < members.size(); ++i) {
         if (i != 0) out.push_back(',');
-        append_escaped(out, members[i].first);
-        out.push_back(':');
-        out += members[i].second.dump();
+        append_quoted(out, members[i].first, ':');
+        members[i].second.dump_into(out);
       }
       out.push_back('}');
     }
-  };
-  std::visit(dumper{out}, value_);
-  return out;
+  }
 }
 
 std::optional<json> json::parse(std::string_view text) {

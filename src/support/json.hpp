@@ -69,12 +69,23 @@ class json {
   /// Compact single-line serialization (JSONL-friendly): no spaces,
   /// keys in insertion order, doubles at round-trip precision.
   [[nodiscard]] std::string dump() const;
+  /// The same bytes as dump(), appended to `out`.
+  void dump_to(std::string& out) const;
+
+  /// Appends `text` as a JSON string literal: quoted, with the same
+  /// escapes dump() writes. Lets hot writers emit fixed-shape records
+  /// byte-identical to a dumped object without building one.
+  static void append_string(std::string& out, std::string_view text);
 
   /// Parses one JSON document; trailing garbage or malformed input
   /// yields nullopt. Nesting is capped (64) to bound recursion.
   [[nodiscard]] static std::optional<json> parse(std::string_view text);
 
  private:
+  /// dump_to's body, over its staging writer (json.cpp).
+  template <class Out>
+  void dump_into(Out& out) const;
+
   std::variant<std::nullptr_t, bool, std::uint64_t, std::int64_t, double,
                std::string, array, object>
       value_ = nullptr;

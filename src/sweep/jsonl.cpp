@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -98,30 +99,37 @@ bool record_writer::open(const std::string& path, bool append) {
 // Producer-side backpressure bound: at very high trials/sec the queue
 // must not grow without limit if the disk cannot keep up.
 constexpr std::size_t max_queued_lines = 65536;
+// Queued bytes that wake the writer thread. Below it, lines wait for
+// more company or for a drain, so a record costs no wake-up.
+constexpr std::size_t wake_bytes = 64 * 1024;
 
-void record_writer::enqueue(std::string line) {
+void record_writer::enqueue_line() {
   namespace tel = support::telemetry;
+  line_.push_back('\n');
   std::unique_lock<std::mutex> lock(mutex_);
-  if (queue_.size() >= max_queued_lines) {
+  if (queued_lines_ >= max_queued_lines) {
     // Backpressure stall: the producer is outrunning the disk. Timed
     // (not just counted) so sweeps can report how much wall clock the
     // bound actually cost; compiled away with the telemetry probes.
+    const auto room = [this] { return queued_lines_ < max_queued_lines; };
     if constexpr (tel::compiled_in) {
       const std::uint64_t start = tel::now_ns();
-      queue_drained_.wait(
-          lock, [this] { return queue_.size() < max_queued_lines; });
+      queue_drained_.wait(lock, room);
       stall_ns_ += tel::now_ns() - start;
     } else {
-      queue_drained_.wait(
-          lock, [this] { return queue_.size() < max_queued_lines; });
+      queue_drained_.wait(lock, room);
     }
   }
-  queue_.push_back(std::move(line));
+  const bool was_below = queue_.size() < wake_bytes;
+  queue_ += line_;
+  ++queued_lines_;
   if constexpr (tel::compiled_in) {
-    max_depth_ = std::max(max_depth_, queue_.size());
+    max_depth_ = std::max(max_depth_, queued_lines_);
   }
+  const bool wake = (was_below && queue_.size() >= wake_bytes) ||
+                    queued_lines_ >= max_queued_lines;
   lock.unlock();
-  queue_ready_.notify_one();
+  if (wake) queue_ready_.notify_one();
 }
 
 double record_writer::stall_seconds() {
@@ -135,22 +143,25 @@ std::size_t record_writer::max_queue_depth() {
 }
 
 void record_writer::writer_loop() {
-  std::vector<std::string> batch;
+  std::string batch;
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       writer_busy_ = false;
       if (queue_.empty()) queue_drained_.notify_all();
-      queue_ready_.wait(lock,
-                        [this] { return stopping_ || !queue_.empty(); });
+      queue_ready_.wait(lock, [this] {
+        return stopping_ ||
+               (!queue_.empty() &&
+                (draining_ || queue_.size() >= wake_bytes ||
+                 queued_lines_ >= max_queued_lines));
+      });
       if (queue_.empty()) return;  // stopping_ and fully drained
       batch.swap(queue_);  // take the whole backlog in FIFO order
+      queued_lines_ = 0;
       writer_busy_ = true;
       queue_drained_.notify_all();  // producer may refill while we write
     }
-    for (const std::string& line : batch) {
-      out_ << line << '\n';
-    }
+    out_.write(batch.data(), static_cast<std::streamsize>(batch.size()));
     if (!out_.good()) ok_.store(false, std::memory_order_release);
     batch.clear();
   }
@@ -159,8 +170,11 @@ void record_writer::writer_loop() {
 void record_writer::drain() {
   if (!writer_.joinable()) return;
   std::unique_lock<std::mutex> lock(mutex_);
+  draining_ = true;
+  queue_ready_.notify_one();
   queue_drained_.wait(lock,
                       [this] { return queue_.empty() && !writer_busy_; });
+  draining_ = false;
 }
 
 void record_writer::stop_writer() {
@@ -174,7 +188,9 @@ void record_writer::stop_writer() {
 }
 
 void record_writer::write_line(const json& record) {
-  enqueue(record.dump());
+  line_.clear();
+  record.dump_to(line_);
+  enqueue_line();
 }
 
 void record_writer::write_header(const std::string& sweep_name,
@@ -215,30 +231,49 @@ void record_writer::write_cell(const cell_record& cell) {
 
 namespace {
 
-json::object trial_object(const trial_record& trial,
-                          const cell_record& meta) {
-  return json::object{
-      {"type", json("trial")},
-      {"cell", json(trial.cell)},
-      {"trial", json(trial.trial)},
-      {"global", json(trial.global)},
-      {"algorithm", json(meta.algorithm)},
-      {"graph", json(meta.graph)},
-      {"n", json(meta.n)},
-      {"diameter", json(meta.diameter)},
-      {"seed", json(trial.seed)},
-      {"rounds", json(trial.rounds)},
-      {"converged", json(trial.converged)},
-      {"coins", json(trial.coins)},
-      {"leader", json(trial.leader)},
-  };
+void append_u64(std::string& out, std::uint64_t value) {
+  char buf[20];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out.append(buf, end);
+}
+
+/// The trial record's fields in json::dump order, without the closing
+/// brace (the audit fields may follow).
+void append_trial_fields(std::string& out, const trial_record& trial,
+                         const cell_record& meta) {
+  out += R"({"type":"trial","cell":)";
+  append_u64(out, trial.cell);
+  out += R"(,"trial":)";
+  append_u64(out, trial.trial);
+  out += R"(,"global":)";
+  append_u64(out, trial.global);
+  out += R"(,"algorithm":)";
+  json::append_string(out, meta.algorithm);
+  out += R"(,"graph":)";
+  json::append_string(out, meta.graph);
+  out += R"(,"n":)";
+  append_u64(out, meta.n);
+  out += R"(,"diameter":)";
+  append_u64(out, meta.diameter);
+  out += R"(,"seed":)";
+  append_u64(out, trial.seed);
+  out += R"(,"rounds":)";
+  append_u64(out, trial.rounds);
+  out += trial.converged ? R"(,"converged":true)" : R"(,"converged":false)";
+  out += R"(,"coins":)";
+  append_u64(out, trial.coins);
+  out += R"(,"leader":)";
+  append_u64(out, trial.leader);
 }
 
 }  // namespace
 
 void record_writer::write_trial(const trial_record& trial,
                                 const cell_record& meta) {
-  write_line(json(trial_object(trial, meta)));
+  line_.clear();
+  append_trial_fields(line_, trial, meta);
+  line_.push_back('}');
+  enqueue_line();
 }
 
 void record_writer::write_trial(const trial_record& trial,
@@ -247,11 +282,16 @@ void record_writer::write_trial(const trial_record& trial,
   // The audit fields ride along as extra keys: parse_trial and the
   // merge/resume readers extract fields by name and ignore the rest,
   // so files with and without them mix freely.
-  json::object record = trial_object(trial, meta);
-  record.emplace_back("gather_kernel", json(exec.gather_kernel));
-  record.emplace_back("exec_threads", json(exec.threads));
-  record.emplace_back("exec_tile_words", json(exec.tile_words));
-  write_line(json(std::move(record)));
+  line_.clear();
+  append_trial_fields(line_, trial, meta);
+  line_ += R"(,"gather_kernel":)";
+  json::append_string(line_, exec.gather_kernel);
+  line_ += R"(,"exec_threads":)";
+  append_u64(line_, exec.threads);
+  line_ += R"(,"exec_tile_words":)";
+  append_u64(line_, exec.tile_words);
+  line_.push_back('}');
+  enqueue_line();
 }
 
 void record_writer::write_checkpoint(std::uint64_t units_done,
@@ -304,8 +344,7 @@ void record_writer::flush() {
 }
 
 bool record_writer::close() {
-  drain();
-  stop_writer();
+  stop_writer();  // the writer writes the whole backlog before it exits
   out_.flush();
   if (!out_.good()) ok_.store(false, std::memory_order_release);
   out_.close();

@@ -85,10 +85,16 @@ struct trial_exec {
 /// Streams one shard's records to disk through a buffered writer
 /// thread: the producer (whichever sweep worker holds the fold; calls
 /// come from different threads but never concurrently, so this class
-/// is still single-producer) serializes records into an in-memory
-/// queue and a background thread performs the actual ofstream writes,
-/// so the serializer never stalls trial aggregation at high
-/// trials/sec. Error semantics are unchanged: flush() drains the queue
+/// is still single-producer) serializes each record into a reused line
+/// buffer and appends it to an in-memory byte queue, and a background
+/// thread performs the actual ofstream writes, so the serializer never
+/// stalls trial aggregation at high trials/sec. Trial records are
+/// formatted directly (std::to_chars and json::append_string), with
+/// the bytes and key order a dumped support::json object would have;
+/// the other record types go through support::json. The writer thread
+/// is woken once per ~64 KiB of queued lines, or by flush() and
+/// close(), so a record costs no wake-up. Error semantics are
+/// unchanged: flush() drains the queue
 /// synchronously and healthy() reflects every write that already hit
 /// the stream, so disk-full and quota failures still surface as errors
 /// at checkpoint boundaries, not silence. Always truncates: resumed
@@ -147,7 +153,8 @@ class record_writer {
 
  private:
   void write_line(const support::json& record);
-  void enqueue(std::string line);
+  /// Appends line_ plus a newline to the queue.
+  void enqueue_line();
   void drain();        ///< Blocks until the queue is empty + written.
   void stop_writer();  ///< Drains, then joins the writer thread.
   void writer_loop();
@@ -158,8 +165,11 @@ class record_writer {
   std::mutex mutex_;
   std::condition_variable queue_ready_;
   std::condition_variable queue_drained_;
-  std::vector<std::string> queue_;  // swapped out in batches, FIFO order
+  std::string line_;  // producer-owned serialization buffer, reused
+  std::string queue_;  // complete lines, swapped out in batches, FIFO order
+  std::size_t queued_lines_ = 0;
   bool writer_busy_ = false;
+  bool draining_ = false;  // a drain wants the queue written now
   bool stopping_ = false;
   std::atomic<bool> ok_{true};
   std::uint64_t stall_ns_ = 0;    // guarded by mutex_

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "analysis/experiment.hpp"
 #include "graph/generators.hpp"
 #include "support/json.hpp"
+#include "support/rng.hpp"
 #include "sweep/jsonl.hpp"
 
 namespace beepkit {
@@ -668,6 +670,93 @@ TEST(BufferedWriterTest, FlushIsSynchronousErrorBarrier) {
   writer.flush();
   EXPECT_FALSE(writer.healthy());
   EXPECT_FALSE(writer.close());
+}
+
+// The DOM-built trial record that the writer's direct formatting
+// replaced, kept verbatim as the oracle for its bytes.
+support::json::object trial_object(const sweep::trial_record& trial,
+                                   const sweep::cell_record& meta) {
+  using support::json;
+  return json::object{
+      {"type", json("trial")},
+      {"cell", json(trial.cell)},
+      {"trial", json(trial.trial)},
+      {"global", json(trial.global)},
+      {"algorithm", json(meta.algorithm)},
+      {"graph", json(meta.graph)},
+      {"n", json(meta.n)},
+      {"diameter", json(meta.diameter)},
+      {"seed", json(trial.seed)},
+      {"rounds", json(trial.rounds)},
+      {"converged", json(trial.converged)},
+      {"coins", json(trial.coins)},
+      {"leader", json(trial.leader)},
+  };
+}
+
+TEST(BufferedWriterTest, TrialRecordBytesMatchTheDomDumpOverRandomRecords) {
+  const std::string path = temp_path("trial_bytes.jsonl");
+  const std::uint64_t extremes[] = {0,
+                                    1,
+                                    9,
+                                    10,
+                                    0xFFFFFFFFULL,
+                                    0x100000000ULL,
+                                    0x8000000000000000ULL,
+                                    0xFFFFFFFFFFFFFFFEULL,
+                                    0xFFFFFFFFFFFFFFFFULL};
+  const std::string names[] = {"",
+                               "bfw",
+                               "IdBroadcast(D=63)",
+                               "quote\" backslash\\",
+                               "tab\t newline\n return\r",
+                               std::string("controls \x01\x1f\x7f", 13),
+                               "utf8 \xc3\xa9",
+                               std::string(61, 'a'),
+                               std::string(62, 'b'),
+                               std::string(60, 'c') + "\"",
+                               std::string(300, 'd')};
+  support::rng rng(2024);
+  const auto value = [&] {
+    return rng.coin() ? extremes[rng.uniform_below(std::size(extremes))]
+                      : rng.next_u64();
+  };
+  const auto name = [&] { return names[rng.uniform_below(std::size(names))]; };
+  std::vector<std::string> expected;
+  {
+    sweep::record_writer writer;
+    ASSERT_TRUE(writer.open(path));
+    for (int r = 0; r < 400; ++r) {
+      sweep::cell_record meta;
+      meta.algorithm = name();
+      meta.graph = name();
+      meta.n = value();
+      meta.diameter = static_cast<std::uint32_t>(value());
+      const sweep::trial_record trial{value(), value(), value(),
+                                      value(), value(), r % 2 == 0,
+                                      value(), value()};
+      support::json::object record = trial_object(trial, meta);
+      if (r % 3 == 0) {
+        writer.write_trial(trial, meta);
+      } else {
+        const sweep::trial_exec exec{name(), value(), value()};
+        writer.write_trial(trial, meta, exec);
+        record.emplace_back("gather_kernel", support::json(exec.gather_kernel));
+        record.emplace_back("exec_threads", support::json(exec.threads));
+        record.emplace_back("exec_tile_words", support::json(exec.tile_words));
+      }
+      expected.push_back(support::json(std::move(record)).dump());
+    }
+    ASSERT_TRUE(writer.close());
+  }
+  std::ifstream in(path);
+  std::string line;
+  for (const std::string& want : expected) {
+    ASSERT_TRUE(std::getline(in, line));
+    ASSERT_EQ(line, want);
+  }
+  EXPECT_FALSE(std::getline(in, line));
+  std::remove(path.c_str());
 }
 
 TEST(SweepMergeTest, OverlappingIdenticalRecordsAreTolerated) {
