@@ -365,8 +365,7 @@ void BM_CliqueLotteryOnComplete(benchmark::State& state) {
 BENCHMARK(BM_CliqueLotteryOnComplete)->Arg(64);
 
 // Timeout-BFW with T = 9 (14 states): every waiting follower ticks its
-// patience every silent round, so pre-bit-sliced-counter engines paid
-// an O(n) sparse sweep here; the plane gear now runs it word-parallel
+// patience every silent round, which the plane gear runs word-parallel
 // (ripple-carry over the planes). The *Virtual row is the per-node
 // dispatch reference.
 void run_timeout_bfw_rounds(benchmark::State& state, const graph::graph& g,
@@ -405,6 +404,31 @@ void BM_TimeoutBfwT9OnGridVirtual(benchmark::State& state) {
   run_timeout_bfw_rounds(state, g, false);
 }
 BENCHMARK(BM_TimeoutBfwT9OnGridVirtual)->Arg(16)->Arg(64);
+
+// Timeout-BFW with T = 80 (85 states, 7 planes, no compiled kernel)
+// from the phantom-wave start of selfstab_timeout part (b): one beeping
+// and one frozen follower on an otherwise dead cycle. Prices the
+// interpreted plane sweep past 64 states. Not in the CI baseline gate.
+void BM_TimeoutBfwWideOnCycle(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto g = graph::make_cycle(n);
+  const core::timeout_bfw_machine machine(0.5, 80);
+  beeping::fsm_protocol proto(machine);
+  beeping::engine sim(g, proto, 42);
+  auto initial = machine.dead_configuration(n);
+  initial[0] = core::timeout_bfw_machine::follower_beep;
+  initial[n - 1] = core::timeout_bfw_machine::follower_frozen;
+  proto.set_states(initial);
+  sim.restart_from_protocol();
+  for (auto _ : state) {
+    sim.step();
+    benchmark::DoNotOptimize(sim.leader_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  set_exec_label(state, sim);
+}
+BENCHMARK(BM_TimeoutBfwWideOnCycle)->Arg(40)->Arg(1024);
 
 // XL single-trial rows: the intra-trial tiled round pipeline
 // (engine::set_parallelism) on instances big enough that one trial can

@@ -14,8 +14,8 @@
 //
 // Bit-identity contract (the registry's acceptance bar): for any word
 // range and any W, the sweep computes exactly the interpreted sweep's
-// planes, beep/leader/active words, ledger banks and leader/active
-// counts, and consumes exactly its generator draws in the same order.
+// planes, beep/leader/active words, ledger banks and leader count,
+// and consumes exactly its generator draws in the same order.
 // The two liberties it takes are proven-safe:
 //  * A batch is skipped only when ALL its words are quiet; quiet words
 //    inside a processed batch go through the full algebra, which
@@ -79,10 +79,7 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
       // Narrow range tail: finish word-at-a-time (same algebra at
       // W = 1, so tiling boundaries never change a number).
       if (w + W > we) {
-        const sweep_result tail =
-            compiled_sweep<Traits, 1>(ctx, dirty, w, we);
-        result.leaders += tail.leaders;
-        result.active += tail.active;
+        result.leaders += compiled_sweep<Traits, 1>(ctx, dirty, w, we).leaders;
         break;
       }
     }
@@ -92,11 +89,10 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
     const vec act = vec::load(ctx.active + w);
     if (!(((h | act) & valid)).any()) {
       // Fully quiet batch: nothing moves, beeps, or draws; the stored
-      // leader and active lanes still count.
+      // leader lanes still count.
       for (std::size_t l = 0; l < W; ++l) {
         result.leaders +=
             static_cast<std::size_t>(std::popcount(ctx.leader[w + l]));
-        result.active += static_cast<std::size_t>(std::popcount(act.lane(l)));
       }
       continue;
     }
@@ -283,8 +279,6 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
     for (std::size_t l = 0; l < W; ++l) {
       result.leaders +=
           static_cast<std::size_t>(std::popcount(leader_bits.lane(l)));
-      result.active +=
-          static_cast<std::size_t>(std::popcount(active_bits.lane(l)));
     }
     // Ledger: bank this round's +1s with one ripple-carry add into the
     // vertical counters; a zero carry lane rewrites its word unchanged,

@@ -74,13 +74,7 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   if (fsm_ != nullptr) {
     table_ = fsm_->machine().compile_table();
   }
-  // Plane-mode eligibility. (The SWAR transpose writes state ids
-  // through little-endian byte order; the sparse sweep carries
-  // big-endian hosts.) The state cap is 64: six planes cover every
-  // bundled machine including Timeout-BFW up to T = 59; larger
-  // machines take the sparse sweep.
-  plane_capable_ = table_.has_value() && table_->state_count() <= 64 &&
-                   std::endian::native == std::endian::little;
+  plane_capable_ = table_.has_value() && beeping::plane_capable(*table_);
   support::draw_mode mode = support::draw_mode::coins;
   if (config_.giant_mode) {
     if (!plane_capable_) {
@@ -113,8 +107,8 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   rngs_ = config_.giant_mode ? support::rng_store::lazy(seed, n + 1, mode)
                              : support::rng_store::dense(seed, n + 1);
   if (config_.giant_mode) {
-    // No O(n) state vector: the planes are seeded from the machine's
-    // initial state below and stay authoritative for the whole run.
+    // No O(n) state vector: the planes seeded below are the only state
+    // authority for the whole run.
     fsm_->reset_deferred(n);
   } else {
     proto_->reset(n, rngs_[n]);
@@ -129,8 +123,8 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   heard_words_ = arena_.alloc_words(words);
   active_words_ = arena_.alloc_words(words);
   leader_words_ = arena_.alloc_words(words);
-  // Giant mode keeps no per-node count array (only the pinned plane
-  // sweep can run without it; giant runs never read counts).
+  // Giant mode keeps no per-node count array (the plane sweep banks
+  // counts in the ledger planes, and giant runs never read counts).
   if (!config_.giant_mode) beep_counts_.assign(n, 0);
   if (plane_capable_) {
     plan_ = make_plane_plan(*table_);
@@ -152,11 +146,11 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   }
   dirty_ledger_words_ = arena_.alloc_words(word_count(words));
   slot_leaders_.assign(1, 0);
-  slot_active_.assign(1, 0);
   slot_dirty_.assign(1, std::vector<std::uint64_t>(dirty_ledger_words_.size(), 0));
-  if (config_.giant_mode) {
+  if (fast_path_active()) {
+    // The reset put every lane in the initial state.
     enter_plane_mode_initial();
-    if (fsm_ != nullptr) synced_version_ = fsm_->config_version();
+    synced_version_ = fsm_->config_version();
   } else {
     refresh_round_state();
   }
@@ -164,8 +158,8 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
 
 engine::~engine() {
   // The protocol outlives the engine: flush any pending lazy unpack
-  // and detach the hook before the planes disappear. Pinned giant
-  // engines abandon instead - the O(n) unpack is exactly what the
+  // and detach the hook before the planes disappear. Giant engines
+  // abandon instead - the O(n) unpack is exactly what the
   // mode exists to avoid, and the run's result was read off the
   // planes already.
   if (fsm_ != nullptr && plane_capable_) {
@@ -186,7 +180,6 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
     tile_words_ = tile_words;
     rngs_.set_slots(1);
     slot_leaders_.assign(1, 0);
-    slot_active_.assign(1, 0);
     slot_dirty_.assign(
         1, std::vector<std::uint64_t>(dirty_ledger_words_.size(), 0));
     return;
@@ -206,7 +199,6 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
   // tiled round's barrier (see rng_store's class comment).
   rngs_.set_slots(resolved);
   slot_leaders_.assign(resolved, 0);
-  slot_active_.assign(resolved, 0);
   slot_dirty_.assign(
       resolved, std::vector<std::uint64_t>(dirty_ledger_words_.size(), 0));
 }
@@ -224,40 +216,29 @@ void engine::add_observer(observer* obs) {
 
 void engine::refresh_round_state() {
   const std::size_t n = n_;
-  // The protocol's state vector becomes the source of truth here:
-  // materialize any pending plane unpack, then drop out of plane mode;
-  // it re-engages on the next dense round.
-  if (fsm_ != nullptr) fsm_->ensure_states_fresh();
-  plane_mode_ = false;
-  leader_count_ = 0;
-  std::fill(beep_words_.begin(), beep_words_.end(), 0);
-  std::fill(leader_words_.begin(), leader_words_.end(), 0);
+  if (fsm_ == nullptr) {
+    // Any other protocol reads out the whole round in one call.
+    leader_count_ = proto_->round_sets(n, beep_words_, leader_words_);
+    count_beep_words();
+    return;
+  }
+  // The protocol's state vector is the source of truth here: it was
+  // just written by the virtual gear, or injected by set_states.
+  fsm_->ensure_states_fresh();
   if (fast_path_active()) {
-    // Table-driven refresh: same sweep, zero virtual calls; also
-    // rebuilds the active set the fused round sweep relies on.
-    const machine_table& table = *table_;
-    const std::span<state_id> states = fsm_->raw_states();
-    std::fill(active_words_.begin(), active_words_.end(), 0);
-    for (graph::node_id u = 0; u < n; ++u) {
-      const state_id s = states[u];
-      if (table.beeps(s)) {
-        ++beep_counts_[u];
-        set_bit(beep_words_, u);
-      }
-      const std::uint64_t lead = table.leader_flag[s];
-      leader_count_ += lead;
-      leader_words_[u >> 6] |= lead << (u & 63);
-      if (table.bot_identity[s] == 0) set_bit(active_words_, u);
-    }
-  } else if (fsm_ != nullptr) {
-    // Virtual gear on an FSM protocol (fast path disabled or the
-    // machine did not compile): states are fresh (see above), so read
-    // the flags through the machine directly instead of paying the
-    // per-call guard in fsm_protocol::beeping/is_leader.
+    enter_plane_mode();
+    count_beep_words();
+  } else {
+    // Virtual gear: states are fresh (see above), so read the flags
+    // through the machine directly instead of paying the per-call guard
+    // in fsm_protocol::beeping/is_leader.
     const state_machine& machine = fsm_->machine();
     const state_id* const states = fsm_->raw_states().data();
+    leader_count_ = 0;
+    std::fill(beep_words_.begin(), beep_words_.end(), 0);
+    std::fill(leader_words_.begin(), leader_words_.end(), 0);
     for (graph::node_id u = 0; u < n; ++u) {
-      if (machine.beeps(states[u])) {
+      if (machine.beeps(states[u]) && !crashed(u)) {  // a corpse never beeps
         ++beep_counts_[u];
         set_bit(beep_words_, u);
       }
@@ -266,49 +247,38 @@ void engine::refresh_round_state() {
         set_bit(leader_words_, u);
       }
     }
-  } else {
-    // Any other protocol reads out the whole round in one call.
-    leader_count_ = proto_->round_sets(n, beep_words_, leader_words_);
-    for (std::size_t w = 0; w < beep_words_.size(); ++w) {
-      for (std::uint64_t bits = beep_words_[w]; bits != 0; bits &= bits - 1) {
-        ++beep_counts_[(w << 6) +
-                       static_cast<std::size_t>(std::countr_zero(bits))];
-      }
-    }
   }
-  if (fsm_ != nullptr) synced_version_ = fsm_->config_version();
+  synced_version_ = fsm_->config_version();
 }
 
-void engine::rebuild_active_set() {
-  const std::size_t n = n_;
-  const machine_table& table = *table_;
-  const std::span<state_id> states = fsm_->raw_states();
-  std::fill(active_words_.begin(), active_words_.end(), 0);
-  for (graph::node_id u = 0; u < n; ++u) {
-    if (table.bot_identity[states[u]] == 0) set_bit(active_words_, u);
+void engine::count_beep_words() {
+  std::uint64_t* const counts = beep_counts_.data();
+  const std::uint64_t* const beep = beep_words_.data();
+  const std::size_t words = beep_words_.size();
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = beep[w]; bits != 0; bits &= bits - 1) {
+      ++counts[(w << 6) + static_cast<std::size_t>(std::countr_zero(bits))];
+    }
   }
 }
 
 void engine::set_fast_path_enabled(bool enabled) {
-  if (enabled && !fast_enabled_ && table_.has_value()) {
-    // States may have moved under the virtual path while the active
-    // set was not maintained; rebuild it before fast rounds resume.
-    fast_enabled_ = true;
-    rebuild_active_set();
-    return;
-  }
   if (!enabled && config_.giant_mode) {
     throw std::logic_error(
         "beeping::engine: the virtual gear is unavailable under "
         "giant mode");
   }
-  if (!enabled && plane_mode_) {
-    // The virtual path reads the protocol's vector directly; hand the
-    // authority back before leaving plane mode.
-    fsm_->ensure_states_fresh();
-    plane_mode_ = false;
+  if (enabled == fast_enabled_ || !plane_capable_) {
+    fast_enabled_ = enabled;
+    return;
   }
+  // The state authority moves with the gear: the virtual gear reads the
+  // protocol's vector (one unpack on the way out), the plane gear the
+  // planes (one transpose on the way in). The beep and leader words
+  // are current in both gears, so this round's counts stand.
+  fsm_->ensure_states_fresh();
   fast_enabled_ = enabled;
+  if (enabled) enter_plane_mode();
 }
 
 // Dirty-word fold: only words that banked a beep since the last flush
@@ -363,28 +333,46 @@ void engine::flush_pending_ledger() const {
   pending_rounds_ = 0;
 }
 
-// Transposes the state vector into the bit-planes; called when a dense
-// round engages the word-parallel sweep. (The beep, leader and active
-// sets are current in every gear already.)
+// Transposes the protocol's state vector into the bit planes, one word
+// of lanes at a time, and rebuilds the beep, leader and active words
+// from the table: the way into the plane gear after a configuration
+// change or a return from the virtual gear. Crashed lanes keep their
+// beep bit clear (a corpse never beeps).
 void engine::enter_plane_mode() {
   const std::size_t n = n_;
+  const machine_table& table = *table_;
   const state_id* const states = fsm_->raw_states().data();
-  for (std::size_t j = 0; j < plan_.plane_count; ++j) {
-    std::fill(planes_[j].begin(), planes_[j].end(), 0);
-  }
-  for (std::size_t u = 0; u < n; ++u) {
-    const std::uint64_t bit = 1ULL << (u & 63);
-    const state_id s = states[u];
-    for (std::size_t j = 0; j < plan_.plane_count; ++j) {
-      if ((s >> j) & 1U) planes_[j][u >> 6] |= bit;
+  const std::size_t p = plan_.plane_count;
+  leader_count_ = 0;
+  for (std::size_t w = 0; w < beep_words_.size(); ++w) {
+    const std::size_t base = w << 6;
+    const std::size_t in_word = std::min<std::size_t>(64, n - base);
+    std::uint64_t plane_bits[max_planes] = {};
+    std::uint64_t beep = 0;
+    std::uint64_t lead = 0;
+    std::uint64_t act = 0;
+    // Branchless: state ids and flags are data-dependent, so tests
+    // would mispredict on every mixed word.
+    for (std::size_t i = 0; i < in_word; ++i) {
+      const std::uint64_t s = states[base + i];
+      for (std::size_t j = 0; j < p; ++j) plane_bits[j] |= ((s >> j) & 1U) << i;
+      const std::uint64_t meta = table.meta[s];
+      beep |= (meta & machine_table::meta_beep) << i;
+      lead |= ((meta >> 1) & 1U) << i;   // meta_leader
+      act |= ((~meta >> 2) & 1U) << i;   // not meta_bot_identity
     }
+    for (std::size_t j = 0; j < p; ++j) planes_[j][w] = plane_bits[j];
+    if (crashed_count_ != 0) beep &= ~crashed_words_[w];
+    beep_words_[w] = beep;
+    leader_words_[w] = lead;
+    active_words_[w] = act;
+    leader_count_ += static_cast<std::size_t>(std::popcount(lead));
   }
-  plane_mode_ = true;
 }
 
 // Seeds the planes directly from the machine's initial state: every
 // lane starts identical, so each plane/flag word is all-ones (masked
-// by the tail) or all-zeros. O(words) - the pinned giant path never
+// by the tail) or all-zeros. O(words) - a giant engine never
 // materializes a state vector at all.
 void engine::enter_plane_mode_initial() {
   const machine_table& table = *table_;
@@ -401,8 +389,8 @@ void engine::enter_plane_mode_initial() {
   const std::uint8_t meta = table.meta[init];
   if ((meta & machine_table::meta_beep) != 0) {
     fill_all(beep_words_);
-    // Bank the round-0 beeps in the ledger so flushes stay exact even
-    // when counts are tracked under pinning.
+    // Bank the round-0 beeps in the ledger (flushed into the counts
+    // like any plane round's).
     for (std::size_t w = 0; w < words; ++w) {
       if (beep_words_[w] == 0) continue;
       dirty_ledger_words_[w >> 6] |= 1ULL << (w & 63);
@@ -419,8 +407,9 @@ void engine::enter_plane_mode_initial() {
   if ((meta & machine_table::meta_bot_identity) == 0) {
     fill_all(active_words_);
   }
-  plane_mode_ = true;
-  fsm_->mark_states_stale();
+  // A deferred reset left the vector empty; an ordinary reset already
+  // wrote the initial state everywhere, so that cache is fresh.
+  if (config_.giant_mode) fsm_->mark_states_stale();
 }
 
 // The lazy unpack behind fsm_protocol::states(): transposes the
@@ -529,7 +518,7 @@ void engine::class_words(std::uint64_t state_mask,
         "nodes");
   }
   if (words == 0) return;
-  if (plane_mode_) {
+  if (fast_path_active()) {
     // Each member state s decodes as the AND over planes of plane j or
     // its complement, by bit j of s; ids past the plane range cannot
     // occur.
@@ -538,7 +527,7 @@ void engine::class_words(std::uint64_t state_mask,
     std::fill(out.begin(), out.end(), 0);
     for (std::uint64_t m = state_mask; m != 0; m &= m - 1) {
       const auto s = static_cast<std::uint64_t>(std::countr_zero(m));
-      std::uint64_t flip[6];  // 0 keeps plane j, ~0 complements it
+      std::uint64_t flip[max_planes];  // 0 keeps plane j, ~0 complements it
       for (std::size_t j = 0; j < p; ++j) flip[j] = ((s >> j) & 1U) - 1;
       for (std::size_t w = 0; w < words; ++w) {
         std::uint64_t t = ~0ULL;
@@ -609,8 +598,8 @@ void engine::resync_with_protocol() {
   }
   refresh_round_state();
   // Corpses stay crashed through an injected configuration; they are
-  // re-frozen in whatever the new states say (and re-silenced - the
-  // refresh above counted their beeps as if they were alive).
+  // re-frozen in whatever the new states say (the refresh above kept
+  // them silent).
   if (crashed_count_ != 0) refreeze_crashed();
 }
 
@@ -649,7 +638,7 @@ void engine::ensure_fault_buffers() {
 }
 
 state_id engine::current_state_of(graph::node_id u) {
-  if (plane_mode_) {
+  if (fast_path_active()) {
     const std::size_t w = u >> 6;
     const std::uint64_t shift = u & 63;
     state_id s = 0;
@@ -668,7 +657,7 @@ void engine::write_lane_state(graph::node_id u, state_id s, bool frozen) {
   const std::uint64_t bit = 1ULL << (u & 63);
   const bool lead = table.leader_flag[s] != 0;
   const bool act = table.bot_identity[s] == 0;
-  if (plane_mode_) {
+  if (fast_path_active()) {
     const state_id prev = current_state_of(u);
     for (std::size_t j = 0; j < plan_.plane_count; ++j) {
       planes_[j][w] =
@@ -701,17 +690,16 @@ void engine::write_lane_state(graph::node_id u, state_id s, bool frozen) {
   }
 }
 
-bool engine::suppress_current_beep(graph::node_id u) {
+void engine::suppress_current_beep(graph::node_id u) {
   const std::size_t w = u >> 6;
   const std::uint64_t bit = 1ULL << (u & 63);
-  if ((beep_words_[w] & bit) == 0) return false;
+  if ((beep_words_[w] & bit) == 0) return;
   // The current round's contribution may still sit in the ledger
   // sidecar; fold it into the counts first, then take back exactly one
   // (the resync_with_protocol convention).
   flush_pending_ledger();
   beep_words_[w] &= ~bit;
   if (!beep_counts_.empty()) --beep_counts_[u];
-  return true;
 }
 
 void engine::crash_with_state(graph::node_id u, state_id s) {
@@ -812,42 +800,13 @@ void engine::mask_crashed_heard() {
   }
 }
 
-void engine::fixup_crashed_vector() {
-  const machine_table& table = *table_;
+void engine::restore_crashed_states() {
   state_id* const states = fsm_->raw_states().data();
   for (std::size_t w = 0; w < crashed_words_.size(); ++w) {
-    std::uint64_t c = crashed_words_[w];
-    if (c == 0) continue;
-    // Silence first: whatever the rolled-back transition beeped is
-    // taken back (bit + count), making the corpse's net contribution
-    // to this round exactly zero.
-    const std::uint64_t bb = beep_words_[w] & c;
-    if (bb != 0) {
-      beep_words_[w] &= ~bb;
-      std::uint64_t bits = bb;
-      while (bits != 0) {
-        const auto u = static_cast<graph::node_id>(
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
-        bits &= bits - 1;
-        --beep_counts_[u];
-      }
-    }
-    while (c != 0) {
-      const auto offset = static_cast<std::size_t>(std::countr_zero(c));
-      const std::uint64_t bit = c & (~c + 1);
-      c &= c - 1;
-      const auto u = static_cast<graph::node_id>((w << 6) + offset);
-      const state_id frozen = frozen_states_[u];
-      const state_id cur = states[u];
-      if (cur != frozen) {
-        leader_count_ += table.leader_flag[frozen];
-        leader_count_ -= table.leader_flag[cur];
-        states[u] = frozen;
-      }
-      leader_words_[w] =
-          (leader_words_[w] & ~bit) | (table.is_leader(frozen) ? bit : 0);
-      active_words_[w] = (active_words_[w] & ~bit) |
-                         (table.bot_identity[frozen] == 0 ? bit : 0);
+    for (std::uint64_t c = crashed_words_[w]; c != 0; c &= c - 1) {
+      const auto u = static_cast<graph::node_id>(
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(c)));
+      states[u] = frozen_states_[u];
     }
   }
 }
@@ -885,8 +844,8 @@ void engine::fixup_crashed_plane() {
 
 void engine::refreeze_crashed() {
   // refresh_round_state just rebuilt all bookkeeping from the new
-  // configuration (plane mode is off, states are fresh) - counting
-  // crashed lanes as alive; re-snapshot and re-silence them.
+  // configuration (states are fresh, crashed lanes silent);
+  // re-snapshot the corpses.
   const machine_table& table = *table_;
   const state_id* const states = fsm_->raw_states().data();
   crashed_leaders_ = 0;
@@ -910,7 +869,6 @@ void engine::refreeze_crashed() {
         frozen_active_words_[w] = (frozen_active_words_[w] & ~bit) |
                                   (table.bot_identity[s] == 0 ? bit : 0);
       }
-      suppress_current_beep(u);
     }
   }
 }
@@ -987,122 +945,15 @@ void engine::finish_step() {
                       ? machine.delta_top(states[u], rngs_[u])
                       : machine.delta_bot(states[u], rngs_[u]);
     }
+    // Crashed lanes transitioned naturally, keeping the draw sequence
+    // gear-identical; roll them back to their frozen snapshots before
+    // the refresh reads them (it also keeps them silent).
+    if (crashed_count_ != 0) restore_crashed_states();
   } else {
     proto_->step_round(n, heard_words_, rngs_.source());
   }
   ++round_;
   refresh_round_state();
-  // The refresh counted crashed lanes as if alive (their lanes
-  // transitioned naturally, keeping the draw sequence gear-identical);
-  // roll them back to their frozen snapshots before anyone looks.
-  if (crashed_count_ != 0) fixup_crashed_vector();
-  notify_round_observers();
-}
-
-// Table-driven phase 2 fused with the next round's beep/leader refresh:
-// one sweep over heard ∪ active applies the compiled rules to the raw
-// state vector and updates all bookkeeping incrementally. Skipped nodes
-// (silent, bot row a draw-free self-loop) keep their state, contribute
-// no bookkeeping deltas, and - crucially - consume no generator draws,
-// so the sweep is draw-for-draw identical to the full virtual loop.
-// Tiled over word ranges when enough words carry work: every write
-// (states, beep counts, beep/active sets) is word-local, draws come
-// from per-node streams, and the leader count folds from per-slot
-// deltas - modular arithmetic makes the negative deltas exact.
-void engine::finish_step_fast() {
-  const machine_table& table = *table_;
-  state_id* const states = fsm_->raw_states().data();
-  const transition_rule* const rules = table.rules.data();
-  const std::uint8_t* const meta = table.meta.data();
-  std::uint64_t* const beep_counts = beep_counts_.data();
-  const std::uint64_t* const heard = heard_words_.data();
-  std::uint64_t* const beep = beep_words_.data();
-  std::uint64_t* const active = active_words_.data();
-  const std::size_t words = heard_words_.size();
-  // Density gate: per-tile claiming costs a fetch_add plus a barrier,
-  // which a near-empty sweep (late quiet phase) cannot amortize. Count
-  // the populated words first - a read-only scan, so the choice never
-  // changes a draw - and fall back to the inline loop below threshold.
-  constexpr std::size_t kSparseTiledMinWords = 1024;
-  bool tiled = false;
-  if (exec_) {
-    std::size_t populated = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      populated += (heard[w] | active[w]) != 0 ? 1 : 0;
-    }
-    tiled = populated >= kSparseTiledMinWords;
-  }
-  // Every current beeper is in the heard set (it hears itself), so the
-  // new beep set is rebuilt entirely from visited nodes; visited leader
-  // lanes are rebuilt too, while skipped nodes keep their state, hence
-  // their leader and active lanes. Bookkeeping accumulates in locals:
-  // the loop stores into std::uint64_t arrays, which would otherwise
-  // force the member counters back to memory on every iteration (they
-  // may alias under TBAA).
-  std::uint64_t* const leader = leader_words_.data();
-  std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
-  const auto sweep_range = [&](std::size_t slot, std::size_t wb,
-                               std::size_t we) {
-    const support::rng_source rngs = rngs_.source(slot);
-    // Net leader delta for this range; decrements wrap mod 2^64, and
-    // the fold below re-adds every slot's delta, so the sum is exact.
-    std::size_t leaders = 0;
-    for (std::size_t w = wb; w < we; ++w) {
-      const std::uint64_t heard_bits = heard[w];
-      std::uint64_t bits = heard_bits | active[w];
-      std::uint64_t beep_bits = 0;
-      std::uint64_t active_bits = active[w];
-      std::uint64_t leader_bits = leader[w] & ~bits;
-      while (bits != 0) {
-        const auto offset = static_cast<std::size_t>(std::countr_zero(bits));
-        const std::uint64_t mask = bits & (~bits + 1);
-        bits &= bits - 1;
-        const auto u = static_cast<graph::node_id>((w << 6) + offset);
-        const state_id s = states[u];
-        const transition_rule& rule =
-            rules[(static_cast<std::size_t>(s) << 1) |
-                  ((heard_bits & mask) != 0 ? 1U : 0U)];
-        const state_id next = apply_rule(rule, rngs[u]);
-        states[u] = next;
-        // Branchless bookkeeping: wave fronts make beep/identity
-        // branches unpredictable, so fold the flag bits arithmetically.
-        const std::uint64_t next_meta = meta[next];
-        const std::uint64_t is_beep = next_meta & machine_table::meta_beep;
-        leaders += (next_meta >> 1) & 1U;
-        leaders -= (meta[s] >> 1) & 1U;
-        beep_counts[u] += is_beep;
-        beep_bits |= mask & (0 - is_beep);
-        leader_bits |= mask & (0 - ((next_meta >> 1) & 1U));
-        active_bits =
-            (active_bits | mask) ^ (mask & (0 - ((next_meta >> 2) & 1U)));
-      }
-      beep[w] = beep_bits;
-      leader[w] = leader_bits;
-      active[w] = active_bits;
-    }
-    slot_leaders_[slot] += leaders;
-  };
-  if (tiled) {
-    exec_->run_tiles(words, tile_words_, sweep_range);
-    rngs_.sync_all();
-  } else {
-    sweep_range(0, 0, words);
-  }
-  std::size_t leaders = leader_count_;
-  for (std::size_t s = 0; s < slot_leaders_.size(); ++s) {
-    leaders += slot_leaders_[s];
-  }
-  leader_count_ = leaders;
-  namespace tel = support::telemetry;
-  if (tel::compiled_in && telemetry_enabled_ && tel::enabled()) {
-    if (tiled) {
-      ++metrics_.sparse_rounds_tiled;
-    } else {
-      ++metrics_.sparse_rounds_serial;
-    }
-  }
-  if (crashed_count_ != 0) fixup_crashed_vector();
-  ++round_;
   notify_round_observers();
 }
 
@@ -1119,16 +970,15 @@ void engine::set_compiled_width(std::size_t width) {
 // two are draw-for-draw bit-identical; the differential tests enforce
 // it per width) - then the shared fold and epilogue. Every word's
 // update is independent (per-word planes, per-node generator streams),
-// so tiles of consecutive words run on any worker; leader/active
-// counts and dirty-ledger bits accumulate per slot and are folded
+// so tiles of consecutive words run on any worker; leader counts and
+// dirty-ledger bits accumulate per slot and are folded
 // after the barrier (sums and ORs - order never matters). Serial
 // execution is the one-tile special case. No state write-back: the
 // planes stay authoritative and the protocol's vector is unpacked
 // lazily on first outside read (materialize_states).
 void engine::finish_step_plane() {
-  const std::size_t n = n_;
   const std::size_t words = heard_words_.size();
-  std::uint64_t* plane_ptrs[6] = {};
+  std::uint64_t* plane_ptrs[max_planes] = {};
   for (std::size_t j = 0; j < plan_.plane_count; ++j) {
     plane_ptrs[j] = planes_[j].data();
   }
@@ -1151,7 +1001,6 @@ void engine::finish_step_plane() {
       compiled ? compiled_kernel_->sweep[kernel_width_slot(compiled_width_)]
                : interpreted_sweep(plan_.plane_count);
   std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
-  std::fill(slot_active_.begin(), slot_active_.end(), 0);
   const auto sweep_range = [&](std::size_t slot, std::size_t wb,
                                std::size_t we) {
     // Per-tile ctx copy with a slot-local generator source: in
@@ -1159,9 +1008,8 @@ void engine::finish_step_plane() {
     // concurrent tiles never share mutable state.
     plane_ctx tile_ctx = ctx;
     tile_ctx.rngs = rngs_.source(slot);
-    const sweep_result part = sweep(tile_ctx, slot_dirty_[slot].data(), wb, we);
-    slot_leaders_[slot] += part.leaders;
-    slot_active_[slot] += part.active;
+    slot_leaders_[slot] +=
+        sweep(tile_ctx, slot_dirty_[slot].data(), wb, we).leaders;
   };
   if (exec_) {
     exec_->run_tiles(words, tile_words_, sweep_range);
@@ -1174,11 +1022,7 @@ void engine::finish_step_plane() {
     sweep_range(0, 0, words);
   }
   std::size_t leaders = 0;
-  std::size_t active_next = 0;
-  for (std::size_t s = 0; s < slot_leaders_.size(); ++s) {
-    leaders += slot_leaders_[s];
-    active_next += slot_active_[s];
-  }
+  for (const std::size_t part : slot_leaders_) leaders += part;
   for (auto& dirty : slot_dirty_) {
     for (std::size_t d = 0; d < dirty.size(); ++d) {
       dirty_ledger_words_[d] |= dirty[d];
@@ -1192,16 +1036,6 @@ void engine::finish_step_plane() {
   ++plane_rounds_;
   if (compiled) ++compiled_rounds_;
   if (++pending_rounds_ >= 254) flush_pending_ledger();
-  // Hysteresis: when the wave traffic dies down, hand the next rounds
-  // back to the sparse sweep - which reads the protocol's vector, so
-  // the authority moves back with one unpack here (the active set is
-  // maintained in plane rounds, so no rebuild is needed on the way
-  // out). Pinned engines never leave: the sparse gear would need the
-  // O(n) state vector the giant path refuses to materialize.
-  if (!config_.giant_mode && active_next * 8 < n) {
-    plane_mode_ = false;
-    fsm_->ensure_states_fresh();
-  }
   notify_round_observers();
 }
 
@@ -1217,7 +1051,6 @@ void engine::step() {
   const bool tel_on = tel::compiled_in && telemetry_enabled_ && tel::enabled();
   const bool sampled = tel_on && tel::round_sampled(round_);
   const std::uint64_t probe_start = sampled ? tel::now_ns() : 0;
-  const bool was_plane = plane_mode_;
   // Phase 1: a node applies delta_top iff it beeped or a neighbor did.
   // Seed the heard set with the beep set (a beeper always "hears"),
   // then let the gather dispatch pick its kernel: stencil on tagged
@@ -1239,23 +1072,10 @@ void engine::step() {
   }
   // Phase 2: simultaneous transitions (the heard set is frozen above).
   if (fast_path_active()) {
-    if (plane_capable_ && !plane_mode_) {
-      // Engage the word-parallel sweep when the visited set is dense:
-      // per-node iteration overhead then exceeds whole-word routing.
-      std::size_t processed = 0;
-      for (std::size_t w = 0; w < heard_words_.size(); ++w) {
-        processed += static_cast<std::size_t>(
-            std::popcount(heard_words_[w] | active_words_[w]));
-      }
-      if (processed * 4 >= n_) {
-        enter_plane_mode();
-        if (tel_on) ++metrics_.plane_entries;
-      }
-    }
     if (sampled) {
-      // Quiet-word rate: the words the plane sweep would skip wholesale
-      // (no heard or active lane). A read-only scan of already-computed
-      // sets - same answer on every gear.
+      // Quiet-word rate: the words the plane sweep skips wholesale (no
+      // heard or active lane). A read-only scan of already-computed
+      // sets.
       const std::size_t words = heard_words_.size();
       std::uint64_t quiet = 0;
       for (std::size_t w = 0; w < words; ++w) {
@@ -1265,24 +1085,18 @@ void engine::step() {
       metrics_.quiet_words += quiet;
       metrics_.scanned_words += words;
     }
-    if (plane_mode_) {
-      if (tel_on) {
-        if (compiled_kernel_active()) {
-          ++metrics_.rounds_plane_compiled;
-        } else {
-          ++metrics_.rounds_plane_interpreted;
-        }
+    if (tel_on) {
+      if (compiled_kernel_active()) {
+        ++metrics_.rounds_plane_compiled;
+      } else {
+        ++metrics_.rounds_plane_interpreted;
       }
-      finish_step_plane();
-    } else {
-      if (tel_on) ++metrics_.rounds_sparse;
-      finish_step_fast();
     }
+    finish_step_plane();
   } else {
     if (tel_on) ++metrics_.rounds_virtual;
     finish_step();
   }
-  if (tel_on && was_plane && !plane_mode_) ++metrics_.plane_exits;
   if (sampled) {
     const std::uint64_t dur = tel::now_ns() - probe_start;
     metrics_.round_ns.record(dur);
@@ -1375,7 +1189,7 @@ graph::node_id engine::sole_leader() const {
     return static_cast<graph::node_id>(n_);
   }
   // The packed leader set is current in every gear; scanning it never
-  // materializes the O(n) state vector (essential for pinned giant
+  // materializes the O(n) state vector (essential for giant
   // engines).
   for (std::size_t w = 0; w < leader_words_.size(); ++w) {
     if (leader_words_[w] != 0) {
@@ -1412,10 +1226,10 @@ std::uint64_t engine::total_coins_consumed() const noexcept {
 }
 
 engine::plane_state engine::plane_snapshot() {
-  if (!plane_mode_) {
+  if (!fast_path_active()) {
     throw std::logic_error(
         "beeping::engine::plane_snapshot: the planes are only "
-        "authoritative in plane mode");
+        "authoritative in the plane gear");
   }
   plane_state st;
   st.plane_count = plan_.plane_count;
@@ -1437,10 +1251,9 @@ engine::plane_state engine::plane_snapshot() {
 
 void engine::adopt_plane_state(std::uint64_t round, std::size_t leaders,
                                std::uint32_t pending_rounds) {
-  if (!plane_mode_) {
+  if (!fast_path_active()) {
     throw std::logic_error(
-        "beeping::engine::adopt_plane_state: requires plane mode "
-        "(bind with engine_config::giant)");
+        "beeping::engine::adopt_plane_state: requires the plane gear");
   }
   round_ = round;
   leader_count_ = leaders;

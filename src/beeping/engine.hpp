@@ -30,9 +30,9 @@
 // vector and state-class masks are pulls that do their work only when
 // an observer asks.
 //
-// Virtual gear: the path for protocols the engine cannot compile. An
-// fsm_protocol whose machine has no table (or whose fast path is
-// switched off) runs the machine's virtual delta_top/delta_bot per
+// Virtual gear: the path for protocols the plane gear cannot serve. An
+// fsm_protocol whose machine is not plane-capable (or whose fast path
+// is switched off) runs the machine's virtual delta_top/delta_bot per
 // node over the raw state vector. Any other protocol advances a whole
 // round through two calls: protocol::step_round with the packed heard
 // set and the per-node streams, then protocol::round_sets, which
@@ -42,48 +42,42 @@
 // protocols inherit defaults that loop their step/beeping/is_leader
 // in node order. step() and step_reference() share this gear.
 //
-// FSM fast path: when the bound protocol is an fsm_protocol whose
-// machine compiles to a flat table (state_machine::compile_table), the
-// engine runs phase 2 directly over the raw state vector with zero
-// virtual dispatch, fusing the transitions with the next round's
-// beep/leader refresh in one sweep. The sweep only visits nodes that
-// heard a beep or whose delta_bot row is not a draw-free self-loop
-// (tracked in a packed "active" set), so a quiet round on a sparse
-// graph costs O(n/64) + O(active) instead of three virtual calls per
-// node.
-//
-// For machines with at most 64 states the fast path has a second gear:
-// when wave traffic makes the visited set dense (most rounds on paths
-// and grids, where every leader beep floods the graph with relay
-// waves), states are held in ceil(log2(q)) bit-planes and the whole
-// transition function is evaluated with word-parallel set algebra -
-// per-state decode masks route 64 nodes at a time to their successors,
-// and the beep and leader sets fall out as word ORs. While this gear
-// runs, the planes are the *authoritative* state representation: the
-// protocol's uint16 vector is only a cache, marked stale after each
-// plane round and unpacked (one SWAR bit-to-byte transpose) the first
-// time an outside reader calls fsm_protocol::states()/state_of/etc.
-// Rounds nobody observes therefore pay zero state write-back - the
-// write-back used to be ~1/3 of a wave-saturated round. Runs of states
-// whose silent transition is "increment the state id" (the Timeout-BFW
-// patience counter W◦(0..T-1)) are detected at bind time and handled
-// as bit-sliced counters: one ripple-carry add over the planes,
-// restricted to the silent run members, replaces per-state decoding -
-// so Timeout-BFW with large T ticks every waiting follower's patience
-// at 64 nodes per word op instead of falling back to the O(n) sparse
-// sweep. Words whose lanes are all silent and draw-free are skipped
-// wholesale. Only rules that actually draw (e.g. the BFW W-state coin)
-// are visited per node, in ascending node order, so the generator
-// sequence is untouched. The engine switches between the sparse sweep
-// and the plane sweep per round with hysteresis; both are bit-identical
-// to the virtual path - same states, same beep counts, same generator
-// draws - and set_fast_path_enabled(false) forces the virtual
-// reference for differential testing. The engine owns only the plane
-// round's driver (tiling, folds, crash fix-up, ledger flush,
-// hysteresis); the per-word sweep it drives lives beside the beepc
-// kernels in plane_kernel.hpp - the layout from make_plane_plan(), the
-// body from interpreted_sweep(), or a compiled kernel whose structure
-// matches the bound table.
+// Plane gear: when the bound protocol is an fsm_protocol whose machine
+// compiles to a flat table (state_machine::compile_table) of at most
+// 256 states (beeping::plane_capable), states are held in
+// ceil(log2(q)) bit-planes and the whole transition function is
+// evaluated with word-parallel set algebra - per-state decode masks
+// route 64 nodes at a time to their successors, and the beep, leader
+// and active sets fall out as word ORs. The engine enters this gear at
+// bind, seeding the planes in O(words) from the machine's initial state
+// (fsm_protocol::reset puts every lane there), and never leaves it
+// while the fast path is on; restart_from_protocol,
+// resync_with_protocol and set_fast_path_enabled(true) re-enter it
+// through one transpose of the protocol's state vector, which also
+// rebuilds the beep, leader and active words. The planes are the
+// *authoritative* state representation: the protocol's uint16 vector
+// is only a cache, marked stale after each plane round and unpacked
+// (one SWAR bit-to-byte transpose) the first time an outside reader
+// calls fsm_protocol::states()/state_of/etc. Rounds nobody observes
+// therefore pay zero state write-back. Runs of states whose silent
+// transition is "increment the state id" (the Timeout-BFW patience
+// counter W◦(0..T-1)) are detected at bind time and handled as
+// bit-sliced counters: one ripple-carry add over the planes, restricted
+// to the silent run members, replaces per-state decoding - so
+// Timeout-BFW with large T ticks every waiting follower's patience at
+// 64 nodes per word op. Words whose lanes are all silent and draw-free
+// (no heard or active lane) are skipped wholesale. Only rules that
+// actually draw (e.g. the BFW W-state coin) are visited per node, in
+// ascending node order, so the generator sequence is that of the
+// virtual gear - same states, same beep counts, same generator draws -
+// and set_fast_path_enabled(false) forces the virtual gear for
+// differential testing. Machines over 256 states, and big-endian hosts
+// (the transposes write state ids in little-endian byte order), run the
+// virtual gear. The engine owns only the plane round's driver (tiling,
+// folds, crash fix-up, ledger flush); the per-word sweep it drives
+// lives beside the beepc kernels in plane_kernel.hpp - the layout from
+// make_plane_plan(), the body from interpreted_sweep(), or a compiled
+// kernel whose structure matches the bound table.
 //
 // Observer ledger: plane rounds bank per-node beep increments in
 // bit-sliced vertical counters (a ripple-carry add per beeping word)
@@ -96,13 +90,12 @@
 // the whole plane sweep (decode, ripple-carry patience adds, ledger
 // banking) - over word-range tiles on a persistent
 // support::tile_executor. Tiles write only their own words; per-tile
-// partial results (leader/active counts, dirty-ledger bits, word-CSR
+// partial results (leader counts, dirty-ledger bits, word-CSR
 // push scratch) are merged after the barrier with order-independent
 // folds, and per-node generators are disjoint streams, so execution is
 // draw-for-draw bit-identical for every (tile size, thread count) -
-// including the serial default. The sparse sweep and the scalar
-// reference stay single-threaded (they are only chosen when the round
-// is cheap).
+// including the serial default. The virtual gear and the scalar
+// reference stay single-threaded.
 #pragma once
 
 #include <array>
@@ -167,12 +160,12 @@ struct engine_config {
   /// Giant mode: per-node generators as 4-byte lazy draw cursors
   /// (rng_store) in place of the materialized 56-byte-per-node array;
   /// no O(n) beep-count ledger behind the observer API (giant runs
-  /// attach no observers); and the word-parallel plane gear entered at
-  /// round 0 - the planes are seeded straight from the machine's
-  /// initial state, no O(n) state vector is ever materialized (the
-  /// protocol is reset in deferred mode) - and never left. Requires a
-  /// plane-capable fsm_protocol machine whose draw rules are uniform in
-  /// kind (all fair-coin or all bernoulli), and no noise model.
+  /// attach no observers); and no O(n) state vector (the protocol is
+  /// reset in deferred mode, so the planes seeded at bind are the only
+  /// state authority). It refuses the virtual gear, restarts, resyncs
+  /// and faults. Requires a plane-capable fsm_protocol machine whose
+  /// draw rules are uniform in kind (all fair-coin or all bernoulli),
+  /// and no noise model.
   bool giant_mode = false;
   /// Best-effort: interleave the plane arena's pages across all NUMA
   /// nodes (plane_arena::set_numa_interleave) so 2-socket boxes don't
@@ -265,8 +258,8 @@ class engine : private fsm_protocol::lazy_source {
   // gather/noise/adversary stack), and its lane is rolled back after
   // every round's transition sweep - the lane still *transitions
   // naturally* inside each gear so the per-node draw sequences stay
-  // identical across the scalar/virtual/sparse/plane/compiled gears,
-  // then a per-gear epilogue discards the move. An engine with no
+  // identical across the scalar/virtual/plane/compiled gears, then a
+  // per-gear epilogue discards the move. An engine with no
   // crashed nodes, no patch and no hook is draw-for-draw bit-identical
   // to one without the fault surface at all.
 
@@ -394,14 +387,14 @@ class engine : private fsm_protocol::lazy_source {
   [[nodiscard]] support::rng& node_rng(graph::node_id u) { return rngs_[u]; }
 
   /// Forces the generic virtual-dispatch path (`enabled == false`) or
-  /// re-enables the table-driven FSM fast path. Toggling never changes
-  /// any number - both paths are bit-identical - only the speed.
+  /// re-enables the plane gear (one transpose of the state vector).
+  /// Toggling never changes any number - both paths are bit-identical -
+  /// only the speed.
   void set_fast_path_enabled(bool enabled);
-  /// True iff rounds currently run through the compiled table: the
-  /// protocol is an fsm_protocol, its machine compiled, and the path
-  /// has not been disabled.
+  /// True iff rounds currently run in the plane gear: the machine is
+  /// plane-capable and the fast path has not been disabled.
   [[nodiscard]] bool fast_path_active() const noexcept {
-    return fast_enabled_ && table_.has_value();
+    return fast_enabled_ && plane_capable_;
   }
 
   /// Pins one heard-gather kernel (graph::gather_kernel::auto_select
@@ -424,12 +417,11 @@ class engine : private fsm_protocol::lazy_source {
   /// tile_words == 0 picks the tuned default: a one-shot micro-probe
   /// (support::autotuned_tile_words, cached per process) contests the
   /// whole-range even split against L2-sized tiles. Applies to the
-  /// stencil/word-CSR/packed gather kernels, the reception-noise pass,
-  /// the sparse fused sweep (above a density threshold) and the plane
-  /// sweep - the full round loop; never changes any number - every
-  /// (threads, tile_words) point is draw-for-draw bit-identical to the
-  /// serial engine, lazy-cursor giant engines included. Callable
-  /// between rounds at any time.
+  /// stencil/word-CSR/packed gather kernels, the reception-noise pass
+  /// and the plane sweep - the full round loop; never changes any
+  /// number - every (threads, tile_words) point is draw-for-draw
+  /// bit-identical to the serial engine, lazy-cursor giant engines
+  /// included. Callable between rounds at any time.
   void set_parallelism(std::size_t threads, std::size_t tile_words = 0);
   [[nodiscard]] std::size_t parallel_threads() const noexcept {
     return exec_ ? exec_->thread_count() : 1;
@@ -449,12 +441,12 @@ class engine : private fsm_protocol::lazy_source {
   void distribute_plane_pages();
 
   /// True iff the machine is eligible for the word-parallel plane gear
-  /// (compiled table, <= 64 states, little-endian host).
+  /// (beeping::plane_capable: compiled table, <= 256 states,
+  /// little-endian host).
   [[nodiscard]] bool plane_capable() const noexcept { return plane_capable_; }
   /// Rounds executed by the plane gear so far (introspection for tests
-  /// and benchmarks; e.g. Timeout-BFW with T > 3 must report all but
-  /// the first rounds here instead of falling back to the sparse
-  /// sweep).
+  /// and benchmarks; a plane-capable engine with the fast path on
+  /// reports every round here).
   [[nodiscard]] std::uint64_t plane_rounds() const noexcept {
     return plane_rounds_;
   }
@@ -504,17 +496,17 @@ class engine : private fsm_protocol::lazy_source {
   /// support::telemetry::fold_engine_metrics at trial boundaries.
   [[nodiscard]] support::telemetry::engine_metrics telemetry_metrics() const;
 
-  // --- streaming checkpoint surface (plane-pinned engines) ---------
+  // --- streaming checkpoint surface (plane-gear engines) -----------
 
   /// Everything a single-trial checkpoint must capture besides the RNG
   /// cursors: mutable word spans over the live plane-mode buffers (a
   /// writer serializes them in this section order; a resume decodes
   /// straight into them) plus the scalar round bookkeeping. Requires
-  /// plane mode (std::logic_error otherwise - the planes are only
+  /// the plane gear (std::logic_error otherwise - the planes are only
   /// authoritative there).
   struct plane_state {
     std::size_t plane_count = 0;
-    std::array<std::span<std::uint64_t>, 6> planes;
+    std::array<std::span<std::uint64_t>, max_planes> planes;
     std::span<std::uint64_t> beep;
     std::span<std::uint64_t> active;
     std::span<std::uint64_t> leader;
@@ -529,7 +521,7 @@ class engine : private fsm_protocol::lazy_source {
   /// Adopts buffer contents a resume decoded into plane_snapshot()
   /// spans, plus the scalar bookkeeping, as the current configuration.
   /// The protocol's state cache is marked stale (the planes stay
-  /// authoritative). Requires plane mode.
+  /// authoritative). Requires the plane gear.
   void adopt_plane_state(std::uint64_t round, std::size_t leaders,
                          std::uint32_t pending_rounds);
 
@@ -549,13 +541,17 @@ class engine : private fsm_protocol::lazy_source {
   void refresh_round_state();
   void apply_noise();
   void finish_step();
-  void finish_step_fast();
   void finish_step_plane();
+  /// Transposes the protocol's (fresh) state vector into the planes and
+  /// rebuilds the beep, leader and active words and the leader count;
+  /// crashed lanes stay silent. Counts no beeps.
   void enter_plane_mode();
-  /// Pinned-mode round-0 entry: seeds the planes and the beep/active/
-  /// leader sets straight from the machine's initial state - all-equal
-  /// lanes, so this is O(words), never O(n).
+  /// Bind-time entry: seeds the planes and the beep/active/leader sets
+  /// straight from the machine's initial state - all-equal lanes, so
+  /// this is O(words), never O(n).
   void enter_plane_mode_initial();
+  /// Adds the current beep set to the per-node counts.
+  void count_beep_words();
   /// fsm_protocol::lazy_source: unpacks the authoritative planes into
   /// the protocol's state vector (SWAR bit-to-byte transpose) - the
   /// on-demand replacement for the deleted per-round write-back.
@@ -572,7 +568,6 @@ class engine : private fsm_protocol::lazy_source {
     }
     return count;
   }
-  void rebuild_active_set();
   void notify_round_observers();
   void check_in_sync() const;
   // --- fault-surface internals -------------------------------------
@@ -581,7 +576,7 @@ class engine : private fsm_protocol::lazy_source {
   /// Lazily sizes the crashed set and frozen snapshots (first fault).
   void ensure_fault_buffers();
   /// Node u's state in the authoritative representation (planes in
-  /// plane mode, the FSM vector otherwise).
+  /// the plane gear, the FSM vector otherwise).
   [[nodiscard]] state_id current_state_of(graph::node_id u);
   /// Shared body of fault_crash/fault_crash_as.
   void crash_with_state(graph::node_id u, state_id s);
@@ -590,13 +585,12 @@ class engine : private fsm_protocol::lazy_source {
   /// and (when `frozen`) the frozen snapshots. Does not touch beep
   /// bits - callers handle the current round's beep contribution.
   void write_lane_state(graph::node_id u, state_id s, bool frozen);
-  /// Suppresses node u's current-round beep (clear bit + un-count);
-  /// returns whether a beep was actually suppressed.
-  bool suppress_current_beep(graph::node_id u);
-  /// Restores every crashed lane after a vector-gear round: state back
-  /// to frozen, beep silenced/un-counted, leader count and active bit
-  /// refit to the frozen state.
-  void fixup_crashed_vector();
+  /// Suppresses node u's current-round beep (clear bit + un-count),
+  /// if it beeps.
+  void suppress_current_beep(graph::node_id u);
+  /// Rolls every crashed lane of the state vector back to its frozen
+  /// state after a virtual-gear transition, before the refresh.
+  void restore_crashed_states();
   /// Same for a plane-gear round: plane/leader/active lanes restored
   /// from the frozen words, beep bits cleared with a ripple-borrow
   /// subtract un-banking the ledger add.
@@ -612,11 +606,11 @@ class engine : private fsm_protocol::lazy_source {
   graph::topology_view view_;
   std::size_t n_ = 0;
   protocol* proto_;
-  // config_.giant_mode pins plane mode: never exit to the O(n) sparse
-  // sweep, never materialize the state vector.
+  // config_.giant_mode: lazy cursors, no count ledger, never
+  // materialize the state vector.
   engine_config config_;
-  // Non-null iff the bound protocol is an fsm_protocol; paired with the
-  // compiled table this enables the devirtualized round sweep.
+  // Non-null iff the bound protocol is an fsm_protocol; paired with a
+  // plane-capable compiled table this enables the plane gear.
   fsm_protocol* fsm_ = nullptr;
   std::optional<machine_table> table_;
   bool fast_enabled_ = true;
@@ -643,29 +637,26 @@ class engine : private fsm_protocol::lazy_source {
   std::unique_ptr<support::tile_executor> exec_;
   std::size_t tile_words_ = 0;
   std::vector<std::size_t> slot_leaders_;
-  std::vector<std::size_t> slot_active_;
   std::vector<std::vector<std::uint64_t>> slot_dirty_;
-  // Fast path only: bit u set iff the bot row of u's current state is
+  // Plane gear only: bit u set iff the bot row of u's current state is
   // not a draw-free self-loop - i.e. u can change state (or consume a
-  // draw) even in a silent round. Quiet-phase sweeps visit only
-  // heard ∪ active nodes (the plane sweep skips whole quiet words).
-  // Maintained by both the sparse and the plane rounds.
+  // draw) even in a silent round. The plane sweep skips words with no
+  // heard or active lane.
   support::word_buffer active_words_;
   // Packed leader set, kept current by every gear: the refresh, the
-  // sparse and plane sweeps and the crash fix-ups all write it. Plane
-  // rounds skip quiet words, which keep their (unchanged) leader lanes;
-  // observers read it through round_view::leader_words.
+  // plane sweep and the crash fix-ups all write it. Plane rounds skip
+  // quiet words, which keep their (unchanged) leader lanes; observers
+  // read it through round_view::leader_words.
   support::word_buffer leader_words_;
-  // Plane mode (machines with <= 64 states): bit j of node u's state
-  // id lives in planes_[j]; valid only while plane_mode_ is set - the
-  // protocol's state vector is rewritten every plane round, so it is
-  // never stale for outside readers.
-  std::array<support::word_buffer, 6> planes_;
+  // Plane gear (machines with <= 256 states): bit j of node u's state
+  // id lives in planes_[j]; authoritative while fast_path_active() -
+  // the protocol's state vector is then a cache, stale after every
+  // plane round until the next outside read unpacks it.
+  std::array<support::word_buffer, max_planes> planes_;
   // Plane count and bit-sliced-counter runs of the bound table
   // (make_plane_plan); empty unless plane-capable.
   plane_plan plan_;
   bool plane_capable_ = false;
-  bool plane_mode_ = false;
   std::uint64_t plane_rounds_ = 0;
   // Bind-time structure match against the beepc kernel registry;
   // nullptr = no compiled kernel for this machine (interpreted gear
@@ -701,7 +692,7 @@ class engine : private fsm_protocol::lazy_source {
   std::size_t crashed_count_ = 0;
   std::size_t crashed_leaders_ = 0;
   std::vector<state_id> frozen_states_;
-  std::array<std::vector<std::uint64_t>, 6> frozen_planes_;
+  std::array<std::vector<std::uint64_t>, max_planes> frozen_planes_;
   std::vector<std::uint64_t> frozen_leader_words_;
   std::vector<std::uint64_t> frozen_active_words_;
   // Dynamic-topology overlay (shared with gather_) + adversary hook.

@@ -17,7 +17,7 @@ std::vector<std::unique_ptr<compiled_kernel>>& registry() {
   return kernels;
 }
 
-// Word-parallel phase 2 for machines with <= 64 states: per word,
+// Word-parallel phase 2 for machines with <= 256 states: per word,
 // decode a membership mask for every state, split it by the heard
 // plane, and route each part to its successor's mask with pure word
 // ops. Bit-sliced-counter runs (Timeout-BFW patience) bypass per-state
@@ -51,7 +51,6 @@ sweep_result interpreted_sweep_impl(const plane_ctx& ctx,
   std::uint64_t* const* const ledger = ctx.ledger;
   const support::rng_source rngs = ctx.rngs;
   std::size_t leaders = 0;
-  std::size_t active_next = 0;
   for (std::size_t w = wb; w < we; ++w) {
     const std::uint64_t valid = (w + 1 == words) ? tail_mask : ~0ULL;
     const std::uint64_t h = heard[w];
@@ -60,14 +59,13 @@ sweep_result interpreted_sweep_impl(const plane_ctx& ctx,
       // Fully quiet word: every lane is silent (so beep[w] is already
       // 0 - a beeper always hears itself) and sits in a draw-free bot
       // self-loop. Nothing moves, beeps, or draws; the stored leader
-      // and active lanes still count.
+      // lanes still count.
       leaders += static_cast<std::size_t>(std::popcount(leader[w]));
-      active_next += static_cast<std::size_t>(std::popcount(act));
       continue;
     }
     std::uint64_t b[P];
     for (std::size_t j = 0; j < P; ++j) b[j] = plane[j][w];
-    std::uint64_t moved[64];  // moved[t]: nodes whose successor is t
+    std::uint64_t moved[1 << P];  // moved[t]: nodes whose successor is t
     for (std::size_t t = 0; t < q; ++t) moved[t] = 0;
     // Stochastic parts are deferred so their draws happen jointly in
     // ascending node order, interleaved exactly as the scalar loop.
@@ -75,7 +73,8 @@ sweep_result interpreted_sweep_impl(const plane_ctx& ctx,
       const transition_rule* rule;
       std::uint64_t part;
     };
-    std::array<pending_draw, 128> draws;  // <= 2 per state + 1 per run
+    // <= 2 per state + 1 per run (runs span >= 4 states).
+    std::array<pending_draw, (2 << P) + (1 << P) / 4> draws;
     std::size_t draw_rules = 0;
     std::uint64_t draw_union = 0;
     // Bit-sliced comparison of the plane-encoded state ids against a
@@ -215,7 +214,6 @@ sweep_result interpreted_sweep_impl(const plane_ctx& ctx,
     leader[w] = leader_bits;
     active[w] = active_bits;
     leaders += static_cast<std::size_t>(std::popcount(leader_bits));
-    active_next += static_cast<std::size_t>(std::popcount(active_bits));
     // Ledger: bank this round's +1s with one ripple-carry add into the
     // vertical counters (counts stay < 255: flushed in time), and mark
     // the word dirty (in the slot's scratch bitset - tiles may share a
@@ -230,7 +228,7 @@ sweep_result interpreted_sweep_impl(const plane_ctx& ctx,
       }
     }
   }
-  return {leaders, active_next};
+  return {leaders};
 }
 
 }  // namespace
@@ -271,6 +269,11 @@ plane_plan make_plane_plan(const machine_table& table) {
   return plan;
 }
 
+bool plane_capable(const machine_table& table) noexcept {
+  return table.state_count() <= (std::size_t{1} << max_planes) &&
+         std::endian::native == std::endian::little;
+}
+
 sweep_fn interpreted_sweep(std::size_t plane_count) {
   switch (plane_count) {
     case 1:
@@ -283,8 +286,12 @@ sweep_fn interpreted_sweep(std::size_t plane_count) {
       return &interpreted_sweep_impl<4>;
     case 5:
       return &interpreted_sweep_impl<5>;
-    default:
+    case 6:
       return &interpreted_sweep_impl<6>;
+    case 7:
+      return &interpreted_sweep_impl<7>;
+    default:
+      return &interpreted_sweep_impl<8>;
   }
 }
 

@@ -51,10 +51,19 @@ struct kernel_chain {
   std::uint8_t meta = 0;  ///< uniform machine_table::meta byte
 };
 
+/// The most planes a plane sweep carries: 8 planes cover 256 states.
+inline constexpr std::size_t max_planes = 8;
+
+/// Whether `table` can run the plane sweep: at most 2^max_planes
+/// states, on a little-endian host (the engine's SWAR transposes write
+/// state ids in little-endian byte order). The one place the cap is
+/// decided; every other machine runs the virtual gear.
+[[nodiscard]] bool plane_capable(const machine_table& table) noexcept;
+
 /// How a machine table lives in bit-planes: bit j of a node's state id
 /// sits in plane j, and the counting runs tick as bit-sliced counters.
 struct plane_plan {
-  std::size_t plane_count = 0;  ///< ceil(log2(state_count)), >= 1
+  std::size_t plane_count = 0;  ///< ceil(log2(state_count)), 1..max_planes
   std::vector<kernel_chain> chains;
   /// Per state: 1 iff a chain covers it (the per-state decode skips it).
   std::vector<std::uint8_t> chain_member;
@@ -94,7 +103,6 @@ struct plane_ctx {
 /// Per-tile partial results, folded by the caller (order-independent).
 struct sweep_result {
   std::size_t leaders = 0;
-  std::size_t active = 0;
 };
 
 /// Sweep over words [wb, we): the beeping engine's plane round
@@ -105,9 +113,9 @@ using sweep_fn = sweep_result (*)(const plane_ctx&, std::uint64_t* dirty,
                                   std::size_t wb, std::size_t we);
 
 /// The interpreted plane round over words [wb, we), specialized on the
-/// plane count (1..6): the reference every compiled kernel is held to
-/// and the sweep for tables no kernel serves. Reads ctx.table and
-/// ctx.plan.
+/// plane count (1..max_planes): the reference every compiled kernel is
+/// held to and the sweep for tables no kernel serves. Reads ctx.table
+/// and ctx.plan.
 [[nodiscard]] sweep_fn interpreted_sweep(std::size_t plane_count);
 
 /// Width variants a kernel carries: W words per vector op.

@@ -1,10 +1,10 @@
 // Giant single-trial runner: one election on a 10^8-10^9-node implicit
-// topology, streamed through the pinned plane gear with checkpointing.
+// topology, streamed through the plane gear with checkpointing.
 //
 // What makes a trial "giant" is that nothing O(n) beyond the planes
 // may exist: the topology is an implicit view (no adjacency), the
 // engine runs engine_config::giant() (lazy 4-byte RNG cursors, no
-// beep-count ledger vector, planes pinned from round 0 with no state
+// beep-count ledger vector, planes seeded at bind with no state
 // vector ever materialized), and all word storage lives in the
 // engine's mmap plane arena. Budget: ~17 words of planes/sets/ledgers
 // per 64 nodes (~2.1 bytes/node) plus the 4-byte cursor per node.

@@ -45,10 +45,10 @@ engine::engine(graph::topology_view view, const automaton& machine,
             "disagree with the automaton");
       }
     }
-    // The bit-sliced plane round covers 64 states (6 planes); a larger
-    // or uncompiled machine simply keeps the generic census path.
+    // A machine the plane round cannot serve (uncompiled, or beyond
+    // beeping::plane_capable) simply keeps the generic census path.
     const auto table = bm->compile_table();
-    if (table.has_value() && table->state_count() <= 64) {
+    if (table.has_value() && beeping::plane_capable(*table)) {
       plane_ = std::make_unique<plane_delegate>(view_, *bm, seed);
       return;
     }

@@ -66,10 +66,11 @@ class automaton {
 /// and transitions on the clipped census of the *current* round's
 /// displayed symbols (double-buffered, like the beeping engine).
 ///
-/// Fast path (automaton::beep_machine, compiled table of <= 64
-/// states): with any threshold b >= 1 the clipped census entry for
-/// `beep` is positive iff some neighbor displays it, so a round is
-/// exactly one beeping-model round of the disguised machine. The
+/// Fast path (automaton::beep_machine whose compiled table is
+/// beeping::plane_capable, i.e. <= 256 states): with any threshold
+/// b >= 1 the clipped census entry for `beep` is positive iff some
+/// neighbor displays it, so a round is exactly one beeping-model round
+/// of the disguised machine. The
 /// engine therefore binds a beeping::fsm_protocol over that machine and
 /// a beeping::engine on the same view and seed (node u draws from the
 /// same stream in both engines) and forwards every fast-path call to

@@ -147,11 +147,8 @@ using metric_map = std::map<std::string, T, std::less<>>;
 // Name suffixes registry::fold_engine writes under an engine prefix.
 enum fold_counter : std::size_t {
   fc_rounds_virtual,
-  fc_rounds_sparse,
   fc_rounds_plane_interpreted,
   fc_rounds_plane_compiled,
-  fc_plane_entries,
-  fc_plane_exits,
   fc_materializations,
   fc_quiet_words,
   fc_scanned_words,
@@ -160,8 +157,6 @@ enum fold_counter : std::size_t {
   fc_fault_patched_words,
   fc_noise_passes_tiled,
   fc_noise_passes_serial,
-  fc_sparse_rounds_tiled,
-  fc_sparse_rounds_serial,
   fc_tile_claims,
   fc_tile_claimed_words,
   fc_trials,
@@ -169,11 +164,8 @@ enum fold_counter : std::size_t {
 };
 constexpr std::array<std::string_view, fc_count> kCounterSuffixes = {
     "_rounds_virtual_total",
-    "_rounds_sparse_total",
     "_rounds_plane_interpreted_total",
     "_rounds_plane_compiled_total",
-    "_plane_entries_total",
-    "_plane_exits_total",
     "_materializations_total",
     "_quiet_words_sampled_total",
     "_scanned_words_sampled_total",
@@ -182,8 +174,6 @@ constexpr std::array<std::string_view, fc_count> kCounterSuffixes = {
     "_fault_patched_words_total",
     "_noise_passes_tiled_total",
     "_noise_passes_serial_total",
-    "_sparse_rounds_tiled_total",
-    "_sparse_rounds_serial_total",
     "_tile_claims_total",
     "_tile_claimed_words_total",
     "_trials_total",
@@ -390,11 +380,8 @@ void registry::fold_engine(const engine_metrics& m, std::string_view prefix,
   };
   if (fold_metrics) {
     add(fc_rounds_virtual, m.rounds_virtual);
-    add(fc_rounds_sparse, m.rounds_sparse);
     add(fc_rounds_plane_interpreted, m.rounds_plane_interpreted);
     add(fc_rounds_plane_compiled, m.rounds_plane_compiled);
-    add(fc_plane_entries, m.plane_entries);
-    add(fc_plane_exits, m.plane_exits);
     add(fc_materializations, m.materializations);
     add(fc_quiet_words, m.quiet_words);
     add(fc_scanned_words, m.scanned_words);
@@ -406,10 +393,6 @@ void registry::fold_engine(const engine_metrics& m, std::string_view prefix,
     if (m.noise_passes_tiled + m.noise_passes_serial != 0) {
       add(fc_noise_passes_tiled, m.noise_passes_tiled);
       add(fc_noise_passes_serial, m.noise_passes_serial);
-    }
-    if (m.sparse_rounds_tiled + m.sparse_rounds_serial != 0) {
-      add(fc_sparse_rounds_tiled, m.sparse_rounds_tiled);
-      add(fc_sparse_rounds_serial, m.sparse_rounds_serial);
     }
     if (m.round_ns.count() != 0) {
       keys.histograms(s.histograms, fh_round_ns).merge(m.round_ns);

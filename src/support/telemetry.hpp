@@ -109,12 +109,8 @@ class log2_histogram {
 struct engine_metrics {
   // Gear selection: one bump per round, by the dispatch branch taken.
   std::uint64_t rounds_virtual = 0;
-  std::uint64_t rounds_sparse = 0;
   std::uint64_t rounds_plane_interpreted = 0;
   std::uint64_t rounds_plane_compiled = 0;
-  // Hysteresis transitions (plane-mode entry/exit).
-  std::uint64_t plane_entries = 0;
-  std::uint64_t plane_exits = 0;
   // Lazy plane materializations (write-backs to the FSM state vector).
   std::uint64_t materializations = 0;
   // Sampled-round quiet-word scan: words with no heard/active bit set
@@ -129,15 +125,12 @@ struct engine_metrics {
   // attached topology patch charged per gather (0 = no churn).
   std::uint64_t faults_applied = 0;
   std::uint64_t fault_patched_words = 0;
-  // Per-pass execution shape of the two formerly-serial per-node
-  // loops: a pass counts as tiled when it went through the tile
-  // executor, serial when it ran inline (no executor, or the sparse
-  // density threshold chose the serial loop). tiled + serial = passes
-  // run, so "zero serial remnants" is checkable per trial.
+  // Execution shape of the reception-noise pass: tiled when it went
+  // through the tile executor, serial when it ran inline (no
+  // executor). tiled + serial = passes run, so "zero serial remnants"
+  // is checkable per trial.
   std::uint64_t noise_passes_tiled = 0;
   std::uint64_t noise_passes_serial = 0;
-  std::uint64_t sparse_rounds_tiled = 0;
-  std::uint64_t sparse_rounds_serial = 0;
   // Tile-claim totals from tile_executor, filled at fold time.
   std::uint64_t tile_claims = 0;
   std::uint64_t tile_claimed_words = 0;
@@ -146,8 +139,7 @@ struct engine_metrics {
   double tile_imbalance = 0.0;
 
   [[nodiscard]] std::uint64_t rounds_total() const noexcept {
-    return rounds_virtual + rounds_sparse + rounds_plane_interpreted +
-           rounds_plane_compiled;
+    return rounds_virtual + rounds_plane_interpreted + rounds_plane_compiled;
   }
   void reset() noexcept { *this = engine_metrics{}; }
 };

@@ -344,18 +344,19 @@ struct word_audit final : observer {
 TEST(EngineTest, ViewWordsInGears) {
   // The view's beep, leader and class words must be exact in every
   // gear, with and without crashes and restarts between rounds.
-  // Timeout-BFW with T = 60 has 65 states, too many for planes, so it
-  // runs the sparse sweep throughout.
-  enum class gear { virtual_path, sparse, interpreted_plane, compiled_plane };
+  // Timeout-BFW with T = 60 has 65 states, so it runs the interpreted
+  // sweep on 7 planes.
+  enum class gear { virtual_path, seven_planes, interpreted_plane,
+                    compiled_plane };
   const core::bfw_machine bfw(0.5);
-  const core::timeout_bfw_machine no_planes(0.5, 60);
+  const core::timeout_bfw_machine wide(0.5, 60);
   const auto g = graph::make_grid(9, 15);  // 135 nodes: three words
-  for (const gear kind : {gear::virtual_path, gear::sparse,
+  for (const gear kind : {gear::virtual_path, gear::seven_planes,
                           gear::interpreted_plane, gear::compiled_plane}) {
     for (const bool faults : {false, true}) {
       const state_machine& machine =
-          kind == gear::sparse ? static_cast<const state_machine&>(no_planes)
-                               : bfw;
+          kind == gear::seven_planes ? static_cast<const state_machine&>(wide)
+                                     : bfw;
       fsm_protocol proto(machine);
       engine sim(g, proto, 41);
       if (kind == gear::virtual_path) sim.set_fast_path_enabled(false);
@@ -392,9 +393,10 @@ TEST(EngineTest, ViewWordsInGears) {
         case gear::virtual_path:
           EXPECT_FALSE(sim.fast_path_active());
           break;
-        case gear::sparse:
-          EXPECT_TRUE(sim.fast_path_active());
-          EXPECT_FALSE(sim.plane_capable());
+        case gear::seven_planes:
+          EXPECT_EQ(sim.plane_snapshot().plane_count, 7U);
+          EXPECT_EQ(sim.plane_rounds(), 120U);
+          EXPECT_FALSE(sim.compiled_kernel_active());
           break;
         case gear::interpreted_plane:
           EXPECT_GT(sim.plane_rounds(), 0U);

@@ -1,7 +1,7 @@
 // Differential tests for the devirtualized FSM fast path: the
-// table-driven engine rounds (sparse fused sweep AND the word-parallel
-// plane sweep) must be bit-identical to the generic virtual-dispatch
-// path on every (graph, machine, seed, noise) combination - same state
+// word-parallel plane sweep (interpreted and compiled) must be
+// bit-identical to the generic virtual-dispatch path on every
+// (graph, machine, seed, noise) combination - same state
 // trajectories, same beep counts, same leader counts, and the same
 // generator draws (pinned by comparing the next raw output of every
 // per-node stream). Word-boundary sizes {63, 64, 65, 128} exercise the
@@ -107,15 +107,33 @@ TEST(FastPathDifferentialTest, BfwWithReceptionNoise) {
 }
 
 TEST(FastPathDifferentialTest, TimeoutBfwLargeStateCount) {
-  // 5 + T states: T = 6 stays within plane mode (8 states), T = 40
-  // exceeds it, covering the sparse-sweep-only tier.
-  for (const std::uint32_t timeout : {6U, 40U}) {
+  // 5 + T states: T = 6 fills 3 planes, T = 40 takes 6, T = 60 (65
+  // states) 7 and T = 251 (256 states) all 8.
+  for (const std::uint32_t timeout : {6U, 40U, 60U, 251U}) {
     const core::timeout_bfw_machine machine(0.5, timeout);
     expect_fast_matches_virtual(graph::make_path(65), machine, 5, 300, {},
                                 "timeout" + std::to_string(timeout));
     expect_fast_matches_virtual(graph::make_grid(8, 16), machine, 5, 300, {},
                                 "timeout-grid" + std::to_string(timeout));
   }
+  // T = 252 (257 states) is past the plane cap: with the fast path on,
+  // the engine runs the virtual gear, step for step with the scalar
+  // reference.
+  const core::timeout_bfw_machine wide(0.5, 252);
+  const auto g = graph::make_path(65);
+  fsm_protocol proto(wide);
+  fsm_protocol ref_proto(wide);
+  engine sim(g, proto, 5);
+  engine ref(g, ref_proto, 5);
+  ASSERT_FALSE(sim.plane_capable());
+  ASSERT_FALSE(sim.fast_path_active());
+  for (int round = 0; round < 300; ++round) {
+    sim.step();
+    ref.step_reference();
+    ASSERT_EQ(proto.states(), ref_proto.states()) << "round " << round;
+  }
+  EXPECT_EQ(sim.plane_rounds(), 0U);
+  EXPECT_EQ(sim.total_coins_consumed(), ref.total_coins_consumed());
 }
 
 TEST(FastPathDifferentialTest, BwAblationReachesExtinctionIdentically) {

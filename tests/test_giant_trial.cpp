@@ -303,7 +303,7 @@ TEST(GiantTrial, GiantConfigMatchesOrdinaryEngine) {
 
   // ...and the giant bundle refuses what it cannot serve: a noise model
   // (noise streams stay dense), a machine mixing coin and bernoulli
-  // draws (a 4-byte cursor replays one kind), and more than 64 states
+  // draws (a 4-byte cursor replays one kind), and more than 256 states
   // (no plane gear).
   const auto giant_engine = [&view](const beeping::state_machine& machine,
                                     const beeping::noise_model& noise) {
@@ -316,8 +316,8 @@ TEST(GiantTrial, GiantConfigMatchesOrdinaryEngine) {
   mixed.set_heard(0, beeping::transition_rule::bernoulli_draw(0.3, 1, 0));
   const auto mixed_machine = core::make_protocol(mixed);
   EXPECT_THROW(giant_engine(*mixed_machine, {}), std::invalid_argument);
-  const core::timeout_bfw_machine wide(0.5, 60);
-  ASSERT_GT(wide.state_count(), 64U);
+  const core::timeout_bfw_machine wide(0.5, 252);
+  ASSERT_GT(wide.state_count(), 256U);
   EXPECT_THROW(giant_engine(wide, {}), std::invalid_argument);
 }
 

@@ -235,8 +235,8 @@ TEST(ElectionOptionsTest, DefaultHorizonDerivedWhenUnset) {
 }
 
 TEST(ElectionOptionsTest, GearSelectionIsBitIdentical) {
-  // All four gear selections (compiled / interpreted plane / sparse
-  // virtual off, fast path off) produce the same election transcript.
+  // All three gear selections (compiled plane, interpreted plane,
+  // virtual) produce the same election transcript.
   const auto g = graph::make_grid(6, 6);
   const core::bfw_machine machine(0.5);
   core::election_options base;

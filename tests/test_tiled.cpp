@@ -197,10 +197,11 @@ TEST(TiledEngineBitIdentityTest, AllConfigsMatchSerialOnAllTopologies) {
 TEST(TiledEngineBitIdentityTest, TimeoutBfwRippleCarryTiledMatchesSerial) {
   // The bit-sliced patience counters advance via ripple-carry adds -
   // the seam-sensitive kernel. T = 9 runs the compiled chain kernel;
-  // T = 7 (12 states) has none, so it drives the interpreted sweep
-  // through the same tiled plane driver. The run must also actually be
-  // in the plane gear, not the sparse fallback.
-  for (const std::uint32_t timeout : {9U, 7U}) {
+  // T = 7 (12 states), T = 60 (65 states, 7 planes) and T = 251 (256
+  // states, 8 planes) have none, so they drive the interpreted sweep
+  // through the same tiled plane driver. Every round must run in the
+  // plane gear.
+  for (const std::uint32_t timeout : {9U, 7U, 60U, 251U}) {
     const core::timeout_bfw_machine machine(0.5, timeout);
     for (const auto& shape :
          {graph_case{"path65", graph::make_path(65)},
@@ -215,11 +216,13 @@ TEST(TiledEngineBitIdentityTest, TimeoutBfwRippleCarryTiledMatchesSerial) {
         fsm_protocol tiled_proto(machine);
         engine serial(shape.g, serial_proto, 11);
         engine tiled(shape.g, tiled_proto, 11);
-        if (timeout == 7) ASSERT_FALSE(tiled.compiled_kernel_active()) << label;
+        if (timeout != 9) {
+          ASSERT_FALSE(tiled.compiled_kernel_active()) << label;
+        }
         tiled.set_parallelism(cfg.threads, cfg.tile_words);
         serial.run_rounds(60);
         tiled.run_rounds(60);
-        ASSERT_GT(tiled.plane_rounds(), 0U) << label;
+        ASSERT_EQ(tiled.plane_rounds(), 60U) << label;
         ASSERT_EQ(tiled.plane_rounds(), serial.plane_rounds()) << label;
         ASSERT_EQ(tiled_proto.states(), serial_proto.states()) << label;
         ASSERT_EQ(tiled.total_coins_consumed(), serial.total_coins_consumed())
@@ -288,55 +291,6 @@ TEST(TiledEngineBitIdentityTest, NoisePassReportsTiledExecution) {
     const auto& metrics = sim.telemetry_metrics();
     EXPECT_EQ(metrics.noise_passes_tiled, 20U);
     EXPECT_EQ(metrics.noise_passes_serial, 0U);
-  }
-}
-
-TEST(TiledEngineBitIdentityTest, SparseSweepTiledAboveDensityThreshold) {
-  // A 65-state machine is beyond the 6-plane gear, so every fast-path
-  // round is the sparse fused sweep; at 2^17 nodes (2048 words, all
-  // active from round 0) the populated-word count clears the tiled
-  // threshold. The tiled sweep must match the serial engine
-  // draw-for-draw and report tiled execution (zero serial sparse
-  // rounds).
-  const core::timeout_bfw_machine machine(0.5, 60);
-  ASSERT_GT(machine.state_count(), 64U);
-  const auto g = graph::make_path(std::size_t{1} << 17);
-  for (const tile_config& cfg :
-       {tile_config{2, 0}, tile_config{8, 4096}, tile_config{3, 1}}) {
-    fsm_protocol serial_proto(machine);
-    fsm_protocol tiled_proto(machine);
-    engine serial(g, serial_proto, 23);
-    engine tiled(g, tiled_proto, 23);
-    tiled.set_parallelism(cfg.threads, cfg.tile_words);
-    ASSERT_TRUE(tiled.fast_path_active());
-    serial.run_rounds(8);
-    tiled.run_rounds(8);
-    ASSERT_EQ(tiled.plane_rounds(), 0U);  // sparse gear, never the planes
-    ASSERT_EQ(tiled_proto.states(), serial_proto.states())
-        << "threads=" << cfg.threads << " tile=" << cfg.tile_words;
-    ASSERT_EQ(tiled.leader_count(), serial.leader_count());
-    ASSERT_EQ(tiled.total_coins_consumed(), serial.total_coins_consumed());
-    if (support::telemetry::compiled_in) {
-      const auto& metrics = tiled.telemetry_metrics();
-      EXPECT_EQ(metrics.sparse_rounds_tiled, 8U);
-      EXPECT_EQ(metrics.sparse_rounds_serial, 0U);
-    }
-  }
-}
-
-TEST(TiledEngineBitIdentityTest, SparseSweepFallsBackBelowThreshold) {
-  // A 128-node instance is 2 words - far under the density gate - so
-  // the sparse rounds run the inline loop even with an executor
-  // attached, and the telemetry says so.
-  const core::timeout_bfw_machine machine(0.5, 60);
-  fsm_protocol proto(machine);
-  engine sim(graph::make_path(128), proto, 23);
-  sim.set_parallelism(4, 1);
-  sim.run_rounds(10);
-  if (support::telemetry::compiled_in) {
-    const auto& metrics = sim.telemetry_metrics();
-    EXPECT_EQ(metrics.sparse_rounds_tiled, 0U);
-    EXPECT_EQ(metrics.sparse_rounds_serial, 10U);
   }
 }
 
@@ -571,13 +525,13 @@ TEST(LazyStateTest, TiledPlaneRoundsAlsoSkipWriteBacks) {
   EXPECT_EQ(proto.materialization_count(), 0U);
 }
 
-/// A beeping machine with more than 64 states embedded in the
-/// stone-age model (Timeout-BFW T = 60 has 65 states): the bit-sliced
+/// A beeping machine with more than 256 states embedded in the
+/// stone-age model (Timeout-BFW T = 252 has 257 states): the bit-sliced
 /// plane fast path cannot serve it, so the engine must fall back to
 /// the generic census path instead of refusing to construct.
 class wide_stone_automaton final : public stoneage::automaton {
  public:
-  wide_stone_automaton() : machine_(0.5, 60) {}
+  wide_stone_automaton() : machine_(0.5, 252) {}
 
   [[nodiscard]] std::size_t state_count() const override {
     return machine_.state_count();
@@ -615,7 +569,7 @@ class wide_stone_automaton final : public stoneage::automaton {
 
 TEST(TiledStoneAgeTest, Over64StateMachineFallsBackToCensusPath) {
   const wide_stone_automaton automaton;
-  ASSERT_GT(automaton.state_count(), 64U);
+  ASSERT_GT(automaton.state_count(), 256U);
   const auto g = graph::make_grid(4, 4);
   stoneage::engine sim(g, automaton, 1, 3);  // must not throw
   EXPECT_FALSE(sim.fast_path_active());
