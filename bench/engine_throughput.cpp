@@ -25,7 +25,9 @@
 // reads nothing, BM_WaveTrackerOnPath the Section-5 wave tracker on its
 // two-leader path, and BM_BfwWithInvariantChecker the Section-3
 // checker. BM_IdBroadcastOn* and BM_CliqueLotteryOnComplete price the
-// Table 1 baselines' rounds.
+// Table 1 baselines' rounds. BM_BfwTrialOn* price whole paper-size
+// trials (bind, layouts, the run loop and the trial fold), the fixed
+// costs a per-round row never sees.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -39,6 +41,7 @@
 #include "core/adversarial.hpp"
 #include "core/bfw.hpp"
 #include "core/bfw_stoneage.hpp"
+#include "core/convergence.hpp"
 #include "core/invariants.hpp"
 #include "core/timeout_bfw.hpp"
 #include "graph/algorithms.hpp"
@@ -640,6 +643,38 @@ void BM_FullElection(benchmark::State& state) {
 BENCHMARK(BM_FullElection)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
+// Whole paper-size trials: core::run_election from bind to the election
+// round on one shared graph, as a sweep cell runs them. The seed
+// advances per iteration through a fixed cycle of 256 seeds, so the
+// mean trial length converges to the same value for every build and
+// iteration count. rounds/s is the run loop's rate inside the trials.
+void run_bfw_trials(benchmark::State& state, const graph::graph& g) {
+  const core::bfw_machine machine(0.5);
+  std::uint64_t iteration = 0;
+  std::uint64_t rounds = 0;
+  for (auto _ : state) {
+    const auto outcome =
+        core::run_election(g, machine, 1 + (iteration++ & 255), {});
+    rounds += outcome.rounds;
+    benchmark::DoNotOptimize(outcome.leader);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["rounds/s"] = benchmark::Counter(
+      static_cast<double>(rounds), benchmark::Counter::kIsRate);
+}
+
+void BM_BfwTrialOnPath(benchmark::State& state) {
+  run_bfw_trials(state,
+                 graph::make_path(static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_BfwTrialOnPath)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+void BM_BfwTrialOnComplete(benchmark::State& state) {
+  run_bfw_trials(
+      state, graph::make_complete(static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_BfwTrialOnComplete)->Arg(64)->Unit(benchmark::kMicrosecond);
+
 // Per-trial bind at the paper's sizes: each iteration constructs and
 // destroys machine, fsm_protocol and engine, as every sweep trial does.
 // The threads:4 row binds on four threads at once, so allocator costs
@@ -695,18 +730,20 @@ void BM_RunTrials(benchmark::State& state) {
 BENCHMARK(BM_RunTrials)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Telemetry overhead rows: the identical dense-grid stepping loop with
-// probes in their default production configuration (runtime-enabled,
-// sampled every 64th round) vs runtime-disabled. The contract is that
-// On stays within noise of Off (<2%); tools/throughput_compare renders
-// the advisory ratio when both rows are present in a report.
-void run_bfw_rounds_telemetry(benchmark::State& state, bool probes_on) {
+// Telemetry overhead rows: the identical stepping loop with probes in
+// their default production configuration (runtime-enabled, sampled
+// every 64th round) vs runtime-disabled. The contract is that On stays
+// within noise of Off (<2%); tools/throughput_compare renders the
+// advisory ratio when both rows are present in a report. The plain
+// rows step a dense grid(64x64); the /64 rows step path(64), a
+// paper-size one-word round where a per-round probe would show most.
+void run_bfw_rounds_telemetry(benchmark::State& state, bool probes_on,
+                              const graph::graph& g) {
   namespace tel = support::telemetry;
   const bool saved_enabled = tel::enabled();
   const std::uint64_t saved_stride = tel::round_sample_stride();
   tel::set_enabled(probes_on);
   tel::set_round_sample_stride(64);
-  const auto g = graph::make_grid(64, 64);
   const core::bfw_machine machine(0.5);
   beeping::fsm_protocol proto(machine);
   beeping::engine sim(g, proto, 42);
@@ -722,14 +759,26 @@ void run_bfw_rounds_telemetry(benchmark::State& state, bool probes_on) {
 }
 
 void BM_TelemetryProbesOn(benchmark::State& state) {
-  run_bfw_rounds_telemetry(state, true);
+  run_bfw_rounds_telemetry(state, true, graph::make_grid(64, 64));
 }
 BENCHMARK(BM_TelemetryProbesOn);
 
 void BM_TelemetryProbesOff(benchmark::State& state) {
-  run_bfw_rounds_telemetry(state, false);
+  run_bfw_rounds_telemetry(state, false, graph::make_grid(64, 64));
 }
 BENCHMARK(BM_TelemetryProbesOff);
+
+void BM_TelemetryProbesOnPath(benchmark::State& state) {
+  run_bfw_rounds_telemetry(
+      state, true, graph::make_path(static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_TelemetryProbesOnPath)->Name("BM_TelemetryProbesOn")->Arg(64);
+
+void BM_TelemetryProbesOffPath(benchmark::State& state) {
+  run_bfw_rounds_telemetry(
+      state, false, graph::make_path(static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_TelemetryProbesOffPath)->Name("BM_TelemetryProbesOff")->Arg(64);
 
 }  // namespace
 

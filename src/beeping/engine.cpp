@@ -145,8 +145,6 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
     fsm_->bind_lazy_source(this);
   }
   dirty_ledger_words_ = arena_.alloc_words(word_count(words));
-  slot_leaders_.assign(1, 0);
-  slot_dirty_.assign(1, std::vector<std::uint64_t>(dirty_ledger_words_.size(), 0));
   if (fast_path_active()) {
     // The reset put every lane in the initial state.
     enter_plane_mode_initial();
@@ -154,6 +152,7 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   } else {
     refresh_round_state();
   }
+  bind_plane_round();
 }
 
 engine::~engine() {
@@ -179,9 +178,10 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
     gather_.set_executor(nullptr, 0);
     tile_words_ = tile_words;
     rngs_.set_slots(1);
-    slot_leaders_.assign(1, 0);
-    slot_dirty_.assign(
-        1, std::vector<std::uint64_t>(dirty_ledger_words_.size(), 0));
+    // Serial rounds write the ledger bits and the leader count directly.
+    slot_leaders_.clear();
+    slot_dirty_.clear();
+    bind_plane_round();
     return;
   }
   if (!exec_ || exec_->thread_count() != resolved) {
@@ -201,6 +201,7 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
   slot_leaders_.assign(resolved, 0);
   slot_dirty_.assign(
       resolved, std::vector<std::uint64_t>(dirty_ledger_words_.size(), 0));
+  bind_plane_round();
 }
 
 void engine::distribute_plane_pages() {
@@ -279,6 +280,7 @@ void engine::set_fast_path_enabled(bool enabled) {
   fsm_->ensure_states_fresh();
   fast_enabled_ = enabled;
   if (enabled) enter_plane_mode();
+  bind_plane_round();
 }
 
 // Dirty-word fold: only words that banked a beep since the last flush
@@ -559,6 +561,7 @@ void engine::restart_from_protocol() {
         "giant mode (the planes are the only state authority)");
   }
   round_ = 0;
+  round_base_ = 0;
   // Per-run introspection restarts with the configuration: plane/kernel
   // round counts, the last-used gather kernel, the telemetry scratch
   // and the crashed set all describe the run that ended here, not the
@@ -574,6 +577,7 @@ void engine::restart_from_protocol() {
   std::fill(dirty_ledger_words_.begin(), dirty_ledger_words_.end(), 0);
   pending_rounds_ = 0;
   refresh_round_state();
+  bind_plane_round();
   notify_round_observers();
 }
 
@@ -597,6 +601,7 @@ void engine::resync_with_protocol() {
     }
   }
   refresh_round_state();
+  bind_plane_round();
   // Corpses stay crashed through an injected configuration; they are
   // re-frozen in whatever the new states say (the refresh above kept
   // them silent).
@@ -910,14 +915,6 @@ void engine::apply_noise() {
   } else {
     noise_range(0, 0, words);
   }
-  namespace tel = support::telemetry;
-  if (tel::compiled_in && telemetry_enabled_ && tel::enabled()) {
-    if (exec_) {
-      ++metrics_.noise_passes_tiled;
-    } else {
-      ++metrics_.noise_passes_serial;
-    }
-  }
 }
 
 void engine::notify_round_observers() {
@@ -963,64 +960,65 @@ void engine::set_compiled_width(std::size_t width) {
         "beeping::engine::set_compiled_width: width must be 1, 2, 4 or 8");
   }
   compiled_width_ = width;
+  bind_plane_round();
 }
 
-// The plane round: one sweep over word-range tiles - the matched beepc
+// Binds everything a plane round reads: the word, plane and ledger
+// pointers (arena buffers, stable for the engine's life), the rules,
+// plan and tail mask, and the sweep entry point - the matched beepc
 // kernel at the configured width, else the interpreted reference (the
 // two are draw-for-draw bit-identical; the differential tests enforce
-// it per width) - then the shared fold and epilogue. Every word's
-// update is independent (per-word planes, per-node generator streams),
-// so tiles of consecutive words run on any worker; leader counts and
-// dirty-ledger bits accumulate per slot and are folded
-// after the barrier (sums and ORs - order never matters). Serial
-// execution is the one-tile special case. No state write-back: the
-// planes stay authoritative and the protocol's vector is unpacked
-// lazily on first outside read (materialize_states).
-void engine::finish_step_plane() {
-  const std::size_t words = heard_words_.size();
-  std::uint64_t* plane_ptrs[max_planes] = {};
+// it per width). Runs at bind and in every setter that changes one of
+// them, so a round reads one ready context.
+void engine::bind_plane_round() noexcept {
+  if (!plane_capable_) return;
   for (std::size_t j = 0; j < plan_.plane_count; ++j) {
-    plane_ptrs[j] = planes_[j].data();
+    plane_ptrs_[j] = planes_[j].data();
   }
-  std::uint64_t* ledger_ptrs[8];
-  for (std::size_t j = 0; j < 8; ++j) ledger_ptrs[j] = ledger_planes_[j].data();
-  plane_ctx ctx;
-  ctx.heard = heard_words_.data();
-  ctx.beep = beep_words_.data();
-  ctx.active = active_words_.data();
-  ctx.leader = leader_words_.data();
-  ctx.planes = plane_ptrs;
-  ctx.ledger = ledger_ptrs;
-  ctx.rules = table_->rules.data();
-  ctx.table = &*table_;
-  ctx.plan = &plan_;
-  ctx.tail_mask = tail_mask_;
-  ctx.words = words;
-  const bool compiled = compiled_kernel_active();
-  const sweep_fn sweep =
-      compiled ? compiled_kernel_->sweep[kernel_width_slot(compiled_width_)]
+  for (std::size_t j = 0; j < 8; ++j) {
+    ledger_ptrs_[j] = ledger_planes_[j].data();
+  }
+  plane_ctx_.heard = heard_words_.data();
+  plane_ctx_.beep = beep_words_.data();
+  plane_ctx_.active = active_words_.data();
+  plane_ctx_.leader = leader_words_.data();
+  plane_ctx_.planes = plane_ptrs_.data();
+  plane_ctx_.ledger = ledger_ptrs_.data();
+  plane_ctx_.rngs = rngs_.source();
+  plane_ctx_.rules = table_->rules.data();
+  plane_ctx_.table = &*table_;
+  plane_ctx_.plan = &plan_;
+  plane_ctx_.tail_mask = tail_mask_;
+  plane_ctx_.words = heard_words_.size();
+  sweep_compiled_ = compiled_kernel_active();
+  sweep_ = sweep_compiled_
+               ? compiled_kernel_->sweep[kernel_width_slot(compiled_width_)]
                : interpreted_sweep(plan_.plane_count);
+}
+
+// The tiled plane sweep: every word's update is independent (per-word
+// planes, per-node generator streams), so tiles of consecutive words
+// run on any worker; leader counts and dirty-ledger bits accumulate per
+// slot and are folded after the barrier (sums and ORs - order never
+// matters). Returns the leader count.
+std::size_t engine::sweep_tiled() {
   std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
-  const auto sweep_range = [&](std::size_t slot, std::size_t wb,
-                               std::size_t we) {
-    // Per-tile ctx copy with a slot-local generator source: in
-    // lazy-cursor mode each slot owns a scratch generator, so
-    // concurrent tiles never share mutable state.
-    plane_ctx tile_ctx = ctx;
-    tile_ctx.rngs = rngs_.source(slot);
-    slot_leaders_[slot] +=
-        sweep(tile_ctx, slot_dirty_[slot].data(), wb, we).leaders;
-  };
-  if (exec_) {
-    exec_->run_tiles(words, tile_words_, sweep_range);
-    // Tile->slot assignment is dynamic, so a stream's cursor may sit
-    // cached in any slot's scratch generator; flush them all before
-    // the next round (or a checkpoint) reads streams. No-op in dense
-    // mode.
-    rngs_.sync_all();
-  } else {
-    sweep_range(0, 0, words);
-  }
+  exec_->run_tiles(plane_ctx_.words, tile_words_,
+                   [&](std::size_t slot, std::size_t wb, std::size_t we) {
+                     // Per-tile ctx copy with a slot-local generator
+                     // source: in lazy-cursor mode each slot owns a
+                     // scratch generator, so concurrent tiles never
+                     // share mutable state.
+                     plane_ctx tile_ctx = plane_ctx_;
+                     tile_ctx.rngs = rngs_.source(slot);
+                     slot_leaders_[slot] +=
+                         sweep_(tile_ctx, slot_dirty_[slot].data(), wb, we)
+                             .leaders;
+                   });
+  // Tile->slot assignment is dynamic, so a stream's cursor may sit
+  // cached in any slot's scratch generator; flush them all before the
+  // next round (or a checkpoint) reads streams. No-op in dense mode.
+  rngs_.sync_all();
   std::size_t leaders = 0;
   for (const std::size_t part : slot_leaders_) leaders += part;
   for (auto& dirty : slot_dirty_) {
@@ -1029,28 +1027,53 @@ void engine::finish_step_plane() {
       dirty[d] = 0;
     }
   }
-  leader_count_ = leaders;
-  if (crashed_count_ != 0) fixup_crashed_plane();
-  fsm_->mark_states_stale();
-  ++round_;
-  ++plane_rounds_;
-  if (compiled) ++compiled_rounds_;
-  if (++pending_rounds_ >= 254) flush_pending_ledger();
-  notify_round_observers();
+  return leaders;
 }
 
-void engine::step() {
-  check_in_sync();
-  // Telemetry probes: counter bumps every round when enabled, clock
-  // reads / quiet-word scans / trace spans only on sampled rounds.
-  // Probes never touch the RNG streams or the sweep's iteration order
-  // (the differential tests pin probes-on == probes-off draw for draw),
-  // and tel_on is constant-false when BEEPKIT_TELEMETRY is OFF, so the
-  // whole block folds away.
+engine::call_knobs engine::read_call_knobs() const {
   namespace tel = support::telemetry;
-  const bool tel_on = tel::compiled_in && telemetry_enabled_ && tel::enabled();
-  const bool sampled = tel_on && tel::round_sampled(round_);
-  const std::uint64_t probe_start = sampled ? tel::now_ns() : 0;
+  call_knobs k;
+  k.plane = fast_path_active();
+  k.tel_on = tel::compiled_in && telemetry_enabled_ && tel::enabled();
+  k.stride = k.tel_on ? tel::round_sample_stride() : 0;
+  if (k.stride != 0) {
+    // The first round r >= round_ with r % stride == 0; later samples
+    // follow every stride rounds (round_ advances by one per round).
+    const std::uint64_t into = round_ % k.stride;
+    k.next_sample = into == 0 ? round_ : round_ + (k.stride - into);
+  }
+  k.noise = noise_.enabled();
+  k.hook = static_cast<bool>(heard_hook_);
+  k.crashed = crashed_count_ != 0;
+  k.patch = patch_ != nullptr;
+  k.observers = !observers_.empty();
+  return k;
+}
+
+// One synchronous round transition (t -> t+1) under the call's knobs:
+// the one round body, inlined into step() and both run loops.
+//
+// Telemetry probes: clock reads, quiet-word scans and trace spans run
+// only on sampled rounds; the gear counters are derived from the round
+// counts (telemetry_metrics), so an unsampled round pays no probe at
+// all. Probes never touch the RNG streams or the sweep's iteration
+// order (the differential tests pin probes-on == probes-off draw for
+// draw), and tel_on is constant-false when BEEPKIT_TELEMETRY is OFF.
+//
+// Plane rounds: one sweep over the bound context - serially straight
+// into the dirty-ledger bitset and the leader count, or over word-range
+// tiles (sweep_tiled) - then the crash fix-up and the ledger cadence.
+// No state write-back: the planes stay authoritative and the
+// protocol's vector is unpacked lazily on first outside read
+// (materialize_states).
+[[gnu::always_inline]] inline void engine::run_round(call_knobs& k) {
+  namespace tel = support::telemetry;
+  const bool sampled = round_ == k.next_sample;
+  std::uint64_t probe_start = 0;
+  if (sampled) {
+    k.next_sample += k.stride;
+    probe_start = tel::now_ns();
+  }
   // Phase 1: a node applies delta_top iff it beeped or a neighbor did.
   // Seed the heard set with the beep set (a beeper always "hears"),
   // then let the gather dispatch pick its kernel: stencil on tagged
@@ -1059,19 +1082,22 @@ void engine::step() {
   // choice never affects results.
   std::copy(beep_words_.begin(), beep_words_.end(), heard_words_.begin());
   gather_(beep_words_, heard_words_);
-  if (noise_.enabled()) {
+  if (k.noise) {
     apply_noise();
+    if (k.tel_on) {
+      ++(exec_ ? metrics_.noise_passes_tiled : metrics_.noise_passes_serial);
+    }
   }
   // Fault stack, in fixed order: the adversary gets the final say on
   // perception (after noise), then crashed nodes are masked deaf -
   // the hook cannot wake the dead.
-  if (heard_hook_) heard_hook_(round_, beep_words_, heard_words_);
-  if (crashed_count_ != 0) mask_crashed_heard();
-  if (tel_on && patch_ != nullptr) {
+  if (k.hook) heard_hook_(round_, beep_words_, heard_words_);
+  if (k.crashed) mask_crashed_heard();
+  if (k.tel_on && k.patch) {
     metrics_.fault_patched_words += patch_->patched_words();
   }
   // Phase 2: simultaneous transitions (the heard set is frozen above).
-  if (fast_path_active()) {
+  if (k.plane) {
     if (sampled) {
       // Quiet-word rate: the words the plane sweep skips wholesale (no
       // heard or active lane). A read-only scan of already-computed
@@ -1085,16 +1111,19 @@ void engine::step() {
       metrics_.quiet_words += quiet;
       metrics_.scanned_words += words;
     }
-    if (tel_on) {
-      if (compiled_kernel_active()) {
-        ++metrics_.rounds_plane_compiled;
-      } else {
-        ++metrics_.rounds_plane_interpreted;
-      }
-    }
-    finish_step_plane();
+    leader_count_ =
+        exec_ ? sweep_tiled()
+              : sweep_(plane_ctx_, dirty_ledger_words_.data(), 0,
+                       plane_ctx_.words)
+                    .leaders;
+    if (k.crashed) fixup_crashed_plane();
+    fsm_->mark_states_stale();
+    ++round_;
+    ++plane_rounds_;
+    if (sweep_compiled_) ++compiled_rounds_;
+    if (++pending_rounds_ >= 254) flush_pending_ledger();
+    if (k.observers) notify_round_observers();
   } else {
-    if (tel_on) ++metrics_.rounds_virtual;
     finish_step();
   }
   if (sampled) {
@@ -1105,6 +1134,12 @@ void engine::step() {
       tel::trace_complete("round", "engine", probe_start, dur);
     }
   }
+}
+
+void engine::step() {
+  check_in_sync();
+  call_knobs knobs = read_call_knobs();
+  run_round(knobs);
 }
 
 void engine::step_reference() {
@@ -1167,42 +1202,52 @@ void engine::step_reference() {
 
 run_result engine::run_until_single_leader(std::uint64_t max_rounds) {
   check_in_sync();
-  while (round_ < max_rounds) {
-    // Both absorbing cases stop the run for leader-monotone protocols;
-    // only exactly-one-alive-leader counts as a successful election (a
-    // leader frozen inside the crashed set leads nobody; with no
-    // faults alive == total, the historical predicate).
-    if (alive_leader_count() <= 1) break;
-    step();
+  call_knobs knobs = read_call_knobs();
+  // Both absorbing cases stop the run for leader-monotone protocols;
+  // only exactly-one-alive-leader counts as a successful election (a
+  // leader frozen inside the crashed set leads nobody; with no faults
+  // alive == total, the historical predicate).
+  while (round_ < max_rounds && alive_leader_count() > 1) {
+    run_round(knobs);
   }
   return {round_, alive_leader_count() == 1, alive_leader_count()};
 }
 
 void engine::run_rounds(std::uint64_t count) {
-  for (std::uint64_t i = 0; i < count; ++i) {
-    step();
-  }
+  check_in_sync();
+  call_knobs knobs = read_call_knobs();
+  for (std::uint64_t i = 0; i < count; ++i) run_round(knobs);
 }
 
 graph::node_id engine::sole_leader() const {
-  if (leader_count_ != 1) {
+  if (alive_leader_count() != 1) {
     return static_cast<graph::node_id>(n_);
   }
   // The packed leader set is current in every gear; scanning it never
   // materializes the O(n) state vector (essential for giant
-  // engines).
+  // engines). Corpses frozen in a leader state are masked out.
   for (std::size_t w = 0; w < leader_words_.size(); ++w) {
-    if (leader_words_[w] != 0) {
+    std::uint64_t alive = leader_words_[w];
+    if (crashed_count_ != 0) alive &= ~crashed_words_[w];
+    if (alive != 0) {
       return static_cast<graph::node_id>(
-          (w << 6) +
-          static_cast<std::size_t>(std::countr_zero(leader_words_[w])));
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(alive)));
     }
   }
   return static_cast<graph::node_id>(n_);
 }
 
 support::telemetry::engine_metrics engine::telemetry_metrics() const {
+  namespace tel = support::telemetry;
   support::telemetry::engine_metrics m = metrics_;
+  // The gear counters are derived, not bumped per round: every round
+  // this engine ran is a plane round (compiled or interpreted) or a
+  // virtual one.
+  if (tel::compiled_in && telemetry_enabled_) {
+    m.rounds_plane_compiled = compiled_rounds_;
+    m.rounds_plane_interpreted = plane_rounds_ - compiled_rounds_;
+    m.rounds_virtual = round_ - round_base_ - plane_rounds_;
+  }
   if (fsm_ != nullptr) m.materializations = fsm_->materialization_count();
   if (exec_) {
     const auto claims = exec_->claim_counts();
@@ -1255,6 +1300,8 @@ void engine::adopt_plane_state(std::uint64_t round, std::size_t leaders,
     throw std::logic_error(
         "beeping::engine::adopt_plane_state: requires the plane gear");
   }
+  // A resumed engine reports only the rounds it runs itself.
+  round_base_ += round - round_;
   round_ = round;
   leader_count_ = leaders;
   pending_rounds_ = pending_rounds;

@@ -21,7 +21,22 @@
 // computes the same set, so the choice never affects results;
 // `step_reference()` keeps the original scalar byte-array path alive
 // for differential tests and benchmarks, and `set_gather_kernel` pins
-// one kernel for debugging.
+// one kernel for debugging. The word-CSR and packed rows are owned by
+// the graph (graph::word_layout), built once per graph and borrowed by
+// every engine bound to it - a per-trial engine never rebuilds them.
+//
+// One round body: step(), run_rounds() and run_until_single_leader()
+// execute the same inline round. What can change only between calls -
+// the telemetry knobs and sample stride, observers, noise, the
+// adversary hook, the crashed set, the patch overlay, the gear - is
+// read once per call; what a plane round reads (the plane_ctx of word,
+// plane and ledger pointers, rules, plan and tail mask; the sweep entry
+// point; serial vs tiled) is bound at construction and rebound only by
+// the setters that change it (set_parallelism, set_compiled_width,
+// set_compiled_kernel_enabled, set_fast_path_enabled, restart/resync).
+// A serial plane round therefore costs its gather and its sweep, which
+// writes the dirty-ledger bits and the leader count directly; the
+// per-slot scratch and its fold exist only for tiled rounds.
 //
 // Observers read the packed sets directly (beeping::round_view): the
 // engine keeps the beep set and the leader set current as words in
@@ -210,7 +225,8 @@ class engine : private fsm_protocol::lazy_source {
   /// round 0). Not owned; must outlive the engine.
   void add_observer(observer* obs);
 
-  /// Executes one synchronous round transition (round t -> t+1).
+  /// Executes one synchronous round transition (round t -> t+1): the
+  /// one-round case of the round body the run loops execute.
   void step();
 
   /// The pre-bit-packing scalar implementation of `step()`: per-node
@@ -342,7 +358,9 @@ class engine : private fsm_protocol::lazy_source {
   [[nodiscard]] std::size_t leader_count() const noexcept {
     return leader_count_;
   }
-  /// The unique leader if leader_count()==1; node_count() otherwise.
+  /// The unique alive leader if alive_leader_count()==1 (corpses frozen
+  /// in a leader state are skipped); node_count() otherwise. With no
+  /// crashed node this is the unique leader of leader_count()==1.
   [[nodiscard]] graph::node_id sole_leader() const;
 
   /// N_beep_t(u): beeps of u up to and including the current round.
@@ -457,6 +475,7 @@ class engine : private fsm_protocol::lazy_source {
   /// interpreted gear - only the speed.
   void set_compiled_kernel_enabled(bool enabled) noexcept {
     compiled_enabled_ = enabled;
+    bind_plane_round();
   }
   /// True iff plane rounds currently dispatch to a compiled kernel: the
   /// bound table's structure matched a registered kernel and the kernel
@@ -483,8 +502,11 @@ class engine : private fsm_protocol::lazy_source {
   }
 
   /// Telemetry: engine-local probe toggle, ANDed with the global
-  /// support::telemetry switches. Probes never read RNG streams or
-  /// alter iteration order, so toggling never changes a number.
+  /// support::telemetry switches. Both are read once per step()/run_*
+  /// call (as is the sample stride), so a change takes effect at the
+  /// next call, not in the middle of a run. Probes never read RNG
+  /// streams or alter iteration order, so toggling never changes a
+  /// number.
   void set_telemetry_enabled(bool enabled) noexcept {
     telemetry_enabled_ = enabled;
   }
@@ -492,7 +514,11 @@ class engine : private fsm_protocol::lazy_source {
     return telemetry_enabled_;
   }
   /// Snapshot of the per-engine probe scratch with tile-claim totals
-  /// and materialization counts folded in. Callers hand this to
+  /// and materialization counts folded in. The gear counters
+  /// (rounds_plane_compiled / _interpreted / rounds_virtual) are
+  /// derived here from compiled_rounds(), plane_rounds() and the rounds
+  /// this engine ran - no round bumps them - and read zero while the
+  /// engine-local toggle is off. Callers hand this to
   /// support::telemetry::fold_engine_metrics at trial boundaries.
   [[nodiscard]] support::telemetry::engine_metrics telemetry_metrics() const;
 
@@ -538,10 +564,34 @@ class engine : private fsm_protocol::lazy_source {
  private:
   friend struct round_view;  // the pulls read the ledger and states
 
+  /// What a run can change only between calls, read once per
+  /// step()/run_rounds()/run_until_single_leader() call.
+  struct call_knobs {
+    bool plane = false;   // fast_path_active()
+    bool tel_on = false;  // compiled in, engine toggle and global switch
+    std::uint64_t stride = 0;  // sample stride; 0 = no sampled round
+    // The next sampled round (round % stride == 0), advanced by
+    // run_round - no per-round division.
+    std::uint64_t next_sample = ~std::uint64_t{0};
+    bool noise = false;
+    bool hook = false;
+    bool crashed = false;
+    bool patch = false;
+    bool observers = false;
+  };
+  [[nodiscard]] call_knobs read_call_knobs() const;
+  /// The round body (t -> t+1) shared by step() and the run loops.
+  void run_round(call_knobs& knobs);
+  /// Rebinds plane_ctx_ and sweep_ (no-op unless plane-capable).
+  void bind_plane_round() noexcept;
+  /// The plane sweep over word-range tiles plus its slot fold; returns
+  /// the leader count.
+  [[nodiscard]] std::size_t sweep_tiled();
   void refresh_round_state();
   void apply_noise();
+  /// The virtual gear's transition and bookkeeping, shared by the
+  /// round body and step_reference().
   void finish_step();
-  void finish_step_plane();
   /// Transposes the protocol's (fresh) state vector into the planes and
   /// rebuilds the beep, leader and active words and the leader count;
   /// crashed lanes stay silent. Counts no beeps.
@@ -636,7 +686,7 @@ class engine : private fsm_protocol::lazy_source {
   // merged after each tiled sweep (order-independent folds only).
   std::unique_ptr<support::tile_executor> exec_;
   std::size_t tile_words_ = 0;
-  std::vector<std::size_t> slot_leaders_;
+  std::vector<std::size_t> slot_leaders_;  // empty while serial
   std::vector<std::vector<std::uint64_t>> slot_dirty_;
   // Plane gear only: bit u set iff the bot row of u's current state is
   // not a draw-free self-loop - i.e. u can change state (or consume a
@@ -666,6 +716,15 @@ class engine : private fsm_protocol::lazy_source {
   std::size_t compiled_width_ = support::simd::autotuned_width();
   std::uint64_t compiled_rounds_ = 0;
   std::uint64_t tail_mask_ = ~0ULL;  // valid bits of the last word
+  // The bound plane round (bind_plane_round): the context every sweep
+  // reads, its plane/ledger pointer arrays, and the sweep entry point.
+  // Valid while plane-capable; the engine is neither copyable nor
+  // movable, so the self-pointers stay put.
+  std::array<std::uint64_t*, max_planes> plane_ptrs_{};
+  std::array<std::uint64_t*, 8> ledger_ptrs_{};
+  plane_ctx plane_ctx_;
+  sweep_fn sweep_ = nullptr;
+  bool sweep_compiled_ = false;
   // Beep-ledger sidecar: plane rounds bank the per-node +1s as
   // bit-sliced vertical counters - ledger_planes_[j] holds bit j of
   // every node's pending count, so banking one round's beep word is a
@@ -682,6 +741,9 @@ class engine : private fsm_protocol::lazy_source {
   mutable std::vector<std::uint64_t> beep_counts_;
   std::vector<observer*> observers_;
   std::uint64_t round_ = 0;
+  // round_ where this engine's own rounds began (adopt_plane_state
+  // moves it): the derived gear counters count round_ - round_base_.
+  std::uint64_t round_base_ = 0;
   std::size_t leader_count_ = 0;
   // Fault surface: packed crashed set + per-node frozen snapshots
   // (states always; plane/leader/active lane words when plane-capable,
@@ -698,9 +760,10 @@ class engine : private fsm_protocol::lazy_source {
   // Dynamic-topology overlay (shared with gather_) + adversary hook.
   const graph::patch_overlay* patch_ = nullptr;
   heard_hook heard_hook_;
-  // Telemetry scratch: plain members, bumped only from step() (never
-  // inside the tiled word loops), folded into the global registry at
-  // trial boundaries. Dead weight when BEEPKIT_TELEMETRY is OFF.
+  // Telemetry scratch: plain members, written only by the round body's
+  // sampled probes and fault events (never inside the tiled word
+  // loops), folded into the global registry at trial boundaries. Dead
+  // weight when BEEPKIT_TELEMETRY is OFF.
   support::telemetry::engine_metrics metrics_;
   bool telemetry_enabled_ = true;
 };

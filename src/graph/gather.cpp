@@ -94,6 +94,9 @@ heard_gather::heard_gather(topology_view view) : view_(std::move(view)) {
   n_ = n;
   words_ = packed_word_count(n);
   tail_mask_ = (n % 64 == 0) ? ~0ULL : ((1ULL << (n % 64)) - 1);
+  if (const graph* g = view_.explicit_graph(); g != nullptr) {
+    rows_worthwhile_ = word_csr::packed_rows_worthwhile(*g);
+  }
   stencil_ = view_.tag();
   if (stencil_.has_value()) {
     // Stencil preconditions. Generators only produce tags that pass
@@ -145,20 +148,18 @@ heard_gather::heard_gather(topology_view view) : view_(std::move(view)) {
   }
 }
 
-// The adjacency layouts are derived lazily: a topology-tagged graph
-// auto-selects the stencil kernel forever, so building the word-CSR
-// (O(n + m)) per engine - engines are constructed per trial - would be
-// dead weight there.
+// The adjacency layouts are borrowed lazily: a topology-tagged graph
+// auto-selects the stencil kernel forever and never needs them. The
+// graph builds them once (O(n + m)) and shares them, so engines
+// constructed per trial pay nothing after the graph's first gather.
 void heard_gather::ensure_adjacency_layouts() {
-  if (csr_built_) return;
+  if (csr_ != nullptr) return;
   const graph* g = view_.explicit_graph();
   if (g == nullptr) {
     throw std::logic_error(
         "heard_gather: adjacency layouts need an explicit graph");
   }
-  csr_ = word_csr(*g);
-  if (word_csr::packed_rows_worthwhile(*g)) csr_.build_packed_rows(*g);
-  csr_built_ = true;
+  csr_ = &g->word_layout();
 }
 
 void heard_gather::force_kernel(gather_kernel k) {
@@ -173,12 +174,11 @@ void heard_gather::force_kernel(gather_kernel k) {
         "heard_gather: " + gather_kernel_name(k) +
         " needs adjacency; implicit views have none");
   }
-  if (k == gather_kernel::word_csr_push || k == gather_kernel::packed_pull) {
-    ensure_adjacency_layouts();
-  }
-  if (k == gather_kernel::packed_pull && !csr_.packed_rows_built()) {
-    // Debug/test override of the worthwhile heuristic.
-    csr_.build_packed_rows(*view_.explicit_graph());
+  if (k == gather_kernel::word_csr_push) ensure_adjacency_layouts();
+  if (k == gather_kernel::packed_pull) {
+    // Debug/test override of the worthwhile heuristic: a layout with
+    // rows (the graph's own when they are worthwhile anyway).
+    csr_ = &view_.explicit_graph()->word_layout(/*with_rows=*/true);
   }
   forced_ = k;
 }
@@ -212,8 +212,8 @@ void heard_gather::operator()(std::span<const std::uint64_t> beep,
         dense_mode_ = false;
       }
       if (dense_mode_) {
-        k = csr_.packed_rows_built() ? gather_kernel::packed_pull
-                                     : gather_kernel::legacy_pull;
+        k = rows_worthwhile_ ? gather_kernel::packed_pull
+                             : gather_kernel::legacy_pull;
       } else {
         k = gather_kernel::word_csr_push;
       }
@@ -344,7 +344,7 @@ void heard_gather::gather_word_csr_push(std::span<const std::uint64_t> beep,
       const auto u = static_cast<node_id>(
           (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
       bits &= bits - 1;
-      csr_.push_neighbors(u, h);
+      csr_->push_neighbors(u, h);
     }
   }
 }
@@ -389,7 +389,7 @@ void heard_gather::gather_word_csr_push_tiled(
                              (w << 6) +
                              static_cast<std::size_t>(std::countr_zero(bits)));
                          bits &= bits - 1;
-                         csr_.push_neighbors(u, dst);
+                         csr_->push_neighbors(u, dst);
                        }
                      }
                    });
@@ -420,7 +420,7 @@ void heard_gather::gather_packed_pull(std::span<const std::uint64_t> beep,
   const node_id hi = static_cast<node_id>(std::min(n, we << 6));
   for (node_id u = lo; u < hi; ++u) {
     if (test_bit(heard, u)) continue;  // beeps itself
-    const std::uint64_t* const row = csr_.packed_row(u);
+    const std::uint64_t* const row = csr_->packed_row(u);
     for (std::size_t w = 0; w < words; ++w) {
       if ((row[w] & b[w]) != 0) {
         set_bit(heard, u);

@@ -65,9 +65,11 @@ class heard_gather {
   /// `heard_gather(g)` keeps working). Derives the stencil masks for
   /// tagged views; the adjacency layouts (word-CSR, plus packed rows
   /// when word_csr::packed_rows_worthwhile says the bitmap earns its
-  /// keep) are built lazily on the first gather that needs them - a
-  /// tagged view always takes the stencil kernel and never pays for
-  /// them, and an implicit view *cannot* pay for them (no adjacency
+  /// keep) are graph-owned (graph::word_layout): the first gather that
+  /// needs them borrows them, and only the first gather on a graph ever
+  /// builds them - every later gather, in any engine or thread, reuses
+  /// that one build. A tagged view always takes the stencil kernel and
+  /// never asks for them, and an implicit view *cannot* (no adjacency
   /// exists; that absence is the whole point of giant trials).
   /// A tag whose stencil preconditions fail (torus smaller than 3x3,
   /// ring below 3 nodes, rows*cols not matching the node count) is
@@ -113,8 +115,10 @@ class heard_gather {
   /// Throws std::invalid_argument when the kernel is unavailable for
   /// this view (stencil without a usable topology tag; word_csr_push /
   /// packed_pull on an implicit view, which has no adjacency to build
-  /// them from). Forcing packed_pull builds the rows on demand
-  /// regardless of the worthwhile heuristic.
+  /// them from). Forcing packed_pull borrows rows regardless of the
+  /// worthwhile heuristic; auto-selection keeps asking the heuristic,
+  /// so a forced kernel on one gather never changes another gather's
+  /// choice on the same graph.
   void force_kernel(gather_kernel k);
   [[nodiscard]] gather_kernel forced_kernel() const noexcept {
     return forced_;
@@ -130,7 +134,7 @@ class heard_gather {
     return stencil_.has_value();
   }
   [[nodiscard]] bool packed_rows_available() const noexcept {
-    return csr_.packed_rows_built();
+    return csr_ != nullptr && csr_->packed_rows_built();
   }
   [[nodiscard]] std::size_t word_count() const noexcept { return words_; }
 
@@ -155,8 +159,12 @@ class heard_gather {
 
   topology_view view_;
   std::size_t n_ = 0;
-  word_csr csr_;  // empty until ensure_adjacency_layouts()
-  bool csr_built_ = false;
+  // Borrowed from the graph (graph::word_layout); null until
+  // ensure_adjacency_layouts().
+  const word_csr* csr_ = nullptr;
+  // word_csr::packed_rows_worthwhile of the bound graph: dense rounds
+  // auto-select packed_pull iff this holds.
+  bool rows_worthwhile_ = false;
   std::size_t words_ = 0;
   std::optional<topology> stencil_;
   // Periodic column masks for grid/torus stencils: bit i set iff node

@@ -1,11 +1,51 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <stdexcept>
+
+#include "graph/word_csr.hpp"
 
 namespace beepkit::graph {
 
-graph::graph(std::size_t node_count, std::vector<edge> edges) {
+// Double-checked publication: a built layout is published through an
+// acquire/release pointer, so readers after the first build take no
+// lock. The rows slot only fills when packed rows are forced on a graph
+// the heuristic leaves row-less; otherwise both requests share `plain`.
+struct graph::layout_cache {
+  std::mutex build;
+  std::atomic<const word_csr*> plain{nullptr};
+  std::atomic<const word_csr*> rows{nullptr};
+  std::unique_ptr<word_csr> plain_owner;
+  std::unique_ptr<word_csr> rows_owner;
+};
+
+graph::graph() : layouts_(std::make_shared<layout_cache>()) {}
+
+const word_csr& graph::word_layout(bool with_rows) const {
+  const bool worthwhile = word_csr::packed_rows_worthwhile(*this);
+  const bool forced_rows = with_rows && !worthwhile;
+  std::atomic<const word_csr*>& slot =
+      forced_rows ? layouts_->rows : layouts_->plain;
+  if (const word_csr* built = slot.load(std::memory_order_acquire)) {
+    return *built;
+  }
+  const std::lock_guard<std::mutex> lock(layouts_->build);
+  if (const word_csr* built = slot.load(std::memory_order_relaxed)) {
+    return *built;
+  }
+  auto layout = std::make_unique<word_csr>(*this);
+  if (worthwhile || forced_rows) layout->build_packed_rows(*this);
+  std::unique_ptr<word_csr>& owner =
+      forced_rows ? layouts_->rows_owner : layouts_->plain_owner;
+  owner = std::move(layout);
+  slot.store(owner.get(), std::memory_order_release);
+  return *owner;
+}
+
+graph::graph(std::size_t node_count, std::vector<edge> edges)
+    : layouts_(std::make_shared<layout_cache>()) {
   // Normalize: u < v, validate endpoints.
   for (auto& e : edges) {
     if (e.u == e.v) {

@@ -4,9 +4,13 @@
 // G = (V, E) (paper Section 1.1). All simulators in this repository
 // touch every adjacency list every round, so the representation is a
 // flat CSR layout: cache-friendly and immutable after construction.
+// The word-granular layouts the heard-gather runs on (graph/word_csr)
+// belong to the graph too: derived once, on first use, and shared by
+// every engine and every copy.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -16,6 +20,8 @@
 namespace beepkit::graph {
 
 using node_id = std::uint32_t;
+
+class word_csr;
 
 /// An undirected edge as an unordered pair (stored with u < v).
 struct edge {
@@ -56,7 +62,7 @@ struct topology {
 class graph {
  public:
   /// Empty graph (0 nodes).
-  graph() = default;
+  graph();
 
   /// Builds from an edge list; duplicates are deduplicated and each
   /// {u, v} produces both CSR arcs. Throws std::invalid_argument on
@@ -107,13 +113,28 @@ class graph {
     topo_ = std::move(topo);
   }
 
+  /// The word-granular adjacency layout (graph/word_csr.hpp) the
+  /// heard-gather kernels read: the word-CSR, with the packed rows when
+  /// word_csr::packed_rows_worthwhile(*this) holds or `with_rows` asks
+  /// for them regardless (forced packed-pull debugging). Part of the
+  /// immutable graph: built on the first call - concurrent first
+  /// callers build it once - then read without a lock, and shared by
+  /// every copy of this graph. Engines bound per trial borrow it, so a
+  /// graph pays for its layout once, not once per trial.
+  [[nodiscard]] const word_csr& word_layout(bool with_rows = false) const;
+
  private:
+  struct layout_cache;
+
   std::vector<std::size_t> offsets_;   // size node_count+1
   std::vector<node_id> adjacency_;     // size 2*edge_count, sorted per node
   std::size_t max_degree_ = 0;
   std::size_t min_degree_ = 0;
   std::string name_ = "graph";
   std::optional<topology> topo_;
+  // Lazily built word layouts; copies share them (the adjacency they
+  // derive from is immutable and copied verbatim).
+  std::shared_ptr<layout_cache> layouts_;
 };
 
 }  // namespace beepkit::graph

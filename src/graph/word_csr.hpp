@@ -17,7 +17,10 @@
 //    small/dense enough that the bitmap earns its keep (see
 //    packed_rows_worthwhile).
 //
-// Both layouts are derived views of a graph::graph and immutable.
+// Both layouts are derived views of a graph::graph and immutable. The
+// engines never build their own: graph::word_layout() builds one per
+// graph on first use and every heard_gather bound to that graph (or to
+// a copy of it) borrows it.
 #pragma once
 
 #include <cstdint>

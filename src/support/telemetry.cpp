@@ -17,8 +17,6 @@ namespace beepkit::support::telemetry {
 
 namespace {
 
-std::atomic<bool> g_enabled{true};
-std::atomic<std::uint64_t> g_stride{64};
 std::atomic<bool> g_trace_enabled{false};
 
 std::chrono::steady_clock::time_point trace_epoch() noexcept {
@@ -27,28 +25,6 @@ std::chrono::steady_clock::time_point trace_epoch() noexcept {
 }
 
 }  // namespace
-
-bool enabled() noexcept {
-  if constexpr (!compiled_in) return false;
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-void set_enabled(bool on) noexcept {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-
-std::uint64_t round_sample_stride() noexcept {
-  return g_stride.load(std::memory_order_relaxed);
-}
-
-void set_round_sample_stride(std::uint64_t stride) noexcept {
-  g_stride.store(stride, std::memory_order_relaxed);
-}
-
-bool round_sampled(std::uint64_t round) noexcept {
-  const std::uint64_t stride = g_stride.load(std::memory_order_relaxed);
-  return stride != 0 && round % stride == 0;
-}
 
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(

@@ -20,6 +20,7 @@
 //      and every probe site constant-folds to nothing; the registry and
 //      export APIs stay linkable so tools/CLIs build either way.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -39,19 +40,41 @@ inline constexpr bool compiled_in = BEEPKIT_TELEMETRY_ENABLED != 0;
 
 // ---- runtime knobs -------------------------------------------------------
 
+namespace detail {
+// The knobs behind enabled() and round_sample_stride(): inline so a
+// probe site reads them with one relaxed load, no call.
+inline std::atomic<bool> enabled_knob{true};
+inline std::atomic<std::uint64_t> stride_knob{64};
+}  // namespace detail
+
 /// Global runtime enable (default on when compiled in). Engines AND this
-/// with their own set_telemetry_enabled() flag.
-[[nodiscard]] bool enabled() noexcept;
-void set_enabled(bool on) noexcept;
+/// with their own set_telemetry_enabled() flag, reading it once per
+/// step()/run_* call: a change takes effect at the next call, not in
+/// the middle of a run.
+[[nodiscard]] inline bool enabled() noexcept {
+  if constexpr (!compiled_in) return false;
+  return detail::enabled_knob.load(std::memory_order_relaxed);
+}
+inline void set_enabled(bool on) noexcept {
+  detail::enabled_knob.store(on, std::memory_order_relaxed);
+}
 
 /// Stride between sampled rounds for the expensive probes (round-latency
 /// clock reads, quiet-word scans, round trace spans). Default 64; 1
-/// samples every round; 0 disables sampling entirely.
-[[nodiscard]] std::uint64_t round_sample_stride() noexcept;
-void set_round_sample_stride(std::uint64_t stride) noexcept;
+/// samples every round; 0 disables sampling entirely. Engines read it
+/// once per call, like enabled().
+[[nodiscard]] inline std::uint64_t round_sample_stride() noexcept {
+  return detail::stride_knob.load(std::memory_order_relaxed);
+}
+inline void set_round_sample_stride(std::uint64_t stride) noexcept {
+  detail::stride_knob.store(stride, std::memory_order_relaxed);
+}
 
 /// True when `round` is a sampled round under the current stride.
-[[nodiscard]] bool round_sampled(std::uint64_t round) noexcept;
+[[nodiscard]] inline bool round_sampled(std::uint64_t round) noexcept {
+  const std::uint64_t stride = round_sample_stride();
+  return stride != 0 && round % stride == 0;
+}
 
 /// Monotonic nanoseconds since the process-wide telemetry epoch (shared
 /// by histograms and trace spans so spans from all threads line up).

@@ -371,6 +371,59 @@ TEST(CompiledKernelDifferentialTest, ToggleMidRunNeverChangesNumbers) {
         << "diverged at round " << round;
   }
   EXPECT_EQ(toggling.total_coins_consumed(), steady.total_coins_consumed());
+
+  // The plane round is bound at reconfiguration: every setter that
+  // changes what a round reads must rebind it, through step() and the
+  // run loops alike, draw for draw against the scalar reference.
+  const auto path = graph::make_path(130);
+  fsm_protocol bound_proto(machine);
+  fsm_protocol reference_proto(machine);
+  engine bound(path, bound_proto, 19);
+  engine reference(path, reference_proto, 19);
+  using reconfigure = void (*)(engine&);
+  const std::vector<std::pair<std::string, reconfigure>> schedule = {
+      {"width 1", [](engine& e) { e.set_compiled_width(1); }},
+      {"width 8", [](engine& e) { e.set_compiled_width(8); }},
+      {"interpreted", [](engine& e) { e.set_compiled_kernel_enabled(false); }},
+      {"tiled 4x1", [](engine& e) { e.set_parallelism(4, 1); }},
+      {"compiled", [](engine& e) { e.set_compiled_kernel_enabled(true); }},
+      {"width 2", [](engine& e) { e.set_compiled_width(2); }},
+      {"serial", [](engine& e) { e.set_parallelism(1, 0); }},
+      {"virtual", [](engine& e) { e.set_fast_path_enabled(false); }},
+      {"plane", [](engine& e) { e.set_fast_path_enabled(true); }},
+  };
+  for (std::size_t block = 0; block < 3 * schedule.size(); ++block) {
+    const auto& [label, apply] = schedule[block % schedule.size()];
+    apply(bound);
+    const std::uint64_t rounds = 1 + block % 7;
+    const std::uint64_t plane_before = bound.plane_rounds();
+    const std::uint64_t compiled_before = bound.compiled_rounds();
+    if (block % 2 == 0) {
+      bound.run_rounds(rounds);
+    } else {
+      for (std::uint64_t r = 0; r < rounds; ++r) bound.step();
+    }
+    for (std::uint64_t r = 0; r < rounds; ++r) reference.step_reference();
+    ASSERT_EQ(bound_proto.states(), reference_proto.states())
+        << "after " << label << " (block " << block << ")";
+    ASSERT_EQ(bound.leader_count(), reference.leader_count()) << label;
+    ASSERT_EQ(bound.total_coins_consumed(), reference.total_coins_consumed())
+        << label;
+    // The rounds ran in the gear the setter selected.
+    EXPECT_EQ(bound.plane_rounds() - plane_before,
+              bound.fast_path_active() ? rounds : 0U)
+        << label;
+    EXPECT_EQ(bound.compiled_rounds() - compiled_before,
+              bound.fast_path_active() && bound.compiled_kernel_active()
+                  ? rounds
+                  : 0U)
+        << label;
+  }
+  for (graph::node_id u = 0; u < path.node_count(); ++u) {
+    ASSERT_EQ(bound.node_rng(u).next_u64(), reference.node_rng(u).next_u64())
+        << "generator diverged at node " << u;
+    ASSERT_EQ(bound.beep_count(u), reference.beep_count(u)) << "node " << u;
+  }
 }
 
 TEST(CompiledKernelDifferentialTest, TiledParallelismStaysBitIdentical) {

@@ -383,6 +383,21 @@ TEST(CrashFaultTest, AliveLeaderCountDrivesTermination) {
   sim.fault_crash(leader);
   EXPECT_EQ(sim.alive_leader_count(), 0U);
   EXPECT_EQ(sim.leader_count(), 1U);  // the corpse still holds the flag
+  EXPECT_EQ(sim.sole_leader(), g.node_count());
+
+  // A corpse frozen as a leader (never restarted) must not hide the
+  // alive winner: the converged run reports the alive leader, not the
+  // sentinel.
+  const auto path = graph::make_path(16);
+  core::fault_plan plan;
+  plan.crash(1, 0);
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const auto outcome = core::run_election(path, machine, seed,
+                                            {.faults = &plan});
+    ASSERT_TRUE(outcome.converged) << "seed " << seed;
+    ASSERT_LT(outcome.leader, path.node_count()) << "seed " << seed;
+    ASSERT_NE(outcome.leader, 0U) << "seed " << seed;  // the corpse
+  }
 }
 
 // ---- fault_plan JSON + validation ------------------------------------

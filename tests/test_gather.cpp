@@ -11,8 +11,9 @@
 //    (bit-sliced patience counters) instead of falling back to the
 //    O(n) sparse sweep, and stay draw-for-draw identical to the
 //    virtual path;
-//  * the word-CSR layout itself must agree with the adjacency, and the
-//    topology tags that arm the stencil kernels must round-trip
+//  * the word-CSR layout itself must agree with the adjacency, must be
+//    built once per graph however many engines and threads bind to it,
+//    and the topology tags that arm the stencil kernels must round-trip
 //    through graph::io (with lying tags rejected).
 #include <gtest/gtest.h>
 
@@ -20,12 +21,14 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "beeping/engine.hpp"
 #include "core/adversarial.hpp"
 #include "core/bfw.hpp"
 #include "core/bfw_stoneage.hpp"
+#include "core/convergence.hpp"
 #include "core/timeout_bfw.hpp"
 #include "graph/gather.hpp"
 #include "graph/generators.hpp"
@@ -435,33 +438,88 @@ TEST(DirtyLedgerTest, LateAttachSeesExactCounts) {
 
 // --- word-CSR layout ---
 
+// The standalone layout and the graph-owned one engines borrow must
+// both cover exactly the adjacency. Then engines bound concurrently on
+// one untagged graph that was never gathered: every run equals the
+// serial run on a separate graph, and every engine borrows the one
+// layout the graph built (same address from every thread). CI runs
+// this test under TSan.
 TEST(WordCsrTest, EntriesCoverExactlyTheAdjacency) {
   support::rng rng(5);
   const auto g = graph::make_erdos_renyi_connected(97, 0.08, rng);
-  const graph::word_csr csr(g);
-  ASSERT_EQ(csr.node_count(), g.node_count());
-  for (graph::node_id u = 0; u < g.node_count(); ++u) {
-    const auto words = csr.entry_words(u);
-    const auto masks = csr.entry_masks(u);
-    ASSERT_EQ(words.size(), masks.size());
-    // Reconstruct the neighbor set from the (word, mask) pairs.
-    std::vector<graph::node_id> neighbors;
-    for (std::size_t k = 0; k < words.size(); ++k) {
-      if (k > 0) EXPECT_LT(words[k - 1], words[k]);  // sorted, deduped
-      std::uint64_t mask = masks[k];
-      EXPECT_NE(mask, 0U);
-      while (mask != 0) {
-        neighbors.push_back(static_cast<graph::node_id>(
-            (static_cast<std::uint64_t>(words[k]) << 6) +
-            static_cast<std::size_t>(std::countr_zero(mask))));
-        mask &= mask - 1;
+  const auto expect_covers = [&g](const graph::word_csr& csr) {
+    ASSERT_EQ(csr.node_count(), g.node_count());
+    for (graph::node_id u = 0; u < g.node_count(); ++u) {
+      const auto words = csr.entry_words(u);
+      const auto masks = csr.entry_masks(u);
+      ASSERT_EQ(words.size(), masks.size());
+      // Reconstruct the neighbor set from the (word, mask) pairs.
+      std::vector<graph::node_id> neighbors;
+      for (std::size_t k = 0; k < words.size(); ++k) {
+        if (k > 0) EXPECT_LT(words[k - 1], words[k]);  // sorted, deduped
+        std::uint64_t mask = masks[k];
+        EXPECT_NE(mask, 0U);
+        while (mask != 0) {
+          neighbors.push_back(static_cast<graph::node_id>(
+              (static_cast<std::uint64_t>(words[k]) << 6) +
+              static_cast<std::size_t>(std::countr_zero(mask))));
+          mask &= mask - 1;
+        }
+      }
+      const auto expected = g.neighbors(u);
+      ASSERT_EQ(neighbors.size(), expected.size()) << "node " << u;
+      for (std::size_t k = 0; k < neighbors.size(); ++k) {
+        EXPECT_EQ(neighbors[k], expected[k]) << "node " << u;
       }
     }
-    const auto expected = g.neighbors(u);
-    ASSERT_EQ(neighbors.size(), expected.size()) << "node " << u;
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      EXPECT_EQ(neighbors[k], expected[k]) << "node " << u;
+  };
+  expect_covers(graph::word_csr(g));
+  expect_covers(g.word_layout());
+
+  const core::bfw_machine machine(0.5);
+  constexpr std::uint64_t seeds = 6;
+  struct outcome_key {
+    std::uint64_t rounds = 0;
+    graph::node_id leader = 0;
+    std::uint64_t coins = 0;
+    gather_kernel kernel = gather_kernel::auto_select;
+    bool operator==(const outcome_key&) const = default;
+  };
+  const auto run = [&](const graph::graph& on, std::uint64_t seed) {
+    const auto outcome = core::run_election(on, machine, seed, {});
+    return outcome_key{outcome.rounds, outcome.leader, outcome.total_coins,
+                       outcome.gather_kernel};
+  };
+  for (graph::graph (*make)() :
+       {+[] { return graph::make_complete(64); },
+        +[] { return graph::make_star(1024); }}) {
+    const graph::graph serial_graph = make();
+    const graph::graph shared = make();
+    ASSERT_FALSE(shared.topology_tag().has_value());
+    std::vector<outcome_key> serial;
+    for (std::uint64_t s = 1; s <= seeds; ++s) {
+      serial.push_back(run(serial_graph, s));
     }
+    constexpr std::size_t threads = 4;
+    std::vector<std::vector<outcome_key>> results(threads);
+    std::vector<const graph::word_csr*> seen(threads, nullptr);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+      pool.emplace_back([&, t] {
+        for (std::uint64_t s = 1; s <= seeds; ++s) {
+          results[t].push_back(run(shared, s));
+        }
+        seen[t] = &shared.word_layout();
+      });
+    }
+    for (std::thread& worker : pool) worker.join();
+    for (std::size_t t = 0; t < threads; ++t) {
+      ASSERT_EQ(results[t], serial) << shared.name() << " thread " << t;
+      EXPECT_EQ(seen[t], &shared.word_layout()) << shared.name();
+    }
+    // Copies share the layout too.
+    const graph::graph copy = shared;
+    EXPECT_EQ(&copy.word_layout(), &shared.word_layout());
   }
 }
 
@@ -486,7 +544,44 @@ TEST(WordCsrTest, PackedRowsNotWorthwhileOnSparseGraphs) {
   EXPECT_FALSE(
       graph::word_csr::packed_rows_worthwhile(graph::make_grid(64, 64)));
   EXPECT_TRUE(graph::word_csr::packed_rows_worthwhile(graph::make_complete(64)));
+
+  // The layout is graph-owned, so forcing packed rows through one
+  // engine must not change another engine's auto-selected kernel (or
+  // its audit field) on the same graph: dense rounds keep asking the
+  // heuristic, exactly as on a graph nobody forced.
+  const core::bfw_machine machine(0.5);
+  const auto tree = graph::make_complete_binary_tree(255);
+  const auto untouched = graph::make_complete_binary_tree(255);
+  ASSERT_FALSE(graph::word_csr::packed_rows_worthwhile(tree));
+  fsm_protocol forced_proto(machine);
+  engine forced(tree, forced_proto, 3);
+  forced.set_gather_kernel(gather_kernel::packed_pull);
+  forced.step();
+  EXPECT_EQ(forced.gather_kernel_used(), gather_kernel::packed_pull);
+  // Start both from an all-beeping configuration: a dense round the
+  // heuristic leaves to the legacy pull on this sparse graph.
+  state_id beeping = 0;
+  while (!machine.beeps(beeping)) ++beeping;
+  const std::vector<state_id> dense(tree.node_count(), beeping);
+  fsm_protocol shared_proto(machine);
+  fsm_protocol alone_proto(machine);
+  engine shared(tree, shared_proto, 3);
+  engine alone(untouched, alone_proto, 3);
+  shared_proto.set_states(dense);
+  alone_proto.set_states(dense);
+  shared.restart_from_protocol();
+  alone.restart_from_protocol();
+  for (int round = 0; round < 20; ++round) {
+    shared.step();
+    alone.step();
+    ASSERT_EQ(shared.gather_kernel_used(), alone.gather_kernel_used())
+        << "round " << round;
+    if (round == 0) {
+      EXPECT_EQ(shared.gather_kernel_used(), gather_kernel::legacy_pull);
+    }
+  }
 }
+
 
 // --- Topology tags: generators + io round-trip ---
 
