@@ -15,18 +15,19 @@
 // Bit-identity contract (the registry's acceptance bar): for any word
 // range and any W, the sweep computes exactly the interpreted sweep's
 // planes, beep/leader/active words, ledger banks and leader count,
-// and consumes exactly its generator draws in the same order.
+// and every node consumes exactly its generator draws from its own
+// stream (the contract is per stream; order across nodes is free).
 // The two liberties it takes are proven-safe:
 //  * A batch is skipped only when ALL its words are quiet; quiet words
 //    inside a processed batch go through the full algebra, which
 //    reproduces their state bit-for-bit (quiet lanes sit in draw-free
 //    bot self-loops, cannot be in beeping states - a beeper hears
 //    itself - and so route to themselves with unchanged flags).
-//  * Stochastic rows are resolved per node through plane_ctx::rules at
-//    run time (parameter and successors are NOT baked in), in ascending
-//    node order across the batch - the same draw sequence as the
-//    scalar loop. One kernel therefore serves a whole protocol family
-//    (every BFW p, coin or bernoulli).
+//  * Stochastic rows are resolved through plane_ctx::rules at run time
+//    (parameter and successors are NOT baked in): one draw_outcomes()
+//    word per stochastic part and lane word, routed to the runtime
+//    successors with branch-free masks. One kernel therefore serves a
+//    whole protocol family (every BFW p, coin or bernoulli).
 //
 // Traits requirements (emitted by tools/beepc):
 //   static constexpr std::size_t state_count, plane_count,
@@ -72,7 +73,6 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
   using sweep_detail::unroll;
   constexpr std::size_t P = Traits::plane_count;
   constexpr std::size_t Q = Traits::state_count;
-  constexpr std::size_t D = Traits::draw_count;
   sweep_result result;
   for (std::size_t w = wb; w < we; w += W) {
     if constexpr (W > 1) {
@@ -103,10 +103,6 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
     vec beep_bits = vec::zero();
     vec leader_bits = vec::zero();
     vec active_bits = vec::zero();
-    vec draw_mask[D == 0 ? 1 : D];
-    if constexpr (D > 0) {
-      unroll<D>([&](auto Dd) { draw_mask[Dd] = vec::zero(); });
-    }
     // Routes a part to its compile-time successor: plane bits and flag
     // sets fold to constants, replacing the interpreted gear's moved[]
     // array and per-target meta loads.
@@ -125,6 +121,35 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
                     0) {
         active_bits |= part;
       }
+    };
+    // Routes a part to a runtime successor through all-ones/all-zeros
+    // masks made from its id and meta byte.
+    const auto route_to = [&](state_id t, vec part) {
+      const auto all = [](bool on) {
+        return vec::splat(0 - static_cast<std::uint64_t>(on));
+      };
+      const std::uint8_t meta = Traits::meta[t];
+      for (std::size_t j = 0; j < P; ++j) np[j] |= part & all((t >> j) & 1U);
+      beep_bits |= part & all((meta & machine_table::meta_beep) != 0);
+      leader_bits |= part & all((meta & machine_table::meta_leader) != 0);
+      active_bits |=
+          part & all((meta & machine_table::meta_bot_identity) == 0);
+    };
+    // A stochastic row's part: one outcome word per lane word off the
+    // runtime rule table (draw slot `d`), routed with the successors'
+    // masks - no branch on an outcome.
+    const auto draw = [&](std::size_t d, vec part) {
+      if (!part.any()) return;
+      const transition_rule& rule = ctx.rules[Traits::draw_slots[d]];
+      vec yes = vec::zero();
+      for (std::size_t l = 0; l < W; ++l) {
+        const std::uint64_t lanes = part.lane(l);
+        if (lanes != 0) {
+          yes.set_lane(l, draw_outcomes(ctx.rngs, rule, w + l, lanes));
+        }
+      }
+      route_to(rule.on_true, yes);
+      route_to(rule.on_false, andnot(part, yes));
     };
     // Bit-sliced comparison of the plane-encoded ids against a
     // compile-time constant (gt/eq accumulated highest plane first).
@@ -166,7 +191,7 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
         const vec last_bot = andnot(eq_last, h);
         constexpr kernel_rule last_rule = Traits::bot[chain.last];
         if constexpr (last_rule.stochastic) {
-          draw_mask[last_rule.draw] |= last_bot;
+          draw(last_rule.draw, last_bot);
         } else {
           route(std::integral_constant<std::size_t, last_rule.next>{},
                 last_bot);
@@ -194,7 +219,7 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
     }
     // Per-state decode, fully unrolled; chain members are handled
     // above. State order is free: the routed parts are disjoint and
-    // draws happen below in ascending node order regardless.
+    // each node draws from its own stream.
     unroll<Q>([&](auto S) {
       constexpr std::size_t s = decltype(S)::value;
       if constexpr (!Traits::chain_member[s]) {
@@ -213,65 +238,17 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
         const vec top_part = dec & h;
         const vec bot_part = andnot(dec, h);
         if constexpr (top.stochastic) {
-          draw_mask[top.draw] |= top_part;
+          draw(top.draw, top_part);
         } else {
           route(std::integral_constant<std::size_t, top.next>{}, top_part);
         }
         if constexpr (bot.stochastic) {
-          draw_mask[bot.draw] |= bot_part;
+          draw(bot.draw, bot_part);
         } else {
           route(std::integral_constant<std::size_t, bot.next>{}, bot_part);
         }
       }
     });
-    // Stochastic rows: per node, ascending across the whole batch, off
-    // the runtime rule table - exactly the scalar loop's draw sequence.
-    if constexpr (D > 0) {
-      vec draw_union = vec::zero();
-      unroll<D>([&](auto Dd) { draw_union |= draw_mask[decltype(Dd)::value]; });
-      if (draw_union.any()) {
-        for (std::size_t l = 0; l < W; ++l) {
-          std::uint64_t pending = draw_union.lane(l);
-          if (pending == 0) continue;
-          std::uint64_t add_np[P] = {};
-          std::uint64_t add_beep = 0;
-          std::uint64_t add_leader = 0;
-          std::uint64_t add_active = 0;
-          while (pending != 0) {
-            const auto offset =
-                static_cast<std::size_t>(std::countr_zero(pending));
-            const std::uint64_t mask = pending & (~pending + 1);
-            pending &= pending - 1;
-            const std::size_t u = ((w + l) << 6) + offset;
-            state_id t = 0;
-            unroll<D>([&](auto Dd) {
-              constexpr std::size_t d = decltype(Dd)::value;
-              // Parts are disjoint: exactly one slot claims the bit.
-              if ((draw_mask[d].lane(l) & mask) != 0) {
-                t = apply_rule(ctx.rules[Traits::draw_slots[d]], ctx.rngs[u]);
-              }
-            });
-            const std::uint8_t t_meta = Traits::meta[t];
-            for (std::size_t j = 0; j < P; ++j) {
-              if (((static_cast<std::size_t>(t) >> j) & 1U) != 0) {
-                add_np[j] |= mask;
-              }
-            }
-            if ((t_meta & machine_table::meta_beep) != 0) add_beep |= mask;
-            if ((t_meta & machine_table::meta_leader) != 0) add_leader |= mask;
-            if ((t_meta & machine_table::meta_bot_identity) == 0) {
-              add_active |= mask;
-            }
-          }
-          for (std::size_t j = 0; j < P; ++j) {
-            np[j].set_lane(l, np[j].lane(l) | add_np[j]);
-          }
-          beep_bits.set_lane(l, beep_bits.lane(l) | add_beep);
-          leader_bits.set_lane(l, leader_bits.lane(l) | add_leader);
-          active_bits.set_lane(l, active_bits.lane(l) | add_active);
-        }
-      }
-    }
     unroll<P>([&](auto J) { np[J].store(ctx.planes[J] + w); });
     beep_bits.store(ctx.beep + w);
     leader_bits.store(ctx.leader + w);

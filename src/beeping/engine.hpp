@@ -81,11 +81,12 @@
 // to the silent run members, replaces per-state decoding - so
 // Timeout-BFW with large T ticks every waiting follower's patience at
 // 64 nodes per word op. Words whose lanes are all silent and draw-free
-// (no heard or active lane) are skipped wholesale. Only rules that
-// actually draw (e.g. the BFW W-state coin) are visited per node, in
-// ascending node order, so the generator sequence is that of the
-// virtual gear - same states, same beep counts, same generator draws -
-// and set_fast_path_enabled(false) forces the virtual gear for
+// (no heard or active lane) are skipped wholesale. Rules that actually
+// draw (e.g. the BFW W-state coin) cost one outcome word per lane word:
+// every node draws once from its own stream, so each stream's sequence
+// is that of the virtual gear - same states, same beep counts, same
+// generator draws (the contract is per stream; order across nodes is
+// free) - and set_fast_path_enabled(false) forces the virtual gear for
 // differential testing. Machines over 256 states, and big-endian hosts
 // (the transposes write state ids in little-endian byte order), run the
 // virtual gear. The engine owns only the plane round's driver (tiling,
@@ -173,7 +174,7 @@ struct noise_model {
 /// place pages.
 struct engine_config {
   /// Giant mode: per-node generators as 4-byte lazy draw cursors
-  /// (rng_store) in place of the materialized 56-byte-per-node array;
+  /// (rng_store) in place of the materialized 64-byte-per-node array;
   /// no O(n) beep-count ledger behind the observer API (giant runs
   /// attach no observers); and no O(n) state vector (the protocol is
   /// reset in deferred mode, so the planes seeded at bind are the only

@@ -1,6 +1,5 @@
 #include "beeping/plane_kernel.hpp"
 
-#include <array>
 #include <bit>
 #include <memory>
 #include <string>
@@ -25,11 +24,12 @@ std::vector<std::unique_ptr<compiled_kernel>>& registry() {
 // ripple-carry add over the planes advances all silent ones at once.
 // Words whose lanes are all silent and sitting in draw-free self-loops
 // are skipped wholesale (their beep word is provably 0 and their
-// states, leader lanes and active lanes are unchanged). Only
-// stochastic rules visit nodes individually - their parts are iterated
-// jointly in ascending node order, so the per-node generator draws are
-// exactly those of the scalar loop. The new planes, beep set, leader
-// count and ledger all fall out of the per-successor masks.
+// states, leader lanes and active lanes are unchanged). A stochastic
+// part costs one draw_outcomes() call: one draw from each of its nodes'
+// own streams, whose outcome word splits the part between the rule's
+// two successors. Every node draws what the scalar loop draws from its
+// stream, so the order across nodes is free. The new planes, beep set,
+// leader count and ledger all fall out of the per-successor masks.
 // Specialized on the plane count: the inner loops over the planes then
 // unroll and the per-word plane words live in registers (a runtime
 // plane count costs ~40% on wave-saturated rounds).
@@ -67,16 +67,18 @@ sweep_result interpreted_sweep_impl(const plane_ctx& ctx,
     for (std::size_t j = 0; j < P; ++j) b[j] = plane[j][w];
     std::uint64_t moved[1 << P];  // moved[t]: nodes whose successor is t
     for (std::size_t t = 0; t < q; ++t) moved[t] = 0;
-    // Stochastic parts are deferred so their draws happen jointly in
-    // ascending node order, interleaved exactly as the scalar loop.
-    struct pending_draw {
-      const transition_rule* rule;
-      std::uint64_t part;
+    // Moves a part along `rule`: a stochastic rule splits it by one
+    // outcome word between its two successors.
+    const auto route = [&](const transition_rule& rule,
+                           std::uint64_t part) {
+      if (rule.draw == transition_rule::draw_kind::none) {
+        moved[rule.next] |= part;
+        return;
+      }
+      const std::uint64_t yes = draw_outcomes(rngs, rule, w, part);
+      moved[rule.on_true] |= yes;
+      moved[rule.on_false] |= part & ~yes;
     };
-    // <= 2 per state + 1 per run (runs span >= 4 states).
-    std::array<pending_draw, (2 << P) + (1 << P) / 4> draws;
-    std::size_t draw_rules = 0;
-    std::uint64_t draw_union = 0;
     // Bit-sliced comparison of the plane-encoded state ids against a
     // constant: gt/eq masks accumulated from the highest plane down.
     const auto compare = [&b, valid](std::uint64_t k, std::uint64_t& gt,
@@ -117,15 +119,7 @@ sweep_result interpreted_sweep_impl(const plane_ctx& ctx,
       // The run's last state exits the counter; its silent transition
       // is routed individually (it may even draw).
       const std::uint64_t last_bot = eq_last & ~h;
-      if (last_bot != 0) {
-        const transition_rule& rule = table.rule(chain.last, false);
-        if (rule.draw == transition_rule::draw_kind::none) {
-          moved[rule.next] |= last_bot;
-        } else {
-          draws[draw_rules++] = {&rule, last_bot};
-          draw_union |= last_bot;
-        }
-      }
+      if (last_bot != 0) route(table.rule(chain.last, false), last_bot);
       // Every other silent member ticks its counter: state id += 1 is
       // a ripple-carry add over the planes, restricted to those lanes.
       const std::uint64_t inc = members & ~eq_last & ~h;
@@ -148,8 +142,8 @@ sweep_result interpreted_sweep_impl(const plane_ctx& ctx,
     // once every lane of the word is accounted for, the loop exits -
     // wave-phase words typically hold only the 2-3 highest follower
     // states, so the leader states are usually never decoded. State
-    // iteration order is free: the routed parts are disjoint and the
-    // draw loop below visits nodes in ascending order regardless.
+    // iteration order is free: the routed parts are disjoint and each
+    // node draws from its own stream.
     std::uint64_t rem = valid & ~chain_members;
     for (std::size_t s = q; s-- > 0;) {
       if (rem == 0) break;
@@ -160,38 +154,11 @@ sweep_result interpreted_sweep_impl(const plane_ctx& ctx,
       }
       if (dec == 0) continue;
       rem &= ~dec;
-      const transition_rule& top = table.rule(static_cast<state_id>(s), true);
-      const transition_rule& bot = table.rule(static_cast<state_id>(s), false);
       const std::uint64_t top_part = dec & h;
       const std::uint64_t bot_part = dec & ~h;
-      if (top_part != 0) {
-        if (top.draw == transition_rule::draw_kind::none) {
-          moved[top.next] |= top_part;
-        } else {
-          draws[draw_rules++] = {&top, top_part};
-          draw_union |= top_part;
-        }
-      }
-      if (bot_part != 0) {
-        if (bot.draw == transition_rule::draw_kind::none) {
-          moved[bot.next] |= bot_part;
-        } else {
-          draws[draw_rules++] = {&bot, bot_part};
-          draw_union |= bot_part;
-        }
-      }
-    }
-    while (draw_union != 0) {
-      const auto offset = static_cast<std::size_t>(std::countr_zero(draw_union));
-      const std::uint64_t mask = draw_union & (~draw_union + 1);
-      draw_union &= draw_union - 1;
-      const auto u = static_cast<graph::node_id>((w << 6) + offset);
-      for (std::size_t i = 0; i < draw_rules; ++i) {
-        if ((draws[i].part & mask) != 0) {
-          moved[apply_rule(*draws[i].rule, rngs[u])] |= mask;
-          break;
-        }
-      }
+      const auto state = static_cast<state_id>(s);
+      if (top_part != 0) route(table.rule(state, true), top_part);
+      if (bot_part != 0) route(table.rule(state, false), bot_part);
     }
     std::uint64_t np[P];
     for (std::size_t j = 0; j < P; ++j) np[j] = chain_np[j];

@@ -90,8 +90,8 @@ struct plane_ctx {
   /// sequences either way).
   support::rng_source rngs;
   /// machine_table::rules.data() of the bound table: stochastic rows
-  /// are applied per node through this, so the kernel structure stays
-  /// independent of p / coin-vs-bernoulli.
+  /// are drawn and routed through this at run time (draw_outcomes), so
+  /// the kernel structure stays independent of p / coin-vs-bernoulli.
   const transition_rule* rules = nullptr;
   /// The bound table and its plan: read by the interpreted sweep only.
   const machine_table* table = nullptr;
@@ -99,6 +99,20 @@ struct plane_ctx {
   std::uint64_t tail_mask = ~0ULL;
   std::size_t words = 0;
 };
+
+/// The one draw path of both plane sweeps: `rule`'s outcome for every
+/// set lane of `mask` in word `word`, one coin() or bernoulli(p) from
+/// each lane's own stream - the call apply_rule makes. Bit b is set iff
+/// node 64*word + b moves to rule.on_true; the rest of `mask` moves to
+/// rule.on_false. Each node draws from its own stream, so the order
+/// across lanes, words and rows is free.
+[[nodiscard]] inline std::uint64_t draw_outcomes(
+    const support::rng_source& rngs, const transition_rule& rule,
+    std::size_t word, std::uint64_t mask) noexcept {
+  return rule.draw == transition_rule::draw_kind::coin
+             ? rngs.coins(word, mask)
+             : rngs.bernoulli(word, mask, rule.p);
+}
 
 /// Per-tile partial results, folded by the caller (order-independent).
 struct sweep_result {

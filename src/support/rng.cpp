@@ -98,30 +98,59 @@ rng_store rng_store::lazy(std::uint64_t root_seed, std::size_t count,
   return store;
 }
 
+rng rng_store::replay(std::size_t stream) const noexcept {
+  rng generator = root_.substream(stream);
+  const std::uint32_t cursor = cursors_[stream];
+  if (cursor != 0) {
+    if (mode_ == draw_mode::coins) {
+      generator.discard_coins(cursor);
+    } else {
+      generator.discard_u64(cursor);
+    }
+  }
+  return generator;
+}
+
+std::uint32_t rng_store::cursor_of(const rng& stream) const noexcept {
+  return static_cast<std::uint32_t>(mode_ == draw_mode::coins
+                                        ? stream.coins_consumed()
+                                        : stream.u64_draws());
+}
+
 rng& rng_store::acquire(std::size_t slot, std::size_t stream) noexcept {
   sync(slot);
   slot_state& s = slots_[slot];
   s.active = stream;
-  s.scratch = root_.substream(stream);
-  const std::uint32_t cursor = cursors_[stream];
-  if (cursor != 0) {
-    if (mode_ == draw_mode::coins) {
-      s.scratch.discard_coins(cursor);
-    } else {
-      s.scratch.discard_u64(cursor);
-    }
-  }
+  s.scratch = replay(stream);
   return s.scratch;
 }
 
 void rng_store::sync(std::size_t slot) noexcept {
   slot_state& s = slots_[slot];
   if (s.active == npos) return;
-  const std::uint64_t count = mode_ == draw_mode::coins
-                                  ? s.scratch.coins_consumed()
-                                  : s.scratch.u64_draws();
-  cursors_[s.active] = static_cast<std::uint32_t>(count);
+  cursors_[s.active] = cursor_of(s.scratch);
   s.active = npos;
+}
+
+// Each lane rebuilds its generator in a local rather than in the slot's
+// one scratch, so the reconstructions of consecutive lanes are
+// independent and overlap in the pipeline.
+std::uint64_t rng_store::lazy_draws(std::size_t slot, std::size_t word,
+                                    std::uint64_t mask, bool coin,
+                                    double p) noexcept {
+  // The slot's scratch may hold one of these streams with draws its
+  // cursor does not show yet.
+  sync(slot);
+  const std::size_t base = word << 6;
+  std::uint64_t out = 0;
+  for (; mask != 0; mask &= mask - 1) {
+    const int b = std::countr_zero(mask);
+    rng stream = replay(base + b);
+    const bool hit = coin ? stream.coin() : stream.uniform01() < p;
+    out |= static_cast<std::uint64_t>(hit) << b;
+    cursors_[base + b] = cursor_of(stream);
+  }
+  return out;
 }
 
 void rng_store::sync_all() noexcept {

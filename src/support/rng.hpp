@@ -20,6 +20,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -134,7 +135,7 @@ class rng {
   /// this is the complete draw cursor of a stream: a fresh generator
   /// fast-forwarded by either count lands on the identical state, which
   /// is what lets giant trials store a 4-byte cursor per node instead
-  /// of a 56-byte generator (rng_store below).
+  /// of a 64-byte generator (rng_store below).
   [[nodiscard]] std::uint64_t u64_draws() const noexcept { return calls_; }
 
   /// Advances past `count` fair coins exactly as `count` coin() calls
@@ -190,31 +191,56 @@ class rng {
 /// next_u64 calls (bernoulli / uniform draws - one word per draw).
 enum class draw_mode : std::uint8_t { coins, raw64 };
 
+namespace detail {
+
+/// One draw from each of `lanes[b]` for every set bit b of `mask`, in
+/// ascending b; bit b of the result is the draw's outcome.
+template <class Draw>
+std::uint64_t draw_lanes(rng* lanes, std::uint64_t mask, Draw draw) noexcept {
+  std::uint64_t out = 0;
+  for (; mask != 0; mask &= mask - 1) {
+    const int b = std::countr_zero(mask);
+    out |= static_cast<std::uint64_t>(draw(lanes[b])) << b;
+  }
+  return out;
+}
+
+}  // namespace detail
+
 /// The per-node generator array behind an engine, in one of two
 /// representations with identical draw sequences:
 ///
 ///  * dense - a materialized std::vector<rng>, exactly the historical
-///    make_node_streams array. Zero-cost indexing; 56 bytes per node.
+///    make_node_streams array. Zero-cost indexing; 64 bytes per node
+///    (sizeof(rng)).
 ///  * lazy  - a 4-byte draw cursor per node plus one scratch
-///    generator. operator[] reconstructs the requested stream on
-///    demand (substream + fast-forward by the cursor), so a
-///    10^9-node giant trial pays 4 GB instead of 56 GB, and the
-///    cursor array doubles as the checkpoint representation of all
-///    randomness. Reconstruction replays cursor/64 words, which stays
-///    cheap because a BFW node only draws while it waits in W-black.
+///    generator per slot. A stream is reconstructed on demand
+///    (substream + fast-forward by the cursor), so a 10^9-node giant
+///    trial pays 4 GB instead of 64 GB, and the cursor array doubles as
+///    the checkpoint representation of all randomness. Reconstruction
+///    replays cursor/64 words, which stays cheap because a BFW node
+///    only draws while it waits in W-black.
 ///
-/// Lazy mode serves one stream at a time *per slot* (the engines' plane
-/// sweeps draw in ascending node order, so this is a cache hit in the
-/// common case). A slot is a thread context: tiled sweeps give every
-/// executor slot its own cache-line-aligned scratch generator via
-/// at(slot, stream). Concurrent use is race-free as long as slots touch
-/// disjoint stream ranges (tiles own disjoint words, hence disjoint
-/// nodes): each slot writes only its own scratch plus the cursors of
-/// streams it acquired. After a tiled round's join barrier the engine
-/// must call sync_all() - tile->slot assignment is dynamic, so a cursor
-/// left cached in one slot's scratch would be stale-read by another
-/// slot next round. Dense mode has the exact sharing contract of the
-/// vector it replaces.
+/// Every stream draws in its own order and no other: the contract is
+/// per stream, so callers may visit different streams in any order.
+///
+/// Two access paths. at(slot, stream) serves one stream at a time per
+/// slot through that slot's scratch generator (single-stream access:
+/// protocols, tests, checkpoints). The batched rng_source::coins() and
+/// bernoulli() draw once from each stream of a 64-lane word; in lazy
+/// mode they sync the slot's scratch first, then rebuild each lane's
+/// generator in a local and write its cursor straight back, so
+/// consecutive lanes do not serialize on the one scratch.
+///
+/// A slot is a thread context: tiled sweeps give every executor slot
+/// its own cache-line-aligned scratch generator. Concurrent use is
+/// race-free as long as slots touch disjoint stream ranges (tiles own
+/// disjoint words, hence disjoint nodes): each slot writes only its own
+/// scratch plus the cursors of streams it drew from. After a tiled
+/// round's join barrier the engine must call sync_all() - tile->slot
+/// assignment is dynamic, so a cursor left cached in one slot's scratch
+/// would be stale-read by another slot next round. Dense mode has the
+/// exact sharing contract of the vector it replaces.
 class rng_store {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -293,6 +319,14 @@ class rng_store {
 
   rng& acquire(std::size_t slot, std::size_t stream) noexcept;
   void sync(std::size_t slot) noexcept;
+  /// Lazy mode: the stream's generator rebuilt from its cursor, and the
+  /// cursor a generator's draws map back to.
+  [[nodiscard]] rng replay(std::size_t stream) const noexcept;
+  [[nodiscard]] std::uint32_t cursor_of(const rng& stream) const noexcept;
+  /// Lazy mode: the batched draws behind rng_source::coins (`coin`)
+  /// and rng_source::bernoulli (0 < p < 1).
+  std::uint64_t lazy_draws(std::size_t slot, std::size_t word,
+                           std::uint64_t mask, bool coin, double p) noexcept;
 
   bool lazy_ = false;
   draw_mode mode_ = draw_mode::coins;
@@ -316,6 +350,26 @@ struct rng_source {
 
   rng& operator[](std::size_t stream) const noexcept {
     return dense != nullptr ? dense[stream] : store->at(slot, stream);
+  }
+
+  /// Batched draws over streams 64*word + b for every set bit b of
+  /// `mask`: one coin() (coins) or one bernoulli(p) (bernoulli) from
+  /// each, exactly the call operator[] would make, so every stream's
+  /// sequence matches per-stream access. Bit b of the result is stream
+  /// 64*word + b's outcome. bernoulli draws nothing at p <= 0 or
+  /// p >= 1, like rng::bernoulli. The plane sweeps' one draw path.
+  std::uint64_t coins(std::size_t word, std::uint64_t mask) const noexcept {
+    if (dense == nullptr) return store->lazy_draws(slot, word, mask, true, 0);
+    return detail::draw_lanes(dense + (word << 6), mask,
+                              [](rng& r) { return r.coin(); });
+  }
+  std::uint64_t bernoulli(std::size_t word, std::uint64_t mask,
+                          double p) const noexcept {
+    if (p <= 0.0) return 0;
+    if (p >= 1.0) return mask;
+    if (dense == nullptr) return store->lazy_draws(slot, word, mask, false, p);
+    return detail::draw_lanes(dense + (word << 6), mask,
+                              [p](rng& r) { return r.uniform01() < p; });
   }
 };
 

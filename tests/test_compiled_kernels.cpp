@@ -154,13 +154,15 @@ sweep_buffers random_valid_sweep_input(const beeping::machine_table& table,
   return in;
 }
 
-/// Runs `sweep` over words [wb, we) of `buf` (mutated in place).
+/// Runs `sweep` over words [wb, we) of `buf` (mutated in place),
+/// drawing from buf.rngs, or from `lazy` when given.
 beeping::sweep_result run_sweep(beeping::sweep_fn sweep,
                                 const beeping::machine_table& table,
                                 const beeping::plane_plan& plan,
                                 std::size_t n, sweep_buffers& buf,
-                                std::size_t wb, std::size_t we) {
-  std::uint64_t* planes[6] = {};
+                                std::size_t wb, std::size_t we,
+                                support::rng_store* lazy = nullptr) {
+  std::uint64_t* planes[beeping::max_planes] = {};
   for (std::size_t j = 0; j < buf.planes.size(); ++j) {
     planes[j] = buf.planes[j].data();
   }
@@ -173,7 +175,8 @@ beeping::sweep_result run_sweep(beeping::sweep_fn sweep,
   ctx.leader = buf.leader.data();
   ctx.planes = planes;
   ctx.ledger = ledger;
-  ctx.rngs = support::rng_source{buf.rngs.data(), nullptr, 0};
+  ctx.rngs = lazy != nullptr ? lazy->source()
+                            : support::rng_source{buf.rngs.data(), nullptr, 0};
   ctx.rules = table.rules.data();
   ctx.table = &table;
   ctx.plan = &plan;
@@ -186,13 +189,26 @@ beeping::sweep_result run_sweep(beeping::sweep_fn sweep,
 /// against interpreted_sweep(P) on random valid inputs at word-boundary
 /// node counts, over word ranges that start and end off the W grid -
 /// planes, beep/leader/active words, ledger, dirty bits, the returned
-/// leader count and the next draw of every stream.
+/// leader count and the next draw of every stream. Each context also
+/// runs the kernel on a lazy cursor store (coins mode for coin-only
+/// tables, raw64 for bernoulli-only ones), whose cursors must match the
+/// reference's draw counts.
 void expect_kernel_matches_interpreted_sweep(
     const beeping::compiled_kernel& kernel,
     const beeping::machine_table& table) {
   const beeping::plane_plan plan = beeping::make_plane_plan(table);
   const beeping::sweep_fn reference =
       beeping::interpreted_sweep(plan.plane_count);
+  bool any_coin = false;
+  bool any_bernoulli = false;
+  for (const beeping::transition_rule& rule : table.rules) {
+    any_coin |= rule.draw == beeping::transition_rule::draw_kind::coin;
+    any_bernoulli |=
+        rule.draw == beeping::transition_rule::draw_kind::bernoulli;
+  }
+  const bool lazy_runs = any_coin != any_bernoulli;
+  const auto lazy_mode =
+      any_coin ? support::draw_mode::coins : support::draw_mode::raw64;
   // 63..128 nodes are one or two words; 65 * 64 - 3 nodes give 65
   // words, so every width runs whole batches and a ragged tail.
   for (const std::size_t n : {63U, 64U, 65U, 128U, 65U * 64U - 3U}) {
@@ -214,6 +230,7 @@ void expect_kernel_matches_interpreted_sweep(
         sweep_buffers ref = random_valid_sweep_input(table, plan.plane_count,
                                                      n, seed);
         sweep_buffers got = ref;
+        sweep_buffers lazy_got = ref;
         const auto ref_counts =
             run_sweep(reference, table, plan, n, ref, wb, we);
         const auto got_counts =
@@ -225,6 +242,23 @@ void expect_kernel_matches_interpreted_sweep(
         EXPECT_EQ(got.active, ref.active) << label;
         EXPECT_EQ(got.ledger, ref.ledger) << label;
         EXPECT_EQ(got.dirty, ref.dirty) << label;
+        if (lazy_runs) {
+          support::rng_store lazy =
+              support::rng_store::lazy(seed ^ 0x5eedULL, n, lazy_mode);
+          const auto lazy_counts = run_sweep(kernel.sweep[slot], table, plan,
+                                             n, lazy_got, wb, we, &lazy);
+          EXPECT_EQ(lazy_counts.leaders, ref_counts.leaders) << label;
+          EXPECT_EQ(lazy_got.planes, ref.planes) << label;
+          EXPECT_EQ(lazy_got.beep, ref.beep) << label;
+          const auto cursors = lazy.cursors();
+          for (std::size_t u = 0; u < n; ++u) {
+            const std::uint64_t draws =
+                lazy_mode == support::draw_mode::coins
+                    ? ref.rngs[u].coins_consumed()
+                    : ref.rngs[u].u64_draws();
+            ASSERT_EQ(cursors[u], draws) << label << " lazy node " << u;
+          }
+        }
         for (std::size_t u = 0; u < n; ++u) {
           ASSERT_EQ(got.rngs[u].coins_consumed(), ref.rngs[u].coins_consumed())
               << label << " node " << u;

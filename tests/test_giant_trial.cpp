@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -193,6 +194,89 @@ TEST(Simd, AutotunedWidthIsValidAndStable) {
 
 // --- lazy cursor store ------------------------------------------------
 
+/// The batched draws (rng_source::coins / bernoulli) of a dense and a
+/// lazy store against per-lane draws on a third, dense store: random
+/// masks on word-aligned bases, with single-stream at() draws on the
+/// batch's slot (from a stream inside the batch, left active in the
+/// slot's scratch) and on another slot, before and after every batch.
+/// coins mode draws coins; raw64 mode draws bernoulli(p) with p cycling
+/// through {0, 0.3, 1}, whose edges draw nothing.
+void expect_batches_match_per_lane(support::draw_mode mode) {
+  constexpr std::size_t words = 3;
+  constexpr std::size_t n = 64 * words;
+  const bool coins = mode == support::draw_mode::coins;
+  support::rng_store ref = support::rng_store::dense(42, n);
+  support::rng_store dense = support::rng_store::dense(42, n);
+  support::rng_store lazy = support::rng_store::lazy(42, n, mode);
+  lazy.set_slots(2);
+  const auto draw_one = [coins](support::rng& stream, double p) {
+    return coins ? stream.coin() : stream.bernoulli(p);
+  };
+  const auto count = [coins](const support::rng& stream) {
+    return coins ? stream.coins_consumed() : stream.u64_draws();
+  };
+  // One single-stream draw from `stream`, through `slot` of the lazy
+  // store, checked against the reference.
+  const auto single = [&](std::size_t slot, std::size_t stream) {
+    const bool expected = draw_one(ref[stream], 0.3);
+    (void)draw_one(dense[stream], 0.3);
+    EXPECT_EQ(draw_one(lazy.at(slot, stream), 0.3), expected)
+        << "stream " << stream;
+  };
+  support::rng picker(99);
+  const double ps[] = {0.0, 0.3, 1.0};
+  for (std::size_t round = 0; round < 24; ++round) {
+    const std::size_t word = picker.uniform_below(words);
+    const std::uint64_t mask =
+        (picker.next_u64() & picker.next_u64()) | (1ULL << (round % 64));
+    const double p = coins ? 0.5 : ps[round % 3];
+    const std::size_t inside = (word << 6) + std::countr_zero(mask);
+    const std::size_t outside = (((word + 1) % words) << 6) + round;
+    single(0, inside);
+    single(1, outside);
+    std::uint64_t expected = 0;
+    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+      const int b = std::countr_zero(m);
+      const bool hit = coins ? ref[(word << 6) + b].coin()
+                             : ref[(word << 6) + b].bernoulli(p);
+      expected |= static_cast<std::uint64_t>(hit) << b;
+    }
+    const bool edge = !coins && (p <= 0.0 || p >= 1.0);
+    std::vector<std::uint32_t> before;
+    if (edge) {
+      const auto saved = lazy.cursors();
+      before.assign(saved.begin(), saved.end());
+    }
+    const support::rng_source dense_source = dense.source();
+    const support::rng_source lazy_source = lazy.source(0);
+    EXPECT_EQ(coins ? dense_source.coins(word, mask)
+                    : dense_source.bernoulli(word, mask, p),
+              expected)
+        << "dense round " << round;
+    EXPECT_EQ(coins ? lazy_source.coins(word, mask)
+                    : lazy_source.bernoulli(word, mask, p),
+              expected)
+        << "lazy round " << round;
+    if (edge) {
+      const auto after = lazy.cursors();
+      EXPECT_TRUE(std::equal(before.begin(), before.end(), after.begin()))
+          << "p = " << p << " moved a cursor";
+    }
+    single(0, inside);
+    single(1, outside);
+  }
+  const auto cursors = lazy.cursors();
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    EXPECT_EQ(cursors[s], count(ref[s])) << "stream " << s;
+    EXPECT_EQ(dense[s].u64_draws(), ref[s].u64_draws()) << "stream " << s;
+    EXPECT_EQ(dense[s].coins_consumed(), ref[s].coins_consumed());
+    total += count(ref[s]);
+  }
+  EXPECT_EQ(lazy.total_draws(), total);
+  EXPECT_EQ(dense.total_draws(), ref.total_draws());
+}
+
 TEST(RngStore, LazyMatchesDenseDrawForDraw) {
   support::rng_store dense = support::rng_store::dense(42, 9);
   support::rng_store lazy =
@@ -207,6 +291,9 @@ TEST(RngStore, LazyMatchesDenseDrawForDraw) {
   }
   EXPECT_EQ(dense.total_draws(), lazy.total_draws());
   EXPECT_EQ(dense.total_coins(), lazy.total_coins());
+  // Batched draws keep every stream's sequence.
+  expect_batches_match_per_lane(support::draw_mode::coins);
+  expect_batches_match_per_lane(support::draw_mode::raw64);
 }
 
 TEST(RngStore, CursorsRestoreExactGeneratorState) {
@@ -280,12 +367,15 @@ TEST(RngStore, SlotScratchContextsMatchDenseDrawForDraw) {
 
 TEST(GiantTrial, GiantConfigMatchesOrdinaryEngine) {
   const auto view = topology_view::implicit({topology::kind::grid, 9, 23});
-  // BFW runs the compiled bfw kernel; Timeout-BFW with T = 7 (12
-  // states) has no kernel and runs the interpreted sweep.
+  // BFW runs the compiled bfw kernel with coin cursors at p = 1/2 and
+  // raw64 cursors at p = 0.3; Timeout-BFW with T = 7 (12 states) has
+  // no kernel and runs the interpreted sweep on raw64 cursors.
   const core::bfw_machine bfw(0.5);
+  const core::bfw_machine bfw_bernoulli(0.3);
   const core::timeout_bfw_machine timeout_bfw(0.5, 7);
   for (const beeping::state_machine* machine :
        {static_cast<const beeping::state_machine*>(&bfw),
+        static_cast<const beeping::state_machine*>(&bfw_bernoulli),
         static_cast<const beeping::state_machine*>(&timeout_bfw)}) {
     const auto ordinary =
         core::run_election(view, *machine, 1234, {.max_rounds = 500000});
@@ -295,10 +385,32 @@ TEST(GiantTrial, GiantConfigMatchesOrdinaryEngine) {
     EXPECT_TRUE(giant.converged) << machine->name();
     EXPECT_EQ(giant.rounds, ordinary.rounds) << machine->name();
     EXPECT_EQ(giant.leader, ordinary.leader) << machine->name();
-    // Timeout-BFW draws bernoulli words, which total_coins does not
-    // count; its rounds and leader pin it instead.
-    if (machine == &bfw) EXPECT_EQ(giant.draws, ordinary.total_coins);
+    // Bernoulli draws are raw words, which total_coins does not count;
+    // every node's cursor pins them below.
+    if (machine == &bfw) {
+      EXPECT_EQ(giant.draws, ordinary.total_coins);
+    }
     EXPECT_GT(giant.arena_bytes, 0U);
+
+    // Every node's draw count after the same rounds: the giant engine's
+    // lazy cursors against the ordinary engine's dense streams.
+    beeping::fsm_protocol ordinary_proto(*machine);
+    beeping::engine ordinary_sim(view, ordinary_proto, 1234);
+    beeping::fsm_protocol giant_proto(*machine);
+    beeping::engine giant_sim(view, giant_proto, 1234, beeping::noise_model{},
+                              beeping::engine_config::giant());
+    ordinary_sim.run_rounds(ordinary.rounds);
+    giant_sim.run_rounds(ordinary.rounds);
+    const auto cursors = giant_sim.rng_streams().cursors();
+    std::uint64_t total = 0;
+    for (graph::node_id u = 0; u < view.node_count(); ++u) {
+      const support::rng& stream = ordinary_sim.node_rng(u);
+      const std::uint64_t draws = machine == &bfw ? stream.coins_consumed()
+                                                  : stream.u64_draws();
+      ASSERT_EQ(cursors[u], draws) << machine->name() << " node " << u;
+      total += draws;
+    }
+    EXPECT_EQ(giant.draws, total) << machine->name();
   }
 
   // ...and the giant bundle refuses what it cannot serve: a noise model
