@@ -63,7 +63,11 @@ extinction_stats run_variant(const graph::graph& g,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "ablation_frozen [flags]",
+      {{"trials", "trials per cell (default 50)"},
+       {"seed", "base seed (default 10)"},
+       {"threads", "worker threads (default 0: all cores)"}});
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 50));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 10));
   const std::size_t threads = args.get_threads();

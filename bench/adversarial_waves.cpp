@@ -25,7 +25,12 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "adversarial_waves [flags]",
+      {{"rounds", "round horizon per trial (default 100000)"},
+       {"trials", "trials per cell (default 25)"},
+       {"seed", "base seed (default 9)"},
+       {"threads", "worker threads (default 0: all cores)"}});
   const auto rounds = static_cast<std::uint64_t>(
       args.get_int("rounds", 100000));
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 25));

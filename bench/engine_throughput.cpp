@@ -7,8 +7,7 @@
 // Four columns per topology measure the dispatch tiers:
 //   * plain suites (BM_BfwOnPath, ...) - the default engine behaviour,
 //     which now dispatches plane rounds to the beepc-compiled kernel
-//     (the label's kernel= component names it, with batch width and
-//     SIMD ISA);
+//     (the label's kernel= component names it, with the build's ISA);
 //   * *Interpreted suites - the interpreted plane gear
 //     (engine::set_compiled_kernel_enabled(false)), so the
 //     compiled/interpreted ratio is read straight off the report;
@@ -17,8 +16,6 @@
 //     pre-fast-path engine;
 //   * *Reference suites - the original scalar byte-array step (kept as
 //     engine::step_reference).
-// BM_BfwOnGridCompiledWidth sweeps the kernel batch width (1/2/4/8
-// words per vector op) on one fixed instance.
 // The RunTrials suite measures the parallel Monte-Carlo runner's
 // trials-per-second scaling across worker counts. The observer rows
 // price round views: BM_NoopObserverOnGrid attaches an observer that
@@ -56,23 +53,20 @@ namespace {
 
 using namespace beepkit;
 
-// Audit label: which round kernel (beepc-compiled name, batch width and
-// SIMD ISA, or "interpreted") and gather kernel the run actually used,
+// Audit label: which round kernel (beepc-compiled name and build ISA,
+// or "interpreted") and gather kernel the run actually used,
 // plus the tile/thread configuration, so a perf report line is
 // self-describing (Satellite: auditable perf runs).
 std::string round_kernel_label(bool compiled_active,
-                               const std::string& compiled_name,
-                               std::size_t width) {
+                               const std::string& compiled_name) {
   if (!compiled_active) return "interpreted";
-  return compiled_name + ":w" + std::to_string(width) + ":" +
-         support::simd::isa_name();
+  return compiled_name + ":" + support::simd::isa_name();
 }
 
 void set_exec_label(benchmark::State& state, const beeping::engine& sim) {
   state.SetLabel(
       "kernel=" + round_kernel_label(sim.compiled_kernel_active(),
-                                     sim.compiled_kernel_name(),
-                                     sim.compiled_width()) +
+                                     sim.compiled_kernel_name()) +
       " gather=" + graph::gather_kernel_name(sim.gather_kernel_used()) +
       " threads=" + std::to_string(sim.parallel_threads()) +
       " tile=" + std::to_string(sim.tile_words()));
@@ -80,7 +74,7 @@ void set_exec_label(benchmark::State& state, const beeping::engine& sim) {
 
 void run_bfw_rounds(benchmark::State& state, const graph::graph& g,
                     std::size_t threads = 1, std::size_t tile_words = 0,
-                    bool compiled = true, std::size_t width = 0) {
+                    bool compiled = true) {
   const core::bfw_machine machine(0.5);
   beeping::fsm_protocol proto(machine);
   beeping::engine sim(g, proto, 42);
@@ -88,7 +82,6 @@ void run_bfw_rounds(benchmark::State& state, const graph::graph& g,
     sim.set_parallelism(threads, tile_words);
   }
   if (!compiled) sim.set_compiled_kernel_enabled(false);
-  if (width != 0) sim.set_compiled_width(width);
   for (auto _ : state) {
     sim.step();
     benchmark::DoNotOptimize(sim.leader_count());
@@ -266,16 +259,6 @@ void BM_BfwOnTreeInterpreted(benchmark::State& state) {
   run_bfw_rounds(state, g, 1, 0, /*compiled=*/false);
 }
 BENCHMARK(BM_BfwOnTreeInterpreted)->Arg(256)->Arg(4096);
-
-// Kernel batch-width sweep on one fixed instance: w words per vector
-// op, so the width/ILP sweet spot of this machine is read off the
-// report (preferred_width() is what the plain rows use).
-void BM_BfwOnGridCompiledWidth(benchmark::State& state) {
-  const auto g = graph::make_grid(64, 64);
-  run_bfw_rounds(state, g, 1, 0, /*compiled=*/true,
-                 static_cast<std::size_t>(state.range(0)));
-}
-BENCHMARK(BM_BfwOnGridCompiledWidth)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_BfwOnRandomRegular(benchmark::State& state) {
   support::rng rng(7);
@@ -469,21 +452,35 @@ BENCHMARK(BM_BfwOnGridXLTiled)->Arg(2)->Arg(8)->UseRealTime();
 // implicit view never builds; the Giant rows show the checkpointable
 // 10^8-node regime at bench scale. Excluded from the CI baseline gate
 // like the other XL rows.
+//
+// Each iteration times one fixed window - rounds 1..kImplicitWindow of
+// a fresh engine, built and torn down outside the timer - so every
+// build times the same work: the draw-heavy first rounds (round 1 draws
+// at every node) keep the same share however many iterations fit.
+constexpr std::uint64_t kImplicitWindow = 16;
+
 void run_bfw_rounds_implicit(benchmark::State& state, graph::topology topo,
                              bool giant_config) {
   const auto view = graph::topology_view::implicit(topo);
   const core::bfw_machine machine(0.5);
-  beeping::fsm_protocol proto(machine);
-  beeping::engine sim(view, proto, 42, beeping::noise_model{},
-                      giant_config ? beeping::engine_config::giant()
-                                   : beeping::engine_config{});
   for (auto _ : state) {
-    sim.step();
-    benchmark::DoNotOptimize(sim.leader_count());
+    state.PauseTiming();
+    {
+      beeping::fsm_protocol proto(machine);
+      beeping::engine sim(view, proto, 42, beeping::noise_model{},
+                          giant_config ? beeping::engine_config::giant()
+                                       : beeping::engine_config{});
+      state.ResumeTiming();
+      sim.run_rounds(kImplicitWindow);
+      benchmark::DoNotOptimize(sim.leader_count());
+      state.PauseTiming();
+      set_exec_label(state, sim);
+    }
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kImplicitWindow) *
                           static_cast<std::int64_t>(view.node_count()));
-  set_exec_label(state, sim);
 }
 
 void BM_BfwOnPathXLImplicit(benchmark::State& state) {
@@ -518,8 +515,7 @@ void run_stoneage_rounds(benchmark::State& state, const graph::graph& g,
                           static_cast<std::int64_t>(g.node_count()));
   state.SetLabel(
       "kernel=" + round_kernel_label(sim.compiled_kernel_active(),
-                                     sim.compiled_kernel_name(),
-                                     sim.compiled_width()) +
+                                     sim.compiled_kernel_name()) +
       " gather=" + graph::gather_kernel_name(sim.gather_kernel_used()) +
       " threads=" + std::to_string(sim.parallel_threads()) +
       " tile=" + std::to_string(sim.tile_words()));

@@ -40,7 +40,12 @@ struct transition_census {
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "fig1_state_machine [flags]",
+      {{"rounds", "rounds per run (default 4000)"},
+       {"p", "beep probability (default 0.5)"},
+       {"seed", "base seed (default 5)"},
+       {"threads", "worker threads (default 0: all cores)"}});
   const auto rounds = static_cast<std::uint64_t>(args.get_int("rounds", 4000));
   const double p = args.get_double("p", 0.5);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));

@@ -33,7 +33,11 @@ double seconds_since(
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "flow_invariants [flags]",
+      {{"rounds", "rounds per run (default 400)"},
+       {"seed", "base seed (default 6)"},
+       {"threads", "worker threads (default 0: all cores)"}});
   const auto rounds = static_cast<std::uint64_t>(args.get_int("rounds", 400));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 6));
   const std::size_t threads = args.get_threads();

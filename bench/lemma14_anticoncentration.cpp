@@ -19,7 +19,11 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "lemma14_anticoncentration [flags]",
+      {{"trials", "trials per cell (default 4000)"},
+       {"seed", "base seed (default 7)"},
+       {"threads", "worker threads (default 0: all cores)"}});
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 4000));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   const std::size_t threads = args.get_threads();

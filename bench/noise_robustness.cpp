@@ -87,7 +87,11 @@ noise_outcome run_batch(const graph::graph& g, beeping::noise_model noise,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "noise_robustness [flags]",
+      {{"trials", "trials per cell (default 30)"},
+       {"seed", "base seed (default 11)"},
+       {"threads", "worker threads (default 0: all cores)"}});
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 30));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
   const std::size_t threads = args.get_threads();

@@ -59,7 +59,11 @@ pp_stats run_pp(const graph::graph& g, const popproto::protocol& proto,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "population_comparison [flags]",
+      {{"trials", "trials per cell (default 20)"},
+       {"seed", "base seed (default 13)"},
+       {"threads", "worker threads (default 0: all cores)"}});
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 13));
   const std::size_t threads = args.get_threads();

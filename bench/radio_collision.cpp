@@ -87,7 +87,11 @@ mode_outcome run_mode(std::size_t trials, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "radio_collision [flags]",
+      {{"trials", "trials per cell (default 25)"},
+       {"seed", "base seed (default 14)"},
+       {"threads", "worker threads (default 0: all cores)"}});
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 25));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 14));
   const std::size_t threads = args.get_threads();

@@ -90,7 +90,11 @@ double median_stabilization(const graph::graph& g,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "selfstab_timeout [flags]",
+      {{"trials", "trials per cell (default 20)"},
+       {"seed", "base seed (default 12)"},
+       {"threads", "worker threads (default 0: all cores)"}});
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 12));
   const std::size_t threads = args.get_threads();

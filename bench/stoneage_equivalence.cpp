@@ -26,7 +26,11 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "stoneage_equivalence [flags]",
+      {{"rounds", "rounds per run (default 2000)"},
+       {"seed", "base seed (default 8)"},
+       {"threads", "worker threads (default 0: all cores)"}});
   const auto rounds = static_cast<std::uint64_t>(args.get_int("rounds", 2000));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 8));
   const std::size_t threads = args.get_threads();

@@ -31,7 +31,12 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv, {"resume"});
+  const support::cli args(
+      argc, argv, "table1_comparison [flags]",
+      sweep::cli_flags({{"n", "nodes per graph (default 64)"},
+                        {"trials", "trials per cell (default 15)"},
+                        {"seed", "base seed (default 1)"},
+                        {"csv", "also write the table to this CSV file"}}));
   const auto n = static_cast<std::size_t>(args.get_int("n", 64));
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 15));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));

@@ -35,7 +35,12 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv, {"resume"});
+  const support::cli args(
+      argc, argv, "thm2_uniform_scaling [flags]",
+      sweep::cli_flags({{"trials", "trials per cell (default 15)"},
+                        {"seed", "base seed (default 2)"},
+                        {"max-d", "largest diameter (default 64)"},
+                        {"csv", "also write the table to this CSV file"}}));
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 15));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2));
   const auto max_d = static_cast<std::uint32_t>(args.get_int("max-d", 64));

@@ -20,7 +20,13 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "thm3_known_diameter [flags]",
+      {{"trials", "trials per cell (default 15)"},
+       {"seed", "base seed (default 3)"},
+       {"max-d", "largest diameter (default 128)"},
+       {"csv", "also write the table to this CSV file"},
+       {"threads", "worker threads (default 0: all cores)"}});
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 15));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
   const auto max_d = static_cast<std::uint32_t>(args.get_int("max-d", 128));

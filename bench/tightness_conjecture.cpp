@@ -39,7 +39,12 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv, {"resume"});
+  const support::cli args(
+      argc, argv, "tightness_conjecture [flags]",
+      sweep::cli_flags({{"trials", "trials per cell (default 20)"},
+                        {"seed", "base seed (default 4)"},
+                        {"max-d", "largest diameter (default 128)"},
+                        {"csv", "also write the table to this CSV file"}}));
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 4));
   const auto max_d = static_cast<std::uint32_t>(args.get_int("max-d", 128));

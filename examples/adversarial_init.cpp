@@ -20,7 +20,10 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "adversarial_init [flags]",
+      {{"n", "path length (default 24)"},
+       {"rounds", "rounds per run (default 120)"}});
   const auto n = static_cast<std::size_t>(args.get_int("n", 24));
   const auto rounds = static_cast<std::uint64_t>(args.get_int("rounds", 120));
 

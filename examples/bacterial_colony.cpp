@@ -22,7 +22,12 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "bacterial_colony [flags]",
+      {{"cells", "number of cells (default 300)"},
+       {"radius", "contact radius (default 0.12)"},
+       {"trials", "trials per cell (default 20)"},
+       {"seed", "base seed (default 7)"}});
   const auto cells = static_cast<std::size_t>(args.get_int("cells", 300));
   const double radius = args.get_double("radius", 0.12);
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 20));

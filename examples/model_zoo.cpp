@@ -26,7 +26,10 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "model_zoo [flags]",
+      {{"n", "nodes per graph (default 49)"},
+       {"seed", "base seed (default 6)"}});
   const auto n = static_cast<std::size_t>(args.get_int("n", 49));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 6));
 

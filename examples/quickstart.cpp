@@ -17,7 +17,12 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "quickstart [flags]",
+      {{"rows", "grid rows (default 8)"},
+       {"cols", "grid columns (default 8)"},
+       {"p", "beep probability (default 0.5)"},
+       {"seed", "base seed (default 1)"}});
   const auto rows = static_cast<std::size_t>(args.get_int("rows", 8));
   const auto cols = static_cast<std::size_t>(args.get_int("cols", 8));
   const double p = args.get_double("p", 0.5);

@@ -21,7 +21,10 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "stone_age_demo [flags]",
+      {{"n", "nodes (default 64)"},
+       {"seed", "base seed (default 5)"}});
   const auto n = static_cast<std::size_t>(args.get_int("n", 64));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
 

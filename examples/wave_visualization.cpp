@@ -20,7 +20,12 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv);
+  const support::cli args(
+      argc, argv, "wave_visualization [flags]",
+      {{"n", "path length (default 40)"},
+       {"rounds", "rounds per run (default 80)"},
+       {"p", "beep probability (default 0.1)"},
+       {"seed", "base seed (default 4)"}});
   const auto n = static_cast<std::size_t>(args.get_int("n", 40));
   const auto rounds = static_cast<std::uint64_t>(args.get_int("rounds", 80));
   const double p = args.get_double("p", 0.1);

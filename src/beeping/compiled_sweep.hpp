@@ -1,6 +1,6 @@
 // The beepc-generated round kernel: one templated plane sweep,
-// instantiated per (protocol structure, SIMD width) by the generated
-// TUs under src/beeping/kernels/.
+// instantiated per protocol structure by the generated TUs under
+// src/beeping/kernels/.
 //
 // This is the interpreted sweep (plane_kernel.hpp, interpreted_sweep)
 // with every runtime lookup hoisted to compile time through a Traits
@@ -9,23 +9,22 @@
 // make_plane_plan() all become constexpr, so the decode and routing unroll into
 // straight-line word algebra with the transition masks folded into
 // constants - no moved[] successor array, no table loads, no draw-kind
-// branches. Batches of W words run through support::simd::wordvec<W>,
-// which lowers to the native vector ISA (or unrolled scalar ILP).
+// branches. The algebra runs one plain std::uint64_t word at a time.
 //
 // Bit-identity contract (the registry's acceptance bar): for any word
-// range and any W, the sweep computes exactly the interpreted sweep's
+// range, the sweep computes exactly the interpreted sweep's
 // planes, beep/leader/active words, ledger banks and leader count,
 // and every node consumes exactly its generator draws from its own
 // stream (the contract is per stream; order across nodes is free).
 // The two liberties it takes are proven-safe:
-//  * A batch is skipped only when ALL its words are quiet; quiet words
-//    inside a processed batch go through the full algebra, which
+//  * A word is skipped only when all its lanes are quiet; quiet lanes
+//    inside a processed word go through the full algebra, which
 //    reproduces their state bit-for-bit (quiet lanes sit in draw-free
 //    bot self-loops, cannot be in beeping states - a beeper hears
 //    itself - and so route to themselves with unchanged flags).
 //  * Stochastic rows are resolved through plane_ctx::rules at run time
 //    (parameter and successors are NOT baked in): one draw_outcomes()
-//    word per stochastic part and lane word, routed to the runtime
+//    word per stochastic part, routed to the runtime
 //    successors with branch-free masks. One kernel therefore serves a
 //    whole protocol family (every BFW p, coin or bernoulli).
 //
@@ -46,7 +45,6 @@
 #include <utility>
 
 #include "beeping/plane_kernel.hpp"
-#include "support/simd.hpp"
 
 namespace beepkit::beeping {
 
@@ -66,47 +64,33 @@ inline void unroll(F&& f) {
 /// The plane round over words [wb, we) - the beeping engine's, which
 /// also carries the stone-age fast path - register-ready as
 /// compiled_kernel::sweep.
-template <class Traits, std::size_t W>
+template <class Traits>
 sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
                             std::size_t wb, std::size_t we) {
-  using vec = support::simd::wordvec<W>;
+  using word = std::uint64_t;
   using sweep_detail::unroll;
   constexpr std::size_t P = Traits::plane_count;
   constexpr std::size_t Q = Traits::state_count;
   sweep_result result;
-  for (std::size_t w = wb; w < we; w += W) {
-    if constexpr (W > 1) {
-      // Narrow range tail: finish word-at-a-time (same algebra at
-      // W = 1, so tiling boundaries never change a number).
-      if (w + W > we) {
-        result.leaders += compiled_sweep<Traits, 1>(ctx, dirty, w, we).leaders;
-        break;
-      }
-    }
-    vec valid = vec::splat(~0ULL);
-    if (w + W >= ctx.words) valid.set_lane(ctx.words - 1 - w, ctx.tail_mask);
-    const vec h = vec::load(ctx.heard + w);
-    const vec act = vec::load(ctx.active + w);
-    if (!(((h | act) & valid)).any()) {
-      // Fully quiet batch: nothing moves, beeps, or draws; the stored
-      // leader lanes still count.
-      for (std::size_t l = 0; l < W; ++l) {
-        result.leaders +=
-            static_cast<std::size_t>(std::popcount(ctx.leader[w + l]));
-      }
+  for (std::size_t w = wb; w < we; ++w) {
+    const word valid = w + 1 == ctx.words ? ctx.tail_mask : ~word{0};
+    const word h = ctx.heard[w];
+    if (((h | ctx.active[w]) & valid) == 0) {
+      // Quiet word: nothing moves, beeps, or draws; the stored leader
+      // lanes still count.
+      result.leaders += static_cast<std::size_t>(std::popcount(ctx.leader[w]));
       continue;
     }
-    vec b[P];
-    unroll<P>([&](auto J) { b[J] = vec::load(ctx.planes[J] + w); });
-    vec np[P];
-    unroll<P>([&](auto J) { np[J] = vec::zero(); });
-    vec beep_bits = vec::zero();
-    vec leader_bits = vec::zero();
-    vec active_bits = vec::zero();
+    word b[P];
+    unroll<P>([&](auto J) { b[J] = ctx.planes[J][w]; });
+    word np[P] = {};
+    word beep_bits = 0;
+    word leader_bits = 0;
+    word active_bits = 0;
     // Routes a part to its compile-time successor: plane bits and flag
     // sets fold to constants, replacing the interpreted gear's moved[]
     // array and per-target meta loads.
-    const auto route = [&](auto target, vec part) {
+    const auto route = [&](auto target, word part) {
       constexpr std::size_t t = decltype(target)::value;
       unroll<P>([&](auto J) {
         if constexpr (((t >> decltype(J)::value) & 1U) != 0) np[J] |= part;
@@ -124,10 +108,8 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
     };
     // Routes a part to a runtime successor through all-ones/all-zeros
     // masks made from its id and meta byte.
-    const auto route_to = [&](state_id t, vec part) {
-      const auto all = [](bool on) {
-        return vec::splat(0 - static_cast<std::uint64_t>(on));
-      };
+    const auto route_to = [&](state_id t, word part) {
+      const auto all = [](bool on) { return 0 - static_cast<word>(on); };
       const std::uint8_t meta = Traits::meta[t];
       for (std::size_t j = 0; j < P; ++j) np[j] |= part & all((t >> j) & 1U);
       beep_bits |= part & all((meta & machine_table::meta_beep) != 0);
@@ -135,60 +117,54 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
       active_bits |=
           part & all((meta & machine_table::meta_bot_identity) == 0);
     };
-    // A stochastic row's part: one outcome word per lane word off the
-    // runtime rule table (draw slot `d`), routed with the successors'
-    // masks - no branch on an outcome.
-    const auto draw = [&](std::size_t d, vec part) {
-      if (!part.any()) return;
+    // A stochastic row's part: one outcome word off the runtime rule
+    // table (draw slot `d`), routed with the successors' masks - no
+    // branch on an outcome.
+    const auto draw = [&](std::size_t d, word part) {
+      if (part == 0) return;
       const transition_rule& rule = ctx.rules[Traits::draw_slots[d]];
-      vec yes = vec::zero();
-      for (std::size_t l = 0; l < W; ++l) {
-        const std::uint64_t lanes = part.lane(l);
-        if (lanes != 0) {
-          yes.set_lane(l, draw_outcomes(ctx.rngs, rule, w + l, lanes));
-        }
-      }
+      const word yes = draw_outcomes(ctx.rngs, rule, w, part);
       route_to(rule.on_true, yes);
-      route_to(rule.on_false, andnot(part, yes));
+      route_to(rule.on_false, part & ~yes);
     };
     // Bit-sliced comparison of the plane-encoded ids against a
     // compile-time constant (gt/eq accumulated highest plane first).
-    const auto compare = [&](auto bound, vec& gt, vec& eq) {
+    const auto compare = [&](auto bound, word& gt, word& eq) {
       constexpr std::size_t k = decltype(bound)::value;
-      gt = vec::zero();
+      gt = 0;
       eq = valid;
       unroll<P>([&](auto Jr) {
         constexpr std::size_t j = P - 1 - decltype(Jr)::value;
         if constexpr (((k >> j) & 1U) != 0) {
-          eq = eq & b[j];
+          eq &= b[j];
         } else {
-          gt = gt | (eq & b[j]);
-          eq = andnot(eq, b[j]);
+          gt |= eq & b[j];
+          eq &= ~b[j];
         }
       });
     };
-    vec chain_members = vec::zero();
+    word chain_members = 0;
     if constexpr (Traits::chain_count > 0) {
       unroll<Traits::chain_count>([&](auto C) {
         constexpr kernel_chain chain = Traits::chains[decltype(C)::value];
-        vec gt_last, eq_last;
+        word gt_last, eq_last;
         compare(std::integral_constant<std::size_t, chain.last>{}, gt_last,
                 eq_last);
-        vec ge_first = valid;
+        word ge_first = valid;
         if constexpr (chain.first != 0) {
-          vec gt_before, eq_before;
+          word gt_before, eq_before;
           compare(std::integral_constant<std::size_t, chain.first - 1>{},
                   gt_before, eq_before);
           ge_first = gt_before;
         }
-        const vec members = andnot(ge_first, gt_last);
-        if (!members.any()) return;
+        const word members = ge_first & ~gt_last;
+        if (members == 0) return;
         chain_members |= members;
         route(std::integral_constant<std::size_t, chain.top_next>{},
               members & h);
         // The run's last state exits the counter; its silent transition
         // is routed individually (it may even draw).
-        const vec last_bot = andnot(eq_last, h);
+        const word last_bot = eq_last & ~h;
         constexpr kernel_rule last_rule = Traits::bot[chain.last];
         if constexpr (last_rule.stochastic) {
           draw(last_rule.draw, last_bot);
@@ -198,12 +174,12 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
         }
         // Every other silent member ticks its counter: one ripple-carry
         // add over the planes, restricted to those lanes.
-        const vec inc = andnot(andnot(members, eq_last), h);
-        if (inc.any()) {
-          vec carry = inc;
+        const word inc = members & ~eq_last & ~h;
+        if (inc != 0) {
+          word carry = inc;
           unroll<P>([&](auto J) {
             np[J] |= (b[J] ^ carry) & inc;
-            carry = carry & b[J];
+            carry &= b[J];
           });
           if constexpr ((chain.meta & machine_table::meta_beep) != 0) {
             beep_bits |= inc;
@@ -223,20 +199,20 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
     unroll<Q>([&](auto S) {
       constexpr std::size_t s = decltype(S)::value;
       if constexpr (!Traits::chain_member[s]) {
-        vec dec = andnot(valid, chain_members);
+        word dec = valid & ~chain_members;
         unroll<P>([&](auto J) {
           constexpr std::size_t j = decltype(J)::value;
           if constexpr (((s >> j) & 1U) != 0) {
-            dec = dec & b[j];
+            dec &= b[j];
           } else {
-            dec = andnot(dec, b[j]);
+            dec &= ~b[j];
           }
         });
-        if (!dec.any()) return;
+        if (dec == 0) return;
         constexpr kernel_rule top = Traits::top[s];
         constexpr kernel_rule bot = Traits::bot[s];
-        const vec top_part = dec & h;
-        const vec bot_part = andnot(dec, h);
+        const word top_part = dec & h;
+        const word bot_part = dec & ~h;
         if constexpr (top.stochastic) {
           draw(top.draw, top_part);
         } else {
@@ -249,29 +225,20 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
         }
       }
     });
-    unroll<P>([&](auto J) { np[J].store(ctx.planes[J] + w); });
-    beep_bits.store(ctx.beep + w);
-    leader_bits.store(ctx.leader + w);
-    active_bits.store(ctx.active + w);
-    for (std::size_t l = 0; l < W; ++l) {
-      result.leaders +=
-          static_cast<std::size_t>(std::popcount(leader_bits.lane(l)));
-    }
+    unroll<P>([&](auto J) { ctx.planes[J][w] = np[J]; });
+    ctx.beep[w] = beep_bits;
+    ctx.leader[w] = leader_bits;
+    ctx.active[w] = active_bits;
+    result.leaders += static_cast<std::size_t>(std::popcount(leader_bits));
     // Ledger: bank this round's +1s with one ripple-carry add into the
-    // vertical counters; a zero carry lane rewrites its word unchanged,
-    // so the vectorized add stays value-identical to the interpreted
-    // per-word loop.
-    if (beep_bits.any()) {
-      for (std::size_t l = 0; l < W; ++l) {
-        if (beep_bits.lane(l) != 0) {
-          dirty[(w + l) >> 6] |= 1ULL << ((w + l) & 63);
-        }
-      }
-      vec carry = beep_bits;
-      for (std::size_t j = 0; j < 8 && carry.any(); ++j) {
-        const vec old = vec::load(ctx.ledger[j] + w);
-        (old ^ carry).store(ctx.ledger[j] + w);
-        carry = carry & old;
+    // vertical counters.
+    if (beep_bits != 0) {
+      dirty[w >> 6] |= 1ULL << (w & 63);
+      word carry = beep_bits;
+      for (std::size_t j = 0; j < 8 && carry != 0; ++j) {
+        const word old = ctx.ledger[j][w];
+        ctx.ledger[j][w] = old ^ carry;
+        carry &= old;
       }
     }
   }

@@ -187,12 +187,7 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
   if (!exec_ || exec_->thread_count() != resolved) {
     exec_ = std::make_unique<support::tile_executor>(resolved);
   }
-  // tile_words == 0 resolves through the one-shot micro-probe
-  // (whole-range vs L2-sized tiles). The probe result is cached for
-  // the process, so re-applying parallelism - or restarting the trial
-  // via restart_from_protocol - always lands on the same tile size.
-  tile_words_ = tile_words != 0 ? tile_words
-                                : support::autotuned_tile_words(*exec_);
+  tile_words_ = tile_words != 0 ? tile_words : support::kL2TileWords;
   gather_.set_executor(exec_.get(), tile_words_);
   // One lazy-store scratch context per executor slot: tiles own
   // disjoint stream ranges, and the engine syncs all slots after every
@@ -954,22 +949,13 @@ void engine::finish_step() {
   notify_round_observers();
 }
 
-void engine::set_compiled_width(std::size_t width) {
-  if (width != 1 && width != 2 && width != 4 && width != 8) {
-    throw std::invalid_argument(
-        "beeping::engine::set_compiled_width: width must be 1, 2, 4 or 8");
-  }
-  compiled_width_ = width;
-  bind_plane_round();
-}
-
 // Binds everything a plane round reads: the word, plane and ledger
 // pointers (arena buffers, stable for the engine's life), the rules,
 // plan and tail mask, and the sweep entry point - the matched beepc
-// kernel at the configured width, else the interpreted reference (the
-// two are draw-for-draw bit-identical; the differential tests enforce
-// it per width). Runs at bind and in every setter that changes one of
-// them, so a round reads one ready context.
+// kernel, else the interpreted reference (the two are draw-for-draw
+// bit-identical; the differential tests enforce it). Runs at bind and
+// in every setter that changes one of them, so a round reads one ready
+// context.
 void engine::bind_plane_round() noexcept {
   if (!plane_capable_) return;
   for (std::size_t j = 0; j < plan_.plane_count; ++j) {
@@ -991,9 +977,8 @@ void engine::bind_plane_round() noexcept {
   plane_ctx_.tail_mask = tail_mask_;
   plane_ctx_.words = heard_words_.size();
   sweep_compiled_ = compiled_kernel_active();
-  sweep_ = sweep_compiled_
-               ? compiled_kernel_->sweep[kernel_width_slot(compiled_width_)]
-               : interpreted_sweep(plan_.plane_count);
+  sweep_ = sweep_compiled_ ? compiled_kernel_->sweep
+                           : interpreted_sweep(plan_.plane_count);
 }
 
 // The tiled plane sweep: every word's update is independent (per-word

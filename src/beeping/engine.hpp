@@ -32,7 +32,7 @@
 // read once per call; what a plane round reads (the plane_ctx of word,
 // plane and ledger pointers, rules, plan and tail mask; the sweep entry
 // point; serial vs tiled) is bound at construction and rebound only by
-// the setters that change it (set_parallelism, set_compiled_width,
+// the setters that change it (set_parallelism,
 // set_compiled_kernel_enabled, set_fast_path_enabled, restart/resync).
 // A serial plane round therefore costs its gather and its sweep, which
 // writes the dirty-ledger bits and the leader count directly; the
@@ -132,7 +132,6 @@
 #include "support/arena.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "support/telemetry.hpp"
 
 namespace beepkit::beeping {
@@ -433,11 +432,9 @@ class engine : private fsm_protocol::lazy_source {
   /// Tiled intra-trial parallelism: rounds split the packed word range
   /// into tiles of `tile_words` words executed by `threads` workers
   /// (1 = serial, the default; 0 = one per hardware thread).
-  /// tile_words == 0 picks the tuned default: a one-shot micro-probe
-  /// (support::autotuned_tile_words, cached per process) contests the
-  /// whole-range even split against L2-sized tiles. Applies to the
-  /// stencil/word-CSR/packed gather kernels, the reception-noise pass
-  /// and the plane sweep - the full round loop; never changes any
+  /// tile_words == 0 picks support::kL2TileWords (8192 words). Applies
+  /// to the stencil/word-CSR/packed gather kernels, the reception-noise
+  /// pass and the plane sweep - the full round loop; never changes any
   /// number - every (threads, tile_words) point is draw-for-draw
   /// bit-identical to the serial engine, lazy-cursor giant engines
   /// included. Callable between rounds at any time.
@@ -445,9 +442,8 @@ class engine : private fsm_protocol::lazy_source {
   [[nodiscard]] std::size_t parallel_threads() const noexcept {
     return exec_ ? exec_->thread_count() : 1;
   }
-  /// The tile size rounds actually run with (the autotuned resolution
-  /// when set_parallelism was handed 0; 0 here still means whole-range
-  /// even split - the probe chose it).
+  /// The tile size rounds actually run with (kL2TileWords when
+  /// set_parallelism was handed 0).
   [[nodiscard]] std::size_t tile_words() const noexcept {
     return tile_words_;
   }
@@ -488,14 +484,6 @@ class engine : private fsm_protocol::lazy_source {
   [[nodiscard]] std::string compiled_kernel_name() const {
     return compiled_kernel_ != nullptr ? compiled_kernel_->name
                                        : std::string{};
-  }
-  /// Pins the kernel batch width (words per vector op; 1, 2, 4 or 8 -
-  /// std::invalid_argument otherwise). Default:
-  /// support::simd::autotuned_width(), a one-shot micro-probe over the
-  /// candidate widths at first engine bind. Purely a throughput knob.
-  void set_compiled_width(std::size_t width);
-  [[nodiscard]] std::size_t compiled_width() const noexcept {
-    return compiled_width_;
   }
   /// Plane rounds executed through a compiled kernel so far.
   [[nodiscard]] std::uint64_t compiled_rounds() const noexcept {
@@ -714,7 +702,6 @@ class engine : private fsm_protocol::lazy_source {
   // only). The registry owns the descriptor; addresses are stable.
   const compiled_kernel* compiled_kernel_ = nullptr;
   bool compiled_enabled_ = true;
-  std::size_t compiled_width_ = support::simd::autotuned_width();
   std::uint64_t compiled_rounds_ = 0;
   std::uint64_t tail_mask_ = ~0ULL;  // valid bits of the last word
   // The bound plane round (bind_plane_round): the context every sweep

@@ -42,10 +42,7 @@ const compiled_kernel& kernel_bfw() {
     compiled_kernel k;
     k.name = "bfw";
     k.structure = "q=6;2,r,d4;3,d2,d2;2,d0,d0;4,d3,d4;1,d5,d5;0,d3,d3";
-    k.sweep[0] = &compiled_sweep<bfw_traits, 1>;
-    k.sweep[1] = &compiled_sweep<bfw_traits, 2>;
-    k.sweep[2] = &compiled_sweep<bfw_traits, 4>;
-    k.sweep[3] = &compiled_sweep<bfw_traits, 8>;
+    k.sweep = &compiled_sweep<bfw_traits>;
     return k;
   }();
   return kernel;

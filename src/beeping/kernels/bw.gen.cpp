@@ -38,10 +38,7 @@ const compiled_kernel& kernel_bw() {
     compiled_kernel k;
     k.name = "bw";
     k.structure = "q=4;2,r,d3;3,d0,d0;4,d2,d3;1,d2,d2";
-    k.sweep[0] = &compiled_sweep<bw_traits, 1>;
-    k.sweep[1] = &compiled_sweep<bw_traits, 2>;
-    k.sweep[2] = &compiled_sweep<bw_traits, 4>;
-    k.sweep[3] = &compiled_sweep<bw_traits, 8>;
+    k.sweep = &compiled_sweep<bw_traits>;
     return k;
   }();
   return kernel;

@@ -58,10 +58,7 @@ const compiled_kernel& kernel_timeout_bfw_t9() {
     compiled_kernel k;
     k.name = "timeout_bfw_t9";
     k.structure = "q=14;2,r,d3;3,d2,d2;2,d0,d0;1,d4,d4;0,d5,d5;0,d6,d3;0,d7,d3;0,d8,d3;0,d9,d3;0,d10,d3;0,d11,d3;0,d12,d3;0,d13,d3;0,d0,d3";
-    k.sweep[0] = &compiled_sweep<timeout_bfw_t9_traits, 1>;
-    k.sweep[1] = &compiled_sweep<timeout_bfw_t9_traits, 2>;
-    k.sweep[2] = &compiled_sweep<timeout_bfw_t9_traits, 4>;
-    k.sweep[3] = &compiled_sweep<timeout_bfw_t9_traits, 8>;
+    k.sweep = &compiled_sweep<timeout_bfw_t9_traits>;
     return k;
   }();
   return kernel;

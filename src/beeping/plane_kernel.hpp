@@ -12,8 +12,8 @@
 // plan at runtime - state count, plane count, per-state decode targets,
 // beep/leader/identity meta, patience-chain layout - baked in as
 // constexpr (src/beeping/compiled_sweep.hpp instantiates the template
-// per structure and SIMD width). Kernels are matched at engine bind
-// time by *structure*, not by protocol instance:
+// per structure). Kernels are matched at engine bind time by
+// *structure*, not by protocol instance:
 // serialize_table_structure() captures exactly what the kernel bakes in
 // and classifies every stochastic row uniformly (the kernel applies
 // draws through the runtime rule table, so one BFW kernel serves every
@@ -132,14 +132,6 @@ using sweep_fn = sweep_result (*)(const plane_ctx&, std::uint64_t* dirty,
 /// and ctx.plan.
 [[nodiscard]] sweep_fn interpreted_sweep(std::size_t plane_count);
 
-/// Width variants a kernel carries: W words per vector op.
-inline constexpr std::size_t kernel_widths[] = {1, 2, 4, 8};
-inline constexpr std::size_t kernel_width_slots = 4;
-[[nodiscard]] constexpr std::size_t kernel_width_slot(
-    std::size_t width) noexcept {
-  return width == 8 ? 3 : width == 4 ? 2 : width == 2 ? 1 : 0;
-}
-
 /// One compiled transition row of a generated Traits block (with
 /// kernel_chain, the constexpr records compiled_sweep.hpp consumes): a
 /// deterministic successor, or a reference (`draw`) into the kernel's
@@ -151,11 +143,11 @@ struct kernel_rule {
 };
 
 /// One registered kernel: the structure it serves plus its sweep
-/// entry points, indexed by kernel_width_slot().
+/// entry point.
 struct compiled_kernel {
   std::string name;       ///< beepc kernel name (bench/test labels)
   std::string structure;  ///< serialize_table_structure() of the source
-  sweep_fn sweep[kernel_width_slots] = {};
+  sweep_fn sweep = nullptr;
 };
 
 /// Canonical structural form of a compiled table: state count, per-state

@@ -59,9 +59,8 @@ election_outcome finish_election(beeping::engine& sim,
     const std::string compiled_kernel = sim.compiled_kernel_name();
     const std::string gather_kernel =
         graph::gather_kernel_name(sim.gather_kernel_used());
-    const tel::trial_fold trial{result.rounds,
-                                static_cast<double>(sim.compiled_width()),
-                                compiled_kernel, gather_kernel};
+    const tel::trial_fold trial{result.rounds, compiled_kernel,
+                                gather_kernel};
     tel::registry::global().fold_engine(sim.telemetry_metrics(), "engine",
                                         &trial);
   }
@@ -79,7 +78,6 @@ election_outcome run_election(const graph::topology_view& view,
   }
   if (!options.fast_path) sim.set_fast_path_enabled(false);
   if (!options.compiled_kernel) sim.set_compiled_kernel_enabled(false);
-  if (options.compiled_width != 0) sim.set_compiled_width(options.compiled_width);
   if (!options.telemetry) sim.set_telemetry_enabled(false);
   if (!options.initial.empty()) {
     proto.set_states(options.initial);

@@ -26,7 +26,7 @@ namespace beepkit::core {
 /// auditability.
 struct engine_exec {
   std::size_t threads = 1;     ///< 1 = serial (default), 0 = hardware.
-  std::size_t tile_words = 0;  ///< 0 = autotuned (micro-probe default).
+  std::size_t tile_words = 0;  ///< 0 = support::kL2TileWords.
 };
 
 /// Result of one election trial.
@@ -79,9 +79,6 @@ struct election_options {
   beeping::noise_model noise;    ///< reception noise (off by default)
   bool fast_path = true;         ///< false = force the virtual gear
   bool compiled_kernel = true;   ///< false = force the interpreted sweep
-  /// Kernel batch width override (1/2/4/8); 0 keeps the engine default
-  /// (support::simd::preferred_width()).
-  std::size_t compiled_width = 0;
   /// Explicit initial configuration (Section-5 experiments); empty =
   /// the machine's initial state everywhere. Must hold valid state ids.
   std::vector<beeping::state_id> initial;

@@ -301,9 +301,6 @@ giant_result run_giant_trial(const graph::topology_view& view,
   beeping::engine_config config = beeping::engine_config::giant();
   config.numa_interleave = options.numa_interleave;
   beeping::engine sim(view, proto, seed, beeping::noise_model{}, config);
-  if (options.compiled_width != 0) {
-    sim.set_compiled_width(options.compiled_width);
-  }
   if (options.threads != 1 || options.tile_words != 0) {
     sim.set_parallelism(options.threads, options.tile_words);
   }

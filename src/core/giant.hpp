@@ -55,15 +55,12 @@ struct giant_options {
   /// counter reaches this value - the controlled "kill" half of the
   /// kill/resume differential. 0 = run to election or horizon.
   std::uint64_t stop_after_round = 0;
-  /// Compiled-kernel batch width override; 0 keeps the autotuned
-  /// default.
-  std::size_t compiled_width = 0;
   /// Worker threads for the tiled plane rounds (1 = serial, 0 = one
   /// per hardware thread). Any thread count is bit-identical in
   /// outcome, round and draw count - checkpoints taken under one
   /// thread count resume cleanly under another.
   std::size_t threads = 1;
-  /// Tile size in plane words; 0 = the autotuned default (see
+  /// Tile size in plane words; 0 = support::kL2TileWords (see
   /// engine::set_parallelism).
   std::size_t tile_words = 0;
   /// Best-effort MPOL_INTERLEAVE on the plane arena's mappings

@@ -83,10 +83,6 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
   if (plane_) plane_->sim.set_parallelism(threads, tile_words);
 }
 
-void engine::set_compiled_width(std::size_t width) {
-  if (plane_) plane_->sim.set_compiled_width(width);
-}
-
 void engine::set_gather_kernel(graph::gather_kernel kernel) {
   if (!plane_) {
     throw std::logic_error(

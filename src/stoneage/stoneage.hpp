@@ -160,10 +160,6 @@ class engine {
   [[nodiscard]] std::string compiled_kernel_name() const {
     return plane_ ? plane_->sim.compiled_kernel_name() : std::string{};
   }
-  void set_compiled_width(std::size_t width);
-  [[nodiscard]] std::size_t compiled_width() const noexcept {
-    return plane_ ? plane_->sim.compiled_width() : 0;
-  }
   [[nodiscard]] std::uint64_t compiled_rounds() const noexcept {
     return plane_ ? plane_->sim.compiled_rounds() : 0;
   }

@@ -1,20 +1,72 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
 
 #include "support/parallel.hpp"
 
 namespace beepkit::support {
 
 cli::cli(int argc, const char* const* argv,
-         std::initializer_list<const char*> switches) {
-  const auto is_switch = [&switches](const std::string& name) {
-    for (const char* s : switches) {
-      if (name == s) return true;
+         std::initializer_list<const char*> switches)
+    : switches_(switches.begin(), switches.end()) {
+  parse(argc, argv);
+}
+
+cli::cli(int argc, const char* const* argv, const char* usage,
+         std::vector<flag> flags)
+    : usage_(usage), flags_(std::move(flags)) {
+  flags_.push_back({"help", "print this list and exit", true});
+  for (const flag& f : flags_) {
+    if (f.is_switch) switches_.emplace_back(f.name);
+  }
+  parse(argc, argv);
+  if (values_.count("help") != 0) {
+    std::fputs(help().c_str(), stdout);
+    std::exit(0);
+  }
+  for (const auto& [name, _] : values_) {
+    if (!declared(name)) {
+      std::fprintf(stderr, "unknown flag --%s\n%s", name.c_str(),
+                   help().c_str());
+      std::exit(2);
     }
-    return false;
+  }
+}
+
+std::string cli::help() const {
+  std::size_t width = 0;
+  for (const flag& f : flags_) width = std::max(width, std::strlen(f.name));
+  std::string text = std::string("usage: ") + usage_ + "\nflags:\n";
+  for (const flag& f : flags_) {
+    const std::string name = f.name;
+    text += "  --" + name + std::string(width - name.size() + 2, ' ') +
+            f.help + "\n";
+  }
+  return text;
+}
+
+bool cli::declared(const std::string& name) const {
+  return std::any_of(flags_.begin(), flags_.end(),
+                     [&](const flag& f) { return name == f.name; });
+}
+
+void cli::mark_queried(const std::string& name) const {
+  if (!flags_.empty() && !declared(name)) {
+    throw std::logic_error("support::cli: flag --" + name +
+                           " is queried but not declared");
+  }
+  queried_[name] = true;
+}
+
+void cli::parse(int argc, const char* const* argv) {
+  const auto is_switch = [this](const std::string& name) {
+    return std::find(switches_.begin(), switches_.end(), name) !=
+           switches_.end();
   };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -37,12 +89,12 @@ cli::cli(int argc, const char* const* argv,
 }
 
 bool cli::has(const std::string& name) const {
-  queried_[name] = true;
+  mark_queried(name);
   return values_.count(name) > 0;
 }
 
 std::optional<std::string> cli::get(const std::string& name) const {
-  queried_[name] = true;
+  mark_queried(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return std::nullopt;
   return it->second;

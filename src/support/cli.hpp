@@ -1,8 +1,8 @@
-// Minimal command-line flag parsing for the bench harnesses and
-// examples: `--name=value` or `--name value` pairs plus boolean
-// switches. Deliberately tiny - no positional arguments, no
-// subcommands - because every binary in this repository only needs a
-// handful of numeric knobs (sizes, seeds, trial counts, --csv paths).
+// Minimal command-line flag parsing for the bench harnesses, tools
+// and examples: `--name=value` or `--name value` pairs, boolean
+// switches and positional arguments. Every binary declares its flags
+// once (support::flag); an unknown flag exits 2 with the list of known
+// ones, and --help prints that list.
 #pragma once
 
 #include <cstddef>
@@ -28,16 +28,34 @@ struct shard_spec {
   [[nodiscard]] bool whole() const noexcept { return count == 1; }
 };
 
-/// Parsed flags. Unknown flags are collected rather than rejected so a
-/// harness can print a warning without aborting a long sweep.
+/// One flag a binary accepts: its name (without the dashes), the line
+/// --help prints for it, and whether it is a switch - a boolean flag
+/// that never consumes the next argument as its value.
+struct flag {
+  const char* name;
+  const char* help;
+  bool is_switch = false;
+};
+
+/// Parsed flags.
 class cli {
  public:
-  /// `switches` names boolean flags that never consume a following
-  /// argument as their value, so `prog --quiet file.jsonl` keeps
-  /// file.jsonl as a positional. (`--flag=value` still works for
+  /// Undeclared form: any flag is accepted and collected (see
+  /// unused()). `switches` names boolean flags that never consume a
+  /// following argument as their value, so `prog --quiet file.jsonl`
+  /// keeps file.jsonl as a positional. (`--flag=value` still works for
   /// switches.) Value flags keep the usual `--name value` form.
   cli(int argc, const char* const* argv,
       std::initializer_list<const char*> switches = {});
+
+  /// Declared form, the one every binary uses: `flags` are the only
+  /// flags accepted. `--help` prints `usage` and the flag list to
+  /// stdout and exits 0; any other flag prints the unknown name and
+  /// the list to stderr and exits 2. A getter asked for an undeclared
+  /// name throws std::logic_error (a slip in the binary, not on the
+  /// command line).
+  cli(int argc, const char* const* argv, const char* usage,
+      std::vector<flag> flags);
 
   [[nodiscard]] bool has(const std::string& name) const;
 
@@ -80,7 +98,18 @@ class cli {
   /// useful for catching typos in sweep scripts.
   [[nodiscard]] std::vector<std::string> unused() const;
 
+  /// The --help text of the declared form: `usage`, then one line per
+  /// declared flag.
+  [[nodiscard]] std::string help() const;
+
  private:
+  void parse(int argc, const char* const* argv);
+  [[nodiscard]] bool declared(const std::string& name) const;
+  void mark_queried(const std::string& name) const;
+
+  const char* usage_ = "";
+  std::vector<flag> flags_;  // empty in the undeclared form
+  std::vector<std::string> switches_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positionals_;
   mutable std::map<std::string, bool> queried_;

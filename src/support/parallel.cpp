@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <utility>
 
 #include "support/telemetry.hpp"
@@ -208,78 +207,6 @@ std::vector<tile_executor::slot_claims> tile_executor::claim_counts() const {
 
 void tile_executor::reset_claim_counts() noexcept {
   for (padded_claims& c : claims_) c = padded_claims{};
-}
-
-namespace {
-
-// A representative slice of a tiled round: per word, a short AND/XOR
-// chain across three arrays with a write-back plus a per-slot
-// accumulator fold - the mix the real sweeps do, so the probe sees the
-// same cache/claim-overhead trade the round loop sees. The working set
-// (3 x 2 MiB) deliberately overflows L2 so tile size matters.
-std::size_t run_tile_probe(tile_executor& exec) {
-  constexpr std::size_t kWords = std::size_t{1} << 18;  // 2 MiB per array
-  constexpr int kReps = 4;
-  std::vector<std::uint64_t> heard(kWords), plane(kWords), ledger(kWords);
-  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
-  const auto next = [&x]() noexcept {
-    std::uint64_t z = (x += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    return z ^ (z >> 31);
-  };
-  for (std::size_t w = 0; w < kWords; ++w) {
-    heard[w] = next();
-    plane[w] = next();
-    ledger[w] = next();
-  }
-  struct alignas(64) padded {
-    std::uint64_t value = 0;
-  };
-  std::vector<padded> partials(exec.thread_count());
-  const auto pass = [&](std::size_t tile_words) {
-    exec.run_tiles(kWords, tile_words,
-                   [&](std::size_t slot, std::size_t wb, std::size_t we) {
-                     std::uint64_t acc = 0;
-                     for (std::size_t w = wb; w < we; ++w) {
-                       const std::uint64_t h = heard[w];
-                       const std::uint64_t p = plane[w] ^ (h & ledger[w]);
-                       plane[w] = p;
-                       ledger[w] |= p & ~h;
-                       acc += p;
-                     }
-                     partials[slot].value += acc;
-                   });
-  };
-  using clock = std::chrono::steady_clock;
-  const auto time_tile = [&](std::size_t tile_words) {
-    pass(tile_words);  // warm-up (page faults, thread wakeup)
-    auto best = clock::duration::max();
-    for (int r = 0; r < kReps; ++r) {
-      const auto t0 = clock::now();
-      pass(tile_words);
-      const auto dt = clock::now() - t0;
-      if (dt < best) best = dt;
-    }
-    return best;
-  };
-  const auto whole_range = time_tile(0);
-  const auto l2_tiles = time_tile(kL2TileWords);
-  // The sink keeps the optimizer honest without affecting the result.
-  std::uint64_t sink = 0;
-  for (const padded& p : partials) sink += p.value;
-  if (sink == 0x5eed5eed5eed5eedULL) return 0;
-  // The probe's own claims are not round work; don't let them leak
-  // into the engine's tile telemetry.
-  exec.reset_claim_counts();
-  // Near-ties within 2% keep the whole-range split (fewest claims).
-  return l2_tiles.count() * 100 < whole_range.count() * 98 ? kL2TileWords : 0;
-}
-
-}  // namespace
-
-std::size_t autotuned_tile_words(tile_executor& exec) noexcept {
-  static const std::size_t tile_words = run_tile_probe(exec);
-  return tile_words;
 }
 
 void parallel_for_words(

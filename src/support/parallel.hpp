@@ -182,15 +182,13 @@ class tile_executor {
 /// one tile streams ~384 KiB.
 inline constexpr std::size_t kL2TileWords = std::size_t{1} << 13;
 
-/// One-shot micro-probe (companion to simd::autotuned_width()): times
-/// a representative tiled read-modify-write sweep at tile_words == 0
-/// (whole-range even split, one tile per worker) against L2-sized
-/// tiles (kL2TileWords) on `exec` and returns the winner (0 or
-/// kL2TileWords). The result is cached for the process - the first
-/// executor to ask decides - so every engine resolves the same default
-/// and restart_from_protocol cannot flip tile sizes mid-run. Near-ties
-/// within 2% keep the whole-range split (fewest claims).
-[[nodiscard]] std::size_t autotuned_tile_words(tile_executor& exec) noexcept;
+/// The tile size tile_words == 0 resolves to: always kL2TileWords.
+/// Kept only because perfbench/src/main.cpp still stamps it; delete it
+/// together with that stamp field.
+[[nodiscard]] constexpr std::size_t autotuned_tile_words(
+    const tile_executor& /*exec*/) noexcept {
+  return kL2TileWords;
+}
 
 /// One-shot convenience over tile_executor: body(slot, begin, end)
 /// over tiles of `tile_words` words covering [0, words), executed by

@@ -157,9 +157,9 @@ constexpr std::array<std::string_view, fc_count> kCounterSuffixes = {
 enum : std::size_t { fh_round_ns, fh_trial_rounds };
 constexpr std::array<std::string_view, 2> kHistogramSuffixes = {
     "_round_ns", "_trial_rounds"};
-enum : std::size_t { fg_tile_imbalance, fg_compiled_width };
-constexpr std::array<std::string_view, 2> kGaugeSuffixes = {
-    "_tile_imbalance", "_compiled_width"};
+enum : std::size_t { fg_tile_imbalance };
+constexpr std::array<std::string_view, 1> kGaugeSuffixes = {
+    "_tile_imbalance"};
 enum : std::size_t { fi_compiled_kernel, fi_gather_kernel };
 constexpr std::array<std::string_view, 2> kInfoSuffixes = {
     "_compiled_kernel", "_gather_kernel"};
@@ -195,7 +195,7 @@ struct prefix_slots {
         infos(prefix, kInfoSuffixes) {}
   slot_cache<std::uint64_t, fc_count> counters;
   slot_cache<log2_histogram, 2> histograms;
-  slot_cache<double, 2> gauges;
+  slot_cache<double, 1> gauges;
   slot_cache<std::string, 2> infos;
 };
 
@@ -382,7 +382,6 @@ void registry::fold_engine(const engine_metrics& m, std::string_view prefix,
   if (trial != nullptr) {
     add(fc_trials, 1);
     keys.histograms(s.histograms, fh_trial_rounds).record(trial->rounds);
-    keys.gauges(s.gauges, fg_compiled_width) = trial->compiled_width;
     const auto set_info = [&](std::size_t i, std::string_view value) {
       std::string& info = keys.infos(s.infos, i);
       if (info != value) info.assign(value);  // repeats cost no copy

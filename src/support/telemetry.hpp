@@ -171,11 +171,10 @@ struct engine_metrics {
 
 /// One finished election's bookkeeping, folded next to its engine
 /// scratch: `<prefix>_trials_total` += 1, `<prefix>_trial_rounds`
-/// records `rounds`, and the width gauge and the two kernel infos
-/// describe the trial that finished last.
+/// records `rounds`, and the two kernel infos describe the trial that
+/// finished last.
 struct trial_fold {
   std::uint64_t rounds = 0;
-  double compiled_width = 0.0;
   std::string_view compiled_kernel;
   std::string_view gather_kernel;
 };

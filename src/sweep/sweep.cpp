@@ -550,6 +550,18 @@ options options_from_cli(const support::cli& args) {
   return opts;
 }
 
+std::vector<support::flag> cli_flags(std::vector<support::flag> own) {
+  own.insert(
+      own.end(),
+      {{"threads", "worker threads (default 0: one per hardware thread)"},
+       {"shard", "i/N: run only shard i of N (default: the whole sweep)"},
+       {"jsonl", "file to stream one JSON record per trial to"},
+       {"resume", "skip the units the --jsonl file already holds", true},
+       {"telemetry", "file to write the telemetry snapshot to"},
+       {"trace", "file to write a Chrome trace to"}});
+  return own;
+}
+
 std::string describe_result(const shard_result& result,
                             const options& opts) {
   std::ostringstream out;

@@ -137,6 +137,11 @@ struct shard_result {
 /// `--trace path`. Benches layer their bespoke hooks on top.
 [[nodiscard]] options options_from_cli(const support::cli& args);
 
+/// A sweep bench's flag declaration: its own flags followed by the
+/// standard ones options_from_cli reads.
+[[nodiscard]] std::vector<support::flag> cli_flags(
+    std::vector<support::flag> own);
+
 /// The standard epilogue the ported benches print after their tables:
 /// a shard-locality warning when sharded and a record-stream note when
 /// `--jsonl` was given. Empty for a default (whole-sweep, no-jsonl)

@@ -1,13 +1,12 @@
 // Differential tests for the beepc-compiled round kernels: a compiled
 // sweep is required to be draw-for-draw bit-identical to the
 // interpreted plane gear (and hence to the virtual reference) on every
-// (kernel, SIMD width, graph, seed, noise) combination - same state
-// trajectories, same leader counts, same beep ledgers, same generator
-// draws. Word-boundary sizes {63, 64, 65, 128} exercise the batch
-// tails; widths {1, 2, 4, 8} cover every wordvec instantiation. Below
-// the engine, every registered kernel's width entry points are also
-// called directly against interpreted_sweep on random valid plane
-// contexts (KernelRegistryTest.BuiltinKernelsRegistered).
+// (kernel, graph, seed, noise) combination - same state trajectories,
+// same leader counts, same beep ledgers, same generator draws.
+// Word-boundary sizes {63, 64, 65, 128} exercise the tail word. Below
+// the engine, every registered kernel's entry point is also called
+// directly against interpreted_sweep on random valid plane contexts
+// (KernelRegistryTest.BuiltinKernelsRegistered).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,8 +34,6 @@ using beeping::fsm_protocol;
 using beeping::noise_model;
 using beeping::state_id;
 
-using beeping::kernel_widths;
-
 struct graph_case {
   std::string label;
   graph::graph g;
@@ -54,30 +51,27 @@ std::vector<graph_case> word_boundary_graphs() {
 }
 
 /// Runs `rounds` rounds on two engines over the same machine and seed -
-/// one dispatching to the compiled kernel at `width`, one pinned to the
+/// one dispatching to the compiled kernel, one pinned to the
 /// interpreted plane gear - and compares the full trace plus the next
 /// raw draw of every per-node generator.
 void expect_compiled_matches_interpreted(const graph::graph& g,
                                          const beeping::state_machine& machine,
                                          std::uint64_t seed, int rounds,
                                          const noise_model& noise,
-                                         std::size_t width,
                                          const std::string& label) {
   fsm_protocol compiled_proto(machine);
   fsm_protocol ref_proto(machine);
   engine compiled(g, compiled_proto, seed, noise);
   engine ref(g, ref_proto, seed, noise);
   ASSERT_TRUE(compiled.compiled_kernel_active()) << label;
-  compiled.set_compiled_width(width);
   ref.set_compiled_kernel_enabled(false);
   ASSERT_FALSE(ref.compiled_kernel_active()) << label;
   for (int round = 0; round < rounds; ++round) {
     compiled.step();
     ref.step();
     ASSERT_EQ(compiled_proto.states(), ref_proto.states())
-        << label << " w=" << width << " diverged at round " << round;
-    ASSERT_EQ(compiled.leader_count(), ref.leader_count())
-        << label << " w=" << width;
+        << label << " diverged at round " << round;
+    ASSERT_EQ(compiled.leader_count(), ref.leader_count()) << label;
   }
   ASSERT_GT(compiled.compiled_rounds(), 0U) << label;
   EXPECT_EQ(ref.compiled_rounds(), 0U) << label;
@@ -185,9 +179,9 @@ beeping::sweep_result run_sweep(beeping::sweep_fn sweep,
   return sweep(ctx, buf.dirty.data(), wb, we);
 }
 
-/// Kernel-level differential: every width entry point of `kernel`
-/// against interpreted_sweep(P) on random valid inputs at word-boundary
-/// node counts, over word ranges that start and end off the W grid -
+/// Kernel-level differential: the entry point of `kernel` against
+/// interpreted_sweep(P) on random valid inputs at word-boundary node
+/// counts, over word ranges that start and end inside the word array -
 /// planes, beep/leader/active words, ledger, dirty bits, the returned
 /// leader count and the next draw of every stream. Each context also
 /// runs the kernel on a lazy cursor store (coins mode for coin-only
@@ -210,7 +204,7 @@ void expect_kernel_matches_interpreted_sweep(
   const auto lazy_mode =
       any_coin ? support::draw_mode::coins : support::draw_mode::raw64;
   // 63..128 nodes are one or two words; 65 * 64 - 3 nodes give 65
-  // words, so every width runs whole batches and a ragged tail.
+  // words with a ragged tail.
   for (const std::size_t n : {63U, 64U, 65U, 128U, 65U * 64U - 3U}) {
     const std::size_t words = (n + 63) / 64;
     std::vector<std::pair<std::size_t, std::size_t>> ranges = {{0, words}};
@@ -220,51 +214,48 @@ void expect_kernel_matches_interpreted_sweep(
     } else if (words == 2) {
       ranges.insert(ranges.end(), {{0, 1}, {1, 2}});
     }
-    for (std::size_t slot = 0; slot < beeping::kernel_width_slots; ++slot) {
-      for (const auto& [wb, we] : ranges) {
-        const std::string label = kernel.name + " n=" + std::to_string(n) +
-                                  " w=" + std::to_string(kernel_widths[slot]) +
-                                  " [" + std::to_string(wb) + "," +
-                                  std::to_string(we) + ")";
-        const std::uint64_t seed = n * 131 + slot * 17 + wb * 7 + we;
-        sweep_buffers ref = random_valid_sweep_input(table, plan.plane_count,
-                                                     n, seed);
-        sweep_buffers got = ref;
-        sweep_buffers lazy_got = ref;
-        const auto ref_counts =
-            run_sweep(reference, table, plan, n, ref, wb, we);
-        const auto got_counts =
-            run_sweep(kernel.sweep[slot], table, plan, n, got, wb, we);
-        EXPECT_EQ(got_counts.leaders, ref_counts.leaders) << label;
-        EXPECT_EQ(got.planes, ref.planes) << label;
-        EXPECT_EQ(got.beep, ref.beep) << label;
-        EXPECT_EQ(got.leader, ref.leader) << label;
-        EXPECT_EQ(got.active, ref.active) << label;
-        EXPECT_EQ(got.ledger, ref.ledger) << label;
-        EXPECT_EQ(got.dirty, ref.dirty) << label;
-        if (lazy_runs) {
-          support::rng_store lazy =
-              support::rng_store::lazy(seed ^ 0x5eedULL, n, lazy_mode);
-          const auto lazy_counts = run_sweep(kernel.sweep[slot], table, plan,
-                                             n, lazy_got, wb, we, &lazy);
-          EXPECT_EQ(lazy_counts.leaders, ref_counts.leaders) << label;
-          EXPECT_EQ(lazy_got.planes, ref.planes) << label;
-          EXPECT_EQ(lazy_got.beep, ref.beep) << label;
-          const auto cursors = lazy.cursors();
-          for (std::size_t u = 0; u < n; ++u) {
-            const std::uint64_t draws =
-                lazy_mode == support::draw_mode::coins
-                    ? ref.rngs[u].coins_consumed()
-                    : ref.rngs[u].u64_draws();
-            ASSERT_EQ(cursors[u], draws) << label << " lazy node " << u;
-          }
-        }
+    for (const auto& [wb, we] : ranges) {
+      const std::string label = kernel.name + " n=" + std::to_string(n) +
+                                " [" + std::to_string(wb) + "," +
+                                std::to_string(we) + ")";
+      const std::uint64_t seed = n * 131 + wb * 7 + we;
+      sweep_buffers ref = random_valid_sweep_input(table, plan.plane_count,
+                                                   n, seed);
+      sweep_buffers got = ref;
+      sweep_buffers lazy_got = ref;
+      const auto ref_counts =
+          run_sweep(reference, table, plan, n, ref, wb, we);
+      const auto got_counts =
+          run_sweep(kernel.sweep, table, plan, n, got, wb, we);
+      EXPECT_EQ(got_counts.leaders, ref_counts.leaders) << label;
+      EXPECT_EQ(got.planes, ref.planes) << label;
+      EXPECT_EQ(got.beep, ref.beep) << label;
+      EXPECT_EQ(got.leader, ref.leader) << label;
+      EXPECT_EQ(got.active, ref.active) << label;
+      EXPECT_EQ(got.ledger, ref.ledger) << label;
+      EXPECT_EQ(got.dirty, ref.dirty) << label;
+      if (lazy_runs) {
+        support::rng_store lazy =
+            support::rng_store::lazy(seed ^ 0x5eedULL, n, lazy_mode);
+        const auto lazy_counts = run_sweep(kernel.sweep, table, plan, n,
+                                           lazy_got, wb, we, &lazy);
+        EXPECT_EQ(lazy_counts.leaders, ref_counts.leaders) << label;
+        EXPECT_EQ(lazy_got.planes, ref.planes) << label;
+        EXPECT_EQ(lazy_got.beep, ref.beep) << label;
+        const auto cursors = lazy.cursors();
         for (std::size_t u = 0; u < n; ++u) {
-          ASSERT_EQ(got.rngs[u].coins_consumed(), ref.rngs[u].coins_consumed())
-              << label << " node " << u;
-          ASSERT_EQ(got.rngs[u].next_u64(), ref.rngs[u].next_u64())
-              << label << " node " << u;
+          const std::uint64_t draws =
+              lazy_mode == support::draw_mode::coins
+                  ? ref.rngs[u].coins_consumed()
+                  : ref.rngs[u].u64_draws();
+          ASSERT_EQ(cursors[u], draws) << label << " lazy node " << u;
         }
+      }
+      for (std::size_t u = 0; u < n; ++u) {
+        ASSERT_EQ(got.rngs[u].coins_consumed(), ref.rngs[u].coins_consumed())
+            << label << " node " << u;
+        ASSERT_EQ(got.rngs[u].next_u64(), ref.rngs[u].next_u64())
+            << label << " node " << u;
       }
     }
   }
@@ -272,11 +263,8 @@ void expect_kernel_matches_interpreted_sweep(
 
 TEST(CompiledKernelDifferentialTest, BfwAllWidthsAllGraphs) {
   const core::bfw_machine machine(0.5);
-  for (const std::size_t width : kernel_widths) {
-    for (const auto& c : word_boundary_graphs()) {
-      expect_compiled_matches_interpreted(c.g, machine, 1234, 250, {}, width,
-                                          c.label);
-    }
+  for (const auto& c : word_boundary_graphs()) {
+    expect_compiled_matches_interpreted(c.g, machine, 1234, 250, {}, c.label);
   }
 }
 
@@ -285,22 +273,17 @@ TEST(CompiledKernelDifferentialTest, BfwBernoulliMatchesThroughRuleTable) {
   // unchanged (stochastic rows are runtime data), so the same compiled
   // kernel must serve it bit for bit.
   const core::bfw_machine machine(0.3);
-  for (const std::size_t width : kernel_widths) {
-    expect_compiled_matches_interpreted(graph::make_path(65), machine, 99, 250,
-                                        {}, width, "path65");
-    expect_compiled_matches_interpreted(graph::make_grid(8, 16), machine, 99,
-                                        250, {}, width, "grid8x16");
-  }
+  expect_compiled_matches_interpreted(graph::make_path(65), machine, 99, 250,
+                                      {}, "path65");
+  expect_compiled_matches_interpreted(graph::make_grid(8, 16), machine, 99,
+                                      250, {}, "grid8x16");
 }
 
 TEST(CompiledKernelDifferentialTest, BfwWithReceptionNoise) {
   const core::bfw_machine machine(0.5);
   const noise_model noise{0.1, 0.05};
-  for (const std::size_t width : kernel_widths) {
-    for (const auto& c : word_boundary_graphs()) {
-      expect_compiled_matches_interpreted(c.g, machine, 7, 200, noise, width,
-                                          c.label);
-    }
+  for (const auto& c : word_boundary_graphs()) {
+    expect_compiled_matches_interpreted(c.g, machine, 7, 200, noise, c.label);
   }
 }
 
@@ -308,21 +291,15 @@ TEST(CompiledKernelDifferentialTest, TimeoutBfwPatienceChain) {
   // T = 9 is the checked-in chain kernel (14 states, 4 planes); the
   // bit-sliced ripple-carry tick must match the interpreted chain.
   const core::timeout_bfw_machine machine(0.5, 9);
-  for (const std::size_t width : kernel_widths) {
-    for (const auto& c : word_boundary_graphs()) {
-      expect_compiled_matches_interpreted(c.g, machine, 5, 250, {}, width,
-                                          c.label);
-    }
+  for (const auto& c : word_boundary_graphs()) {
+    expect_compiled_matches_interpreted(c.g, machine, 5, 250, {}, c.label);
   }
 }
 
 TEST(CompiledKernelDifferentialTest, BwAblationExtinction) {
   const core::bw_machine machine(0.5);
-  for (const std::size_t width : kernel_widths) {
-    for (const auto& c : word_boundary_graphs()) {
-      expect_compiled_matches_interpreted(c.g, machine, 31, 250, {}, width,
-                                          c.label);
-    }
+  for (const auto& c : word_boundary_graphs()) {
+    expect_compiled_matches_interpreted(c.g, machine, 31, 250, {}, c.label);
   }
 }
 
@@ -362,30 +339,27 @@ TEST(CompiledKernelDifferentialTest, AdversarialInjectionsMatch) {
   support::rng seeder(3);
   cases.push_back({"random-leaders-grid8x8", graph::make_grid(8, 8),
                    core::random_leader_configuration(64, 5, seeder)});
-  for (const std::size_t width : kernel_widths) {
-    for (auto& c : cases) {
-      fsm_protocol compiled_proto(machine);
-      fsm_protocol ref_proto(machine);
-      engine compiled(c.g, compiled_proto, 11);
-      engine ref(c.g, ref_proto, 11);
-      compiled.set_compiled_width(width);
-      ref.set_compiled_kernel_enabled(false);
-      compiled.run_rounds(50);
-      ref.run_rounds(50);
-      compiled_proto.set_states(c.states);
-      ref_proto.set_states(c.states);
-      compiled.restart_from_protocol();
-      ref.restart_from_protocol();
-      for (int round = 0; round < 250; ++round) {
-        compiled.step();
-        ref.step();
-        ASSERT_EQ(compiled_proto.states(), ref_proto.states())
-            << c.label << " w=" << width << " diverged at round " << round;
-        ASSERT_EQ(compiled.leader_count(), ref.leader_count()) << c.label;
-      }
-      for (graph::node_id u = 0; u < c.g.node_count(); ++u) {
-        ASSERT_EQ(compiled.beep_count(u), ref.beep_count(u)) << c.label;
-      }
+  for (auto& c : cases) {
+    fsm_protocol compiled_proto(machine);
+    fsm_protocol ref_proto(machine);
+    engine compiled(c.g, compiled_proto, 11);
+    engine ref(c.g, ref_proto, 11);
+    ref.set_compiled_kernel_enabled(false);
+    compiled.run_rounds(50);
+    ref.run_rounds(50);
+    compiled_proto.set_states(c.states);
+    ref_proto.set_states(c.states);
+    compiled.restart_from_protocol();
+    ref.restart_from_protocol();
+    for (int round = 0; round < 250; ++round) {
+      compiled.step();
+      ref.step();
+      ASSERT_EQ(compiled_proto.states(), ref_proto.states())
+          << c.label << " diverged at round " << round;
+      ASSERT_EQ(compiled.leader_count(), ref.leader_count()) << c.label;
+    }
+    for (graph::node_id u = 0; u < c.g.node_count(); ++u) {
+      ASSERT_EQ(compiled.beep_count(u), ref.beep_count(u)) << c.label;
     }
   }
 }
@@ -416,12 +390,9 @@ TEST(CompiledKernelDifferentialTest, ToggleMidRunNeverChangesNumbers) {
   engine reference(path, reference_proto, 19);
   using reconfigure = void (*)(engine&);
   const std::vector<std::pair<std::string, reconfigure>> schedule = {
-      {"width 1", [](engine& e) { e.set_compiled_width(1); }},
-      {"width 8", [](engine& e) { e.set_compiled_width(8); }},
       {"interpreted", [](engine& e) { e.set_compiled_kernel_enabled(false); }},
       {"tiled 4x1", [](engine& e) { e.set_parallelism(4, 1); }},
       {"compiled", [](engine& e) { e.set_compiled_kernel_enabled(true); }},
-      {"width 2", [](engine& e) { e.set_compiled_width(2); }},
       {"serial", [](engine& e) { e.set_parallelism(1, 0); }},
       {"virtual", [](engine& e) { e.set_fast_path_enabled(false); }},
       {"plane", [](engine& e) { e.set_fast_path_enabled(true); }},
@@ -485,25 +456,22 @@ TEST(CompiledKernelDifferentialTest, TiledParallelismStaysBitIdentical) {
 
 TEST(StoneAgeCompiledKernelTest, MatchesInterpretedAllWidths) {
   const core::bfw_stone_automaton automaton(0.5);
-  for (const std::size_t width : kernel_widths) {
-    for (const std::size_t n : {63U, 64U, 65U, 128U}) {
-      const auto g = graph::make_path(n);
-      stoneage::engine compiled(g, automaton, 1, 21);
-      stoneage::engine ref(g, automaton, 1, 21);
-      ASSERT_TRUE(compiled.compiled_kernel_active());
-      compiled.set_compiled_width(width);
-      ref.set_compiled_kernel_enabled(false);
-      ASSERT_FALSE(ref.compiled_kernel_active());
-      for (int round = 0; round < 250; ++round) {
-        compiled.step();
-        ref.step();
-        ASSERT_EQ(compiled.states(), ref.states())
-            << "n=" << n << " w=" << width << " diverged at round " << round;
-        ASSERT_EQ(compiled.leader_count(), ref.leader_count()) << "n=" << n;
-      }
-      ASSERT_GT(compiled.compiled_rounds(), 0U);
-      EXPECT_EQ(ref.compiled_rounds(), 0U);
+  for (const std::size_t n : {63U, 64U, 65U, 128U}) {
+    const auto g = graph::make_path(n);
+    stoneage::engine compiled(g, automaton, 1, 21);
+    stoneage::engine ref(g, automaton, 1, 21);
+    ASSERT_TRUE(compiled.compiled_kernel_active());
+    ref.set_compiled_kernel_enabled(false);
+    ASSERT_FALSE(ref.compiled_kernel_active());
+    for (int round = 0; round < 250; ++round) {
+      compiled.step();
+      ref.step();
+      ASSERT_EQ(compiled.states(), ref.states())
+          << "n=" << n << " diverged at round " << round;
+      ASSERT_EQ(compiled.leader_count(), ref.leader_count()) << "n=" << n;
     }
+    ASSERT_GT(compiled.compiled_rounds(), 0U);
+    EXPECT_EQ(ref.compiled_rounds(), 0U);
   }
 }
 
@@ -533,12 +501,8 @@ TEST(KernelRegistryTest, BuiltinKernelsRegistered) {
   EXPECT_NE(std::find(names.begin(), names.end(), "timeout_bfw_t9"),
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "bw"), names.end());
-  for (const auto* k : kernels) {
-    for (std::size_t slot = 0; slot < beeping::kernel_width_slots; ++slot) {
-      ASSERT_NE(k->sweep[slot], nullptr) << k->name;
-    }
-  }
-  // Every registered kernel, at every width, sweeps exactly like the
+  for (const auto* k : kernels) ASSERT_NE(k->sweep, nullptr) << k->name;
+  // Every registered kernel sweeps exactly like the
   // interpreted reference - for coin and bernoulli rows alike.
   std::vector<std::string> checked;
   for (const auto& spec :
@@ -628,10 +592,6 @@ TEST(KernelRegistryTest, EngineIntrospection) {
   sim.set_compiled_kernel_enabled(false);
   EXPECT_FALSE(sim.compiled_kernel_active());
   EXPECT_EQ(sim.compiled_kernel_name(), "bfw");  // still bound, just off
-  EXPECT_THROW(sim.set_compiled_width(3), std::invalid_argument);
-  EXPECT_THROW(sim.set_compiled_width(0), std::invalid_argument);
-  sim.set_compiled_width(2);
-  EXPECT_EQ(sim.compiled_width(), 2U);
 }
 
 }  // namespace

@@ -261,7 +261,6 @@ TEST(ElectionOptionsTest, InitialConfigurationAndWidth) {
   const core::bfw_machine machine(0.5);
   core::election_options options;
   options.max_rounds = 100000;
-  options.compiled_width = 2;
   options.initial = std::vector<beeping::state_id>(
       64, static_cast<beeping::state_id>(core::bfw_state::follower_wait));
   options.initial[10] = static_cast<beeping::state_id>(0);  // one leader seed

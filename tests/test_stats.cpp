@@ -31,6 +31,13 @@ TEST(StatsTest, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(quantile(values, 0.5), 5.0);
   EXPECT_DOUBLE_EQ(quantile(values, 1.0), 10.0);
   EXPECT_DOUBLE_EQ(quantile(values, 0.25), 2.5);
+  // Pinned bits on an input where a fused multiply-add rounds
+  // differently: the library builds with -ffp-contract=off, so every
+  // build (x86-64-v3 included) gives the unfused a*(1-f) + b*f.
+  const std::vector<double> pair = {1.1, 1.3};
+  EXPECT_EQ(quantile(pair, 0.3), 1.1600000000000001);
+  EXPECT_NE(std::fma(1.1, 1.0 - 0.3, 1.3 * 0.3), 1.1600000000000001);
+  EXPECT_NE(std::fma(1.3, 0.3, 1.1 * (1.0 - 0.3)), 1.1600000000000001);
 }
 
 TEST(StatsTest, QuantileClampsQ) {
@@ -61,6 +68,21 @@ TEST(StatsTest, RunningStatsMatchesDirect) {
               1e-12);
   EXPECT_DOUBLE_EQ(acc.min(), -2.0);
   EXPECT_DOUBLE_EQ(acc.max(), 8.5);
+  // Pinned bits where fusing m2 += delta * (x - mean) into one fma
+  // would round differently (the library builds with
+  // -ffp-contract=off).
+  running_stats pinned;
+  double fused_mean = 0.0;
+  double fused_m2 = 0.0;
+  int fused_n = 0;
+  for (const double v : {1.1, 2.2, 3.3, 4.4, 5.5}) {
+    pinned.add(v);
+    const double delta = v - fused_mean;
+    fused_mean += delta / ++fused_n;
+    fused_m2 = std::fma(delta, v - fused_mean, fused_m2);
+  }
+  EXPECT_EQ(pinned.variance(), 3.0250000000000004);
+  EXPECT_NE(fused_m2 / 4.0, 3.0250000000000004);
 }
 
 TEST(StatsTest, RunningStatsFewSamples) {

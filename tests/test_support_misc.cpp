@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 
 #include "support/cli.hpp"
 #include "support/table.hpp"
@@ -162,6 +164,23 @@ TEST(CliTest, UnusedFlagsReported) {
   const auto leftover = args.unused();
   ASSERT_EQ(leftover.size(), 1U);
   EXPECT_EQ(leftover[0], "typo");
+  // The declared form every binary uses rejects the typo outright: exit
+  // 2 with the known flags listed; --help lists them and exits 0.
+  const auto declared = [](int argc, const char* const* args_in) {
+    const cli strict(argc, args_in, "prog [flags]", {{"used", "a used flag"}});
+    (void)strict.get_int("used", 0);
+    std::exit(0);
+  };
+  EXPECT_EXIT(declared(3, argv), testing::ExitedWithCode(2),
+              "unknown flag --typo.*--used");
+  const char* help_argv[] = {"prog", "--help"};
+  EXPECT_EXIT(declared(2, help_argv), testing::ExitedWithCode(0), "");
+  const char* good_argv[] = {"prog", "--used", "3"};
+  const cli strict(3, good_argv, "prog [flags]", {{"used", "a used flag"}});
+  EXPECT_EQ(strict.get_int("used", 0), 3);
+  EXPECT_NE(strict.help().find("--used"), std::string::npos);
+  EXPECT_NE(strict.help().find("--help"), std::string::npos);
+  EXPECT_THROW((void)strict.get_int("undeclared", 0), std::logic_error);
 }
 
 TEST(CliTest, BooleanSwitchBeforeFlag) {

@@ -295,13 +295,10 @@ TEST(TiledEngineBitIdentityTest, NoisePassReportsTiledExecution) {
 }
 
 TEST(TiledEngineConfigTest, AutotunedTileWordsIsStableAndValid) {
+  // The tile size is the constant kL2TileWords: no probe runs, so the
+  // executor has claimed no tiles.
   support::tile_executor exec(2);
-  const std::size_t tile_words = support::autotuned_tile_words(exec);
-  EXPECT_TRUE(tile_words == 0 || tile_words == support::kL2TileWords)
-      << tile_words;
-  // One-shot probe: repeated calls return the cached choice.
-  EXPECT_EQ(support::autotuned_tile_words(exec), tile_words);
-  // The probe's own tile claims must not leak into engine telemetry.
+  EXPECT_EQ(support::autotuned_tile_words(exec), support::kL2TileWords);
   for (const auto& claims : exec.claim_counts()) {
     EXPECT_EQ(claims.tiles, 0U);
     EXPECT_EQ(claims.words, 0U);
@@ -309,14 +306,14 @@ TEST(TiledEngineConfigTest, AutotunedTileWordsIsStableAndValid) {
 }
 
 TEST(TiledEngineConfigTest, TileSizeSurvivesRestartFromProtocol) {
-  // set_parallelism(t, 0) resolves the tuned default; a protocol
-  // restart must keep running with the exact same tile size (the probe
-  // is process-cached, so re-resolving is also stable).
+  // set_parallelism(t, 0) resolves to kL2TileWords; a protocol
+  // restart and a re-resolve must keep that exact tile size.
   const core::bfw_machine machine(0.5);
   fsm_protocol proto(machine);
   engine sim(graph::make_grid(8, 16), proto, 5);
   sim.set_parallelism(2, 0);
   const std::size_t resolved = sim.tile_words();
+  EXPECT_EQ(resolved, support::kL2TileWords);
   sim.run_rounds(10);
   sim.restart_from_protocol();
   EXPECT_EQ(sim.tile_words(), resolved);

@@ -172,7 +172,6 @@ TEST(TopologyView, ExplicitViewBorrowsGraphIdentity) {
 struct engine_knobs {
   bool fast_path = true;
   bool compiled = true;
-  std::size_t width = 0;
   beeping::noise_model noise{};
 };
 
@@ -187,7 +186,6 @@ void expect_same_trajectory(const topology_view& implicit_view,
   for (beeping::engine* sim : {&sim_a, &sim_b}) {
     if (!knobs.fast_path) sim->set_fast_path_enabled(false);
     if (!knobs.compiled) sim->set_compiled_kernel_enabled(false);
-    if (knobs.width != 0) sim->set_compiled_width(knobs.width);
   }
   for (int round = 0; round < 160; ++round) {
     sim_a.step();
@@ -207,8 +205,6 @@ TEST(TopologyViewEngine, ImplicitMatchesExplicitAcrossGears) {
   expect_same_trajectory(view, g, {.compiled = false},
                          "interpreted plane sweep");
   expect_same_trajectory(view, g, {.fast_path = false}, "virtual gear");
-  expect_same_trajectory(view, g, {.width = 1}, "width 1");
-  expect_same_trajectory(view, g, {.width = 8}, "width 8");
 }
 
 TEST(TopologyViewEngine, ImplicitMatchesExplicitUnderNoise) {

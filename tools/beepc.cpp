@@ -3,11 +3,11 @@
 // Consumes declarative protocol specs (core/protocol_spec.hpp: the
 // bundled factories and/or JSON documents) and emits one C++ TU per
 // protocol structure under --out-dir, each instantiating the templated
-// SIMD round sweep (beeping/compiled_sweep.hpp) with the protocol's
+// round sweep (beeping/compiled_sweep.hpp) once with the protocol's
 // transition masks, meta flags and plane layout - plane count and
 // patience chains, from the same beeping::make_plane_plan() the
 // engine's interpreted sweep binds - baked in as a constexpr Traits
-// block, at every kernel width (1/2/4/8 words). A manifest TU defining
+// block. A manifest TU defining
 // ensure_builtin_kernels_registered() registers them all in the kernel
 // registry; the engine picks them up at bind time by structure match.
 //
@@ -202,11 +202,7 @@ std::string emit_kernel(const kernel_source& src) {
   out << "    compiled_kernel k;\n";
   out << "    k.name = \"" << escape_literal(src.name) << "\";\n";
   out << "    k.structure = \"" << escape_literal(src.structure) << "\";\n";
-  for (std::size_t i = 0; i < beepkit::beeping::kernel_width_slots; ++i) {
-    const std::size_t width = beepkit::beeping::kernel_widths[i];
-    out << "    k.sweep[" << i << "] = &compiled_sweep<" << src.name
-        << "_traits, " << width << ">;\n";
-  }
+  out << "    k.sweep = &compiled_sweep<" << src.name << "_traits>;\n";
   out << "    return k;\n";
   out << "  }();\n";
   out << "  return kernel;\n";
@@ -255,7 +251,11 @@ void write_file(const std::filesystem::path& path, const std::string& text) {
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv, {"no-builtins"});
+  const support::cli args(
+      argc, argv, "beepc [flags] [spec.json ...]",
+      {{"out-dir", "directory to write the kernels to "
+                   "(default src/beeping/kernels)"},
+       {"no-builtins", "emit only the given specs", true}});
   const std::filesystem::path out_dir =
       args.get_string("out-dir", "src/beeping/kernels");
 
@@ -281,9 +281,7 @@ int main(int argc, char** argv) {
       sources.push_back(make_source(sanitize_identifier(spec.name), spec));
     }
     if (sources.empty()) {
-      std::fprintf(stderr,
-                   "usage: beepc [--out-dir DIR] [--no-builtins] "
-                   "[spec.json ...]\n");
+      std::fputs(args.help().c_str(), stderr);
       return 2;
     }
     for (std::size_t i = 0; i < sources.size(); ++i) {

@@ -165,7 +165,14 @@ int run_differential(std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const support::cli args(argc, argv, {"resume", "differential"});
+  const support::cli args(
+      argc, argv, "fault_sweep [flags]",
+      sweep::cli_flags(
+          {{"trials", "trials per cell (default 8)"},
+           {"seed", "base seed (default 11)"},
+           {"engine-threads", "tiled workers per engine (default 1)"},
+           {"tile-words", "tile size in words (default 0: 8192)"},
+           {"differential", "replay one trial across every gear", true}}));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
   if (args.has("differential")) return run_differential(seed);
 

@@ -41,27 +41,21 @@ std::uint64_t peak_rss_kib() {
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv,
-                          {"resume", "numa-interleave", "first-touch", "help"});
-  if (args.has("help")) {
-    std::printf(
-        "usage: giant_trial --topology SPEC [options]\n"
-        "  --topology SPEC        path:N | ring:N | grid:RxC | torus:RxC\n"
-        "  --p P                  BFW beep probability (default 0.5)\n"
-        "  --seed S               trial seed (default 1)\n"
-        "  --max-rounds R         horizon (default: Theorem-2 bound)\n"
-        "  --checkpoint FILE      checkpoint journal (JSONL, appendable)\n"
-        "  --checkpoint-every R   rounds between snapshots (default 0)\n"
-        "  --resume               resume from the journal's last snapshot\n"
-        "  --stop-after-round R   stop early with a forced snapshot\n"
-        "  --compiled-width W     force kernel batch width (1/2/4/8)\n"
-        "  --threads T            tiled round workers (1 = serial, 0 = all\n"
-        "                         hardware threads); any T is bit-identical\n"
-        "  --tile-words W         tile size in words (0 = autotuned)\n"
-        "  --numa-interleave      interleave arena pages across NUMA nodes\n"
-        "  --first-touch          tiled first-touch prefault of the arena\n");
-    return 0;
-  }
+  const support::cli args(
+      argc, argv, "giant_trial --topology SPEC [flags]",
+      {{"topology", "path:N | ring:N | grid:RxC | torus:RxC"},
+       {"p", "BFW beep probability (default 0.5)"},
+       {"seed", "trial seed (default 1)"},
+       {"max-rounds", "horizon (default: Theorem-2 bound)"},
+       {"checkpoint", "checkpoint journal (JSONL, appendable)"},
+       {"checkpoint-every", "rounds between snapshots (default 0)"},
+       {"resume", "resume from the journal's last snapshot", true},
+       {"stop-after-round", "stop early with a forced snapshot"},
+       {"threads", "tiled round workers (1 = serial, the default; 0 = all "
+                   "cores); any count is bit-identical"},
+       {"tile-words", "tile size in words (default 0: 8192)"},
+       {"numa-interleave", "interleave arena pages across NUMA nodes", true},
+       {"first-touch", "tiled first-touch prefault of the arena", true}});
 
   const std::string spec = args.get_string("topology", "");
   const auto view = graph::topology_view::parse(spec);
@@ -82,8 +76,6 @@ int main(int argc, char** argv) {
   options.resume = args.has("resume");
   options.stop_after_round =
       static_cast<std::uint64_t>(args.get_int("stop-after-round", 0));
-  options.compiled_width =
-      static_cast<std::size_t>(args.get_int("compiled-width", 0));
   options.threads = static_cast<std::size_t>(args.get_int("threads", 1));
   options.tile_words =
       static_cast<std::size_t>(args.get_int("tile-words", 0));

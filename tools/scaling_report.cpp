@@ -138,18 +138,14 @@ json to_json(const std::vector<scaling_row>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const support::cli args(argc, argv, {"skip-giant", "help"});
-  if (args.has("help")) {
-    std::printf(
-        "usage: scaling_report [options]\n"
-        "  --rounds R        timed rounds per XL point (default 64)\n"
-        "  --giant-rounds R  timed rounds per giant point (default 16)\n"
-        "  --tile-words W    force the tile size (0 = autotuned)\n"
-        "  --max-threads T   top of the 1,2,4,.. thread ladder (default 8)\n"
-        "  --skip-giant      drop the grid:8192x8192 giant row\n"
-        "  --json FILE       write the machine-readable report\n");
-    return 0;
-  }
+  const support::cli args(
+      argc, argv, "scaling_report [flags]",
+      {{"rounds", "timed rounds per XL point (default 64)"},
+       {"giant-rounds", "timed rounds per giant point (default 16)"},
+       {"tile-words", "tile size in words (default 0: 8192)"},
+       {"max-threads", "top of the 1,2,4,.. thread ladder (default 8)"},
+       {"skip-giant", "drop the grid:8192x8192 giant row", true},
+       {"json", "file to write the machine-readable report to"}});
   const auto rounds = static_cast<std::uint64_t>(args.get_int("rounds", 64));
   const auto giant_rounds =
       static_cast<std::uint64_t>(args.get_int("giant-rounds", 16));

@@ -25,12 +25,14 @@
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv, {"quiet"});
+  const support::cli args(
+      argc, argv, "sweep_merge shard0.jsonl [shard1.jsonl ...] [flags]",
+      {{"json", "file to write the merged cells to as JSON"},
+       {"csv", "file to write the merged table to as CSV"},
+       {"quiet", "print no table", true}});
   const std::vector<std::string>& inputs = args.positionals();
   if (inputs.empty()) {
-    std::fprintf(stderr,
-                 "usage: sweep_merge shard0.jsonl [shard1.jsonl ...] "
-                 "[--json out.json] [--csv out.csv] [--quiet]\n");
+    std::fputs(args.help().c_str(), stderr);
     return 2;
   }
 

@@ -97,15 +97,16 @@ std::string to_prometheus(const json& snapshot) {
 
 int main(int argc, char** argv) {
   using namespace beepkit;
-  const support::cli args(argc, argv, {"quiet"});
+  const support::cli args(
+      argc, argv,
+      "telem_report snapshot.json | baseline.json snapshot.json [flags]\n"
+      "  one file: render it; two files: diff (second minus first)",
+      {{"csv", "file to write the metrics to as CSV"},
+       {"prom", "file to write the metrics to as Prometheus text"},
+       {"quiet", "print no table", true}});
   const std::vector<std::string>& inputs = args.positionals();
   if (inputs.empty() || inputs.size() > 2) {
-    std::fprintf(stderr,
-                 "usage: telem_report snapshot.json [baseline.json "
-                 "snapshot.json] [--csv out.csv] [--prom out.prom] "
-                 "[--quiet]\n"
-                 "  one file: render it; two files: diff (second minus "
-                 "first)\n");
+    std::fputs(args.help().c_str(), stderr);
     return 2;
   }
 

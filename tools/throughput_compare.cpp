@@ -157,16 +157,16 @@ bool print_scaling_section(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Switch names are matched with the "--" prefix stripped (see
-  // support::cli), so list them bare.
-  const beepkit::support::cli args(argc, argv,
-                                   {"strict", "block-catastrophic"});
+  const beepkit::support::cli args(
+      argc, argv, "throughput_compare baseline.json current.json [flags]",
+      {{"threshold", "regression threshold (default 0.30)"},
+       {"strict", "exit 1 on any regression", true},
+       {"block-catastrophic", "exit 1 on a catastrophic regression", true},
+       {"catastrophic", "catastrophic-regression threshold (default 0.50)"},
+       {"csv", "file to write the comparison to as CSV"},
+       {"scaling", "scaling_report JSON to append as a section"}});
   if (args.positionals().size() != 2) {
-    std::fprintf(stderr,
-                 "usage: throughput_compare baseline.json current.json "
-                 "[--threshold 0.30] [--strict] [--block-catastrophic] "
-                 "[--catastrophic 0.50] [--csv out.csv] "
-                 "[--scaling report.json]\n");
+    std::fputs(args.help().c_str(), stderr);
     return 2;
   }
   const double threshold = args.get_double("threshold", 0.30);
