@@ -432,7 +432,10 @@ class engine : private fsm_protocol::lazy_source {
   /// Tiled intra-trial parallelism: rounds split the packed word range
   /// into tiles of `tile_words` words executed by `threads` workers
   /// (1 = serial, the default; 0 = one per hardware thread).
-  /// tile_words == 0 picks support::kL2TileWords (8192 words). Applies
+  /// tile_words == 0 picks support::kL2TileWords (8192 words), so an
+  /// engine under 8192 words (fewer than 524288 nodes) runs one tile,
+  /// inline and serial, whatever `threads` is; pass a smaller
+  /// tile_words to split such an engine across the workers. Applies
   /// to the stencil/word-CSR/packed gather kernels, the reception-noise
   /// pass and the plane sweep - the full round loop; never changes any
   /// number - every (threads, tile_words) point is draw-for-draw

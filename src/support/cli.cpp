@@ -11,26 +11,17 @@
 
 namespace beepkit::support {
 
-cli::cli(int argc, const char* const* argv,
-         std::initializer_list<const char*> switches)
-    : switches_(switches.begin(), switches.end()) {
-  parse(argc, argv);
-}
-
 cli::cli(int argc, const char* const* argv, const char* usage,
          std::vector<flag> flags)
     : usage_(usage), flags_(std::move(flags)) {
   flags_.push_back({"help", "print this list and exit", true});
-  for (const flag& f : flags_) {
-    if (f.is_switch) switches_.emplace_back(f.name);
-  }
   parse(argc, argv);
   if (values_.count("help") != 0) {
     std::fputs(help().c_str(), stdout);
     std::exit(0);
   }
   for (const auto& [name, _] : values_) {
-    if (!declared(name)) {
+    if (find(name) == nullptr) {
       std::fprintf(stderr, "unknown flag --%s\n%s", name.c_str(),
                    help().c_str());
       std::exit(2);
@@ -50,23 +41,23 @@ std::string cli::help() const {
   return text;
 }
 
-bool cli::declared(const std::string& name) const {
-  return std::any_of(flags_.begin(), flags_.end(),
-                     [&](const flag& f) { return name == f.name; });
+const flag* cli::find(const std::string& name) const {
+  const auto it = std::find_if(flags_.begin(), flags_.end(),
+                               [&](const flag& f) { return name == f.name; });
+  return it == flags_.end() ? nullptr : &*it;
 }
 
-void cli::mark_queried(const std::string& name) const {
-  if (!flags_.empty() && !declared(name)) {
+void cli::require_declared(const std::string& name) const {
+  if (find(name) == nullptr) {
     throw std::logic_error("support::cli: flag --" + name +
                            " is queried but not declared");
   }
-  queried_[name] = true;
 }
 
 void cli::parse(int argc, const char* const* argv) {
   const auto is_switch = [this](const std::string& name) {
-    return std::find(switches_.begin(), switches_.end(), name) !=
-           switches_.end();
+    const flag* f = find(name);
+    return f != nullptr && f->is_switch;
   };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -89,12 +80,12 @@ void cli::parse(int argc, const char* const* argv) {
 }
 
 bool cli::has(const std::string& name) const {
-  mark_queried(name);
+  require_declared(name);
   return values_.count(name) > 0;
 }
 
 std::optional<std::string> cli::get(const std::string& name) const {
-  mark_queried(name);
+  require_declared(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return std::nullopt;
   return it->second;
@@ -165,14 +156,6 @@ shard_spec cli::get_shard() const {
     std::exit(2);
   }
   return *parsed;
-}
-
-std::vector<std::string> cli::unused() const {
-  std::vector<std::string> leftover;
-  for (const auto& [name, _] : values_) {
-    if (!queried_.count(name)) leftover.push_back(name);
-  }
-  return leftover;
 }
 
 }  // namespace beepkit::support

@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -40,18 +39,12 @@ struct flag {
 /// Parsed flags.
 class cli {
  public:
-  /// Undeclared form: any flag is accepted and collected (see
-  /// unused()). `switches` names boolean flags that never consume a
-  /// following argument as their value, so `prog --quiet file.jsonl`
-  /// keeps file.jsonl as a positional. (`--flag=value` still works for
-  /// switches.) Value flags keep the usual `--name value` form.
-  cli(int argc, const char* const* argv,
-      std::initializer_list<const char*> switches = {});
-
-  /// Declared form, the one every binary uses: `flags` are the only
-  /// flags accepted. `--help` prints `usage` and the flag list to
-  /// stdout and exits 0; any other flag prints the unknown name and
-  /// the list to stderr and exits 2. A getter asked for an undeclared
+  /// `flags` are the only flags accepted. `--help` prints `usage` and
+  /// the flag list to stdout and exits 0; any other flag prints the
+  /// unknown name and the list to stderr and exits 2. A flag declared
+  /// as a switch never consumes a following argument as its value, so
+  /// `prog --quiet file.jsonl` keeps file.jsonl as a positional
+  /// (`--switch=value` still works). A getter asked for an undeclared
   /// name throws std::logic_error (a slip in the binary, not on the
   /// command line).
   cli(int argc, const char* const* argv, const char* usage,
@@ -87,32 +80,25 @@ class cli {
 
   /// Arguments that are neither `--flags` nor a flag's value, in
   /// command-line order (e.g. the input files of sweep_merge). A
-  /// positional directly after a value-less flag NOT listed in
-  /// `switches` is consumed as that flag's value - declare boolean
-  /// flags as switches (or pass `--flag=value`) to avoid that.
+  /// positional directly after a flag that is not a switch is consumed
+  /// as that flag's value - declare boolean flags as switches (or pass
+  /// `--flag=value`) to avoid that.
   [[nodiscard]] const std::vector<std::string>& positionals() const noexcept {
     return positionals_;
   }
 
-  /// Flags that were present but never queried with one of the getters;
-  /// useful for catching typos in sweep scripts.
-  [[nodiscard]] std::vector<std::string> unused() const;
-
-  /// The --help text of the declared form: `usage`, then one line per
-  /// declared flag.
+  /// The --help text: `usage`, then one line per declared flag.
   [[nodiscard]] std::string help() const;
 
  private:
   void parse(int argc, const char* const* argv);
-  [[nodiscard]] bool declared(const std::string& name) const;
-  void mark_queried(const std::string& name) const;
+  [[nodiscard]] const flag* find(const std::string& name) const;
+  void require_declared(const std::string& name) const;
 
-  const char* usage_ = "";
-  std::vector<flag> flags_;  // empty in the undeclared form
-  std::vector<std::string> switches_;
+  const char* usage_;
+  std::vector<flag> flags_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positionals_;
-  mutable std::map<std::string, bool> queried_;
 };
 
 }  // namespace beepkit::support

@@ -85,10 +85,10 @@ TEST(ResolveThreadsTest, ZeroAndNegativeMeanHardware) {
 
 TEST(CliTest, ThreadsFlag) {
   const char* argv[] = {"bench", "--threads", "7"};
-  const support::cli args(3, argv);
+  const support::cli args(3, argv, "bench", {{"threads", ""}});
   EXPECT_EQ(args.get_threads(), 7U);
   const char* bare[] = {"bench"};
-  const support::cli none(1, bare);
+  const support::cli none(1, bare, "bench", {{"threads", ""}});
   EXPECT_GE(none.get_threads(), 1U);   // 0 -> hardware
   EXPECT_EQ(none.get_threads(1), 1U);  // explicit serial fallback
 }

@@ -63,7 +63,9 @@ TEST(TableTest, WriteTextFileBadPath) {
 
 TEST(CliTest, ParsesEqualsAndSpaceForms) {
   const char* argv[] = {"prog", "--n=128", "--trials", "30", "--verbose"};
-  const cli args(5, argv);
+  const cli args(5, argv, "prog",
+                 {{"n", ""}, {"trials", ""}, {"verbose", "", true},
+                  {"missing", ""}});
   EXPECT_EQ(args.get_int("n", 0), 128);
   EXPECT_EQ(args.get_int("trials", 0), 30);
   EXPECT_TRUE(args.get_bool("verbose", false));
@@ -105,7 +107,7 @@ TEST(CliTest, ParseShardRejectsInvalidSlices) {
 
 TEST(CliTest, GetShardDefaultsToWholeSweep) {
   const char* argv[] = {"prog"};
-  const cli args(1, argv);
+  const cli args(1, argv, "prog", {{"shard", ""}});
   const auto shard = args.get_shard();
   EXPECT_EQ(shard.index, 0U);
   EXPECT_EQ(shard.count, 1U);
@@ -113,7 +115,7 @@ TEST(CliTest, GetShardDefaultsToWholeSweep) {
 
 TEST(CliTest, GetShardParsesFlag) {
   const char* argv[] = {"prog", "--shard", "1/3"};
-  const cli args(3, argv);
+  const cli args(3, argv, "prog", {{"shard", ""}});
   const auto shard = args.get_shard();
   EXPECT_EQ(shard.index, 1U);
   EXPECT_EQ(shard.count, 3U);
@@ -122,7 +124,7 @@ TEST(CliTest, GetShardParsesFlag) {
 TEST(CliTest, CollectsPositionalArguments) {
   const char* argv[] = {"prog", "a.jsonl", "b.jsonl", "--json=out.json",
                         "c.jsonl"};
-  const cli args(5, argv);
+  const cli args(5, argv, "prog", {{"json", ""}});
   EXPECT_EQ(args.positionals(),
             (std::vector<std::string>{"a.jsonl", "b.jsonl", "c.jsonl"}));
   EXPECT_EQ(args.get_string("json", ""), "out.json");
@@ -131,25 +133,28 @@ TEST(CliTest, CollectsPositionalArguments) {
 TEST(CliTest, DeclaredSwitchesNeverConsumePositionals) {
   const char* argv[] = {"prog", "--quiet", "a.jsonl", "--resume",
                         "b.jsonl"};
-  const cli args(5, argv, {"quiet", "resume"});
+  const std::vector<flag> flags = {
+      {"quiet", "", true}, {"resume", "", true}, {"json", ""}};
+  const cli args(5, argv, "prog", flags);
   EXPECT_TRUE(args.get_bool("quiet", false));
   EXPECT_TRUE(args.get_bool("resume", false));
   EXPECT_EQ(args.positionals(),
             (std::vector<std::string>{"a.jsonl", "b.jsonl"}));
-  // Undeclared flags keep the usual --name value form.
+  // Value flags keep the usual --name value form.
   const char* argv2[] = {"prog", "--json", "out.json"};
-  const cli args2(3, argv2, {"quiet"});
+  const cli args2(3, argv2, "prog", flags);
   EXPECT_EQ(args2.get_string("json", ""), "out.json");
-  // And `--switch=value` still works for declared switches.
+  // And `--switch=value` still works for switches.
   const char* argv3[] = {"prog", "--quiet=false", "x.jsonl"};
-  const cli args3(3, argv3, {"quiet"});
+  const cli args3(3, argv3, "prog", flags);
   EXPECT_FALSE(args3.get_bool("quiet", true));
   EXPECT_EQ(args3.positionals(), (std::vector<std::string>{"x.jsonl"}));
 }
 
 TEST(CliTest, TypedGetters) {
   const char* argv[] = {"prog", "--p=0.25", "--csv=/tmp/x.csv", "--flag=no"};
-  const cli args(4, argv);
+  const cli args(4, argv, "prog",
+                 {{"p", ""}, {"q", ""}, {"csv", ""}, {"flag", "", true}});
   EXPECT_DOUBLE_EQ(args.get_double("p", 0.5), 0.25);
   EXPECT_EQ(args.get_string("csv", ""), "/tmp/x.csv");
   EXPECT_FALSE(args.get_bool("flag", true));
@@ -158,23 +163,19 @@ TEST(CliTest, TypedGetters) {
 }
 
 TEST(CliTest, UnusedFlagsReported) {
-  const char* argv[] = {"prog", "--used=1", "--typo=2"};
-  const cli args(3, argv);
-  (void)args.get_int("used", 0);
-  const auto leftover = args.unused();
-  ASSERT_EQ(leftover.size(), 1U);
-  EXPECT_EQ(leftover[0], "typo");
-  // The declared form every binary uses rejects the typo outright: exit
-  // 2 with the known flags listed; --help lists them and exits 0.
-  const auto declared = [](int argc, const char* const* args_in) {
-    const cli strict(argc, args_in, "prog [flags]", {{"used", "a used flag"}});
+  // A flag the binary did not declare (a typo in a sweep script) is
+  // rejected outright: exit 2 with the known flags listed; --help lists
+  // them and exits 0.
+  const auto parse = [](int argc, const char* const* argv) {
+    const cli strict(argc, argv, "prog [flags]", {{"used", "a used flag"}});
     (void)strict.get_int("used", 0);
     std::exit(0);
   };
-  EXPECT_EXIT(declared(3, argv), testing::ExitedWithCode(2),
+  const char* typo_argv[] = {"prog", "--used=1", "--typo=2"};
+  EXPECT_EXIT(parse(3, typo_argv), testing::ExitedWithCode(2),
               "unknown flag --typo.*--used");
   const char* help_argv[] = {"prog", "--help"};
-  EXPECT_EXIT(declared(2, help_argv), testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(parse(2, help_argv), testing::ExitedWithCode(0), "");
   const char* good_argv[] = {"prog", "--used", "3"};
   const cli strict(3, good_argv, "prog [flags]", {{"used", "a used flag"}});
   EXPECT_EQ(strict.get_int("used", 0), 3);
@@ -185,7 +186,7 @@ TEST(CliTest, UnusedFlagsReported) {
 
 TEST(CliTest, BooleanSwitchBeforeFlag) {
   const char* argv[] = {"prog", "--dry-run", "--n=4"};
-  const cli args(3, argv);
+  const cli args(3, argv, "prog", {{"dry-run", "", true}, {"n", ""}});
   EXPECT_TRUE(args.get_bool("dry-run", false));
   EXPECT_EQ(args.get_int("n", 0), 4);
 }

@@ -5,7 +5,7 @@
 //    range as an exact partition and propagate body exceptions;
 //  * engines running under set_parallelism must be draw-for-draw
 //    bit-identical to the serial engine for tile sizes
-//    {1 word, 64 words, whole-range} x threads {1, 2, 8} on
+//    {1 word, 64 words, default} x threads {1, 2, 8} on
 //    path/ring/grid/torus/complete at word-boundary sizes
 //    {63, 64, 65, 128} - states, leader counts, ledgers, generator
 //    draws (the acceptance matrix of the tiled round pipeline);
@@ -46,8 +46,11 @@ struct tile_config {
   std::size_t tile_words;
 };
 
-/// The acceptance grid: {1 word, 64 words, whole-range} tiles x
-/// {1, 2, 8} threads.
+/// The acceptance grid: {1 word, 64 words, default} tiles x
+/// {1, 2, 8} threads. The default (tile_words = 0) is
+/// support::kL2TileWords; the test graphs span at most 2 words, so its
+/// cells run one tile inline on the caller and check that the default
+/// resolves to the serial path (64-word tiles are one tile here too).
 std::vector<tile_config> tile_configs() {
   std::vector<tile_config> configs;
   for (const std::size_t threads : {1U, 2U, 8U}) {
@@ -235,7 +238,7 @@ TEST(TiledEngineBitIdentityTest, TimeoutBfwRippleCarryTiledMatchesSerial) {
 TEST(TiledEngineBitIdentityTest, ReceptionNoiseTiledMatchesSerial) {
   // The tiled noise pass over the full acceptance matrix: every
   // word-boundary topology x {1, 2, 8} threads x {1 word, 64 words,
-  // whole-range} tiles, draws included (each node owns a dedicated
+  // default} tiles, draws included (each node owns a dedicated
   // noise stream, so the tiled pass must replay the serial draw
   // sequence exactly).
   const core::bfw_machine machine(0.5);

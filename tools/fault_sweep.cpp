@@ -171,7 +171,9 @@ int main(int argc, char** argv) {
           {{"trials", "trials per cell (default 8)"},
            {"seed", "base seed (default 11)"},
            {"engine-threads", "tiled workers per engine (default 1)"},
-           {"tile-words", "tile size in words (default 0: 8192)"},
+           {"tile-words",
+            "tile size in words (default 0: 8192; a smaller engine runs "
+            "one serial tile)"},
            {"differential", "replay one trial across every gear", true}}));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
   if (args.has("differential")) return run_differential(seed);

@@ -53,7 +53,9 @@ int main(int argc, char** argv) {
        {"stop-after-round", "stop early with a forced snapshot"},
        {"threads", "tiled round workers (1 = serial, the default; 0 = all "
                    "cores); any count is bit-identical"},
-       {"tile-words", "tile size in words (default 0: 8192)"},
+       {"tile-words",
+        "tile size in words (default 0: 8192; a smaller engine runs "
+        "one serial tile)"},
        {"numa-interleave", "interleave arena pages across NUMA nodes", true},
        {"first-touch", "tiled first-touch prefault of the arena", true}});
 

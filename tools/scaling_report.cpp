@@ -142,7 +142,9 @@ int main(int argc, char** argv) {
       argc, argv, "scaling_report [flags]",
       {{"rounds", "timed rounds per XL point (default 64)"},
        {"giant-rounds", "timed rounds per giant point (default 16)"},
-       {"tile-words", "tile size in words (default 0: 8192)"},
+       {"tile-words",
+        "tile size in words (default 0: 8192; a smaller engine runs "
+        "one serial tile)"},
        {"max-threads", "top of the 1,2,4,.. thread ladder (default 8)"},
        {"skip-giant", "drop the grid:8192x8192 giant row", true},
        {"json", "file to write the machine-readable report to"}});
