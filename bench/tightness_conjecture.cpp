@@ -66,9 +66,10 @@ int main(int argc, char** argv) {
       "BFW(p=0.5, two leaders at path ends)",
       [](const graph::topology_view& view, std::uint64_t trial_seed,
          std::uint64_t max_rounds) {
-        return core::run_bfw_election_from(
-            view, 0.5, core::two_leaders_at_path_ends(view.node_count()),
-            trial_seed, max_rounds);
+        return core::run_election(
+            view, core::bfw_machine(0.5), trial_seed,
+            {.max_rounds = max_rounds,
+             .initial = core::two_leaders_at_path_ends(view.node_count())});
       }};
 
   std::deque<analysis::instance> instances;

@@ -102,13 +102,14 @@
 // that actually beeped instead of sweeping all n nodes.
 //
 // Intra-trial parallelism: set_parallelism(threads, tile_words) runs
-// the word-parallel kernels - the stencil/word-CSR/packed gather and
-// the whole plane sweep (decode, ripple-carry patience adds, ledger
-// banking) - over word-range tiles on a persistent
-// support::tile_executor. Tiles write only their own words; per-tile
-// partial results (leader counts, dirty-ledger bits, word-CSR
-// push scratch) are merged after the barrier with order-independent
-// folds, and per-node generators are disjoint streams, so execution is
+// the word-parallel kernels - the stencil gather, the reception-noise
+// pass and the whole plane sweep (decode, ripple-carry patience adds,
+// ledger banking) - over word-range tiles on a persistent
+// support::tile_executor. The word-CSR push and the pulls stay serial
+// inside a tiled round (see graph/gather.hpp). Tiles write only their
+// own words; per-tile partial results (leader counts, dirty-ledger
+// bits) are merged after the barrier with order-independent folds, and
+// per-node generators are disjoint streams, so execution is
 // draw-for-draw bit-identical for every (tile size, thread count) -
 // including the serial default. The virtual gear and the scalar
 // reference stay single-threaded.
@@ -436,11 +437,11 @@ class engine : private fsm_protocol::lazy_source {
   /// engine under 8192 words (fewer than 524288 nodes) runs one tile,
   /// inline and serial, whatever `threads` is; pass a smaller
   /// tile_words to split such an engine across the workers. Applies
-  /// to the stencil/word-CSR/packed gather kernels, the reception-noise
-  /// pass and the plane sweep - the full round loop; never changes any
-  /// number - every (threads, tile_words) point is draw-for-draw
-  /// bit-identical to the serial engine, lazy-cursor giant engines
-  /// included. Callable between rounds at any time.
+  /// to the stencil gather, the reception-noise pass and the plane
+  /// sweep (the word-CSR push and the pulls run serially); never
+  /// changes any number - every (threads, tile_words) point is
+  /// draw-for-draw bit-identical to the serial engine, lazy-cursor
+  /// giant engines included. Callable between rounds at any time.
   void set_parallelism(std::size_t threads, std::size_t tile_words = 0);
   [[nodiscard]] std::size_t parallel_threads() const noexcept {
     return exec_ ? exec_->thread_count() : 1;

@@ -112,6 +112,10 @@ struct election_options {
 /// Runs BFW from an explicit initial configuration (used by the
 /// Section-5 experiments: two leaders at path ends, adversarial
 /// states, ...). `initial` must hold valid BFW state ids.
+/// Deprecated shim for run_election(view, bfw_machine(p), seed,
+/// {.max_rounds = ..., .exec = ..., .initial = ...}): perfbench's
+/// tightness workload is its last caller, and it goes together with
+/// the next change to the benchmark.
 [[nodiscard]] election_outcome run_bfw_election_from(
     const graph::topology_view& view, double p,
     std::vector<beeping::state_id> initial, std::uint64_t seed,

@@ -224,28 +224,17 @@ void heard_gather::operator()(std::span<const std::uint64_t> beep,
       if (exec_ != nullptr) {
         exec_->run_tiles(heard.size(), tile_words_,
                          [&](std::size_t, std::size_t wb, std::size_t we) {
-                           gather_stencil_range(beep, heard, wb, we);
+                           gather_stencil(beep, heard, wb, we);
                          });
       } else {
-        gather_stencil(beep, heard);
+        gather_stencil(beep, heard, 0, heard.size());
       }
       break;
     case gather_kernel::word_csr_push:
-      if (exec_ != nullptr) {
-        gather_word_csr_push_tiled(beep, heard);
-      } else {
-        gather_word_csr_push(beep, heard);
-      }
+      gather_word_csr_push(beep, heard);
       break;
     case gather_kernel::packed_pull:
-      if (exec_ != nullptr) {
-        exec_->run_tiles(heard.size(), tile_words_,
-                         [&](std::size_t, std::size_t wb, std::size_t we) {
-                           gather_packed_pull(beep, heard, wb, we);
-                         });
-      } else {
-        gather_packed_pull(beep, heard, 0, heard.size());
-      }
+      gather_packed_pull(beep, heard);
       break;
     case gather_kernel::legacy_pull:
       gather_legacy_pull(beep, heard);
@@ -261,18 +250,13 @@ void heard_gather::operator()(std::span<const std::uint64_t> beep,
 // geometry allows - no adjacency is touched. All shift helpers drop
 // bits past the array; the final tail mask kills in-range bits >= n
 // (e.g. a left row-stride shift pushing the second row past the end).
+// Writes destination words [wb, we) only, so it is also the tile body.
+// Source reads are unrestricted (beep is read-only input), so the seam
+// exchange between tiles is simply each tile reading across its
+// boundary - no carry needs to travel.
 void heard_gather::gather_stencil(std::span<const std::uint64_t> beep,
-                                  std::span<std::uint64_t> heard) const {
-  gather_stencil_range(beep, heard, 0, heard.size());
-}
-
-// The tile body: destination words [wb, we) only. Source reads are
-// unrestricted (beep is read-only input), so the seam exchange between
-// tiles is simply each tile reading across its boundary - no carry
-// needs to travel.
-void heard_gather::gather_stencil_range(std::span<const std::uint64_t> beep,
-                                        std::span<std::uint64_t> heard,
-                                        std::size_t wb, std::size_t we) const {
+                                  std::span<std::uint64_t> heard,
+                                  std::size_t wb, std::size_t we) const {
   const std::size_t words = heard.size();
   if (words == 0 || wb >= we) return;
   const topology& topo = *stencil_;
@@ -349,76 +333,12 @@ void heard_gather::gather_word_csr_push(std::span<const std::uint64_t> beep,
   }
 }
 
-// Tiled push: a push scatters into arbitrary destination words, so
-// workers OR beeper neighborhoods into private scratch arrays (tiled
-// over the *source* words) and a second tiled pass (over the
-// *destination* words) folds the scratches into the heard set. Both
-// folds are pure ORs, so the tile-to-worker assignment can never
-// change the result. Scratch words are zeroed as they are folded,
-// keeping the all-zero invariant without an O(threads * words) clear.
-void heard_gather::gather_word_csr_push_tiled(
-    std::span<const std::uint64_t> beep, std::span<std::uint64_t> heard) {
-  const std::size_t slots = exec_->thread_count();
-  // Sparse gate: the fold pass streams slots * words scratch words no
-  // matter how few bits it finds, while the serial push costs only
-  // O(beeper word-pairs) - and push is the kernel the density rule
-  // selects precisely when beeps are sparse. Only tile when the push
-  // work plausibly dominates the fold (roughly one beeper per scratch
-  // word per slot); near-silent rounds keep the serial push.
-  std::size_t beepers = 0;
-  for (const std::uint64_t word : beep) {
-    beepers += static_cast<std::size_t>(std::popcount(word));
-  }
-  if (beepers < slots * heard.size()) {
-    gather_word_csr_push(beep, heard);
-    return;
-  }
-  if (push_scratch_.size() < slots) {
-    push_scratch_.resize(slots);
-  }
-  for (auto& scratch : push_scratch_) {
-    if (scratch.size() != words_) scratch.assign(words_, 0);
-  }
-  exec_->run_tiles(beep.size(), tile_words_,
-                   [&](std::size_t slot, std::size_t wb, std::size_t we) {
-                     std::uint64_t* const dst = push_scratch_[slot].data();
-                     for (std::size_t w = wb; w < we; ++w) {
-                       std::uint64_t bits = beep[w];
-                       while (bits != 0) {
-                         const auto u = static_cast<node_id>(
-                             (w << 6) +
-                             static_cast<std::size_t>(std::countr_zero(bits)));
-                         bits &= bits - 1;
-                         csr_->push_neighbors(u, dst);
-                       }
-                     }
-                   });
-  std::uint64_t* const h = heard.data();
-  exec_->run_tiles(heard.size(), tile_words_,
-                   [&](std::size_t, std::size_t wb, std::size_t we) {
-                     for (std::size_t w = wb; w < we; ++w) {
-                       std::uint64_t acc = h[w];
-                       for (std::size_t s = 0; s < slots; ++s) {
-                         const std::uint64_t v = push_scratch_[s][w];
-                         if (v != 0) {
-                           acc |= v;
-                           push_scratch_[s][w] = 0;
-                         }
-                       }
-                       h[w] = acc;
-                     }
-                   });
-}
-
 void heard_gather::gather_packed_pull(std::span<const std::uint64_t> beep,
-                                      std::span<std::uint64_t> heard,
-                                      std::size_t wb, std::size_t we) const {
+                                      std::span<std::uint64_t> heard) const {
   const std::size_t n = n_;
   const std::size_t words = heard.size();
   const std::uint64_t* const b = beep.data();
-  const node_id lo = static_cast<node_id>(wb << 6);
-  const node_id hi = static_cast<node_id>(std::min(n, we << 6));
-  for (node_id u = lo; u < hi; ++u) {
+  for (node_id u = 0; u < n; ++u) {
     if (test_bit(heard, u)) continue;  // beeps itself
     const std::uint64_t* const row = csr_->packed_row(u);
     for (std::size_t w = 0; w < words; ++w) {

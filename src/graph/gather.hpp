@@ -27,6 +27,12 @@
 // a sticky beep-density rule (with hysteresis, so alternating rounds
 // near the threshold do not flap) picks push vs pull. `force_kernel`
 // pins one kernel for debugging and differential tests.
+//
+// Under an engine's tile executor only the stencil tiles: it is the
+// kernel of the implicit giant grids, the one workload wide enough to
+// split. The push and the pulls run serially inside a tiled engine -
+// packed rows exist only up to 256 words, and no explicit untagged
+// graph the benchmarks run reaches the default 8192-word tile.
 #pragma once
 
 #include <cstdint>
@@ -87,14 +93,14 @@ class heard_gather {
   void operator()(std::span<const std::uint64_t> beep,
                   std::span<std::uint64_t> heard);
 
-  /// Enables tiled multi-threaded execution of the word-parallel
-  /// kernels (stencil, word-CSR push, packed pull) on `exec`
-  /// (nullptr = serial). Tiles are `tile_words` words (0 = one even
-  /// tile per worker). Every (executor, tile size) point computes the
-  /// same heard set: stencil and pull tiles write only their own
-  /// destination words, and the push merges per-worker scratch with
-  /// OR folds. The executor must outlive this gather (engines own
-  /// both).
+  /// Enables tiled multi-threaded execution of the stencil kernel on
+  /// `exec` (nullptr = serial), in tiles of `tile_words` words (0 = one
+  /// even tile per worker). Stencil tiles write only their own
+  /// destination words, so every (executor, tile size) point computes
+  /// the same heard set. The word-CSR push and the pulls stay serial:
+  /// they serve explicit untagged graphs, which are far smaller than
+  /// one engine tile in every benchmarked workload. The executor must
+  /// outlive this gather (engines own both).
   void set_executor(support::tile_executor* exec,
                     std::size_t tile_words) noexcept {
     exec_ = exec;
@@ -140,20 +146,15 @@ class heard_gather {
 
  private:
   void ensure_adjacency_layouts();
-  void gather_stencil(std::span<const std::uint64_t> beep,
-                      std::span<std::uint64_t> heard) const;
   /// Stencil restricted to destination words [wb, we): reads any beep
   /// word, writes only its own range - the tile body.
-  void gather_stencil_range(std::span<const std::uint64_t> beep,
-                            std::span<std::uint64_t> heard, std::size_t wb,
-                            std::size_t we) const;
+  void gather_stencil(std::span<const std::uint64_t> beep,
+                      std::span<std::uint64_t> heard, std::size_t wb,
+                      std::size_t we) const;
   void gather_word_csr_push(std::span<const std::uint64_t> beep,
                             std::span<std::uint64_t> heard) const;
-  void gather_word_csr_push_tiled(std::span<const std::uint64_t> beep,
-                                  std::span<std::uint64_t> heard);
   void gather_packed_pull(std::span<const std::uint64_t> beep,
-                          std::span<std::uint64_t> heard, std::size_t wb,
-                          std::size_t we) const;
+                          std::span<std::uint64_t> heard) const;
   void gather_legacy_pull(std::span<const std::uint64_t> beep,
                           std::span<std::uint64_t> heard) const;
 
@@ -180,14 +181,9 @@ class heard_gather {
   // Density hysteresis: pull while beeps stay dense (2|B| > n enters,
   // 4|B| <= n leaves), push otherwise.
   bool dense_mode_ = false;
-  // Tiled execution (set_executor): per-worker scratch heard arrays
-  // for the push kernel (a push scatters into arbitrary destination
-  // words, so workers OR into private arrays that a second tiled pass
-  // folds - OR is order-free, hence bit-identical). Invariant: all
-  // scratch words are zero between gathers.
+  // Tiled stencil execution (set_executor); null = serial.
   support::tile_executor* exec_ = nullptr;
   std::size_t tile_words_ = 0;
-  std::vector<std::vector<std::uint64_t>> push_scratch_;
   // Dynamic-topology post-pass (set_patch); null = no churn.
   const patch_overlay* patch_ = nullptr;
 };

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "support/parallel.hpp"
 
@@ -96,17 +98,40 @@ std::string cli::get_string(const std::string& name,
   return get(name).value_or(fallback);
 }
 
+namespace {
+
+/// The value of numeric flag `name`, or `fallback` when it is absent.
+/// All of the value must parse as a T with std::from_chars; an empty
+/// value, trailing characters, an out-of-range number or (for a
+/// double) inf or nan exit 2 with a message.
+template <typename T>
+T number_or_exit(const std::string& name,
+                 const std::optional<std::string>& value, T fallback) {
+  if (!value) return fallback;
+  T parsed{};
+  const char* const end = value->data() + value->size();
+  const auto [ptr, ec] = std::from_chars(value->data(), end, parsed);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(parsed);
+  }
+  if (!ok) {
+    std::fprintf(stderr, "invalid --%s '%s'\n", name.c_str(),
+                 value->c_str());
+    std::exit(2);
+  }
+  return parsed;
+}
+
+}  // namespace
+
 std::int64_t cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
-  const auto value = get(name);
-  if (!value) return fallback;
-  return std::strtoll(value->c_str(), nullptr, 10);
+  return number_or_exit(name, get(name), fallback);
 }
 
 double cli::get_double(const std::string& name, double fallback) const {
-  const auto value = get(name);
-  if (!value) return fallback;
-  return std::strtod(value->c_str(), nullptr);
+  return number_or_exit(name, get(name), fallback);
 }
 
 bool cli::get_bool(const std::string& name, bool fallback) const {

@@ -56,6 +56,10 @@ class cli {
 
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
+  /// Numeric flags: the whole value must parse as a decimal number in
+  /// range (a finite one, for get_double). A malformed value prints
+  /// `invalid --<name> '<value>'` and exits 2, as get_shard does - a
+  /// run on a silently defaulted value would be worse than no run.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name,

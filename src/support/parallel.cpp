@@ -16,75 +16,6 @@ std::size_t resolve_threads(std::int64_t requested) noexcept {
   return static_cast<std::size_t>(requested);
 }
 
-thread_pool::thread_pool(std::size_t threads) {
-  const std::size_t count = threads == 0 ? resolve_threads(0) : threads;
-  workers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-thread_pool::~thread_pool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  for (auto& worker : workers_) {
-    worker.join();
-  }
-}
-
-void thread_pool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
-  }
-  work_ready_.notify_one();
-}
-
-void thread_pool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // stopping_ and drained
-      }
-      task = std::move(queue_.front());
-      queue_.erase(queue_.begin());
-      ++in_flight_;
-    }
-    std::exception_ptr error;
-    try {
-      task();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (error && !first_error_) {
-        first_error_ = error;
-      }
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) {
-        idle_.notify_all();
-      }
-    }
-  }
-}
-
-void thread_pool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
 tile_executor::tile_executor(std::size_t threads) {
   const std::size_t count = threads == 0 ? resolve_threads(0) : threads;
   claims_.resize(count > 0 ? count : 1);
@@ -122,6 +53,9 @@ void tile_executor::drain(std::size_t slot, tile_fn fn, void* ctx,
     } catch (...) {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!first_error_) first_error_ = std::current_exception();
+      // Stop every slot claiming: the call fails anyway, so the
+      // remaining tiles would only delay the rethrow.
+      next_tile_.store(tiles, std::memory_order_relaxed);
     }
   }
 }
@@ -209,62 +143,14 @@ void tile_executor::reset_claim_counts() noexcept {
   for (padded_claims& c : claims_) c = padded_claims{};
 }
 
-void parallel_for_words(
-    std::size_t words, std::size_t tile_words, std::size_t threads,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  tile_executor exec(threads);
-  exec.run_tiles(words, tile_words, body);
-}
-
 void parallel_for(std::size_t count, std::size_t threads,
                   const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
-  const std::size_t workers = std::min(threads == 0 ? resolve_threads(0)
-                                                    : threads,
-                                       count);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      body(i);
-    }
-    return;
-  }
-  // Dynamic scheduling: each worker claims the next unclaimed index.
-  // Work items never share mutable state through the loop machinery,
-  // so scheduling order cannot affect what any body(i) computes.
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  auto drain = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count || failed.load(std::memory_order_relaxed)) {
-        return;
-      }
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
-        }
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-  // The pool hosts workers 1..n-1; the calling thread is worker 0.
-  // drain() captures its own exceptions, so pool tasks never throw and
-  // wait_idle() is a plain barrier here.
-  thread_pool pool(workers - 1);
-  for (std::size_t t = 1; t < workers; ++t) {
-    pool.submit(drain);
-  }
-  drain();
-  pool.wait_idle();
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
+  tile_executor exec(
+      std::min(threads == 0 ? resolve_threads(0) : threads, count));
+  exec.run_tiles(count, 1, [&](std::size_t, std::size_t i, std::size_t) {
+    body(i);
+  });
 }
 
 }  // namespace beepkit::support

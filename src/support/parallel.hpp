@@ -1,11 +1,13 @@
-// Small thread-pool executor for the experiment layer.
+// The one worker pool: tile_executor. Intra-trial rounds run their
+// word-parallel kernels over its word-range tiles, and the experiment
+// layer's parallel_for is a short-lived executor over one-index tiles.
 //
 // Design goals, in order: (1) determinism of callers must be easy -
 // the pool never decides *what* a work item computes, only *when* it
 // runs, so a caller that pre-derives all randomness and writes results
 // into per-index slots gets bit-identical output for any thread count;
 // (2) dynamic load balancing - Monte-Carlo trials have wildly varying
-// durations (a stuck election runs to the horizon), so indices are
+// durations (a stuck election runs to the horizon), so tiles are
 // claimed from a shared atomic counter rather than pre-chunked;
 // (3) zero dependencies beyond <thread>.
 //
@@ -32,60 +34,11 @@ namespace beepkit::support {
 /// thread", anything else is clamped to at least 1.
 [[nodiscard]] std::size_t resolve_threads(std::int64_t requested) noexcept;
 
-/// Fixed-size pool of worker threads with a shared task queue.
-/// Tasks are `void()` closures; `wait_idle` is the join barrier.
-class thread_pool {
- public:
-  /// Spawns `threads` workers (0 = hardware concurrency). A pool with
-  /// one worker still runs tasks off the calling thread, which keeps
-  /// the execution model uniform; use `parallel_for` with threads == 1
-  /// for a true inline serial path.
-  explicit thread_pool(std::size_t threads = 0);
-  ~thread_pool();
-
-  thread_pool(const thread_pool&) = delete;
-  thread_pool& operator=(const thread_pool&) = delete;
-
-  [[nodiscard]] std::size_t thread_count() const noexcept {
-    return workers_.size();
-  }
-
-  /// Enqueues a task. Tasks must not submit to the same pool and then
-  /// block on wait_idle (no recursive joins).
-  void submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and all workers are idle. If any
-  /// task threw, rethrows the first exception (by submission-drain
-  /// order) here.
-  void wait_idle();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::vector<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::condition_variable idle_;
-  std::size_t in_flight_ = 0;
-  std::exception_ptr first_error_;
-  bool stopping_ = false;
-};
-
-/// Runs body(i) for every i in [0, count). With threads <= 1 this is a
-/// plain inline loop (no pool, no atomics); otherwise indices are
-/// claimed dynamically by `threads` workers. The body must be safe to
-/// call concurrently for distinct indices; the call returns after all
-/// indices completed (join barrier) and rethrows the first exception
-/// any body raised.
-void parallel_for(std::size_t count, std::size_t threads,
-                  const std::function<void(std::size_t)>& body);
-
-/// Persistent executor for intra-trial word-range tiling: the
-/// per-round engine kernels (stencil gather, word-CSR push merge,
-/// plane sweep, ripple-carry adds) are word-parallel, so a round is
-/// split into tiles of `tile_words` consecutive words and the tiles
-/// are claimed dynamically by a fixed set of workers.
+/// Persistent executor for word-range tiling: the per-round engine
+/// kernels (stencil gather, reception noise, plane sweep with its
+/// ripple-carry adds) are word-parallel, so a round is split into
+/// tiles of `tile_words` consecutive words and the tiles are claimed
+/// dynamically by a fixed set of workers.
 ///
 /// Determinism contract: a tile body may write only to per-word state
 /// inside its [begin, end) range and to per-`slot` scratch owned by
@@ -130,7 +83,9 @@ class tile_executor {
   /// (tile_words == 0 splits the range evenly across the workers).
   /// `slot` identifies the executing worker (stable within one call,
   /// in [0, thread_count())), for per-slot scratch. Returns after all
-  /// tiles completed; rethrows the first exception a body raised.
+  /// claimed tiles completed; once a body throws, no further tile is
+  /// claimed, and the first exception is rethrown here. The executor
+  /// stays usable afterwards.
   template <typename F>
   void run_tiles(std::size_t words, std::size_t tile_words, F&& body) {
     run_impl(words, tile_words,
@@ -190,13 +145,13 @@ inline constexpr std::size_t kL2TileWords = std::size_t{1} << 13;
   return kL2TileWords;
 }
 
-/// One-shot convenience over tile_executor: body(slot, begin, end)
-/// over tiles of `tile_words` words covering [0, words), executed by
-/// `threads` workers (same contract as tile_executor::run_tiles).
-/// Spawns and joins its workers per call - engines hold a persistent
-/// tile_executor instead; this form serves tests and setup-time code.
-void parallel_for_words(
-    std::size_t words, std::size_t tile_words, std::size_t threads,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+/// Runs body(i) for every i in [0, count) on a tile_executor of
+/// min(threads, count) workers (threads == 0 = one per hardware
+/// thread) over one-index tiles; one worker is a plain inline loop.
+/// The body must be safe to call concurrently for distinct indices;
+/// the call returns after all claimed indices completed (join barrier)
+/// and rethrows the first exception any body raised.
+void parallel_for(std::size_t count, std::size_t threads,
+                  const std::function<void(std::size_t)>& body);
 
 }  // namespace beepkit::support

@@ -119,7 +119,8 @@ TEST(ConvergenceTest, ExplicitInitialConfigurationRunner) {
   const auto g = graph::make_path(24);
   const auto initial = two_leaders_at_path_ends(24);
   const auto outcome =
-      run_bfw_election_from(g, 0.5, initial, 13, default_horizon(g, 23));
+      run_election(g, bfw_machine(0.5), 13,
+                   {.max_rounds = default_horizon(g, 23), .initial = initial});
   EXPECT_TRUE(outcome.converged);
   EXPECT_EQ(outcome.final_leader_count, 1U);
   // The survivor must be one of the two initial leaders: followers
@@ -131,7 +132,9 @@ TEST(ConvergenceTest, ExplicitInitialConfigurationRunner) {
 TEST(ConvergenceTest, SingleInitialLeaderConvergesImmediately) {
   const auto g = graph::make_grid(4, 4);
   const auto initial = configuration_with_leaders(16, {5});
-  const auto outcome = run_bfw_election_from(g, 0.5, initial, 1, 100);
+  const auto outcome =
+      run_election(g, bfw_machine(0.5), 1,
+                   {.max_rounds = 100, .initial = initial});
   EXPECT_TRUE(outcome.converged);
   EXPECT_EQ(outcome.rounds, 0U);
   EXPECT_EQ(outcome.leader, 5U);

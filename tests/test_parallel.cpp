@@ -2,7 +2,8 @@
 // (a) run_trials under any thread count is bit-identical to the serial
 //     path, (b) results are invariant across 1/2/8 workers, (c) the
 //     bit-packed engine step matches the scalar reference trace for
-//     trace, plus the thread_pool / parallel_for machinery itself.
+//     trace, plus the worker pool (tile_executor) and parallel_for
+//     themselves.
 #include "support/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -22,10 +23,12 @@
 namespace beepkit {
 namespace {
 
-// ---- thread_pool / parallel_for ------------------------------------------
+// ---- tile_executor / parallel_for -----------------------------------------
 
 TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {
-  for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+  // 300 > count and 0 = one per hardware thread: parallel_for caps the
+  // pool at one worker per index.
+  for (const std::size_t threads : {1UL, 2UL, 8UL, 300UL, 0UL}) {
     std::vector<std::atomic<int>> visits(257);
     support::parallel_for(visits.size(), threads, [&](std::size_t i) {
       visits[i].fetch_add(1, std::memory_order_relaxed);
@@ -56,25 +59,40 @@ TEST(ParallelForTest, PropagatesExceptions) {
 }
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  support::thread_pool pool(3);
+  // The one pool: one-index tiles, each run exactly once.
+  support::tile_executor pool(3);
   EXPECT_EQ(pool.thread_count(), 3U);
+  std::vector<std::atomic<int>> runs(10);
   std::atomic<int> sum{0};
-  for (int i = 1; i <= 10; ++i) {
-    pool.submit([&sum, i] { sum.fetch_add(i, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
+  pool.run_tiles(runs.size(), 1,
+                 [&](std::size_t, std::size_t begin, std::size_t end) {
+                   for (std::size_t i = begin; i < end; ++i) {
+                     runs[i].fetch_add(1, std::memory_order_relaxed);
+                     sum.fetch_add(static_cast<int>(i) + 1,
+                                   std::memory_order_relaxed);
+                   }
+                 });
   EXPECT_EQ(sum.load(), 55);
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
 }
 
 TEST(ThreadPoolTest, WaitIdleRethrowsTaskError) {
-  support::thread_pool pool(2);
-  pool.submit([] { throw std::logic_error("task failed"); });
-  EXPECT_THROW(pool.wait_idle(), std::logic_error);
-  // The pool stays usable after the error is consumed.
-  std::atomic<bool> ran{false};
-  pool.submit([&] { ran = true; });
-  pool.wait_idle();
-  EXPECT_TRUE(ran.load());
+  support::tile_executor pool(2);
+  EXPECT_THROW(pool.run_tiles(8, 1,
+                              [](std::size_t, std::size_t begin,
+                                 std::size_t) {
+                                if (begin == 3) {
+                                  throw std::logic_error("task failed");
+                                }
+                              }),
+               std::logic_error);
+  // The pool stays usable after the error is consumed: every tile of
+  // the next call runs.
+  std::atomic<int> ran{0};
+  pool.run_tiles(8, 1, [&](std::size_t, std::size_t, std::size_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ResolveThreadsTest, ZeroAndNegativeMeanHardware) {

@@ -182,6 +182,36 @@ TEST(CliTest, UnusedFlagsReported) {
   EXPECT_NE(strict.help().find("--used"), std::string::npos);
   EXPECT_NE(strict.help().find("--help"), std::string::npos);
   EXPECT_THROW((void)strict.get_int("undeclared", 0), std::logic_error);
+  // A malformed number exits 2 instead of running on a silent default:
+  // trailing garbage, a word, an empty value, out-of-range values.
+  const auto parse_number = [](const char* arg, bool as_double) {
+    const char* argv[] = {"prog", arg};
+    const cli numbers(2, argv, "prog [flags]", {{"used", "a used flag"}});
+    if (as_double) {
+      (void)numbers.get_double("used", 0.0);
+    } else {
+      (void)numbers.get_int("used", 0);
+    }
+    std::exit(0);
+  };
+  for (const char* bad : {"--used=3x", "--used=two", "--used=",
+                          "--used=99999999999999999999", "--used=1.5"}) {
+    EXPECT_EXIT(parse_number(bad, false), testing::ExitedWithCode(2),
+                "invalid --used '")
+        << bad;
+  }
+  for (const char* bad : {"--used=0.5x", "--used=half", "--used=",
+                          "--used=1e999", "--used=nan"}) {
+    EXPECT_EXIT(parse_number(bad, true), testing::ExitedWithCode(2),
+                "invalid --used '")
+        << bad;
+  }
+  const char* negative_argv[] = {"prog", "--used=-4"};
+  EXPECT_EQ(cli(2, negative_argv, "prog", {{"used", ""}}).get_int("used", 0),
+            -4);
+  const char* double_argv[] = {"prog", "--used=1e-3"};
+  EXPECT_EQ(cli(2, double_argv, "prog", {{"used", ""}}).get_double("used", 0),
+            1e-3);
 }
 
 TEST(CliTest, BooleanSwitchBeforeFlag) {

@@ -1,8 +1,8 @@
 // Tiled intra-trial parallelism + the plane-authoritative lazy state
 // model:
 //
-//  * support::tile_executor / parallel_for_words must cover the word
-//    range as an exact partition and propagate body exceptions;
+//  * support::tile_executor must cover the word range as an exact
+//    partition and propagate body exceptions;
 //  * engines running under set_parallelism must be draw-for-draw
 //    bit-identical to the serial engine for tile sizes
 //    {1 word, 64 words, default} x threads {1, 2, 8} on
@@ -91,8 +91,9 @@ TEST(ParallelForWordsTest, TilesPartitionTheRangeExactly) {
       for (const std::size_t threads : {1U, 2U, 4U}) {
         std::mutex mu;
         std::vector<std::pair<std::size_t, std::size_t>> ranges;
-        support::parallel_for_words(
-            words, tile, threads,
+        support::tile_executor exec(threads);
+        exec.run_tiles(
+            words, tile,
             [&](std::size_t slot, std::size_t begin, std::size_t end) {
               ASSERT_LT(slot, threads);
               ASSERT_LT(begin, end);
@@ -115,19 +116,22 @@ TEST(ParallelForWordsTest, TilesPartitionTheRangeExactly) {
 
 TEST(ParallelForWordsTest, ZeroWordsRunsNoTiles) {
   bool called = false;
-  support::parallel_for_words(0, 4, 4, [&](std::size_t, std::size_t,
-                                           std::size_t) { called = true; });
+  support::tile_executor exec(4);
+  exec.run_tiles(0, 4, [&](std::size_t, std::size_t, std::size_t) {
+    called = true;
+  });
   EXPECT_FALSE(called);
 }
 
 TEST(ParallelForWordsTest, BodyExceptionsPropagate) {
-  EXPECT_THROW(
-      support::parallel_for_words(
-          100, 8, 4,
-          [](std::size_t, std::size_t begin, std::size_t) {
-            if (begin >= 48) throw std::runtime_error("tile failure");
-          }),
-      std::runtime_error);
+  support::tile_executor exec(4);
+  EXPECT_THROW(exec.run_tiles(100, 8,
+                              [](std::size_t, std::size_t begin, std::size_t) {
+                                if (begin >= 48) {
+                                  throw std::runtime_error("tile failure");
+                                }
+                              }),
+               std::runtime_error);
 }
 
 TEST(TileExecutorTest, ReusableAcrossCallsWithSlotScratch) {
@@ -327,9 +331,9 @@ TEST(TiledEngineConfigTest, TileSizeSurvivesRestartFromProtocol) {
 }
 
 TEST(TiledEngineBitIdentityTest, ForcedKernelsMatchUnderTiling) {
-  // The tiled word-CSR push (per-slot scratch + OR merge) and the
-  // tiled packed pull must match the serial engine with the same
-  // forced kernel.
+  // The word-CSR push and the packed pull run serially inside a tiled
+  // engine, next to its tiled plane sweep: with either forced, the
+  // tiled engine must match the serial engine.
   const core::bfw_machine machine(0.5);
   for (const graph::gather_kernel kernel :
        {graph::gather_kernel::word_csr_push,

@@ -11,9 +11,6 @@
 //       [--catastrophic 0.50]
 //                            the catastrophic fraction
 //       [--csv out.csv]      also write the table as CSV
-//       [--scaling report.json]
-//                            append the advisory multi-core scaling
-//                            section from a tools/scaling_report JSON
 //
 // Exit code is 0 unless --strict is given and a benchmark regressed
 // beyond the threshold: absolute rounds/sec depend on the machine (a
@@ -100,60 +97,6 @@ std::string format_rate(double rate) {
   return out.str();
 }
 
-/// Advisory multi-core scaling section: renders a tools/scaling_report
-/// JSON (XL rows at 1/2/4/8 threads) as a speedup table. Speedups are
-/// within-run ratios (same binary, same runner), i.e. the
-/// machine-independent signal; never affects the exit code. Returns
-/// false only when the file cannot be parsed.
-bool print_scaling_section(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "throughput_compare: cannot open --scaling %s\n",
-                 path.c_str());
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const auto doc = json::parse(buffer.str());
-  const json* rows = doc.has_value() ? doc->find("rows") : nullptr;
-  if (rows == nullptr || !rows->is_array()) {
-    std::fprintf(stderr,
-                 "throughput_compare: %s is not a scaling_report JSON "
-                 "(no \"rows\" array)\n",
-                 path.c_str());
-    return false;
-  }
-  beepkit::support::table table(
-      {"row", "threads", "tile", "node-rounds/s", "speedup"});
-  table.set_title(
-      "multi-core scaling (advisory; within-run speedup vs serial)");
-  for (const json& row : rows->as_array()) {
-    const json* name = row.find("name");
-    const json* points = row.find("points");
-    if (name == nullptr || points == nullptr || !points->is_array()) continue;
-    for (const json& point : points->as_array()) {
-      const json* threads = point.find("threads");
-      const json* tile = point.find("tile_words");
-      const json* rate = point.find("node_rounds_per_sec");
-      const json* speedup = point.find("speedup");
-      if (threads == nullptr || rate == nullptr || speedup == nullptr) {
-        continue;
-      }
-      table.add_row(
-          {name->as_string(),
-           beepkit::support::table::num(
-               static_cast<long long>(threads->as_u64())),
-           tile != nullptr ? beepkit::support::table::num(
-                                 static_cast<long long>(tile->as_u64()))
-                           : "-",
-           format_rate(rate->as_double()),
-           beepkit::support::table::num(speedup->as_double(), 2) + "x"});
-    }
-  }
-  std::printf("\n%s", table.to_string().c_str());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -163,8 +106,7 @@ int main(int argc, char** argv) {
        {"strict", "exit 1 on any regression", true},
        {"block-catastrophic", "exit 1 on a catastrophic regression", true},
        {"catastrophic", "catastrophic-regression threshold (default 0.50)"},
-       {"csv", "file to write the comparison to as CSV"},
-       {"scaling", "scaling_report JSON to append as a section"}});
+       {"csv", "file to write the comparison to as CSV"}});
   if (args.positionals().size() != 2) {
     std::fputs(args.help().c_str(), stderr);
     return 2;
@@ -241,9 +183,6 @@ int main(int argc, char** argv) {
                   "%.2f%% below probes-off (target < 2%%)\n",
                   overhead * 100.0);
     }
-  }
-  if (const auto scaling = args.get("scaling"); scaling.has_value()) {
-    print_scaling_section(*scaling);  // advisory: never affects exit code
   }
   if (const auto csv = args.get("csv"); csv.has_value()) {
     if (!beepkit::support::write_text_file(*csv, report.to_csv())) {
