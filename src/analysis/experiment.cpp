@@ -172,45 +172,6 @@ trial_stats run_trials(const graph::topology_view& view,
   return aggregate(view, diameter, algo, records, max_rounds);
 }
 
-std::vector<trial_stats> run_matrix(std::span<const matrix_cell> cells,
-                                    const run_options& opts) {
-  // Flatten every (cell, trial) pair into one work list so a slow cell
-  // never leaves workers idle while cheap cells wait their turn.
-  struct work_item {
-    std::size_t cell = 0;
-    std::size_t trial = 0;
-  };
-  std::vector<std::vector<std::uint64_t>> seeds(cells.size());
-  std::vector<std::vector<trial_record>> records(cells.size());
-  std::vector<work_item> items;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    seeds[c] = derive_seeds(cells[c].seed, cells[c].trials);
-    records[c].resize(cells[c].trials);
-    for (std::size_t t = 0; t < cells[c].trials; ++t) {
-      items.push_back({c, t});
-    }
-  }
-  // One view per cell up front (cheap handles; implicit instances
-  // build theirs from the tag, explicit ones borrow the graph).
-  std::vector<graph::topology_view> views;
-  views.reserve(cells.size());
-  for (const matrix_cell& cell : cells) views.push_back(cell.inst->view());
-  support::parallel_for(items.size(), opts.threads, [&](std::size_t i) {
-    const auto [c, t] = items[i];
-    const matrix_cell& cell = cells[c];
-    records[c][t] =
-        execute_trial(views[c], cell.algo, seeds[c][t], cell.max_rounds);
-  });
-  std::vector<trial_stats> results;
-  results.reserve(cells.size());
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    const matrix_cell& cell = cells[c];
-    results.push_back(aggregate(views[c], cell.inst->diameter, cell.algo,
-                                records[c], cell.max_rounds));
-  }
-  return results;
-}
-
 throughput_meter::throughput_meter()
     : start_(std::chrono::steady_clock::now()) {}
 

@@ -89,9 +89,9 @@ struct cell_meta {
 };
 
 /// Folds trial points in index order - the exact arithmetic of the
-/// historical serial loop. run_trials, run_matrix, the sweep shard
-/// executor and sweep_merge all share this fold; that single code path
-/// is what makes an N-shard merge bit-identical to a serial run.
+/// historical serial loop. run_trials, the sweep shard executor and
+/// sweep_merge all share this fold; that single code path is what
+/// makes an N-shard merge bit-identical to a serial run.
 /// (busy_seconds is timing-only and stays zero here.)
 [[nodiscard]] trial_stats aggregate_trial_points(
     const cell_meta& meta, std::span<const trial_point> points,
@@ -160,7 +160,7 @@ struct instance {
                                               std::string name = {});
 
 /// One (instance, algorithm) cell of an experiment matrix. `inst` is
-/// non-owning and must outlive the run_matrix call.
+/// non-owning and must outlive the sweep::run call.
 struct matrix_cell {
   const instance* inst = nullptr;
   algorithm algo;
@@ -168,14 +168,6 @@ struct matrix_cell {
   std::uint64_t seed = 0;
   std::uint64_t max_rounds = 0;
 };
-
-/// Runs every trial of every cell through one worker pool, so slow
-/// cells (big graphs, horizon-bound runs) cannot serialize the sweep.
-/// result[i] has the same statistical fields as
-/// run_trials(*cells[i].inst, ..., cells[i].seed, ...) - cell batching
-/// never changes any number.
-[[nodiscard]] std::vector<trial_stats> run_matrix(
-    std::span<const matrix_cell> cells, const run_options& opts = {});
 
 /// Derives one seed per trial from `seed` - the exact sequence
 /// `support::rng(seed).next_u64()` that the serial bench loops use -

@@ -65,9 +65,6 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
       noise_(noise),
       gather_(view_) {
   const std::size_t n = n_;
-  // NUMA placement must be requested before the first chunk is mapped;
-  // best-effort (no-op off Linux or when mbind is refused).
-  if (config_.numa_interleave) arena_.set_numa_interleave(true);
   // Bind-time fast-path detection: an FSM protocol whose machine
   // compiles to a flat table runs rounds without virtual dispatch.
   fsm_ = dynamic_cast<fsm_protocol*>(&proto);
@@ -197,10 +194,6 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
   slot_dirty_.assign(
       resolved, std::vector<std::uint64_t>(dirty_ledger_words_.size(), 0));
   bind_plane_round();
-}
-
-void engine::distribute_plane_pages() {
-  if (exec_) arena_.distribute_first_touch(*exec_, tile_words_);
 }
 
 void engine::add_observer(observer* obs) {
@@ -1062,7 +1055,7 @@ engine::call_knobs engine::read_call_knobs() const {
   // Phase 1: a node applies delta_top iff it beeped or a neighbor did.
   // Seed the heard set with the beep set (a beeper always "hears"),
   // then let the gather dispatch pick its kernel: stencil on tagged
-  // topologies, otherwise word-CSR push vs packed pull by beep density
+  // topologies, otherwise word-CSR push vs pull by beep density
   // (with hysteresis). Every kernel computes the same set, so the
   // choice never affects results.
   std::copy(beep_words_.begin(), beep_words_.end(), heard_words_.begin());

@@ -12,18 +12,18 @@
 //
 // Hot loop: the beep set B_t and the heard set are kept bit-packed
 // (one std::uint64_t word per 64 nodes). The heard set is computed by
-// graph::heard_gather, a family of word-parallel kernels behind one
-// dispatch point: stencil kernels (shifted word ops) on
-// topology-tagged path/ring/grid/torus graphs, a word-CSR push
-// (premasked neighbor words per beeper) on general sparse rounds, and
-// a packed-row pull on dense beep sets, with the original single-bit
-// pull as the fallback where no adjacency layout applies. Every kernel
-// computes the same set, so the choice never affects results;
-// `step_reference()` keeps the original scalar byte-array path alive
-// for differential tests and benchmarks, and `set_gather_kernel` pins
-// one kernel for debugging. The word-CSR and packed rows are owned by
-// the graph (graph::word_layout), built once per graph and borrowed by
-// every engine bound to it - a per-trial engine never rebuilds them.
+// graph::heard_gather, three word-parallel kernels behind one dispatch
+// point: the stencil (shifted word ops) on topology-tagged
+// path/ring/grid/torus graphs and on every implicit view, and on
+// explicit untagged graphs a word-CSR push (premasked neighbor words
+// per beeper) on sparse rounds and a word-CSR pull (premasked word
+// probes per silent node) on dense ones. Every kernel computes the
+// same set, so the choice never affects results; `step_reference()`
+// keeps the original scalar byte-array path alive for differential
+// tests and benchmarks, and `set_gather_kernel` pins one kernel for
+// debugging. The word-CSR is owned by the graph (graph::word_layout),
+// built once per graph and borrowed by every engine bound to it - a
+// per-trial engine never rebuilds it.
 //
 // One round body: step(), run_rounds() and run_until_single_leader()
 // execute the same inline round. What can change only between calls -
@@ -183,11 +183,6 @@ struct engine_config {
   /// draw rules are uniform in kind (all fair-coin or all bernoulli),
   /// and no noise model.
   bool giant_mode = false;
-  /// Best-effort: interleave the plane arena's pages across all NUMA
-  /// nodes (plane_arena::set_numa_interleave) so 2-socket boxes don't
-  /// serialize tiled rounds on one node's memory controller. Placement
-  /// only - never changes a number. Silently a no-op off Linux.
-  bool numa_interleave = false;
 
   /// The giant-trial configuration.
   [[nodiscard]] static engine_config giant() noexcept {
@@ -421,7 +416,8 @@ class engine : private fsm_protocol::lazy_source {
   /// kernels compute the same heard set, so this never changes a
   /// number - it exists for debugging and differential tests. Throws
   /// std::invalid_argument when the kernel cannot serve this graph
-  /// (stencil without a topology tag).
+  /// (stencil without a topology tag, word-CSR kernels on an implicit
+  /// view).
   void set_gather_kernel(graph::gather_kernel kernel) {
     gather_.force_kernel(kernel);
   }
@@ -451,13 +447,6 @@ class engine : private fsm_protocol::lazy_source {
   [[nodiscard]] std::size_t tile_words() const noexcept {
     return tile_words_;
   }
-
-  /// Tiled first-touch page distribution: re-touches every arena page
-  /// through the tile executor (same-value write-back), so pages not
-  /// yet committed land on the NUMA node of the worker that claims
-  /// their tile. No-op without an executor; never changes a number.
-  /// Call after set_parallelism, before the measured rounds.
-  void distribute_plane_pages();
 
   /// True iff the machine is eligible for the word-parallel plane gear
   /// (beeping::plane_capable: compiled table, <= 256 states,
@@ -670,9 +659,8 @@ class engine : private fsm_protocol::lazy_source {
   noise_model noise_;
   support::word_buffer beep_words_;   // packed B_t
   support::word_buffer heard_words_;  // packed delta_top set
-  // The heard-gather kernels (word-CSR, packed rows, stencil masks)
-  // behind the per-round dispatch; owns no graph state beyond derived
-  // layouts.
+  // The heard-gather kernels (word-CSR, stencil masks) behind the
+  // per-round dispatch; owns no graph state beyond the stencil masks.
   graph::heard_gather gather_;
   // Intra-trial tiling (set_parallelism): null = serial rounds. The
   // executor is shared with gather_; slot_* are per-worker partials

@@ -298,13 +298,11 @@ giant_result run_giant_trial(const graph::topology_view& view,
   }
 
   beeping::fsm_protocol proto(machine);
-  beeping::engine_config config = beeping::engine_config::giant();
-  config.numa_interleave = options.numa_interleave;
-  beeping::engine sim(view, proto, seed, beeping::noise_model{}, config);
+  beeping::engine sim(view, proto, seed, beeping::noise_model{},
+                      beeping::engine_config::giant());
   if (options.threads != 1 || options.tile_words != 0) {
     sim.set_parallelism(options.threads, options.tile_words);
   }
-  if (options.first_touch) sim.distribute_plane_pages();
 
   giant_result result;
   result.arena_bytes = sim.arena_bytes_reserved();

@@ -63,13 +63,6 @@ struct giant_options {
   /// Tile size in plane words; 0 = support::kL2TileWords (see
   /// engine::set_parallelism).
   std::size_t tile_words = 0;
-  /// Best-effort MPOL_INTERLEAVE on the plane arena's mappings
-  /// (placement only - never changes a number). Linux-only no-op
-  /// elsewhere.
-  bool numa_interleave = false;
-  /// Tiled first-touch prefault of the arena pages before the rounds,
-  /// so pages land on the NUMA node of the worker claiming their tile.
-  bool first_touch = false;
 };
 
 struct giant_result {

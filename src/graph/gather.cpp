@@ -81,10 +81,8 @@ std::string gather_kernel_name(gather_kernel k) {
       return "stencil";
     case gather_kernel::word_csr_push:
       return "word_csr_push";
-    case gather_kernel::packed_pull:
-      return "packed_pull";
-    case gather_kernel::legacy_pull:
-      return "legacy_pull";
+    case gather_kernel::word_csr_pull:
+      return "word_csr_pull";
   }
   return "unknown";
 }
@@ -94,31 +92,20 @@ heard_gather::heard_gather(topology_view view) : view_(std::move(view)) {
   n_ = n;
   words_ = packed_word_count(n);
   tail_mask_ = (n % 64 == 0) ? ~0ULL : ((1ULL << (n % 64)) - 1);
-  if (const graph* g = view_.explicit_graph(); g != nullptr) {
-    rows_worthwhile_ = word_csr::packed_rows_worthwhile(*g);
-  }
   stencil_ = view_.tag();
   if (stencil_.has_value()) {
-    // Stencil preconditions. Generators only produce tags that pass
-    // them, but hand-tagged or degenerate instances (a torus below
-    // 3x3 has doubled/self wrap neighbors the shifts cannot express, a
-    // 2-node "ring" is a single edge, a geometry not covering n nodes
-    // is nonsense) must fall back to the adjacency-based kernels
-    // cleanly instead of computing a wrong heard set.
+    // Geometry checks. Generators and topology_view::implicit only
+    // produce tags that pass them, but a hand-tagged explicit graph
+    // whose geometry does not cover n nodes (or a multi-row path or
+    // ring) must fall back to the word-CSR kernels cleanly instead of
+    // computing a wrong heard set. Degenerate shapes need no check:
+    // in a ring of 1 or 2 or a torus with a side of 1 or 2, the extra
+    // shifts only OR in a beeper's own bit, a bit another shift
+    // already set, or a bit outside [0, n) that is dropped or masked.
     const topology& t = *stencil_;
     bool ok = t.rows >= 1 && t.cols >= 1 && t.rows * t.cols == n;
-    switch (t.shape) {
-      case topology::kind::path:
-        ok = ok && t.rows == 1;
-        break;
-      case topology::kind::ring:
-        ok = ok && t.rows == 1 && n >= 3;
-        break;
-      case topology::kind::grid:
-        break;  // any rows x cols lattice shifts correctly
-      case topology::kind::torus:
-        ok = ok && t.rows >= 3 && t.cols >= 3;
-        break;
+    if (t.shape == topology::kind::path || t.shape == topology::kind::ring) {
+      ok = ok && t.rows == 1;
     }
     if (!ok) stencil_.reset();
   }
@@ -148,16 +135,16 @@ heard_gather::heard_gather(topology_view view) : view_(std::move(view)) {
   }
 }
 
-// The adjacency layouts are borrowed lazily: a topology-tagged graph
-// auto-selects the stencil kernel forever and never needs them. The
-// graph builds them once (O(n + m)) and shares them, so engines
+// The word-CSR is borrowed lazily: a topology-tagged graph
+// auto-selects the stencil kernel forever and never needs it. The
+// graph builds it once (O(n + m)) and shares it, so engines
 // constructed per trial pay nothing after the graph's first gather.
-void heard_gather::ensure_adjacency_layouts() {
+void heard_gather::ensure_word_csr() {
   if (csr_ != nullptr) return;
   const graph* g = view_.explicit_graph();
   if (g == nullptr) {
     throw std::logic_error(
-        "heard_gather: adjacency layouts need an explicit graph");
+        "heard_gather: the word-CSR needs an explicit graph");
   }
   csr_ = &g->word_layout();
 }
@@ -167,18 +154,13 @@ void heard_gather::force_kernel(gather_kernel k) {
     throw std::invalid_argument(
         "heard_gather: stencil kernel requires a topology-tagged graph");
   }
-  if ((k == gather_kernel::word_csr_push ||
-       k == gather_kernel::packed_pull) &&
-      view_.is_implicit()) {
-    throw std::invalid_argument(
-        "heard_gather: " + gather_kernel_name(k) +
-        " needs adjacency; implicit views have none");
-  }
-  if (k == gather_kernel::word_csr_push) ensure_adjacency_layouts();
-  if (k == gather_kernel::packed_pull) {
-    // Debug/test override of the worthwhile heuristic: a layout with
-    // rows (the graph's own when they are worthwhile anyway).
-    csr_ = &view_.explicit_graph()->word_layout(/*with_rows=*/true);
+  if (k == gather_kernel::word_csr_push || k == gather_kernel::word_csr_pull) {
+    if (view_.is_implicit()) {
+      throw std::invalid_argument(
+          "heard_gather: " + gather_kernel_name(k) +
+          " needs adjacency; implicit views have none");
+    }
+    ensure_word_csr();
   }
   forced_ = k;
 }
@@ -189,18 +171,12 @@ void heard_gather::operator()(std::span<const std::uint64_t> beep,
   if (k == gather_kernel::auto_select) {
     if (stencil_.has_value()) {
       k = gather_kernel::stencil;
-    } else if (view_.is_implicit()) {
-      // Degenerate implicit shapes (ring below 3, n == 1, sub-3x3
-      // torus) have no stencil and no adjacency to refine: the
-      // arithmetic-neighbor reference kernel is exact and these views
-      // are tiny by construction.
-      k = gather_kernel::legacy_pull;
     } else {
-      ensure_adjacency_layouts();
-      // Push costs ~beeper word-pairs, pull ~one early-exit row scan
-      // per node; the crossover is around 2|B| = n as for the legacy
-      // kernels, held with hysteresis so rounds hovering at the
-      // threshold do not flap between kernels.
+      ensure_word_csr();
+      // Push costs ~beeper word-pairs, pull ~one early-exit pair scan
+      // per silent node; the crossover is around 2|B| = n, held with
+      // hysteresis so rounds hovering at the threshold do not flap
+      // between kernels.
       std::size_t beepers = 0;
       for (const std::uint64_t word : beep) {
         beepers += static_cast<std::size_t>(std::popcount(word));
@@ -211,12 +187,8 @@ void heard_gather::operator()(std::span<const std::uint64_t> beep,
       } else if (4 * beepers <= n) {
         dense_mode_ = false;
       }
-      if (dense_mode_) {
-        k = rows_worthwhile_ ? gather_kernel::packed_pull
-                             : gather_kernel::legacy_pull;
-      } else {
-        k = gather_kernel::word_csr_push;
-      }
+      k = dense_mode_ ? gather_kernel::word_csr_pull
+                      : gather_kernel::word_csr_push;
     }
   }
   switch (k) {
@@ -233,11 +205,8 @@ void heard_gather::operator()(std::span<const std::uint64_t> beep,
     case gather_kernel::word_csr_push:
       gather_word_csr_push(beep, heard);
       break;
-    case gather_kernel::packed_pull:
-      gather_packed_pull(beep, heard);
-      break;
-    case gather_kernel::legacy_pull:
-      gather_legacy_pull(beep, heard);
+    case gather_kernel::word_csr_pull:
+      gather_word_csr_pull(beep, heard);
       break;
     case gather_kernel::auto_select:
       break;  // unreachable: resolved above
@@ -333,48 +302,27 @@ void heard_gather::gather_word_csr_push(std::span<const std::uint64_t> beep,
   }
 }
 
-void heard_gather::gather_packed_pull(std::span<const std::uint64_t> beep,
-                                      std::span<std::uint64_t> heard) const {
-  const std::size_t n = n_;
-  const std::size_t words = heard.size();
+// Dense beep sets: only the silent lanes need a probe, so each word
+// walks ~heard & valid (beepers are already set, lanes past n are
+// never probed) and ORs its hits in once after the walk - the probes
+// read beep only, so the order of words and lanes is free.
+void heard_gather::gather_word_csr_pull(std::span<const std::uint64_t> beep,
+                                        std::span<std::uint64_t> heard) const {
   const std::uint64_t* const b = beep.data();
-  for (node_id u = 0; u < n; ++u) {
-    if (test_bit(heard, u)) continue;  // beeps itself
-    const std::uint64_t* const row = csr_->packed_row(u);
-    for (std::size_t w = 0; w < words; ++w) {
-      if ((row[w] & b[w]) != 0) {
-        set_bit(heard, u);
-        break;
+  std::uint64_t* const h = heard.data();
+  const std::size_t words = heard.size();
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t valid = w + 1 == words ? tail_mask_ : ~0ULL;
+    std::uint64_t silent = ~h[w] & valid;
+    std::uint64_t hits = 0;
+    while (silent != 0) {
+      const auto lane = static_cast<unsigned>(std::countr_zero(silent));
+      silent &= silent - 1;
+      if (csr_->any_neighbor_in(static_cast<node_id>((w << 6) + lane), b)) {
+        hits |= 1ULL << lane;
       }
     }
-  }
-}
-
-void heard_gather::gather_legacy_pull(std::span<const std::uint64_t> beep,
-                                      std::span<std::uint64_t> heard) const {
-  const std::size_t n = n_;
-  if (const graph* g = view_.explicit_graph(); g != nullptr) {
-    for (node_id u = 0; u < n; ++u) {
-      if (test_bit(heard, u)) continue;  // beeps itself
-      for (node_id v : g->neighbors(u)) {
-        if (test_bit(beep, v)) {
-          set_bit(heard, u);
-          break;
-        }
-      }
-    }
-    return;
-  }
-  for (node_id u = 0; u < n; ++u) {
-    if (test_bit(heard, u)) continue;  // beeps itself
-    node_id nb[4];
-    const std::size_t count = view_.implicit_neighbors(u, nb);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (test_bit(beep, nb[i])) {
-        set_bit(heard, u);
-        break;
-      }
-    }
+    h[w] |= hits;
   }
 }
 

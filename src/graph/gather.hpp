@@ -2,37 +2,37 @@
 // heard set {u : u in B_t or N(u) ∩ B_t != ∅}. This is the one
 // neighborhood operation every beeping-style engine performs per round,
 // and on sparse graphs it dominates the round cost once transitions are
-// word-parallel - so it gets a family of word-parallel kernels behind a
+// word-parallel - so it gets three word-parallel kernels behind a
 // single dispatch point:
 //
-//  * stencil    - structured topologies only (graph::topology tag).
-//    path/ring: heard = B | (B << 1) | (B >> 1) with cross-word carry
-//    (+ the two wrap bits for rings); grid/torus: the same, with
-//    periodic column masks killing the carries that would wrap a row,
-//    plus row-stride shifts (<< cols, >> cols) for the vertical
-//    neighbors and corner shifts for torus wrap-around. Touches no
-//    adjacency at all: O(words) per round regardless of degree.
+//  * stencil    - structured topologies (graph::topology tag; every
+//    implicit view has one). path/ring: heard = B | (B << 1) | (B >> 1)
+//    with cross-word carry (+ the two wrap bits for rings); grid/torus:
+//    the same, with periodic column masks killing the carries that
+//    would wrap a row, plus row-stride shifts (<< cols, >> cols) for
+//    the vertical neighbors and corner shifts for torus wrap-around.
+//    Touches no adjacency at all: O(words) per round regardless of
+//    degree.
 //  * word_csr_push - enumerate beepers, OR their premasked neighbor
 //    words (word_csr). Cost ~ sum over beepers of word-pairs, the
 //    word-parallel refinement of the classic push.
-//  * packed_pull - for dense beep sets on small/dense graphs: one
-//    AND-with-early-exit word loop per silent row over the packed
-//    adjacency bitmap.
-//  * legacy_pull - the original single-bit pull: the fallback when no
-//    adjacency layout applies (implicit views), and forceable as a
-//    differential-testing cross-check.
+//  * word_csr_pull - for dense beep sets: per word, walk the silent
+//    lanes and mark a lane heard when any of its word_csr pairs meets
+//    the beep set (early exit), ORing the word's hits in once.
 //
-// Every kernel computes exactly the same heard set, so selection is
-// free to be heuristic: the topology tag wins outright, and otherwise
-// a sticky beep-density rule (with hysteresis, so alternating rounds
-// near the threshold do not flap) picks push vs pull. `force_kernel`
-// pins one kernel for debugging and differential tests.
+// Push and pull read the same word_csr, as direction-optimizing BFS
+// pushes and pulls over one CSR. Every kernel computes exactly the
+// same heard set, so selection is free to be heuristic: the topology
+// tag wins outright, and otherwise a sticky beep-density rule (with
+// hysteresis, so alternating rounds near the threshold do not flap)
+// picks push vs pull. `force_kernel` pins one kernel for debugging and
+// differential tests.
 //
 // Under an engine's tile executor only the stencil tiles: it is the
 // kernel of the implicit giant grids, the one workload wide enough to
-// split. The push and the pulls run serially inside a tiled engine -
-// packed rows exist only up to 256 words, and no explicit untagged
-// graph the benchmarks run reaches the default 8192-word tile.
+// split. The push and the pull run serially inside a tiled engine - no
+// explicit untagged graph the benchmarks run reaches the default
+// 8192-word tile.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +57,7 @@ enum class gather_kernel : std::uint8_t {
   auto_select,    ///< topology tag, else density hysteresis (default)
   stencil,        ///< shifted word ops (tagged graphs only)
   word_csr_push,  ///< premasked word OR per beeper
-  packed_pull,    ///< packed-row AND scan per silent node
-  legacy_pull,    ///< per-bit probe with early exit (fallback)
+  word_csr_pull,  ///< premasked word probe per silent node
 };
 
 /// Stable lowercase kernel name for logs, JSONL records and bench
@@ -69,25 +68,24 @@ class heard_gather {
  public:
   /// Binds a topology view (explicit graphs convert implicitly, so
   /// `heard_gather(g)` keeps working). Derives the stencil masks for
-  /// tagged views; the adjacency layouts (word-CSR, plus packed rows
-  /// when word_csr::packed_rows_worthwhile says the bitmap earns its
-  /// keep) are graph-owned (graph::word_layout): the first gather that
-  /// needs them borrows them, and only the first gather on a graph ever
-  /// builds them - every later gather, in any engine or thread, reuses
-  /// that one build. A tagged view always takes the stencil kernel and
-  /// never asks for them, and an implicit view *cannot* (no adjacency
-  /// exists; that absence is the whole point of giant trials).
-  /// A tag whose stencil preconditions fail (torus smaller than 3x3,
-  /// ring below 3 nodes, rows*cols not matching the node count) is
-  /// dropped here: explicit graphs fall back to the CSR kernels,
-  /// implicit views to the arithmetic-neighbor legacy pull - both
-  /// compute the same heard set as always. An explicit view's graph
-  /// must outlive the gather.
+  /// tagged views; the word-CSR is graph-owned (graph::word_layout):
+  /// the first gather that needs it borrows it, and only the first
+  /// gather on a graph ever builds it - every later gather, in any
+  /// engine or thread, reuses that one build. A tagged view always
+  /// takes the stencil kernel and never asks for it, and an implicit
+  /// view *cannot* (no adjacency exists; that absence is the whole
+  /// point of giant trials). Every implicit view takes the stencil,
+  /// degenerate shapes (ring of 1 or 2, tori with a side of 1 or 2)
+  /// included: their self and doubled wrap shifts add no wrong bit. A
+  /// hand-tagged explicit graph whose tag fails the geometry checks
+  /// (rows*cols not matching the node count, a path or ring with
+  /// rows != 1) drops the tag here and takes the word-CSR kernels. An
+  /// explicit view's graph must outlive the gather.
   explicit heard_gather(topology_view view);
 
   /// heard := beep ∪ N(beep), both packed over word_count() words.
   /// `heard` must enter EQUAL to `beep` (a beeper always hears; the
-  /// pull kernels additionally use the seeded bits to skip beepers);
+  /// pull kernel additionally uses the seeded bits to skip beepers);
   /// on return it holds the full heard set with no bits above
   /// node_count().
   void operator()(std::span<const std::uint64_t> beep,
@@ -97,7 +95,7 @@ class heard_gather {
   /// `exec` (nullptr = serial), in tiles of `tile_words` words (0 = one
   /// even tile per worker). Stencil tiles write only their own
   /// destination words, so every (executor, tile size) point computes
-  /// the same heard set. The word-CSR push and the pulls stay serial:
+  /// the same heard set. The word-CSR push and pull stay serial:
   /// they serve explicit untagged graphs, which are far smaller than
   /// one engine tile in every benchmarked workload. The executor must
   /// outlive this gather (engines own both).
@@ -120,11 +118,8 @@ class heard_gather {
   /// Pins one kernel (auto_select restores the default dispatch).
   /// Throws std::invalid_argument when the kernel is unavailable for
   /// this view (stencil without a usable topology tag; word_csr_push /
-  /// packed_pull on an implicit view, which has no adjacency to build
-  /// them from). Forcing packed_pull borrows rows regardless of the
-  /// worthwhile heuristic; auto-selection keeps asking the heuristic,
-  /// so a forced kernel on one gather never changes another gather's
-  /// choice on the same graph.
+  /// word_csr_pull on an implicit view, which has no adjacency to
+  /// build them from).
   void force_kernel(gather_kernel k);
   [[nodiscard]] gather_kernel forced_kernel() const noexcept {
     return forced_;
@@ -139,13 +134,10 @@ class heard_gather {
   [[nodiscard]] bool stencil_available() const noexcept {
     return stencil_.has_value();
   }
-  [[nodiscard]] bool packed_rows_available() const noexcept {
-    return csr_ != nullptr && csr_->packed_rows_built();
-  }
   [[nodiscard]] std::size_t word_count() const noexcept { return words_; }
 
  private:
-  void ensure_adjacency_layouts();
+  void ensure_word_csr();
   /// Stencil restricted to destination words [wb, we): reads any beep
   /// word, writes only its own range - the tile body.
   void gather_stencil(std::span<const std::uint64_t> beep,
@@ -153,19 +145,14 @@ class heard_gather {
                       std::size_t we) const;
   void gather_word_csr_push(std::span<const std::uint64_t> beep,
                             std::span<std::uint64_t> heard) const;
-  void gather_packed_pull(std::span<const std::uint64_t> beep,
-                          std::span<std::uint64_t> heard) const;
-  void gather_legacy_pull(std::span<const std::uint64_t> beep,
-                          std::span<std::uint64_t> heard) const;
+  void gather_word_csr_pull(std::span<const std::uint64_t> beep,
+                            std::span<std::uint64_t> heard) const;
 
   topology_view view_;
   std::size_t n_ = 0;
   // Borrowed from the graph (graph::word_layout); null until
-  // ensure_adjacency_layouts().
+  // ensure_word_csr().
   const word_csr* csr_ = nullptr;
-  // word_csr::packed_rows_worthwhile of the bound graph: dense rounds
-  // auto-select packed_pull iff this holds.
-  bool rows_worthwhile_ = false;
   std::size_t words_ = 0;
   std::optional<topology> stencil_;
   // Periodic column masks for grid/torus stencils: bit i set iff node

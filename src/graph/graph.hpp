@@ -4,8 +4,8 @@
 // G = (V, E) (paper Section 1.1). All simulators in this repository
 // touch every adjacency list every round, so the representation is a
 // flat CSR layout: cache-friendly and immutable after construction.
-// The word-granular layouts the heard-gather runs on (graph/word_csr)
-// belong to the graph too: derived once, on first use, and shared by
+// The word-granular layout the heard-gather runs on (graph/word_csr)
+// belongs to the graph too: derived once, on first use, and shared by
 // every engine and every copy.
 #pragma once
 
@@ -44,7 +44,7 @@ struct topology {
     path,  ///< P_n: rows == 1, cols == n
     ring,  ///< C_n: rows == 1, cols == n (wrap-around)
     grid,  ///< rows x cols lattice, no wrap
-    torus  ///< rows x cols lattice with wrap-around (rows, cols >= 3)
+    torus  ///< rows x cols lattice with wrap-around (generators: >= 3x3)
   };
 
   kind shape = kind::path;
@@ -113,15 +113,13 @@ class graph {
     topo_ = std::move(topo);
   }
 
-  /// The word-granular adjacency layout (graph/word_csr.hpp) the
-  /// heard-gather kernels read: the word-CSR, with the packed rows when
-  /// word_csr::packed_rows_worthwhile(*this) holds or `with_rows` asks
-  /// for them regardless (forced packed-pull debugging). Part of the
-  /// immutable graph: built on the first call - concurrent first
-  /// callers build it once - then read without a lock, and shared by
-  /// every copy of this graph. Engines bound per trial borrow it, so a
-  /// graph pays for its layout once, not once per trial.
-  [[nodiscard]] const word_csr& word_layout(bool with_rows = false) const;
+  /// The word-CSR (graph/word_csr.hpp) the push and pull gather
+  /// kernels read. Part of the immutable graph: built on the first call
+  /// - concurrent first callers build it once - then read without a
+  /// lock, and shared by every copy of this graph. Engines bound per
+  /// trial borrow it, so a graph pays for its layout once, not once per
+  /// trial.
+  [[nodiscard]] const word_csr& word_layout() const;
 
  private:
   struct layout_cache;
@@ -132,9 +130,9 @@ class graph {
   std::size_t min_degree_ = 0;
   std::string name_ = "graph";
   std::optional<topology> topo_;
-  // Lazily built word layouts; copies share them (the adjacency they
-  // derive from is immutable and copied verbatim).
-  std::shared_ptr<layout_cache> layouts_;
+  // Lazily built word layout; copies share it (the adjacency it
+  // derives from is immutable and copied verbatim).
+  std::shared_ptr<layout_cache> layout_;
 };
 
 }  // namespace beepkit::graph

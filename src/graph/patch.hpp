@@ -2,7 +2,7 @@
 // topology_view, applied to the packed heard set as a word-masked
 // post-pass - no adjacency rebuild, no new CSR, no stencil rederivation.
 //
-// The base gather kernels (stencil, word-CSR push, packed pull, legacy)
+// The base gather kernels (stencil, word-CSR push, word-CSR pull)
 // keep running unchanged against the *original* topology; afterwards
 // fix_heard() recomputes the heard bit of every node whose neighborhood
 // the overlay touches, exactly:

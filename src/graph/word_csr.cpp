@@ -4,7 +4,6 @@ namespace beepkit::graph {
 
 word_csr::word_csr(const graph& g) {
   const std::size_t n = g.node_count();
-  words_ = packed_word_count(n);
   offsets_.assign(n + 1, 0);
   // Neighbors are sorted per node, so each node's pairs fall out of one
   // linear scan: a new pair starts whenever the neighbor's word index
@@ -35,18 +34,6 @@ word_csr::word_csr(const graph& g) {
         ++k;
       }
       entry_masks_[k - 1] |= 1ULL << (v & 63);
-    }
-  }
-}
-
-void word_csr::build_packed_rows(const graph& g) {
-  if (packed_rows_built()) return;
-  const std::size_t n = g.node_count();
-  rows_.assign(n * words_, 0);
-  for (node_id u = 0; u < n; ++u) {
-    std::uint64_t* const row = rows_.data() + static_cast<std::size_t>(u) * words_;
-    for (node_id v : g.neighbors(u)) {
-      row[v >> 6] |= 1ULL << (v & 63);
     }
   }
 }

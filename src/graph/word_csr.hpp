@@ -1,23 +1,21 @@
-// Word-granular adjacency layouts for the bit-packed heard-gather.
+// Word-granular adjacency layout for the bit-packed heard-gather.
 //
 // The engines keep beep/heard sets packed (one std::uint64_t word per
-// 64 nodes). The classic CSR push gather ORs one *bit* per arc; the
-// layouts here OR one *word* per (node, word) incidence instead:
+// 64 nodes). The classic CSR gather touches one *bit* per arc; the
+// word_csr here stores, per node, the adjacency compressed to
+// (word index, neighbor mask) pairs, so both gather directions touch
+// one *word* per (node, word) incidence instead:
 //
-//  * word_csr - per node, the adjacency compressed to (word index,
-//    neighbor mask) pairs. A push over node u executes
-//    `heard[word[k]] |= mask[k]` for u's few pairs, replacing
-//    degree(u) single-bit stores with one store per touched word.
-//    For a grid node the 4 neighbors collapse into <= 3 pairs; for a
-//    clique row they collapse into n/64 pairs.
-//  * packed rows - the full n x ceil(n/64) adjacency bitmap, row-major.
-//    The pull gather for dense beep sets is then one AND-with-early-
-//    exit word loop per row (no popcounts, no per-bit probing). Memory
-//    is n * words * 8 bytes, so rows are only built when the graph is
-//    small/dense enough that the bitmap earns its keep (see
-//    packed_rows_worthwhile).
+//  * push over node u: `heard[word[k]] |= mask[k]` for u's few pairs,
+//    replacing degree(u) single-bit stores with one store per touched
+//    word;
+//  * pull for node u: `(beep[word[k]] & mask[k]) != 0` for any k, with
+//    an early exit on the first hit.
 //
-// Both layouts are derived views of a graph::graph and immutable. The
+// For a grid node the 4 neighbors collapse into <= 3 pairs; for a
+// clique row they collapse into n/64 pairs.
+//
+// The layout is a derived view of a graph::graph and immutable. The
 // engines never build their own: graph::word_layout() builds one per
 // graph on first use and every heard_gather bound to that graph (or to
 // a copy of it) borrows it.
@@ -41,27 +39,9 @@ class word_csr {
   word_csr() = default;
   explicit word_csr(const graph& g);
 
-  /// Builds the row-major packed adjacency bitmap as well. Call once,
-  /// before the first packed-row pull; idempotent.
-  void build_packed_rows(const graph& g);
-  [[nodiscard]] bool packed_rows_built() const noexcept {
-    return !rows_.empty();
-  }
-
-  /// Heuristic gate for building packed rows eagerly: the bitmap must
-  /// be dense enough (>= 4 neighbor bits per row word on average, so a
-  /// row scan beats probing the CSR) and small enough (<= 32 MiB).
-  [[nodiscard]] static bool packed_rows_worthwhile(const graph& g) noexcept {
-    const std::size_t n = g.node_count();
-    const std::size_t words = packed_word_count(n);
-    if (n == 0 || n * words > (std::size_t{1} << 22)) return false;
-    return 2 * g.edge_count() >= 4 * n * words;
-  }
-
   [[nodiscard]] std::size_t node_count() const noexcept {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
-  [[nodiscard]] std::size_t word_count() const noexcept { return words_; }
 
   /// The (word, mask) pairs of node u, parallel spans.
   [[nodiscard]] std::span<const std::uint32_t> entry_words(node_id u) const {
@@ -81,17 +61,22 @@ class word_csr {
     }
   }
 
-  /// Packed adjacency row of u (only valid after build_packed_rows).
-  [[nodiscard]] const std::uint64_t* packed_row(node_id u) const noexcept {
-    return rows_.data() + static_cast<std::size_t>(u) * words_;
+  /// True iff some neighbor of `u` is in the packed `set` - the
+  /// word-parallel pull probe, exiting on the first meeting pair.
+  [[nodiscard]] bool any_neighbor_in(node_id u,
+                                     const std::uint64_t* set) const noexcept {
+    const std::size_t begin = offsets_[u];
+    const std::size_t end = offsets_[u + 1];
+    for (std::size_t k = begin; k < end; ++k) {
+      if ((set[entry_words_[k]] & entry_masks_[k]) != 0) return true;
+    }
+    return false;
   }
 
  private:
   std::vector<std::size_t> offsets_;        // size node_count+1
   std::vector<std::uint32_t> entry_words_;  // word index per pair
   std::vector<std::uint64_t> entry_masks_;  // neighbor mask per pair
-  std::vector<std::uint64_t> rows_;         // n * words_, or empty
-  std::size_t words_ = 0;
 };
 
 }  // namespace beepkit::graph

@@ -1,13 +1,10 @@
 #include "support/arena.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <utility>
-
-#include "support/parallel.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
@@ -16,15 +13,6 @@
 #else
 #include <cstdlib>
 #define BEEPKIT_ARENA_MMAP 0
-#endif
-
-#if defined(__linux__)
-#include <sys/syscall.h>
-#endif
-#if defined(__linux__) && defined(SYS_mbind)
-#define BEEPKIT_ARENA_NUMA 1
-#else
-#define BEEPKIT_ARENA_NUMA 0
 #endif
 
 namespace beepkit::support {
@@ -57,36 +45,6 @@ std::size_t page_size() noexcept {
 #endif
 }
 
-#if BEEPKIT_ARENA_NUMA
-/// Bitmask of online NUMA nodes (< 64) parsed from sysfs range syntax
-/// ("0", "0-3", "0,2-3"). Falls back to node 0 when unreadable, which
-/// makes the mbind a harmless identity on single-node boxes.
-unsigned long online_nodemask() noexcept {
-  FILE* f = std::fopen("/sys/devices/system/node/online", "re");
-  if (f == nullptr) return 1UL;
-  char buf[256];
-  const std::size_t got = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  buf[got] = '\0';
-  unsigned long mask = 0;
-  const char* s = buf;
-  while (*s != '\0') {
-    char* end = nullptr;
-    const long lo = std::strtol(s, &end, 10);
-    if (end == s) break;
-    long hi = lo;
-    s = end;
-    if (*s == '-') {
-      hi = std::strtol(s + 1, &end, 10);
-      s = end;
-    }
-    for (long b = lo; b <= hi && b < 64; ++b) mask |= 1UL << b;
-    if (*s == ',') ++s;
-  }
-  return mask == 0 ? 1UL : mask;
-}
-#endif
-
 }  // namespace
 
 plane_arena::~plane_arena() { release(); }
@@ -96,8 +54,7 @@ plane_arena::plane_arena(plane_arena&& other) noexcept
       blocks_(std::move(other.blocks_)),
       bump_(std::exchange(other.bump_, nullptr)),
       bump_left_(std::exchange(other.bump_left_, 0)),
-      reserved_(std::exchange(other.reserved_, 0)),
-      interleave_(other.interleave_) {
+      reserved_(std::exchange(other.reserved_, 0)) {
   other.chunks_.clear();
   other.blocks_.clear();
 }
@@ -112,7 +69,6 @@ plane_arena& plane_arena::operator=(plane_arena&& other) noexcept {
     bump_ = std::exchange(other.bump_, nullptr);
     bump_left_ = std::exchange(other.bump_left_, 0);
     reserved_ = std::exchange(other.reserved_, 0);
-    interleave_ = other.interleave_;
   }
   return *this;
 }
@@ -152,7 +108,6 @@ std::byte* plane_arena::map_chunk(std::size_t bytes, bool want_huge) {
     madvise(base, bytes, MADV_HUGEPAGE);
 #endif
   }
-  if (interleave_) apply_interleave(base, bytes);
   chunks_.push_back({base, bytes});
   reserved_ += bytes;
   return base;
@@ -164,55 +119,6 @@ std::byte* plane_arena::map_chunk(std::size_t bytes, bool want_huge) {
   reserved_ += bytes;
   return static_cast<std::byte*>(raw);
 #endif
-}
-
-void plane_arena::apply_interleave(void* base, std::size_t bytes) noexcept {
-#if BEEPKIT_ARENA_NUMA
-  static const unsigned long mask = online_nodemask();
-  constexpr int kMpolInterleave = 3;  // MPOL_INTERLEAVE
-  // Best-effort: EINVAL/EPERM just leaves the default first-touch
-  // policy in place.
-  syscall(SYS_mbind, base, bytes, kMpolInterleave, &mask,
-          sizeof(mask) * 8, 0UL);
-#else
-  (void)base;
-  (void)bytes;
-#endif
-}
-
-bool plane_arena::set_numa_interleave(bool on) noexcept {
-#if BEEPKIT_ARENA_NUMA
-  interleave_ = on;
-  return true;
-#else
-  interleave_ = false;
-  return !on;
-#endif
-}
-
-void plane_arena::distribute_first_touch(tile_executor& exec,
-                                         std::size_t tile_words) {
-  const std::size_t page = page_size();
-  // Tiles are ranges of pages (not words), so concurrent tiles never
-  // touch the same byte. tile_words is converted page-for-word so the
-  // caller can pass the engine's tile size unchanged.
-  const std::size_t tile_pages =
-      tile_words == 0 ? 0
-                      : std::max<std::size_t>(
-                            1, tile_words * sizeof(std::uint64_t) / page);
-  for (const chunk& c : chunks_) {
-    auto* base = static_cast<std::byte*>(c.base);
-    const std::size_t pages = (c.bytes + page - 1) / page;
-    exec.run_tiles(pages, tile_pages,
-                   [&](std::size_t, std::size_t pb, std::size_t pe) {
-                     for (std::size_t pg = pb; pg < pe; ++pg) {
-                       auto* p =
-                           reinterpret_cast<volatile std::byte*>(base) +
-                           pg * page;
-                       *p = *p;  // same-value write: commits, preserves
-                     }
-                   });
-  }
 }
 
 word_buffer plane_arena::alloc_words(std::size_t words) {

@@ -31,8 +31,6 @@
 
 namespace beepkit::support {
 
-class tile_executor;
-
 /// Non-owning view of an arena-backed array of 64-bit words. Mirrors
 /// the slice of the std::vector<std::uint64_t> interface the engines
 /// use (data/size/index/iterate), and models a contiguous sized range,
@@ -72,26 +70,6 @@ class plane_arena {
   /// block cannot be obtained.
   [[nodiscard]] word_buffer alloc_words(std::size_t words);
 
-  /// Best-effort: ask the kernel to interleave the pages of subsequent
-  /// mapped chunks across all online NUMA nodes (raw
-  /// mbind(MPOL_INTERLEAVE), no libnuma). Applied at map time, before
-  /// first touch, so it wins over first-touch placement. Small buffers
-  /// live on the heap and keep the allocating thread's placement.
-  /// Returns false where the syscall is unavailable (non-Linux); a
-  /// failing mbind on a single-node box is silently harmless.
-  bool set_numa_interleave(bool on) noexcept;
-  [[nodiscard]] bool numa_interleave() const noexcept { return interleave_; }
-
-  /// Re-touches every page of every mapped chunk, tiled through
-  /// `exec`: each page is read and written back with the same value, so
-  /// pages that are still uncommitted take their write fault on the
-  /// worker that claims the tile and land NUMA-local under the kernel's
-  /// default first-touch policy. Already-committed pages keep contents
-  /// and placement; heap blocks were committed when zeroed. Call
-  /// between set_parallelism and the measured rounds; the caller must
-  /// guarantee no concurrent access to the buffers.
-  void distribute_first_touch(tile_executor& exec, std::size_t tile_words);
-
   /// Bytes held across mapped chunks and heap blocks (address space,
   /// as ulimit -v sees it).
   [[nodiscard]] std::size_t bytes_reserved() const noexcept {
@@ -110,7 +88,6 @@ class plane_arena {
   };
 
   std::byte* map_chunk(std::size_t bytes, bool want_huge);
-  void apply_interleave(void* base, std::size_t bytes) noexcept;
   void release() noexcept;
 
   std::vector<chunk> chunks_;  // mapped, one per large buffer
@@ -118,7 +95,6 @@ class plane_arena {
   std::byte* bump_ = nullptr;  // free tail of the newest heap block
   std::size_t bump_left_ = 0;
   std::size_t reserved_ = 0;
-  bool interleave_ = false;
 };
 
 }  // namespace beepkit::support

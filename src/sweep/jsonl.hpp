@@ -212,7 +212,7 @@ struct merge_result {
 };
 
 /// Merges shard JSONL files into exactly the per-cell aggregates a
-/// single-process run_matrix over the same spec would have produced
+/// serial run_trials on each cell of the spec would have produced
 /// (bit-for-bit: the same analysis::aggregate_trial_points fold over
 /// the same integer trial points in the same order). Throws
 /// std::runtime_error on inconsistent cell metadata across files,

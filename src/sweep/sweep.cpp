@@ -228,7 +228,7 @@ std::optional<unit> work_source::next() {
     }
     // Advance the cell's seed stream to trial t - drawing and
     // discarding the seeds of units other shards own, which is what
-    // keeps the derivation identical to the serial run_matrix loop.
+    // keeps the derivation identical to the serial run_trials loop.
     std::uint64_t seed = 0;
     while (drawn_ <= t) {
       seed = seeder_.next_u64();

@@ -7,7 +7,7 @@
 //
 //  * Work units have a cell-major *global index*, and per-trial seeds
 //    are derived from each cell's root seed by the exact
-//    `support::rng(seed).next_u64()` sequence run_matrix uses. The
+//    `support::rng(seed).next_u64()` sequence run_trials uses. The
 //    seed of unit g is therefore a pure function of the spec - never
 //    of shard layout, thread count, or execution order.
 //  * A shard is a (start, stride) slice: `--shard i/N` runs exactly
@@ -16,7 +16,7 @@
 //    unit exactly once.
 //  * Each executed trial streams one self-describing JSONL record
 //    (plus periodic checkpoints), so shard outputs can be merged by
-//    `sweep_merge` into the aggregates a single-process run_matrix
+//    `sweep_merge` into the aggregates a serial run_trials per cell
 //    would have produced - bit-for-bit, via the shared
 //    analysis::aggregate_trial_points fold - and crashed runs resume
 //    by skipping already-recorded units.
@@ -113,7 +113,7 @@ struct options {
 };
 
 /// What one shard produced. `cells[i]` aggregates only this shard's
-/// trials of cell i (for shard 0/1 that is the exact run_matrix
+/// trials of cell i (for shard 0/1 that is the exact run_trials
 /// result); merged cross-shard statistics come from sweep_merge.
 struct shard_result {
   std::vector<analysis::trial_stats> cells;
@@ -127,7 +127,7 @@ struct shard_result {
 ///
 /// Reproducibility contract: the statistical fields of the merged
 /// per-cell aggregates over any disjoint covering set of shards are
-/// bit-identical to run_matrix over the same cells, for any thread
+/// bit-identical to run_trials on each cell, for any thread
 /// count. Throws std::runtime_error when a resume file belongs to a
 /// different sweep or the record stream cannot be written.
 [[nodiscard]] shard_result run(const spec& s, const options& opts = {});

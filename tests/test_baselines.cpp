@@ -428,8 +428,8 @@ TEST_P(BaselineOracle, RoundLevelMatchesPerNode) {
   const std::uint64_t seed = 40 + c.n;
   const graph::gather_kernel kernels[] = {
       graph::gather_kernel::auto_select, graph::gather_kernel::stencil,
-      graph::gather_kernel::word_csr_push, graph::gather_kernel::packed_pull,
-      graph::gather_kernel::legacy_pull};
+      graph::gather_kernel::word_csr_push,
+      graph::gather_kernel::word_csr_pull};
   for (const graph::gather_kernel kernel : kernels) {
     for (const bool noisy : {false, true}) {
       SCOPED_TRACE(graph::gather_kernel_name(kernel) +

@@ -136,7 +136,7 @@ TEST(ConvergenceTest, RunElectionWithEmptyPlanMatchesPlainRun) {
 /// too).
 std::vector<gather_kernel> path_kernels() {
   return {gather_kernel::stencil, gather_kernel::word_csr_push,
-          gather_kernel::packed_pull, gather_kernel::legacy_pull};
+          gather_kernel::word_csr_pull};
 }
 
 TEST(TopologyPatchTest, ChurnMatchesMaterializedGraphAtWordBoundaries) {

@@ -1,12 +1,13 @@
 // Differential tests for the word-parallel heard-gather kernels and
 // the generalized plane gear:
 //
-//  * every gather kernel (stencil, word-CSR push, packed-row pull, and
-//    the legacy single-bit pull) must produce bit-identical runs -
-//    same state trajectories, same ledgers, same generator draws - on
-//    path/ring/grid/torus/complete at word-boundary sizes
-//    {63, 64, 65, 128}, with reception noise and under Section-5
-//    adversarial injections;
+//  * every gather kernel (stencil, word-CSR push, word-CSR pull) must
+//    produce bit-identical runs - same state trajectories, same
+//    ledgers, same generator draws - on path/ring/grid/torus/complete
+//    at word-boundary sizes {63, 64, 65, 128}, with reception noise
+//    and under Section-5 adversarial injections, and every implicit
+//    view (degenerate rings and tori included) must auto-select the
+//    stencil and match the scalar reference;
 //  * Timeout-BFW with T > 3 must run in the word-parallel plane gear
 //    (bit-sliced patience counters) instead of falling back to the
 //    O(n) sparse sweep, and stay draw-for-draw identical to the
@@ -33,6 +34,7 @@
 #include "graph/gather.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "graph/view.hpp"
 #include "graph/word_csr.hpp"
 #include "stoneage/stoneage.hpp"
 
@@ -71,31 +73,35 @@ std::vector<graph_case> stencil_boundary_graphs() {
 }
 
 /// Kernels applicable to `g` (stencil only on tagged graphs; the
-/// packed pull is force-buildable everywhere).
+/// word-CSR kernels on every explicit graph).
 std::vector<gather_kernel> applicable_kernels(const graph::graph& g) {
-  std::vector<gather_kernel> kernels = {
-      gather_kernel::word_csr_push, gather_kernel::packed_pull,
-      gather_kernel::legacy_pull};
+  std::vector<gather_kernel> kernels = {gather_kernel::word_csr_push,
+                                        gather_kernel::word_csr_pull};
   if (g.topology_tag().has_value()) {
     kernels.insert(kernels.begin(), gather_kernel::stencil);
   }
   return kernels;
 }
 
-/// Runs `rounds` rounds of `machine` on `g` under the forced `kernel`
-/// and compares the full trace against a reference engine running the
-/// scalar byte-array step: states after every round, leader counts,
-/// cumulative beep counts, and the next raw draw of every stream.
-void expect_kernel_matches_reference(const graph::graph& g,
+/// Runs `rounds` rounds of `machine` on `view` under `kernel` (forced;
+/// auto_select keeps the default dispatch, which must pick the stencil
+/// on the tagged views it is passed for) and compares the full trace
+/// against a reference engine running the scalar byte-array step:
+/// states after every round, leader counts, cumulative beep counts,
+/// and the next raw draw of every stream. `threads` > 1 tiles the
+/// engine's rounds one word per tile.
+void expect_kernel_matches_reference(const graph::topology_view& view,
                                      const beeping::state_machine& machine,
                                      gather_kernel kernel, std::uint64_t seed,
                                      int rounds, const noise_model& noise,
-                                     const std::string& label) {
+                                     const std::string& label,
+                                     std::size_t threads = 1) {
   fsm_protocol proto(machine);
   fsm_protocol ref_proto(machine);
-  engine sim(g, proto, seed, noise);
-  engine ref(g, ref_proto, seed, noise);
+  engine sim(view, proto, seed, noise);
+  engine ref(view, ref_proto, seed, noise);
   sim.set_gather_kernel(kernel);
+  if (threads != 1) sim.set_parallelism(threads, 1);
   for (int round = 0; round < rounds; ++round) {
     sim.step();
     ref.step_reference();
@@ -103,15 +109,16 @@ void expect_kernel_matches_reference(const graph::graph& g,
         << label << " diverged at round " << round;
     ASSERT_EQ(sim.leader_count(), ref.leader_count()) << label;
   }
-  if (g.topology_tag().has_value() || kernel != gather_kernel::stencil) {
-    EXPECT_EQ(sim.gather_kernel_used(), kernel) << label;
-  }
-  for (graph::node_id u = 0; u < g.node_count(); ++u) {
+  EXPECT_EQ(sim.gather_kernel_used(), kernel == gather_kernel::auto_select
+                                          ? gather_kernel::stencil
+                                          : kernel)
+      << label;
+  for (graph::node_id u = 0; u < view.node_count(); ++u) {
     ASSERT_EQ(sim.beep_count(u), ref.beep_count(u))
         << label << " ledger mismatch at node " << u;
   }
   EXPECT_EQ(sim.total_coins_consumed(), ref.total_coins_consumed()) << label;
-  for (graph::node_id u = 0; u < g.node_count(); ++u) {
+  for (graph::node_id u = 0; u < view.node_count(); ++u) {
     ASSERT_EQ(sim.node_rng(u).next_u64(), ref.node_rng(u).next_u64())
         << label << " generator diverged at node " << u;
   }
@@ -224,6 +231,30 @@ TEST(DegenerateStencilTest, SmallRingsAndToriMatchReference) {
   // n < 64: the whole topology lives in one word, so every wrap shift
   // folds back into the word it came from.
   const core::bfw_machine machine(0.5);
+  // Implicit views of every degenerate shape - rings of 1 and 2, tori
+  // with a side of 1 or 2, whose self and doubled wrap neighbors the
+  // shifts OR in harmlessly - auto-select the stencil (there is no
+  // adjacency to fall back to) and must match the reference, across
+  // word boundaries and under a tiled engine.
+  using graph::topology;
+  std::vector<topology> shapes = {{topology::kind::ring, 1, 1},
+                                  {topology::kind::ring, 1, 2}};
+  for (const std::size_t side : {3U, 64U, 65U, 130U}) {
+    for (const std::size_t thin : {1U, 2U}) {
+      shapes.push_back({topology::kind::torus, thin, side});
+      shapes.push_back({topology::kind::torus, side, thin});
+    }
+  }
+  for (const topology& shape : shapes) {
+    const auto view = graph::topology_view::implicit(shape);
+    expect_kernel_matches_reference(view, machine, gather_kernel::auto_select,
+                                    17, 120, {}, view.name());
+  }
+  const auto tiled =
+      graph::topology_view::implicit({topology::kind::torus, 2, 130});
+  expect_kernel_matches_reference(tiled, machine, gather_kernel::auto_select,
+                                  17, 120, {}, tiled.name() + "/tiled", 2);
+
   std::vector<graph_case> cases;
   for (const std::size_t n : {3U, 4U, 5U, 63U}) {
     cases.push_back({"ring" + std::to_string(n), graph::make_cycle(n)});
@@ -254,19 +285,15 @@ TEST(DegenerateStencilTest, SingleNodeAndTinyPaths) {
 }
 
 TEST(DegenerateStencilTest, FailedPreconditionsFallBackToCsrCleanly) {
-  // Hand-tagged geometries the stencil cannot express must degrade to
-  // the adjacency kernels - not compute a wrong heard set, not throw
-  // on auto-selection.
+  // Hand-tagged geometries that do not describe the node numbering
+  // must degrade to the word-CSR kernels - not compute a wrong heard
+  // set, not throw on auto-selection.
   struct bad_tag {
     std::string label;
     graph::graph g;
     graph::topology tag;
   };
   std::vector<bad_tag> cases;
-  cases.push_back({"torus2x4", graph::make_grid(2, 4),
-                   {graph::topology::kind::torus, 2, 4}});
-  cases.push_back({"ring2", graph::make_path(2),
-                   {graph::topology::kind::ring, 1, 2}});
   cases.push_back({"grid-wrong-size", graph::make_path(6),
                    {graph::topology::kind::grid, 2, 4}});
   cases.push_back({"path-multirow", graph::make_path(6),
@@ -523,65 +550,24 @@ TEST(WordCsrTest, EntriesCoverExactlyTheAdjacency) {
   }
 }
 
-TEST(WordCsrTest, PackedRowsMatchAdjacency) {
-  const auto g = graph::make_complete(65);
-  graph::word_csr csr(g);
-  EXPECT_TRUE(graph::word_csr::packed_rows_worthwhile(g));
-  csr.build_packed_rows(g);
-  ASSERT_TRUE(csr.packed_rows_built());
-  for (graph::node_id u = 0; u < g.node_count(); ++u) {
-    const std::uint64_t* row = csr.packed_row(u);
-    for (graph::node_id v = 0; v < g.node_count(); ++v) {
-      const bool bit = (row[v >> 6] >> (v & 63)) & 1ULL;
-      EXPECT_EQ(bit, g.has_edge(u, v)) << u << "," << v;
-    }
-  }
-}
-
-TEST(WordCsrTest, PackedRowsNotWorthwhileOnSparseGraphs) {
-  EXPECT_FALSE(
-      graph::word_csr::packed_rows_worthwhile(graph::make_path(4096)));
-  EXPECT_FALSE(
-      graph::word_csr::packed_rows_worthwhile(graph::make_grid(64, 64)));
-  EXPECT_TRUE(graph::word_csr::packed_rows_worthwhile(graph::make_complete(64)));
-
-  // The layout is graph-owned, so forcing packed rows through one
-  // engine must not change another engine's auto-selected kernel (or
-  // its audit field) on the same graph: dense rounds keep asking the
-  // heuristic, exactly as on a graph nobody forced.
+TEST(GatherKernelTest, UntaggedGraphsPullDenseAndPushSparseRounds) {
+  // The density rule on an explicit untagged graph: an all-beeping
+  // round takes the word-CSR pull, an all-silent one the push.
   const core::bfw_machine machine(0.5);
   const auto tree = graph::make_complete_binary_tree(255);
-  const auto untouched = graph::make_complete_binary_tree(255);
-  ASSERT_FALSE(graph::word_csr::packed_rows_worthwhile(tree));
-  fsm_protocol forced_proto(machine);
-  engine forced(tree, forced_proto, 3);
-  forced.set_gather_kernel(gather_kernel::packed_pull);
-  forced.step();
-  EXPECT_EQ(forced.gather_kernel_used(), gather_kernel::packed_pull);
-  // Start both from an all-beeping configuration: a dense round the
-  // heuristic leaves to the legacy pull on this sparse graph.
-  state_id beeping = 0;
-  while (!machine.beeps(beeping)) ++beeping;
-  const std::vector<state_id> dense(tree.node_count(), beeping);
-  fsm_protocol shared_proto(machine);
-  fsm_protocol alone_proto(machine);
-  engine shared(tree, shared_proto, 3);
-  engine alone(untouched, alone_proto, 3);
-  shared_proto.set_states(dense);
-  alone_proto.set_states(dense);
-  shared.restart_from_protocol();
-  alone.restart_from_protocol();
-  for (int round = 0; round < 20; ++round) {
-    shared.step();
-    alone.step();
-    ASSERT_EQ(shared.gather_kernel_used(), alone.gather_kernel_used())
-        << "round " << round;
-    if (round == 0) {
-      EXPECT_EQ(shared.gather_kernel_used(), gather_kernel::legacy_pull);
-    }
-  }
+  const auto first_kernel = [&](bool beeping) {
+    state_id s = 0;
+    while (machine.beeps(s) != beeping) ++s;
+    fsm_protocol proto(machine);
+    engine sim(tree, proto, 3);
+    proto.set_states(std::vector<state_id>(tree.node_count(), s));
+    sim.restart_from_protocol();
+    sim.step();
+    return sim.gather_kernel_used();
+  };
+  EXPECT_EQ(first_kernel(true), gather_kernel::word_csr_pull);
+  EXPECT_EQ(first_kernel(false), gather_kernel::word_csr_push);
 }
-
 
 // --- Topology tags: generators + io round-trip ---
 
@@ -676,7 +662,7 @@ TEST(StoneAgeGatherTest, ForcedKernelsMatchVirtualPath) {
   const auto g = graph::make_grid(8, 8);
   for (const gather_kernel kernel :
        {gather_kernel::stencil, gather_kernel::word_csr_push,
-        gather_kernel::packed_pull, gather_kernel::legacy_pull}) {
+        gather_kernel::word_csr_pull}) {
     stoneage::engine fast(g, automaton, 1, 21);
     stoneage::engine ref(g, automaton, 1, 21);
     fast.set_gather_kernel(kernel);

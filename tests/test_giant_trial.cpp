@@ -24,7 +24,6 @@
 #include "graph/view.hpp"
 #include "support/arena.hpp"
 #include "support/codec.hpp"
-#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
 
@@ -88,46 +87,6 @@ TEST(PlaneArena, MoveTransfersOwnership) {
   support::plane_arena moved = std::move(arena);
   EXPECT_EQ(buf[7], 1234U);
   EXPECT_GE(moved.bytes_reserved(), 800U);
-}
-
-TEST(PlaneArena, NumaInterleaveIsBestEffortAndHarmless) {
-  // Placement-only knob: allocations under interleave must still be
-  // zeroed, aligned and writable (on non-NUMA kernels mbind simply
-  // fails and the mapping stays first-touch).
-  support::plane_arena arena;
-  const bool active = arena.set_numa_interleave(true);
-  EXPECT_EQ(arena.numa_interleave(), active);
-  const auto buf = arena.alloc_words(1 << 19);  // dedicated mmap chunk
-  for (const std::size_t i : {std::size_t{0}, buf.size() - 1}) {
-    EXPECT_EQ(buf[i], 0U) << i;
-  }
-  buf[0] = 77;
-  buf[buf.size() - 1] = ~0ULL;
-  EXPECT_EQ(buf[0], 77U);
-  // Turning it off always succeeds.
-  EXPECT_TRUE(arena.set_numa_interleave(false));
-  EXPECT_FALSE(arena.numa_interleave());
-}
-
-TEST(PlaneArena, FirstTouchDistributionPreservesContents) {
-  // The tiled first-touch pass re-touches every page with a same-value
-  // write-back: placement may move, bytes may not.
-  support::plane_arena arena;
-  const auto a = arena.alloc_words(1 << 16);
-  const auto b = arena.alloc_words(333);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = i * 0x9e3779b97f4a7c15ULL + 1;
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = ~i;
-  support::tile_executor exec(4);
-  for (const std::size_t tile_words : {std::size_t{0}, std::size_t{64},
-                                       std::size_t{1 << 13}}) {
-    arena.distribute_first_touch(exec, tile_words);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], i * 0x9e3779b97f4a7c15ULL + 1) << i;
-    }
-    for (std::size_t i = 0; i < b.size(); ++i) ASSERT_EQ(b[i], ~i) << i;
-  }
 }
 
 // --- codecs -----------------------------------------------------------
@@ -669,24 +628,6 @@ TEST(GiantTrial, KillAndResumeAcrossThreadCounts) {
     EXPECT_EQ(resumed.draws, straight.draws) << c.name;
     std::remove(path.c_str());
   }
-}
-
-TEST(GiantTrial, NumaAndFirstTouchOptionsNeverChangeNumbers) {
-  // Placement knobs are placement-only: interleave + tiled first-touch
-  // must reproduce the plain trial bit for bit.
-  const auto view = topology_view::implicit({topology::kind::grid, 9, 23});
-  const core::bfw_machine machine(0.5);
-  const auto plain =
-      core::run_giant_trial(view, machine, 1234, {.max_rounds = 500000});
-  core::giant_options options;
-  options.max_rounds = 500000;
-  options.threads = 2;
-  options.numa_interleave = true;
-  options.first_touch = true;
-  const auto placed = core::run_giant_trial(view, machine, 1234, options);
-  EXPECT_EQ(placed.rounds, plain.rounds);
-  EXPECT_EQ(placed.leader, plain.leader);
-  EXPECT_EQ(placed.draws, plain.draws);
 }
 
 }  // namespace

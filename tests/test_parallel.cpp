@@ -158,26 +158,6 @@ TEST(RunTrialsParallelTest, InvariantAcrossOneTwoEightThreads) {
   }
 }
 
-TEST(RunMatrixTest, MatchesPerCellRunTrials) {
-  const auto grid = analysis::make_instance(graph::make_grid(4, 4));
-  const auto star = analysis::make_instance(graph::make_star(12));
-  std::vector<analysis::matrix_cell> cells;
-  cells.push_back({&grid, analysis::make_bfw(0.5), 6, 11,
-                   8 * core::default_horizon(grid.g, grid.diameter)});
-  cells.push_back({&star, analysis::make_id_broadcast(star.diameter), 6, 23,
-                   8 * core::default_horizon(star.g, star.diameter)});
-  const auto batched =
-      analysis::run_matrix(cells, analysis::run_options{4});
-  ASSERT_EQ(batched.size(), cells.size());
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    const auto solo = analysis::run_trials(
-        cells[c].inst->g, cells[c].inst->diameter, cells[c].algo,
-        cells[c].trials, cells[c].seed, cells[c].max_rounds,
-        analysis::run_options{1});
-    expect_same_stats(solo, batched[c]);
-  }
-}
-
 TEST(MapTrialsTest, SeedsMatchTheSerialSeederAndOrderIsStable) {
   support::rng seeder(42);
   std::vector<std::uint64_t> expected(9);

@@ -2,8 +2,8 @@
 // enumeration, the (start, stride) shard convention, JSONL record
 // round-trips, crash-resume, and the headline contract - merging any
 // shard partition's JSONL outputs is bit-identical to the
-// single-process run_matrix result (coin accounting included, at
-// word-boundary graph sizes).
+// result of a serial run_trials per cell (coin accounting included,
+// at word-boundary graph sizes).
 #include "sweep/sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -51,8 +51,15 @@ class sweep_fixture {
 
   [[nodiscard]] const sweep::spec& spec() const { return spec_; }
 
+  /// Serial run_trials per cell: the same seeds and the same fold.
   [[nodiscard]] std::vector<analysis::trial_stats> reference() const {
-    return analysis::run_matrix(spec_.cells, analysis::run_options{1});
+    std::vector<analysis::trial_stats> stats;
+    for (const auto& cell : spec_.cells) {
+      stats.push_back(analysis::run_trials(
+          cell.inst->view(), cell.inst->diameter, cell.algo, cell.trials,
+          cell.seed, cell.max_rounds));
+    }
+    return stats;
   }
 
  private:
@@ -122,7 +129,7 @@ TEST(WorkSourceTest, ShardsPartitionUnitsExactly) {
 
 TEST(WorkSourceTest, SeedsMatchSerialDerivationOnEveryShard) {
   const sweep_fixture fixture;
-  // Reference: the exact run_matrix/map_trials derivation.
+  // Reference: the exact run_trials/map_trials derivation.
   std::vector<std::vector<std::uint64_t>> expected;
   for (const auto& cell : fixture.spec().cells) {
     support::rng seeder(cell.seed);

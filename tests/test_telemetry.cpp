@@ -107,8 +107,8 @@ void setup_virtual(engine& e) { e.set_fast_path_enabled(false); }
 void setup_word_csr(engine& e) {
   e.set_gather_kernel(graph::gather_kernel::word_csr_push);
 }
-void setup_packed_pull(engine& e) {
-  e.set_gather_kernel(graph::gather_kernel::packed_pull);
+void setup_word_csr_pull(engine& e) {
+  e.set_gather_kernel(graph::gather_kernel::word_csr_pull);
 }
 
 /// Probes fully hot vs probes off, same seed, same configuration: the
@@ -176,7 +176,7 @@ TEST_F(TelemetryTest, ProbesInvisibleWithForcedKernelsAndNoise) {
   for (const auto& [kernel, setup] :
        std::vector<std::pair<std::string, engine_setup>>{
            {"word_csr_push", &setup_word_csr},
-           {"packed_pull", &setup_packed_pull}}) {
+           {"word_csr_pull", &setup_word_csr_pull}}) {
     for (const tile_config& cfg : tile_configs()) {
       expect_probes_invisible(
           graph::make_complete(128), machine, cfg, setup, 25, noise_model{},

@@ -265,7 +265,7 @@ TEST(TiledEngineBitIdentityTest, ReceptionNoiseTiledUnderForcedKernels) {
   const noise_model noise{0.08, 0.03};
   for (const graph::gather_kernel kernel :
        {graph::gather_kernel::word_csr_push,
-        graph::gather_kernel::packed_pull}) {
+        graph::gather_kernel::word_csr_pull}) {
     for (const tile_config& cfg : tile_configs()) {
       fsm_protocol serial_proto(machine);
       fsm_protocol tiled_proto(machine);
@@ -331,13 +331,13 @@ TEST(TiledEngineConfigTest, TileSizeSurvivesRestartFromProtocol) {
 }
 
 TEST(TiledEngineBitIdentityTest, ForcedKernelsMatchUnderTiling) {
-  // The word-CSR push and the packed pull run serially inside a tiled
-  // engine, next to its tiled plane sweep: with either forced, the
-  // tiled engine must match the serial engine.
+  // The word-CSR push and pull run serially inside a tiled engine,
+  // next to its tiled plane sweep: with either forced, the tiled
+  // engine must match the serial engine.
   const core::bfw_machine machine(0.5);
   for (const graph::gather_kernel kernel :
        {graph::gather_kernel::word_csr_push,
-        graph::gather_kernel::packed_pull}) {
+        graph::gather_kernel::word_csr_pull}) {
     for (const auto& shape :
          {graph_case{"complete128", graph::make_complete(128)},
           graph_case{"tree127", graph::make_complete_binary_tree(127)}}) {

@@ -235,30 +235,14 @@ TEST(TopologyViewEngine, DegenerateShapesElectALeader) {
   }
 }
 
-TEST(TopologyViewEngine, ForcedStencilMatchesForcedLegacyOnImplicit) {
-  const auto view = topology_view::implicit({topology::kind::torus, 5, 13});
-  const core::bfw_machine machine(0.5);
-  beeping::fsm_protocol proto_a(machine);
-  beeping::fsm_protocol proto_b(machine);
-  beeping::engine sim_a(view, proto_a, 17);
-  beeping::engine sim_b(view, proto_b, 17);
-  sim_a.set_gather_kernel(graph::gather_kernel::stencil);
-  sim_b.set_gather_kernel(graph::gather_kernel::legacy_pull);
-  for (int round = 0; round < 120; ++round) {
-    sim_a.step();
-    sim_b.step();
-    ASSERT_EQ(sim_a.leader_count(), sim_b.leader_count()) << round;
-  }
-  EXPECT_EQ(proto_a.states(), proto_b.states());
-  EXPECT_EQ(sim_a.total_coins_consumed(), sim_b.total_coins_consumed());
-}
-
 TEST(TopologyViewEngine, AdjacencyKernelsRejectImplicitViews) {
   const auto view = topology_view::implicit({topology::kind::grid, 4, 9});
   const core::bfw_machine machine(0.5);
   beeping::fsm_protocol proto(machine);
   beeping::engine sim(view, proto, 3);
   EXPECT_THROW(sim.set_gather_kernel(graph::gather_kernel::word_csr_push),
+               std::invalid_argument);
+  EXPECT_THROW(sim.set_gather_kernel(graph::gather_kernel::word_csr_pull),
                std::invalid_argument);
 }
 

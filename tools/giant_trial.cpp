@@ -55,9 +55,7 @@ int main(int argc, char** argv) {
                    "cores); any count is bit-identical"},
        {"tile-words",
         "tile size in words (default 0: 8192; a smaller engine runs "
-        "one serial tile)"},
-       {"numa-interleave", "interleave arena pages across NUMA nodes", true},
-       {"first-touch", "tiled first-touch prefault of the arena", true}});
+        "one serial tile)"}});
 
   const std::string spec = args.get_string("topology", "");
   const auto view = graph::topology_view::parse(spec);
@@ -81,8 +79,6 @@ int main(int argc, char** argv) {
   options.threads = static_cast<std::size_t>(args.get_int("threads", 1));
   options.tile_words =
       static_cast<std::size_t>(args.get_int("tile-words", 0));
-  options.numa_interleave = args.has("numa-interleave");
-  options.first_touch = args.has("first-touch");
   const double p = args.get_double("p", 0.5);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 

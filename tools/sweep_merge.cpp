@@ -1,5 +1,5 @@
 // sweep_merge - merges N shard JSONL files of one sweep back into the
-// exact per-cell statistics a single-process run_matrix would have
+// exact per-cell statistics a serial run_trials per cell would have
 // produced (bit-for-bit: the trial records carry the integer outcome
 // of every unit, and the merge replays the shared aggregation fold in
 // trial order). Typical cross-machine flow:
