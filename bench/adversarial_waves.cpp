@@ -51,6 +51,8 @@ int main(int argc, char** argv) {
     const core::bfw_machine machine(0.5);
     beeping::fsm_protocol proto(machine);
     beeping::engine sim(g, proto, seed);
+    beeping::beep_counter counter;
+    sim.add_observer(&counter);
     // Injected waves are a declarative round-0 fault (fires as
     // set_states + restart_from_protocol, draw-for-draw identical to
     // the historical inline sequence).
@@ -62,7 +64,7 @@ int main(int argc, char** argv) {
     sim.run_rounds(rounds);
     meter.add_run(rounds);
     std::uint64_t total_beeps = 0;
-    for (graph::node_id u = 0; u < n; ++u) total_beeps += sim.beep_count(u);
+    for (const std::uint64_t c : counter.counts()) total_beeps += c;
     persist.add_row(
         {support::table::num(static_cast<long long>(n)),
          support::table::num(static_cast<long long>(waves)),
@@ -142,6 +144,8 @@ int main(int argc, char** argv) {
     const core::bfw_machine machine(0.5);
     beeping::fsm_protocol proto(machine);
     beeping::engine sim(g, proto, seed);
+    beeping::beep_counter counter;
+    sim.add_observer(&counter);
     std::vector<beeping::state_id> states(
         n, static_cast<beeping::state_id>(core::bfw_state::follower_wait));
     states[0] =
@@ -164,7 +168,7 @@ int main(int argc, char** argv) {
       sim.step();
     }
     std::uint64_t total_beeps = 0;
-    for (graph::node_id u = 0; u < n; ++u) total_beeps += sim.beep_count(u);
+    for (const std::uint64_t c : counter.counts()) total_beeps += c;
     absorb.add_row({support::table::num(static_cast<long long>(n)),
                     support::table::num(static_cast<long long>(dead_round)),
                     support::table::num(static_cast<long long>(total_beeps))});

@@ -4,7 +4,8 @@
 // Lemma 12 (propagation deadlines) are all checked on every round of
 // live BFW runs across a topology battery. The paper proves these hold
 // always; the table reports zero violations over hundreds of thousands
-// of node-rounds, plus the checker's overhead.
+// of node-rounds, plus the checker's overhead. Exits 1 when any
+// violation count is nonzero.
 //
 //   ./build/bench/flow_invariants [--rounds 400] [--seed 6] [--threads 0]
 #include <chrono>
@@ -112,5 +113,12 @@ int main(int argc, char** argv) {
               "the implementation\n(see tests/test_invariants.cpp for the "
               "injected-failure positives).\n");
   std::printf("\n%s\n", meter.summary(threads).c_str());
-  return 0;
+  int status = 0;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    if (results[i].violations == 0) continue;
+    std::fprintf(stderr, "flow_invariants: %zu violation(s) on %s\n",
+                 results[i].violations, graphs[i].name().c_str());
+    status = 1;
+  }
+  return status;
 }

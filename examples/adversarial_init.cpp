@@ -35,7 +35,9 @@ int main(int argc, char** argv) {
   sim.restart_from_protocol();
 
   beeping::trace_recorder trace(protocol, 40);
+  beeping::beep_counter counter;
   sim.add_observer(&trace);
+  sim.add_observer(&counter);
 
   std::printf("leaderless wave on %s - first 40 rounds:\n", g.name().c_str());
   sim.run_rounds(rounds);
@@ -44,7 +46,7 @@ int main(int argc, char** argv) {
   std::printf("after %llu rounds: %zu leaders, wave still alive "
               "(node 0 beeped %llu times)\n",
               static_cast<unsigned long long>(rounds), sim.leader_count(),
-              static_cast<unsigned long long>(sim.beep_count(0)));
+              static_cast<unsigned long long>(counter.count(0)));
   std::printf("-> an arbitrary initial configuration can defeat eventual "
               "leader election forever.\n\n");
 

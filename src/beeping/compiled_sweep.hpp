@@ -13,7 +13,7 @@
 //
 // Bit-identity contract (the registry's acceptance bar): for any word
 // range, the sweep computes exactly the interpreted sweep's
-// planes, beep/leader/active words, ledger banks and leader count,
+// planes, beep/leader/active words and leader count,
 // and every node consumes exactly its generator draws from its own
 // stream (the contract is per stream; order across nodes is free).
 // The two liberties it takes are proven-safe:
@@ -65,8 +65,8 @@ inline void unroll(F&& f) {
 /// also carries the stone-age fast path - register-ready as
 /// compiled_kernel::sweep.
 template <class Traits>
-sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
-                            std::size_t wb, std::size_t we) {
+sweep_result compiled_sweep(const plane_ctx& ctx, std::size_t wb,
+                            std::size_t we) {
   using word = std::uint64_t;
   using sweep_detail::unroll;
   constexpr std::size_t P = Traits::plane_count;
@@ -230,17 +230,6 @@ sweep_result compiled_sweep(const plane_ctx& ctx, std::uint64_t* dirty,
     ctx.leader[w] = leader_bits;
     ctx.active[w] = active_bits;
     result.leaders += static_cast<std::size_t>(std::popcount(leader_bits));
-    // Ledger: bank this round's +1s with one ripple-carry add into the
-    // vertical counters.
-    if (beep_bits != 0) {
-      dirty[w >> 6] |= 1ULL << (w & 63);
-      word carry = beep_bits;
-      for (std::size_t j = 0; j < 8 && carry != 0; ++j) {
-        const word old = ctx.ledger[j][w];
-        ctx.ledger[j][w] = old ^ carry;
-        carry &= old;
-      }
-    }
   }
   return result;
 }

@@ -29,15 +29,6 @@ constexpr void set_bit(std::span<std::uint64_t> words,
   words[u >> 6] |= 1ULL << (u & 63);
 }
 
-// Spreads the low 8 bits of `x` into 8 bytes holding 0/1 (bit i ->
-// byte i). The multiply places bit i at bit 7 of byte 7-i; the byte
-// swap restores ascending order.
-inline std::uint64_t spread_bits_to_bytes(std::uint64_t x) noexcept {
-  return __builtin_bswap64((x * 0x8040201008040201ULL) &
-                           0x8080808080808080ULL) >>
-         7;
-}
-
 // Widens the low/high 4 bytes of a packed-byte word into 4 uint16
 // lanes (classic morton spacing).
 inline std::uint64_t widen_bytes_to_u16(std::uint64_t bytes) noexcept {
@@ -120,9 +111,6 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   heard_words_ = arena_.alloc_words(words);
   active_words_ = arena_.alloc_words(words);
   leader_words_ = arena_.alloc_words(words);
-  // Giant mode keeps no per-node count array (the plane sweep banks
-  // counts in the ledger planes, and giant runs never read counts).
-  if (!config_.giant_mode) beep_counts_.assign(n, 0);
   if (plane_capable_) {
     plan_ = make_plane_plan(*table_);
     for (std::size_t j = 0; j < plan_.plane_count; ++j) {
@@ -136,12 +124,10 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
   }
   tail_mask_ = (n % 64 == 0) ? ~0ULL : ((1ULL << (n % 64)) - 1);
   if (plane_capable_) {
-    for (auto& lp : ledger_planes_) lp = arena_.alloc_words(words);
     // Planes authoritative: outside reads of the protocol's state
     // vector unpack from the planes on demand (lazy materialization).
     fsm_->bind_lazy_source(this);
   }
-  dirty_ledger_words_ = arena_.alloc_words(word_count(words));
   if (fast_path_active()) {
     // The reset put every lane in the initial state.
     enter_plane_mode_initial();
@@ -175,9 +161,8 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
     gather_.set_executor(nullptr, 0);
     tile_words_ = tile_words;
     rngs_.set_slots(1);
-    // Serial rounds write the ledger bits and the leader count directly.
+    // Serial rounds write the leader count directly.
     slot_leaders_.clear();
-    slot_dirty_.clear();
     bind_plane_round();
     return;
   }
@@ -191,8 +176,6 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
   // tiled round's barrier (see rng_store's class comment).
   rngs_.set_slots(resolved);
   slot_leaders_.assign(resolved, 0);
-  slot_dirty_.assign(
-      resolved, std::vector<std::uint64_t>(dirty_ledger_words_.size(), 0));
   bind_plane_round();
 }
 
@@ -208,7 +191,6 @@ void engine::refresh_round_state() {
   if (fsm_ == nullptr) {
     // Any other protocol reads out the whole round in one call.
     leader_count_ = proto_->round_sets(n, beep_words_, leader_words_);
-    count_beep_words();
     return;
   }
   // The protocol's state vector is the source of truth here: it was
@@ -216,7 +198,6 @@ void engine::refresh_round_state() {
   fsm_->ensure_states_fresh();
   if (fast_path_active()) {
     enter_plane_mode();
-    count_beep_words();
   } else {
     // Virtual gear: states are fresh (see above), so read the flags
     // through the machine directly instead of paying the per-call guard
@@ -228,7 +209,6 @@ void engine::refresh_round_state() {
     std::fill(leader_words_.begin(), leader_words_.end(), 0);
     for (graph::node_id u = 0; u < n; ++u) {
       if (machine.beeps(states[u]) && !crashed(u)) {  // a corpse never beeps
-        ++beep_counts_[u];
         set_bit(beep_words_, u);
       }
       if (machine.is_leader(states[u])) {
@@ -238,17 +218,6 @@ void engine::refresh_round_state() {
     }
   }
   synced_version_ = fsm_->config_version();
-}
-
-void engine::count_beep_words() {
-  std::uint64_t* const counts = beep_counts_.data();
-  const std::uint64_t* const beep = beep_words_.data();
-  const std::size_t words = beep_words_.size();
-  for (std::size_t w = 0; w < words; ++w) {
-    for (std::uint64_t bits = beep[w]; bits != 0; bits &= bits - 1) {
-      ++counts[(w << 6) + static_cast<std::size_t>(std::countr_zero(bits))];
-    }
-  }
 }
 
 void engine::set_fast_path_enabled(bool enabled) {
@@ -264,63 +233,11 @@ void engine::set_fast_path_enabled(bool enabled) {
   // The state authority moves with the gear: the virtual gear reads the
   // protocol's vector (one unpack on the way out), the plane gear the
   // planes (one transpose on the way in). The beep and leader words
-  // are current in both gears, so this round's counts stand.
+  // are current in both gears, so this round's sets stand.
   fsm_->ensure_states_fresh();
   fast_enabled_ = enabled;
   if (enabled) enter_plane_mode();
   bind_plane_round();
-}
-
-// Dirty-word fold: only words that banked a beep since the last flush
-// are visited, so observer rounds on mostly-quiet graphs pay
-// O(beeping region), not O(n). Each dirty word's vertical counters are
-// transposed back to per-node byte counts with the SWAR spread (8
-// groups x up to 8 planes) - paid once per flush, not per round.
-void engine::flush_pending_ledger() const {
-  if (pending_rounds_ == 0) return;
-  const std::size_t n = n_;
-  if (beep_counts_.empty()) {
-    // Counts untracked (giant mode): drop the banked rounds, keeping
-    // the ledger planes and dirty bitset clean for the next bank.
-    for (std::size_t d = 0; d < dirty_ledger_words_.size(); ++d) {
-      std::uint64_t dirty = dirty_ledger_words_[d];
-      dirty_ledger_words_[d] = 0;
-      while (dirty != 0) {
-        const std::size_t w =
-            (d << 6) + static_cast<std::size_t>(std::countr_zero(dirty));
-        dirty &= dirty - 1;
-        for (std::size_t j = 0; j < 8; ++j) ledger_planes_[j][w] = 0;
-      }
-    }
-    pending_rounds_ = 0;
-    return;
-  }
-  for (std::size_t d = 0; d < dirty_ledger_words_.size(); ++d) {
-    std::uint64_t dirty = dirty_ledger_words_[d];
-    dirty_ledger_words_[d] = 0;
-    while (dirty != 0) {
-      const std::size_t w =
-          (d << 6) + static_cast<std::size_t>(std::countr_zero(dirty));
-      dirty &= dirty - 1;
-      const std::size_t base = w << 6;
-      const std::size_t end = std::min(n, base + 64);
-      for (std::size_t g = 0; base + g < end; g += 8) {
-        std::uint64_t bytes = 0;
-        for (std::size_t j = 0; j < 8; ++j) {
-          const std::uint64_t plane = ledger_planes_[j][w];
-          if (plane == 0) continue;
-          bytes |= spread_bits_to_bytes((plane >> g) & 0xFF) << j;
-        }
-        if (bytes == 0) continue;
-        const std::size_t limit = std::min<std::size_t>(8, end - base - g);
-        for (std::size_t i = 0; i < limit; ++i) {
-          beep_counts_[base + g + i] += (bytes >> (i * 8)) & 0xFF;
-        }
-      }
-      for (std::size_t j = 0; j < 8; ++j) ledger_planes_[j][w] = 0;
-    }
-  }
-  pending_rounds_ = 0;
 }
 
 // Transposes the protocol's state vector into the bit planes, one word
@@ -377,17 +294,7 @@ void engine::enter_plane_mode_initial() {
     if ((init >> j) & 1U) fill_all(planes_[j]);
   }
   const std::uint8_t meta = table.meta[init];
-  if ((meta & machine_table::meta_beep) != 0) {
-    fill_all(beep_words_);
-    // Bank the round-0 beeps in the ledger (flushed into the counts
-    // like any plane round's).
-    for (std::size_t w = 0; w < words; ++w) {
-      if (beep_words_[w] == 0) continue;
-      dirty_ledger_words_[w >> 6] |= 1ULL << (w & 63);
-      ledger_planes_[0][w] = beep_words_[w];
-    }
-    pending_rounds_ = 1;
-  }
+  if ((meta & machine_table::meta_beep) != 0) fill_all(beep_words_);
   if ((meta & machine_table::meta_leader) != 0) {
     fill_all(leader_words_);
     leader_count_ = n_;
@@ -472,14 +379,6 @@ round_view engine::make_view() const {
   return view;
 }
 
-std::span<const std::uint64_t> round_view::beep_counts() const {
-  return source->beep_counts();
-}
-
-std::uint64_t round_view::beep_count(graph::node_id u) const {
-  return source->beep_count(u);
-}
-
 const std::vector<state_id>& round_view::states() const {
   if (source->fsm_ == nullptr) {
     throw std::logic_error(
@@ -560,10 +459,6 @@ void engine::restart_from_protocol() {
   gather_.reset_last_used();
   metrics_.reset();
   clear_faults();
-  std::fill(beep_counts_.begin(), beep_counts_.end(), 0);
-  for (auto& lp : ledger_planes_) std::fill(lp.begin(), lp.end(), 0);
-  std::fill(dirty_ledger_words_.begin(), dirty_ledger_words_.end(), 0);
-  pending_rounds_ = 0;
   refresh_round_state();
   bind_plane_round();
   notify_round_observers();
@@ -575,19 +470,8 @@ void engine::resync_with_protocol() {
         "beeping::engine: resync_with_protocol is unavailable under "
         "giant mode");
   }
-  // Undo the current round's ledger contribution (added by the refresh
-  // that entered this round), then recompute all bookkeeping from the
-  // protocol's new configuration; the round counter keeps running.
-  flush_pending_ledger();  // the contribution may live in the sidecar
-  for (std::size_t w = 0; w < beep_words_.size(); ++w) {
-    std::uint64_t bits = beep_words_[w];
-    while (bits != 0) {
-      const auto u = static_cast<graph::node_id>(
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
-      bits &= bits - 1;
-      --beep_counts_[u];
-    }
-  }
+  // Recompute all bookkeeping from the protocol's new configuration;
+  // the round counter keeps running.
   refresh_round_state();
   bind_plane_round();
   // Corpses stay crashed through an injected configuration; they are
@@ -683,18 +567,6 @@ void engine::write_lane_state(graph::node_id u, state_id s, bool frozen) {
   }
 }
 
-void engine::suppress_current_beep(graph::node_id u) {
-  const std::size_t w = u >> 6;
-  const std::uint64_t bit = 1ULL << (u & 63);
-  if ((beep_words_[w] & bit) == 0) return;
-  // The current round's contribution may still sit in the ledger
-  // sidecar; fold it into the counts first, then take back exactly one
-  // (the resync_with_protocol convention).
-  flush_pending_ledger();
-  beep_words_[w] &= ~bit;
-  if (!beep_counts_.empty()) --beep_counts_[u];
-}
-
 void engine::crash_with_state(graph::node_id u, state_id s) {
   require_fault_capable();
   check_in_sync();
@@ -713,7 +585,7 @@ void engine::crash_with_state(graph::node_id u, state_id s) {
     crashed_leaders_ -= table_->leader_flag[frozen_states_[u]];
   }
   write_lane_state(u, s, /*frozen=*/true);
-  suppress_current_beep(u);
+  beep_words_[w] &= ~bit;  // a corpse never beeps, from this round on
   crashed_words_[w] |= bit;
   if (!was_crashed) ++crashed_count_;
   crashed_leaders_ += table_->leader_flag[s];
@@ -763,11 +635,7 @@ void engine::fault_restart_as(graph::node_id u, state_id s) {
   // The node re-enters the *current* round's configuration: it beeps
   // this round iff its new state beeps (the crashed lane's bit is
   // guaranteed clear beforehand).
-  if (table_->beeps(s)) {
-    flush_pending_ledger();
-    beep_words_[w] |= bit;
-    if (!beep_counts_.empty()) ++beep_counts_[u];
-  }
+  if (table_->beeps(s)) beep_words_[w] |= bit;
   ++metrics_.faults_applied;
 }
 
@@ -808,19 +676,7 @@ void engine::fixup_crashed_plane() {
   for (std::size_t w = 0; w < crashed_words_.size(); ++w) {
     const std::uint64_t c = crashed_words_[w];
     if (c == 0) continue;
-    const std::uint64_t bb = beep_words_[w] & c;
-    if (bb != 0) {
-      beep_words_[w] &= ~bb;
-      // Un-bank the sweep's ledger add for these lanes: a ripple-borrow
-      // subtract of 1 from each vertical counter (the lane just banked
-      // +1, so the counter is >= 1 and the borrow terminates).
-      std::uint64_t borrow = bb;
-      for (std::size_t j = 0; j < 8 && borrow != 0; ++j) {
-        const std::uint64_t old = ledger_planes_[j][w];
-        ledger_planes_[j][w] = old ^ borrow;
-        borrow &= ~old;
-      }
-    }
+    beep_words_[w] &= ~c;
     for (std::size_t j = 0; j < plan_.plane_count; ++j) {
       planes_[j][w] = (planes_[j][w] & ~c) | (frozen_planes_[j][w] & c);
     }
@@ -942,8 +798,8 @@ void engine::finish_step() {
   notify_round_observers();
 }
 
-// Binds everything a plane round reads: the word, plane and ledger
-// pointers (arena buffers, stable for the engine's life), the rules,
+// Binds everything a plane round reads: the word and plane pointers
+// (arena buffers, stable for the engine's life), the rules,
 // plan and tail mask, and the sweep entry point - the matched beepc
 // kernel, else the interpreted reference (the two are draw-for-draw
 // bit-identical; the differential tests enforce it). Runs at bind and
@@ -954,15 +810,11 @@ void engine::bind_plane_round() noexcept {
   for (std::size_t j = 0; j < plan_.plane_count; ++j) {
     plane_ptrs_[j] = planes_[j].data();
   }
-  for (std::size_t j = 0; j < 8; ++j) {
-    ledger_ptrs_[j] = ledger_planes_[j].data();
-  }
   plane_ctx_.heard = heard_words_.data();
   plane_ctx_.beep = beep_words_.data();
   plane_ctx_.active = active_words_.data();
   plane_ctx_.leader = leader_words_.data();
   plane_ctx_.planes = plane_ptrs_.data();
-  plane_ctx_.ledger = ledger_ptrs_.data();
   plane_ctx_.rngs = rngs_.source();
   plane_ctx_.rules = table_->rules.data();
   plane_ctx_.table = &*table_;
@@ -976,9 +828,8 @@ void engine::bind_plane_round() noexcept {
 
 // The tiled plane sweep: every word's update is independent (per-word
 // planes, per-node generator streams), so tiles of consecutive words
-// run on any worker; leader counts and dirty-ledger bits accumulate per
-// slot and are folded after the barrier (sums and ORs - order never
-// matters). Returns the leader count.
+// run on any worker; leader counts accumulate per slot and are summed
+// after the barrier (order never matters). Returns the leader count.
 std::size_t engine::sweep_tiled() {
   std::fill(slot_leaders_.begin(), slot_leaders_.end(), 0);
   exec_->run_tiles(plane_ctx_.words, tile_words_,
@@ -989,9 +840,7 @@ std::size_t engine::sweep_tiled() {
                      // share mutable state.
                      plane_ctx tile_ctx = plane_ctx_;
                      tile_ctx.rngs = rngs_.source(slot);
-                     slot_leaders_[slot] +=
-                         sweep_(tile_ctx, slot_dirty_[slot].data(), wb, we)
-                             .leaders;
+                     slot_leaders_[slot] += sweep_(tile_ctx, wb, we).leaders;
                    });
   // Tile->slot assignment is dynamic, so a stream's cursor may sit
   // cached in any slot's scratch generator; flush them all before the
@@ -999,12 +848,6 @@ std::size_t engine::sweep_tiled() {
   rngs_.sync_all();
   std::size_t leaders = 0;
   for (const std::size_t part : slot_leaders_) leaders += part;
-  for (auto& dirty : slot_dirty_) {
-    for (std::size_t d = 0; d < dirty.size(); ++d) {
-      dirty_ledger_words_[d] |= dirty[d];
-      dirty[d] = 0;
-    }
-  }
   return leaders;
 }
 
@@ -1039,8 +882,8 @@ engine::call_knobs engine::read_call_knobs() const {
 // draw), and tel_on is constant-false when BEEPKIT_TELEMETRY is OFF.
 //
 // Plane rounds: one sweep over the bound context - serially straight
-// into the dirty-ledger bitset and the leader count, or over word-range
-// tiles (sweep_tiled) - then the crash fix-up and the ledger cadence.
+// into the leader count, or over word-range tiles (sweep_tiled) - then
+// the crash fix-up.
 // No state write-back: the planes stay authoritative and the
 // protocol's vector is unpacked lazily on first outside read
 // (materialize_states).
@@ -1090,16 +933,12 @@ engine::call_knobs engine::read_call_knobs() const {
       metrics_.scanned_words += words;
     }
     leader_count_ =
-        exec_ ? sweep_tiled()
-              : sweep_(plane_ctx_, dirty_ledger_words_.data(), 0,
-                       plane_ctx_.words)
-                    .leaders;
+        exec_ ? sweep_tiled() : sweep_(plane_ctx_, 0, plane_ctx_.words).leaders;
     if (k.crashed) fixup_crashed_plane();
     fsm_->mark_states_stale();
     ++round_;
     ++plane_rounds_;
     if (sweep_compiled_) ++compiled_rounds_;
-    if (++pending_rounds_ >= 254) flush_pending_ledger();
     if (k.observers) notify_round_observers();
   } else {
     finish_step();
@@ -1262,18 +1101,12 @@ engine::plane_state engine::plane_snapshot() {
   st.beep = {beep_words_.data(), beep_words_.size()};
   st.active = {active_words_.data(), active_words_.size()};
   st.leader = {leader_words_.data(), leader_words_.size()};
-  for (std::size_t j = 0; j < 8; ++j) {
-    st.ledger[j] = {ledger_planes_[j].data(), ledger_planes_[j].size()};
-  }
-  st.dirty = {dirty_ledger_words_.data(), dirty_ledger_words_.size()};
   st.round = round_;
   st.leaders = leader_count_;
-  st.pending_rounds = pending_rounds_;
   return st;
 }
 
-void engine::adopt_plane_state(std::uint64_t round, std::size_t leaders,
-                               std::uint32_t pending_rounds) {
+void engine::adopt_plane_state(std::uint64_t round, std::size_t leaders) {
   if (!fast_path_active()) {
     throw std::logic_error(
         "beeping::engine::adopt_plane_state: requires the plane gear");
@@ -1282,7 +1115,6 @@ void engine::adopt_plane_state(std::uint64_t round, std::size_t leaders,
   round_base_ += round - round_;
   round_ = round;
   leader_count_ = leaders;
-  pending_rounds_ = pending_rounds;
   if (fsm_ != nullptr) fsm_->mark_states_stale();
 }
 

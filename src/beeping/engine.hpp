@@ -29,21 +29,30 @@
 // execute the same inline round. What can change only between calls -
 // the telemetry knobs and sample stride, observers, noise, the
 // adversary hook, the crashed set, the patch overlay, the gear - is
-// read once per call; what a plane round reads (the plane_ctx of word,
-// plane and ledger pointers, rules, plan and tail mask; the sweep entry
+// read once per call; what a plane round reads (the plane_ctx of word
+// and plane pointers, rules, plan and tail mask; the sweep entry
 // point; serial vs tiled) is bound at construction and rebound only by
 // the setters that change it (set_parallelism,
 // set_compiled_kernel_enabled, set_fast_path_enabled, restart/resync).
 // A serial plane round therefore costs its gather and its sweep, which
-// writes the dirty-ledger bits and the leader count directly; the
-// per-slot scratch and its fold exist only for tiled rounds.
+// writes the leader count directly; the per-slot leader partials and
+// their fold exist only for tiled rounds.
 //
 // Observers read the packed sets directly (beeping::round_view): the
 // engine keeps the beep set and the leader set current as words in
 // every gear, so handing a round to an observer costs nothing beyond
-// what the observer itself reads. Per-node beep counts, the state
-// vector and state-class masks are pulls that do their work only when
-// an observer asks.
+// what the observer itself reads. The state vector and state-class
+// masks are pulls that do their work only when an observer asks.
+//
+// Beep counts: the engine keeps none. N_beep_t(u) is a
+// beeping::beep_counter (observer.hpp) attached at round 0, so only a
+// run that reads counts pays for them. Its counts are the beep sets
+// observers were shown since the last round-0 view. They equal the
+// counts the engine itself used to keep, with one exception: a mid-run
+// resync_with_protocol, or a crash/restart fault between rounds, no
+// longer rewrites the count of a round observers have already seen
+// (the changed nodes' beep bits change for the engine, not for the
+// counter).
 //
 // Virtual gear: the path for protocols the plane gear cannot serve. An
 // fsm_protocol whose machine is not plane-capable (or whose fast path
@@ -51,9 +60,8 @@
 // node over the raw state vector. Any other protocol advances a whole
 // round through two calls: protocol::step_round with the packed heard
 // set and the per-node streams, then protocol::round_sets, which
-// writes the new beep and leader words and returns the leader count;
-// the engine then bumps the beep counts over the set beep bits. The
-// Table 1 baselines implement both calls with word algebra; per-node
+// writes the new beep and leader words and returns the leader count.
+// The Table 1 baselines implement both calls with word algebra; per-node
 // protocols inherit defaults that loop their step/beeping/is_leader
 // in node order. step() and step_reference() share this gear.
 //
@@ -84,31 +92,24 @@
 // (no heard or active lane) are skipped wholesale. Rules that actually
 // draw (e.g. the BFW W-state coin) cost one outcome word per lane word:
 // every node draws once from its own stream, so each stream's sequence
-// is that of the virtual gear - same states, same beep counts, same
+// is that of the virtual gear - same states, same beep sets, same
 // generator draws (the contract is per stream; order across nodes is
 // free) - and set_fast_path_enabled(false) forces the virtual gear for
 // differential testing. Machines over 256 states, and big-endian hosts
 // (the transposes write state ids in little-endian byte order), run the
 // virtual gear. The engine owns only the plane round's driver (tiling,
-// folds, crash fix-up, ledger flush); the per-word sweep it drives
+// the leader fold, crash fix-up); the per-word sweep it drives
 // lives beside the beepc kernels in plane_kernel.hpp - the layout from
 // make_plane_plan(), the body from interpreted_sweep(), or a compiled
 // kernel whose structure matches the bound table.
 //
-// Observer ledger: plane rounds bank per-node beep increments in
-// bit-sliced vertical counters (a ripple-carry add per beeping word)
-// and mark the touched words in a dirty-word bitset, so materializing
-// exact beep counts (observers do it every round) folds only the words
-// that actually beeped instead of sweeping all n nodes.
-//
 // Intra-trial parallelism: set_parallelism(threads, tile_words) runs
 // the word-parallel kernels - the stencil gather, the reception-noise
-// pass and the whole plane sweep (decode, ripple-carry patience adds,
-// ledger banking) - over word-range tiles on a persistent
-// support::tile_executor. The word-CSR push and the pulls stay serial
-// inside a tiled round (see graph/gather.hpp). Tiles write only their
-// own words; per-tile partial results (leader counts, dirty-ledger
-// bits) are merged after the barrier with order-independent folds, and
+// pass and the whole plane sweep (decode, ripple-carry patience adds)
+// - over word-range tiles on a persistent support::tile_executor. The
+// word-CSR push and the pulls stay serial inside a tiled round (see
+// graph/gather.hpp). Tiles write only their own words; per-tile leader
+// counts are summed after the barrier (order never matters), and
 // per-node generators are disjoint streams, so execution is
 // draw-for-draw bit-identical for every (tile size, thread count) -
 // including the serial default. The virtual gear and the scalar
@@ -167,21 +168,18 @@ struct noise_model {
   }
 };
 
-/// Construction-time switches for the streaming giant-trial mode
+/// Construction-time switch for the streaming giant-trial mode
 /// (core/giant.hpp). The default configuration is the historical
-/// engine; neither switch changes a number - they only remove O(n)
-/// side structures a giant run cannot afford (and never reads), or
-/// place pages.
+/// engine; the switch changes no number - it only removes O(n) side
+/// structures a giant run cannot afford (and never reads).
 struct engine_config {
   /// Giant mode: per-node generators as 4-byte lazy draw cursors
-  /// (rng_store) in place of the materialized 64-byte-per-node array;
-  /// no O(n) beep-count ledger behind the observer API (giant runs
-  /// attach no observers); and no O(n) state vector (the protocol is
-  /// reset in deferred mode, so the planes seeded at bind are the only
-  /// state authority). It refuses the virtual gear, restarts, resyncs
-  /// and faults. Requires a plane-capable fsm_protocol machine whose
-  /// draw rules are uniform in kind (all fair-coin or all bernoulli),
-  /// and no noise model.
+  /// (rng_store) in place of the materialized 64-byte-per-node array,
+  /// and no O(n) state vector (the protocol is reset in deferred mode,
+  /// so the planes seeded at bind are the only state authority). It
+  /// refuses the virtual gear, restarts, resyncs and faults. Requires
+  /// a plane-capable fsm_protocol machine whose draw rules are uniform
+  /// in kind (all fair-coin or all bernoulli), and no noise model.
   bool giant_mode = false;
 
   /// The giant-trial configuration.
@@ -217,8 +215,10 @@ class engine : private fsm_protocol::lazy_source {
   engine(const engine&) = delete;
   engine& operator=(const engine&) = delete;
 
-  /// Observers fire after every round (and once at attach time for
-  /// round 0). Not owned; must outlive the engine.
+  /// Observers fire after every round, and once at attach time with
+  /// the current round. An observer that throws from that first call
+  /// (a beep_counter or core::invariant_checker attached after round 0)
+  /// is not attached. Not owned; must outlive the engine.
   void add_observer(observer* obs);
 
   /// Executes one synchronous round transition (round t -> t+1): the
@@ -232,7 +232,8 @@ class engine : private fsm_protocol::lazy_source {
   void step_reference();
 
   /// Re-reads the protocol's current per-node states as a fresh round-0
-  /// configuration: the round counter and beep counts restart. Call
+  /// configuration: the round counter restarts and observers are shown
+  /// the new round 0 (a beep_counter restarts its counts). Call
   /// after injecting an explicit configuration (e.g. the Section-5
   /// adversarial initializations) via fsm_protocol::set_states - the
   /// engine refuses to step (std::logic_error) while its bookkeeping is
@@ -241,11 +242,12 @@ class engine : private fsm_protocol::lazy_source {
 
   /// Adopts a mid-run configuration change (the invariant-checker
   /// corruption experiments) as the *current* round's configuration:
-  /// the round counter keeps running, the current round's beep-ledger
-  /// contribution is recomputed for the new states, and prior history
-  /// is preserved. Unlike restart_from_protocol this does not notify
-  /// observers - they see the corrupted configuration at the next
-  /// round, exactly as if an adversary rewrote states between rounds.
+  /// the round counter keeps running and the current round's beep and
+  /// leader sets are recomputed for the new states. Unlike
+  /// restart_from_protocol this does not notify observers - they see
+  /// the corrupted configuration at the next round, exactly as if an
+  /// adversary rewrote states between rounds (a beep_counter keeps the
+  /// beep set it was shown for the current round).
   void resync_with_protocol();
 
   /// Runs until at most one *alive* leader remains, or `max_rounds`
@@ -276,10 +278,10 @@ class engine : private fsm_protocol::lazy_source {
   // to one without the fault surface at all.
 
   /// Crashes node u frozen in its current state (no-op if already
-  /// crashed). Its beep contribution to the *current* round is
-  /// suppressed immediately - observers already saw this round, so the
-  /// change becomes visible next round, exactly the
-  /// resync_with_protocol convention.
+  /// crashed). Its beep bit for the *current* round is cleared
+  /// immediately - observers already saw this round, so the change
+  /// becomes visible next round (a beep_counter keeps the beep it
+  /// counted), exactly the resync_with_protocol convention.
   void fault_crash(graph::node_id u);
   /// Crashes node u frozen in state `s` (a crashed corpse can carry a
   /// corrupt state; re-crashing an already-crashed node re-freezes it).
@@ -358,19 +360,6 @@ class engine : private fsm_protocol::lazy_source {
   /// in a leader state are skipped); node_count() otherwise. With no
   /// crashed node this is the unique leader of leader_count()==1.
   [[nodiscard]] graph::node_id sole_leader() const;
-
-  /// N_beep_t(u): beeps of u up to and including the current round.
-  /// (Plane-mode rounds bank increments in the bit-sliced ledger
-  /// planes; the sum is always exact.) Under engine_config::giant_mode
-  /// only the <= 254 pending rounds are visible - giant runs never
-  /// read counts.
-  [[nodiscard]] std::uint64_t beep_count(graph::node_id u) const {
-    return (beep_counts_.empty() ? 0 : beep_counts_[u]) + pending_count(u);
-  }
-  [[nodiscard]] std::span<const std::uint64_t> beep_counts() const {
-    flush_pending_ledger();
-    return beep_counts_;
-  }
 
   /// Whether u beeps in the current round (u in B_t).
   [[nodiscard]] bool beeping(graph::node_id u) const {
@@ -518,11 +507,12 @@ class engine : private fsm_protocol::lazy_source {
     std::span<std::uint64_t> beep;
     std::span<std::uint64_t> active;
     std::span<std::uint64_t> leader;
+    // Shim, always empty: perfbench's codec probe still reads these two
+    // members. Drop them with the next change to perfbench.
     std::array<std::span<std::uint64_t>, 8> ledger;
     std::span<std::uint64_t> dirty;
     std::uint64_t round = 0;
     std::size_t leaders = 0;
-    std::uint32_t pending_rounds = 0;
   };
   [[nodiscard]] plane_state plane_snapshot();
 
@@ -530,8 +520,7 @@ class engine : private fsm_protocol::lazy_source {
   /// spans, plus the scalar bookkeeping, as the current configuration.
   /// The protocol's state cache is marked stale (the planes stay
   /// authoritative). Requires the plane gear.
-  void adopt_plane_state(std::uint64_t round, std::size_t leaders,
-                         std::uint32_t pending_rounds);
+  void adopt_plane_state(std::uint64_t round, std::size_t leaders);
 
   /// The per-node generator store (giant runners save/restore its draw
   /// cursors alongside the planes).
@@ -544,7 +533,7 @@ class engine : private fsm_protocol::lazy_source {
   }
 
  private:
-  friend struct round_view;  // the pulls read the ledger and states
+  friend struct round_view;  // the pulls read the states
 
   /// What a run can change only between calls, read once per
   /// step()/run_rounds()/run_until_single_leader() call.
@@ -576,30 +565,16 @@ class engine : private fsm_protocol::lazy_source {
   void finish_step();
   /// Transposes the protocol's (fresh) state vector into the planes and
   /// rebuilds the beep, leader and active words and the leader count;
-  /// crashed lanes stay silent. Counts no beeps.
+  /// crashed lanes stay silent.
   void enter_plane_mode();
   /// Bind-time entry: seeds the planes and the beep/active/leader sets
   /// straight from the machine's initial state - all-equal lanes, so
   /// this is O(words), never O(n).
   void enter_plane_mode_initial();
-  /// Adds the current beep set to the per-node counts.
-  void count_beep_words();
   /// fsm_protocol::lazy_source: unpacks the authoritative planes into
   /// the protocol's state vector (SWAR bit-to-byte transpose) - the
   /// on-demand replacement for the deleted per-round write-back.
   void materialize_states(std::span<state_id> out) override;
-  void flush_pending_ledger() const;
-  /// Pending (unflushed) ledger count of node u, read off the planes.
-  [[nodiscard]] std::uint64_t pending_count(graph::node_id u) const {
-    if (pending_rounds_ == 0) return 0;
-    const std::size_t w = u >> 6;
-    const std::uint64_t bit = u & 63;
-    std::uint64_t count = 0;
-    for (std::size_t j = 0; j < 8; ++j) {
-      count |= ((ledger_planes_[j][w] >> bit) & 1ULL) << j;
-    }
-    return count;
-  }
   void notify_round_observers();
   void check_in_sync() const;
   // --- fault-surface internals -------------------------------------
@@ -617,15 +592,11 @@ class engine : private fsm_protocol::lazy_source {
   /// and (when `frozen`) the frozen snapshots. Does not touch beep
   /// bits - callers handle the current round's beep contribution.
   void write_lane_state(graph::node_id u, state_id s, bool frozen);
-  /// Suppresses node u's current-round beep (clear bit + un-count),
-  /// if it beeps.
-  void suppress_current_beep(graph::node_id u);
   /// Rolls every crashed lane of the state vector back to its frozen
   /// state after a virtual-gear transition, before the refresh.
   void restore_crashed_states();
   /// Same for a plane-gear round: plane/leader/active lanes restored
-  /// from the frozen words, beep bits cleared with a ripple-borrow
-  /// subtract un-banking the ledger add.
+  /// from the frozen words, beep bits cleared.
   void fixup_crashed_plane();
   /// Re-snapshots every crashed node's frozen state from the (new)
   /// protocol configuration - resync_with_protocol keeps corpses
@@ -638,8 +609,8 @@ class engine : private fsm_protocol::lazy_source {
   graph::topology_view view_;
   std::size_t n_ = 0;
   protocol* proto_;
-  // config_.giant_mode: lazy cursors, no count ledger, never
-  // materialize the state vector.
+  // config_.giant_mode: lazy cursors, never materialize the state
+  // vector.
   engine_config config_;
   // Non-null iff the bound protocol is an fsm_protocol; paired with a
   // plane-capable compiled table this enables the plane gear.
@@ -647,8 +618,8 @@ class engine : private fsm_protocol::lazy_source {
   std::optional<machine_table> table_;
   bool fast_enabled_ = true;
   std::uint64_t synced_version_ = 0;  // fsm_->config_version() last synced
-  // Owns every packed word array below (planes, ledgers, beep/heard/
-  // active/leader sets, dirty bits) - heap blocks for small engines,
+  // Owns every packed word array below (planes, beep/heard/active/
+  // leader sets) - heap blocks for small engines,
   // mmap chunks with huge pages and first-touch commit for giant ones.
   // Declared before the buffers it backs.
   support::plane_arena arena_;
@@ -668,7 +639,6 @@ class engine : private fsm_protocol::lazy_source {
   std::unique_ptr<support::tile_executor> exec_;
   std::size_t tile_words_ = 0;
   std::vector<std::size_t> slot_leaders_;  // empty while serial
-  std::vector<std::vector<std::uint64_t>> slot_dirty_;
   // Plane gear only: bit u set iff the bot row of u's current state is
   // not a draw-free self-loop - i.e. u can change state (or consume a
   // draw) even in a silent round. The plane sweep skips words with no
@@ -697,28 +667,13 @@ class engine : private fsm_protocol::lazy_source {
   std::uint64_t compiled_rounds_ = 0;
   std::uint64_t tail_mask_ = ~0ULL;  // valid bits of the last word
   // The bound plane round (bind_plane_round): the context every sweep
-  // reads, its plane/ledger pointer arrays, and the sweep entry point.
-  // Valid while plane-capable; the engine is neither copyable nor
-  // movable, so the self-pointers stay put.
+  // reads, its plane pointer array, and the sweep entry point. Valid
+  // while plane-capable; the engine is neither copyable nor movable, so
+  // the self-pointers stay put.
   std::array<std::uint64_t*, max_planes> plane_ptrs_{};
-  std::array<std::uint64_t*, 8> ledger_ptrs_{};
   plane_ctx plane_ctx_;
   sweep_fn sweep_ = nullptr;
   bool sweep_compiled_ = false;
-  // Beep-ledger sidecar: plane rounds bank the per-node +1s as
-  // bit-sliced vertical counters - ledger_planes_[j] holds bit j of
-  // every node's pending count, so banking one round's beep word is a
-  // ripple-carry add costing ~2 word ops instead of a byte-array SWAR
-  // update. The counters are folded into beep_counts_ lazily (and
-  // before any count could reach 255: pending_rounds_ caps at 254,
-  // which 8 planes hold exactly). dirty_ledger_words_ marks which
-  // words hold nonzero counters, so the fold only visits words that
-  // actually beeped since the last flush. mutable: folding happens
-  // under const accessors.
-  mutable std::array<support::word_buffer, 8> ledger_planes_;
-  mutable support::word_buffer dirty_ledger_words_;
-  mutable std::uint32_t pending_rounds_ = 0;
-  mutable std::vector<std::uint64_t> beep_counts_;
   std::vector<observer*> observers_;
   std::uint64_t round_ = 0;
   // round_ where this engine's own rounds began (adopt_plane_state

@@ -28,14 +28,13 @@ std::vector<std::unique_ptr<compiled_kernel>>& registry() {
 // part costs one draw_outcomes() call: one draw from each of its nodes'
 // own streams, whose outcome word splits the part between the rule's
 // two successors. Every node draws what the scalar loop draws from its
-// stream, so the order across nodes is free. The new planes, beep set,
-// leader count and ledger all fall out of the per-successor masks.
+// stream, so the order across nodes is free. The new planes, beep set
+// and leader count all fall out of the per-successor masks.
 // Specialized on the plane count: the inner loops over the planes then
 // unroll and the per-word plane words live in registers (a runtime
 // plane count costs ~40% on wave-saturated rounds).
 template <std::size_t P>
-sweep_result interpreted_sweep_impl(const plane_ctx& ctx,
-                                    std::uint64_t* dirty, std::size_t wb,
+sweep_result interpreted_sweep_impl(const plane_ctx& ctx, std::size_t wb,
                                     std::size_t we) {
   const machine_table& table = *ctx.table;
   const plane_plan& plan = *ctx.plan;
@@ -48,7 +47,6 @@ sweep_result interpreted_sweep_impl(const plane_ctx& ctx,
   std::uint64_t* const leader = ctx.leader;
   std::uint64_t* plane[P];
   for (std::size_t j = 0; j < P; ++j) plane[j] = ctx.planes[j];
-  std::uint64_t* const* const ledger = ctx.ledger;
   const support::rng_source rngs = ctx.rngs;
   std::size_t leaders = 0;
   for (std::size_t w = wb; w < we; ++w) {
@@ -181,19 +179,6 @@ sweep_result interpreted_sweep_impl(const plane_ctx& ctx,
     leader[w] = leader_bits;
     active[w] = active_bits;
     leaders += static_cast<std::size_t>(std::popcount(leader_bits));
-    // Ledger: bank this round's +1s with one ripple-carry add into the
-    // vertical counters (counts stay < 255: flushed in time), and mark
-    // the word dirty (in the slot's scratch bitset - tiles may share a
-    // dirty word) so the flush visits only beeping regions.
-    if (beep_bits != 0) {
-      dirty[w >> 6] |= 1ULL << (w & 63);
-      std::uint64_t carry = beep_bits;
-      for (std::size_t j = 0; carry != 0; ++j) {
-        const std::uint64_t old = ledger[j][w];
-        ledger[j][w] = old ^ carry;
-        carry &= old;
-      }
-    }
   }
   return {leaders};
 }

@@ -76,15 +76,14 @@ struct plane_plan {
 
 /// Everything a plane sweep reads or writes, borrowed from the
 /// engine for the duration of one round. Pointers are word arrays
-/// (word w covers nodes [64w, 64w+63]); `planes`/`ledger` are arrays
-/// of plane pointers.
+/// (word w covers nodes [64w, 64w+63]); `planes` is an array of plane
+/// pointers.
 struct plane_ctx {
   const std::uint64_t* heard = nullptr;
   std::uint64_t* beep = nullptr;
   std::uint64_t* active = nullptr;
   std::uint64_t* leader = nullptr;
   std::uint64_t* const* planes = nullptr;
-  std::uint64_t* const* ledger = nullptr;
   /// Per-node generator indirection: dense engines expose the raw
   /// stream array, giant engines the lazy cursor store (identical draw
   /// sequences either way).
@@ -120,11 +119,11 @@ struct sweep_result {
 };
 
 /// Sweep over words [wb, we): the beeping engine's plane round
-/// (chains, active set, leader words, beep ledger + `dirty`
-/// slot-scratch marking), which also serves the stone-age fast path.
-/// Tiles may run concurrently on disjoint ranges.
-using sweep_fn = sweep_result (*)(const plane_ctx&, std::uint64_t* dirty,
-                                  std::size_t wb, std::size_t we);
+/// (planes, chains, beep, active and leader words), which also serves
+/// the stone-age fast path. Tiles may run concurrently on disjoint
+/// ranges.
+using sweep_fn = sweep_result (*)(const plane_ctx&, std::size_t wb,
+                                  std::size_t we);
 
 /// The interpreted plane round over words [wb, we), specialized on the
 /// plane count (1..max_planes): the reference every compiled kernel is

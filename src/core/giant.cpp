@@ -27,6 +27,11 @@ namespace codec = support::codec;
 constexpr std::size_t kWordChunk = std::size_t{1} << 15;
 constexpr std::size_t kCursorChunk = std::size_t{1} << 16;
 
+// Journal format: version 2 dropped the beep-count sections and the
+// matching ckpt_begin field that version 1 carried; a resume refuses
+// any other version before it decodes a chunk.
+constexpr std::uint64_t kFormatVersion = 2;
+
 /// A named word range of the snapshot, in the fixed stream order the
 /// digest is defined over.
 struct section_ref {
@@ -37,17 +42,13 @@ struct section_ref {
 std::vector<section_ref> snapshot_sections(
     const beeping::engine::plane_state& state) {
   std::vector<section_ref> sections;
-  sections.reserve(state.plane_count + 12);
+  sections.reserve(state.plane_count + 3);
   for (std::size_t i = 0; i < state.plane_count; ++i) {
     sections.push_back({"plane" + std::to_string(i), state.planes[i]});
   }
   sections.push_back({"beep", state.beep});
   sections.push_back({"active", state.active});
   sections.push_back({"leader", state.leader});
-  for (std::size_t i = 0; i < state.ledger.size(); ++i) {
-    sections.push_back({"ledger" + std::to_string(i), state.ledger[i]});
-  }
-  sections.push_back({"dirty", state.dirty});
   return sections;
 }
 
@@ -58,7 +59,6 @@ void write_checkpoint(sweep::record_writer& writer, beeping::engine& sim,
   codec::fnv1a hash;
   hash.update_u64(state.round);
   hash.update_u64(state.leaders);
-  hash.update_u64(state.pending_rounds);
   hash.update_u64(state.plane_count);
 
   writer.write_record(json(json::object{
@@ -66,8 +66,6 @@ void write_checkpoint(sweep::record_writer& writer, beeping::engine& sim,
       {"seq", json(seq)},
       {"round", json(state.round)},
       {"leaders", json(static_cast<std::uint64_t>(state.leaders))},
-      {"pending_rounds",
-       json(static_cast<std::uint64_t>(state.pending_rounds))},
       {"plane_count", json(static_cast<std::uint64_t>(state.plane_count))},
   }));
 
@@ -118,7 +116,6 @@ struct ckpt_meta {
   std::uint64_t seq = 0;
   std::uint64_t round = 0;
   std::uint64_t leaders = 0;
-  std::uint32_t pending_rounds = 0;
   std::uint64_t words = 0;
   std::uint64_t cursors = 0;
   std::uint64_t digest = 0;
@@ -157,6 +154,16 @@ ckpt_meta scan_journal(const std::string& path,
                                         : std::string{};
     if (type == "giant_header") {
       header_seen = true;
+      const json* version = record->find("format_version");
+      if (version == nullptr || !version->is_number() ||
+          version->as_u64() != kFormatVersion) {
+        throw std::runtime_error(
+            "giant: journal format_version " +
+            (version != nullptr && version->is_number()
+                 ? std::to_string(version->as_u64())
+                 : std::string("(missing)")) +
+            " is not this build's version " + std::to_string(kFormatVersion));
+      }
       if (require_u64(*record, "n", "header") != view.node_count() ||
           require_u64(*record, "seed", "header") != seed) {
         throw std::runtime_error(
@@ -172,8 +179,6 @@ ckpt_meta scan_journal(const std::string& path,
       begin.seq = require_u64(*record, "seq", "ckpt_begin");
       begin.round = require_u64(*record, "round", "ckpt_begin");
       begin.leaders = require_u64(*record, "leaders", "ckpt_begin");
-      begin.pending_rounds = static_cast<std::uint32_t>(
-          require_u64(*record, "pending_rounds", "ckpt_begin"));
       have_begin = true;
     } else if (type == "ckpt_end" && have_begin) {
       if (require_u64(*record, "seq", "ckpt_end") != begin.seq) continue;
@@ -211,7 +216,6 @@ void restore_checkpoint(const std::string& path, const ckpt_meta& target,
   codec::fnv1a hash;
   hash.update_u64(target.round);
   hash.update_u64(target.leaders);
-  hash.update_u64(target.pending_rounds);
   hash.update_u64(state.plane_count);
   std::uint64_t words_restored = 0;
   std::uint64_t cursors_restored = 0;
@@ -272,8 +276,7 @@ void restore_checkpoint(const std::string& path, const ckpt_meta& target,
         "snapshot)");
   }
   sim.adopt_plane_state(target.round,
-                        static_cast<std::size_t>(target.leaders),
-                        target.pending_rounds);
+                        static_cast<std::size_t>(target.leaders));
 }
 
 std::uint64_t resolve_horizon(const graph::topology_view& view,
@@ -327,7 +330,7 @@ giant_result run_giant_trial(const graph::topology_view& view,
           {"n", json(static_cast<std::uint64_t>(view.node_count()))},
           {"seed", json(seed)},
           {"machine", json(machine.name())},
-          {"format_version", json(std::uint64_t{1})},
+          {"format_version", json(kFormatVersion)},
       }));
     }
   }

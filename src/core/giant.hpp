@@ -3,27 +3,29 @@
 //
 // What makes a trial "giant" is that nothing O(n) beyond the planes
 // may exist: the topology is an implicit view (no adjacency), the
-// engine runs engine_config::giant() (lazy 4-byte RNG cursors, no
-// beep-count ledger vector, planes seeded at bind with no state
-// vector ever materialized), and all word storage lives in the
-// engine's mmap plane arena. Budget: ~17 words of planes/sets/ledgers
-// per 64 nodes (~2.1 bytes/node) plus the 4-byte cursor per node.
+// engine runs engine_config::giant() (lazy 4-byte RNG cursors, planes
+// seeded at bind with no state vector ever materialized; the engine
+// keeps no beep counts at all), and all word storage lives in the
+// engine's mmap plane arena. Budget: the state planes plus the beep /
+// heard / active / leader sets, 7 words per 64 nodes for BFW (~0.9
+// bytes/node; 12 words at the 256-state cap), plus the 4-byte cursor
+// per node.
 //
 // Checkpointing streams the complete trial state - planes, beep /
-// active / leader sets, pending-ledger slices, and every per-node RNG
-// cursor - through the sweep JSONL record machinery into an appendable
-// journal:
+// active / leader sets, and every per-node RNG cursor - through the
+// sweep JSONL record machinery into an appendable journal:
 //
-//   {"type":"giant_header", topology, n, seed, ...}
-//   {"type":"ckpt_begin", seq, round, leaders, pending_rounds, ...}
+//   {"type":"giant_header", topology, n, seed, format_version:2, ...}
+//   {"type":"ckpt_begin", seq, round, leaders, plane_count}
 //   {"type":"ckpt_words", seq, section, offset, data(base64)}   (chunked)
 //   {"type":"ckpt_cursors", seq, offset, count, data(varints)}  (chunked)
 //   {"type":"ckpt_end", seq, words, cursors, digest}
 //   {"type":"giant_done", ...}
 //
-// A checkpoint is adoptable iff its ckpt_end is present and its FNV-1a
-// digest (header integers + every word and cursor in stream order)
-// verifies - a torn tail from a kill mid-checkpoint is skipped in
+// A resume refuses a journal whose header carries another
+// format_version. A checkpoint is adoptable iff its ckpt_end is present
+// and its FNV-1a digest (header integers + every word and cursor in
+// stream order) verifies - a torn tail from a kill mid-checkpoint is skipped in
 // favor of the previous complete snapshot. Resume restores the exact
 // generator cursors, so the continued run is bit-identical
 // draw-for-draw to the uninterrupted one (tests/test_giant_trial.cpp

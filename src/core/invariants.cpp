@@ -61,6 +61,10 @@ void invariant_checker::report(std::uint64_t round,
 }
 
 void invariant_checker::on_round(const beeping::round_view& view) {
+  // First, so a late attach throws before anything is checked: counts
+  // that miss rounds would report Ohm's-law and Lemma 11 violations
+  // that are not real.
+  counts_.on_round(view);
   ++rounds_checked_;
   const bool classes =
       options_.check_claim6 || (options_.check_ohms_law && !paths_.empty());
@@ -206,8 +210,8 @@ void invariant_checker::check_ohms_law(const beeping::round_view& view) {
         --flow;
       }
     }
-    const auto first = static_cast<std::int64_t>(view.beep_count(path.front()));
-    const auto last = static_cast<std::int64_t>(view.beep_count(path.back()));
+    const auto first = static_cast<std::int64_t>(counts_.count(path.front()));
+    const auto last = static_cast<std::int64_t>(counts_.count(path.back()));
     if (flow != first - last) {
       std::ostringstream out;
       out << "Corollary 8 (Ohm's law) violated on path " << path.front()
@@ -220,7 +224,7 @@ void invariant_checker::check_ohms_law(const beeping::round_view& view) {
 
 void invariant_checker::check_lemma11(const beeping::round_view& view) {
   const std::size_t n = g_->node_count();
-  const auto counts = view.beep_counts();
+  const auto counts = counts_.counts();
   for (graph::node_id u = 0; u < n; ++u) {
     for (graph::node_id v = u + 1; v < n; ++v) {
       const auto nu = static_cast<std::int64_t>(counts[u]);
@@ -264,7 +268,7 @@ void invariant_checker::check_lemma12(const beeping::round_view& view) {
     const auto u = static_cast<graph::node_id>(pair_rng.uniform_below(n));
     const auto v = static_cast<graph::node_id>(pair_rng.uniform_below(n));
     if (u == v) continue;
-    if (view.beep_count(u) > view.beep_count(v)) {
+    if (counts_.count(u) > counts_.count(v)) {
       obligations_.push_back(
           {v, view.round + distances_[u][v], view.round, u});
     }

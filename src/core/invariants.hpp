@@ -16,7 +16,10 @@
 //     round s <= t + dis(u, v) - tracked as deadline obligations.
 //
 // Violations are collected (not thrown) so tests can assert on them
-// and failure-injection experiments can count them.
+// and failure-injection experiments can count them. The beep counts
+// N_beep_t come from a beeping::beep_counter the checker owns and feeds
+// first every round, so the checker must be attached at round 0
+// (on_round throws std::logic_error on a later first view).
 //
 // Claim 6 runs on words: each round pulls the packed W/B/F/B_follower
 // class masks (beeping::round_view::class_words), and every equation
@@ -94,6 +97,7 @@ class invariant_checker final : public beeping::observer {
 
   const graph::graph* g_;
   invariant_options options_;
+  beeping::beep_counter counts_;
   graph::heard_gather gather_;
   std::vector<vertex_path> paths_;
   std::vector<std::vector<std::uint32_t>> distances_;  // lazy, quadratic

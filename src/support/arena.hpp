@@ -1,8 +1,8 @@
-// plane_arena: storage for the engines' per-round bit planes, ledgers
-// and word sets.
+// plane_arena: storage for the engines' per-round bit planes and word
+// sets.
 //
 // Why not std::vector: a giant trial (10^8-10^9 nodes, core/giant.hpp)
-// is nothing *but* planes - fifteen-odd O(n/64)-word arrays - and they
+// is nothing *but* planes - a handful of O(n/64)-word arrays - and they
 // deserve the allocation policy the heap cannot give them:
 //
 //  * anonymous mmap per large buffer (256 KiB and up), so the address

@@ -133,8 +133,8 @@ class tile_executor {
 
 /// Words per tile that keep one tile's plane traffic inside a typical
 /// L2 slice: 8192 words = 64 KiB per touched array, and a plane sweep
-/// touches ~6 arrays (heard/beep/active/leader + planes + ledger), so
-/// one tile streams ~384 KiB.
+/// touches ~6 arrays (heard/beep/active/leader + planes), so one tile
+/// streams ~384 KiB.
 inline constexpr std::size_t kL2TileWords = std::size_t{1} << 13;
 
 /// The tile size tile_words == 0 resolves to: always kL2TileWords.

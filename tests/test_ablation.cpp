@@ -64,20 +64,22 @@ TEST(AblationTest, ZeroLeadersAcrossSeedsAndGraphs) {
 
 TEST(AblationTest, EchoPersistsAfterExtinction) {
   // After all leaders die, the orphan wave keeps bouncing: the beep
-  // ledger keeps growing with no leader in sight.
+  // counts keep growing with no leader in sight.
   const auto g = graph::make_path(2);
   const bw_machine machine(0.5);
   beeping::fsm_protocol proto(machine);
   beeping::engine sim(g, proto, 11);
+  beeping::beep_counter counter;
+  sim.add_observer(&counter);
   // Drive to extinction first.
   while (sim.leader_count() > 0) {
     sim.step();
     ASSERT_LT(sim.round(), 1000U);
   }
-  const auto beeps_then = sim.beep_count(0) + sim.beep_count(1);
+  const auto beeps_then = counter.count(0) + counter.count(1);
   sim.run_rounds(50);
   EXPECT_EQ(sim.leader_count(), 0U);
-  EXPECT_GT(sim.beep_count(0) + sim.beep_count(1), beeps_then)
+  EXPECT_GT(counter.count(0) + counter.count(1), beeps_then)
       << "the echo must keep ringing";
 }
 

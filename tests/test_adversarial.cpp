@@ -125,6 +125,8 @@ TEST(AdversarialTest, LeaderlessWaveDiesOnPath) {
   const bfw_machine machine(0.5);
   beeping::fsm_protocol proto(machine);
   beeping::engine sim(g, proto, 23);
+  beeping::beep_counter counter;
+  sim.add_observer(&counter);
   auto states = std::vector<state_id>(n, WF);
   states[0] = BF;
   proto.set_states(states);
@@ -133,7 +135,7 @@ TEST(AdversarialTest, LeaderlessWaveDiesOnPath) {
   sim.run_rounds(n + 2);
   for (graph::node_id u = 0; u < n; ++u) {
     EXPECT_FALSE(sim.beeping(u)) << "wave should have left the path";
-    EXPECT_EQ(sim.beep_count(u), 1U);
+    EXPECT_EQ(counter.count(u), 1U);
   }
 }
 

@@ -153,6 +153,8 @@ TEST(BfwWaveTest, WaveTravelsAtSpeedOneAndDies) {
   const bfw_machine machine(0.5);
   beeping::fsm_protocol proto(machine);
   beeping::engine sim(g, proto, 42);
+  beeping::beep_counter counter;
+  sim.add_observer(&counter);
   proto.set_states({BF, WF, WF, WF, WF, WF});
   sim.restart_from_protocol();
 
@@ -171,7 +173,7 @@ TEST(BfwWaveTest, WaveTravelsAtSpeedOneAndDies) {
   sim.step();
   for (graph::node_id u = 0; u < 6; ++u) {
     EXPECT_EQ(proto.state_of(u), WF);
-    EXPECT_EQ(sim.beep_count(u), 1U) << "each node relays exactly once";
+    EXPECT_EQ(counter.count(u), 1U) << "each node relays exactly once";
   }
 }
 
@@ -224,6 +226,8 @@ TEST(BfwWaveTest, OpposingWavesAnnihilate) {
   const bfw_machine machine(0.5);
   beeping::fsm_protocol proto(machine);
   beeping::engine sim(g, proto, 3);
+  beeping::beep_counter counter;
+  sim.add_observer(&counter);
   proto.set_states({BL, WF, WF, WF, WF, BL});
   sim.restart_from_protocol();
 
@@ -237,7 +241,7 @@ TEST(BfwWaveTest, OpposingWavesAnnihilate) {
   EXPECT_EQ(proto.state_of(3), FF);
   EXPECT_EQ(proto.state_of(4), WF);
   for (graph::node_id u = 1; u <= 4; ++u) {
-    EXPECT_EQ(sim.beep_count(u), 1U) << "middle node " << u
+    EXPECT_EQ(counter.count(u), 1U) << "middle node " << u
                                      << " must relay exactly once";
   }
 }

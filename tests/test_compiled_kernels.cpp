@@ -2,7 +2,7 @@
 // sweep is required to be draw-for-draw bit-identical to the
 // interpreted plane gear (and hence to the virtual reference) on every
 // (kernel, graph, seed, noise) combination - same state trajectories,
-// same leader counts, same beep ledgers, same generator draws.
+// same leader counts, same beep counts, same generator draws.
 // Word-boundary sizes {63, 64, 65, 128} exercise the tail word. Below
 // the engine, every registered kernel's entry point is also called
 // directly against interpreted_sweep on random valid plane contexts
@@ -29,6 +29,7 @@
 namespace beepkit {
 namespace {
 
+using beeping::beep_counter;
 using beeping::engine;
 using beeping::fsm_protocol;
 using beeping::noise_model;
@@ -63,6 +64,10 @@ void expect_compiled_matches_interpreted(const graph::graph& g,
   fsm_protocol ref_proto(machine);
   engine compiled(g, compiled_proto, seed, noise);
   engine ref(g, ref_proto, seed, noise);
+  beep_counter compiled_counts;
+  beep_counter ref_counts;
+  compiled.add_observer(&compiled_counts);
+  ref.add_observer(&ref_counts);
   ASSERT_TRUE(compiled.compiled_kernel_active()) << label;
   ref.set_compiled_kernel_enabled(false);
   ASSERT_FALSE(ref.compiled_kernel_active()) << label;
@@ -76,8 +81,8 @@ void expect_compiled_matches_interpreted(const graph::graph& g,
   ASSERT_GT(compiled.compiled_rounds(), 0U) << label;
   EXPECT_EQ(ref.compiled_rounds(), 0U) << label;
   for (graph::node_id u = 0; u < g.node_count(); ++u) {
-    ASSERT_EQ(compiled.beep_count(u), ref.beep_count(u))
-        << label << " ledger mismatch at node " << u;
+    ASSERT_EQ(compiled_counts.count(u), ref_counts.count(u))
+        << label << " beep count mismatch at node " << u;
   }
   EXPECT_EQ(compiled.total_coins_consumed(), ref.total_coins_consumed())
       << label;
@@ -90,16 +95,14 @@ void expect_compiled_matches_interpreted(const graph::graph& g,
 /// The buffers one plane sweep reads and writes, owned.
 struct sweep_buffers {
   std::vector<std::vector<std::uint64_t>> planes;
-  std::vector<std::uint64_t> heard, beep, active, leader, dirty;
-  std::vector<std::vector<std::uint64_t>> ledger;
+  std::vector<std::uint64_t> heard, beep, active, leader;
   std::vector<support::rng> rngs;
 };
 
 /// A random *valid* plane-round input for `table` over n nodes: every
 /// lane's state is drawn below q and written into the planes, the
 /// beep/active/leader words follow from those states, heard contains
-/// every beeper (a beeper hears itself), the ledger holds pending
-/// counts low enough for one more bank, and about one word in four is
+/// every beeper (a beeper hears itself), and about one word in four is
 /// fully quiet (silent lanes in a draw-free bot self-loop) so the
 /// skip paths run too.
 sweep_buffers random_valid_sweep_input(const beeping::machine_table& table,
@@ -116,11 +119,9 @@ sweep_buffers random_valid_sweep_input(const beeping::machine_table& table,
   }
   sweep_buffers in;
   in.planes.assign(plane_count, std::vector<std::uint64_t>(words, 0));
-  in.ledger.assign(8, std::vector<std::uint64_t>(words, 0));
   for (auto* buf : {&in.heard, &in.beep, &in.active, &in.leader}) {
     buf->assign(words, 0);
   }
-  in.dirty.assign((words + 63) / 64, 0);
   in.rngs = support::make_node_streams(seed ^ 0x5eedULL, n);
   for (std::size_t w = 0; w < words; ++w) {
     const bool quiet = !quiet_states.empty() && gen.uniform_below(4) == 0;
@@ -138,10 +139,6 @@ sweep_buffers random_valid_sweep_input(const beeping::machine_table& table,
       if (table.is_leader(s)) in.leader[w] |= bit;
       if (table.bot_identity[s] == 0) in.active[w] |= bit;
       if ((noise & bit) != 0) in.heard[w] |= bit;
-      const std::uint64_t pending = gen.uniform_below(200);
-      for (std::size_t j = 0; j < 8; ++j) {
-        if (((pending >> j) & 1U) != 0) in.ledger[j][w] |= bit;
-      }
     }
     in.heard[w] |= in.beep[w];
   }
@@ -160,15 +157,12 @@ beeping::sweep_result run_sweep(beeping::sweep_fn sweep,
   for (std::size_t j = 0; j < buf.planes.size(); ++j) {
     planes[j] = buf.planes[j].data();
   }
-  std::uint64_t* ledger[8];
-  for (std::size_t j = 0; j < 8; ++j) ledger[j] = buf.ledger[j].data();
   beeping::plane_ctx ctx;
   ctx.heard = buf.heard.data();
   ctx.beep = buf.beep.data();
   ctx.active = buf.active.data();
   ctx.leader = buf.leader.data();
   ctx.planes = planes;
-  ctx.ledger = ledger;
   ctx.rngs = lazy != nullptr ? lazy->source()
                             : support::rng_source{buf.rngs.data(), nullptr, 0};
   ctx.rules = table.rules.data();
@@ -176,17 +170,17 @@ beeping::sweep_result run_sweep(beeping::sweep_fn sweep,
   ctx.plan = &plan;
   ctx.tail_mask = (n % 64 == 0) ? ~0ULL : ((1ULL << (n % 64)) - 1);
   ctx.words = buf.heard.size();
-  return sweep(ctx, buf.dirty.data(), wb, we);
+  return sweep(ctx, wb, we);
 }
 
 /// Kernel-level differential: the entry point of `kernel` against
 /// interpreted_sweep(P) on random valid inputs at word-boundary node
 /// counts, over word ranges that start and end inside the word array -
-/// planes, beep/leader/active words, ledger, dirty bits, the returned
-/// leader count and the next draw of every stream. Each context also
-/// runs the kernel on a lazy cursor store (coins mode for coin-only
-/// tables, raw64 for bernoulli-only ones), whose cursors must match the
-/// reference's draw counts.
+/// planes, beep/leader/active words, the returned leader count and the
+/// next draw of every stream. Each context also runs the kernel on a
+/// lazy cursor store (coins mode for coin-only tables, raw64 for
+/// bernoulli-only ones), whose cursors must match the reference's draw
+/// counts.
 void expect_kernel_matches_interpreted_sweep(
     const beeping::compiled_kernel& kernel,
     const beeping::machine_table& table) {
@@ -232,8 +226,6 @@ void expect_kernel_matches_interpreted_sweep(
       EXPECT_EQ(got.beep, ref.beep) << label;
       EXPECT_EQ(got.leader, ref.leader) << label;
       EXPECT_EQ(got.active, ref.active) << label;
-      EXPECT_EQ(got.ledger, ref.ledger) << label;
-      EXPECT_EQ(got.dirty, ref.dirty) << label;
       if (lazy_runs) {
         support::rng_store lazy =
             support::rng_store::lazy(seed ^ 0x5eedULL, n, lazy_mode);
@@ -345,6 +337,10 @@ TEST(CompiledKernelDifferentialTest, AdversarialInjectionsMatch) {
     engine compiled(c.g, compiled_proto, 11);
     engine ref(c.g, ref_proto, 11);
     ref.set_compiled_kernel_enabled(false);
+    beep_counter compiled_counts;
+    beep_counter ref_counts;
+    compiled.add_observer(&compiled_counts);
+    ref.add_observer(&ref_counts);
     compiled.run_rounds(50);
     ref.run_rounds(50);
     compiled_proto.set_states(c.states);
@@ -359,7 +355,7 @@ TEST(CompiledKernelDifferentialTest, AdversarialInjectionsMatch) {
       ASSERT_EQ(compiled.leader_count(), ref.leader_count()) << c.label;
     }
     for (graph::node_id u = 0; u < c.g.node_count(); ++u) {
-      ASSERT_EQ(compiled.beep_count(u), ref.beep_count(u)) << c.label;
+      ASSERT_EQ(compiled_counts.count(u), ref_counts.count(u)) << c.label;
     }
   }
 }
@@ -388,6 +384,10 @@ TEST(CompiledKernelDifferentialTest, ToggleMidRunNeverChangesNumbers) {
   fsm_protocol reference_proto(machine);
   engine bound(path, bound_proto, 19);
   engine reference(path, reference_proto, 19);
+  beep_counter bound_counts;
+  beep_counter reference_counts;
+  bound.add_observer(&bound_counts);
+  reference.add_observer(&reference_counts);
   using reconfigure = void (*)(engine&);
   const std::vector<std::pair<std::string, reconfigure>> schedule = {
       {"interpreted", [](engine& e) { e.set_compiled_kernel_enabled(false); }},
@@ -427,7 +427,8 @@ TEST(CompiledKernelDifferentialTest, ToggleMidRunNeverChangesNumbers) {
   for (graph::node_id u = 0; u < path.node_count(); ++u) {
     ASSERT_EQ(bound.node_rng(u).next_u64(), reference.node_rng(u).next_u64())
         << "generator diverged at node " << u;
-    ASSERT_EQ(bound.beep_count(u), reference.beep_count(u)) << "node " << u;
+    ASSERT_EQ(bound_counts.count(u), reference_counts.count(u))
+        << "node " << u;
   }
 }
 

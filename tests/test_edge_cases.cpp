@@ -62,7 +62,7 @@ TEST(EdgeCaseTest, EngineOnEmptyGraph) {
 }
 
 TEST(EdgeCaseTest, EngineBeepAccountingMatchesSeriesTotals) {
-  // Two independent bookkeeping paths must agree: the engine's
+  // Two independent bookkeeping paths must agree: a beep counter's
   // cumulative per-node counts vs the series recorder's per-round
   // totals.
   const auto g = graph::make_grid(4, 4);
@@ -70,12 +70,14 @@ TEST(EdgeCaseTest, EngineBeepAccountingMatchesSeriesTotals) {
   beeping::fsm_protocol proto(machine);
   beeping::engine sim(g, proto, 31);
   beeping::series_recorder series;
+  beeping::beep_counter counter;
   sim.add_observer(&series);
+  sim.add_observer(&counter);
   sim.run_rounds(200);
 
   std::uint64_t from_engine = 0;
   for (graph::node_id u = 0; u < g.node_count(); ++u) {
-    from_engine += sim.beep_count(u);
+    from_engine += counter.count(u);
   }
   std::uint64_t from_series = 0;
   for (std::size_t beeps : series.beep_totals()) {

@@ -1,5 +1,6 @@
 // Engine semantics: synchronous delta dispatch, determinism, observer
-// plumbing, beep accounting, and restart_from_protocol.
+// plumbing, beep counting (beeping::beep_counter), and
+// restart_from_protocol.
 #include "beeping/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -70,14 +71,23 @@ TEST(EngineTest, BeepCountsIncludeCurrentRound) {
   const auto g = graph::make_path(3);
   probe_protocol proto;
   engine sim(g, proto, 0);
+  beep_counter counter;
+  sim.add_observer(&counter);
   // Round 0: node 0 beeps -> N_0(0) = 1 (Section 2 counts inclusively).
-  EXPECT_EQ(sim.beep_count(0), 1U);
+  EXPECT_EQ(counter.count(0), 1U);
   EXPECT_TRUE(sim.beeping(0));
   sim.step();  // round 1: silent
-  EXPECT_EQ(sim.beep_count(0), 1U);
+  EXPECT_EQ(counter.count(0), 1U);
   EXPECT_FALSE(sim.beeping(0));
   sim.step();  // round 2: beeps again
-  EXPECT_EQ(sim.beep_count(0), 2U);
+  EXPECT_EQ(counter.count(0), 2U);
+  // A counter attached after round 0 would miss rounds: the attach-time
+  // call throws, so add_observer never attaches it.
+  beep_counter late;
+  EXPECT_THROW(sim.add_observer(&late), std::logic_error);
+  sim.step();  // round 3: only the round-0 counter is notified
+  EXPECT_EQ(counter.count(0), 2U);
+  EXPECT_TRUE(late.counts().empty());
 }
 
 TEST(EngineTest, DeterministicTrajectoriesForSameSeed) {
@@ -96,15 +106,17 @@ TEST(EngineTest, DeterministicTrajectoriesForSameSeed) {
 }
 
 TEST(EngineTest, RebindOnRecycledArena) {
-  // An engine's planes, ledger planes and dirty words come from heap
-  // blocks that a destroyed engine on the same thread leaves dirty. A
-  // rebind of the same view and seed must still start from zero and
-  // match an engine bound before the dirty run, draw for draw.
+  // An engine's planes and packed sets come from heap blocks that a
+  // destroyed engine on the same thread leaves dirty. A rebind of the
+  // same view and seed must still start from zero and match an engine
+  // bound before the dirty run, draw for draw.
   const auto g = graph::make_grid(12, 12);  // 144 nodes: 3 words + tail
   const core::bfw_machine machine(0.5);
   constexpr std::uint64_t seed = 777;
   fsm_protocol fresh_proto(machine);
   engine fresh(g, fresh_proto, seed);
+  beep_counter fresh_counts;
+  fresh.add_observer(&fresh_counts);
   {
     fsm_protocol dirty_proto(machine);
     engine dirty(g, dirty_proto, seed);
@@ -112,6 +124,8 @@ TEST(EngineTest, RebindOnRecycledArena) {
   }
   fsm_protocol re_proto(machine);
   engine rebound(g, re_proto, seed);
+  beep_counter re_counts;
+  rebound.add_observer(&re_counts);
   for (int round = 0; round < 300; ++round) {
     ASSERT_EQ(fresh_proto.states(), re_proto.states())
         << "diverged at round " << round;
@@ -120,10 +134,7 @@ TEST(EngineTest, RebindOnRecycledArena) {
     rebound.step();
   }
   EXPECT_GT(fresh.plane_rounds(), 0U);
-  const auto fresh_counts = fresh.beep_counts();
-  const auto re_counts = rebound.beep_counts();
-  EXPECT_TRUE(std::equal(fresh_counts.begin(), fresh_counts.end(),
-                         re_counts.begin(), re_counts.end()));
+  EXPECT_TRUE(std::ranges::equal(fresh_counts.counts(), re_counts.counts()));
   EXPECT_EQ(fresh.total_coins_consumed(), rebound.total_coins_consumed());
   for (graph::node_id u = 0; u < g.node_count(); ++u) {
     ASSERT_EQ(fresh.node_rng(u).next_u64(), rebound.node_rng(u).next_u64())
@@ -180,12 +191,14 @@ TEST(EngineTest, InitialConfigurationAllLeadersAllWaiting) {
   const core::bfw_machine machine(0.5);
   fsm_protocol proto(machine);
   engine sim(g, proto, 11);
+  beep_counter counter;
+  sim.add_observer(&counter);
   EXPECT_EQ(sim.leader_count(), 6U);
   EXPECT_EQ(sim.round(), 0U);
   for (graph::node_id u = 0; u < 6; ++u) {
     EXPECT_EQ(proto.state_of(u),
               static_cast<state_id>(core::bfw_state::leader_wait));
-    EXPECT_EQ(sim.beep_count(u), 0U);
+    EXPECT_EQ(counter.count(u), 0U);
   }
 }
 
@@ -194,16 +207,21 @@ TEST(EngineTest, RestartFromProtocolResetsCounters) {
   const core::bfw_machine machine(0.5);
   fsm_protocol proto(machine);
   engine sim(g, proto, 3);
+  beep_counter counter;
+  sim.add_observer(&counter);
   sim.run_rounds(20);
   ASSERT_GT(sim.round(), 0U);
+  std::uint64_t before = 0;
+  for (const std::uint64_t c : counter.counts()) before += c;
+  ASSERT_GT(before, 0U);
 
   proto.set_states(std::vector<state_id>(
       5, static_cast<state_id>(core::bfw_state::follower_wait)));
-  sim.restart_from_protocol();
+  sim.restart_from_protocol();  // the round-0 view restarts the counter
   EXPECT_EQ(sim.round(), 0U);
   EXPECT_EQ(sim.leader_count(), 0U);
   for (graph::node_id u = 0; u < 5; ++u) {
-    EXPECT_EQ(sim.beep_count(u), 0U);
+    EXPECT_EQ(counter.count(u), 0U);
   }
 }
 
@@ -265,11 +283,11 @@ TEST(EngineTest, LazyBeepFlagsMatchPackedWords) {
   }
 }
 
-// Pulls every per-node array a round view offers.
+// Pulls every per-node array a round view offers (a beep_counter rides
+// along beside it).
 struct pulling_observer final : observer {
   std::uint64_t sink = 0;
   void on_round(const round_view& view) override {
-    for (const std::uint64_t c : view.beep_counts()) sink += c;
     for (const state_id s : view.states()) sink += s;
     std::vector<std::uint64_t> words(view.beep_words.size());
     view.class_words(0b10010, words);
@@ -279,7 +297,8 @@ struct pulling_observer final : observer {
 
 TEST(EngineTest, LazyBeepFlagsObserverFreeRunUnchanged) {
   // An observer-free run must stay bit-identical to a run whose
-  // observer pulls the counts, the states and a class mask every round.
+  // observers count the beeps and pull the states and a class mask
+  // every round.
   const auto g = graph::make_cycle(64);  // exact word boundary
   const core::bfw_machine machine(0.5);
   fsm_protocol lazy_proto(machine);
@@ -287,7 +306,9 @@ TEST(EngineTest, LazyBeepFlagsObserverFreeRunUnchanged) {
   engine lazy(g, lazy_proto, 31);
   engine eager(g, eager_proto, 31);
   pulling_observer puller;
+  beep_counter counter;
   eager.add_observer(&puller);
+  eager.add_observer(&counter);
   for (int round = 0; round < 200; ++round) {
     lazy.step();
     eager.step();

@@ -24,6 +24,7 @@
 namespace beepkit {
 namespace {
 
+using beeping::beep_counter;
 using beeping::engine;
 using beeping::fsm_protocol;
 using beeping::noise_model;
@@ -63,6 +64,10 @@ void expect_fast_matches_virtual(const graph::graph& g,
   engine fast(g, fast_proto, seed, noise);
   engine ref(g, ref_proto, seed, noise);
   ref.set_fast_path_enabled(false);
+  beep_counter fast_counts;
+  beep_counter ref_counts;
+  fast.add_observer(&fast_counts);
+  ref.add_observer(&ref_counts);
   ASSERT_TRUE(fast.fast_path_active()) << label;
   ASSERT_FALSE(ref.fast_path_active()) << label;
   for (int round = 0; round < rounds; ++round) {
@@ -73,8 +78,8 @@ void expect_fast_matches_virtual(const graph::graph& g,
     ASSERT_EQ(fast.leader_count(), ref.leader_count()) << label;
   }
   for (graph::node_id u = 0; u < g.node_count(); ++u) {
-    ASSERT_EQ(fast.beep_count(u), ref.beep_count(u))
-        << label << " ledger mismatch at node " << u;
+    ASSERT_EQ(fast_counts.count(u), ref_counts.count(u))
+        << label << " beep count mismatch at node " << u;
   }
   EXPECT_EQ(fast.total_coins_consumed(), ref.total_coins_consumed()) << label;
   for (graph::node_id u = 0; u < g.node_count(); ++u) {
@@ -183,6 +188,10 @@ TEST(FastPathDifferentialTest, AdversarialInjectionsMatch) {
     engine fast(c.g, fast_proto, 11);
     engine ref(c.g, ref_proto, 11);
     ref.set_fast_path_enabled(false);
+    beep_counter fast_counts;
+    beep_counter ref_counts;
+    fast.add_observer(&fast_counts);
+    ref.add_observer(&ref_counts);
     // Warm both engines first so the injection lands mid-run.
     fast.run_rounds(50);
     ref.run_rounds(50);
@@ -198,7 +207,7 @@ TEST(FastPathDifferentialTest, AdversarialInjectionsMatch) {
       ASSERT_EQ(fast.leader_count(), ref.leader_count()) << c.label;
     }
     for (graph::node_id u = 0; u < c.g.node_count(); ++u) {
-      ASSERT_EQ(fast.beep_count(u), ref.beep_count(u)) << c.label;
+      ASSERT_EQ(fast_counts.count(u), ref_counts.count(u)) << c.label;
     }
   }
 }

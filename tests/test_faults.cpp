@@ -32,6 +32,7 @@
 namespace {
 
 using namespace beepkit;
+using beeping::beep_counter;
 using beeping::engine;
 using beeping::fsm_protocol;
 using beeping::state_id;
@@ -264,11 +265,15 @@ TEST(CrashFaultTest, CrashAndRejoinMatchReferenceOnEveryGearAtBoundaries) {
     for (const gear_config& gear : all_gears()) {
       fsm_protocol proto(machine);
       engine sim(g, proto, 7);
+      beep_counter sim_counts;
+      sim.add_observer(&sim_counts);
       apply_gear(sim, gear);
       drive_with_faults(sim, script, 96, /*reference=*/false);
 
       fsm_protocol ref_proto(machine);
       engine ref(g, ref_proto, 7);
+      beep_counter ref_counts;
+      ref.add_observer(&ref_counts);
       drive_with_faults(ref, script, 96, /*reference=*/true);
 
       const std::string label = "n=" + std::to_string(n) + " " + gear.label;
@@ -278,8 +283,8 @@ TEST(CrashFaultTest, CrashAndRejoinMatchReferenceOnEveryGearAtBoundaries) {
       EXPECT_EQ(sim.total_coins_consumed(), ref.total_coins_consumed())
           << label;
       for (node_id u = 0; u < n; ++u) {
-        ASSERT_EQ(sim.beep_count(u), ref.beep_count(u))
-            << label << " ledger mismatch at node " << u;
+        ASSERT_EQ(sim_counts.count(u), ref_counts.count(u))
+            << label << " beep count mismatch at node " << u;
       }
     }
   }
@@ -290,18 +295,41 @@ TEST(CrashFaultTest, CrashedNodeFreezesAndSilences) {
   const core::bfw_machine machine(0.5);
   fsm_protocol proto(machine);
   engine sim(g, proto, 3);
+  beep_counter counter;
+  sim.add_observer(&counter);
   for (int r = 0; r < 10; ++r) sim.step();
   const node_id victim = 32;
   sim.fault_crash(victim);
   const state_id frozen = proto.states()[victim];
-  const std::uint64_t beeps = sim.beep_count(victim);
+  const std::uint64_t beeps = counter.count(victim);
   for (int r = 0; r < 40; ++r) {
     sim.step();
     ASSERT_EQ(proto.states()[victim], frozen) << "corpse moved at round " << r;
-    ASSERT_EQ(sim.beep_count(victim), beeps) << "corpse beeped at round " << r;
+    ASSERT_EQ(counter.count(victim), beeps) << "corpse beeped at round " << r;
   }
   EXPECT_TRUE(sim.crashed(victim));
   EXPECT_EQ(sim.crashed_count(), 1U);
+  // A fault between rounds changes the engine's current beep set, never
+  // a count observers were already shown: a beeper crashed after its
+  // round was shown keeps that beep, and a rejoin in a beeping state
+  // is not counted for the round it rejoins in.
+  node_id beeper = 65;
+  for (int r = 0; r < 200 && beeper == 65; ++r) {
+    sim.step();
+    for (node_id u = 0; u < 65 && beeper == 65; ++u) {
+      if (sim.beeping(u)) beeper = u;
+    }
+  }
+  ASSERT_LT(beeper, 65U);
+  const std::uint64_t shown = counter.count(beeper);
+  ASSERT_GT(shown, 0U);
+  sim.fault_crash(beeper);
+  EXPECT_FALSE(sim.beeping(beeper));
+  EXPECT_EQ(counter.count(beeper), shown);
+  sim.fault_restart_as(victim,
+                       static_cast<state_id>(core::bfw_state::leader_beep));
+  EXPECT_TRUE(sim.beeping(victim));
+  EXPECT_EQ(counter.count(victim), beeps);
 }
 
 TEST(CrashFaultTest, CrashEveryNodeThenRestartRecovers) {

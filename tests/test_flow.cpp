@@ -126,14 +126,16 @@ TEST(FlowTest, Corollary8OhmsLaw) {
     const bfw_machine machine(0.5);
     beeping::fsm_protocol proto(machine);
     beeping::engine sim(g, proto, 202);
+    beeping::beep_counter counter;
+    sim.add_observer(&counter);
     const auto paths = sample_paths(g, 12, 20, path_rng);
 
     for (int round = 0; round < 150; ++round) {
       const auto& states = proto.states();
       for (const auto& path : paths) {
         if (path.size() < 2) continue;
-        const auto n1 = static_cast<std::int64_t>(sim.beep_count(path.front()));
-        const auto nk = static_cast<std::int64_t>(sim.beep_count(path.back()));
+        const auto n1 = static_cast<std::int64_t>(counter.count(path.front()));
+        const auto nk = static_cast<std::int64_t>(counter.count(path.back()));
         ASSERT_EQ(path_flow(states, path), n1 - nk)
             << gcase.label << " round " << round;
       }
@@ -151,13 +153,15 @@ TEST(FlowTest, Lemma11BeepSpreadBoundedByDistance) {
     const bfw_machine machine(0.5);
     beeping::fsm_protocol proto(machine);
     beeping::engine sim(g, proto, 303);
+    beeping::beep_counter counter;
+    sim.add_observer(&counter);
 
     for (int round = 0; round < 200; ++round) {
       sim.step();
       for (graph::node_id u = 0; u < g.node_count(); ++u) {
         for (graph::node_id v = u + 1; v < g.node_count(); ++v) {
-          const auto nu = sim.beep_count(u);
-          const auto nv = sim.beep_count(v);
+          const auto nu = counter.count(u);
+          const auto nv = counter.count(v);
           const auto spread = nu > nv ? nu - nv : nv - nu;
           ASSERT_LE(spread, dist[u][v])
               << gcase.label << " round " << round << " pair (" << u << ","
@@ -176,6 +180,8 @@ TEST(FlowTest, Lemma12BeepPropagationDeadline) {
   const bfw_machine machine(0.5);
   beeping::fsm_protocol proto(machine);
   beeping::engine sim(g, proto, 404);
+  beeping::beep_counter counter;
+  sim.add_observer(&counter);
 
   constexpr int horizon = 300;
   // beep_round[u][r] = 1 iff u beeped in round r; filled as we go.
@@ -187,7 +193,7 @@ TEST(FlowTest, Lemma12BeepPropagationDeadline) {
   for (int t = 0; t <= horizon + 12; ++t) {
     for (graph::node_id u = 0; u < g.node_count(); ++u) {
       if (t < horizon + 16 && sim.beeping(u)) beeped[u][t] = 1;
-      if (t <= horizon) counts_at[t][u] = sim.beep_count(u);
+      if (t <= horizon) counts_at[t][u] = counter.count(u);
     }
     sim.step();
   }

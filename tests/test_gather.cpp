@@ -3,7 +3,7 @@
 //
 //  * every gather kernel (stencil, word-CSR push, word-CSR pull) must
 //    produce bit-identical runs - same state trajectories, same
-//    ledgers, same generator draws - on path/ring/grid/torus/complete
+//    beep counts, same generator draws - on path/ring/grid/torus/complete
 //    at word-boundary sizes {63, 64, 65, 128}, with reception noise
 //    and under Section-5 adversarial injections, and every implicit
 //    view (degenerate rings and tori included) must auto-select the
@@ -18,9 +18,11 @@
 //    through graph::io (with lying tags rejected).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,6 +102,10 @@ void expect_kernel_matches_reference(const graph::topology_view& view,
   fsm_protocol ref_proto(machine);
   engine sim(view, proto, seed, noise);
   engine ref(view, ref_proto, seed, noise);
+  beeping::beep_counter counts;
+  beeping::beep_counter ref_counts;
+  sim.add_observer(&counts);
+  ref.add_observer(&ref_counts);
   sim.set_gather_kernel(kernel);
   if (threads != 1) sim.set_parallelism(threads, 1);
   for (int round = 0; round < rounds; ++round) {
@@ -114,8 +120,8 @@ void expect_kernel_matches_reference(const graph::topology_view& view,
                                           : kernel)
       << label;
   for (graph::node_id u = 0; u < view.node_count(); ++u) {
-    ASSERT_EQ(sim.beep_count(u), ref.beep_count(u))
-        << label << " ledger mismatch at node " << u;
+    ASSERT_EQ(counts.count(u), ref_counts.count(u))
+        << label << " beep count mismatch at node " << u;
   }
   EXPECT_EQ(sim.total_coins_consumed(), ref.total_coins_consumed()) << label;
   for (graph::node_id u = 0; u < view.node_count(); ++u) {
@@ -170,6 +176,10 @@ TEST(GatherKernelDifferentialTest, KernelsMatchUnderAdversarialInjections) {
       fsm_protocol ref_proto(machine);
       engine sim(c.g, proto, 11);
       engine ref(c.g, ref_proto, 11);
+      beeping::beep_counter counts;
+      beeping::beep_counter ref_counts;
+      sim.add_observer(&counts);
+      ref.add_observer(&ref_counts);
       sim.set_gather_kernel(kernel);
       sim.run_rounds(40);
       ref.run_rounds(40);
@@ -185,7 +195,7 @@ TEST(GatherKernelDifferentialTest, KernelsMatchUnderAdversarialInjections) {
             << " diverged at round " << round;
       }
       for (graph::node_id u = 0; u < c.g.node_count(); ++u) {
-        ASSERT_EQ(sim.beep_count(u), ref.beep_count(u)) << c.label;
+        ASSERT_EQ(counts.count(u), ref_counts.count(u)) << c.label;
       }
     }
   }
@@ -356,6 +366,10 @@ TEST(TimeoutBfwPlaneGearTest, LargeTimeoutRunsWordParallel) {
       engine fast(c.g, fast_proto, 17);
       engine ref(c.g, ref_proto, 17);
       ref.set_fast_path_enabled(false);
+      beeping::beep_counter fast_counts;
+      beeping::beep_counter ref_counts;
+      fast.add_observer(&fast_counts);
+      ref.add_observer(&ref_counts);
       ASSERT_TRUE(fast.plane_capable()) << c.label;
       constexpr int rounds = 300;
       for (int round = 0; round < rounds; ++round) {
@@ -370,7 +384,7 @@ TEST(TimeoutBfwPlaneGearTest, LargeTimeoutRunsWordParallel) {
       EXPECT_GE(fast.plane_rounds(), static_cast<std::uint64_t>(rounds - 1))
           << c.label << " T=" << timeout;
       for (graph::node_id u = 0; u < c.g.node_count(); ++u) {
-        ASSERT_EQ(fast.beep_count(u), ref.beep_count(u)) << c.label;
+        ASSERT_EQ(fast_counts.count(u), ref_counts.count(u)) << c.label;
       }
       EXPECT_EQ(fast.total_coins_consumed(), ref.total_coins_consumed());
       for (graph::node_id u = 0; u < c.g.node_count(); ++u) {
@@ -405,24 +419,12 @@ TEST(TimeoutBfwPlaneGearTest, DeadConfigurationRecoveryIdentical) {
   EXPECT_EQ(fast.total_coins_consumed(), ref.total_coins_consumed());
 }
 
-// --- Dirty-word observer ledger ---
-
-namespace {
-struct count_probe final : beeping::observer {
-  std::vector<std::uint64_t> last_counts;
-  std::uint64_t rounds_seen = 0;
-  void on_round(const beeping::round_view& view) override {
-    const auto counts = view.beep_counts();
-    last_counts.assign(counts.begin(), counts.end());
-    ++rounds_seen;
-  }
-};
-}  // namespace
+// --- Beep counts across gears ---
 
 TEST(DirtyLedgerTest, ObserverCountsExactEveryRoundInPlaneMode) {
-  // An attached observer forces the beep-count materialization every
-  // round; the dirty-word fold must keep the counts exact while the
-  // plane gear banks increments in the bit-sliced sidecar.
+  // A beep_counter on a plane-gear engine must equal one on the
+  // virtual gear after every round: the plane sweep's beep words are
+  // exactly the virtual gear's.
   const core::bfw_machine machine(0.5);
   const auto g = graph::make_grid(8, 16);
   fsm_protocol proto(machine);
@@ -430,22 +432,23 @@ TEST(DirtyLedgerTest, ObserverCountsExactEveryRoundInPlaneMode) {
   engine sim(g, proto, 99);
   engine ref(g, ref_proto, 99);
   ref.set_fast_path_enabled(false);
-  count_probe probe;
-  count_probe ref_probe;
-  sim.add_observer(&probe);
-  ref.add_observer(&ref_probe);
+  beeping::beep_counter counter;
+  beeping::beep_counter ref_counter;
+  sim.add_observer(&counter);
+  ref.add_observer(&ref_counter);
   for (int round = 0; round < 250; ++round) {
     sim.step();
     ref.step();
-    ASSERT_EQ(probe.last_counts, ref_probe.last_counts)
-        << "ledger diverged at round " << round;
+    ASSERT_TRUE(std::ranges::equal(counter.counts(), ref_counter.counts()))
+        << "beep counts diverged at round " << round;
   }
   EXPECT_GT(sim.plane_rounds(), 0U);  // the plane gear actually ran
 }
 
 TEST(DirtyLedgerTest, LateAttachSeesExactCounts) {
-  // Counts banked across many plane rounds must fold correctly when
-  // the first observer (or a direct beep_counts() call) arrives late.
+  // Counts read once, after 300 plane rounds (patience chains
+  // included), must equal the virtual gear's; a counter attached after
+  // round 0 is refused instead of reporting counts that miss rounds.
   const core::timeout_bfw_machine machine(0.5, 5);
   const auto g = graph::make_path(128);
   fsm_protocol proto(machine);
@@ -453,14 +456,20 @@ TEST(DirtyLedgerTest, LateAttachSeesExactCounts) {
   engine sim(g, proto, 7);
   engine ref(g, ref_proto, 7);
   ref.set_fast_path_enabled(false);
+  beeping::beep_counter counter;
+  beeping::beep_counter ref_counter;
+  sim.add_observer(&counter);
+  ref.add_observer(&ref_counter);
   sim.run_rounds(300);
   ref.run_rounds(300);
-  const auto counts = sim.beep_counts();
-  const auto ref_counts = ref.beep_counts();
+  const auto counts = counter.counts();
+  const auto ref_counts = ref_counter.counts();
   ASSERT_EQ(counts.size(), ref_counts.size());
   for (std::size_t u = 0; u < counts.size(); ++u) {
     ASSERT_EQ(counts[u], ref_counts[u]) << "node " << u;
   }
+  beeping::beep_counter late;
+  EXPECT_THROW(sim.add_observer(&late), std::logic_error);
 }
 
 // --- word-CSR layout ---

@@ -1,7 +1,7 @@
 // Giant-trial subsystem: the plane arena, the binary-in-JSONL codecs,
 // the lazy cursor store, and the checkpoint/resume loop. The standing
 // contract under test: a giant-configured engine (lazy RNG cursors,
-// pinned planes, no ledger vector) is bit-identical to the ordinary
+// pinned planes, no state vector) is bit-identical to the ordinary
 // engine, and a resumed trial is bit-identical - outcome, round and
 // total draw count - to the uninterrupted one.
 #include <gtest/gtest.h>
@@ -504,6 +504,32 @@ TEST(GiantTrial, ResumeRejectsWrongTrialAndCorruptJournal) {
   }
   EXPECT_THROW((void)core::run_giant_trial(view, machine, 9, resume),
                std::runtime_error);
+
+  // A hand-written version-1 header (that format carried beep-count
+  // sections), or one with no version, is refused by name before any
+  // chunk is read.
+  const auto refusal = [&](const std::string& header) {
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << header << '\n';
+    }
+    try {
+      (void)core::run_giant_trial(view, machine, 9, resume);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no refusal)");
+  };
+  const std::string header = R"({"type":"giant_header","topology":")" +
+                             view.name() + R"(","n":)" +
+                             std::to_string(view.node_count()) +
+                             R"(,"seed":9,"machine":"BFW")";
+  const std::string v1 = refusal(header + R"(,"format_version":1})");
+  EXPECT_NE(v1.find("format_version 1"), std::string::npos) << v1;
+  EXPECT_NE(v1.find("version 2"), std::string::npos) << v1;
+  const std::string unversioned = refusal(header + "}");
+  EXPECT_NE(unversioned.find("(missing)"), std::string::npos) << unversioned;
+  EXPECT_NE(unversioned.find("version 2"), std::string::npos) << unversioned;
 
   // Missing journal.
   std::remove(path.c_str());

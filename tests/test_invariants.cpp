@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,6 +75,14 @@ TEST(InvariantCheckerTest, CleanRunsWithBiasedP) {
     sim.add_observer(&checker);
     sim.run_rounds(300);
     EXPECT_TRUE(checker.ok()) << "p=" << p;
+    // Attached late, the checker's counts would miss 300 rounds of beeps
+    // and report Ohm's-law and Lemma 11 violations that are not real:
+    // its first view throws, so add_observer never attaches it.
+    invariant_checker late(g, proto, options);
+    EXPECT_THROW(sim.add_observer(&late), std::logic_error) << "p=" << p;
+    EXPECT_EQ(late.rounds_checked(), 0U);
+    sim.step();
+    EXPECT_EQ(late.rounds_checked(), 0U);
   }
 }
 
@@ -105,16 +115,34 @@ TEST(InvariantInjectionTest, TeleportedFreezeTriggersClaim6) {
   beeping::engine sim(g, proto, 5);
 
   invariant_checker checker(g, proto, invariant_options{});
+  beeping::beep_counter counter;
   sim.add_observer(&checker);
+  sim.add_observer(&counter);
   sim.step();
   // Corrupt: node 1 was waiting (or beeping); force it frozen without
   // the B transition the protocol requires.
   auto states = proto.states();
+  std::vector<bool> beeped(4);
+  for (graph::node_id u = 0; u < 4; ++u) beeped[u] = sim.beeping(u);
   states[1] = FF;
   states[0] = WF;  // also knock out any coincidental explanation
   proto.set_states(states);
+  const std::vector<std::uint64_t> shown(counter.counts().begin(),
+                                         counter.counts().end());
   sim.resync_with_protocol();  // adopt the corruption mid-run
+  // The resync rewrote the engine's current beep set, but not the
+  // count of the round observers were already shown.
+  bool rewritten = false;
+  for (graph::node_id u = 0; u < 4; ++u) {
+    rewritten = rewritten || beeped[u] != sim.beeping(u);
+  }
+  EXPECT_TRUE(rewritten);
+  EXPECT_TRUE(std::ranges::equal(counter.counts(), shown));
   sim.step();
+  for (graph::node_id u = 0; u < 4; ++u) {
+    EXPECT_EQ(counter.count(u), shown[u] + (sim.beeping(u) ? 1U : 0U))
+        << "node " << u;
+  }
 
   EXPECT_FALSE(checker.ok());
 }

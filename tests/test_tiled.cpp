@@ -7,7 +7,7 @@
 //    bit-identical to the serial engine for tile sizes
 //    {1 word, 64 words, default} x threads {1, 2, 8} on
 //    path/ring/grid/torus/complete at word-boundary sizes
-//    {63, 64, 65, 128} - states, leader counts, ledgers, generator
+//    {63, 64, 65, 128} - states, leader counts, beep counts, generator
 //    draws (the acceptance matrix of the tiled round pipeline);
 //  * plane-gear rounds must perform zero eager state write-backs:
 //    fsm_protocol::materialization_count() stays 0 while nobody reads,
@@ -169,6 +169,10 @@ void expect_tiled_matches_serial(const graph::graph& g,
   fsm_protocol tiled_proto(machine);
   engine serial(g, serial_proto, 7, noise);
   engine tiled(g, tiled_proto, 7, noise);
+  beeping::beep_counter serial_counts;
+  beeping::beep_counter tiled_counts;
+  serial.add_observer(&serial_counts);
+  tiled.add_observer(&tiled_counts);
   tiled.set_parallelism(cfg.threads, cfg.tile_words);
   for (int round = 0; round < rounds; ++round) {
     serial.step();
@@ -178,8 +182,8 @@ void expect_tiled_matches_serial(const graph::graph& g,
     ASSERT_EQ(tiled.leader_count(), serial.leader_count()) << label;
   }
   for (graph::node_id u = 0; u < g.node_count(); ++u) {
-    ASSERT_EQ(tiled.beep_count(u), serial.beep_count(u))
-        << label << " ledger mismatch at node " << u;
+    ASSERT_EQ(tiled_counts.count(u), serial_counts.count(u))
+        << label << " beep count mismatch at node " << u;
   }
   EXPECT_EQ(tiled.total_coins_consumed(), serial.total_coins_consumed())
       << label;
