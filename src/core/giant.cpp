@@ -155,13 +155,11 @@ ckpt_meta scan_journal(const std::string& path,
     if (type == "giant_header") {
       header_seen = true;
       const json* version = record->find("format_version");
-      if (version == nullptr || !version->is_number() ||
-          version->as_u64() != kFormatVersion) {
+      const bool numeric = version != nullptr && version->is_number();
+      if (!numeric || version->as_u64() != kFormatVersion) {
         throw std::runtime_error(
             "giant: journal format_version " +
-            (version != nullptr && version->is_number()
-                 ? std::to_string(version->as_u64())
-                 : std::string("(missing)")) +
+            (numeric ? std::to_string(version->as_u64()) : "(missing)") +
             " is not this build's version " + std::to_string(kFormatVersion));
       }
       if (require_u64(*record, "n", "header") != view.node_count() ||
