@@ -1,8 +1,10 @@
 #include "core/giant.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstddef>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "core/convergence.hpp"
 #include "support/codec.hpp"
 #include "support/json.hpp"
+#include "support/parallel.hpp"
 #include "sweep/jsonl.hpp"
 
 namespace beepkit::core {
@@ -28,9 +31,11 @@ constexpr std::size_t kWordChunk = std::size_t{1} << 15;
 constexpr std::size_t kCursorChunk = std::size_t{1} << 16;
 
 // Journal format: version 2 dropped the beep-count sections and the
-// matching ckpt_begin field that version 1 carried; a resume refuses
-// any other version before it decodes a chunk.
-constexpr std::uint64_t kFormatVersion = 2;
+// matching ckpt_begin field that version 1 carried; version 3 gave
+// every chunk record its own digest and made ckpt_end's digest the
+// fold of those. A resume refuses any other version before it decodes
+// a chunk.
+constexpr std::uint64_t kFormatVersion = 3;
 
 /// A named word range of the snapshot, in the fixed stream order the
 /// digest is defined over.
@@ -52,15 +57,90 @@ std::vector<section_ref> snapshot_sections(
   return sections;
 }
 
+/// One chunk record of a checkpoint: a word range of a section, or
+/// (section == nullptr) a range of the cursor array.
+struct chunk_ref {
+  const section_ref* section;
+  std::size_t offset;
+  std::size_t size;
+};
+
+void append_u64(std::string& out, std::uint64_t value) {
+  char buf[20];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out.append(buf, end);
+}
+
+/// Writes the chunk's whole record line into `line` (keys in a fixed
+/// order, the payload last) and returns its digest.
+std::uint64_t encode_chunk(const chunk_ref& chunk,
+                           std::span<const std::uint32_t> cursors,
+                           std::uint64_t seq, std::string& line) {
+  line.clear();
+  std::uint64_t digest = 0;
+  if (chunk.section != nullptr) {
+    const auto words = chunk.section->words.subspan(chunk.offset, chunk.size);
+    digest = codec::chunk_digest(words);
+    line += R"({"type":"ckpt_words","seq":)";
+    append_u64(line, seq);
+    line += R"(,"section":")";
+    line += chunk.section->name;
+    line += R"(","offset":)";
+    append_u64(line, chunk.offset);
+    line += R"(,"digest":)";
+    append_u64(line, digest);
+    line += R"(,"data":")";
+    codec::append_words(line, words);
+  } else {
+    const auto values = cursors.subspan(chunk.offset, chunk.size);
+    digest = codec::chunk_digest(values);
+    line += R"({"type":"ckpt_cursors","seq":)";
+    append_u64(line, seq);
+    line += R"(,"offset":)";
+    append_u64(line, chunk.offset);
+    line += R"(,"count":)";
+    append_u64(line, chunk.size);
+    line += R"(,"digest":)";
+    append_u64(line, digest);
+    line += R"(,"data":")";
+    codec::append_cursors(line, values);
+  }
+  line += "\"}";
+  return digest;
+}
+
+/// Streams one snapshot. The chunks are encoded and digested in
+/// batches of one per thread on one executor; the calling thread
+/// hands each batch's lines to the journal in stream order and folds
+/// their digests. It drains the journal before handing the next batch,
+/// so at most one batch is queued while the following one encodes.
+/// Every line is a function of its chunk alone, so the journal's bytes
+/// do not depend on the thread count.
 void write_checkpoint(sweep::record_writer& writer, beeping::engine& sim,
                       std::uint64_t seq) {
   const auto state = sim.plane_snapshot();
   const auto cursors = sim.rng_streams().cursors();
+  const std::vector<section_ref> sections = snapshot_sections(state);
+  std::vector<chunk_ref> chunks;
+  for (const section_ref& section : sections) {
+    for (std::size_t offset = 0; offset < section.words.size();
+         offset += kWordChunk) {
+      chunks.push_back({&section, offset,
+                        std::min(kWordChunk, section.words.size() - offset)});
+    }
+  }
+  std::uint64_t total_words = 0;
+  for (const chunk_ref& chunk : chunks) total_words += chunk.size;
+  for (std::size_t offset = 0; offset < cursors.size();
+       offset += kCursorChunk) {
+    chunks.push_back(
+        {nullptr, offset, std::min(kCursorChunk, cursors.size() - offset)});
+  }
+
   codec::fnv1a hash;
   hash.update_u64(state.round);
   hash.update_u64(state.leaders);
   hash.update_u64(state.plane_count);
-
   writer.write_record(json(json::object{
       {"type", json("ckpt_begin")},
       {"seq", json(seq)},
@@ -69,35 +149,26 @@ void write_checkpoint(sweep::record_writer& writer, beeping::engine& sim,
       {"plane_count", json(static_cast<std::uint64_t>(state.plane_count))},
   }));
 
-  std::uint64_t total_words = 0;
-  for (const section_ref& section : snapshot_sections(state)) {
-    for (std::size_t offset = 0; offset < section.words.size();
-         offset += kWordChunk) {
-      const auto chunk = section.words.subspan(
-          offset, std::min(kWordChunk, section.words.size() - offset));
-      writer.write_record(json(json::object{
-          {"type", json("ckpt_words")},
-          {"seq", json(seq)},
-          {"section", json(section.name)},
-          {"offset", json(static_cast<std::uint64_t>(offset))},
-          {"data", json(codec::encode_words(chunk))},
-      }));
-      hash.update_words(chunk);
-      total_words += chunk.size();
+  // One chunk per thread and batch: two per thread measured the same
+  // wall time and held ~3.5 MB more lines on a 10^8-node grid.
+  support::tile_executor exec(sim.parallel_threads());
+  const std::size_t batch = std::min(exec.thread_count(), chunks.size());
+  std::vector<std::string> lines(batch);
+  std::vector<std::uint64_t> digests(batch);
+  for (std::size_t first = 0; first < chunks.size(); first += batch) {
+    const std::size_t count = std::min(batch, chunks.size() - first);
+    exec.run_tiles(count, 1,
+                   [&](std::size_t, std::size_t begin, std::size_t end) {
+                     for (std::size_t i = begin; i < end; ++i) {
+                       digests[i] = encode_chunk(chunks[first + i], cursors,
+                                                 seq, lines[i]);
+                     }
+                   });
+    writer.flush();
+    for (std::size_t i = 0; i < count; ++i) {
+      writer.write_raw_line(lines[i]);
+      hash.update_u64(digests[i]);
     }
-  }
-  for (std::size_t offset = 0; offset < cursors.size();
-       offset += kCursorChunk) {
-    const auto chunk = cursors.subspan(
-        offset, std::min(kCursorChunk, cursors.size() - offset));
-    writer.write_record(json(json::object{
-        {"type", json("ckpt_cursors")},
-        {"seq", json(seq)},
-        {"offset", json(static_cast<std::uint64_t>(offset))},
-        {"count", json(static_cast<std::uint64_t>(chunk.size()))},
-        {"data", json(codec::encode_cursors(chunk))},
-    }));
-    for (const std::uint32_t v : chunk) hash.update_u64(v);
   }
   writer.write_record(json(json::object{
       {"type", json("ckpt_end")},
@@ -199,8 +270,9 @@ ckpt_meta scan_journal(const std::string& path,
 }
 
 /// Pass 2: decodes the chosen checkpoint's chunks straight into the
-/// fresh engine's plane spans and cursor array, recomputing the digest
-/// in stream order, then adopts the state.
+/// fresh engine's plane spans and cursor array, checking each chunk's
+/// digest as it lands and folding the digests in stream order, then
+/// adopts the state.
 void restore_checkpoint(const std::string& path, const ckpt_meta& target,
                         beeping::engine& sim) {
   const auto state = sim.plane_snapshot();
@@ -228,11 +300,15 @@ void restore_checkpoint(const std::string& path, const ckpt_meta& target,
     if (kind != "ckpt_words" && kind != "ckpt_cursors") continue;
     if (require_u64(*record, "seq", "chunk") != target.seq) continue;
     const std::uint64_t offset = require_u64(*record, "offset", "chunk");
+    const std::uint64_t digest = require_u64(*record, "digest", "chunk");
     const json* data = record->find("data");
     if (data == nullptr || !data->is_string()) {
       throw std::runtime_error("giant: checkpoint chunk without data");
     }
     const std::string payload = data->as_string();
+    std::string where;
+    std::optional<std::size_t> count;
+    std::uint64_t actual = 0;
     if (kind == "ckpt_words") {
       const json* name = record->find("section");
       if (name == nullptr) {
@@ -246,26 +322,33 @@ void restore_checkpoint(const std::string& path, const ckpt_meta& target,
         throw std::runtime_error("giant: checkpoint section mismatch: " +
                                  section_name);
       }
+      where = section_name + " at offset " + std::to_string(offset);
       const auto dest = it->words.subspan(offset);
-      const auto count = codec::decode_words(payload, dest);
-      if (!count.has_value()) {
-        throw std::runtime_error("giant: corrupt word chunk in " +
-                                 section_name);
+      count = codec::decode_words(payload, dest);
+      if (count.has_value()) {
+        actual = codec::chunk_digest(dest.first(*count));
+        words_restored += *count;
       }
-      hash.update_words(dest.first(*count));
-      words_restored += *count;
     } else {
       if (offset > cursor_span.size()) {
         throw std::runtime_error("giant: cursor chunk out of range");
       }
+      where = "cursors at offset " + std::to_string(offset);
       const auto dest = cursor_span.subspan(offset);
-      const auto count = codec::decode_cursors(payload, dest);
-      if (!count.has_value()) {
-        throw std::runtime_error("giant: corrupt cursor chunk");
+      count = codec::decode_cursors(payload, dest);
+      if (count.has_value()) {
+        actual = codec::chunk_digest(dest.first(*count));
+        cursors_restored += *count;
       }
-      for (std::size_t i = 0; i < *count; ++i) hash.update_u64(dest[i]);
-      cursors_restored += *count;
     }
+    if (!count.has_value()) {
+      throw std::runtime_error("giant: corrupt checkpoint chunk in " + where);
+    }
+    if (actual != digest) {
+      throw std::runtime_error("giant: checkpoint chunk digest mismatch in " +
+                               where);
+    }
+    hash.update_u64(digest);
   }
   if (words_restored != target.words || cursors_restored != target.cursors ||
       hash.digest() != target.digest) {

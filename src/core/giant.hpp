@@ -15,17 +15,28 @@
 // active / leader sets, and every per-node RNG cursor - through the
 // sweep JSONL record machinery into an appendable journal:
 //
-//   {"type":"giant_header", topology, n, seed, format_version:2, ...}
+//   {"type":"giant_header", topology, n, seed, format_version:3, ...}
 //   {"type":"ckpt_begin", seq, round, leaders, plane_count}
-//   {"type":"ckpt_words", seq, section, offset, data(base64)}   (chunked)
-//   {"type":"ckpt_cursors", seq, offset, count, data(varints)}  (chunked)
+//   {"type":"ckpt_words", seq, section, offset, digest, data(base64)}
+//                                                            (chunked)
+//   {"type":"ckpt_cursors", seq, offset, count, digest, data(varints)}
+//                                                            (chunked)
 //   {"type":"ckpt_end", seq, words, cursors, digest}
 //   {"type":"giant_done", ...}
 //
+// Each chunk record carries its own digest (support::codec::
+// chunk_digest over the chunk's raw words or cursors); ckpt_end's
+// digest is FNV-1a over round, leaders, plane_count and the chunk
+// digests in stream order. The writer encodes and digests the chunks
+// in batches on the trial's tile threads, and every chunk line is a
+// function of its chunk alone, so the journal's bytes do not depend on
+// the thread count.
+//
 // A resume refuses a journal whose header carries another
-// format_version. A checkpoint is adoptable iff its ckpt_end is present
-// and its FNV-1a digest (header integers + every word and cursor in
-// stream order) verifies - a torn tail from a kill mid-checkpoint is skipped in
+// format_version. A checkpoint is adoptable iff its ckpt_end is present,
+// every chunk's digest matches the words or cursors it decodes to (a
+// mismatch names the section and offset), and the folded digest
+// verifies - a torn tail from a kill mid-checkpoint is skipped in
 // favor of the previous complete snapshot. Resume restores the exact
 // generator cursors, so the continued run is bit-identical
 // draw-for-draw to the uninterrupted one (tests/test_giant_trial.cpp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/bfw.hpp"
@@ -66,11 +67,17 @@ void invariant_checker::on_round(const beeping::round_view& view) {
   // that are not real.
   counts_.on_round(view);
   ++rounds_checked_;
+  if (view.round == 0) {
+    // A new run (the attach or a restart): nothing of the configuration
+    // it replaced carries over.
+    have_previous_ = false;
+    obligations_.clear();
+  }
   const bool classes =
       options_.check_claim6 || (options_.check_ohms_law && !paths_.empty());
   if (classes) load_classes(view);
   if (options_.check_leader_floor) check_leader_floor(view);
-  if (options_.check_claim6 && have_previous_) check_claim6(view);
+  if (options_.check_claim6 && have_previous_) check_claim6(view.round);
   if (options_.check_ohms_law) check_ohms_law(view);
   if (options_.check_lemma11) check_lemma11(view);
   if (options_.check_lemma12) check_lemma12(view);
@@ -78,6 +85,37 @@ void invariant_checker::on_round(const beeping::round_view& view) {
   if (classes) std::swap(previous_, current_);
   previous_leader_count_ = view.leader_count;
   have_previous_ = true;
+}
+
+void invariant_checker::check_pair(std::span<const beeping::state_id> before,
+                                   std::span<const beeping::state_id> after,
+                                   std::uint64_t round) {
+  const std::size_t n = g_->node_count();
+  if (before.size() != n || after.size() != n) {
+    throw std::invalid_argument(
+        "core::invariant_checker::check_pair: configurations must hold one "
+        "state per node");
+  }
+  const auto load = [&](std::span<const beeping::state_id> states,
+                        class_masks& masks) {
+    for (auto* words :
+         {&masks.waiting, &masks.beeping, &masks.frozen, &masks.relay}) {
+      std::fill(words->begin(), words->end(), 0);
+    }
+    for (graph::node_id u = 0; u < n; ++u) {
+      const std::uint64_t state =
+          states[u] < 64 ? 1ULL << states[u] : std::uint64_t{0};
+      const std::uint64_t bit = 1ULL << (u & 63);
+      if ((state & kWaiting) != 0) masks.waiting[u >> 6] |= bit;
+      if ((state & kBeeping) != 0) masks.beeping[u >> 6] |= bit;
+      if ((state & kFrozen) != 0) masks.frozen[u >> 6] |= bit;
+      if ((state & kRelay) != 0) masks.relay[u >> 6] |= bit;
+    }
+  };
+  load(before, previous_);
+  load(after, current_);
+  check_claim6(round);
+  have_previous_ = false;
 }
 
 void invariant_checker::load_classes(const beeping::round_view& view) {
@@ -126,7 +164,7 @@ void invariant_checker::check_leader_floor(const beeping::round_view& view) {
   }
 }
 
-void invariant_checker::check_claim6(const beeping::round_view& view) {
+void invariant_checker::check_claim6(std::uint64_t round) {
   // Nothing to add once the log is full; otherwise only a failing
   // identity pays for the node-ordered scan that words the report.
   if (violations_.size() >= max_violations || claim6_identities_hold()) {
@@ -139,27 +177,27 @@ void invariant_checker::check_claim6(const beeping::round_view& view) {
   for (graph::node_id u = 0; u < n; ++u) {
     // Eq. (3): u in W_{t-1}  =>  u not in F_t.
     if (test_bit(p.waiting, u) && test_bit(c.frozen, u)) {
-      report(view.round, "Eq.(3): waiting node froze without beeping");
+      report(round, "Eq.(3): waiting node froze without beeping");
     }
     // Eq. (4): u in B_{t-1}  =>  u in F_t.
     if (test_bit(p.beeping, u) && !test_bit(c.frozen, u)) {
-      report(view.round, "Eq.(4): beeping node did not freeze");
+      report(round, "Eq.(4): beeping node did not freeze");
     }
     // Eq. (5): u in F_{t-1}  =>  u in W_t.
     if (test_bit(p.frozen, u) && !test_bit(c.waiting, u)) {
-      report(view.round, "Eq.(5): frozen node did not return to waiting");
+      report(round, "Eq.(5): frozen node did not return to waiting");
     }
     // Eq. (7): u in W_t  =>  u not in B_{t-1}.
     if (test_bit(c.waiting, u) && test_bit(p.beeping, u)) {
-      report(view.round, "Eq.(7): waiting node was beeping last round");
+      report(round, "Eq.(7): waiting node was beeping last round");
     }
     // Eq. (8): u in B_t  =>  u in W_{t-1}.
     if (test_bit(c.beeping, u) && !test_bit(p.waiting, u)) {
-      report(view.round, "Eq.(8): beeping node was not waiting last round");
+      report(round, "Eq.(8): beeping node was not waiting last round");
     }
     // Eq. (9): u in F_t  =>  u in B_{t-1}.
     if (test_bit(c.frozen, u) && !test_bit(p.beeping, u)) {
-      report(view.round, "Eq.(9): frozen node was not beeping last round");
+      report(round, "Eq.(9): frozen node was not beeping last round");
     }
     // Eq. (11): u in B_follower_t => some neighbor beeped in t-1.
     if (test_bit(c.relay, u)) {
@@ -171,7 +209,7 @@ void invariant_checker::check_claim6(const beeping::round_view& view) {
         }
       }
       if (!neighbor_beeped) {
-        report(view.round,
+        report(round,
                "Eq.(11): relayed beep without a beeping neighbor");
       }
     }
@@ -183,12 +221,12 @@ void invariant_checker::check_claim6(const beeping::round_view& view) {
       // Eq. (6): u in B_{t-1}, v in W_{t-1}  =>  v in B_follower_t.
       if (test_bit(p.beeping, u) && test_bit(p.waiting, v) &&
           !test_bit(c.relay, v)) {
-        report(view.round, "Eq.(6): waiting neighbor of a beeper did not beep");
+        report(round, "Eq.(6): waiting neighbor of a beeper did not beep");
       }
       // Eq. (10): u in F_t, v in W_t  =>  v in F_{t-1}.
       if (test_bit(c.frozen, u) && test_bit(c.waiting, v) &&
           !test_bit(p.frozen, v)) {
-        report(view.round, "Eq.(10): F/W edge without frozen predecessor");
+        report(round, "Eq.(10): F/W edge without frozen predecessor");
       }
     }
   }

@@ -28,9 +28,16 @@
 // a checker-owned graph::heard_gather (a stencil on tagged grids). Only
 // a round where some identity fails re-runs the node-ordered scan, so
 // the violation text, order and count are those of the scan.
+//
+// Every round-0 view - the attach, or engine::restart_from_protocol -
+// starts a new run: the previous round's class masks, the leader count
+// and the Lemma 12 obligations are dropped, so a restart is never
+// compared with the configuration it replaced. check_pair is the entry
+// for confronting two given configurations directly.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,6 +75,16 @@ class invariant_checker final : public beeping::observer {
 
   void on_round(const beeping::round_view& view) override;
 
+  /// Claim 6 on one pair of configurations of the graph: `before` at
+  /// round - 1 and `after` at `round`, reported like a live round's
+  /// violations (same text, order and count). Shares the class-mask
+  /// scratch with on_round, so call it on a checker that is not watching
+  /// a run; the next on_round starts without a previous round. Throws
+  /// std::invalid_argument unless both hold one state per node.
+  void check_pair(std::span<const beeping::state_id> before,
+                  std::span<const beeping::state_id> after,
+                  std::uint64_t round);
+
   [[nodiscard]] bool ok() const noexcept { return violations_.empty(); }
   [[nodiscard]] const std::vector<std::string>& violations() const noexcept {
     return violations_;
@@ -88,7 +105,7 @@ class invariant_checker final : public beeping::observer {
 
   void load_classes(const beeping::round_view& view);
   [[nodiscard]] bool claim6_identities_hold();
-  void check_claim6(const beeping::round_view& view);
+  void check_claim6(std::uint64_t round);
   void check_leader_floor(const beeping::round_view& view);
   void check_ohms_law(const beeping::round_view& view);
   void check_lemma11(const beeping::round_view& view);

@@ -333,6 +333,11 @@ void record_writer::write_record(const support::json& record) {
   write_line(record);
 }
 
+void record_writer::write_raw_line(std::string_view line) {
+  line_.assign(line);
+  enqueue_line();
+}
+
 void record_writer::flush() {
   // Synchronous barrier: every record enqueued so far is written to
   // the stream and the stream is flushed before this returns, so a

@@ -34,6 +34,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -91,6 +92,7 @@ struct trial_exec {
 /// stalls trial aggregation at high trials/sec. Trial records are
 /// formatted directly (std::to_chars and json::append_string), with
 /// the bytes and key order a dumped support::json object would have;
+/// giant checkpoint chunks arrive already formatted (write_raw_line);
 /// the other record types go through support::json. The writer thread
 /// is woken once per ~64 KiB of queued lines, or by flush() and
 /// close(), so a record costs no wake-up. Error semantics are
@@ -132,6 +134,10 @@ class record_writer {
   /// giant-trial checkpoint journal, whose record types live in
   /// core/giant.cpp rather than here).
   void write_record(const support::json& record);
+  /// Streams one already-serialized record (a single JSON line, no
+  /// newline) through the same queue: for producers that format their
+  /// own lines, like the giant checkpoint's chunk records.
+  void write_raw_line(std::string_view line);
   /// Drains the queue (synchronous barrier) and flushes the stream.
   void flush();
 

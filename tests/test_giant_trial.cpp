@@ -10,6 +10,8 @@
 #include <bit>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -131,6 +133,46 @@ TEST(Codec, VarintCursorsRoundTrip) {
   ASSERT_TRUE(count.has_value());
   EXPECT_EQ(*count, cursors.size());
   EXPECT_EQ(out, cursors);
+}
+
+TEST(Codec, ChunkDigestIsPinnedAndSeesEverySingleWordEdit) {
+  // The journal stores these values, so a change to the step, the seed
+  // or the cursor packing is a format change: these pins must move with
+  // the format_version.
+  const std::vector<std::uint64_t> words = {0, ~0ULL, 0x0123456789abcdefULL,
+                                            1ULL << 63, 42};
+  const std::vector<std::uint32_t> cursors = {0, 1, 127, 128, 300,
+                                              0xFFFFFFFFU, 5};
+  const auto word_digest = [](const std::vector<std::uint64_t>& v) {
+    return codec::chunk_digest(std::span<const std::uint64_t>(v));
+  };
+  const auto cursor_digest = [](const std::vector<std::uint32_t>& v) {
+    return codec::chunk_digest(std::span<const std::uint32_t>(v));
+  };
+  EXPECT_EQ(word_digest(words), 0x787bd8647ac88d9eULL);
+  EXPECT_EQ(cursor_digest(cursors), 0x02d5f19c065d7f37ULL);
+
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    for (const std::uint64_t flip : {1ULL, 1ULL << 31, 1ULL << 63,
+                                     0x5555555555555555ULL}) {
+      auto edited = words;
+      edited[i] ^= flip;
+      EXPECT_NE(word_digest(edited), word_digest(words))
+          << "word " << i << " flip " << flip;
+    }
+  }
+  for (std::size_t i = 0; i < cursors.size(); ++i) {
+    for (const std::uint32_t flip : {1U, 1U << 16, 1U << 31}) {
+      auto edited = cursors;
+      edited[i] ^= flip;
+      EXPECT_NE(cursor_digest(edited), cursor_digest(cursors))
+          << "cursor " << i << " flip " << flip;
+    }
+  }
+  // The count is digested too: a zero cursor that shares the last
+  // packed word, or a dropped trailing word, still shows.
+  EXPECT_NE(cursor_digest({7}), cursor_digest({7, 0}));
+  EXPECT_NE(word_digest({9, 0}), word_digest({9}));
 }
 
 TEST(Codec, Fnv1aIsOrderSensitive) {
@@ -490,24 +532,68 @@ TEST(GiantTrial, ResumeRejectsWrongTrialAndCorruptJournal) {
   EXPECT_THROW((void)core::run_giant_trial(view, machine, 10, resume),
                std::runtime_error);
 
-  // Flip one payload character: the FNV digest must catch it.
+  std::string pristine;
   {
     std::ifstream in(path);
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    const auto pos = contents.find("\"data\":\"");
+    pristine.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  // Rewrites the journal with one edit to the first `type` record and
+  // returns the resume's refusal.
+  const auto refusal_after = [&](const std::string& type, const auto& edit) {
+    std::string contents = pristine;
+    const auto line = contents.find(R"({"type":")" + type + '"');
+    EXPECT_NE(line, std::string::npos) << type;
+    if (line == std::string::npos) return std::string("(no record)");
+    edit(contents, line);
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << contents;
+    }
+    try {
+      (void)core::run_giant_trial(view, machine, 9, resume);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no refusal)");
+  };
+  const auto flip_payload = [](std::string& contents, std::size_t line) {
+    const auto pos = contents.find("\"data\":\"", line);
     ASSERT_NE(pos, std::string::npos);
     char& c = contents[pos + 9];
     c = c == 'A' ? 'B' : 'A';
+  };
+  const auto bump_digest = [](std::string& contents, std::size_t line) {
+    // The last digit, so the edited value still fits in 64 bits.
+    const auto pos = contents.find(",\"data\":", line);
+    ASSERT_NE(pos, std::string::npos);
+    char& c = contents[pos - 1];
+    c = c == '0' ? '1' : '0';
+  };
+  // One flipped payload character, in a word chunk and in a cursor
+  // chunk, or one edited chunk digest: each is caught at its chunk,
+  // and the refusal names the section and offset.
+  const std::string words_flip = refusal_after("ckpt_words", flip_payload);
+  EXPECT_NE(words_flip.find("plane0 at offset 0"), std::string::npos)
+      << words_flip;
+  const std::string cursors_flip =
+      refusal_after("ckpt_cursors", flip_payload);
+  EXPECT_NE(cursors_flip.find("cursors at offset 0"), std::string::npos)
+      << cursors_flip;
+  const std::string digest_edit = refusal_after("ckpt_words", bump_digest);
+  EXPECT_NE(digest_edit.find("digest mismatch in plane0 at offset 0"),
+            std::string::npos)
+      << digest_edit;
+  // The untouched journal still resumes.
+  {
     std::ofstream out(path, std::ios::trunc);
-    out << contents;
+    out << pristine;
   }
-  EXPECT_THROW((void)core::run_giant_trial(view, machine, 9, resume),
-               std::runtime_error);
+  EXPECT_NO_THROW((void)core::run_giant_trial(view, machine, 9, resume));
 
-  // A hand-written version-1 header (that format carried beep-count
-  // sections), or one with no version, is refused by name before any
-  // chunk is read.
+  // A hand-written version-1 or version-2 header (1 carried beep-count
+  // sections, 2 had no per-chunk digests), or one with no version, is
+  // refused by name before any chunk is read.
   const auto refusal = [&](const std::string& header) {
     {
       std::ofstream out(path, std::ios::trunc);
@@ -526,10 +612,13 @@ TEST(GiantTrial, ResumeRejectsWrongTrialAndCorruptJournal) {
                              R"(,"seed":9,"machine":"BFW")";
   const std::string v1 = refusal(header + R"(,"format_version":1})");
   EXPECT_NE(v1.find("format_version 1"), std::string::npos) << v1;
-  EXPECT_NE(v1.find("version 2"), std::string::npos) << v1;
+  EXPECT_NE(v1.find("version 3"), std::string::npos) << v1;
+  const std::string v2 = refusal(header + R"(,"format_version":2})");
+  EXPECT_NE(v2.find("format_version 2"), std::string::npos) << v2;
+  EXPECT_NE(v2.find("version 3"), std::string::npos) << v2;
   const std::string unversioned = refusal(header + "}");
   EXPECT_NE(unversioned.find("(missing)"), std::string::npos) << unversioned;
-  EXPECT_NE(unversioned.find("version 2"), std::string::npos) << unversioned;
+  EXPECT_NE(unversioned.find("version 3"), std::string::npos) << unversioned;
 
   // Missing journal.
   std::remove(path.c_str());
@@ -654,6 +743,68 @@ TEST(GiantTrial, KillAndResumeAcrossThreadCounts) {
     EXPECT_EQ(resumed.draws, straight.draws) << c.name;
     std::remove(path.c_str());
   }
+}
+
+TEST(GiantTrial, JournalBytesDoNotDependOnThreadCount) {
+  // grid:1500x1500 holds 35,157 words per section (two word chunks of
+  // 32,768) and 2.25M cursors (35 chunks of 65,536), so every section
+  // spans several chunks and a 4-thread batch is full.
+  const auto view = topology_view::implicit({topology::kind::grid, 1500, 1500});
+  const core::bfw_machine machine(0.5);
+  const auto read_all = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const auto count_of = [](const std::string& text, const std::string& what) {
+    std::size_t count = 0;
+    for (auto pos = text.find(what); pos != std::string::npos;
+         pos = text.find(what, pos + 1)) {
+      ++count;
+    }
+    return count;
+  };
+
+  std::vector<std::string> journals;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}}) {
+    const std::string path =
+        temp_path("bytes_t" + std::to_string(threads) + ".jsonl");
+    std::remove(path.c_str());
+    core::giant_options options;
+    options.checkpoint_path = path;
+    options.stop_after_round = 3;
+    options.threads = threads;
+    const auto run = core::run_giant_trial(view, machine, 5, options);
+    ASSERT_TRUE(run.stopped_early) << threads;
+    ASSERT_EQ(run.checkpoints_written, 1U) << threads;
+    journals.push_back(read_all(path));
+    if (threads != 2) std::remove(path.c_str());
+  }
+  ASSERT_EQ(count_of(journals[0], R"("section":"beep")"), 2U);
+  ASSERT_EQ(count_of(journals[0], R"("type":"ckpt_cursors")"), 35U);
+  for (std::size_t i = 1; i < journals.size(); ++i) {
+    EXPECT_EQ(journals[i].size(), journals[0].size()) << i;
+    EXPECT_TRUE(journals[i] == journals[0]) << "journal " << i << " differs";
+  }
+
+  // The 2-thread journal resumes to round 6 on the straight trajectory.
+  const std::string path = temp_path("bytes_t2.jsonl");
+  core::giant_options resume;
+  resume.checkpoint_path = path;
+  resume.resume = true;
+  resume.stop_after_round = 6;
+  resume.threads = 4;
+  const auto resumed = core::run_giant_trial(view, machine, 5, resume);
+  core::giant_options straight_options;
+  straight_options.stop_after_round = 6;
+  const auto straight =
+      core::run_giant_trial(view, machine, 5, straight_options);
+  EXPECT_EQ(resumed.start_round, 3U);
+  EXPECT_EQ(resumed.rounds, straight.rounds);
+  EXPECT_EQ(resumed.leaders, straight.leaders);
+  EXPECT_EQ(resumed.draws, straight.draws);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -84,6 +84,29 @@ TEST(InvariantCheckerTest, CleanRunsWithBiasedP) {
     sim.step();
     EXPECT_EQ(late.rounds_checked(), 0U);
   }
+
+  // A restart is a new run: the checker must not confront its round-0
+  // configuration with the one it replaced, nor carry the leader count
+  // or Lemma 12 obligations across. path(24), 200 rounds, then a
+  // restart from the all-leaders start, every check on.
+  const auto path = graph::make_path(24);
+  const bfw_machine machine(0.5);
+  beeping::fsm_protocol proto(machine);
+  beeping::engine sim(path, proto, 31);
+  invariant_options options;
+  options.check_lemma11 = true;
+  options.check_lemma12 = true;
+  invariant_checker checker(path, proto, options);
+  sim.add_observer(&checker);
+  sim.run_rounds(200);
+  ASSERT_TRUE(checker.ok()) << checker.violations().front();
+  ASSERT_LT(sim.leader_count(), 24U);
+  proto.set_states(std::vector<state_id>(24, WL));
+  sim.restart_from_protocol();
+  sim.run_rounds(50);
+  EXPECT_EQ(checker.violations().size(), 0U)
+      << (checker.ok() ? "" : checker.violations().front());
+  EXPECT_EQ(checker.rounds_checked(), 252U);
 }
 
 // --- Failure injection ----------------------------------------------------
@@ -224,9 +247,8 @@ TEST(InvariantCheckerTest, ViolationListIsBounded) {
 }
 
 // Claim 6 injections: one case per equation. The checker is handed an
-// exact pair of consecutive configurations (attach sees `before`, the
-// restart's round-0 notification sees `after`), and must report
-// exactly the scan's messages, in order. Corrupting one equation
+// exact pair of consecutive configurations through check_pair, and
+// must report exactly the scan's messages, in order. Corrupting one equation
 // usually breaks a companion too (a W -> F step violates both (3) and
 // (9)); the expected lists name every message.
 struct claim6_case {
@@ -279,17 +301,11 @@ TEST_P(Claim6InjectionTest, ReportsExactViolations) {
   const auto g = c.make();
   const bfw_machine machine(0.5);
   beeping::fsm_protocol proto(machine);
-  beeping::engine sim(g, proto, 5);
 
   invariant_options options;
-  options.check_leader_floor = false;  // some configs are leaderless
-  options.check_ohms_law = false;      // isolate Claim 6
+  options.check_ohms_law = false;  // isolate Claim 6
   invariant_checker checker(g, proto, options);
-  proto.set_states(c.before);
-  sim.restart_from_protocol();
-  sim.add_observer(&checker);
-  proto.set_states(c.after);
-  sim.restart_from_protocol();
+  checker.check_pair(c.before, c.after, 0);
 
   EXPECT_EQ(checker.violations(), c.expected);
 }
@@ -382,16 +398,10 @@ TEST(InvariantInjectionTest, Claim6MatchesScan) {
             static_cast<state_id>(rng.uniform_below(bfw_state_count));
       }
       beeping::fsm_protocol proto(machine);
-      beeping::engine sim(g, proto, 5);
       invariant_options options;
-      options.check_leader_floor = false;
       options.check_ohms_law = false;
       invariant_checker checker(g, proto, options);
-      proto.set_states(before);
-      sim.restart_from_protocol();
-      sim.add_observer(&checker);
-      proto.set_states(after);
-      sim.restart_from_protocol();
+      checker.check_pair(before, after, 0);
       const auto expected = claim6_reference_scan(g, before, after);
       ASSERT_EQ(checker.violations(), expected)
           << g.name() << " trial " << trial;
