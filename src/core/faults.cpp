@@ -1,6 +1,8 @@
 #include "core/faults.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -41,14 +43,24 @@ fault_event::kind kind_from_name(const std::string& name) {
   plan_error("JSON: unknown event kind \"" + name + "\"");
 }
 
-std::uint64_t require_u64(const support::json& doc, const char* key,
-                          const char* kind) {
+constexpr std::uint64_t kMaxNode = std::numeric_limits<node_id>::max();
+constexpr std::uint64_t kMaxState = std::numeric_limits<state_id>::max();
+
+/// The integer field `key` through json::as_uint, the strict read of
+/// the shard and journal readers: at most `max`, or `fallback` when
+/// absent. Anything else is an error; nothing is narrowed silently.
+std::uint64_t plan_u64(const support::json& doc, const char* key,
+                       const std::string& where, std::uint64_t max = UINT64_MAX,
+                       std::optional<std::uint64_t> fallback = std::nullopt) {
   const support::json* value = doc.find(key);
-  if (value == nullptr || !value->is_number()) {
-    plan_error(std::string("JSON: ") + kind + " event needs a numeric \"" +
-               key + "\"");
+  if (value == nullptr && fallback.has_value()) return *fallback;
+  const std::optional<std::uint64_t> number =
+      value != nullptr ? value->as_uint() : std::nullopt;
+  if (!number || *number > max) {
+    plan_error("JSON: " + where + " needs \"" + key +
+               "\" as an integer in [0, " + std::to_string(max) + "]");
   }
-  return value->as_u64();
+  return *number;
 }
 
 }  // namespace
@@ -255,17 +267,14 @@ support::json fault_plan::to_json() const {
 
 fault_plan fault_plan::from_json(const support::json& doc) {
   if (!doc.is_object()) plan_error("JSON: document is not an object");
-  if (const support::json* v = doc.find("version");
-      v != nullptr && v->as_u64() != 1) {
+  if (plan_u64(doc, "version", "plan", UINT64_MAX, 1) != 1) {
     plan_error("JSON: unsupported version");
   }
   fault_plan plan;
   if (const support::json* n = doc.find("name"); n != nullptr) {
     plan.name = n->as_string();
   }
-  if (const support::json* s = doc.find("fault_seed"); s != nullptr) {
-    plan.fault_seed = s->as_u64();
-  }
+  plan.fault_seed = plan_u64(doc, "fault_seed", "plan", UINT64_MAX, 0);
   const support::json* events = doc.find("events");
   if (events == nullptr || !events->is_array()) {
     plan_error("JSON: missing \"events\" array");
@@ -278,37 +287,31 @@ fault_plan fault_plan::from_json(const support::json& doc) {
     }
     fault_event e;
     e.type = kind_from_name(kind->as_string());
-    const char* k = kind_name(e.type);
-    e.round = require_u64(entry, "round", k);
+    const std::string k = std::string(kind_name(e.type)) + " event";
+    e.round = plan_u64(entry, "round", k);
     switch (e.type) {
       case fault_event::kind::crash:
       case fault_event::kind::restart:
-        e.node = static_cast<node_id>(require_u64(entry, "node", k));
-        if (const support::json* s = entry.find("state"); s != nullptr) {
+        e.node = static_cast<node_id>(plan_u64(entry, "node", k, kMaxNode));
+        if (entry.find("state") != nullptr) {
           e.has_state = true;
-          e.state = static_cast<state_id>(s->as_u64());
+          e.state =
+              static_cast<state_id>(plan_u64(entry, "state", k, kMaxState));
         }
         break;
       case fault_event::kind::edge_add:
       case fault_event::kind::edge_remove:
-        e.node = static_cast<node_id>(require_u64(entry, "node", k));
-        e.peer = static_cast<node_id>(require_u64(entry, "peer", k));
+        e.node = static_cast<node_id>(plan_u64(entry, "node", k, kMaxNode));
+        e.peer = static_cast<node_id>(plan_u64(entry, "peer", k, kMaxNode));
         break;
       case fault_event::kind::churn:
-        e.count = require_u64(entry, "count", k);
-        if (const support::json* p = entry.find("period"); p != nullptr) {
-          e.period = p->as_u64();
-        }
-        e.until = e.round;
-        if (const support::json* u = entry.find("until"); u != nullptr) {
-          e.until = u->as_u64();
-        }
+        e.count = plan_u64(entry, "count", k);
+        e.period = plan_u64(entry, "period", k, UINT64_MAX, 0);
+        e.until = plan_u64(entry, "until", k, UINT64_MAX, e.round);
         break;
       case fault_event::kind::burst:
-        e.count = require_u64(entry, "count", k);
-        if (const support::json* d = entry.find("down"); d != nullptr) {
-          e.down = d->as_u64();
-        }
+        e.count = plan_u64(entry, "count", k);
+        e.down = plan_u64(entry, "down", k, UINT64_MAX, 0);
         break;
       case fault_event::kind::inject: {
         const support::json* states = entry.find("states");
@@ -317,13 +320,17 @@ fault_plan fault_plan::from_json(const support::json& doc) {
         }
         e.states.reserve(states->as_array().size());
         for (const support::json& s : states->as_array()) {
-          if (!s.is_number()) plan_error("JSON: non-numeric injected state");
-          e.states.push_back(static_cast<state_id>(s.as_u64()));
+          const std::optional<std::uint64_t> state = s.as_uint();
+          if (!state || *state > kMaxState) {
+            plan_error("JSON: injected state must be an integer in [0, " +
+                       std::to_string(kMaxState) + "]");
+          }
+          e.states.push_back(static_cast<state_id>(*state));
         }
         break;
       }
       case fault_event::kind::corrupt:
-        e.count = require_u64(entry, "count", k);
+        e.count = plan_u64(entry, "count", k);
         break;
     }
     plan.events.push_back(std::move(e));

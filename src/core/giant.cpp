@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstddef>
-#include <fstream>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -192,68 +191,48 @@ struct ckpt_meta {
   std::uint64_t digest = 0;
 };
 
-std::uint64_t require_u64(const json& record, const char* key,
-                          const char* what) {
-  const json* field = record.find(key);
-  if (field == nullptr || !field->is_number()) {
-    throw std::runtime_error(std::string("giant: journal record missing '") +
-                             key + "' (" + what + ")");
-  }
-  return field->as_u64();
-}
-
 /// Pass 1: finds the newest checkpoint whose ckpt_end made it to disk,
 /// verifying the journal belongs to this (topology, n, seed) trial.
 ckpt_meta scan_journal(const std::string& path,
                        const graph::topology_view& view, std::uint64_t seed) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    throw std::runtime_error("giant: cannot open checkpoint journal " + path);
-  }
+  sweep::record_reader journal(path);
   bool header_seen = false;
   bool have_begin = false;
   bool have_best = false;
   ckpt_meta begin;
   ckpt_meta best;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto record = json::parse(line);
-    if (!record.has_value()) continue;  // torn tail of a killed writer
-    const std::string type =
-        record->find("type") != nullptr ? record->find("type")->as_string()
-                                        : std::string{};
+  while (journal.next()) {
+    const std::string& type = journal.type();
     if (type == "giant_header") {
       header_seen = true;
-      const json* version = record->find("format_version");
-      const bool numeric = version != nullptr && version->is_number();
-      if (!numeric || version->as_u64() != kFormatVersion) {
+      const json* version = journal.record().find("format_version");
+      if (version == nullptr || version->as_uint() != kFormatVersion) {
         throw std::runtime_error(
             "giant: journal format_version " +
-            (numeric ? std::to_string(version->as_u64()) : "(missing)") +
+            (version != nullptr ? version->dump() : "(missing)") +
             " is not this build's version " + std::to_string(kFormatVersion));
       }
-      if (require_u64(*record, "n", "header") != view.node_count() ||
-          require_u64(*record, "seed", "header") != seed) {
+      if (journal.u64("n") != view.node_count() ||
+          journal.u64("seed") != seed) {
         throw std::runtime_error(
             "giant: journal belongs to a different trial (n/seed mismatch)");
       }
-      const json* topo = record->find("topology");
+      const json* topo = journal.record().find("topology");
       if (topo != nullptr && topo->as_string() != view.name()) {
         throw std::runtime_error(
             "giant: journal belongs to a different topology (" +
             topo->as_string() + " vs " + view.name() + ")");
       }
     } else if (type == "ckpt_begin") {
-      begin.seq = require_u64(*record, "seq", "ckpt_begin");
-      begin.round = require_u64(*record, "round", "ckpt_begin");
-      begin.leaders = require_u64(*record, "leaders", "ckpt_begin");
+      begin.seq = journal.u64("seq");
+      begin.round = journal.u64("round");
+      begin.leaders = journal.u64("leaders");
       have_begin = true;
     } else if (type == "ckpt_end" && have_begin) {
-      if (require_u64(*record, "seq", "ckpt_end") != begin.seq) continue;
-      begin.words = require_u64(*record, "words", "ckpt_end");
-      begin.cursors = require_u64(*record, "cursors", "ckpt_end");
-      begin.digest = require_u64(*record, "digest", "ckpt_end");
+      if (journal.u64("seq") != begin.seq) continue;
+      begin.words = journal.u64("words");
+      begin.cursors = journal.u64("cursors");
+      begin.digest = journal.u64("digest");
       best = begin;
       have_best = true;
       have_begin = false;
@@ -279,42 +258,25 @@ void restore_checkpoint(const std::string& path, const ckpt_meta& target,
   std::vector<section_ref> sections = snapshot_sections(state);
   const auto cursor_span = sim.rng_streams().cursors_mutable();
 
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    throw std::runtime_error("giant: cannot reopen checkpoint journal");
-  }
+  sweep::record_reader journal(path);
   codec::fnv1a hash;
   hash.update_u64(target.round);
   hash.update_u64(target.leaders);
   hash.update_u64(state.plane_count);
   std::uint64_t words_restored = 0;
   std::uint64_t cursors_restored = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto record = json::parse(line);
-    if (!record.has_value()) continue;
-    const json* type = record->find("type");
-    if (type == nullptr) continue;
-    const std::string kind = type->as_string();
+  while (journal.next()) {
+    const std::string& kind = journal.type();
     if (kind != "ckpt_words" && kind != "ckpt_cursors") continue;
-    if (require_u64(*record, "seq", "chunk") != target.seq) continue;
-    const std::uint64_t offset = require_u64(*record, "offset", "chunk");
-    const std::uint64_t digest = require_u64(*record, "digest", "chunk");
-    const json* data = record->find("data");
-    if (data == nullptr || !data->is_string()) {
-      throw std::runtime_error("giant: checkpoint chunk without data");
-    }
-    const std::string payload = data->as_string();
+    if (journal.u64("seq") != target.seq) continue;
+    const std::uint64_t offset = journal.u64("offset");
+    const std::uint64_t digest = journal.u64("digest");
+    const std::string payload = journal.string("data");
     std::string where;
     std::optional<std::size_t> count;
     std::uint64_t actual = 0;
     if (kind == "ckpt_words") {
-      const json* name = record->find("section");
-      if (name == nullptr) {
-        throw std::runtime_error("giant: ckpt_words without section");
-      }
-      const std::string section_name = name->as_string();
+      const std::string section_name = journal.string("section");
       const auto it = std::find_if(
           sections.begin(), sections.end(),
           [&](const section_ref& s) { return s.name == section_name; });

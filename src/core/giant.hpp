@@ -32,15 +32,18 @@
 // function of its chunk alone, so the journal's bytes do not depend on
 // the thread count.
 //
-// A resume refuses a journal whose header carries another
-// format_version. A checkpoint is adoptable iff its ckpt_end is present,
-// every chunk's digest matches the words or cursors it decodes to (a
-// mismatch names the section and offset), and the folded digest
-// verifies - a torn tail from a kill mid-checkpoint is skipped in
-// favor of the previous complete snapshot. Resume restores the exact
-// generator cursors, so the continued run is bit-identical
-// draw-for-draw to the uninterrupted one (tests/test_giant_trial.cpp
-// pins outcome, round and total draw count).
+// A resume reads the journal twice through sweep::record_reader, the
+// reader of shard files: a torn line is skipped wherever a kill left
+// it, a malformed field is refused with its path:line, and so is a
+// header with another format_version. A checkpoint is adoptable iff
+// its ckpt_end is present, every chunk's digest matches the words or
+// cursors it decodes to (a mismatch names the section and offset),
+// and the folded digest verifies - a torn tail from a kill
+// mid-checkpoint is skipped in favor of the previous complete
+// snapshot. Resume restores the exact generator cursors, so the
+// continued run is bit-identical draw-for-draw to the uninterrupted
+// one (tests/test_giant_trial.cpp pins outcome, round and total draw
+// count).
 #pragma once
 
 #include <cstdint>

@@ -287,6 +287,11 @@ std::uint64_t json::as_u64(std::uint64_t fallback) const noexcept {
   return fallback;
 }
 
+std::optional<std::uint64_t> json::as_uint() const noexcept {
+  if (const auto* u = std::get_if<std::uint64_t>(&value_)) return *u;
+  return std::nullopt;
+}
+
 std::int64_t json::as_i64(std::int64_t fallback) const noexcept {
   if (const auto* i = std::get_if<std::int64_t>(&value_)) return *i;
   if (const auto* u = std::get_if<std::uint64_t>(&value_)) {

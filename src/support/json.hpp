@@ -54,6 +54,9 @@ class json {
   [[nodiscard]] std::int64_t as_i64(std::int64_t fallback = 0) const noexcept;
   [[nodiscard]] double as_double(double fallback = 0.0) const noexcept;
   [[nodiscard]] std::string as_string(std::string fallback = {}) const;
+  /// Strict read for untrusted input: a non-negative integer literal
+  /// that fits 64 bits, else nullopt (as_u64 would fall back to 0).
+  [[nodiscard]] std::optional<std::uint64_t> as_uint() const noexcept;
 
   /// Empty when the value is not an array/object.
   [[nodiscard]] const array& as_array() const noexcept;

@@ -16,54 +16,6 @@ namespace {
 
 using support::json;
 
-[[noreturn]] void fail(const std::string& path, std::size_t line,
-                       const std::string& message) {
-  throw std::runtime_error(path + ":" + std::to_string(line) + ": " +
-                           message);
-}
-
-/// Required-field extraction for the strict (merge) reader.
-std::uint64_t require_u64(const json& record, const char* key,
-                          const std::string& path, std::size_t line) {
-  const json* field = record.find(key);
-  if (!field || !field->is_number()) {
-    fail(path, line, std::string("missing numeric field '") + key + "'");
-  }
-  return field->as_u64();
-}
-
-bool require_bool(const json& record, const char* key,
-                  const std::string& path, std::size_t line) {
-  const json* field = record.find(key);
-  if (!field || !field->is_bool()) {
-    fail(path, line, std::string("missing boolean field '") + key + "'");
-  }
-  return field->as_bool();
-}
-
-std::string require_string(const json& record, const char* key,
-                           const std::string& path, std::size_t line) {
-  const json* field = record.find(key);
-  if (!field || !field->is_string()) {
-    fail(path, line, std::string("missing string field '") + key + "'");
-  }
-  return field->as_string();
-}
-
-trial_record parse_trial(const json& record, const std::string& path,
-                         std::size_t line) {
-  trial_record trial;
-  trial.cell = require_u64(record, "cell", path, line);
-  trial.trial = require_u64(record, "trial", path, line);
-  trial.global = require_u64(record, "global", path, line);
-  trial.seed = require_u64(record, "seed", path, line);
-  trial.rounds = require_u64(record, "rounds", path, line);
-  trial.converged = require_bool(record, "converged", path, line);
-  trial.coins = require_u64(record, "coins", path, line);
-  trial.leader = require_u64(record, "leader", path, line);
-  return trial;
-}
-
 json summary_to_json(const support::summary& s) {
   return json(json::object{
       {"count", json(static_cast<std::uint64_t>(s.count))},
@@ -279,9 +231,9 @@ void record_writer::write_trial(const trial_record& trial,
 void record_writer::write_trial(const trial_record& trial,
                                 const cell_record& meta,
                                 const trial_exec& exec) {
-  // The audit fields ride along as extra keys: parse_trial and the
-  // merge/resume readers extract fields by name and ignore the rest,
-  // so files with and without them mix freely.
+  // The audit fields ride along as extra keys: the shard parser
+  // extracts fields by name and ignores the rest, so files with and
+  // without them mix freely.
   line_.clear();
   append_trial_fields(line_, trial, meta);
   line_ += R"(,"gather_kernel":)";
@@ -357,198 +309,147 @@ bool record_writer::close() {
   return ok_.load(std::memory_order_acquire);
 }
 
-shard_file read_shard_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    throw std::runtime_error(path + ": cannot open");
-  }
-  shard_file file;
-  std::string line;
-  std::size_t line_number = 0;
-  bool saw_header = false;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    const auto record = json::parse(line);
-    if (!record || !record->is_object()) {
-      // A torn line from a crashed writer is legitimate in a resumed
-      // shard file. Every complete record is self-contained JSON, so
-      // skipping the fragment is safe: a torn *trial* leaves its unit
-      // unrecorded, and the merge's completeness check reports it if
-      // no resumed run re-executed the unit.
-      ++file.torn_lines;
-      continue;
-    }
-    const std::string type = record->find("type")
-                                 ? record->find("type")->as_string()
-                                 : std::string();
-    if (type == "sweep") {
-      if (saw_header) fail(path, line_number, "duplicate sweep header");
-      saw_header = true;
-      file.sweep_name = require_string(*record, "name", path, line_number);
-      file.shard.index = require_u64(*record, "shard_index", path,
-                                     line_number);
-      file.shard.count = require_u64(*record, "shard_count", path,
-                                     line_number);
-      file.total_units = require_u64(*record, "total_units", path,
-                                     line_number);
-    } else if (type == "cell") {
-      cell_record cell;
-      cell.cell = require_u64(*record, "cell", path, line_number);
-      cell.algorithm = require_string(*record, "algorithm", path,
-                                      line_number);
-      cell.graph = require_string(*record, "graph", path, line_number);
-      cell.n = require_u64(*record, "n", path, line_number);
-      cell.diameter = static_cast<std::uint32_t>(
-          require_u64(*record, "diameter", path, line_number));
-      cell.trials = require_u64(*record, "trials", path, line_number);
-      cell.seed = require_u64(*record, "seed", path, line_number);
-      cell.max_rounds = require_u64(*record, "max_rounds", path,
-                                    line_number);
-      if (cell.cell != file.cells.size()) {
-        fail(path, line_number, "out-of-order cell record");
-      }
-      file.cells.push_back(std::move(cell));
-    } else if (type == "trial") {
-      file.trials.push_back(parse_trial(*record, path, line_number));
-    } else if (type == "done") {
-      file.done = true;
-    } else if (type == "checkpoint" || type == "cell_summary") {
-      // Progress/diagnostic records; the merge recomputes aggregates
-      // from the trial records themselves.
-    } else {
-      fail(path, line_number, "unknown record type '" + type + "'");
-    }
-  }
-  if (!saw_header) {
-    throw std::runtime_error(path + ": not a sweep shard file (no header)");
-  }
-  return file;
+record_reader::record_reader(const std::string& path)
+    : path_(path), in_(path) {
+  if (!in_.is_open()) throw std::runtime_error(path + ": cannot open");
 }
 
-std::map<std::uint64_t, trial_record> scan_trials(const std::string& path) {
-  std::map<std::uint64_t, trial_record> trials;
-  std::ifstream in(path);
-  if (!in.is_open()) return trials;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto record = json::parse(line);
-    // A torn line (mid-write crash) parses as garbage; skip it. Only
-    // complete, well-formed trial records count as done work.
-    if (!record || !record->is_object()) continue;
-    const json* type = record->find("type");
-    if (!type || type->as_string() != "trial") continue;
-    const json* global = record->find("global");
-    if (!global || !global->is_number()) continue;
-    try {
-      trials[global->as_u64()] = parse_trial(*record, path, 0);
-    } catch (const std::runtime_error&) {
-      continue;  // incomplete trial record - treat as not done
+bool record_reader::next() {
+  while (std::getline(in_, line_)) {
+    ++line_number_;
+    if (line_.empty()) continue;
+    record_ = json::parse(line_);
+    if (!record_ || !record_->is_object()) {
+      ++torn_lines_;
+      continue;
     }
+    const json* type = record_->find("type");
+    type_ = type != nullptr ? type->as_string() : std::string();
+    return true;
   }
-  return trials;
+  return false;
+}
+
+void record_reader::fail(const std::string& message) const {
+  throw std::runtime_error(path_ + ":" + std::to_string(line_number_) +
+                           ": " + message);
+}
+
+const json& record_reader::field(const char* key) const {
+  const json* value = record_->find(key);
+  if (value == nullptr) fail(std::string("missing field '") + key + "'");
+  return *value;
+}
+
+void record_reader::mistyped(const char* key, const char* what) const {
+  fail(std::string("field '") + key + "' is not " + what);
+}
+
+std::uint64_t record_reader::u64(const char* key, std::uint64_t max) const {
+  const std::optional<std::uint64_t> value = field(key).as_uint();
+  if (!value || *value > max) mistyped(key, "a non-negative integer in range");
+  return *value;
+}
+
+bool record_reader::boolean(const char* key) const {
+  const json& value = field(key);
+  if (!value.is_bool()) mistyped(key, "a boolean");
+  return value.as_bool();
+}
+
+std::string record_reader::string(const char* key) const {
+  const json& value = field(key);
+  if (!value.is_string()) mistyped(key, "a string");
+  return value.as_string();
 }
 
 namespace {
 
-/// One-record-at-a-time shard reader for the two-pass streaming merge:
-/// the strict reader's validation, but the trial list is never
-/// materialized. The constructor consumes the preamble (header + cell
-/// records); peek()/advance() then stream the trial records.
+[[noreturn]] void not_a_shard_file(const std::string& path) {
+  throw std::runtime_error(path + ": not a sweep shard file (no header)");
+}
+
+/// The shard parser: the shard schema over a record_reader. The
+/// constructor reads the preamble (header and cell block); peek() and
+/// advance() then stream the trial records one at a time, so the merge
+/// never holds a file's trial list. The header must be the file's first
+/// record, the cell block must precede every trial, and every trial
+/// must name a cell and trial index that block declares.
 class shard_cursor {
  public:
-  explicit shard_cursor(const std::string& path) : path_(path), in_(path) {
-    if (!in_.is_open()) {
-      throw std::runtime_error(path + ": cannot open");
-    }
-    while (!has_buffered_ && parse_one_line()) {
-    }
-    if (!saw_header_) {
-      throw std::runtime_error(path_ +
-                               ": not a sweep shard file (no header)");
-    }
+  explicit shard_cursor(const std::string& path) : reader_(path) {
+    (void)peek();
   }
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] const std::string& sweep_name() const noexcept {
-    return sweep_name_;
-  }
-  [[nodiscard]] const std::vector<cell_record>& cells() const noexcept {
-    return cells_;
-  }
+  /// False when the file holds no complete record at all.
+  [[nodiscard]] bool has_header() const noexcept { return saw_header_; }
+  /// Everything but the trials; done and torn_lines are final once
+  /// peek() has returned nullptr.
+  [[nodiscard]] shard_file& head() noexcept { return head_; }
 
   /// The next trial record, or nullptr when the file is exhausted.
   [[nodiscard]] const trial_record* peek() {
-    while (!has_buffered_ && parse_one_line()) {
-    }
+    while (!has_buffered_ && reader_.next()) parse_record();
+    head_.torn_lines = reader_.torn_lines();
     return has_buffered_ ? &buffered_ : nullptr;
   }
   void advance() noexcept { has_buffered_ = false; }
 
  private:
-  /// Consumes one line; returns false at EOF. Sets has_buffered_ when
-  /// the line was a trial record.
-  bool parse_one_line() {
-    std::string line;
-    if (!std::getline(in_, line)) return false;
-    ++line_number_;
-    if (line.empty()) return true;
-    const auto record = json::parse(line);
-    if (!record || !record->is_object()) {
-      return true;  // torn line from a crashed writer - skip
-    }
-    const std::string type = record->find("type")
-                                 ? record->find("type")->as_string()
-                                 : std::string();
+  void parse_record() {
+    const std::string& type = reader_.type();
     if (type == "sweep") {
-      if (saw_header_) fail(path_, line_number_, "duplicate sweep header");
+      if (saw_header_) reader_.fail("duplicate sweep header");
       saw_header_ = true;
-      sweep_name_ = require_string(*record, "name", path_, line_number_);
+      head_.sweep_name = reader_.string("name");
+      head_.shard.index = reader_.u64("shard_index");
+      head_.shard.count = reader_.u64("shard_count");
+      head_.total_units = reader_.u64("total_units");
+    } else if (!saw_header_) {
+      reader_.fail("'" + type + "' record before the sweep header");
     } else if (type == "cell") {
-      if (trials_started_) {
-        fail(path_, line_number_, "out-of-order cell record");
-      }
       cell_record cell;
-      cell.cell = require_u64(*record, "cell", path_, line_number_);
-      cell.algorithm =
-          require_string(*record, "algorithm", path_, line_number_);
-      cell.graph = require_string(*record, "graph", path_, line_number_);
-      cell.n = require_u64(*record, "n", path_, line_number_);
-      cell.diameter = static_cast<std::uint32_t>(
-          require_u64(*record, "diameter", path_, line_number_));
-      cell.trials = require_u64(*record, "trials", path_, line_number_);
-      cell.seed = require_u64(*record, "seed", path_, line_number_);
-      cell.max_rounds =
-          require_u64(*record, "max_rounds", path_, line_number_);
-      if (cell.cell != cells_.size()) {
-        fail(path_, line_number_, "out-of-order cell record");
+      cell.cell = reader_.u64("cell");
+      cell.algorithm = reader_.string("algorithm");
+      cell.graph = reader_.string("graph");
+      cell.n = reader_.u64("n");
+      cell.diameter =
+          static_cast<std::uint32_t>(reader_.u64("diameter", UINT32_MAX));
+      cell.trials = reader_.u64("trials");
+      cell.seed = reader_.u64("seed");
+      cell.max_rounds = reader_.u64("max_rounds");
+      if (trials_started_ || cell.cell != head_.cells.size()) {
+        reader_.fail("out-of-order cell record");
       }
-      cells_.push_back(std::move(cell));
+      head_.cells.push_back(std::move(cell));
     } else if (type == "trial") {
-      if (!saw_header_) {
-        fail(path_, line_number_, "trial record before the sweep header");
-      }
       trials_started_ = true;
-      buffered_ = parse_trial(*record, path_, line_number_);
+      buffered_.cell = reader_.u64("cell");
+      buffered_.trial = reader_.u64("trial");
+      buffered_.global = reader_.u64("global");
+      buffered_.seed = reader_.u64("seed");
+      buffered_.rounds = reader_.u64("rounds");
+      buffered_.converged = reader_.boolean("converged");
+      buffered_.coins = reader_.u64("coins");
+      buffered_.leader = reader_.u64("leader", UINT32_MAX);  // a node_id
+      if (buffered_.cell >= head_.cells.size() ||
+          buffered_.trial >= head_.cells[buffered_.cell].trials) {
+        reader_.fail("trial record outside the file's cell/trial bounds");
+      }
       has_buffered_ = true;
-    } else if (type == "done" || type == "checkpoint" ||
-               type == "cell_summary") {
-      // Progress/diagnostic records; the merge recomputes aggregates
-      // from the trial records themselves.
-    } else {
-      fail(path_, line_number_, "unknown record type '" + type + "'");
+    } else if (type == "done") {
+      head_.done = true;
+    } else if (type != "checkpoint" && type != "cell_summary") {
+      // Checkpoints and cell summaries are progress/diagnostic records;
+      // the merge recomputes aggregates from the trial records.
+      reader_.fail("unknown record type '" + type + "'");
     }
-    return true;
   }
 
-  std::string path_;
-  std::ifstream in_;
-  std::size_t line_number_ = 0;
+  record_reader reader_;
+  shard_file head_;
   bool saw_header_ = false;
   bool trials_started_ = false;
-  std::string sweep_name_;
-  std::vector<cell_record> cells_;
   trial_record buffered_{};
   bool has_buffered_ = false;
 };
@@ -579,6 +480,23 @@ struct trial_source {
 
 }  // namespace
 
+std::optional<shard_file> try_read_shard_file(const std::string& path) {
+  shard_cursor cursor(path);
+  if (!cursor.has_header()) return std::nullopt;
+  shard_file& file = cursor.head();
+  while (const trial_record* trial = cursor.peek()) {
+    file.trials.push_back(*trial);
+    cursor.advance();
+  }
+  return std::move(file);
+}
+
+shard_file read_shard_file(const std::string& path) {
+  std::optional<shard_file> file = try_read_shard_file(path);
+  if (!file) not_a_shard_file(path);
+  return std::move(*file);
+}
+
 // Two-pass streaming merge. Pass 1 streams every file once, checking
 // header/cell consistency and recording coverage in per-cell bitmaps
 // (one bit per unit - the only whole-sweep state, so a 10^8-unit merge
@@ -599,22 +517,24 @@ merge_result merge_shards(std::span<const std::string> paths) {
 
   for (std::size_t i = 0; i < paths.size(); ++i) {
     shard_cursor cursor(paths[i]);
+    if (!cursor.has_header()) not_a_shard_file(paths[i]);
+    const shard_file& head = cursor.head();
     if (i == 0) {
-      merged.sweep_name = cursor.sweep_name();
-      cells = cursor.cells();
+      merged.sweep_name = head.sweep_name;
+      cells = head.cells;
       seen.resize(cells.size());
       for (std::size_t c = 0; c < cells.size(); ++c) {
         seen[c].assign((cells[c].trials + 63) / 64, 0);
       }
     } else {
-      if (cursor.sweep_name() != merged.sweep_name ||
-          cursor.cells().size() != cells.size()) {
+      if (head.sweep_name != merged.sweep_name ||
+          head.cells.size() != cells.size()) {
         throw std::runtime_error(paths[i] + ": shard belongs to a different "
                                             "sweep ('" +
-                                 cursor.sweep_name() + "')");
+                                 head.sweep_name + "')");
       }
       for (std::size_t c = 0; c < cells.size(); ++c) {
-        if (!(cursor.cells()[c] == cells[c])) {
+        if (!(head.cells[c] == cells[c])) {
           throw std::runtime_error(
               paths[i] + ": cell " + std::to_string(c) +
               " metadata disagrees with earlier shards");
@@ -625,11 +545,6 @@ merge_result merge_shards(std::span<const std::string> paths) {
     std::uint64_t prev_trial = 0;
     bool any = false;
     while (const trial_record* trial = cursor.peek()) {
-      if (trial->cell >= cells.size() ||
-          trial->trial >= cells[trial->cell].trials) {
-        throw std::runtime_error(paths[i] + ": trial record outside the "
-                                            "sweep's cell/trial bounds");
-      }
       if (any && (trial->cell < prev_cell ||
                   (trial->cell == prev_cell && trial->trial < prev_trial))) {
         file_sorted[i] = 0;
@@ -669,11 +584,7 @@ merge_result merge_shards(std::span<const std::string> paths) {
     if (file_sorted[i] != 0) {
       sources[i].stream.emplace(paths[i]);
     } else {
-      shard_cursor cursor(paths[i]);
-      while (const trial_record* trial = cursor.peek()) {
-        sources[i].loaded.push_back(*trial);
-        cursor.advance();
-      }
+      sources[i].loaded = read_shard_file(paths[i]).trials;
       std::stable_sort(sources[i].loaded.begin(), sources[i].loaded.end(),
                        [](const trial_record& a, const trial_record& b) {
                          return std::pair(a.cell, a.trial) <

@@ -20,18 +20,24 @@
 // counts, round counts - round-trip exactly through support::json;
 // that exactness is what lets `merge_shards` re-run the shared
 // analysis::aggregate_trial_points fold and land on bit-identical
-// doubles. A file without a "done" record is a crashed/partial shard;
-// both readers tolerate torn lines (every complete record is
-// self-contained, and the merge's completeness check catches any unit
-// a crash actually lost).
+// doubles. A file without a "done" record is a crashed/partial shard.
+//
+// One reader, `record_reader`, parses these files and the giant-trial
+// journals (core/giant.cpp). It skips empty lines, and skips and counts
+// torn ones (lines that are not a JSON object: the tail a killed writer
+// leaves; the merge's completeness check catches any unit it lost).
+// A missing or mistyped field is refused with its `path:line`, and an
+// integer must be a non-negative integer literal that fits 64 bits.
+// One shard parser on top of it serves read_shard_file, merge_shards
+// and sweep::run's resume.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -182,8 +188,49 @@ class record_writer {
   std::size_t max_depth_ = 0;     // guarded by mutex_
 };
 
-/// Fully parsed shard file (strict: the merge path). Throws
-/// std::runtime_error with a line reference on malformed input.
+/// Reads a file of single-line JSON records (see the top of this file).
+class record_reader {
+ public:
+  /// Opens `path`; throws std::runtime_error("<path>: cannot open").
+  explicit record_reader(const std::string& path);
+
+  /// Moves to the next complete record; false at the end of the file.
+  [[nodiscard]] bool next();
+
+  /// The current record's "type" ("" when absent or not a string).
+  [[nodiscard]] const std::string& type() const noexcept { return type_; }
+  /// The current record, for optional fields.
+  [[nodiscard]] const support::json& record() const noexcept {
+    return *record_;
+  }
+  /// Required fields of the current record (u64: support::json::as_uint,
+  /// at most `max`); each throws std::runtime_error naming `path:line`.
+  [[nodiscard]] std::uint64_t u64(const char* key,
+                                  std::uint64_t max = UINT64_MAX) const;
+  [[nodiscard]] bool boolean(const char* key) const;
+  [[nodiscard]] std::string string(const char* key) const;
+  /// Throws std::runtime_error("<path>:<line>: <message>").
+  [[noreturn]] void fail(const std::string& message) const;
+
+  [[nodiscard]] std::uint64_t torn_lines() const noexcept {
+    return torn_lines_;
+  }
+
+ private:
+  const support::json& field(const char* key) const;
+  [[noreturn]] void mistyped(const char* key, const char* what) const;
+
+  std::string path_;
+  std::ifstream in_;
+  std::string line_;
+  std::size_t line_number_ = 0;
+  std::uint64_t torn_lines_ = 0;
+  std::optional<support::json> record_;
+  std::string type_;
+};
+
+/// Fully parsed shard file. The parser throws std::runtime_error with
+/// the `path:line` of the first record that breaks the schema.
 struct shard_file {
   std::string sweep_name;
   support::shard_spec shard{};
@@ -194,13 +241,12 @@ struct shard_file {
   std::vector<trial_record> trials;
 };
 
+/// Throws as well when the file holds no header.
 [[nodiscard]] shard_file read_shard_file(const std::string& path);
 
-/// Lenient scan of an existing (possibly crashed) shard file for the
-/// resume path: recorded trials keyed by global index. A torn trailing
-/// line - the signature of a mid-write crash - is ignored; other
-/// record types are skipped.
-[[nodiscard]] std::map<std::uint64_t, trial_record> scan_trials(
+/// read_shard_file, but nullopt for a file that holds no complete
+/// record (empty, or torn before its header landed): resume's reader.
+[[nodiscard]] std::optional<shard_file> try_read_shard_file(
     const std::string& path);
 
 /// One merged cell: recorded identity plus the recomputed aggregates.

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -263,13 +264,14 @@ shard_result run(const spec& s, const options& opts) {
     meta.push_back(make_cell_record(c, s.cells[c]));
   }
 
-  // Resume: salvage the trials already recorded in the existing file
-  // (and in a ".tmp" left by a crashed earlier resume), validate that
-  // the file belongs to THIS sweep, then rewrite everything through a
-  // temp file that replaces the original only on a clean finish - the
-  // salvaged records on disk are never destroyed before the rewritten
-  // file is complete, so repeated crashes lose at most the units run
-  // since the last finish.
+  // Resume: salvage the trials recorded in the existing file and in a
+  // ".tmp" left by a crashed earlier resume, each read once by the
+  // shard parser and checked against this sweep's name, --shard layout
+  // and cell block; a refused file stays untouched. An empty file, or a
+  // .tmp torn before its header landed, holds nothing to salvage.
+  // Everything is rewritten through the .tmp, which replaces the
+  // original only on a clean finish, so repeated crashes lose at most
+  // the units run since the last finish.
   std::map<std::uint64_t, trial_record> recorded;
   const std::string tmp_path =
       opts.jsonl_path.empty() ? std::string() : opts.jsonl_path + ".tmp";
@@ -277,66 +279,46 @@ shard_result run(const spec& s, const options& opts) {
   if (!opts.jsonl_path.empty() && opts.resume &&
       std::ifstream(opts.jsonl_path).good()) {
     salvaging = true;
-    recorded = scan_trials(opts.jsonl_path);
-    for (auto& [global, rec] : scan_trials(tmp_path)) {
-      recorded.emplace(global, rec);
-    }
-    bool header_ok = false;
-    shard_file existing;
-    try {
-      existing = read_shard_file(opts.jsonl_path);
-      header_ok = true;
-    } catch (const std::runtime_error&) {
-      // Headerless but salvageable files proceed on the strength of
-      // the per-record bounds and per-unit seed checks below; a
-      // non-empty file that is neither is not ours to overwrite.
-      if (recorded.empty()) {
-        std::ifstream probe(opts.jsonl_path,
-                            std::ios::binary | std::ios::ate);
-        if (probe.is_open() && probe.tellg() > std::streamoff{0}) {
-          throw std::runtime_error(opts.jsonl_path +
-                                   ": not a sweep shard file; refusing "
-                                   "to overwrite it");
-        }
-      }
-    }
-    if (header_ok) {
-      if (existing.sweep_name != s.name) {
+    for (const std::string& path : {opts.jsonl_path, tmp_path}) {
+      const bool is_tmp = path == tmp_path;
+      if (is_tmp && !std::ifstream(path).good()) continue;
+      const std::optional<shard_file> existing = try_read_shard_file(path);
+      if (!existing) {
+        if (is_tmp || std::ifstream(path).peek() == EOF) continue;
         throw std::runtime_error(
-            opts.jsonl_path + ": resume file belongs to sweep '" +
-            existing.sweep_name + "', not '" + s.name + "'");
+            path + ": not a sweep shard file; refusing to overwrite it");
       }
-      if (existing.shard.index != opts.shard.index ||
-          existing.shard.count != opts.shard.count) {
+      if (existing->sweep_name != s.name) {
+        throw std::runtime_error(path + ": resume file belongs to sweep '" +
+                                 existing->sweep_name + "', not '" + s.name +
+                                 "'");
+      }
+      if (existing->shard.index != opts.shard.index ||
+          existing->shard.count != opts.shard.count) {
         throw std::runtime_error(
-            opts.jsonl_path + ": resume file was written by shard " +
-            std::to_string(existing.shard.index) + "/" +
-            std::to_string(existing.shard.count) +
+            path + ": resume file was written by shard " +
+            std::to_string(existing->shard.index) + "/" +
+            std::to_string(existing->shard.count) +
             "; rerun with that --shard (sweep_merge handles overlap "
             "across files)");
       }
       // A crash can tear the cell block mid-write, so accept a prefix
       // of the current block; a file that already holds trials must
-      // have written the whole block first.
+      // have written the whole block first. (The parser has refused any
+      // trial outside the file's own block.)
       const bool cells_ok =
-          existing.cells.size() <= meta.size() &&
-          (existing.trials.empty() ||
-           existing.cells.size() == meta.size()) &&
-          std::equal(existing.cells.begin(), existing.cells.end(),
+          existing->cells.size() <= meta.size() &&
+          (existing->trials.empty() ||
+           existing->cells.size() == meta.size()) &&
+          std::equal(existing->cells.begin(), existing->cells.end(),
                      meta.begin());
       if (!cells_ok) {
         throw std::runtime_error(
-            opts.jsonl_path + ": resume file records a different sweep "
-                              "spec (graphs, trial counts, seeds or "
-                              "horizons changed)");
+            path + ": resume file records a different sweep spec "
+                   "(graphs, trial counts, seeds or horizons changed)");
       }
-    }
-    for (const auto& [global, rec] : recorded) {
-      if (rec.cell >= meta.size() ||
-          rec.trial >= meta[rec.cell].trials) {
-        throw std::runtime_error(
-            opts.jsonl_path +
-            ": recorded trial outside the sweep's cell/trial bounds");
+      for (const trial_record& rec : existing->trials) {
+        recorded.emplace(rec.global, rec);
       }
     }
   }

@@ -97,8 +97,8 @@ struct options {
   std::size_t threads = 1;
   support::shard_spec shard{};
   std::string jsonl_path;  ///< Empty = no record stream.
-  /// Fold and skip units already recorded in jsonl_path (crash
-  /// recovery); fresh records are appended to the same file.
+  /// Fold and skip units already recorded in jsonl_path and its .tmp
+  /// (crash recovery); the file is then rewritten whole (see run).
   bool resume = false;
   /// A checkpoint record follows exactly every this many folded units
   /// (0 = none), independent of the thread count.
@@ -128,8 +128,9 @@ struct shard_result {
 /// Reproducibility contract: the statistical fields of the merged
 /// per-cell aggregates over any disjoint covering set of shards are
 /// bit-identical to run_trials on each cell, for any thread
-/// count. Throws std::runtime_error when a resume file belongs to a
-/// different sweep or the record stream cannot be written.
+/// count. Throws std::runtime_error when the record stream cannot be
+/// written, or when a resume file or its .tmp is malformed or belongs
+/// to another sweep, spec or --shard layout (left untouched then).
 [[nodiscard]] shard_result run(const spec& s, const options& opts = {});
 
 /// Builds options from the standard bench flags: `--threads`,

@@ -468,6 +468,32 @@ TEST(FaultPlanTest, MalformedJsonThrows) {
   EXPECT_THROW(core::fault_plan::from_json_text(
                    "{\"events\":[{\"kind\":\"crash\"}]}"),
                std::invalid_argument);
+  // Integer fields must be non-negative integer literals, and node,
+  // peer and state ids must fit their types: none of these is read as
+  // 0 or narrowed into range.
+  for (const char* bad : {
+           R"({"events":[{"kind":"crash","round":-2,"node":1}]})",
+           R"({"events":[{"kind":"crash","round":1,"node":4294967299}]})",
+           R"({"events":[{"kind":"crash","round":1,"node":1,)"
+           R"("state":65537}]})",
+           R"({"events":[{"kind":"churn","round":1,"count":2,)"
+           R"("period":"fast"}]})",
+           R"({"events":[{"kind":"edge_add","round":1,"node":0,"peer":-1}]})",
+           R"({"events":[{"kind":"burst","round":1,"count":2,"down":1.5}]})",
+           R"({"events":[{"kind":"inject","round":0,"states":[0,65536]}]})",
+           R"({"fault_seed":-1,"events":[]})",
+           R"({"version":"1","events":[]})",
+       }) {
+    EXPECT_THROW(core::fault_plan::from_json_text(bad), std::invalid_argument)
+        << bad;
+  }
+  // The largest ids that fit still parse.
+  const core::fault_plan edge = core::fault_plan::from_json_text(
+      R"({"events":[{"kind":"crash","round":1,"node":4294967295,)"
+      R"("state":65535}]})");
+  ASSERT_EQ(edge.events.size(), 1U);
+  EXPECT_EQ(edge.events[0].node, 4294967295U);
+  EXPECT_EQ(edge.events[0].state, 65535U);
 }
 
 TEST(FaultPlanTest, ValidationCatchesBadEvents) {

@@ -584,6 +584,16 @@ TEST(GiantTrial, ResumeRejectsWrongTrialAndCorruptJournal) {
   EXPECT_NE(digest_edit.find("digest mismatch in plane0 at offset 0"),
             std::string::npos)
       << digest_edit;
+  // A signed integer field is refused by the journal reader, which
+  // names the record's path:line (the ckpt_begin is line 2).
+  const std::string signed_round = refusal_after(
+      "ckpt_begin", [](std::string& contents, std::size_t line) {
+        const auto pos = contents.find("\"round\":", line);
+        ASSERT_NE(pos, std::string::npos);
+        contents.insert(pos + 8, "-");
+      });
+  EXPECT_EQ(signed_round.rfind(path + ":2: field 'round'", 0), 0U)
+      << signed_round;
   // The untouched journal still resumes.
   {
     std::ofstream out(path, std::ios::trunc);

@@ -14,6 +14,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.hpp"
@@ -384,6 +385,8 @@ TEST(SweepMergeTest, AnyShardCountBitIdenticalToRunMatrix) {
 }
 
 TEST(SweepMergeTest, ShardFilesRoundTripThroughReader) {
+  // What the writer writes reads back field for field; what it could
+  // not have written is refused (the hand-written shard below).
   const sweep_fixture fixture;
   const std::string path = temp_path("roundtrip.jsonl");
   sweep::options opts;
@@ -404,6 +407,79 @@ TEST(SweepMergeTest, ShardFilesRoundTripThroughReader) {
     EXPECT_EQ(file.cells[c].max_rounds, cell.max_rounds);
   }
   std::remove(path.c_str());
+
+  // A hand-written one-cell shard. Integer fields must be non-negative
+  // integer literals that fit 64 bits: the largest one round-trips,
+  // anything else is refused by the reader and the merge alike, naming
+  // the bad record's path:line instead of reading it as 0.
+  const std::string strict = temp_path("strict.jsonl");
+  const std::string header =
+      R"({"type":"sweep","name":"strict","shard_index":0,"shard_count":1,)"
+      R"("cells":1,"total_units":2,"format_version":1})"
+      "\n"
+      R"({"type":"cell","cell":0,"algorithm":"bfw","graph":"path-4","n":4,)"
+      R"("diameter":3,"trials":2,"seed":18446744073709551615,"max_rounds":99})"
+      "\n"
+      R"({"type":"trial","cell":0,"trial":0,"global":0,)"
+      R"("seed":18446744073709551615,"rounds":5,"converged":true,"coins":9,)"
+      R"("leader":1})"
+      "\n";
+  const std::string last =
+      R"({"type":"trial","cell":0,"trial":1,"global":1,"seed":7,"rounds":6,)"
+      R"("converged":true,"coins":3,"leader":2})";
+  const std::vector<std::string> strict_paths = {strict};
+  const auto write = [&](const std::string& trial) {
+    std::ofstream(strict, std::ios::binary | std::ios::trunc)
+        << header << trial << "\n";
+  };
+
+  write(last);
+  const sweep::shard_file hand = sweep::read_shard_file(strict);
+  ASSERT_EQ(hand.trials.size(), 2U);
+  EXPECT_EQ(hand.cells[0].seed, 18446744073709551615ULL);
+  EXPECT_EQ(hand.trials[0].seed, 18446744073709551615ULL);
+  const auto merged = sweep::merge_shards(strict_paths);
+  ASSERT_EQ(merged.cells.size(), 1U);
+  EXPECT_EQ(merged.cells[0].meta.seed, 18446744073709551615ULL);
+  EXPECT_EQ(merged.units, 2U);
+
+  const auto refusal = [&](const auto& read) {
+    try {
+      read();
+    } catch (const std::runtime_error& error) {
+      return std::string(error.what());
+    }
+    return std::string("(no refusal)");
+  };
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"("rounds":6)", R"("rounds":-7)"},
+           {R"("coins":3)", R"("coins":2.5)"},
+           {R"("trial":1)", R"("trial":1.9)"},
+           {R"("seed":7)", R"("seed":18446744073709551616)"},
+           {R"("coins":3)", R"("coins":"3")"},
+           {R"("leader":2)", R"("leader":4294967298)"}}) {
+    std::string bad = last;
+    bad.replace(bad.find(from), from.size(), to);
+    write(bad);
+    const std::string read_error =
+        refusal([&] { (void)sweep::read_shard_file(strict); });
+    const std::string merge_error =
+        refusal([&] { (void)sweep::merge_shards(strict_paths); });
+    EXPECT_EQ(read_error.rfind(strict + ":4: ", 0), 0U) << to << read_error;
+    EXPECT_EQ(merge_error.rfind(strict + ":4: ", 0), 0U)
+        << to << merge_error;
+  }
+  // A diameter that does not fit the cell's 32-bit field is refused
+  // rather than narrowed.
+  std::string wide = header;
+  wide.replace(wide.find(R"("diameter":3)"), 12, R"("diameter":4294967299)");
+  std::ofstream(strict, std::ios::binary | std::ios::trunc)
+      << wide << last << "\n";
+  const std::string wide_error =
+      refusal([&] { (void)sweep::read_shard_file(strict); });
+  EXPECT_EQ(wide_error.rfind(strict + ":2: ", 0), 0U) << wide_error;
+  std::remove(strict.c_str());
 }
 
 TEST(SweepMergeTest, ResumeAfterTornFileIsBitIdentical) {
@@ -539,17 +615,51 @@ TEST(SweepMergeTest, ResumeRejectsFileFromDifferentSpec) {
 
 TEST(SweepMergeTest, ResumeRejectsShardLayoutChange) {
   // The rewritten header must describe the file's contents: resuming
-  // a 0/2 file as 1/2 would mislabel every salvaged record.
+  // a 0/2 file as 1/2 would mislabel every salvaged record. Neither a
+  // record the parser refuses nor a stale .tmp may get round that
+  // check, and every refused file is left byte-identical.
   const sweep_fixture fixture;
   const std::string path = temp_path("layoutchange.jsonl");
+  const std::string tmp = path + ".tmp";
   sweep::options opts;
   opts.shard = {0, 2};
   opts.jsonl_path = path;
   (void)sweep::run(fixture.spec(), opts);
+  const std::string shard0 = read_bytes(path);
   opts.shard = {1, 2};
   opts.resume = true;
-  EXPECT_THROW((void)sweep::run(fixture.spec(), opts), std::runtime_error);
+  const auto write = [](const std::string& file, const std::string& bytes) {
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
+  };
+  const auto expect_refused = [&](const std::string& label) {
+    const std::string before = read_bytes(path);
+    EXPECT_THROW((void)sweep::run(fixture.spec(), opts), std::runtime_error)
+        << label;
+    EXPECT_EQ(read_bytes(path), before) << label;
+  };
+  expect_refused("shard 0/2 file");
+
+  // An unknown record type after the shard-0/2 records.
+  write(path, shard0 + "{\"type\":\"note\"}\n");
+  expect_refused("extra note record");
+
+  // One trial record without its "coins" field.
+  std::string no_coins = shard0;
+  const std::size_t coins = no_coins.find(",\"coins\":");
+  ASSERT_NE(coins, std::string::npos);
+  no_coins.erase(coins, no_coins.find(',', coins + 1) - coins);
+  write(path, no_coins);
+  expect_refused("trial record without coins");
+
+  // A valid shard-1/2 file beside a stale shard-0/2 .tmp.
   std::remove(path.c_str());
+  (void)sweep::run(fixture.spec(), opts);
+  ASSERT_NE(read_bytes(path).find("\"shard_index\":1"), std::string::npos);
+  write(tmp, shard0);
+  expect_refused("shard 0/2 .tmp beside a 1/2 file");
+  EXPECT_EQ(read_bytes(tmp), shard0);
+  std::remove(path.c_str());
+  std::remove(tmp.c_str());
 }
 
 TEST(SweepMergeTest, ResumeRefusesAlienFile) {
