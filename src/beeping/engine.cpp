@@ -896,12 +896,10 @@ engine::call_knobs engine::read_call_knobs() const {
     probe_start = tel::now_ns();
   }
   // Phase 1: a node applies delta_top iff it beeped or a neighbor did.
-  // Seed the heard set with the beep set (a beeper always "hears"),
-  // then let the gather dispatch pick its kernel: stencil on tagged
-  // topologies, otherwise word-CSR push vs pull by beep density
-  // (with hysteresis). Every kernel computes the same set, so the
-  // choice never affects results.
-  std::copy(beep_words_.begin(), beep_words_.end(), heard_words_.begin());
+  // The gather writes B ∪ N(B) (a beeper always "hears"), through the
+  // kernel its dispatch picks: stencil on tagged topologies, otherwise
+  // word-CSR push vs pull by beep density (with hysteresis). Every
+  // kernel computes the same set, so the choice never affects results.
   gather_(beep_words_, heard_words_);
   if (k.noise) {
     apply_noise();

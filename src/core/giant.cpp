@@ -352,6 +352,8 @@ giant_result run_giant_trial(const graph::topology_view& view,
 
   giant_result result;
   result.arena_bytes = sim.arena_bytes_reserved();
+  result.exec_threads = sim.parallel_threads();
+  result.exec_tile_words = sim.tile_words();
   std::uint64_t next_seq = 0;
   if (options.resume) {
     const ckpt_meta best = scan_journal(options.checkpoint_path, view, seed);

@@ -91,6 +91,12 @@ struct giant_result {
   std::uint64_t checkpoints_written = 0;
   bool stopped_early = false;   ///< stop_after_round fired.
   std::size_t arena_bytes = 0;  ///< Engine plane-arena reservation.
+  /// The thread count and tile size the rounds ran with, read off the
+  /// engine (engine::parallel_threads / tile_words): threads = 0
+  /// resolves to the hardware's count, and a tiled engine handed
+  /// tile_words = 0 runs support::kL2TileWords.
+  std::size_t exec_threads = 1;
+  std::size_t exec_tile_words = 0;
 };
 
 /// Runs one giant trial of `machine` on `view` (typically implicit;

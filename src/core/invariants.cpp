@@ -133,9 +133,7 @@ void invariant_checker::load_classes(const beeping::round_view& view) {
 bool invariant_checker::claim6_identities_hold() {
   const class_masks& p = previous_;
   const class_masks& c = current_;
-  std::copy(p.beeping.begin(), p.beeping.end(), near_beeping_.begin());
   gather_(p.beeping, near_beeping_);
-  std::copy(c.frozen.begin(), c.frozen.end(), near_frozen_.begin());
   gather_(c.frozen, near_frozen_);
   std::uint64_t bad = 0;
   for (std::size_t w = 0; w < near_beeping_.size(); ++w) {

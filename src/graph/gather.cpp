@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <numeric>
 #include <stdexcept>
 
 #include "graph/patch.hpp"
@@ -20,55 +22,64 @@ constexpr void set_bit(std::span<std::uint64_t> words, node_id u) noexcept {
   words[u >> 6] |= 1ULL << (u & 63);
 }
 
-// dst |= ((src & smask) << k) & lmask, for destination words in
-// [wb, we) of a `words`-word array; bits shifted past the top of the
-// array are dropped (the caller masks the valid tail afterwards).
-// Null masks mean all-ones. Reads any source word, writes only
-// [wb, we) - the tile contract of the stencil kernels.
-void shl_or(const std::uint64_t* src, const std::uint64_t* smask,
-            const std::uint64_t* lmask, std::uint64_t* dst,
-            std::size_t words, std::size_t k, std::size_t wb,
-            std::size_t we) noexcept {
-  const std::size_t ws = k >> 6;
-  const unsigned bs = static_cast<unsigned>(k & 63);
-  const auto at = [&](std::size_t i) {
-    return smask != nullptr ? (src[i] & smask[i]) : src[i];
-  };
-  (void)words;
-  for (std::size_t w = std::max(wb, ws); w < we; ++w) {
-    const std::size_t s = w - ws;
-    std::uint64_t v = at(s);
-    if (bs != 0) {
-      v <<= bs;
-      if (s > 0) v |= at(s - 1) >> (64 - bs);
-    }
-    if (lmask != nullptr) v &= lmask[w];
-    dst[w] |= v;
-  }
+// A shift by k = 64*ws + bs bits.
+struct shift {
+  std::ptrdiff_t ws = 0;
+  unsigned bs = 0;
+  explicit shift(std::size_t k) noexcept
+      : ws(static_cast<std::ptrdiff_t>(k >> 6)),
+        bs(static_cast<unsigned>(k & 63)) {}
+};
+
+// Word w of (B << k), read through a word loader `ld` that returns 0
+// outside the array (so bits shifted in from below word 0 are zero).
+// The carry term shifts in two steps so bs == 0 needs no branch.
+template <class Load>
+std::uint64_t shl_word(Load ld, std::ptrdiff_t w, shift k) noexcept {
+  return (ld(w - k.ws) << k.bs) | ((ld(w - k.ws - 1) >> 1) >> (63 - k.bs));
 }
 
-// dst |= ((src & smask) >> k) & lmask over [wb, we); bits shifted
-// below zero drop.
-void shr_or(const std::uint64_t* src, const std::uint64_t* smask,
-            const std::uint64_t* lmask, std::uint64_t* dst,
-            std::size_t words, std::size_t k, std::size_t wb,
-            std::size_t we) noexcept {
-  const std::size_t ws = k >> 6;
-  const unsigned bs = static_cast<unsigned>(k & 63);
-  const auto at = [&](std::size_t i) {
-    return smask != nullptr ? (src[i] & smask[i]) : src[i];
-  };
-  const std::size_t hi = ws < words ? std::min(we, words - ws) : wb;
-  for (std::size_t w = wb; w < hi; ++w) {
-    const std::size_t s = w + ws;
-    std::uint64_t v = at(s);
-    if (bs != 0) {
-      v >>= bs;
-      if (s + 1 < words) v |= at(s + 1) << (64 - bs);
+// Word w of (B >> k): bits shifted below bit 0 drop.
+template <class Load>
+std::uint64_t shr_word(Load ld, std::ptrdiff_t w, shift k) noexcept {
+  return (ld(w + k.ws) >> k.bs) | ((ld(w + k.ws + 1) << 1) << (63 - k.bs));
+}
+
+// The shifts of a grid/torus stencil: by one row, and the torus wraps.
+struct grid_shifts {
+  shift row;
+  shift wrap;    // cols - 1: column cols-1 onto column 0 of its row
+  shift stride;  // (rows - 1) * cols: the last row onto the first
+};
+
+// Writes heard words [w, to) of a grid (Torus: torus) stencil from the
+// beep words `ld` reads; m is w's index into the column tables f and
+// l of `table` words. Returns the index of word `to`. Each inner loop
+// ends where the table does, so it carries no wrap test.
+template <bool Torus, class Load>
+std::size_t grid_words(Load ld, std::uint64_t* h, const std::uint64_t* f,
+                       const std::uint64_t* l, std::size_t table,
+                       grid_shifts k, std::size_t w, std::size_t m,
+                       std::size_t to) noexcept {
+  while (w < to) {
+    const std::size_t end = std::min(to, w + (table - m));
+    for (; w < end; ++w, ++m) {
+      const auto i = static_cast<std::ptrdiff_t>(w);
+      const std::uint64_t c = ld(i);
+      const std::uint64_t left = (c << 1) | (ld(i - 1) >> 63);
+      const std::uint64_t right = (c >> 1) | (ld(i + 1) << 63);
+      std::uint64_t v = c | (left & ~f[m]) | (right & ~l[m]) |
+                        shl_word(ld, i, k.row) | shr_word(ld, i, k.row);
+      if constexpr (Torus) {
+        v |= (shr_word(ld, i, k.wrap) & f[m]) |
+             (shl_word(ld, i, k.wrap) & l[m]) | shr_word(ld, i, k.stride) |
+             shl_word(ld, i, k.stride);
+      }
+      h[w] = v;
     }
-    if (lmask != nullptr) v &= lmask[w];
-    dst[w] |= v;
+    if (m == table) m = 0;
   }
+  return m;
 }
 
 }  // namespace
@@ -111,26 +122,23 @@ heard_gather::heard_gather(topology_view view) : view_(std::move(view)) {
   }
   if (stencil_.has_value() && (stencil_->shape == topology::kind::grid ||
                                stencil_->shape == topology::kind::torus)) {
-    // Periodic column masks, one bit per flat node index (indices past
-    // n follow the same formula; the beep set never has bits there).
+    // Column masks, one bit per flat node index (indices past n follow
+    // the same formula; the beep set never has bits there). Word w's
+    // bits start at column 64w mod cols, so the masks repeat every
+    // cols / gcd(cols, 64) words: one period is all a round reads.
+    // The table holds whole periods, at least 64 words where the array
+    // has them, so the stencil's inner loop runs long between wraps.
     const std::size_t cols = stencil_->cols;
-    const std::size_t words = words_;
-    not_first_col_.assign(words, 0);
-    not_last_col_.assign(words, 0);
-    for (std::size_t i = 0; i < words * 64; ++i) {
-      const std::uint64_t bit = 1ULL << (i & 63);
-      if (i % cols != 0) not_first_col_[i >> 6] |= bit;
-      if (i % cols != cols - 1) not_last_col_[i >> 6] |= bit;
+    const std::size_t period = cols / std::gcd(cols, std::size_t{64});
+    mask_words_ = std::min(period * ((period + 63) / period), words_);
+    first_col_.assign(mask_words_, 0);
+    last_col_.assign(mask_words_, 0);
+    const std::size_t bits = mask_words_ * 64;
+    for (std::size_t i = 0; i < bits; i += cols) {
+      first_col_[i >> 6] |= 1ULL << (i & 63);
     }
-    if (stencil_->shape == topology::kind::torus) {
-      // Wrap-column source masks (the complements' bits above n are
-      // harmless: the beep set never has bits there).
-      first_col_.resize(words);
-      last_col_.resize(words);
-      for (std::size_t w = 0; w < words; ++w) {
-        first_col_[w] = ~not_first_col_[w];
-        last_col_[w] = ~not_last_col_[w];
-      }
+    for (std::size_t i = cols - 1; i < bits; i += cols) {
+      last_col_[i >> 6] |= 1ULL << (i & 63);
     }
   }
 }
@@ -216,8 +224,9 @@ void heard_gather::operator()(std::span<const std::uint64_t> beep,
 }
 
 // Structured topologies: the heard set is B shifted every which way the
-// geometry allows - no adjacency is touched. All shift helpers drop
-// bits past the array; the final tail mask kills in-range bits >= n
+// geometry allows - no adjacency is touched. Each destination word is
+// written once, as B | its shifted neighbour terms; bits shifted past
+// the array drop, and the final tail mask kills in-range bits >= n
 // (e.g. a left row-stride shift pushing the second row past the end).
 // Writes destination words [wb, we) only, so it is also the tile body.
 // Source reads are unrestricted (beep is read-only input), so the seam
@@ -231,65 +240,69 @@ void heard_gather::gather_stencil(std::span<const std::uint64_t> beep,
   const topology& topo = *stencil_;
   const std::uint64_t* const b = beep.data();
   std::uint64_t* const h = heard.data();
-  switch (topo.shape) {
-    case topology::kind::path:
-    case topology::kind::ring: {
-      // Fused pass: heard[w] = B | (B << 1) | (B >> 1) with the
-      // cross-word carries read off the rolling neighbors (the tile's
-      // entry carry comes from the word before the range).
-      std::uint64_t prev = wb > 0 ? b[wb - 1] : 0;
-      std::uint64_t cur = b[wb];
-      for (std::size_t w = wb; w < we; ++w) {
-        const std::uint64_t next = (w + 1 < words) ? b[w + 1] : 0;
-        h[w] |= (cur << 1) | (prev >> 63) | (cur >> 1) | (next << 63);
-        prev = cur;
-        cur = next;
-      }
-      if (topo.shape == topology::kind::ring) {
-        // Wrap bits belong to the tiles owning the first/last word.
-        const std::size_t n = n_;
-        const auto end = static_cast<node_id>(n - 1);
-        if (wb == 0 && test_bit(beep, end)) h[0] |= 1ULL;
-        const std::size_t end_word = static_cast<std::size_t>(end) >> 6;
-        if (end_word >= wb && end_word < we && (b[0] & 1ULL) != 0) {
-          set_bit(heard, end);
-        }
-      }
-      break;
+  if (topo.shape == topology::kind::path ||
+      topo.shape == topology::kind::ring) {
+    // Fused pass: heard[w] = B | (B << 1) | (B >> 1) with the
+    // cross-word carries read off the rolling neighbors (the tile's
+    // entry carry comes from the word before the range).
+    std::uint64_t prev = wb > 0 ? b[wb - 1] : 0;
+    std::uint64_t cur = b[wb];
+    for (std::size_t w = wb; w < we; ++w) {
+      const std::uint64_t next = (w + 1 < words) ? b[w + 1] : 0;
+      h[w] = cur | (cur << 1) | (prev >> 63) | (cur >> 1) | (next << 63);
+      prev = cur;
+      cur = next;
     }
-    case topology::kind::grid: {
-      shl_or(b, nullptr, not_first_col_.data(), h, words, 1, wb, we);
-      shr_or(b, nullptr, not_last_col_.data(), h, words, 1, wb, we);
-      shl_or(b, nullptr, nullptr, h, words, topo.cols, wb, we);
-      shr_or(b, nullptr, nullptr, h, words, topo.cols, wb, we);
-      break;
-    }
-    case topology::kind::torus: {
-      shl_or(b, nullptr, not_first_col_.data(), h, words, 1, wb, we);
-      shr_or(b, nullptr, not_last_col_.data(), h, words, 1, wb, we);
-      shl_or(b, nullptr, nullptr, h, words, topo.cols, wb, we);
-      shr_or(b, nullptr, nullptr, h, words, topo.cols, wb, we);
-      // Horizontal wrap: column cols-1 sources land on column 0 of the
-      // same row and vice versa (source masks select the wrap column,
-      // so no landing mask is needed). Vertical wrap: a full-array
-      // row-stride shift by (rows-1)*cols maps the last row onto the
-      // first (and only those rows survive the shift).
-      if (topo.cols > 1) {
-        const std::size_t wrap = topo.cols - 1;
-        shr_or(b, last_col_.data(), nullptr, h, words, wrap, wb, we);
-        shl_or(b, first_col_.data(), nullptr, h, words, wrap, wb, we);
+    if (topo.shape == topology::kind::ring) {
+      // Wrap bits belong to the tiles owning the first/last word.
+      const auto end = static_cast<node_id>(n_ - 1);
+      if (wb == 0 && test_bit(beep, end)) h[0] |= 1ULL;
+      const std::size_t end_word = static_cast<std::size_t>(end) >> 6;
+      if (end_word >= wb && end_word < we && (b[0] & 1ULL) != 0) {
+        set_bit(heard, end);
       }
-      const std::size_t stride = (topo.rows - 1) * topo.cols;
-      shr_or(b, nullptr, nullptr, h, words, stride, wb, we);
-      shl_or(b, nullptr, nullptr, h, words, stride, wb, we);
-      break;
     }
+  } else {
+    // Grid/torus: horizontal neighbours are the 1-bit shifts with the
+    // carries that would wrap a row masked off at their landing column,
+    // vertical ones the row-stride shifts. Torus adds the wrap terms:
+    // a shift by cols-1 lands column cols-1 on column 0 of its own row
+    // (and back), and a shift by (rows-1)*cols maps the last row onto
+    // the first (only those rows survive it).
+    const bool torus = topo.shape == topology::kind::torus;
+    const grid_shifts k{shift(topo.cols), shift(topo.cols - 1),
+                        shift((topo.rows - 1) * topo.cols)};
+    const auto words_signed = static_cast<std::ptrdiff_t>(words);
+    const auto checked = [b, words_signed](std::ptrdiff_t i) {
+      return i >= 0 && i < words_signed ? b[i] : std::uint64_t{0};
+    };
+    const auto raw = [b](std::ptrdiff_t i) { return b[i]; };
+    // Words whose every source word lies in the array skip the bounds
+    // checks: [reach, words - reach).
+    const auto reach = static_cast<std::size_t>(
+        (torus ? std::max(k.row.ws, k.stride.ws) : k.row.ws) + 1);
+    const std::size_t inner_hi = words > reach ? words - reach : 0;
+    std::size_t w = wb;
+    std::size_t m = wb % mask_words_;
+    const auto run = [&](auto ld, std::size_t to) {
+      if (w >= to) return;
+      m = torus ? grid_words<true>(ld, h, first_col_.data(),
+                                   last_col_.data(), mask_words_, k, w, m, to)
+                : grid_words<false>(ld, h, first_col_.data(),
+                                    last_col_.data(), mask_words_, k, w, m,
+                                    to);
+      w = to;
+    };
+    run(checked, std::min(we, reach));
+    run(raw, std::min(we, inner_hi));
+    run(checked, we);
   }
   if (we == words) h[words - 1] &= tail_mask_;
 }
 
 void heard_gather::gather_word_csr_push(std::span<const std::uint64_t> beep,
                                         std::span<std::uint64_t> heard) const {
+  std::copy(beep.begin(), beep.end(), heard.begin());
   std::uint64_t* const h = heard.data();
   for (std::size_t w = 0; w < beep.size(); ++w) {
     std::uint64_t bits = beep[w];
@@ -303,9 +316,9 @@ void heard_gather::gather_word_csr_push(std::span<const std::uint64_t> beep,
 }
 
 // Dense beep sets: only the silent lanes need a probe, so each word
-// walks ~heard & valid (beepers are already set, lanes past n are
-// never probed) and ORs its hits in once after the walk - the probes
-// read beep only, so the order of words and lanes is free.
+// walks ~beep & valid (beepers hear themselves, lanes past n are never
+// probed) and writes beep | hits once after the walk - the probes read
+// beep only, so the order of words and lanes is free.
 void heard_gather::gather_word_csr_pull(std::span<const std::uint64_t> beep,
                                         std::span<std::uint64_t> heard) const {
   const std::uint64_t* const b = beep.data();
@@ -313,7 +326,7 @@ void heard_gather::gather_word_csr_pull(std::span<const std::uint64_t> beep,
   const std::size_t words = heard.size();
   for (std::size_t w = 0; w < words; ++w) {
     const std::uint64_t valid = w + 1 == words ? tail_mask_ : ~0ULL;
-    std::uint64_t silent = ~h[w] & valid;
+    std::uint64_t silent = ~b[w] & valid;
     std::uint64_t hits = 0;
     while (silent != 0) {
       const auto lane = static_cast<unsigned>(std::countr_zero(silent));
@@ -322,7 +335,7 @@ void heard_gather::gather_word_csr_pull(std::span<const std::uint64_t> beep,
         hits |= 1ULL << lane;
       }
     }
-    h[w] |= hits;
+    h[w] = b[w] | hits;
   }
 }
 

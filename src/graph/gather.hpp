@@ -10,9 +10,9 @@
 //    with cross-word carry (+ the two wrap bits for rings); grid/torus:
 //    the same, with periodic column masks killing the carries that
 //    would wrap a row, plus row-stride shifts (<< cols, >> cols) for
-//    the vertical neighbors and corner shifts for torus wrap-around.
-//    Touches no adjacency at all: O(words) per round regardless of
-//    degree.
+//    the vertical neighbors and wrap shifts for the torus. One fused
+//    pass writes each heard word once. Touches no adjacency at all:
+//    O(words) per round regardless of degree.
 //  * word_csr_push - enumerate beepers, OR their premasked neighbor
 //    words (word_csr). Cost ~ sum over beepers of word-pairs, the
 //    word-parallel refinement of the classic push.
@@ -67,8 +67,11 @@ enum class gather_kernel : std::uint8_t {
 class heard_gather {
  public:
   /// Binds a topology view (explicit graphs convert implicitly, so
-  /// `heard_gather(g)` keeps working). Derives the stencil masks for
-  /// tagged views; the word-CSR is graph-owned (graph::word_layout):
+  /// `heard_gather(g)` keeps working). Derives the grid/torus column
+  /// masks as a table of whole periods - they repeat every
+  /// cols / gcd(cols, 64) words (128 words for 8192 columns), and the
+  /// table repeats that to at least 64 words - so binding costs
+  /// O(table), not O(n). The word-CSR is graph-owned (graph::word_layout):
   /// the first gather that needs it borrows it, and only the first
   /// gather on a graph ever builds it - every later gather, in any
   /// engine or thread, reuses that one build. A tagged view always
@@ -84,10 +87,9 @@ class heard_gather {
   explicit heard_gather(topology_view view);
 
   /// heard := beep ∪ N(beep), both packed over word_count() words.
-  /// `heard` must enter EQUAL to `beep` (a beeper always hears; the
-  /// pull kernel additionally uses the seeded bits to skip beepers);
-  /// on return it holds the full heard set with no bits above
-  /// node_count().
+  /// Every kernel writes the whole of `heard` (a beeper always hears),
+  /// so its entry contents do not matter; on return it holds the full
+  /// heard set with no bits above node_count().
   void operator()(std::span<const std::uint64_t> beep,
                   std::span<std::uint64_t> heard);
 
@@ -155,11 +157,10 @@ class heard_gather {
   const word_csr* csr_ = nullptr;
   std::size_t words_ = 0;
   std::optional<topology> stencil_;
-  // Periodic column masks for grid/torus stencils: bit i set iff node
-  // i's column is not 0 (resp. not cols-1). Empty for path/ring.
-  std::vector<std::uint64_t> not_first_col_;
-  std::vector<std::uint64_t> not_last_col_;
-  // Torus only: the complements, selecting the wrap columns.
+  // Column masks for grid/torus stencils, whole periods long: bit i
+  // of word w % mask_words_ is set iff node 64w + i sits in column 0
+  // (resp. cols-1). Empty for path/ring.
+  std::size_t mask_words_ = 0;
   std::vector<std::uint64_t> first_col_;
   std::vector<std::uint64_t> last_col_;
   std::uint64_t tail_mask_ = ~0ULL;

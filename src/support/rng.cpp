@@ -6,14 +6,6 @@
 
 namespace beepkit::support {
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 rng::rng(std::uint64_t seed) noexcept {
   split_mix64 sm(seed);
   for (auto& word : state_) {
@@ -24,14 +16,6 @@ rng::rng(std::uint64_t seed) noexcept {
   if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0) {
     state_[0] = 0x9e3779b97f4a7c15ULL;
   }
-}
-
-rng rng::substream(std::uint64_t stream) const noexcept {
-  // Mix the current state with the stream id through splitmix64 to get
-  // a well-separated child seed.
-  split_mix64 sm(state_[0] ^ rotl(state_[1], 17) ^ rotl(state_[2], 31) ^
-                 state_[3] ^ (0xa0761d6478bd642fULL * (stream + 1)));
-  return rng(sm.next());
 }
 
 std::uint64_t rng::uniform_below(std::uint64_t bound) noexcept {
@@ -94,7 +78,11 @@ rng_store rng_store::lazy(std::uint64_t root_seed, std::size_t count,
   store.lazy_ = true;
   store.mode_ = mode;
   store.root_ = rng(root_seed);
-  store.cursors_.assign(count, 0);
+  // Zero pages, not a value-initialized vector: the mapping costs no
+  // O(n) pass at bind, and each page is first touched by whichever
+  // tile thread draws from its streams.
+  const word_buffer words = store.cursor_arena_.alloc_words((count + 1) / 2);
+  store.cursors_ = {reinterpret_cast<std::uint32_t*>(words.data()), count};
   return store;
 }
 
@@ -132,7 +120,10 @@ void rng_store::sync(std::size_t slot) noexcept {
   s.active = npos;
 }
 
-// Each lane rebuilds its generator in a local rather than in the slot's
+// A draw that still reads the stream's first generator word - a coin
+// at cursor < 64, a raw64 draw at cursor 0 - is that word's bit or
+// value in closed form (rng::substream_first_u64). Any later draw
+// rebuilds the lane's generator in a local rather than in the slot's
 // one scratch, so the reconstructions of consecutive lanes are
 // independent and overlap in the pipeline.
 std::uint64_t rng_store::lazy_draws(std::size_t slot, std::size_t word,
@@ -142,13 +133,36 @@ std::uint64_t rng_store::lazy_draws(std::size_t slot, std::size_t word,
   // cursor does not show yet.
   sync(slot);
   const std::size_t base = word << 6;
+  const bool coins = mode_ == draw_mode::coins;
+  // Cursors below this bound draw from the first word: 64 coin bits,
+  // or the one raw64 word.
+  const std::uint32_t first_word_draws =
+      coin == coins ? (coins ? 64 : 1) : 0;
+  std::uint32_t* const cursors = cursors_.data();
   std::uint64_t out = 0;
+  std::uint64_t replays = 0;
+  // The closed-form lanes first, in a loop without calls, with a local
+  // root so its state stays in registers.
+  const rng root = root_;
   for (; mask != 0; mask &= mask - 1) {
     const int b = std::countr_zero(mask);
+    const std::uint32_t cursor = cursors[base + b];
+    if (cursor >= first_word_draws) {
+      replays |= 1ULL << b;
+      continue;
+    }
+    const std::uint64_t first = root.substream_first_u64(base + b);
+    const bool hit =
+        coin ? ((first >> cursor) & 1ULL) != 0 : rng::to_unit(first) < p;
+    out |= static_cast<std::uint64_t>(hit) << b;
+    cursors[base + b] = cursor + 1;
+  }
+  for (; replays != 0; replays &= replays - 1) {
+    const int b = std::countr_zero(replays);
     rng stream = replay(base + b);
     const bool hit = coin ? stream.coin() : stream.uniform01() < p;
     out |= static_cast<std::uint64_t>(hit) << b;
-    cursors_[base + b] = cursor_of(stream);
+    cursors[base + b] = cursor_of(stream);
   }
   return out;
 }

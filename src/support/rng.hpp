@@ -27,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/arena.hpp"
+
 namespace beepkit::support {
 
 /// splitmix64: tiny, fast 64-bit generator used only for seeding and
@@ -34,10 +36,15 @@ namespace beepkit::support {
 struct split_mix64 {
   std::uint64_t state = 0;
 
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
   constexpr explicit split_mix64(std::uint64_t seed) noexcept : state(seed) {}
 
-  constexpr std::uint64_t next() noexcept {
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  constexpr std::uint64_t next() noexcept { return mix(state += kGamma); }
+
+  /// The output finalizer: output k (from 1) of a generator seeded
+  /// with s is mix(s + k * kGamma).
+  static constexpr std::uint64_t mix(std::uint64_t z) noexcept {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
@@ -56,7 +63,19 @@ class rng {
 
   /// Derives an independent generator for a logical stream (e.g. one
   /// per node). Deterministic in (current seed material, stream).
-  [[nodiscard]] rng substream(std::uint64_t stream) const noexcept;
+  [[nodiscard]] rng substream(std::uint64_t stream) const noexcept {
+    return rng(substream_seed(stream));
+  }
+
+  /// substream(stream).next_u64() in closed form. The first xoshiro256**
+  /// output reads only state word 1, the second SplitMix64 output of
+  /// the child seed, so two finalizers replace the full seeding.
+  [[nodiscard]] std::uint64_t substream_first_u64(
+      std::uint64_t stream) const noexcept {
+    const std::uint64_t s1 = split_mix64::mix(substream_seed(stream) +
+                                              2 * split_mix64::kGamma);
+    return rotl_(s1 * 5, 7) * 9;
+  }
 
   // The draw primitives below are defined inline: they sit on the
   // engine's per-node round path, where an out-of-line call would cost
@@ -77,8 +96,11 @@ class rng {
   }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double uniform01() noexcept {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  double uniform01() noexcept { return to_unit(next_u64()); }
+
+  /// The uniform01() value of a raw 64-bit draw.
+  static constexpr double to_unit(std::uint64_t bits) noexcept {
+    return static_cast<double>(bits >> 11) * 0x1.0p-53;
   }
 
   /// Bernoulli(p) trial; p is clamped to [0, 1].
@@ -173,6 +195,15 @@ class rng {
     return (x << k) | (x >> (64 - k));
   }
 
+  /// The child seed substream(stream) seeds from: one SplitMix64 step
+  /// over the state words mixed with the stream id.
+  [[nodiscard]] std::uint64_t substream_seed(
+      std::uint64_t stream) const noexcept {
+    split_mix64 sm(state_[0] ^ rotl_(state_[1], 17) ^ rotl_(state_[2], 31) ^
+                   state_[3] ^ (0xa0761d6478bd642fULL * (stream + 1)));
+    return sm.next();
+  }
+
   std::array<std::uint64_t, 4> state_{};
   std::uint64_t coin_buffer_ = 0;
   unsigned coin_bits_left_ = 0;
@@ -219,7 +250,10 @@ std::uint64_t draw_lanes(rng* lanes, std::uint64_t mask, Draw draw) noexcept {
 ///    trial pays 4 GB instead of 64 GB, and the cursor array doubles as
 ///    the checkpoint representation of all randomness. Reconstruction
 ///    replays cursor/64 words, which stays cheap because a BFW node
-///    only draws while it waits in W-black.
+///    only draws while it waits in W-black. The cursors live in
+///    zero-filled arena pages (support::plane_arena), so binding does
+///    no O(n) pass: each page is first touched by the tile thread that
+///    first draws from its streams.
 ///
 /// Every stream draws in its own order and no other: the contract is
 /// per stream, so callers may visit different streams in any order.
@@ -228,9 +262,14 @@ std::uint64_t draw_lanes(rng* lanes, std::uint64_t mask, Draw draw) noexcept {
 /// slot through that slot's scratch generator (single-stream access:
 /// protocols, tests, checkpoints). The batched rng_source::coins() and
 /// bernoulli() draw once from each stream of a 64-lane word; in lazy
-/// mode they sync the slot's scratch first, then rebuild each lane's
-/// generator in a local and write its cursor straight back, so
-/// consecutive lanes do not serialize on the one scratch.
+/// mode they sync the slot's scratch first, then serve each lane and
+/// write its cursor straight back. A lane whose draw still reads its
+/// stream's first generator word - a coin at cursor < 64, a raw64
+/// draw at cursor 0 - takes it in closed form
+/// (rng::substream_first_u64: two SplitMix64 finalizers instead of a
+/// seeding and a replay); any other lane rebuilds its generator in a
+/// local, so consecutive lanes do not serialize on the one scratch.
+/// The single-stream path always replays and stays the reference.
 ///
 /// A slot is a thread context: tiled sweeps give every executor slot
 /// its own cache-line-aligned scratch generator. Concurrent use is
@@ -331,9 +370,10 @@ class rng_store {
   bool lazy_ = false;
   draw_mode mode_ = draw_mode::coins;
   std::vector<rng> dense_;
-  // Lazy representation:
+  // Lazy representation: the cursors live in zero-filled arena pages.
   rng root_{0};
-  std::vector<std::uint32_t> cursors_;
+  plane_arena cursor_arena_;
+  std::span<std::uint32_t> cursors_;
   std::vector<slot_state> slots_ = std::vector<slot_state>(1);
 
   friend struct rng_source;

@@ -26,6 +26,7 @@
 #include "graph/view.hpp"
 #include "support/arena.hpp"
 #include "support/codec.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
 
@@ -278,6 +279,52 @@ void expect_batches_match_per_lane(support::draw_mode mode) {
   EXPECT_EQ(dense.total_draws(), ref.total_draws());
 }
 
+// Batched lazy draws take a closed form while a stream's draw still
+// reads its first generator word (coins at cursor < 64, raw64 at
+// cursor 0) and the general replay after it. Word 0 draws every round
+// and word 1 on a scattered mask, so lanes cross the boundary at
+// different rounds; each batch must match the dense streams and the
+// single-stream at() path (which always replays), and so must the
+// cursors it leaves.
+void expect_batches_cross_first_word(support::draw_mode mode, double p,
+                                     std::size_t rounds) {
+  const bool coins = mode == support::draw_mode::coins;
+  constexpr std::size_t kStreams = 128;
+  support::rng_store dense = support::rng_store::dense(17, kStreams);
+  support::rng_store batched = support::rng_store::lazy(17, kStreams, mode);
+  support::rng_store single = support::rng_store::lazy(17, kStreams, mode);
+  support::rng picker(5);
+  for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t word = 0; word < 2; ++word) {
+      const std::uint64_t mask =
+          word == 0 ? ~0ULL : picker.next_u64() | picker.next_u64();
+      std::uint64_t from_dense = 0;
+      std::uint64_t from_single = 0;
+      for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+        const int b = std::countr_zero(m);
+        const std::size_t s = (word << 6) + b;
+        const bool d = coins ? dense[s].coin() : dense[s].bernoulli(p);
+        const bool r = coins ? single[s].coin() : single[s].bernoulli(p);
+        from_dense |= static_cast<std::uint64_t>(d) << b;
+        from_single |= static_cast<std::uint64_t>(r) << b;
+      }
+      const support::rng_source source = batched.source(0);
+      const std::uint64_t got = coins ? source.coins(word, mask)
+                                      : source.bernoulli(word, mask, p);
+      ASSERT_EQ(got, from_dense) << "round " << round << " word " << word;
+      ASSERT_EQ(got, from_single) << "round " << round << " word " << word;
+    }
+  }
+  const auto b = batched.cursors();
+  const auto r = single.cursors();
+  EXPECT_TRUE(std::equal(b.begin(), b.end(), r.begin()));
+  EXPECT_EQ(b[0], rounds);
+  EXPECT_EQ(batched.total_draws(), single.total_draws());
+  if (coins) {
+    EXPECT_EQ(batched.total_draws(), dense.total_draws());
+  }
+}
+
 TEST(RngStore, LazyMatchesDenseDrawForDraw) {
   support::rng_store dense = support::rng_store::dense(42, 9);
   support::rng_store lazy =
@@ -295,6 +342,17 @@ TEST(RngStore, LazyMatchesDenseDrawForDraw) {
   // Batched draws keep every stream's sequence.
   expect_batches_match_per_lane(support::draw_mode::coins);
   expect_batches_match_per_lane(support::draw_mode::raw64);
+  // ... across the closed form's boundary too: coin cursors 0..130 run
+  // two whole words past it, raw64 cursors 0 and 1 one draw past it.
+  const support::rng root(2024);
+  for (std::uint64_t s = 0; s < 1000; s += 7) {
+    support::rng stream = root.substream(s);
+    EXPECT_EQ(root.substream_first_u64(s), stream.next_u64()) << s;
+  }
+  expect_batches_cross_first_word(support::draw_mode::coins, 0.5, 131);
+  for (const double p : {0.3, 0.5}) {
+    expect_batches_cross_first_word(support::draw_mode::raw64, p, 2);
+  }
 }
 
 TEST(RngStore, CursorsRestoreExactGeneratorState) {
@@ -698,16 +756,31 @@ TEST(GiantTrial, ThreadedTrialIsBitIdenticalToSerial) {
   const auto serial =
       core::run_giant_trial(view, machine, 1234, {.max_rounds = 500000});
   ASSERT_TRUE(serial.converged);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+  EXPECT_EQ(serial.exec_threads, 1U);
+  EXPECT_EQ(serial.exec_tile_words, 0U);
+  // 1-word tiles are the worst case; 0 threads and 0 tile words ask for
+  // the defaults.
+  const struct {
+    std::size_t threads, tile_words;
+  } configs[] = {{2, 1}, {4, 1}, {4, 0}, {0, 0}};
+  for (const auto& c : configs) {
     core::giant_options options;
     options.max_rounds = 500000;
-    options.threads = threads;
-    options.tile_words = 1;  // worst case: one word per tile
+    options.threads = c.threads;
+    options.tile_words = c.tile_words;
     const auto tiled = core::run_giant_trial(view, machine, 1234, options);
-    EXPECT_TRUE(tiled.converged) << threads;
-    EXPECT_EQ(tiled.rounds, serial.rounds) << threads;
-    EXPECT_EQ(tiled.leader, serial.leader) << threads;
-    EXPECT_EQ(tiled.draws, serial.draws) << threads;
+    EXPECT_TRUE(tiled.converged) << c.threads;
+    EXPECT_EQ(tiled.rounds, serial.rounds) << c.threads;
+    EXPECT_EQ(tiled.leader, serial.leader) << c.threads;
+    EXPECT_EQ(tiled.draws, serial.draws) << c.threads;
+    // The result reports what ran, not what was asked for: 0 threads
+    // is the core count, and a tiled engine runs 0 as the default tile.
+    const std::size_t threads =
+        c.threads != 0 ? c.threads : support::resolve_threads(0);
+    EXPECT_EQ(tiled.exec_threads, threads);
+    EXPECT_EQ(tiled.exec_tile_words, c.tile_words != 0 || threads == 1
+                                         ? c.tile_words
+                                         : support::kL2TileWords);
   }
 }
 

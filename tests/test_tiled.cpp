@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -30,8 +31,10 @@
 #include "core/timeout_bfw.hpp"
 #include "graph/gather.hpp"
 #include "graph/generators.hpp"
+#include "graph/view.hpp"
 #include "stoneage/stoneage.hpp"
 #include "support/parallel.hpp"
+#include "support/rng.hpp"
 #include "support/telemetry.hpp"
 
 namespace beepkit {
@@ -193,6 +196,106 @@ void expect_tiled_matches_serial(const graph::graph& g,
   }
 }
 
+// Grid and torus stencils read their column masks from a table of
+// whole periods (cols / gcd(cols, 64) words each; at least 64 and at
+// most 129 words for the widths here). Tiles of 1, 3 and 7 words start
+// at every offset into that table, so each of these shapes - about 300
+// words, more than two tables - checks every word's mask lookup:
+// the gather against a scalar neighbour scan (with `heard` entering
+// as garbage, which every kernel overwrites), and the tiled implicit
+// and explicit engines against the scalar step_reference, round by
+// round.
+void expect_column_tables_match_reference() {
+  using graph::topology;
+  const core::bfw_machine machine(0.5);
+  constexpr int kRounds = 6;
+  for (const auto shape : {topology::kind::grid, topology::kind::torus}) {
+    for (const std::size_t cols : {1U, 2U, 3U, 63U, 64U, 65U, 100U, 129U}) {
+      const std::size_t rows = 300 * 64 / cols + 3;
+      const auto view = graph::topology_view::implicit({shape, rows, cols});
+      const std::size_t n = view.node_count();
+      const std::size_t words = (n + 63) / 64;
+      // make_torus needs both sides >= 3.
+      const bool has_explicit = shape == topology::kind::grid || cols >= 3;
+      std::optional<graph::graph> g;
+      if (has_explicit) {
+        g = shape == topology::kind::grid ? graph::make_grid(rows, cols)
+                                          : graph::make_torus(rows, cols);
+      }
+      const std::string label = view.name();
+
+      support::rng picker(cols * 2 + (shape == topology::kind::torus));
+      std::vector<std::vector<std::uint64_t>> beeps;
+      for (const int density : {1, 2, 8}) {
+        std::vector<std::uint64_t> beep(words);
+        for (std::uint64_t& w : beep) {
+          w = ~0ULL;
+          for (int k = 1; k < density; ++k) w &= picker.next_u64();
+        }
+        if (n % 64 != 0) beep.back() &= (1ULL << (n % 64)) - 1;
+        beeps.push_back(std::move(beep));
+      }
+      std::vector<std::vector<std::uint64_t>> expected;
+      for (const auto& beep : beeps) {
+        std::vector<std::uint64_t> heard(words);
+        for (graph::node_id u = 0; u < n; ++u) {
+          bool hit = ((beep[u >> 6] >> (u & 63)) & 1ULL) != 0;
+          view.for_each_neighbor(u, [&](graph::node_id v) {
+            hit = hit || ((beep[v >> 6] >> (v & 63)) & 1ULL) != 0;
+          });
+          if (hit) heard[u >> 6] |= 1ULL << (u & 63);
+        }
+        expected.push_back(std::move(heard));
+      }
+
+      fsm_protocol ref_proto(machine);
+      engine ref(view, ref_proto, 5);
+      std::vector<std::vector<std::uint64_t>> ref_beeps;
+      std::vector<std::size_t> ref_leaders;
+      for (int round = 0; round < kRounds; ++round) {
+        ref.step_reference();
+        const auto b = ref.beep_words();
+        ref_beeps.emplace_back(b.begin(), b.end());
+        ref_leaders.push_back(ref.leader_count());
+      }
+
+      for (const std::size_t threads : {1U, 2U, 4U}) {
+        support::tile_executor exec(threads);
+        for (const std::size_t tile : {1U, 3U, 7U, 0U}) {
+          const std::string where = label + " threads=" +
+                                    std::to_string(threads) +
+                                    " tile=" + std::to_string(tile);
+          graph::heard_gather gather(view);
+          ASSERT_TRUE(gather.stencil_available()) << where;
+          gather.set_executor(&exec, tile);
+          for (std::size_t i = 0; i < beeps.size(); ++i) {
+            std::vector<std::uint64_t> heard(words, 0x5a5a5a5a5a5a5a5aULL);
+            gather(beeps[i], heard);
+            ASSERT_EQ(heard, expected[i]) << where << " beep set " << i;
+          }
+          for (const bool use_explicit : {false, true}) {
+            if (use_explicit && !has_explicit) continue;
+            fsm_protocol proto(machine);
+            engine sim(use_explicit ? graph::topology_view(*g) : view, proto,
+                       5);
+            sim.set_parallelism(threads, tile);
+            for (int round = 0; round < kRounds; ++round) {
+              sim.step();
+              const auto b = sim.beep_words();
+              ASSERT_TRUE(std::equal(b.begin(), b.end(),
+                                     ref_beeps[round].begin()))
+                  << where << (use_explicit ? " explicit" : " implicit")
+                  << " round " << round;
+              ASSERT_EQ(sim.leader_count(), ref_leaders[round]) << where;
+            }
+            ASSERT_EQ(proto.states(), ref_proto.states()) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(TiledEngineBitIdentityTest, AllConfigsMatchSerialOnAllTopologies) {
   const core::bfw_machine machine(0.5);
   for (const auto& c : boundary_graphs()) {
@@ -203,6 +306,7 @@ TEST(TiledEngineBitIdentityTest, AllConfigsMatchSerialOnAllTopologies) {
               " tile=" + std::to_string(cfg.tile_words));
     }
   }
+  expect_column_tables_match_reference();
 }
 
 TEST(TiledEngineBitIdentityTest, TimeoutBfwRippleCarryTiledMatchesSerial) {

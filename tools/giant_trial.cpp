@@ -102,9 +102,9 @@ int main(int argc, char** argv) {
         {"arena_bytes", json(static_cast<std::uint64_t>(result.arena_bytes))},
         {"peak_rss_kib", json(peak_rss_kib())},
         {"exec_threads",
-         json(static_cast<std::uint64_t>(options.threads))},
+         json(static_cast<std::uint64_t>(result.exec_threads))},
         {"exec_tile_words",
-         json(static_cast<std::uint64_t>(options.tile_words))},
+         json(static_cast<std::uint64_t>(result.exec_tile_words))},
     });
     std::printf("GIANT_RESULT %s\n", summary.dump().c_str());
   } catch (const std::exception& e) {
