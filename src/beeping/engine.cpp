@@ -159,7 +159,7 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
   if (resolved <= 1) {
     exec_.reset();
     gather_.set_executor(nullptr, 0);
-    tile_words_ = tile_words;
+    tile_words_ = 0;  // a serial round runs no tiles
     rngs_.set_slots(1);
     // Serial rounds write the leader count directly.
     slot_leaders_.clear();

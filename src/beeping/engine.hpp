@@ -385,6 +385,11 @@ class engine : private fsm_protocol::lazy_source {
   /// Total fair coins consumed by all nodes so far (Section 1.3: with
   /// p = 1/2 a waiting leader consumes exactly one coin per round).
   [[nodiscard]] std::uint64_t total_coins_consumed() const noexcept;
+  /// Total RNG draws across all nodes (rng_store::total_draws), summed
+  /// on the tile executor when the engine is tiled.
+  [[nodiscard]] std::uint64_t total_draws() {
+    return rngs_.total_draws(exec_.get());
+  }
 
   /// Per-node generator access (tests use this to couple runs).
   [[nodiscard]] support::rng& node_rng(graph::node_id u) { return rngs_[u]; }
@@ -431,8 +436,9 @@ class engine : private fsm_protocol::lazy_source {
   [[nodiscard]] std::size_t parallel_threads() const noexcept {
     return exec_ ? exec_->thread_count() : 1;
   }
-  /// The tile size rounds actually run with (kL2TileWords when
-  /// set_parallelism was handed 0).
+  /// The tile size rounds actually run with: kL2TileWords when
+  /// set_parallelism was handed 0, and 0 on a serial engine (which runs
+  /// no tiles, whatever tile_words it was handed).
   [[nodiscard]] std::size_t tile_words() const noexcept {
     return tile_words_;
   }

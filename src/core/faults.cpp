@@ -583,16 +583,29 @@ void fault_session::step() {
   sim_->step();
 }
 
+std::uint64_t fault_session::next_event_round() const noexcept {
+  std::uint64_t next = kDone;
+  for (const scheduled_restart& r : rejoins_) next = std::min(next, r.round);
+  for (const std::uint64_t fire : next_fire_) next = std::min(next, fire);
+  return next;
+}
+
 beeping::run_result fault_session::run_until_single_leader(
     std::uint64_t max_rounds) {
-  while (true) {
+  // Each stretch between events is one engine::run_rounds call: no
+  // event fires inside it, so the knobs run_rounds reads once (crashed
+  // set, patch, hook, noise, observers) hold for all of its rounds.
+  // The stopping test is skipped inside a stretch, as it was when this
+  // looped over step(): a pending event may still revive a leader.
+  apply_pending();
+  while (!exhausted()) {
+    const std::uint64_t now = sim_->round();
+    if (now >= max_rounds) break;
+    sim_->run_rounds(std::min(next_event_round(), max_rounds) - now);
     apply_pending();
-    if (sim_->round() >= max_rounds) break;
-    if (sim_->alive_leader_count() <= 1 && exhausted()) break;
-    sim_->step();
   }
-  return {sim_->round(), sim_->alive_leader_count() == 1,
-          sim_->alive_leader_count()};
+  // Nothing can fire any more: the rest is the engine's own run.
+  return sim_->run_until_single_leader(max_rounds);
 }
 
 }  // namespace beepkit::core

@@ -13,8 +13,8 @@
 //   * Events fire between rounds in a fixed order (scheduled burst
 //     rejoins first, then plan events in declaration order), provided
 //     the engine is stepped through the session (step() /
-//     run_until_single_leader()), which applies pending events every
-//     round.
+//     run_until_single_leader()), which applies pending events before
+//     every round that has one.
 #pragma once
 
 #include <cstdint>
@@ -169,8 +169,14 @@ class fault_session {
 
   /// Runs until at most one *alive* leader remains and no future
   /// events are pending (a scheduled rejoin can revive a second
-  /// leader), or max_rounds elapse. With an empty plan and no
-  /// adversary this is draw-for-draw engine::run_until_single_leader.
+  /// leader), or max_rounds elapse. Each stretch up to the next
+  /// scheduled event (burst rejoin or plan event) runs as one
+  /// engine::run_rounds call, and once exhausted() the rest is
+  /// engine::run_until_single_leader; every round is the one step()
+  /// runs, so this is round-for-round a loop of step() with the same
+  /// stopping test (tests/test_faults.cpp pins it). With an empty plan
+  /// and no adversary it is draw-for-draw
+  /// engine::run_until_single_leader.
   beeping::run_result run_until_single_leader(std::uint64_t max_rounds);
 
   /// Individual fault actions applied so far (each crash, rejoin,
@@ -191,6 +197,9 @@ class fault_session {
   static constexpr std::uint64_t kDone = ~0ULL;
 
   void apply_event(const fault_event& event);
+  /// The earliest round a rejoin or plan event is scheduled for (kDone
+  /// when exhausted()).
+  [[nodiscard]] std::uint64_t next_event_round() const noexcept;
   [[nodiscard]] beeping::fsm_protocol& fsm_proto();
   /// Pushes a replaced configuration into the engine: bit-identical to
   /// the historical set_states + restart/resync sequence.

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <charconv>
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "beeping/engine.hpp"
@@ -205,11 +208,11 @@ ckpt_meta scan_journal(const std::string& path,
     const std::string& type = journal.type();
     if (type == "giant_header") {
       header_seen = true;
-      const json* version = journal.record().find("format_version");
-      if (version == nullptr || version->as_uint() != kFormatVersion) {
+      const auto version = journal.find("format_version");
+      if (!version || json::object_scan::as_uint(*version) != kFormatVersion) {
         throw std::runtime_error(
             "giant: journal format_version " +
-            (version != nullptr ? version->dump() : "(missing)") +
+            std::string(version.value_or("(missing)")) +
             " is not this build's version " + std::to_string(kFormatVersion));
       }
       if (journal.u64("n") != view.node_count() ||
@@ -217,11 +220,15 @@ ckpt_meta scan_journal(const std::string& path,
         throw std::runtime_error(
             "giant: journal belongs to a different trial (n/seed mismatch)");
       }
-      const json* topo = journal.record().find("topology");
-      if (topo != nullptr && topo->as_string() != view.name()) {
-        throw std::runtime_error(
-            "giant: journal belongs to a different topology (" +
-            topo->as_string() + " vs " + view.name() + ")");
+      if (const auto topo = journal.find("topology")) {
+        std::string scratch;
+        const std::string_view name =
+            json::object_scan::as_string(*topo, scratch).value_or("");
+        if (name != view.name()) {
+          throw std::runtime_error(
+              "giant: journal belongs to a different topology (" +
+              std::string(name) + " vs " + view.name() + ")");
+        }
       }
     } else if (type == "ckpt_begin") {
       begin.seq = journal.u64("seq");
@@ -248,70 +255,173 @@ ckpt_meta scan_journal(const std::string& path,
   return best;
 }
 
-/// Pass 2: decodes the chosen checkpoint's chunks straight into the
-/// fresh engine's plane spans and cursor array, checking each chunk's
-/// digest as it lands and folding the digests in stream order, then
-/// adopts the state.
+/// One chunk record of the checkpoint being restored, held in its
+/// journal line until its batch is decoded.
+struct restore_chunk {
+  std::string line;      // the record (record_reader::next reads into it)
+  std::string unescaped;  // the payload, if it had escapes to decode
+  std::string_view data;
+  std::size_t section = 0;  // index into the sections; past them: cursors
+  std::size_t offset = 0;
+  std::size_t end = 0;  // decode bound: the section's end, or the offset
+                        // of the batch's next chunk in the section
+  std::uint64_t digest = 0;
+  std::optional<std::size_t> count;  // nullopt: the payload is corrupt
+  std::uint64_t actual = 0;          // digest of what it decoded to
+};
+
+/// Pass 2: decodes the chosen checkpoint's chunks straight from the
+/// journal's line buffers into the fresh engine's plane spans and
+/// cursor array, in batches of one chunk per tile thread (as
+/// write_checkpoint encodes them). Each chunk's digest is checked as it
+/// lands and folded in stream order, then the state is adopted. The
+/// refusals are those of a one-chunk-at-a-time restore, in the same
+/// order.
 void restore_checkpoint(const std::string& path, const ckpt_meta& target,
                         beeping::engine& sim) {
   const auto state = sim.plane_snapshot();
   std::vector<section_ref> sections = snapshot_sections(state);
   const auto cursor_span = sim.rng_streams().cursors_mutable();
+  const std::size_t cursor_section = sections.size();
+  const auto section_size = [&](std::size_t section) {
+    return section == cursor_section ? cursor_span.size()
+                                     : sections[section].words.size();
+  };
+  // Where a refusal says the chunk is.
+  const auto where = [&](const restore_chunk& chunk) {
+    return (chunk.section == cursor_section ? std::string("cursors")
+                                            : sections[chunk.section].name) +
+           " at offset " + std::to_string(chunk.offset);
+  };
+  // Decodes a chunk from its offset up to its bound (clipped) or to
+  // its section's end.
+  const auto decode = [&](restore_chunk& chunk, bool clipped) {
+    const std::size_t end = clipped ? chunk.end : section_size(chunk.section);
+    if (chunk.section == cursor_section) {
+      const auto dest = cursor_span.subspan(chunk.offset, end - chunk.offset);
+      chunk.count = codec::decode_cursors(chunk.data, dest);
+      if (chunk.count.has_value()) {
+        chunk.actual = codec::chunk_digest(
+            std::span<const std::uint32_t>(dest.first(*chunk.count)));
+      }
+    } else {
+      const auto dest =
+          sections[chunk.section].words.subspan(chunk.offset,
+                                                end - chunk.offset);
+      chunk.count = codec::decode_words(chunk.data, dest);
+      if (chunk.count.has_value()) {
+        chunk.actual = codec::chunk_digest(
+            std::span<const std::uint64_t>(dest.first(*chunk.count)));
+      }
+    }
+  };
 
-  sweep::record_reader journal(path);
+  support::tile_executor exec(sim.parallel_threads());
+  std::vector<restore_chunk> slots(exec.thread_count());
+  std::vector<restore_chunk*> free;     // slots a record may be read into
+  std::vector<restore_chunk*> pending;  // the batch, in stream order
+  for (restore_chunk& slot : slots) free.push_back(&slot);
   codec::fnv1a hash;
   hash.update_u64(target.round);
   hash.update_u64(target.leaders);
   hash.update_u64(state.plane_count);
   std::uint64_t words_restored = 0;
   std::uint64_t cursors_restored = 0;
-  while (journal.next()) {
+  // Decodes the batch in parallel, each chunk clipped to its bound so
+  // that no two write the same words, then checks it in stream order.
+  // A clipped chunk that fails may have meant to overlap the next one:
+  // from there on the batch is decoded again one chunk at a time,
+  // unclipped, as a sequential restore would.
+  const auto drain = [&] {
+    exec.run_tiles(pending.size(), 1,
+                   [&](std::size_t, std::size_t begin, std::size_t end) {
+                     for (std::size_t i = begin; i < end; ++i) {
+                       decode(*pending[i], true);
+                     }
+                   });
+    bool sequential = false;
+    for (restore_chunk* chunk : pending) {
+      sequential = sequential || (!chunk->count.has_value() &&
+                                  chunk->end != section_size(chunk->section));
+      if (sequential) decode(*chunk, false);
+      if (!chunk->count.has_value()) {
+        throw std::runtime_error("giant: corrupt checkpoint chunk in " +
+                                 where(*chunk));
+      }
+      if (chunk->actual != chunk->digest) {
+        throw std::runtime_error(
+            "giant: checkpoint chunk digest mismatch in " + where(*chunk));
+      }
+      (chunk->section == cursor_section ? cursors_restored
+                                        : words_restored) += *chunk->count;
+      hash.update_u64(chunk->digest);
+      free.push_back(chunk);
+    }
+    pending.clear();
+  };
+  // Reads the current record into `chunk`; false when it is not a
+  // chunk of the target checkpoint.
+  sweep::record_reader journal(path);
+  const auto read_chunk = [&](restore_chunk& chunk) {
     const std::string& kind = journal.type();
-    if (kind != "ckpt_words" && kind != "ckpt_cursors") continue;
-    if (journal.u64("seq") != target.seq) continue;
-    const std::uint64_t offset = journal.u64("offset");
-    const std::uint64_t digest = journal.u64("digest");
-    const std::string payload = journal.string("data");
-    std::string where;
-    std::optional<std::size_t> count;
-    std::uint64_t actual = 0;
+    if (kind != "ckpt_words" && kind != "ckpt_cursors") return false;
+    if (journal.u64("seq") != target.seq) return false;
+    chunk.offset = journal.u64("offset");
+    chunk.digest = journal.u64("digest");
+    chunk.data = journal.string("data");
+    if (std::less<>{}(chunk.data.data(), chunk.line.data()) ||
+        std::greater<>{}(chunk.data.data(),
+                         chunk.line.data() + chunk.line.size())) {
+      // Decoded escapes live in the reader's scratch, which the next
+      // record reuses.
+      chunk.data = chunk.unescaped.assign(chunk.data);
+    }
     if (kind == "ckpt_words") {
-      const std::string section_name = journal.string("section");
+      const std::string_view name = journal.string("section");
       const auto it = std::find_if(
           sections.begin(), sections.end(),
-          [&](const section_ref& s) { return s.name == section_name; });
-      if (it == sections.end() || offset > it->words.size()) {
+          [&](const section_ref& s) { return s.name == name; });
+      if (it == sections.end() || chunk.offset > it->words.size()) {
         throw std::runtime_error("giant: checkpoint section mismatch: " +
-                                 section_name);
+                                 std::string(name));
       }
-      where = section_name + " at offset " + std::to_string(offset);
-      const auto dest = it->words.subspan(offset);
-      count = codec::decode_words(payload, dest);
-      if (count.has_value()) {
-        actual = codec::chunk_digest(dest.first(*count));
-        words_restored += *count;
-      }
+      chunk.section = static_cast<std::size_t>(it - sections.begin());
     } else {
-      if (offset > cursor_span.size()) {
+      if (chunk.offset > cursor_span.size()) {
         throw std::runtime_error("giant: cursor chunk out of range");
       }
-      where = "cursors at offset " + std::to_string(offset);
-      const auto dest = cursor_span.subspan(offset);
-      count = codec::decode_cursors(payload, dest);
-      if (count.has_value()) {
-        actual = codec::chunk_digest(dest.first(*count));
-        cursors_restored += *count;
+      chunk.section = cursor_section;
+    }
+    chunk.end = section_size(chunk.section);
+    return true;
+  };
+  while (journal.next(free.back()->line)) {
+    restore_chunk& chunk = *free.back();
+    bool is_chunk = false;
+    try {
+      is_chunk = read_chunk(chunk);
+    } catch (const std::runtime_error&) {
+      drain();  // the earlier chunks' refusals come first
+      throw;
+    }
+    if (!is_chunk) continue;
+    free.pop_back();
+    // A batch's chunks of one section rise in offset, and each one's
+    // bound is the next one's offset; a chunk that does not rise
+    // starts a new batch.
+    for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
+      if ((*it)->section != chunk.section) continue;
+      if (chunk.offset > (*it)->offset) {
+        (*it)->end = chunk.offset;
+      } else {
+        drain();
       }
+      break;
     }
-    if (!count.has_value()) {
-      throw std::runtime_error("giant: corrupt checkpoint chunk in " + where);
-    }
-    if (actual != digest) {
-      throw std::runtime_error("giant: checkpoint chunk digest mismatch in " +
-                               where);
-    }
-    hash.update_u64(digest);
+    pending.push_back(&chunk);
+    if (pending.size() == slots.size()) drain();
   }
+  drain();
   if (words_restored != target.words || cursors_restored != target.cursors ||
       hash.digest() != target.digest) {
     throw std::runtime_error(
@@ -407,7 +517,7 @@ giant_result run_giant_trial(const graph::topology_view& view,
   result.leaders = sim.leader_count();
   result.converged = result.leaders == 1;
   if (result.converged) result.leader = sim.sole_leader();
-  result.draws = sim.rng_streams().total_draws();
+  result.draws = sim.total_draws();
 
   if (journal) {
     writer.write_record(json(json::object{

@@ -33,14 +33,17 @@
 // the thread count.
 //
 // A resume reads the journal twice through sweep::record_reader, the
-// reader of shard files: a torn line is skipped wherever a kill left
-// it, a malformed field is refused with its path:line, and so is a
-// header with another format_version. A checkpoint is adoptable iff
-// its ckpt_end is present, every chunk's digest matches the words or
-// cursors it decodes to (a mismatch names the section and offset),
-// and the folded digest verifies - a torn tail from a kill
-// mid-checkpoint is skipped in favor of the previous complete
-// snapshot. Resume restores the exact generator cursors, so the
+// reader of shard files, which scans each line without building a
+// JSON DOM: a torn line is skipped wherever a kill left it, a
+// malformed field is refused with its path:line, and so is a header
+// with another format_version. The second pass decodes and digests
+// the chunks straight from the reader's line buffers, in batches of
+// one per tile thread as the writer encodes them, and folds the
+// digests in stream order. A checkpoint is adoptable iff its ckpt_end
+// is present, every chunk's digest matches the words or cursors it
+// decodes to (a mismatch names the section and offset), and the
+// folded digest verifies - a torn tail from a kill mid-checkpoint is
+// skipped in favor of the previous complete snapshot. Resume restores the exact generator cursors, so the
 // continued run is bit-identical draw-for-draw to the uninterrupted
 // one (tests/test_giant_trial.cpp pins outcome, round and total draw
 // count).
@@ -93,8 +96,9 @@ struct giant_result {
   std::size_t arena_bytes = 0;  ///< Engine plane-arena reservation.
   /// The thread count and tile size the rounds ran with, read off the
   /// engine (engine::parallel_threads / tile_words): threads = 0
-  /// resolves to the hardware's count, and a tiled engine handed
-  /// tile_words = 0 runs support::kL2TileWords.
+  /// resolves to the hardware's count, a tiled engine handed
+  /// tile_words = 0 runs support::kL2TileWords, and a serial engine
+  /// reports 0 (it runs no tiles).
   std::size_t exec_threads = 1;
   std::size_t exec_tile_words = 0;
 };

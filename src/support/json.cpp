@@ -1,13 +1,14 @@
 #include "support/json.hpp"
 
-#include <cctype>
-#include <cerrno>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <type_traits>
+#include <utility>
 
 namespace beepkit::support {
 
@@ -16,17 +17,148 @@ namespace {
 const json::array kEmptyArray;
 const json::object kEmptyObject;
 
-/// Recursive-descent parser over a string_view with a depth cap.
+/// What parsing one value yields: the value (json), or nothing
+/// (skipped) when the value is only validated - how the flat scan
+/// walks nested values through the same grammar.
+struct skipped {};
+
+[[nodiscard]] bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
+
+/// The bytes of `w` (8 bytes read in memory order) that end a string
+/// literal's plain run - '"', '\\' or a control character (< 0x20) -
+/// as their high bits: SWAR zero-byte tests. Nonzero iff there is one,
+/// and the lowest flagged byte is always a real one (a borrow can only
+/// flag bytes above it).
+[[nodiscard]] constexpr std::uint64_t string_stops(std::uint64_t w) noexcept {
+  constexpr std::uint64_t ones = 0x0101010101010101ULL;
+  constexpr std::uint64_t highs = 0x8080808080808080ULL;
+  const auto zero_byte = [](std::uint64_t x) {
+    return (x - ones) & ~x & highs;
+  };
+  return zero_byte(w ^ (ones * '"')) | zero_byte(w ^ (ones * '\\')) |
+         ((w - ones * 0x20) & ~w & highs);
+}
+
+/// Four hex digits, or nullopt.
+[[nodiscard]] std::optional<std::uint32_t> hex4(std::string_view text) {
+  if (text.size() < 4) return std::nullopt;
+  std::uint32_t value = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const char c = text[i];
+    value <<= 4;
+    if (c >= '0' && c <= '9') value |= static_cast<std::uint32_t>(c - '0');
+    else if (c >= 'a' && c <= 'f')
+      value |= static_cast<std::uint32_t>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F')
+      value |= static_cast<std::uint32_t>(c - 'A' + 10);
+    else
+      return std::nullopt;
+  }
+  return value;
+}
+
+void append_utf8(std::string& out, std::uint32_t cp) {
+  if (cp < 0x80) {
+    out.push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp < 0x10000) {
+    out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  }
+}
+
+/// Decodes the body of a string literal the lexer accepted (so every
+/// escape in it is well-formed) into `out`.
+void decode_string(std::string_view body, std::string& out) {
+  out.clear();
+  std::size_t i = 0;
+  while (true) {
+    const std::size_t slash = body.find('\\', i);
+    out.append(body.substr(i, slash - i));
+    if (slash == std::string_view::npos) return;
+    const char esc = body[slash + 1];
+    i = slash + 2;
+    switch (esc) {
+      case 'b': out.push_back('\b'); break;
+      case 'f': out.push_back('\f'); break;
+      case 'n': out.push_back('\n'); break;
+      case 'r': out.push_back('\r'); break;
+      case 't': out.push_back('\t'); break;
+      case 'u': {
+        std::uint32_t code = *hex4(body.substr(i));
+        i += 4;
+        if (code >= 0xD800 && code <= 0xDBFF) {  // surrogate pair
+          const std::uint32_t low = *hex4(body.substr(i + 2));
+          i += 6;
+          code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+        append_utf8(out, code);
+        break;
+      }
+      default: out.push_back(esc);  // '"', '\\' or '/'
+    }
+  }
+}
+
+std::string decoded(std::string_view body) {
+  std::string out;
+  decode_string(body, out);
+  return out;
+}
+
+/// The value of a number token the lexer accepted. An integer literal
+/// keeps its class (uint64, or int64 when signed); fractions,
+/// exponents and integers that overflow 64 bits become doubles.
+std::optional<json> number_value(std::string_view token) {
+  if (token.find_first_of(".eE") == std::string_view::npos) {
+    const char* const end = token.data() + token.size();
+    if (token[0] == '-') {
+      std::int64_t value = 0;
+      const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+      if (ec == std::errc() && ptr == end) return json(value);
+    } else {
+      std::uint64_t value = 0;
+      const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+      if (ec == std::errc() && ptr == end) return json(value);
+    }
+    // fall through to double on 64-bit overflow
+  }
+  const std::string owned(token);
+  char* end = nullptr;
+  const double value = std::strtod(owned.c_str(), &end);
+  if (end != owned.c_str() + owned.size()) return std::nullopt;
+  return json(value);
+}
+
+/// Recursive-descent parser over a string_view with a depth cap. One
+/// grammar serves both readers: parse_value<json> builds the DOM, and
+/// parse_value<skipped> validates a value without building it.
 class parser {
  public:
   explicit parser(std::string_view text) : text_(text) {}
 
   std::optional<json> run() {
-    auto value = parse_value(0);
-    if (!value) return std::nullopt;
-    skip_ws();
-    if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
+    auto value = parse_value<json>(0);
+    if (!value || !at_end()) return std::nullopt;
     return value;
+  }
+
+  /// The flat scan: the text is one object, and on_member(key body,
+  /// raw value) sees each of its members in order. True exactly when
+  /// run() would yield an object.
+  template <class OnMember>
+  bool scan_object(OnMember&& on_member) {
+    skip_ws();
+    if (pos_ >= text_.size() || text_[pos_] != '{') return false;
+    return parse_members<skipped>(0, on_member) && at_end();
   }
 
  private:
@@ -38,6 +170,11 @@ class parser {
             text_[pos_] == '\r')) {
       ++pos_;
     }
+  }
+
+  bool at_end() {
+    skip_ws();
+    return pos_ == text_.size();
   }
 
   bool consume(char c) {
@@ -54,197 +191,184 @@ class parser {
     return true;
   }
 
-  std::optional<json> parse_value(int depth) {
+  std::size_t skip_digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+    return pos_ - start;
+  }
+
+  /// A built value as the parse result: the value itself when building
+  /// the DOM, nothing when only validating.
+  template <class V, class T>
+  static std::optional<V> yield(T&& value) {
+    if constexpr (std::is_same_v<V, json>) {
+      return json(std::forward<T>(value));
+    } else {
+      return skipped{};
+    }
+  }
+
+  template <class V>
+  std::optional<V> parse_value(int depth) {
+    constexpr bool build = std::is_same_v<V, json>;
     if (depth > kMaxDepth) return std::nullopt;
     skip_ws();
     if (pos_ >= text_.size()) return std::nullopt;
     switch (text_[pos_]) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
+      case '{': {
+        json::object members;  // stays empty when only validating
+        if (!parse_members<V>(depth, [&](std::string_view key,
+                                         std::string_view, V&& value) {
+              if constexpr (build) {
+                members.emplace_back(decoded(key), std::move(value));
+              }
+            })) {
+          return std::nullopt;
+        }
+        return yield<V>(std::move(members));
+      }
+      case '[': {
+        json::array values;  // stays empty when only validating
+        if (!parse_elements<V>(depth, [&](V&& value) {
+              if constexpr (build) values.push_back(std::move(value));
+            })) {
+          return std::nullopt;
+        }
+        return yield<V>(std::move(values));
+      }
       case '"': {
-        auto s = parse_string();
-        if (!s) return std::nullopt;
-        return json(std::move(*s));
+        const auto body = lex_string();
+        if (!body) return std::nullopt;
+        if constexpr (build) {
+          return json(decoded(*body));
+        } else {
+          return skipped{};
+        }
       }
-      case 't':
-        return consume_literal("true") ? std::optional<json>(json(true))
-                                       : std::nullopt;
+      case 't': return consume_literal("true") ? yield<V>(true) : std::nullopt;
       case 'f':
-        return consume_literal("false") ? std::optional<json>(json(false))
-                                        : std::nullopt;
+        return consume_literal("false") ? yield<V>(false) : std::nullopt;
       case 'n':
-        return consume_literal("null") ? std::optional<json>(json(nullptr))
-                                       : std::nullopt;
-      default: return parse_number();
-    }
-  }
-
-  std::optional<json> parse_object(int depth) {
-    if (!consume('{')) return std::nullopt;
-    json::object members;
-    skip_ws();
-    if (consume('}')) return json(std::move(members));
-    while (true) {
-      skip_ws();
-      auto key = parse_string();
-      if (!key) return std::nullopt;
-      skip_ws();
-      if (!consume(':')) return std::nullopt;
-      auto value = parse_value(depth + 1);
-      if (!value) return std::nullopt;
-      members.emplace_back(std::move(*key), std::move(*value));
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume('}')) return json(std::move(members));
-      return std::nullopt;
-    }
-  }
-
-  std::optional<json> parse_array(int depth) {
-    if (!consume('[')) return std::nullopt;
-    json::array values;
-    skip_ws();
-    if (consume(']')) return json(std::move(values));
-    while (true) {
-      auto value = parse_value(depth + 1);
-      if (!value) return std::nullopt;
-      values.push_back(std::move(*value));
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume(']')) return json(std::move(values));
-      return std::nullopt;
-    }
-  }
-
-  static void append_utf8(std::string& out, std::uint32_t cp) {
-    if (cp < 0x80) {
-      out.push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    }
-  }
-
-  std::optional<std::uint32_t> parse_hex4() {
-    if (pos_ + 4 > text_.size()) return std::nullopt;
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_ + static_cast<std::size_t>(i)];
-      value <<= 4;
-      if (c >= '0' && c <= '9') value |= static_cast<std::uint32_t>(c - '0');
-      else if (c >= 'a' && c <= 'f')
-        value |= static_cast<std::uint32_t>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F')
-        value |= static_cast<std::uint32_t>(c - 'A' + 10);
-      else
-        return std::nullopt;
-    }
-    pos_ += 4;
-    return value;
-  }
-
-  std::optional<std::string> parse_string() {
-    if (!consume('"')) return std::nullopt;
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) return std::nullopt;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
+        return consume_literal("null") ? yield<V>(nullptr) : std::nullopt;
+      default: {
+        const auto token = lex_number();
+        if (!token) return std::nullopt;
+        if constexpr (build) {
+          return number_value(*token);
+        } else {
+          return skipped{};
+        }
       }
-      if (pos_ >= text_.size()) return std::nullopt;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          auto cp = parse_hex4();
-          if (!cp) return std::nullopt;
-          std::uint32_t code = *cp;
-          if (code >= 0xD800 && code <= 0xDBFF) {  // surrogate pair
-            if (!consume_literal("\\u")) return std::nullopt;
-            auto low = parse_hex4();
-            if (!low || *low < 0xDC00 || *low > 0xDFFF) return std::nullopt;
-            code = 0x10000 + ((code - 0xD800) << 10) + (*low - 0xDC00);
+    }
+  }
+
+  /// An object's members ('{' is next): on_member(key body, raw value
+  /// text, value) for each one, in order.
+  template <class V, class OnMember>
+  bool parse_members(int depth, OnMember&& on_member) {
+    if (!consume('{')) return false;
+    skip_ws();
+    if (consume('}')) return true;
+    while (true) {
+      skip_ws();
+      const auto key = lex_string();
+      if (!key) return false;
+      skip_ws();
+      if (!consume(':')) return false;
+      skip_ws();
+      const std::size_t start = pos_;
+      auto value = parse_value<V>(depth + 1);
+      if (!value) return false;
+      on_member(*key, text_.substr(start, pos_ - start), std::move(*value));
+      skip_ws();
+      if (consume(',')) continue;
+      return consume('}');
+    }
+  }
+
+  /// An array's elements ('[' is next): on_element(value) for each.
+  template <class V, class OnElement>
+  bool parse_elements(int depth, OnElement&& on_element) {
+    if (!consume('[')) return false;
+    skip_ws();
+    if (consume(']')) return true;
+    while (true) {
+      auto value = parse_value<V>(depth + 1);
+      if (!value) return false;
+      on_element(std::move(*value));
+      skip_ws();
+      if (consume(',')) continue;
+      return consume(']');
+    }
+  }
+
+  /// Lexes one string literal ('"' is next) and returns its body, the
+  /// bytes between the quotes, once every escape in it is well-formed.
+  /// Plain bytes are skipped eight at a time.
+  std::optional<std::string_view> lex_string() {
+    if (!consume('"')) return std::nullopt;
+    const std::size_t start = pos_;
+    const char* const data = text_.data();
+    const std::size_t size = text_.size();
+    while (true) {
+      for (std::uint64_t w; pos_ + 8 <= size; pos_ += 8) {
+        std::memcpy(&w, data + pos_, 8);
+        if (const std::uint64_t stops = string_stops(w); stops != 0) {
+          // Little-endian: the lowest byte is the first in memory.
+          if constexpr (std::endian::native == std::endian::little) {
+            pos_ += static_cast<std::size_t>(std::countr_zero(stops)) / 8;
           }
-          append_utf8(out, code);
+          break;
+        }
+      }
+      if (pos_ >= size) return std::nullopt;  // unterminated
+      const char c = data[pos_++];
+      if (c == '"') return text_.substr(start, pos_ - 1 - start);
+      if (static_cast<unsigned char>(c) < 0x20) return std::nullopt;
+      if (c != '\\') continue;
+      if (pos_ >= size) return std::nullopt;
+      switch (data[pos_++]) {
+        case '"':
+        case '\\':
+        case '/':
+        case 'b':
+        case 'f':
+        case 'n':
+        case 'r':
+        case 't': break;
+        case 'u': {
+          const auto code = hex4(text_.substr(pos_));
+          if (!code) return std::nullopt;
+          pos_ += 4;
+          if (*code >= 0xD800 && *code <= 0xDBFF) {  // surrogate pair
+            if (!consume_literal("\\u")) return std::nullopt;
+            const auto low = hex4(text_.substr(pos_));
+            if (!low || *low < 0xDC00 || *low > 0xDFFF) return std::nullopt;
+            pos_ += 4;
+          }
           break;
         }
         default: return std::nullopt;
       }
     }
-    return std::nullopt;  // unterminated
   }
 
-  std::optional<json> parse_number() {
+  /// Lexes one number token: '-'?, digits, then an optional fraction
+  /// and exponent. It is well-formed iff its mantissa has a digit and
+  /// an exponent, if any, has one too - the tokens number_value
+  /// converts (std::strtod reads exactly these whole).
+  std::optional<std::string_view> lex_number() {
     const std::size_t start = pos_;
-    if (consume('-')) {}
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    bool integral = true;
-    if (consume('.')) {
-      integral = false;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
+    consume('-');
+    std::size_t digits = skip_digits();
+    if (consume('.')) digits += skip_digits();
+    if (digits == 0) return std::nullopt;
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      integral = false;
       ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
+      if (!consume('+')) consume('-');
+      if (skip_digits() == 0) return std::nullopt;
     }
-    const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") return std::nullopt;
-    if (integral) {
-      if (token[0] == '-') {
-        std::int64_t value = 0;
-        const auto [ptr, ec] =
-            std::from_chars(token.data(), token.data() + token.size(), value);
-        if (ec == std::errc() && ptr == token.data() + token.size()) {
-          return json(value);
-        }
-      } else {
-        std::uint64_t value = 0;
-        const auto [ptr, ec] =
-            std::from_chars(token.data(), token.data() + token.size(), value);
-        if (ec == std::errc() && ptr == token.data() + token.size()) {
-          return json(value);
-        }
-      }
-      // fall through to double on 64-bit overflow
-    }
-    const std::string owned(token);
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(owned.c_str(), &end);
-    if (end != owned.c_str() + owned.size()) return std::nullopt;
-    return json(value);
+    return text_.substr(start, pos_ - start);
   }
 
   std::string_view text_;
@@ -548,6 +672,59 @@ void json::dump_into(Out& out) const {
 
 std::optional<json> json::parse(std::string_view text) {
   return parser(text).run();
+}
+
+bool json::object_scan::scan(std::string_view text) {
+  members_.clear();
+  const bool ok = parser(text).scan_object(
+      [this](std::string_view key, std::string_view value, skipped) {
+        members_.push_back(
+            {key, value, key.find('\\') != std::string_view::npos});
+      });
+  if (!ok) members_.clear();
+  return ok;
+}
+
+std::optional<std::string_view> json::object_scan::find(
+    std::string_view key) const {
+  std::string decoded;
+  for (const member& m : members_) {
+    if (!m.key_escaped) {
+      if (m.key == key) return m.value;
+      continue;
+    }
+    decode_string(m.key, decoded);
+    if (decoded == key) return m.value;
+  }
+  return std::nullopt;
+}
+
+std::optional<std::uint64_t> json::object_scan::as_uint(
+    std::string_view raw) noexcept {
+  // A uint64 alternative in the DOM: an integer literal with no sign
+  // that from_chars reads whole (a leading '-' makes an int64, a
+  // fraction, exponent or 64-bit overflow a double).
+  if (raw.empty() || !is_digit(raw[0])) return std::nullopt;
+  std::uint64_t value = 0;
+  const char* const end = raw.data() + raw.size();
+  const auto [ptr, ec] = std::from_chars(raw.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<bool> json::object_scan::as_bool(std::string_view raw) noexcept {
+  if (raw == "true") return true;
+  if (raw == "false") return false;
+  return std::nullopt;
+}
+
+std::optional<std::string_view> json::object_scan::as_string(
+    std::string_view raw, std::string& scratch) {
+  if (raw.size() < 2 || raw.front() != '"') return std::nullopt;
+  const std::string_view body = raw.substr(1, raw.size() - 2);
+  if (body.find('\\') == std::string_view::npos) return body;
+  decode_string(body, scratch);
+  return scratch;
 }
 
 }  // namespace beepkit::support

@@ -5,7 +5,9 @@
 // serialize deterministically), unsigned 64-bit integers round-trip
 // exactly (seeds and coin counts must never pass through a double),
 // and serialization of equal values is byte-identical, so two merge
-// runs over the same shards produce identical summary files.
+// runs over the same shards produce identical summary files. Record
+// readers use json::object_scan, the same parser run over one object
+// without building its values.
 #pragma once
 
 #include <cstdint>
@@ -84,6 +86,8 @@ class json {
   /// yields nullopt. Nesting is capped (64) to bound recursion.
   [[nodiscard]] static std::optional<json> parse(std::string_view text);
 
+  class object_scan;
+
  private:
   /// dump_to's body, over its staging writer (json.cpp).
   template <class Out>
@@ -92,6 +96,47 @@ class json {
   std::variant<std::nullptr_t, bool, std::uint64_t, std::int64_t, double,
                std::string, array, object>
       value_ = nullptr;
+};
+
+/// A flat view of one top-level JSON object: each member as a (key,
+/// raw value text) pair of spans into the scanned text, in text order.
+/// scan() runs parse()'s own lexer and grammar - nested values are
+/// validated and skipped under the same depth cap - so it accepts
+/// exactly the texts parse() yields an object for. It builds no value
+/// and, once its member list has grown to a record's size, allocates
+/// nothing. The decoders read one raw value on demand, by the DOM's
+/// rules.
+class json::object_scan {
+ public:
+  /// Scans `text`, which must outlive every span handed out; false
+  /// (and no members) unless parse(text) would yield an object.
+  [[nodiscard]] bool scan(std::string_view text);
+
+  /// The raw value text of the first member named `key` - the member
+  /// json::find returns (escaped keys compare decoded) - or nullopt.
+  [[nodiscard]] std::optional<std::string_view> find(
+      std::string_view key) const;
+
+  /// as_uint() of a raw value: a non-negative integer literal that
+  /// fits 64 bits, else nullopt.
+  [[nodiscard]] static std::optional<std::uint64_t> as_uint(
+      std::string_view raw) noexcept;
+  /// The value of a raw `true` or `false`, else nullopt.
+  [[nodiscard]] static std::optional<bool> as_bool(
+      std::string_view raw) noexcept;
+  /// The text of a raw string literal, else nullopt: a view into the
+  /// raw text when it has no escapes, otherwise decoded into `scratch`
+  /// (the view then points there).
+  [[nodiscard]] static std::optional<std::string_view> as_string(
+      std::string_view raw, std::string& scratch);
+
+ private:
+  struct member {
+    std::string_view key;  ///< The key literal's body (between quotes).
+    std::string_view value;
+    bool key_escaped = false;
+  };
+  std::vector<member> members_;
 };
 
 }  // namespace beepkit::support

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "support/parallel.hpp"
+
 namespace beepkit::support {
 
 rng::rng(std::uint64_t seed) noexcept {
@@ -198,15 +200,26 @@ std::span<std::uint32_t> rng_store::cursors_mutable() {
   return cursors_;
 }
 
-std::uint64_t rng_store::total_draws() {
+std::uint64_t rng_store::total_draws(tile_executor* exec) {
   if (!lazy_) {
     std::uint64_t total = 0;
     for (const rng& stream : dense_) total += stream.coins_consumed();
     return total;
   }
   sync_all();
+  const auto sum = [this](std::size_t begin, std::size_t end) {
+    std::uint64_t total = 0;
+    for (std::size_t i = begin; i < end; ++i) total += cursors_[i];
+    return total;
+  };
+  if (exec == nullptr) return sum(0, cursors_.size());
+  std::vector<std::uint64_t> partials(exec->thread_count(), 0);
+  exec->run_tiles(cursors_.size(), 0,
+                  [&](std::size_t slot, std::size_t begin, std::size_t end) {
+                    partials[slot] += sum(begin, end);
+                  });
   std::uint64_t total = 0;
-  for (const std::uint32_t cursor : cursors_) total += cursor;
+  for (const std::uint64_t part : partials) total += part;
   return total;
 }
 

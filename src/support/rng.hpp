@@ -31,6 +31,8 @@
 
 namespace beepkit::support {
 
+class tile_executor;
+
 /// splitmix64: tiny, fast 64-bit generator used only for seeding and
 /// stream derivation (Steele, Lea & Flood 2014).
 struct split_mix64 {
@@ -335,8 +337,10 @@ class rng_store {
   [[nodiscard]] std::span<std::uint32_t> cursors_mutable();
 
   /// Total draws across all streams (coin bits or u64 calls, per the
-  /// mode). Dense mode reports coin bits.
-  [[nodiscard]] std::uint64_t total_draws();
+  /// mode). Dense mode reports coin bits. Given an executor, the lazy
+  /// cursor array is summed in per-slot partials on its threads (a
+  /// giant trial's 10^8 cursors); the total is the same.
+  [[nodiscard]] std::uint64_t total_draws(tile_executor* exec = nullptr);
   /// Fair-coin account across all streams - what engines report as
   /// total_coins_consumed(). raw64-mode draws are not coins and count
   /// zero, exactly as bernoulli() never touched the dense coin account.

@@ -314,17 +314,20 @@ record_reader::record_reader(const std::string& path)
   if (!in_.is_open()) throw std::runtime_error(path + ": cannot open");
 }
 
-bool record_reader::next() {
-  while (std::getline(in_, line_)) {
+bool record_reader::next() { return next(line_); }
+
+bool record_reader::next(std::string& line) {
+  while (std::getline(in_, line)) {
     ++line_number_;
-    if (line_.empty()) continue;
-    record_ = json::parse(line_);
-    if (!record_ || !record_->is_object()) {
+    if (line.empty()) continue;
+    if (!record_.scan(line)) {
       ++torn_lines_;
       continue;
     }
-    const json* type = record_->find("type");
-    type_ = type != nullptr ? type->as_string() : std::string();
+    const std::optional<std::string_view> type = record_.find("type");
+    type_ = type.has_value()
+                ? json::object_scan::as_string(*type, scratch_).value_or("")
+                : std::string_view();
     return true;
   }
   return false;
@@ -335,9 +338,13 @@ void record_reader::fail(const std::string& message) const {
                            ": " + message);
 }
 
-const json& record_reader::field(const char* key) const {
-  const json* value = record_->find(key);
-  if (value == nullptr) fail(std::string("missing field '") + key + "'");
+std::optional<std::string_view> record_reader::find(const char* key) const {
+  return record_.find(key);
+}
+
+std::string_view record_reader::field(const char* key) const {
+  const std::optional<std::string_view> value = record_.find(key);
+  if (!value) fail(std::string("missing field '") + key + "'");
   return *value;
 }
 
@@ -346,21 +353,23 @@ void record_reader::mistyped(const char* key, const char* what) const {
 }
 
 std::uint64_t record_reader::u64(const char* key, std::uint64_t max) const {
-  const std::optional<std::uint64_t> value = field(key).as_uint();
+  const std::optional<std::uint64_t> value =
+      json::object_scan::as_uint(field(key));
   if (!value || *value > max) mistyped(key, "a non-negative integer in range");
   return *value;
 }
 
 bool record_reader::boolean(const char* key) const {
-  const json& value = field(key);
-  if (!value.is_bool()) mistyped(key, "a boolean");
-  return value.as_bool();
+  const std::optional<bool> value = json::object_scan::as_bool(field(key));
+  if (!value) mistyped(key, "a boolean");
+  return *value;
 }
 
-std::string record_reader::string(const char* key) const {
-  const json& value = field(key);
-  if (!value.is_string()) mistyped(key, "a string");
-  return value.as_string();
+std::string_view record_reader::string(const char* key) const {
+  const std::optional<std::string_view> value =
+      json::object_scan::as_string(field(key), scratch_);
+  if (!value) mistyped(key, "a string");
+  return *value;
 }
 
 namespace {

@@ -22,14 +22,17 @@
 // analysis::aggregate_trial_points fold and land on bit-identical
 // doubles. A file without a "done" record is a crashed/partial shard.
 //
-// One reader, `record_reader`, parses these files and the giant-trial
-// journals (core/giant.cpp). It skips empty lines, and skips and counts
-// torn ones (lines that are not a JSON object: the tail a killed writer
-// leaves; the merge's completeness check catches any unit it lost).
-// A missing or mistyped field is refused with its `path:line`, and an
-// integer must be a non-negative integer literal that fits 64 bits.
-// One shard parser on top of it serves read_shard_file, merge_shards
-// and sweep::run's resume.
+// One reader, `record_reader`, reads these files and the giant-trial
+// journals (core/giant.cpp). It scans each line once with
+// support::json::object_scan - the JSON parser's own lexer and grammar,
+// recording each member's raw value text instead of building a DOM - and
+// decodes a field only when it is read. It skips empty lines, and skips
+// and counts torn ones (lines json::parse would not read as an object:
+// the tail a killed writer leaves; the merge's completeness check
+// catches any unit it lost). A missing or mistyped field is refused
+// with its `path:line`, and an integer must be a non-negative integer
+// literal that fits 64 bits. One shard parser on top of it serves
+// read_shard_file, merge_shards and sweep::run's resume.
 #pragma once
 
 #include <atomic>
@@ -188,7 +191,9 @@ class record_writer {
   std::size_t max_depth_ = 0;     // guarded by mutex_
 };
 
-/// Reads a file of single-line JSON records (see the top of this file).
+/// Reads a file of single-line JSON records (see the top of this file)
+/// through one support::json::object_scan per record: no DOM is built,
+/// and a field's value is decoded only when it is asked for.
 class record_reader {
  public:
   /// Opens `path`; throws std::runtime_error("<path>: cannot open").
@@ -196,19 +201,28 @@ class record_reader {
 
   /// Moves to the next complete record; false at the end of the file.
   [[nodiscard]] bool next();
+  /// next(), reading the record into the caller's `line` rather than
+  /// the reader's own buffer. The record's field reads stay valid only
+  /// until the next call, but the views string() returned for it keep
+  /// pointing into `line`, and so stay valid while `line` is unchanged
+  /// (except a decoded escaped string; see string()). The giant resume
+  /// holds a batch of chunk records this way.
+  [[nodiscard]] bool next(std::string& line);
 
   /// The current record's "type" ("" when absent or not a string).
   [[nodiscard]] const std::string& type() const noexcept { return type_; }
-  /// The current record, for optional fields.
-  [[nodiscard]] const support::json& record() const noexcept {
-    return *record_;
-  }
+  /// The raw JSON text of an optional field, nullopt when absent; the
+  /// support::json::object_scan decoders read it.
+  [[nodiscard]] std::optional<std::string_view> find(const char* key) const;
   /// Required fields of the current record (u64: support::json::as_uint,
   /// at most `max`); each throws std::runtime_error naming `path:line`.
   [[nodiscard]] std::uint64_t u64(const char* key,
                                   std::uint64_t max = UINT64_MAX) const;
   [[nodiscard]] bool boolean(const char* key) const;
-  [[nodiscard]] std::string string(const char* key) const;
+  /// A view into the line when the string has no escapes; one with
+  /// escapes is decoded into the reader's scratch, which the next
+  /// string() or next() call reuses.
+  [[nodiscard]] std::string_view string(const char* key) const;
   /// Throws std::runtime_error("<path>:<line>: <message>").
   [[noreturn]] void fail(const std::string& message) const;
 
@@ -217,7 +231,7 @@ class record_reader {
   }
 
  private:
-  const support::json& field(const char* key) const;
+  [[nodiscard]] std::string_view field(const char* key) const;
   [[noreturn]] void mistyped(const char* key, const char* what) const;
 
   std::string path_;
@@ -225,8 +239,9 @@ class record_reader {
   std::string line_;
   std::size_t line_number_ = 0;
   std::uint64_t torn_lines_ = 0;
-  std::optional<support::json> record_;
+  support::json::object_scan record_;
   std::string type_;
+  mutable std::string scratch_;  // string()'s decoded escapes
 };
 
 /// Fully parsed shard file. The parser throws std::runtime_error with

@@ -1,7 +1,9 @@
 // Tests for the fault-injection subsystem (core/faults, graph/patch,
 // the engine fault surface and the recovery harness):
 //  * an empty fault_plan is draw-for-draw bit-identical to a plain run
-//    on every gear (plane/compiled, interpreted, virtual, tiled);
+//    on every gear (plane/compiled, interpreted, virtual, tiled), and
+//    the session's batched run loop matches single stepping round for
+//    round under faults;
 //  * topology patches (churn) match a materialized modified graph
 //    under every forced gather kernel and tiling, at word boundaries
 //    {63, 64, 65, 128}, on explicit and implicit views;
@@ -13,6 +15,7 @@
 //    shards; the bundled adversaries behave as specified.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -88,6 +91,147 @@ graph::graph materialize_toggles(const graph::graph& base,
   return graph::graph(base.node_count(), std::move(edges));
 }
 
+// ---- the session's run loop against single stepping -----------------
+
+/// Every round's leader count, alive and total, as observers see it.
+class leader_trace final : public beeping::observer {
+ public:
+  void on_round(const beeping::round_view& view) override {
+    counts.push_back({view.round, view.leader_count,
+                      view.source->alive_leader_count()});
+  }
+  struct entry {
+    std::uint64_t round;
+    std::size_t leaders;
+    std::size_t alive;
+    friend bool operator==(const entry&, const entry&) = default;
+  };
+  std::vector<entry> counts;
+};
+
+struct stepped_run {
+  beeping::run_result result{};
+  node_id leader = 0;
+  std::uint64_t coins = 0;
+  std::uint64_t faults = 0;
+  std::vector<leader_trace::entry> trace;
+};
+
+/// One faulted election, run by fault_session::run_until_single_leader
+/// (batched) or by a hand loop of fault_session::step() with the same
+/// stopping test (stepped). `observe` attaches a leader_trace.
+stepped_run run_faulted(const graph::graph& g, const core::fault_plan& plan,
+                        bool waker, std::uint64_t seed,
+                        std::uint64_t max_rounds, bool batched, bool observe) {
+  const core::bfw_machine machine(0.5);
+  fsm_protocol proto(machine);
+  engine sim(g, proto, seed);
+  leader_trace trace;
+  if (observe) sim.add_observer(&trace);
+  core::fault_session session(plan, sim, seed);
+  const auto adversary = core::make_spurious_waker(1, seed ^ 0x5A);
+  if (waker) session.set_adversary(adversary.get());
+  stepped_run run;
+  if (batched) {
+    run.result = session.run_until_single_leader(max_rounds);
+  } else {
+    while (true) {
+      session.apply_pending();
+      if (sim.round() >= max_rounds) break;
+      if (sim.alive_leader_count() <= 1 && session.exhausted()) break;
+      session.step();
+    }
+    run.result = {sim.round(), sim.alive_leader_count() == 1,
+                  sim.alive_leader_count()};
+  }
+  run.leader = sim.sole_leader();
+  run.coins = sim.total_coins_consumed();
+  run.faults = session.faults_applied();
+  run.trace = std::move(trace.counts);
+  return run;
+}
+
+/// Non-empty plans: fault_session::run_until_single_leader batches the
+/// rounds between events; it must match single stepping round for
+/// round on every perfbench plan, an adversary with no plan, and churn
+/// that outlives the election.
+void expect_batched_run_matches_single_stepping() {
+  struct scenario {
+    std::string label;
+    graph::graph g;
+    core::fault_plan plan;
+    bool waker = false;
+    std::uint64_t max_rounds;
+  };
+  std::vector<scenario> scenarios;
+  {  // the perfbench faulted_sweep plans
+    core::fault_plan crash_burst;
+    crash_burst.fault_seed = 7;
+    crash_burst.burst(48, 6, 32).burst(160, 12, 48);
+    scenarios.push_back(
+        {"crash_burst path", graph::make_path(65), crash_burst, false, 20'000});
+    core::fault_plan churn;
+    churn.fault_seed = 19;
+    churn.churn(24, 2, 8, 120);
+    scenarios.push_back(
+        {"churn grid", graph::make_grid(8, 8), churn, false, 20'000});
+    core::fault_plan corrupt;
+    corrupt.fault_seed = 5;
+    corrupt.crash(40, 1).restart_as(90, 1, 1).corrupt(140, 3);
+    scenarios.push_back(
+        {"corrupt star", graph::make_star(64), corrupt, false, 20'000});
+  }
+  scenarios.push_back(
+      {"waker, empty plan", graph::make_grid(8, 8), {}, true, 3'000});
+  // Churn still firing long after the election has one leader.
+  constexpr std::uint64_t kLastChurn = 10 + 7 * ((4'000 - 10) / 7);
+  {
+    core::fault_plan late;
+    late.fault_seed = 3;
+    late.churn(10, 1, 7, 4'000);
+    scenarios.push_back(
+        {"late churn", graph::make_grid(8, 8), late, false, 20'000});
+  }
+  std::size_t late_runs_past_election = 0;
+  for (const scenario& s : scenarios) {
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      for (const bool observe : {false, true}) {
+        const stepped_run want =
+            run_faulted(s.g, s.plan, s.waker, seed, s.max_rounds, false,
+                        observe);
+        const stepped_run got =
+            run_faulted(s.g, s.plan, s.waker, seed, s.max_rounds, true,
+                        observe);
+        const std::string where =
+            s.label + " seed " + std::to_string(seed) +
+            (observe ? " observed" : "");
+        ASSERT_EQ(got.result.rounds, want.result.rounds) << where;
+        ASSERT_EQ(got.result.converged, want.result.converged) << where;
+        ASSERT_EQ(got.result.leaders, want.result.leaders) << where;
+        ASSERT_EQ(got.leader, want.leader) << where;
+        ASSERT_EQ(got.coins, want.coins) << where;
+        ASSERT_EQ(got.faults, want.faults) << where;
+        ASSERT_EQ(got.trace, want.trace) << where;
+        if (observe) {
+          ASSERT_EQ(got.trace.size(), got.result.rounds + 1) << where;
+        }
+        if (s.label == "late churn" && observe) {
+          // An election that ends before the last churn firing runs on
+          // until the schedule is spent.
+          const auto elected = std::find_if(
+              want.trace.begin(), want.trace.end(),
+              [](const leader_trace::entry& e) { return e.alive <= 1; });
+          if (elected != want.trace.end() && elected->round < kLastChurn &&
+              want.result.rounds == kLastChurn) {
+            ++late_runs_past_election;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(late_runs_past_election, 0U);
+}
+
 // ---- empty-plan bit-identity -----------------------------------------
 
 TEST(FaultSessionTest, EmptyPlanBitIdenticalToPlainRunOnEveryGear) {
@@ -115,6 +259,7 @@ TEST(FaultSessionTest, EmptyPlanBitIdenticalToPlainRunOnEveryGear) {
     EXPECT_EQ(session.faults_applied(), 0U) << gear.label;
     EXPECT_EQ(session.overlay(), nullptr) << gear.label;
   }
+  expect_batched_run_matches_single_stepping();
 }
 
 TEST(ConvergenceTest, RunElectionWithEmptyPlanMatchesPlainRun) {

@@ -642,6 +642,31 @@ TEST(GiantTrial, ResumeRejectsWrongTrialAndCorruptJournal) {
   EXPECT_NE(digest_edit.find("digest mismatch in plane0 at offset 0"),
             std::string::npos)
       << digest_edit;
+  // Four threads decode four chunks at a time, and still refuse a
+  // hand-edited batch as a one-chunk-at-a-time restore does. A chunk
+  // line written twice folds its digest twice.
+  resume.threads = 4;
+  const std::string twice = refusal_after(
+      "ckpt_words", [](std::string& contents, std::size_t line) {
+        const auto end = contents.find('\n', line);
+        contents.insert(end + 1, contents.substr(line, end + 1 - line));
+      });
+  EXPECT_NE(twice.find("verification failed"), std::string::npos) << twice;
+  // A copy one word further on overlaps it: the first chunk decodes
+  // whole, and the copy runs past the end of its section.
+  const std::string overlap = refusal_after(
+      "ckpt_words", [](std::string& contents, std::size_t line) {
+        const auto end = contents.find('\n', line);
+        std::string copy = contents.substr(line, end + 1 - line);
+        const auto offset = copy.find("\"offset\":0,");
+        ASSERT_NE(offset, std::string::npos);
+        copy.replace(offset, 11, "\"offset\":1,");
+        contents.insert(end + 1, copy);
+      });
+  EXPECT_NE(overlap.find("corrupt checkpoint chunk in plane0 at offset 1"),
+            std::string::npos)
+      << overlap;
+  resume.threads = 1;
   // A signed integer field is refused by the journal reader, which
   // names the record's path:line (the ckpt_begin is line 2).
   const std::string signed_round = refusal_after(
@@ -759,10 +784,11 @@ TEST(GiantTrial, ThreadedTrialIsBitIdenticalToSerial) {
   EXPECT_EQ(serial.exec_threads, 1U);
   EXPECT_EQ(serial.exec_tile_words, 0U);
   // 1-word tiles are the worst case; 0 threads and 0 tile words ask for
-  // the defaults.
+  // the defaults; one thread runs serially whatever tile size it is
+  // handed.
   const struct {
     std::size_t threads, tile_words;
-  } configs[] = {{2, 1}, {4, 1}, {4, 0}, {0, 0}};
+  } configs[] = {{2, 1}, {4, 1}, {4, 0}, {0, 0}, {1, 7}};
   for (const auto& c : configs) {
     core::giant_options options;
     options.max_rounds = 500000;
@@ -774,13 +800,15 @@ TEST(GiantTrial, ThreadedTrialIsBitIdenticalToSerial) {
     EXPECT_EQ(tiled.leader, serial.leader) << c.threads;
     EXPECT_EQ(tiled.draws, serial.draws) << c.threads;
     // The result reports what ran, not what was asked for: 0 threads
-    // is the core count, and a tiled engine runs 0 as the default tile.
+    // is the core count, a tiled engine runs 0 as the default tile, and
+    // a serial engine runs no tiles at all.
     const std::size_t threads =
         c.threads != 0 ? c.threads : support::resolve_threads(0);
     EXPECT_EQ(tiled.exec_threads, threads);
-    EXPECT_EQ(tiled.exec_tile_words, c.tile_words != 0 || threads == 1
-                                         ? c.tile_words
-                                         : support::kL2TileWords);
+    const std::size_t tile =
+        c.tile_words != 0 ? c.tile_words : support::kL2TileWords;
+    EXPECT_EQ(tiled.exec_tile_words, threads == 1 ? 0 : tile)
+        << c.threads << "x" << c.tile_words;
   }
 }
 

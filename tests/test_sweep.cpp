@@ -1,6 +1,10 @@
 // Tests for the sharded streaming sweep subsystem: lazy work-source
 // enumeration, the (start, stride) shard convention, JSONL record
-// round-trips, crash-resume, and the headline contract - merging any
+// round-trips, the record reader against a hostile-input corpus (every
+// record type the writers emit with keys reordered, duplicated and
+// escaped; every prefix and byte flip of a trial and a chunk line;
+// nesting past the depth cap; odd number literals), crash-resume, and
+// the headline contract - merging any
 // shard partition's JSONL outputs is bit-identical to the
 // result of a serial run_trials per cell (coin accounting included,
 // at word-boundary graph sizes).
@@ -12,19 +16,26 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "analysis/experiment.hpp"
+#include "core/bfw.hpp"
+#include "core/giant.hpp"
 #include "graph/generators.hpp"
+#include "graph/view.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "sweep/jsonl.hpp"
 
 namespace beepkit {
 namespace {
+
+using support::json;
 
 /// Word-boundary graph sizes (64, 65) plus an odd one, with trial
 /// counts that do not divide evenly by any tested shard count.
@@ -384,6 +395,367 @@ TEST(SweepMergeTest, AnyShardCountBitIdenticalToRunMatrix) {
   }
 }
 
+// ---- hostile-input corpus for the record reader ----------------------
+//
+// The oracle is the DOM: a non-empty line is a record exactly when
+// json::parse yields an object for it, and every field read returns
+// what the DOM holds for that key or throws the `path:line` message a
+// DOM-backed reader would.
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// Every record type the writers emit: a shard file's (header, cell,
+/// trial with and without the audit fields, checkpoint, cell summary,
+/// done) and a giant journal's (header, ckpt_begin, word and cursor
+/// chunks, ckpt_end, giant_done).
+std::vector<std::string> writer_lines() {
+  const std::string shard = temp_path("corpus_writers.jsonl");
+  {
+    sweep::record_writer writer;
+    EXPECT_TRUE(writer.open(shard));
+    writer.write_header("corpus \"sweep\"\n", {1, 3}, 2, 40);
+    const sweep::cell_record cell{1, "BFW(p=0.5)", "path(8)", 8, 7, 20,
+                                  18446744073709551615ULL, 4096};
+    writer.write_cell(cell);
+    writer.write_trial({1, 3, 23, 99, 41, true, 300, 5}, cell);
+    writer.write_trial({1, 4, 24, 7, 4096, false, 0, 8}, cell,
+                       {"stencil", 4, 8192});
+    writer.write_checkpoint(2, 13);
+    const std::vector<analysis::trial_point> points = {
+        {41, true, 300}, {4096, false, 0}};
+    writer.write_cell_summary(
+        analysis::aggregate_trial_points({"BFW", "path(8)", 8, 7}, points,
+                                         4096),
+        1);
+    writer.write_done(2, 0);
+    EXPECT_TRUE(writer.close());
+  }
+  std::vector<std::string> lines = read_lines(shard);
+  std::remove(shard.c_str());
+
+  const std::string journal = temp_path("corpus_writers_giant.jsonl");
+  std::remove(journal.c_str());
+  core::giant_options options;
+  options.max_rounds = 500000;
+  options.checkpoint_path = journal;
+  options.stop_after_round = 3;
+  (void)core::run_giant_trial(
+      graph::topology_view::implicit({graph::topology::kind::grid, 9, 11}),
+      core::bfw_machine(0.5), 4, options);
+  for (std::string& line : read_lines(journal)) lines.push_back(line);
+  std::remove(journal.c_str());
+  return lines;
+}
+
+/// The line among `lines` whose "type" is `type`.
+std::string line_of_type(const std::vector<std::string>& lines,
+                         std::string_view type) {
+  for (const std::string& line : lines) {
+    const auto record = json::parse(line);
+    if (record && record->find("type") != nullptr &&
+        record->find("type")->as_string() == type) {
+      return line;
+    }
+  }
+  ADD_FAILURE() << "no " << type << " line";
+  return "{}";
+}
+
+/// Keys with the first character written as a \u escape; string values
+/// with their first character escaped the same way.
+std::string escape_first(std::string_view text) {
+  if (text.empty()) return "\"\"";
+  char buf[8];
+  std::snprintf(buf, sizeof(buf), "\\u%04x",
+                static_cast<unsigned char>(text[0]));
+  std::string out = "\"";
+  out += buf;
+  const std::string rest = json(std::string(text.substr(1))).dump();
+  out.append(rest, 1, std::string::npos);  // drop the opening quote
+  return out;
+}
+
+/// Each writer line, rewritten: members reversed; every member
+/// duplicated with a null after it (the first occurrence wins) or a
+/// string before it; every key and string value escaped.
+std::vector<std::string> shuffled_variants(const std::string& line) {
+  const auto record = json::parse(line);
+  if (!record || !record->is_object()) return {};
+  const json::object& members = record->as_object();
+  std::vector<std::string> out;
+
+  json::object reversed(members.rbegin(), members.rend());
+  out.push_back(json(std::move(reversed)).dump());
+
+  std::string dup_after = "{";
+  std::string dup_before = "{";
+  std::string escaped = "{";
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const std::string key = json(members[i].first).dump();
+    const std::string value = members[i].second.dump();
+    const std::string sep = i == 0 ? "" : ",";
+    dup_after += sep + key + ":" + value + "," + key + ":null";
+    dup_before += sep + key + ":\"shadow\"," + key + ":" + value;
+    escaped += sep + escape_first(members[i].first) + " : " +
+               (members[i].second.is_string()
+                    ? escape_first(members[i].second.as_string())
+                    : value);
+  }
+  out.push_back(dup_after + "}");
+  out.push_back(dup_before + "}");
+  out.push_back(escaped + "}");
+  return out;
+}
+
+/// What a field read does, by the DOM: its value, or the message.
+struct read_outcome {
+  std::string value;  // the value, printed; empty when it threw
+  std::string error;  // the exception text; empty when it returned
+
+  friend bool operator==(const read_outcome&, const read_outcome&) = default;
+};
+
+template <class Read>
+read_outcome outcome_of(const Read& read) {
+  try {
+    return {read(), ""};
+  } catch (const std::runtime_error& e) {
+    return {"", e.what()};
+  }
+}
+
+/// The reads a DOM-backed reader would make of `record`, at `where`
+/// ("path:line").
+struct dom_oracle {
+  const json& record;
+  std::string where;
+
+  [[nodiscard]] std::string fail(const std::string& message) const {
+    return where + ": " + message;
+  }
+  [[nodiscard]] read_outcome missing(const char* key) const {
+    return {"", fail(std::string("missing field '") + key + "'")};
+  }
+  [[nodiscard]] read_outcome u64(const char* key, std::uint64_t max) const {
+    const json* value = record.find(key);
+    if (value == nullptr) return missing(key);
+    const auto v = value->as_uint();
+    if (!v || *v > max) {
+      return {"", fail(std::string("field '") + key +
+                       "' is not a non-negative integer in range")};
+    }
+    return {std::to_string(*v), ""};
+  }
+  [[nodiscard]] read_outcome boolean(const char* key) const {
+    const json* value = record.find(key);
+    if (value == nullptr) return missing(key);
+    if (!value->is_bool()) {
+      return {"", fail(std::string("field '") + key + "' is not a boolean")};
+    }
+    return {value->as_bool() ? "true" : "false", ""};
+  }
+  [[nodiscard]] read_outcome string(const char* key) const {
+    const json* value = record.find(key);
+    if (value == nullptr) return missing(key);
+    if (!value->is_string()) {
+      return {"", fail(std::string("field '") + key + "' is not a string")};
+    }
+    return {"s:" + value->as_string(), ""};
+  }
+};
+
+/// Every key a writer emits or a reader asks for, plus one nobody does.
+std::vector<std::string> all_record_keys() {
+  return {
+    "type", "name", "shard_index", "shard_count", "cells", "total_units",
+    "format_version", "cell", "algorithm", "graph", "n", "diameter",
+    "trials", "seed", "max_rounds", "trial", "global", "rounds",
+    "converged", "coins", "leader", "gather_kernel", "exec_threads",
+    "exec_tile_words", "units_done", "units_owned", "units_run",
+    "units_resumed", "topology", "machine", "round", "leaders",
+    "plane_count", "section", "offset", "count", "digest", "data", "words",
+    "cursors", "stopped_early", "draws", "absent"};
+}
+
+/// The keys of one record line, plus "type" and one nobody writes.
+std::vector<std::string> keys_of(const std::string& line) {
+  std::vector<std::string> keys = {"type", "absent"};
+  const json record = *json::parse(line);
+  for (const auto& [key, value] : record.as_object()) {
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+/// Writes `lines` to one file and reads it back: the reader must keep
+/// exactly the lines the DOM reads as objects, count the rest (empty
+/// lines aside) as torn, and read every field of every record as the
+/// DOM would.
+void check_corpus(const std::vector<std::string>& lines,
+                  const std::string& name,
+                  const std::vector<std::string>& keys) {
+  const std::string path = temp_path("corpus_" + name + ".jsonl");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (const std::string& line : lines) out << line << '\n';
+  }
+  std::vector<std::size_t> kept;
+  std::vector<json> records;
+  std::uint64_t torn = 0;
+  json::object_scan scan;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].empty()) continue;
+    auto record = json::parse(lines[i]);
+    const bool is_record = record.has_value() && record->is_object();
+    ASSERT_EQ(scan.scan(lines[i]), is_record) << name << ": " << lines[i];
+    if (is_record) {
+      kept.push_back(i + 1);
+      records.push_back(std::move(*record));
+    } else {
+      ++torn;
+    }
+  }
+
+  sweep::record_reader reader(path);
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    ASSERT_TRUE(reader.next()) << name;
+    const json& record = records[r];
+    const dom_oracle dom{record, path + ":" + std::to_string(kept[r])};
+    const json* type = record.find("type");
+    ASSERT_EQ(reader.type(), type != nullptr ? type->as_string() : "")
+        << dom.where;
+    for (const std::string& name_of_key : keys) {
+      const char* key = name_of_key.c_str();
+      ASSERT_EQ(reader.find(key).has_value(), record.find(key) != nullptr)
+          << dom.where << " " << key;
+      for (const std::uint64_t max : {std::uint64_t{UINT32_MAX}, UINT64_MAX}) {
+        ASSERT_EQ(outcome_of([&] {
+                    return std::to_string(reader.u64(key, max));
+                  }),
+                  dom.u64(key, max))
+            << dom.where << " u64 " << key;
+      }
+      ASSERT_EQ(outcome_of([&] {
+                  return std::string(reader.boolean(key) ? "true" : "false");
+                }),
+                dom.boolean(key))
+          << dom.where << " boolean " << key;
+      ASSERT_EQ(outcome_of([&] {
+                  return "s:" + std::string(reader.string(key));
+                }),
+                dom.string(key))
+          << dom.where << " string " << key;
+    }
+  }
+  EXPECT_FALSE(reader.next()) << name;
+  EXPECT_EQ(reader.torn_lines(), torn) << name;
+  std::remove(path.c_str());
+}
+
+/// Every record type the writers emit, as written and rewritten.
+void corpus_writer_records() {
+  const std::vector<std::string> lines = writer_lines();
+  std::vector<std::string> corpus = lines;
+  for (const std::string& line : lines) {
+    for (std::string& variant : shuffled_variants(line)) {
+      corpus.push_back(std::move(variant));
+    }
+  }
+  // Every giant and shard record type made it in.
+  for (const char* type : {"sweep", "cell", "trial", "checkpoint",
+                           "cell_summary", "done", "giant_header",
+                           "ckpt_begin", "ckpt_words", "ckpt_cursors",
+                           "ckpt_end", "giant_done"}) {
+    EXPECT_NE(line_of_type(lines, type), "{}") << type;
+  }
+  check_corpus(corpus, "writers", all_record_keys());
+}
+
+/// Every prefix of, and a byte flip at every position of, a trial line
+/// and a checkpoint chunk line.
+void corpus_prefixes_and_flips() {
+  const std::vector<std::string> lines = writer_lines();
+  for (const char* type : {"trial", "ckpt_words"}) {
+    const std::string line = line_of_type(lines, type);
+    std::vector<std::string> corpus;
+    for (std::size_t n = 0; n <= line.size(); ++n) {
+      corpus.push_back(line.substr(0, n));
+    }
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      for (const unsigned char flip : {0x01, 0x02, 0x04, 0x08, 0x10, 0x20,
+                                       0x40, 0x80}) {
+        std::string bad = line;
+        bad[i] = static_cast<char>(static_cast<unsigned char>(bad[i]) ^ flip);
+        if (bad.find('\n') != std::string::npos) continue;  // two lines
+        corpus.push_back(std::move(bad));
+      }
+    }
+    check_corpus(corpus, type, keys_of(line));
+  }
+}
+
+/// Nesting at and past the depth cap.
+void corpus_nesting() {
+  // A member value nested `depth` levels below the record, in arrays
+  // and in objects: 64 levels is the cap json::parse accepts.
+  std::vector<std::string> corpus;
+  for (const int depth : {63, 64, 65, 200}) {
+    std::string arrays = R"({"type":"trial","deep":)";
+    std::string objects = arrays;
+    for (int i = 0; i < depth; ++i) {
+      arrays += '[';
+      objects += R"({"a":)";
+    }
+    objects += "0";
+    for (int i = 0; i < depth; ++i) {
+      arrays += ']';
+      objects += '}';
+    }
+    corpus.push_back(arrays + R"(,"rounds":5})");
+    corpus.push_back(objects + R"(,"rounds":5})");
+  }
+  check_corpus(corpus, "nesting", {"type", "rounds", "deep"});
+  EXPECT_TRUE(json::object_scan().scan(corpus[2]));   // 64 levels
+  EXPECT_FALSE(json::object_scan().scan(corpus[4]));  // 65 levels
+}
+
+/// The number literals a hand edit is likely to leave, and every short
+/// token over the number alphabet.
+void corpus_numbers() {
+  std::vector<std::string> corpus;
+  for (const char* number :
+       {"-0", "007", "1e3", "1E3", "2.5", "18446744073709551616",
+        "18446744073709551615", "-1", "-9223372036854775809", "1.", ".5",
+        "-.5", "1.e3", "1e", "1e+", "-", "+1", "0x10", "1_0", "1.5.1",
+        "--1", "Infinity", "NaN", "nul", "tru", "\"3\"", "[3]", "{}"}) {
+    corpus.push_back(std::string(R"({"type":"trial","rounds":)") + number +
+                     R"(,"seed":)" + number + "}");
+  }
+  // Every token of up to four characters over the number alphabet, as
+  // a value: the number grammar the scan shares with json::parse must
+  // accept no token the DOM's from_chars/strtod conversion does not
+  // read whole.
+  const std::string alphabet = "-+.eE019";
+  std::vector<std::string> tokens = {""};
+  for (int length = 1; length <= 4; ++length) {
+    std::vector<std::string> longer;
+    for (const std::string& token : tokens) {
+      if (static_cast<int>(token.size()) != length - 1) continue;
+      for (const char c : alphabet) longer.push_back(token + c);
+    }
+    for (std::string& token : longer) {
+      corpus.push_back(R"({"rounds":)" + token + "}");
+      tokens.push_back(std::move(token));
+    }
+  }
+  check_corpus(corpus, "numbers", {"type", "rounds", "seed"});
+}
+
 TEST(SweepMergeTest, ShardFilesRoundTripThroughReader) {
   // What the writer writes reads back field for field; what it could
   // not have written is refused (the hand-written shard below).
@@ -480,6 +852,13 @@ TEST(SweepMergeTest, ShardFilesRoundTripThroughReader) {
       refusal([&] { (void)sweep::read_shard_file(strict); });
   EXPECT_EQ(wide_error.rfind(strict + ":2: ", 0), 0U) << wide_error;
   std::remove(strict.c_str());
+
+  // Hostile input: the reader agrees with the DOM line for line and
+  // field for field.
+  corpus_writer_records();
+  corpus_prefixes_and_flips();
+  corpus_nesting();
+  corpus_numbers();
 }
 
 TEST(SweepMergeTest, ResumeAfterTornFileIsBitIdentical) {
@@ -1093,6 +1472,32 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(support::json::parse("{'a':1}").has_value());
   EXPECT_FALSE(support::json::parse("").has_value());
   EXPECT_FALSE(support::json::parse("{\"a\":1,}").has_value());
+  // A control byte at any offset of a long string is refused, an escape
+  // is decoded and a non-ASCII byte kept: the string lexer skips plain
+  // bytes eight at a time and must stop at each of these wherever it
+  // falls in a block.
+  const std::string plain(40, 'a');
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    for (const char control : {'\x01', '\x1f'}) {
+      std::string text = plain;
+      text[i] = control;
+      EXPECT_FALSE(support::json::parse('"' + text + '"').has_value()) << i;
+    }
+    std::string escaped = plain;
+    escaped.replace(i, 1, "\\n");
+    std::string wide = plain;
+    wide[i] = '\xc3';
+    for (const auto& [text, value] :
+         {std::pair(escaped, plain.substr(0, i) + '\n' + plain.substr(i + 1)),
+          std::pair(wide, wide)}) {
+      const auto parsed = support::json::parse('"' + text + '"');
+      ASSERT_TRUE(parsed.has_value()) << i;
+      EXPECT_EQ(parsed->as_string(), value) << i;
+    }
+    const auto quoted = support::json::parse(
+        '"' + plain.substr(0, i) + "\"" + plain.substr(i) + '"');
+    EXPECT_FALSE(quoted.has_value()) << i;
+  }
 }
 
 TEST(JsonTest, DoublesSurviveRoundTrip) {
