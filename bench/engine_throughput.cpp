@@ -24,9 +24,12 @@
 // checker. BM_IdBroadcastOn* and BM_CliqueLotteryOnComplete price the
 // Table 1 baselines' rounds. BM_BfwTrialOn* price whole paper-size
 // trials (bind, layouts, the run loop and the trial fold), the fixed
-// costs a per-round row never sees.
+// costs a per-round row never sees. BM_DiameterExact prices the exact
+// diameter an instance's set-up computes, against its per-source
+// *Reference loop.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -696,6 +699,61 @@ BENCHMARK_CAPTURE(BM_EngineBind, complete64,
                   +[] { return graph::make_complete(64); });
 BENCHMARK_CAPTURE(BM_EngineBind, star1024,
                   +[] { return graph::make_star(1024); });
+
+// Graph layer: the exact diameter every analysis::make_instance call
+// pays before a sweep starts. BM_DiameterExact is graph::diameter_exact
+// (64 sources to a search); the *Reference rows run the per-source
+// eccentricity loop it replaced, on the same graphs.
+void run_diameter(benchmark::State& state, graph::graph (*make)(),
+                  std::uint32_t (*diameter)(const graph::graph&)) {
+  const graph::graph g = make();
+  for (auto _ : state) benchmark::DoNotOptimize(diameter(g));
+  state.SetLabel(g.name());
+}
+
+std::uint32_t per_source_diameter(const graph::graph& g) {
+  std::uint32_t diameter = 0;
+  for (graph::node_id u = 0; u < g.node_count(); ++u) {
+    diameter = std::max(diameter, graph::eccentricity(g, u));
+  }
+  return diameter;
+}
+
+graph::graph diameter_er1000() {
+  support::rng rng(1);
+  return graph::make_erdos_renyi_connected(1000, 6.0 / 1000, rng);
+}
+
+void BM_DiameterExact(benchmark::State& state, graph::graph (*make)()) {
+  run_diameter(state, make, graph::diameter_exact);
+}
+BENCHMARK_CAPTURE(BM_DiameterExact, star1024,
+                  +[] { return graph::make_star(1024); })
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DiameterExact, er1000, diameter_er1000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DiameterExact, grid64x64,
+                  +[] { return graph::make_grid(64, 64); })
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DiameterExact, path4096,
+                  +[] { return graph::make_path(4096); })
+    ->Unit(benchmark::kMillisecond);
+
+void BM_DiameterExactReference(benchmark::State& state,
+                               graph::graph (*make)()) {
+  run_diameter(state, make, per_source_diameter);
+}
+BENCHMARK_CAPTURE(BM_DiameterExactReference, star1024,
+                  +[] { return graph::make_star(1024); })
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DiameterExactReference, er1000, diameter_er1000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DiameterExactReference, grid64x64,
+                  +[] { return graph::make_grid(64, 64); })
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DiameterExactReference, path4096,
+                  +[] { return graph::make_path(4096); })
+    ->Unit(benchmark::kMillisecond);
 
 // The parallel Monte-Carlo runner: trials/sec and rounds/sec of
 // analysis::run_trials at 1/2/4/8 workers on a fixed workload. The

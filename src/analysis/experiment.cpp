@@ -205,9 +205,9 @@ std::string throughput_meter::summary(std::size_t threads) const {
   return out.str();
 }
 
-instance make_instance(graph::graph g, std::size_t exact_limit) {
+instance make_instance(graph::graph g) {
   instance inst;
-  const std::uint32_t diameter = g.node_count() <= exact_limit
+  const std::uint32_t diameter = g.node_count() <= exact_diameter_limit
                                      ? graph::diameter_exact(g)
                                      : graph::diameter_double_sweep(g);
   inst.g = std::move(g);

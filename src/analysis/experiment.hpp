@@ -147,10 +147,14 @@ struct instance {
   }
 };
 
-/// Computes the diameter (exact up to `exact_limit` nodes, double-sweep
-/// beyond) and bundles it with the graph.
-[[nodiscard]] instance make_instance(graph::graph g,
-                                     std::size_t exact_limit = 4096);
+/// Largest node count make_instance computes the exact diameter for.
+inline constexpr std::size_t exact_diameter_limit = 4096;
+
+/// Bundles the graph with its diameter: graph::diameter_exact up to
+/// exact_diameter_limit nodes. Above that size D is the double-sweep
+/// lower bound, which can undercount D, so it is not the upper bound
+/// make_bfw_known_diameter's p = 1/(D+1) assumes.
+[[nodiscard]] instance make_instance(graph::graph g);
 
 /// Implicit-instance counterpart: geometry tag only, diameter from the
 /// closed-form formula, no adjacency ever materialized. This is how

@@ -353,16 +353,20 @@ class parser {
     }
   }
 
-  /// Lexes one number token: '-'?, digits, then an optional fraction
-  /// and exponent. It is well-formed iff its mantissa has a digit and
-  /// an exponent, if any, has one too - the tokens number_value
-  /// converts (std::strtod reads exactly these whole).
+  /// Lexes one number token by RFC 8259's grammar: '-'?, then `0` or
+  /// digits that do not start with 0, then an optional fraction ('.'
+  /// and at least one digit) and exponent (e/E, a sign, at least one
+  /// digit). So `007`, `.5`, `-.5`, `1.` and `1.e3` are refused; every
+  /// accepted token is one number_value converts whole.
   std::optional<std::string_view> lex_number() {
     const std::size_t start = pos_;
     consume('-');
-    std::size_t digits = skip_digits();
-    if (consume('.')) digits += skip_digits();
-    if (digits == 0) return std::nullopt;
+    if (consume('0')) {
+      if (pos_ < text_.size() && is_digit(text_[pos_])) return std::nullopt;
+    } else if (skip_digits() == 0) {
+      return std::nullopt;
+    }
+    if (consume('.') && skip_digits() == 0) return std::nullopt;
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
       if (!consume('+')) consume('-');

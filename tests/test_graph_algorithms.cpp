@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/generators.hpp"
 
 namespace beepkit::graph {
@@ -40,12 +43,81 @@ TEST(AlgorithmsTest, EccentricityDisconnected) {
   EXPECT_EQ(eccentricity(g, 0), unreachable);
 }
 
+// The per-source reference: one bfs_distances row per node, and the
+// diameter as the largest entry (`unreachable`, the largest uint32, if
+// any pair is unreachable).
+void expect_matches_per_source_bfs(const graph& g) {
+  std::vector<std::vector<std::uint32_t>> rows;
+  std::uint32_t diameter = 0;
+  for (node_id u = 0; u < g.node_count(); ++u) {
+    rows.push_back(bfs_distances(g, u));
+    for (const std::uint32_t d : rows.back()) diameter = std::max(diameter, d);
+  }
+  EXPECT_EQ(distance_matrix(g), rows) << g.name();
+  EXPECT_EQ(diameter_exact(g), diameter) << g.name();
+}
+
+// `a` with `b` beside it: b's nodes take the ids after a's.
+graph disjoint_union(const graph& a, const graph& b) {
+  auto edges = a.edges();
+  const auto shift = static_cast<node_id>(a.node_count());
+  for (const edge e : b.edges()) edges.push_back({e.u + shift, e.v + shift});
+  return graph(a.node_count() + b.node_count(), std::move(edges));
+}
+
+// diameter_exact and distance_matrix search from 64 sources at once.
+// The sizes sit on both sides of one and two full batches, so the last
+// batch runs 1, 63 or 64 lanes and an isolated node can open a batch.
+void expect_all_sources_search_matches_per_source_bfs() {
+  support::rng rng(2015);
+  expect_matches_per_source_bfs(graph());
+  for (const std::size_t n : {1, 2, 63, 64, 65, 127, 128, 129, 200}) {
+    std::vector<graph> family = {make_path(n), make_complete(n),
+                                 make_complete_binary_tree(n),
+                                 make_grid(2, (n + 1) / 2),
+                                 make_caterpillar((n + 2) / 3, 2)};
+    if (n >= 2) family.push_back(make_star(n));
+    if (n >= 3) family.push_back(make_cycle(n));
+    if (n >= 4) {
+      family.push_back(make_wheel(n));
+      family.push_back(make_barbell(n / 4, n - 2 * (n / 4)));
+      family.push_back(make_lollipop(n / 2, n - n / 2));
+    }
+    if (n >= 9) {
+      family.push_back(make_torus(3, n / 3));
+      family.push_back(make_random_regular(n - n % 2, 3, rng));
+      family.push_back(make_random_geometric(n, 0.2, rng));
+    }
+    for (int seed = 0; seed < 3; ++seed) {
+      family.push_back(make_random_tree(n, rng));
+      family.push_back(make_erdos_renyi_connected(n, 3.0 / n, rng));
+      family.push_back(make_erdos_renyi_connected(n, 0.3, rng));
+    }
+    for (const graph& g : family) expect_matches_per_source_bfs(g);
+    // Disconnected: no edges, an isolated last node, two components.
+    if (n >= 2) {
+      expect_matches_per_source_bfs(graph(n, {}));
+      expect_matches_per_source_bfs(
+          disjoint_union(make_path(n - 1), graph(1, {})));
+      expect_matches_per_source_bfs(disjoint_union(
+          make_random_tree(n / 2, rng), make_cycle(n - n / 2 + 2)));
+      EXPECT_EQ(diameter_exact(graph(n, {})), unreachable);
+    }
+  }
+  for (std::size_t d = 1; d <= 7; ++d) {
+    expect_matches_per_source_bfs(make_hypercube(d));
+  }
+  EXPECT_EQ(diameter_exact(graph(1, {})), 0U);
+  EXPECT_EQ(diameter_exact(graph()), 0U);
+}
+
 TEST(AlgorithmsTest, DiameterExactKnownGraphs) {
   EXPECT_EQ(diameter_exact(make_path(17)), 16U);
   EXPECT_EQ(diameter_exact(make_cycle(12)), 6U);
   EXPECT_EQ(diameter_exact(make_complete(9)), 1U);
   EXPECT_EQ(diameter_exact(make_grid(3, 5)), 6U);
   EXPECT_EQ(diameter_exact(make_hypercube(6)), 6U);
+  expect_all_sources_search_matches_per_source_bfs();
 }
 
 TEST(AlgorithmsTest, DoubleSweepTightOnTreesAndNeverOver) {

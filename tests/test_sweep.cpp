@@ -1472,6 +1472,20 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(support::json::parse("{'a':1}").has_value());
   EXPECT_FALSE(support::json::parse("").has_value());
   EXPECT_FALSE(support::json::parse("{\"a\":1,}").has_value());
+  // RFC 8259 numbers: no leading zero, a digit on each side of '.'.
+  // The object scan shares the lexer, so it refuses the same records.
+  support::json::object_scan scan;
+  for (const std::string number : {"007", ".5", "-.5", "1.", "1.e3"}) {
+    const std::string record = R"({"rounds":)" + number + "}";
+    EXPECT_FALSE(support::json::parse(number).has_value()) << number;
+    EXPECT_FALSE(support::json::parse(record).has_value()) << number;
+    EXPECT_FALSE(scan.scan(record)) << number;
+  }
+  for (const std::string number : {"0", "-0", "0.5", "-0.5e-3", "10", "1E+3"}) {
+    const std::string record = R"({"rounds":)" + number + "}";
+    EXPECT_TRUE(support::json::parse(number).has_value()) << number;
+    EXPECT_TRUE(scan.scan(record)) << number;
+  }
   // A control byte at any offset of a long string is refused, an escape
   // is decoded and a non-ASCII byte kept: the string lexer skips plain
   // bytes eight at a time and must stop at each of these wherever it
