@@ -702,7 +702,8 @@ BENCHMARK_CAPTURE(BM_EngineBind, star1024,
 
 // Graph layer: the exact diameter every analysis::make_instance call
 // pays before a sweep starts. BM_DiameterExact is graph::diameter_exact
-// (64 sources to a search); the *Reference rows run the per-source
+// (two BFS passes on the trees star1024 and path4096, 64 sources to a
+// search on the others); the *Reference rows run the per-source
 // eccentricity loop it replaced, on the same graphs.
 void run_diameter(benchmark::State& state, graph::graph (*make)(),
                   std::uint32_t (*diameter)(const graph::graph&)) {

@@ -75,7 +75,7 @@ engine::engine(graph::topology_view view, protocol& proto, std::uint64_t seed,
           "beeping::engine: giant mode cannot serve a noise model "
           "(dedicated noise streams stay dense)");
     }
-    // A 4-byte cursor can only replay a stream whose draws are uniform
+    // A draw cursor can only replay a stream whose draws are uniform
     // in kind: all fair coins (one bit each) or all raw words.
     bool any_coin = false;
     bool any_raw = false;
@@ -172,8 +172,8 @@ void engine::set_parallelism(std::size_t threads, std::size_t tile_words) {
   tile_words_ = tile_words != 0 ? tile_words : support::kL2TileWords;
   gather_.set_executor(exec_.get(), tile_words_);
   // One lazy-store scratch context per executor slot: tiles own
-  // disjoint stream ranges, and the engine syncs all slots after every
-  // tiled round's barrier (see rng_store's class comment).
+  // disjoint stream ranges, and every round syncs all slots before its
+  // tiles draw (see rng_store's class comment).
   rngs_.set_slots(resolved);
   slot_leaders_.assign(resolved, 0);
   bind_plane_round();
@@ -842,10 +842,6 @@ std::size_t engine::sweep_tiled() {
                      tile_ctx.rngs = rngs_.source(slot);
                      slot_leaders_[slot] += sweep_(tile_ctx, wb, we).leaders;
                    });
-  // Tile->slot assignment is dynamic, so a stream's cursor may sit
-  // cached in any slot's scratch generator; flush them all before the
-  // next round (or a checkpoint) reads streams. No-op in dense mode.
-  rngs_.sync_all();
   std::size_t leaders = 0;
   for (const std::size_t part : slot_leaders_) leaders += part;
   return leaders;
@@ -894,6 +890,14 @@ engine::call_knobs engine::read_call_knobs() const {
   if (sampled) {
     k.next_sample += k.stride;
     probe_start = tel::now_ns();
+  }
+  // Lazy streams: a round draws at most once per node, so no cursor
+  // passes round_ + 1. Make that storable, and fold back any stream a
+  // single-stream access left in a slot's scratch, before any tile
+  // draws: the batched draws never widen the cursor array.
+  if (rngs_.is_lazy()) {
+    rngs_.reserve_draws(round_ + 1, exec_.get());
+    rngs_.sync_all();
   }
   // Phase 1: a node applies delta_top iff it beeped or a neighbor did.
   // The gather writes B ∪ N(B) (a beeper always "hears"), through the

@@ -173,8 +173,9 @@ struct noise_model {
 /// engine; the switch changes no number - it only removes O(n) side
 /// structures a giant run cannot afford (and never reads).
 struct engine_config {
-  /// Giant mode: per-node generators as 4-byte lazy draw cursors
-  /// (rng_store) in place of the materialized 64-byte-per-node array,
+  /// Giant mode: per-node generators as lazy draw cursors (rng_store:
+  /// 1 byte per node below round 255, 2 below round 65535, then 4) in
+  /// place of the materialized 64-byte-per-node array,
   /// and no O(n) state vector (the protocol is reset in deferred mode,
   /// so the planes seeded at bind are the only state authority). It
   /// refuses the virtual gear, restarts, resyncs and faults. Requires

@@ -74,9 +74,12 @@ void append_u64(std::string& out, std::uint64_t value) {
 }
 
 /// Writes the chunk's whole record line into `line` (keys in a fixed
-/// order, the payload last) and returns its digest.
+/// order, the payload last) and returns its digest. A cursor chunk is
+/// first widened into `cursors`, the calling thread's buffer: the store
+/// keeps its cursors at 1, 2 or 4 bytes, the journal always as u32.
 std::uint64_t encode_chunk(const chunk_ref& chunk,
-                           std::span<const std::uint32_t> cursors,
+                           const support::rng_store& streams,
+                           std::vector<std::uint32_t>& cursors,
                            std::uint64_t seq, std::string& line) {
   line.clear();
   std::uint64_t digest = 0;
@@ -94,7 +97,9 @@ std::uint64_t encode_chunk(const chunk_ref& chunk,
     line += R"(,"data":")";
     codec::append_words(line, words);
   } else {
-    const auto values = cursors.subspan(chunk.offset, chunk.size);
+    cursors.resize(chunk.size);
+    streams.read_cursors(chunk.offset, cursors);
+    const std::span<const std::uint32_t> values = cursors;
     digest = codec::chunk_digest(values);
     line += R"({"type":"ckpt_cursors","seq":)";
     append_u64(line, seq);
@@ -121,7 +126,9 @@ std::uint64_t encode_chunk(const chunk_ref& chunk,
 void write_checkpoint(sweep::record_writer& writer, beeping::engine& sim,
                       std::uint64_t seq) {
   const auto state = sim.plane_snapshot();
-  const auto cursors = sim.rng_streams().cursors();
+  support::rng_store& streams = sim.rng_streams();
+  streams.sync_all();
+  const std::size_t cursor_count = streams.size();
   const std::vector<section_ref> sections = snapshot_sections(state);
   std::vector<chunk_ref> chunks;
   for (const section_ref& section : sections) {
@@ -133,10 +140,10 @@ void write_checkpoint(sweep::record_writer& writer, beeping::engine& sim,
   }
   std::uint64_t total_words = 0;
   for (const chunk_ref& chunk : chunks) total_words += chunk.size;
-  for (std::size_t offset = 0; offset < cursors.size();
+  for (std::size_t offset = 0; offset < cursor_count;
        offset += kCursorChunk) {
     chunks.push_back(
-        {nullptr, offset, std::min(kCursorChunk, cursors.size() - offset)});
+        {nullptr, offset, std::min(kCursorChunk, cursor_count - offset)});
   }
 
   codec::fnv1a hash;
@@ -157,13 +164,14 @@ void write_checkpoint(sweep::record_writer& writer, beeping::engine& sim,
   const std::size_t batch = std::min(exec.thread_count(), chunks.size());
   std::vector<std::string> lines(batch);
   std::vector<std::uint64_t> digests(batch);
+  std::vector<std::vector<std::uint32_t>> buffers(exec.thread_count());
   for (std::size_t first = 0; first < chunks.size(); first += batch) {
     const std::size_t count = std::min(batch, chunks.size() - first);
     exec.run_tiles(count, 1,
-                   [&](std::size_t, std::size_t begin, std::size_t end) {
+                   [&](std::size_t slot, std::size_t begin, std::size_t end) {
                      for (std::size_t i = begin; i < end; ++i) {
-                       digests[i] = encode_chunk(chunks[first + i], cursors,
-                                                 seq, lines[i]);
+                       digests[i] = encode_chunk(chunks[first + i], streams,
+                                                 buffers[slot], seq, lines[i]);
                      }
                    });
     writer.flush();
@@ -176,7 +184,7 @@ void write_checkpoint(sweep::record_writer& writer, beeping::engine& sim,
       {"type", json("ckpt_end")},
       {"seq", json(seq)},
       {"words", json(total_words)},
-      {"cursors", json(static_cast<std::uint64_t>(cursors.size()))},
+      {"cursors", json(static_cast<std::uint64_t>(cursor_count))},
       {"digest", json(hash.digest())},
   }));
   writer.flush();
@@ -268,23 +276,33 @@ struct restore_chunk {
   std::uint64_t digest = 0;
   std::optional<std::size_t> count;  // nullopt: the payload is corrupt
   std::uint64_t actual = 0;          // digest of what it decoded to
+  std::vector<std::uint32_t> cursors;  // a cursor chunk's decoded values
+  std::uint32_t cursor_max = 0;        // ... and the largest of them
 };
 
 /// Pass 2: decodes the chosen checkpoint's chunks straight from the
 /// journal's line buffers into the fresh engine's plane spans and
-/// cursor array, in batches of one chunk per tile thread (as
+/// cursor store, in batches of one chunk per tile thread (as
 /// write_checkpoint encodes them). Each chunk's digest is checked as it
 /// lands and folded in stream order, then the state is adopted. The
 /// refusals are those of a one-chunk-at-a-time restore, in the same
 /// order.
+///
+/// The store takes the width the snapshot's round needs before any
+/// chunk lands: a round draws at most once per node, so no cursor of a
+/// round-r snapshot exceeds r. A cursor chunk decodes into its own u32
+/// buffer and is narrowed into the store only if it keeps that bound;
+/// one that breaks it is refused with a std::range_error naming it.
 void restore_checkpoint(const std::string& path, const ckpt_meta& target,
                         beeping::engine& sim) {
   const auto state = sim.plane_snapshot();
   std::vector<section_ref> sections = snapshot_sections(state);
-  const auto cursor_span = sim.rng_streams().cursors_mutable();
+  support::rng_store& streams = sim.rng_streams();
+  support::tile_executor exec(sim.parallel_threads());
+  streams.reserve_draws(target.round, &exec);
   const std::size_t cursor_section = sections.size();
   const auto section_size = [&](std::size_t section) {
-    return section == cursor_section ? cursor_span.size()
+    return section == cursor_section ? streams.size()
                                      : sections[section].words.size();
   };
   // Where a refusal says the chunk is.
@@ -298,11 +316,20 @@ void restore_checkpoint(const std::string& path, const ckpt_meta& target,
   const auto decode = [&](restore_chunk& chunk, bool clipped) {
     const std::size_t end = clipped ? chunk.end : section_size(chunk.section);
     if (chunk.section == cursor_section) {
-      const auto dest = cursor_span.subspan(chunk.offset, end - chunk.offset);
-      chunk.count = codec::decode_cursors(chunk.data, dest);
+      // Base64 packs 3 bytes in 4 characters, and a varint takes at
+      // least a byte, so the buffer need not outgrow the payload.
+      chunk.cursors.resize(
+          std::min(end - chunk.offset, chunk.data.size() / 4 * 3));
+      chunk.count = codec::decode_cursors(chunk.data, chunk.cursors);
       if (chunk.count.has_value()) {
-        chunk.actual = codec::chunk_digest(
-            std::span<const std::uint32_t>(dest.first(*chunk.count)));
+        const auto values =
+            std::span<const std::uint32_t>(chunk.cursors).first(*chunk.count);
+        chunk.actual = codec::chunk_digest(values);
+        chunk.cursor_max =
+            values.empty() ? 0 : *std::max_element(values.begin(), values.end());
+        if (chunk.cursor_max <= target.round) {
+          streams.set_cursors(values, chunk.offset);
+        }
       }
     } else {
       const auto dest =
@@ -316,7 +343,6 @@ void restore_checkpoint(const std::string& path, const ckpt_meta& target,
     }
   };
 
-  support::tile_executor exec(sim.parallel_threads());
   std::vector<restore_chunk> slots(exec.thread_count());
   std::vector<restore_chunk*> free;     // slots a record may be read into
   std::vector<restore_chunk*> pending;  // the batch, in stream order
@@ -351,6 +377,13 @@ void restore_checkpoint(const std::string& path, const ckpt_meta& target,
       if (chunk->actual != chunk->digest) {
         throw std::runtime_error(
             "giant: checkpoint chunk digest mismatch in " + where(*chunk));
+      }
+      if (chunk->section == cursor_section &&
+          chunk->cursor_max > target.round) {
+        throw std::range_error(
+            "giant: checkpoint cursor " + std::to_string(chunk->cursor_max) +
+            " exceeds the snapshot's round " + std::to_string(target.round) +
+            " in " + where(*chunk));
       }
       (chunk->section == cursor_section ? cursors_restored
                                         : words_restored) += *chunk->count;
@@ -387,7 +420,7 @@ void restore_checkpoint(const std::string& path, const ckpt_meta& target,
       }
       chunk.section = static_cast<std::size_t>(it - sections.begin());
     } else {
-      if (chunk.offset > cursor_span.size()) {
+      if (chunk.offset > streams.size()) {
         throw std::runtime_error("giant: cursor chunk out of range");
       }
       chunk.section = cursor_section;
@@ -518,6 +551,7 @@ giant_result run_giant_trial(const graph::topology_view& view,
   result.converged = result.leaders == 1;
   if (result.converged) result.leader = sim.sole_leader();
   result.draws = sim.total_draws();
+  result.cursor_bytes = sim.rng_streams().cursor_bytes();
 
   if (journal) {
     writer.write_record(json(json::object{

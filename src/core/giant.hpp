@@ -3,13 +3,14 @@
 //
 // What makes a trial "giant" is that nothing O(n) beyond the planes
 // may exist: the topology is an implicit view (no adjacency), the
-// engine runs engine_config::giant() (lazy 4-byte RNG cursors, planes
-// seeded at bind with no state vector ever materialized; the engine
-// keeps no beep counts at all), and all word storage lives in the
-// engine's mmap plane arena. Budget: the state planes plus the beep /
-// heard / active / leader sets, 7 words per 64 nodes for BFW (~0.9
-// bytes/node; 12 words at the 256-state cap), plus the 4-byte cursor
-// per node.
+// engine runs engine_config::giant() (lazy RNG cursors, planes seeded
+// at bind with no state vector ever materialized; the engine keeps no
+// beep counts at all), and all word storage lives in the engine's mmap
+// plane arena. Budget: the state planes plus the beep / heard / active
+// / leader sets, 7 words per 64 nodes for BFW (~0.9 bytes/node; 12
+// words at the 256-state cap), plus one cursor per node: 1 byte below
+// round 255, 2 below round 65535, 4 after (support::rng_store widens
+// it as the rounds go; the journal always carries u32 varints).
 //
 // Checkpointing streams the complete trial state - planes, beep /
 // active / leader sets, and every per-node RNG cursor - through the
@@ -101,12 +102,17 @@ struct giant_result {
   /// reports 0 (it runs no tiles).
   std::size_t exec_threads = 1;
   std::size_t exec_tile_words = 0;
+  /// Bytes per node of the lazy RNG cursors when the run stopped: 1
+  /// below round 255, 2 below round 65535, else 4 (rng_store).
+  std::size_t cursor_bytes = 1;
 };
 
 /// Runs one giant trial of `machine` on `view` (typically implicit;
 /// explicit graphs work but pay their own adjacency). Throws
 /// std::invalid_argument on an unusable machine/config and
-/// std::runtime_error on journal I/O or resume-verification failure.
+/// std::runtime_error on journal I/O or resume-verification failure
+/// (std::range_error, one of them, when a checkpoint holds a cursor
+/// above its round).
 [[nodiscard]] giant_result run_giant_trial(const graph::topology_view& view,
                                            const beeping::state_machine& machine,
                                            std::uint64_t seed,

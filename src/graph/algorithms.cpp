@@ -94,6 +94,11 @@ std::uint32_t eccentricity(const graph& g, node_id source) {
 
 std::uint32_t diameter_exact(const graph& g) {
   if (!is_connected(g)) return unreachable;
+  // A connected graph with n - 1 edges is a tree, where the node
+  // farthest from any start ends a longest path: two BFS passes.
+  if (g.edge_count() + 1 == g.node_count()) {
+    return diameter_double_sweep(g, 2);
+  }
   std::uint32_t diameter = 0;
   search_all_sources(g, [&](node_id, std::uint32_t level, node_id,
                             std::uint64_t) {

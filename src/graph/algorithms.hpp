@@ -27,14 +27,14 @@ inline constexpr std::uint32_t unreachable = 0xffffffffU;
 /// connected, otherwise returns `unreachable`.
 [[nodiscard]] std::uint32_t eccentricity(const graph& g, node_id source);
 
-/// Exact diameter via all-sources BFS, 64 sources to a search (one bit
-/// lane each); `unreachable` if the graph is disconnected, 0 for
-/// n <= 1. A node joins a batch's frontier once per level at which it
-/// gains lanes, so a batch costs between one and 64 BFS traversals:
-/// O(n(n+m)/64) when the lanes travel together (small diameter:
-/// star(1024) takes ~1/50 of the time of n queue BFS passes), and
-/// O(n(n+m)) at worst (path(4096), grid(64x64): about the time of n
-/// passes).
+/// Exact diameter; `unreachable` if the graph is disconnected, 0 for
+/// n <= 1. A tree (connected, m = n - 1) takes the double sweep, which
+/// is exact there: O(n). Any other graph runs all-sources BFS, 64
+/// sources to a search (one bit lane each). A node joins a batch's
+/// frontier once per level at which it gains lanes, so a batch costs
+/// between one and 64 BFS traversals: O(n(n+m)/64) when the lanes
+/// travel together (small diameter), and O(n(n+m)) at worst
+/// (grid(64x64): about the time of n passes).
 [[nodiscard]] std::uint32_t diameter_exact(const graph& g);
 
 /// Lower bound on the diameter via a handful of double BFS sweeps;

@@ -158,8 +158,8 @@ class rng {
   /// draw primitive bottoms out there). Together with coins_consumed()
   /// this is the complete draw cursor of a stream: a fresh generator
   /// fast-forwarded by either count lands on the identical state, which
-  /// is what lets giant trials store a 4-byte cursor per node instead
-  /// of a 64-byte generator (rng_store below).
+  /// is what lets giant trials store a 1- to 4-byte cursor per node
+  /// instead of a 64-byte generator (rng_store below).
   [[nodiscard]] std::uint64_t u64_draws() const noexcept { return calls_; }
 
   /// Advances past `count` fair coins exactly as `count` coin() calls
@@ -246,42 +246,53 @@ std::uint64_t draw_lanes(rng* lanes, std::uint64_t mask, Draw draw) noexcept {
 ///  * dense - a materialized std::vector<rng>, exactly the historical
 ///    make_node_streams array. Zero-cost indexing; 64 bytes per node
 ///    (sizeof(rng)).
-///  * lazy  - a 4-byte draw cursor per node plus one scratch
-///    generator per slot. A stream is reconstructed on demand
-///    (substream + fast-forward by the cursor), so a 10^9-node giant
-///    trial pays 4 GB instead of 64 GB, and the cursor array doubles as
-///    the checkpoint representation of all randomness. Reconstruction
+///  * lazy  - a draw cursor per node plus one scratch generator per
+///    slot. A stream is reconstructed on demand (substream +
+///    fast-forward by the cursor), and the cursor array doubles as the
+///    checkpoint representation of all randomness. Reconstruction
 ///    replays cursor/64 words, which stays cheap because a BFW node
 ///    only draws while it waits in W-black. The cursors live in
 ///    zero-filled arena pages (support::plane_arena), so binding does
 ///    no O(n) pass: each page is first touched by the tile thread that
 ///    first draws from its streams.
 ///
+/// Cursor width. A lazy store keeps its cursors as uint8_t, and widens
+/// them to uint16_t and then uint32_t only when a cursor could outgrow
+/// the width: 1 byte per node while every cursor is below 256, so a
+/// 10^9-node giant trial holds 1 GB of cursors where 4-byte cursors
+/// took 4 GB and dense streams 64 GB. An engine round draws at most
+/// once per node, so a cursor after round r is at most r, and the
+/// engine raises the bound with reserve_draws(round + 1) before every
+/// round: the array widens in one pass before rounds 255 and 65535.
+/// The width is read once per batched call, never per lane, and never
+/// changes a draw or a serialized cursor.
+///
 /// Every stream draws in its own order and no other: the contract is
 /// per stream, so callers may visit different streams in any order.
 ///
 /// Two access paths. at(slot, stream) serves one stream at a time per
 /// slot through that slot's scratch generator (single-stream access:
-/// protocols, tests, checkpoints). The batched rng_source::coins() and
-/// bernoulli() draw once from each stream of a 64-lane word; in lazy
-/// mode they sync the slot's scratch first, then serve each lane and
-/// write its cursor straight back. A lane whose draw still reads its
-/// stream's first generator word - a coin at cursor < 64, a raw64
-/// draw at cursor 0 - takes it in closed form
+/// protocols, tests). Its draws are unbounded: folding the scratch
+/// back (sync) widens the array if the count outgrows the width. The
+/// batched rng_source::coins() and bernoulli() draw once from each
+/// stream of a 64-lane word and write each lane's cursor straight back;
+/// they never widen, so the caller raises the bound first. A lane whose
+/// draw still reads its stream's first generator word - a coin at
+/// cursor < 64, a raw64 draw at cursor 0 - takes it in closed form
 /// (rng::substream_first_u64: two SplitMix64 finalizers instead of a
 /// seeding and a replay); any other lane rebuilds its generator in a
 /// local, so consecutive lanes do not serialize on the one scratch.
 /// The single-stream path always replays and stays the reference.
 ///
 /// A slot is a thread context: tiled sweeps give every executor slot
-/// its own cache-line-aligned scratch generator. Concurrent use is
-/// race-free as long as slots touch disjoint stream ranges (tiles own
-/// disjoint words, hence disjoint nodes): each slot writes only its own
-/// scratch plus the cursors of streams it drew from. After a tiled
-/// round's join barrier the engine must call sync_all() - tile->slot
-/// assignment is dynamic, so a cursor left cached in one slot's scratch
-/// would be stale-read by another slot next round. Dense mode has the
-/// exact sharing contract of the vector it replaces.
+/// its own cache-line-aligned scratch generator. Concurrent batched
+/// draws are race-free as long as slots touch disjoint stream ranges
+/// (tiles own disjoint words, hence disjoint nodes): each writes only
+/// the cursors of the streams it draws from. A widening reallocates
+/// the array, so it must not run while another thread draws: before a
+/// tiled round the engine raises the bound and folds every slot's
+/// scratch back (sync_all), so no draw inside the round widens. Dense
+/// mode has the exact sharing contract of the vector it replaces.
 class rng_store {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -295,7 +306,19 @@ class rng_store {
 
   [[nodiscard]] bool is_lazy() const noexcept { return lazy_; }
   [[nodiscard]] std::size_t size() const noexcept {
-    return lazy_ ? cursors_.size() : dense_.size();
+    return lazy_ ? count_ : dense_.size();
+  }
+
+  /// Lazy mode: bytes per stored cursor (1, 2 or 4). Dense mode: 0.
+  [[nodiscard]] std::size_t cursor_bytes() const noexcept {
+    return lazy_ ? cursor_bytes_ : 0;
+  }
+  /// Lazy mode: makes every cursor up to `draws` storable, widening the
+  /// array to the narrowest width that holds it in one pass (over
+  /// `exec`'s threads when given). Never narrows; no-op in dense mode.
+  /// No other thread may draw from the store meanwhile.
+  void reserve_draws(std::uint64_t draws, tile_executor* exec = nullptr) {
+    if (draws > cursor_max_) widen(draws, exec);
   }
 
   /// Number of independent scratch slots (>= 1; slot 0 always exists).
@@ -307,34 +330,40 @@ class rng_store {
   /// draws are lost when contexts disappear.
   void set_slots(std::size_t slots);
 
-  rng& operator[](std::size_t stream) noexcept { return at(0, stream); }
+  rng& operator[](std::size_t stream) { return at(0, stream); }
 
   /// The stream, reconstructed in (or served from) the given slot's
   /// scratch context. Lazy mode only distinguishes slots; dense mode
   /// ignores the slot and indexes the shared array.
-  rng& at(std::size_t slot, std::size_t stream) noexcept {
+  rng& at(std::size_t slot, std::size_t stream) {
     if (!lazy_) return dense_[stream];
     slot_state& s = slots_[slot];
     return stream == s.active ? s.scratch : acquire(slot, stream);
   }
 
   /// Folds every slot's active scratch stream back into the cursor
-  /// array and deactivates it. Must run after each tiled round's join
-  /// barrier (see class comment); no-op in dense mode.
-  void sync_all() noexcept;
+  /// array and deactivates it (widening the array if a count outgrew
+  /// it); no-op in dense mode.
+  void sync_all();
 
-  /// Lazy mode: the per-stream draw cursors with the active scratch
-  /// stream folded back in - the complete serializable state of every
-  /// generator. Invalidated by the next operator[].
-  [[nodiscard]] std::span<const std::uint32_t> cursors();
-  /// Lazy mode: restores cursors saved by cursors(). Size must match.
-  void set_cursors(std::span<const std::uint32_t> cursors);
-  /// Lazy mode: mutable access to the cursor array for in-place
-  /// restore - the giant resume decodes varint chunks straight into
-  /// this span instead of staging a second O(n) buffer. Syncs and
-  /// deactivates the scratch stream first. Throws std::logic_error in
-  /// dense mode.
-  [[nodiscard]] std::span<std::uint32_t> cursors_mutable();
+  /// Lazy mode: every stream's draw cursor, widened to 32 bits, with
+  /// the active scratch streams folded back in - the complete state of
+  /// every generator. An O(n) copy for tests and probes; checkpoints
+  /// read chunks through read_cursors.
+  [[nodiscard]] std::vector<std::uint32_t> cursors();
+  /// Lazy mode: the cursors of streams [offset, offset + out.size()),
+  /// widened into `out`. Reads the array only: call sync_all() first
+  /// if a single-stream access may still hold draws in a scratch.
+  /// Disjoint ranges may be read concurrently.
+  void read_cursors(std::size_t offset, std::span<std::uint32_t> out) const;
+  /// Lazy mode: stores `values` as the cursors of streams [offset,
+  /// offset + values.size()), dropping any scratch stream in that range.
+  /// Never widens: throws std::out_of_range when a value exceeds the
+  /// width (reserve_draws first), std::invalid_argument in dense mode or
+  /// when the range runs past the store. Disjoint ranges may be written
+  /// concurrently while no scratch stream is active.
+  void set_cursors(std::span<const std::uint32_t> values,
+                   std::size_t offset = 0);
 
   /// Total draws across all streams (coin bits or u64 calls, per the
   /// mode). Dense mode reports coin bits. Given an executor, the lazy
@@ -360,24 +389,38 @@ class rng_store {
     std::size_t active = npos;
   };
 
-  rng& acquire(std::size_t slot, std::size_t stream) noexcept;
-  void sync(std::size_t slot) noexcept;
+  rng& acquire(std::size_t slot, std::size_t stream);
+  void sync(std::size_t slot);
+  /// Lazy mode: reallocates the cursors at the narrowest width that
+  /// holds `draws` and copies them over.
+  void widen(std::uint64_t draws, tile_executor* exec);
   /// Lazy mode: the stream's generator rebuilt from its cursor, and the
   /// cursor a generator's draws map back to.
-  [[nodiscard]] rng replay(std::size_t stream) const noexcept;
-  [[nodiscard]] std::uint32_t cursor_of(const rng& stream) const noexcept;
+  [[nodiscard]] rng replay(std::size_t stream,
+                           std::uint64_t cursor) const noexcept;
+  [[nodiscard]] std::uint64_t cursor_of(const rng& stream) const noexcept;
   /// Lazy mode: the batched draws behind rng_source::coins (`coin`)
-  /// and rng_source::bernoulli (0 < p < 1).
+  /// and rng_source::bernoulli (0 < p < 1), and their body at one
+  /// cursor width.
   std::uint64_t lazy_draws(std::size_t slot, std::size_t word,
-                           std::uint64_t mask, bool coin, double p) noexcept;
+                           std::uint64_t mask, bool coin, double p);
+  template <class Cursor>
+  std::uint64_t lazy_draws_at(Cursor* cursors, std::size_t word,
+                              std::uint64_t mask, bool coin,
+                              double p) const noexcept;
 
   bool lazy_ = false;
   draw_mode mode_ = draw_mode::coins;
   std::vector<rng> dense_;
-  // Lazy representation: the cursors live in zero-filled arena pages.
+  // Lazy representation: count_ cursors of cursor_bytes_ each, in
+  // zero-filled arena pages; cursor_max_ is the largest storable one
+  // (unbounded in dense mode, so reserve_draws is one compare).
   rng root_{0};
   plane_arena cursor_arena_;
-  std::span<std::uint32_t> cursors_;
+  void* cursor_data_ = nullptr;
+  std::size_t count_ = 0;
+  std::size_t cursor_bytes_ = 0;
+  std::uint64_t cursor_max_ = std::numeric_limits<std::uint64_t>::max();
   std::vector<slot_state> slots_ = std::vector<slot_state>(1);
 
   friend struct rng_source;
@@ -392,7 +435,7 @@ struct rng_source {
   rng_store* store = nullptr;
   std::size_t slot = 0;
 
-  rng& operator[](std::size_t stream) const noexcept {
+  rng& operator[](std::size_t stream) const {
     return dense != nullptr ? dense[stream] : store->at(slot, stream);
   }
 
@@ -402,13 +445,13 @@ struct rng_source {
   /// sequence matches per-stream access. Bit b of the result is stream
   /// 64*word + b's outcome. bernoulli draws nothing at p <= 0 or
   /// p >= 1, like rng::bernoulli. The plane sweeps' one draw path.
-  std::uint64_t coins(std::size_t word, std::uint64_t mask) const noexcept {
+  std::uint64_t coins(std::size_t word, std::uint64_t mask) const {
     if (dense == nullptr) return store->lazy_draws(slot, word, mask, true, 0);
     return detail::draw_lanes(dense + (word << 6), mask,
                               [](rng& r) { return r.coin(); });
   }
   std::uint64_t bernoulli(std::size_t word, std::uint64_t mask,
-                          double p) const noexcept {
+                          double p) const {
     if (p <= 0.0) return 0;
     if (p >= 1.0) return mask;
     if (dense == nullptr) return store->lazy_draws(slot, word, mask, false, p);

@@ -11,9 +11,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "beeping/engine.hpp"
@@ -325,6 +327,80 @@ void expect_batches_cross_first_word(support::draw_mode mode, double p,
   }
 }
 
+// Lazy cursors are 1 byte wide until a cursor may pass 255, 2 until one
+// may pass 65535, then 4. The batched path widens when the bound is
+// raised before each round (as the engine raises it), the single-stream
+// at() path when a stream's count is folded back; across both
+// widenings each must match dense streams draw for draw, and leave the
+// same cursors and totals. The second widening starts from cursors set
+// just below it, on 8 lanes of each word so raw64 replays stay short.
+void expect_draws_cross_widenings(support::draw_mode mode, double p) {
+  const bool coins = mode == support::draw_mode::coins;
+  constexpr std::size_t kStreams = 128;
+  const auto draw = [&](support::rng& stream) {
+    return coins ? stream.coin() : stream.bernoulli(p);
+  };
+  const auto count = [coins](const support::rng& stream) {
+    return coins ? stream.coins_consumed() : stream.u64_draws();
+  };
+  const auto run = [&](std::uint32_t start, std::size_t rounds,
+                       std::uint64_t lanes, std::size_t bytes_before,
+                       std::size_t bytes_after) {
+    support::rng_store dense = support::rng_store::dense(23, kStreams);
+    support::rng_store batched = support::rng_store::lazy(23, kStreams, mode);
+    support::rng_store single = support::rng_store::lazy(23, kStreams, mode);
+    if (start != 0) {
+      const std::vector<std::uint32_t> cursors(kStreams, start);
+      for (support::rng_store* lazy : {&batched, &single}) {
+        EXPECT_THROW(lazy->set_cursors(cursors), std::out_of_range);
+        lazy->reserve_draws(start);
+        lazy->set_cursors(cursors);
+      }
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        coins ? dense[s].discard_coins(start) : dense[s].discard_u64(start);
+      }
+    }
+    EXPECT_EQ(batched.cursor_bytes(), bytes_before);
+    EXPECT_EQ(single.cursor_bytes(), bytes_before);
+    support::rng picker(5);
+    for (std::size_t round = 0; round < rounds; ++round) {
+      batched.reserve_draws(start + round + 1);
+      for (std::size_t word = 0; word < 2; ++word) {
+        const std::uint64_t mask =
+            lanes & (word == 0 ? ~0ULL : picker.next_u64() | picker.next_u64());
+        std::uint64_t from_dense = 0;
+        std::uint64_t from_single = 0;
+        for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+          const int b = std::countr_zero(m);
+          const std::size_t s = (word << 6) + b;
+          from_dense |= static_cast<std::uint64_t>(draw(dense[s])) << b;
+          from_single |= static_cast<std::uint64_t>(draw(single[s])) << b;
+        }
+        const support::rng_source source = batched.source(0);
+        const std::uint64_t got = coins ? source.coins(word, mask)
+                                        : source.bernoulli(word, mask, p);
+        ASSERT_EQ(got, from_dense) << "round " << round << " word " << word;
+        ASSERT_EQ(got, from_single) << "round " << round << " word " << word;
+      }
+    }
+    EXPECT_EQ(batched.cursor_bytes(), bytes_after);
+    const auto b = batched.cursors();
+    const auto r = single.cursors();
+    EXPECT_EQ(single.cursor_bytes(), bytes_after);
+    std::uint64_t total = 0;
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      EXPECT_EQ(b[s], count(dense[s])) << "stream " << s;
+      EXPECT_EQ(r[s], count(dense[s])) << "stream " << s;
+      total += count(dense[s]);
+    }
+    EXPECT_EQ(b[0], start + rounds);
+    EXPECT_EQ(batched.total_draws(), total);
+    EXPECT_EQ(single.total_draws(), total);
+  };
+  run(0, 300, ~0ULL, 1, 2);
+  run(65530, 10, 0xFFULL, 2, 4);
+}
+
 TEST(RngStore, LazyMatchesDenseDrawForDraw) {
   support::rng_store dense = support::rng_store::dense(42, 9);
   support::rng_store lazy =
@@ -353,6 +429,9 @@ TEST(RngStore, LazyMatchesDenseDrawForDraw) {
   for (const double p : {0.3, 0.5}) {
     expect_batches_cross_first_word(support::draw_mode::raw64, p, 2);
   }
+  // ... and across the 1 -> 2 -> 4 byte cursor widenings.
+  expect_draws_cross_widenings(support::draw_mode::coins, 0.5);
+  expect_draws_cross_widenings(support::draw_mode::raw64, 0.3);
 }
 
 TEST(RngStore, CursorsRestoreExactGeneratorState) {
@@ -361,9 +440,7 @@ TEST(RngStore, CursorsRestoreExactGeneratorState) {
   for (std::size_t s = 0; s < 5; ++s) {
     for (std::size_t k = 0; k < s * 13 + 1; ++k) (void)store[s].coin();
   }
-  const auto saved_span = store.cursors();
-  const std::vector<std::uint32_t> saved(saved_span.begin(),
-                                         saved_span.end());
+  const std::vector<std::uint32_t> saved = store.cursors();
   std::vector<bool> expected;
   for (std::size_t s = 0; s < 5; ++s) expected.push_back(store[s].coin());
 
@@ -373,14 +450,16 @@ TEST(RngStore, CursorsRestoreExactGeneratorState) {
   for (std::size_t s = 0; s < 5; ++s) {
     EXPECT_EQ(restored[s].coin(), expected[s]) << "stream " << s;
   }
-  // In-place restore path used by the giant resume.
-  support::rng_store inplace =
+  // Chunk by chunk, as the giant resume narrows its decoded chunks.
+  support::rng_store chunked =
       support::rng_store::lazy(7, 5, support::draw_mode::coins);
-  const auto dest = inplace.cursors_mutable();
-  std::copy(saved.begin(), saved.end(), dest.begin());
+  const std::span<const std::uint32_t> all = saved;
+  chunked.set_cursors(all.first(2), 0);
+  chunked.set_cursors(all.subspan(2), 2);
   for (std::size_t s = 0; s < 5; ++s) {
-    EXPECT_EQ(inplace[s].coin(), expected[s]) << "stream " << s;
+    EXPECT_EQ(chunked[s].coin(), expected[s]) << "stream " << s;
   }
+  EXPECT_THROW(chunked.set_cursors(all, 1), std::invalid_argument);
 }
 
 TEST(RngStore, SlotScratchContextsMatchDenseDrawForDraw) {
@@ -423,6 +502,33 @@ TEST(RngStore, SlotScratchContextsMatchDenseDrawForDraw) {
 }
 
 // --- giant engine == ordinary engine ---------------------------------
+
+/// Two leader states, one silent and one beeping, and every row a fair
+/// coin between them: every node draws once in every round and the
+/// election never ends, so each node's draw cursor is the round count.
+std::unique_ptr<core::spec_machine> restless_machine() {
+  core::protocol_spec spec;
+  spec.name = "restless";
+  const auto quiet = spec.add_state("quiet", false, true);
+  const auto loud = spec.add_state("loud", true, true);
+  const auto rule = beeping::transition_rule::fair_coin(loud, quiet);
+  for (const auto state : {quiet, loud}) {
+    spec.set_silent(state, rule);
+    spec.set_heard(state, rule);
+  }
+  return core::make_protocol(spec);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::string& contents) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << contents;
+}
 
 TEST(GiantTrial, GiantConfigMatchesOrdinaryEngine) {
   const auto view = topology_view::implicit({topology::kind::grid, 9, 23});
@@ -474,7 +580,7 @@ TEST(GiantTrial, GiantConfigMatchesOrdinaryEngine) {
 
   // ...and the giant bundle refuses what it cannot serve: a noise model
   // (noise streams stay dense), a machine mixing coin and bernoulli
-  // draws (a 4-byte cursor replays one kind), and more than 256 states
+  // draws (a draw cursor replays one kind), and more than 256 states
   // (no plane gear).
   const auto giant_engine = [&view](const beeping::state_machine& machine,
                                     const beeping::noise_model& noise) {
@@ -713,6 +819,84 @@ TEST(GiantTrial, ResumeRejectsWrongTrialAndCorruptJournal) {
   EXPECT_NE(unversioned.find("(missing)"), std::string::npos) << unversioned;
   EXPECT_NE(unversioned.find("version 3"), std::string::npos) << unversioned;
 
+  // A cursor above its snapshot's round cannot come from a run (a round
+  // draws at most once per node): the chunk holding one is refused with
+  // a std::range_error that names it, even when its digest matches.
+  // grid:256x257 has 65,793 cursors, so the second chunk starts at
+  // 65,536.
+  {
+    const auto wide = topology_view::implicit({topology::kind::grid, 256, 257});
+    core::giant_options two_rounds;
+    two_rounds.checkpoint_path = path;
+    two_rounds.stop_after_round = 2;
+    std::remove(path.c_str());
+    (void)core::run_giant_trial(wide, machine, 9, two_rounds);
+    std::string contents = read_file(path);
+    const auto line = contents.find(
+        R"({"type":"ckpt_cursors","seq":0,"offset":65536,)");
+    ASSERT_NE(line, std::string::npos);
+    const auto digest_at = contents.find("\"digest\":", line) + 9;
+    const auto data_at = contents.find("\"data\":\"", line) + 8;
+    const auto data_end = contents.find('"', data_at);
+    std::vector<std::uint32_t> values(512);
+    const auto count = codec::decode_cursors(
+        std::string_view(contents).substr(data_at, data_end - data_at),
+        values);
+    ASSERT_TRUE(count.has_value());
+    values.resize(*count);
+    values[3] = 3;
+    const std::string data = codec::encode_cursors(values);
+    contents.replace(data_at, data_end - data_at, data);
+    contents.replace(
+        digest_at, contents.find(',', digest_at) - digest_at,
+        std::to_string(
+            codec::chunk_digest(std::span<const std::uint32_t>(values))));
+    write_file(path, contents);
+    std::string refusal = "(no refusal)";
+    try {
+      (void)core::run_giant_trial(wide, machine, 9, resume);
+    } catch (const std::range_error& e) {
+      refusal = e.what();
+    }
+    EXPECT_NE(refusal.find("cursor 3 exceeds the snapshot's round 2 in "
+                           "cursors at offset 65536"),
+              std::string::npos)
+        << refusal;
+  }
+
+  // A checkpoint at round 200, resumed to 400, crosses the 1 -> 2 byte
+  // cursor widening after the restore; one at round 300 restores into
+  // 2-byte cursors. Either resume, from the journal a kill right after
+  // that checkpoint leaves, must write the straight run's journal byte
+  // for byte, with the same draws.
+  {
+    const auto restless = restless_machine();
+    core::giant_options straight;
+    straight.max_rounds = 400;
+    straight.checkpoint_path = path;
+    straight.checkpoint_every = 100;
+    std::remove(path.c_str());
+    const auto whole = core::run_giant_trial(view, *restless, 3, straight);
+    ASSERT_EQ(whole.rounds, 400U);
+    EXPECT_EQ(whole.cursor_bytes, 2U);
+    EXPECT_EQ(whole.draws, 400U * view.node_count());
+    const std::string journal = read_file(path);
+    for (const std::uint64_t round : {200, 300}) {
+      const auto end = journal.find(R"({"type":"ckpt_end","seq":)" +
+                                    std::to_string(round / 100 - 1) + ',');
+      ASSERT_NE(end, std::string::npos) << round;
+      write_file(path, journal.substr(0, journal.find('\n', end) + 1));
+      core::giant_options again = straight;
+      again.resume = true;
+      const auto resumed = core::run_giant_trial(view, *restless, 3, again);
+      EXPECT_EQ(resumed.start_round, round);
+      EXPECT_EQ(resumed.rounds, whole.rounds) << round;
+      EXPECT_EQ(resumed.draws, whole.draws) << round;
+      EXPECT_EQ(resumed.cursor_bytes, 2U) << round;
+      EXPECT_TRUE(read_file(path) == journal) << "resumed from " << round;
+    }
+  }
+
   // Missing journal.
   std::remove(path.c_str());
   EXPECT_THROW((void)core::run_giant_trial(view, machine, 9, resume),
@@ -809,6 +993,45 @@ TEST(GiantTrial, ThreadedTrialIsBitIdenticalToSerial) {
         c.tile_words != 0 ? c.tile_words : support::kL2TileWords;
     EXPECT_EQ(tiled.exec_tile_words, threads == 1 ? 0 : tile)
         << c.threads << "x" << c.tile_words;
+    EXPECT_EQ(tiled.cursor_bytes, serial.cursor_bytes) << c.threads;
+  }
+
+  // Past round 255 the lazy cursors widen from 1 to 2 bytes, in one pass
+  // on the tile threads. Under the restless machine every cursor equals
+  // the round count, so a widening one round late would wrap them all.
+  // 301 rounds at threads x tiles must match the serial dense engine:
+  // beep and leader words, and every node's draw count.
+  const auto restless = restless_machine();
+  const auto grid = topology_view::implicit({topology::kind::grid, 20, 32});
+  const std::size_t n = grid.node_count();  // 10 words: 7-word tiles split
+  beeping::fsm_protocol dense_proto(*restless);
+  beeping::engine dense_sim(grid, dense_proto, 99);
+  dense_sim.run_rounds(301);
+  const auto dense_state = dense_sim.plane_snapshot();
+  for (const std::size_t threads : {1, 2, 4}) {
+    for (const std::size_t tile_words : {7, 0}) {
+      beeping::fsm_protocol proto(*restless);
+      beeping::engine sim(grid, proto, 99, beeping::noise_model{},
+                          beeping::engine_config::giant());
+      sim.set_parallelism(threads, tile_words);
+      sim.run_rounds(255);
+      EXPECT_EQ(sim.rng_streams().cursor_bytes(), 1U) << threads;
+      sim.run_rounds(46);
+      EXPECT_EQ(sim.rng_streams().cursor_bytes(), 2U) << threads;
+      const auto state = sim.plane_snapshot();
+      EXPECT_TRUE(std::equal(state.beep.begin(), state.beep.end(),
+                             dense_state.beep.begin()))
+          << threads << "x" << tile_words;
+      EXPECT_TRUE(std::equal(state.leader.begin(), state.leader.end(),
+                             dense_state.leader.begin()))
+          << threads << "x" << tile_words;
+      const auto cursors = sim.rng_streams().cursors();
+      for (graph::node_id u = 0; u < n; ++u) {
+        ASSERT_EQ(cursors[u], dense_sim.node_rng(u).coins_consumed())
+            << threads << "x" << tile_words << " node " << u;
+      }
+      EXPECT_EQ(sim.total_draws(), 301 * n) << threads << "x" << tile_words;
+    }
   }
 }
 

@@ -105,6 +105,7 @@ int main(int argc, char** argv) {
          json(static_cast<std::uint64_t>(result.exec_threads))},
         {"exec_tile_words",
          json(static_cast<std::uint64_t>(result.exec_tile_words))},
+        {"cursor_bytes", json(static_cast<std::uint64_t>(result.cursor_bytes))},
     });
     std::printf("GIANT_RESULT %s\n", summary.dump().c_str());
   } catch (const std::exception& e) {
