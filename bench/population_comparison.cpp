@@ -87,8 +87,14 @@ int main(int argc, char** argv) {
     medians.push_back(median);
 
     const core::bfw_machine bfw(0.5);
-    const auto rounds =
-        core::convergence_rounds(g, bfw, trials, seed + 1, 100000);
+    const auto rounds = analysis::map_trials(
+        trials, seed + 1, threads,
+        [&](std::size_t /*trial*/, std::uint64_t trial_seed) {
+          const auto outcome =
+              core::run_election(g, bfw, trial_seed, {.max_rounds = 100000});
+          return static_cast<double>(outcome.converged ? outcome.rounds
+                                                       : 100000);
+        });
     clique.add_row(
         {support::table::num(static_cast<long long>(n)),
          support::table::num(median, 0),

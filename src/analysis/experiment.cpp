@@ -56,16 +56,6 @@ trial_stats aggregate(const graph::topology_view& view, std::uint32_t diameter,
   return stats;
 }
 
-std::vector<std::uint64_t> derive_seeds(std::uint64_t seed,
-                                        std::size_t trials) {
-  std::vector<std::uint64_t> seeds(trials);
-  support::rng seeder(seed);
-  for (auto& trial_seed : seeds) {
-    trial_seed = seeder.next_u64();
-  }
-  return seeds;
-}
-
 core::election_outcome run_protocol(const graph::topology_view& view,
                                     beeping::protocol& proto,
                                     std::uint64_t seed,
@@ -164,11 +154,11 @@ trial_stats run_trials(const graph::topology_view& view,
                        std::uint32_t diameter, const algorithm& algo,
                        std::size_t trials, std::uint64_t seed,
                        std::uint64_t max_rounds, const run_options& opts) {
-  const auto seeds = derive_seeds(seed, trials);
-  std::vector<trial_record> records(trials);
-  support::parallel_for(trials, opts.threads, [&](std::size_t trial) {
-    records[trial] = execute_trial(view, algo, seeds[trial], max_rounds);
-  });
+  const auto records = map_trials(
+      trials, seed, opts.threads,
+      [&](std::size_t /*trial*/, std::uint64_t trial_seed) {
+        return execute_trial(view, algo, trial_seed, max_rounds);
+      });
   return aggregate(view, diameter, algo, records, max_rounds);
 }
 

@@ -108,10 +108,11 @@ struct run_options {
 ///
 /// Reproducibility contract: every statistical field of the result is
 /// bit-identical for a given (view, algo, trials, seed, max_rounds)
-/// regardless of `opts.threads`. Per-trial seeds are derived serially
-/// up front, each trial is deterministic in (topology, seed) with its
-/// own generators, and aggregation happens in trial order after the
-/// join barrier (coin counts included - no shared mutable accounting).
+/// regardless of `opts.threads`. The trials fan out through
+/// map_trials (per-trial seeds derived serially up front), each trial
+/// is deterministic in (topology, seed) with its own generators, and
+/// aggregation happens in trial order after the join barrier (coin
+/// counts included - no shared mutable accounting).
 [[nodiscard]] trial_stats run_trials(const graph::topology_view& view,
                                      std::uint32_t diameter,
                                      const algorithm& algo,

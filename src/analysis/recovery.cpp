@@ -8,40 +8,17 @@
 
 namespace beepkit::analysis {
 
-namespace {
-
-std::uint64_t resolve_horizon(const graph::topology_view& view,
-                              const recovery_options& options) {
-  if (options.max_rounds.has_value()) return *options.max_rounds;
-  std::uint32_t diameter = options.diameter;
-  if (diameter == 0) {
-    diameter = view.is_implicit()
-                   ? view.formula_diameter()
-                   : static_cast<std::uint32_t>(
-                         std::max<std::size_t>(1, view.node_count()));
-  }
-  return core::default_horizon(view, diameter);
-}
-
-}  // namespace
-
 recovery_result measure_recovery(const graph::topology_view& view,
                                  const beeping::state_machine& machine,
-                                 const core::fault_plan& plan,
                                  std::uint64_t seed,
-                                 const recovery_options& options) {
-  beeping::fsm_protocol proto(machine);
-  beeping::engine sim(view, proto, seed);
-  if (options.exec.threads != 1 || options.exec.tile_words != 0) {
-    sim.set_parallelism(options.exec.threads, options.exec.tile_words);
-  }
-  if (!options.fast_path) sim.set_fast_path_enabled(false);
-  if (!options.compiled_kernel) sim.set_compiled_kernel_enabled(false);
-  if (!options.telemetry) sim.set_telemetry_enabled(false);
-
-  core::fault_session session(plan, sim, seed);
+                                 const core::election_options& options) {
+  core::election_trial trial(view, machine, seed, options);
+  beeping::engine& sim = trial.sim;
+  const std::uint64_t horizon = trial.horizon;
+  core::fault_session session(
+      options.faults != nullptr ? *options.faults : core::fault_plan{}, sim,
+      seed);
   if (options.scheduler != nullptr) session.set_adversary(options.scheduler);
-  const std::uint64_t horizon = resolve_horizon(view, options);
 
   recovery_result result;
   // Epoch 0 is initial convergence: the run starts outside the

@@ -30,7 +30,7 @@ struct recovery_point {
 };
 
 /// Everything one recovery trial reports. Deterministic in
-/// (view, machine, plan, seed, options) - same contract as
+/// (view, machine, seed, options) - same contract as
 /// run_election, including bit-identical replay under any kernel,
 /// tiling or thread count.
 struct recovery_result {
@@ -51,30 +51,18 @@ struct recovery_result {
   }
 };
 
-/// Knobs for one recovery trial (a subset of election_options; the
-/// fault plan is a first-class argument here).
-struct recovery_options {
-  /// Horizon; unset derives core::default_horizon (diameter falls back
-  /// to the node count exactly like run_election).
-  std::optional<std::uint64_t> max_rounds;
-  std::uint32_t diameter = 0;
-  core::engine_exec exec;
-  bool fast_path = true;
-  bool compiled_kernel = true;
-  bool telemetry = true;
-  /// Optional adversary attached for the whole run (not owned).
-  core::adversary* scheduler = nullptr;
-};
-
-/// Runs one faulted election and measures every disruption epoch. When
+/// Runs one election under `options.faults` (nullptr: no plan) and
+/// measures every disruption epoch. The trial is bound by
+/// core::election_trial from the same options run_election takes, so
+/// with no plan and no scheduler the single epoch's
+/// rounds_to_recover and the final outcome are run_election's. When
 /// telemetry is compiled in and enabled, folds a "recovery_rounds"
 /// histogram plus recovery_epochs_total / recovery_unrecovered_total
 /// counters into the global registry (probe-only: numbers never
 /// change).
 [[nodiscard]] recovery_result measure_recovery(
     const graph::topology_view& view, const beeping::state_machine& machine,
-    const core::fault_plan& plan, std::uint64_t seed,
-    const recovery_options& options = {});
+    std::uint64_t seed, const core::election_options& options = {});
 
 /// BFW with parameter `p` under `plan`, packaged as a named algorithm
 /// so faulted cells drop into the sweep/shard/JSONL/merge machinery

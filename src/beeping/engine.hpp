@@ -320,9 +320,6 @@ class engine : private fsm_protocol::lazy_source {
   /// a forced kernel: it is configuration, not run state. Throws
   /// std::invalid_argument on a node-count mismatch.
   void set_topology_patch(const graph::patch_overlay* patch);
-  [[nodiscard]] const graph::patch_overlay* topology_patch() const noexcept {
-    return patch_;
-  }
 
   /// Adversary scheduler hook: runs every round after the gather and
   /// the noise model, observing the packed beep set (read-only) and
@@ -336,9 +333,6 @@ class engine : private fsm_protocol::lazy_source {
       std::function<void(std::uint64_t round, std::span<const std::uint64_t> beep,
                          std::span<std::uint64_t> heard)>;
   void set_heard_hook(heard_hook hook) { heard_hook_ = std::move(hook); }
-  [[nodiscard]] bool heard_hook_attached() const noexcept {
-    return static_cast<bool>(heard_hook_);
-  }
 
   /// Runs exactly `count` rounds.
   void run_rounds(std::uint64_t count);

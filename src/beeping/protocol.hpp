@@ -351,7 +351,6 @@ class fsm_protocol final : public protocol {
   /// Forces materialization now (no-op when fresh). The engine calls
   /// this when its own sweeps are about to read the raw vector.
   void ensure_states_fresh() const { materialize(); }
-  [[nodiscard]] bool states_stale() const noexcept { return states_stale_; }
   /// How many lazy unpacks have happened since construction. A
   /// plane-gear run with no outside readers keeps this at zero - the
   /// acceptance counter for "plane rounds perform no eager state

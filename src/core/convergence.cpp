@@ -14,27 +14,37 @@ std::uint64_t default_horizon(const graph::topology_view& view,
   return std::max<std::uint64_t>(4096, static_cast<std::uint64_t>(bound));
 }
 
-namespace {
-
-std::uint64_t resolve_horizon(const graph::topology_view& view,
-                              const election_options& options) {
+std::uint64_t election_horizon(const graph::topology_view& view,
+                               const election_options& options) {
   if (options.max_rounds.has_value()) return *options.max_rounds;
-  // Implicit views know their exact formula diameter; otherwise the
-  // explicit option, falling back to node count (an upper bound for
-  // connected graphs).
   std::uint32_t diameter = options.diameter;
   if (diameter == 0) {
-    if (view.is_implicit()) {
-      diameter = view.formula_diameter();
-    } else {
-      diameter = static_cast<std::uint32_t>(
-          std::max<std::size_t>(1, view.node_count()));
-    }
+    diameter = view.is_implicit()
+                   ? view.formula_diameter()
+                   : static_cast<std::uint32_t>(
+                         std::max<std::size_t>(1, view.node_count()));
   }
   return default_horizon(view, diameter);
 }
 
-}  // namespace
+election_trial::election_trial(const graph::topology_view& view,
+                               const beeping::state_machine& machine,
+                               std::uint64_t seed,
+                               const election_options& options)
+    : proto(machine),
+      sim(view, proto, seed, options.noise),
+      horizon(election_horizon(view, options)) {
+  if (options.exec.threads != 1 || options.exec.tile_words != 0) {
+    sim.set_parallelism(options.exec.threads, options.exec.tile_words);
+  }
+  if (!options.fast_path) sim.set_fast_path_enabled(false);
+  if (!options.compiled_kernel) sim.set_compiled_kernel_enabled(false);
+  if (!options.telemetry) sim.set_telemetry_enabled(false);
+  if (!options.initial.empty()) {
+    proto.set_states(options.initial);
+    sim.restart_from_protocol();
+  }
+}
 
 election_outcome finish_election(beeping::engine& sim,
                                  const beeping::run_result& result) {
@@ -71,26 +81,17 @@ election_outcome run_election(const graph::topology_view& view,
                               const beeping::state_machine& machine,
                               std::uint64_t seed,
                               const election_options& options) {
-  beeping::fsm_protocol proto(machine);
-  beeping::engine sim(view, proto, seed, options.noise);
-  if (options.exec.threads != 1 || options.exec.tile_words != 0) {
-    sim.set_parallelism(options.exec.threads, options.exec.tile_words);
-  }
-  if (!options.fast_path) sim.set_fast_path_enabled(false);
-  if (!options.compiled_kernel) sim.set_compiled_kernel_enabled(false);
-  if (!options.telemetry) sim.set_telemetry_enabled(false);
-  if (!options.initial.empty()) {
-    proto.set_states(options.initial);
-    sim.restart_from_protocol();
-  }
-  const std::uint64_t horizon = resolve_horizon(view, options);
+  election_trial trial(view, machine, seed, options);
   if (options.faults != nullptr || options.scheduler != nullptr) {
     fault_session session(
-        options.faults != nullptr ? *options.faults : fault_plan{}, sim, seed);
+        options.faults != nullptr ? *options.faults : fault_plan{},
+        trial.sim, seed);
     if (options.scheduler != nullptr) session.set_adversary(options.scheduler);
-    return finish_election(sim, session.run_until_single_leader(horizon));
+    return finish_election(trial.sim,
+                           session.run_until_single_leader(trial.horizon));
   }
-  return finish_election(sim, sim.run_until_single_leader(horizon));
+  return finish_election(trial.sim,
+                         trial.sim.run_until_single_leader(trial.horizon));
 }
 
 election_outcome run_election(const graph::topology_view& view,
@@ -112,24 +113,6 @@ election_outcome run_bfw_election_from(const graph::topology_view& view,
   options.exec = exec;
   options.initial = std::move(initial);
   return run_election(view, machine, seed, options);
-}
-
-std::vector<double> convergence_rounds(const graph::topology_view& view,
-                                       const beeping::state_machine& machine,
-                                       std::size_t trials, std::uint64_t seed,
-                                       std::uint64_t max_rounds) {
-  std::vector<double> rounds;
-  rounds.reserve(trials);
-  election_options options;
-  options.max_rounds = max_rounds;
-  support::rng seeder(seed);
-  for (std::size_t trial = 0; trial < trials; ++trial) {
-    const auto outcome =
-        run_election(view, machine, seeder.next_u64(), options);
-    rounds.push_back(static_cast<double>(
-        outcome.converged ? outcome.rounds : max_rounds));
-  }
-  return rounds;
 }
 
 }  // namespace beepkit::core

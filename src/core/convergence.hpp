@@ -60,20 +60,23 @@ struct election_outcome {
 [[nodiscard]] std::uint64_t default_horizon(const graph::topology_view& view,
                                             std::uint32_t diameter);
 
-/// Everything one election trial can be configured with, replacing the
-/// defaulted-parameter sprawl the individual runners had grown
-/// (max_rounds / exec / noise / initial states as positional tails).
+/// Everything one election trial can be configured with - the one
+/// per-trial option set: run_election and analysis::measure_recovery
+/// both take it, and run_giant_trial resolves its default horizon
+/// through the same election_horizon.
 /// Aggregate-initialize only what differs from a plain run:
 ///
 ///   run_election(g, machine, seed, {.max_rounds = 10'000});
 ///   run_election(g, spec, seed, {.noise = {.miss = 0.01}});
+///   measure_recovery(g, machine, seed, {.faults = &plan});
 struct election_options {
-  /// Stop horizon; unset derives default_horizon(g, diameter). An
-  /// explicit value is literal - 0 means "stop before the first round".
+  /// Stop horizon; unset derives it by election_horizon. An explicit
+  /// value is literal - 0 means "stop before the first round".
   std::optional<std::uint64_t> max_rounds;
   /// Diameter (or an upper bound) used only to derive the horizon when
-  /// max_rounds == 0; 0 falls back to node count (always an upper
-  /// bound for connected graphs).
+  /// max_rounds is unset; 0 falls back to an implicit view's formula
+  /// diameter, else the node count (always an upper bound for
+  /// connected graphs).
   std::uint32_t diameter = 0;
   engine_exec exec;              ///< tiled-parallelism knobs
   beeping::noise_model noise;    ///< reception noise (off by default)
@@ -92,6 +95,29 @@ struct election_options {
   const fault_plan* faults = nullptr;
   /// Adversarial scheduler attached for the whole run (not owned).
   adversary* scheduler = nullptr;
+};
+
+/// The one horizon rule: `options.max_rounds` when set, else
+/// default_horizon at the diameter `options` resolves to (see
+/// election_options::diameter).
+[[nodiscard]] std::uint64_t election_horizon(const graph::topology_view& view,
+                                             const election_options& options);
+
+/// One election trial bound to its options, built in place: the
+/// protocol over `machine`, the engine over `view` with the noise,
+/// parallelism, gear switches, telemetry toggle and initial states of
+/// `options` applied, and the horizon by election_horizon.
+/// run_election and analysis::measure_recovery both start here;
+/// `faults` and `scheduler` are left to the caller's fault_session.
+/// `view` and `machine` must outlive it.
+struct election_trial {
+  election_trial(const graph::topology_view& view,
+                 const beeping::state_machine& machine, std::uint64_t seed,
+                 const election_options& options);
+
+  beeping::fsm_protocol proto;
+  beeping::engine sim;
+  std::uint64_t horizon;
 };
 
 /// The one election runner: any state machine, all knobs in `options`.
@@ -120,11 +146,5 @@ struct election_options {
     const graph::topology_view& view, double p,
     std::vector<beeping::state_id> initial, std::uint64_t seed,
     std::uint64_t max_rounds, const engine_exec& exec = {});
-
-/// Convergence rounds over `trials` independent seeds (derived from
-/// `seed`); non-converged trials are recorded as `max_rounds`.
-[[nodiscard]] std::vector<double> convergence_rounds(
-    const graph::topology_view& view, const beeping::state_machine& machine,
-    std::size_t trials, std::uint64_t seed, std::uint64_t max_rounds);
 
 }  // namespace beepkit::core

@@ -465,16 +465,6 @@ void restore_checkpoint(const std::string& path, const ckpt_meta& target,
                         static_cast<std::size_t>(target.leaders));
 }
 
-std::uint64_t resolve_horizon(const graph::topology_view& view,
-                              const giant_options& options) {
-  if (options.max_rounds != 0) return options.max_rounds;
-  const std::uint32_t diameter =
-      view.is_implicit() ? view.formula_diameter()
-                         : static_cast<std::uint32_t>(std::max<std::size_t>(
-                               1, view.node_count()));
-  return default_horizon(view, diameter);
-}
-
 }  // namespace
 
 giant_result run_giant_trial(const graph::topology_view& view,
@@ -523,7 +513,9 @@ giant_result run_giant_trial(const graph::topology_view& view,
     }
   }
 
-  const std::uint64_t horizon = resolve_horizon(view, options);
+  const std::uint64_t horizon = options.max_rounds != 0
+                                     ? options.max_rounds
+                                     : election_horizon(view, {});
   while (sim.leader_count() > 1 && sim.round() < horizon) {
     if (options.stop_after_round != 0 &&
         sim.round() >= options.stop_after_round) {

@@ -59,8 +59,9 @@
 namespace beepkit::core {
 
 struct giant_options {
-  /// Stop horizon; 0 derives the Theorem-2 default from the view's
-  /// formula diameter (node count for untagged explicit graphs).
+  /// Stop horizon; 0 derives it by election_horizon with default
+  /// options (the view's formula diameter, node count for untagged
+  /// explicit graphs).
   std::uint64_t max_rounds = 0;
   /// Checkpoint journal path; empty disables checkpointing.
   std::string checkpoint_path;

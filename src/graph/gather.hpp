@@ -123,9 +123,6 @@ class heard_gather {
   /// word_csr_pull on an implicit view, which has no adjacency to
   /// build them from).
   void force_kernel(gather_kernel k);
-  [[nodiscard]] gather_kernel forced_kernel() const noexcept {
-    return forced_;
-  }
   /// The kernel the most recent call actually ran.
   [[nodiscard]] gather_kernel last_used() const noexcept { return last_; }
   /// Forgets the last-used kernel (back to auto_select) — called on

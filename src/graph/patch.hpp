@@ -61,9 +61,6 @@ class patch_overlay {
   [[nodiscard]] bool touched(node_id u) const {
     return nodes_.find(u) != nodes_.end();
   }
-  [[nodiscard]] std::size_t touched_nodes() const noexcept {
-    return nodes_.size();
-  }
   /// Total premasked (word, mask) entries across touched nodes - the
   /// per-round word cost of the post-pass (telemetry: patched words).
   [[nodiscard]] std::uint64_t patched_words() const noexcept {

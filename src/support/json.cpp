@@ -480,64 +480,33 @@ void json::set(std::string key, json value) {
 
 namespace {
 
-/// What dump_to writes through: a stack chunk in front of the output
-/// string. A record walk makes dozens of appends of a few bytes each;
-/// here each is a bounds check and a small memcpy, and the string sees
-/// one append per chunk.
-class staged_writer {
- public:
-  explicit staged_writer(std::string& out) : out_(out) {}
-  ~staged_writer() { flush(); }
-  staged_writer(const staged_writer&) = delete;
-  staged_writer& operator=(const staged_writer&) = delete;
-
-  void append(const char* data, std::size_t n) {
-    if (n > sizeof(buf_) - len_) {
-      flush();
-      if (n > sizeof(buf_)) {
-        out_.append(data, n);
-        return;
-      }
-    }
-    std::memcpy(buf_ + len_, data, n);
-    len_ += n;
-  }
-  void push_back(char c) {
-    if (len_ == sizeof(buf_)) flush();
-    buf_[len_++] = c;
-  }
-  /// The next `n` (<= max_room) bytes of the chunk, to be filled in
-  /// place and then committed with advance().
-  static constexpr std::size_t max_room = 64;
-  char* room(std::size_t n) {
-    if (n > sizeof(buf_) - len_) flush();
-    return buf_ + len_;
-  }
-  void advance(std::size_t n) { len_ += n; }
-
- private:
-  void flush() {
-    out_.append(buf_, len_);
-    len_ = 0;
-  }
-
-  std::string& out_;
-  char buf_[256];
-  std::size_t len_ = 0;
-};
-
 [[nodiscard]] bool plain_char(char c) noexcept {
   return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
 }
 
-/// Appends `"text"`, escaped, then `suffix` unless it is 0. The bytes
-/// before `first` need no escape.
-template <class Out>
-void append_escaped(Out& out, std::string_view text, std::size_t first,
-                    char suffix) {
+template <class Int>
+void append_integer(std::string& out, Int value) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+void append_double(std::string& out, double value) {
+  if (!std::isfinite(value)) {  // JSON has no inf/nan
+    out.append("null", 4);
+    return;
+  }
+  char buf[32];
+  out.append(buf, static_cast<std::size_t>(
+                      std::snprintf(buf, sizeof(buf), "%.17g", value)));
+}
+
+}  // namespace
+
+void json::append_string(std::string& out, std::string_view text) {
   out.push_back('"');
   std::size_t plain = 0;  // start of the pending run of unescaped bytes
-  for (std::size_t i = first; i < text.size(); ++i) {
+  for (std::size_t i = 0; i < text.size(); ++i) {
     const char c = text[i];
     if (plain_char(c)) continue;
     out.append(text.data() + plain, i - plain);
@@ -557,62 +526,6 @@ void append_escaped(Out& out, std::string_view text, std::size_t first,
   }
   out.append(text.data() + plain, text.size() - plain);
   out.push_back('"');
-  if (suffix != 0) out.push_back(suffix);
-}
-
-/// append_escaped for dump_to. Short strings - every key and most
-/// values - are copied into the chunk while they are scanned; one that
-/// needs an escape is abandoned uncommitted and redone by the general
-/// path.
-void append_quoted(staged_writer& out, std::string_view text, char suffix) {
-  const std::size_t n = text.size();
-  if (n + 3 <= staged_writer::max_room) {
-    char* const p = out.room(n + 3);
-    std::size_t i = 0;
-    while (i < n && plain_char(text[i])) {
-      p[i + 1] = text[i];
-      ++i;
-    }
-    if (i == n) {
-      p[0] = '"';
-      p[n + 1] = '"';
-      p[n + 2] = suffix;
-      out.advance(n + (suffix != 0 ? 3 : 2));
-      return;
-    }
-  }
-  append_escaped(out, text, 0, suffix);
-}
-
-template <class Int>
-void append_integer(staged_writer& out, Int value) {
-  char buf[24];
-  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
-  out.append(buf, static_cast<std::size_t>(end - buf));
-}
-
-void append_double(staged_writer& out, double value) {
-  if (!std::isfinite(value)) {  // JSON has no inf/nan
-    out.append("null", 4);
-    return;
-  }
-  char buf[32];
-  out.append(buf, static_cast<std::size_t>(
-                      std::snprintf(buf, sizeof(buf), "%.17g", value)));
-}
-
-}  // namespace
-
-void json::append_string(std::string& out, std::string_view text) {
-  std::size_t first = 0;  // first byte that needs an escape
-  while (first < text.size() && plain_char(text[first])) ++first;
-  if (first == text.size()) {
-    out.push_back('"');
-    out.append(text);
-    out.push_back('"');
-    return;
-  }
-  append_escaped(out, text, first, 0);
 }
 
 std::string json::dump() const {
@@ -622,12 +535,6 @@ std::string json::dump() const {
 }
 
 void json::dump_to(std::string& out) const {
-  staged_writer staged(out);
-  dump_into(staged);
-}
-
-template <class Out>
-void json::dump_into(Out& out) const {
   switch (value_.index()) {
     case 0:
       out.append("null", 4);
@@ -649,14 +556,14 @@ void json::dump_into(Out& out) const {
       append_double(out, *std::get_if<double>(&value_));
       return;
     case 5:
-      append_quoted(out, *std::get_if<std::string>(&value_), 0);
+      append_string(out, *std::get_if<std::string>(&value_));
       return;
     case 6: {
       const array& values = *std::get_if<array>(&value_);
       out.push_back('[');
       for (std::size_t i = 0; i < values.size(); ++i) {
         if (i != 0) out.push_back(',');
-        values[i].dump_into(out);
+        values[i].dump_to(out);
       }
       out.push_back(']');
       return;
@@ -666,8 +573,9 @@ void json::dump_into(Out& out) const {
       out.push_back('{');
       for (std::size_t i = 0; i < members.size(); ++i) {
         if (i != 0) out.push_back(',');
-        append_quoted(out, members[i].first, ':');
-        members[i].second.dump_into(out);
+        append_string(out, members[i].first);
+        out.push_back(':');
+        members[i].second.dump_to(out);
       }
       out.push_back('}');
     }

@@ -89,10 +89,6 @@ class json {
   class object_scan;
 
  private:
-  /// dump_to's body, over its staging writer (json.cpp).
-  template <class Out>
-  void dump_into(Out& out) const;
-
   std::variant<std::nullptr_t, bool, std::uint64_t, std::int64_t, double,
                std::string, array, object>
       value_ = nullptr;

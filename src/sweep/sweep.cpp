@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/gather.hpp"
+#include "support/parallel.hpp"
 #include "support/table.hpp"
 #include "support/telemetry.hpp"
 #include "sweep/jsonl.hpp"
@@ -64,20 +65,22 @@ struct window_slot {
 constexpr std::size_t kWindowUnitsPerThread = 1024;
 
 /// Barrier-free in-order executor (an in-order-commit reorder window,
-/// Smith & Pleszkun, ISCA 1985). `threads` workers - the caller is one
-/// of them - each pull the next unit into a bounded ring and run it
-/// outside the lock. Whichever worker finds the window head complete
-/// folds every ready head unit, strictly in global order, while the
-/// others keep running trials (flat combining, Hendler et al., SPAA
-/// 2010); only one thread folds at a time.
+/// Smith & Pleszkun, ISCA 1985). `threads` workers - the slots of one
+/// support::tile_executor, the caller among them - each pull the next
+/// unit into a bounded ring and run it outside the lock. Whichever
+/// worker finds the window head complete folds every ready head unit,
+/// strictly in global order, while the others keep running trials
+/// (flat combining, Hendler et al., SPAA 2010); only one thread folds
+/// at a time.
 ///
 /// `pull(slot)` fills the next unit and returns false when the source
 /// is exhausted; it may mark the slot done (a resumed unit). `run(slot)`
 /// computes a fresh unit. `fold(slot)` commits one unit. A trial's
 /// exception stops new pulls and is rethrown when the fold reaches its
 /// unit, so every earlier unit is committed first; a pull or fold
-/// exception stops the workers at once. Either way every worker is
-/// joined before the exception reaches the caller.
+/// exception stops the workers at once. Either way every worker has
+/// returned (run_tiles is a barrier) before the exception reaches the
+/// caller.
 template <typename Pull, typename Run, typename Fold>
 void stream_in_order(std::size_t threads, std::size_t window, Pull& pull,
                      Run& run, Fold& fold) {
@@ -170,16 +173,10 @@ void stream_in_order(std::size_t threads, std::size_t window, Pull& pull,
     }
   };
 
-  std::vector<std::thread> helpers;
-  helpers.reserve(threads - 1);
-  try {
-    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(work);
-  } catch (...) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    fail(std::current_exception());
-  }
-  work();
-  for (std::thread& helper : helpers) helper.join();
+  support::tile_executor pool(threads);
+  pool.run_tiles(threads, 1, [&](std::size_t, std::size_t, std::size_t) {
+    work();
+  });
   if (error) std::rethrow_exception(error);
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/experiment.hpp"
 #include "core/adversarial.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -13,6 +14,21 @@
 
 namespace beepkit::core {
 namespace {
+
+/// Horizon-capped rounds of `trials` elections on the seeds
+/// analysis::map_trials derives from `seed`.
+std::vector<double> seeded_rounds(const graph::graph& g,
+                                  const beeping::state_machine& machine,
+                                  std::size_t trials, std::uint64_t seed,
+                                  std::uint64_t max_rounds) {
+  return analysis::map_trials(
+      trials, seed, 1, [&](std::size_t /*trial*/, std::uint64_t trial_seed) {
+        const auto outcome =
+            run_election(g, machine, trial_seed, {.max_rounds = max_rounds});
+        return static_cast<double>(outcome.converged ? outcome.rounds
+                                                     : max_rounds);
+      });
+}
 
 class ConvergenceBatteryTest
     : public ::testing::TestWithParam<testing::graph_case> {};
@@ -92,9 +108,9 @@ TEST(ConvergenceTest, KnownDiameterFasterOnLongPaths) {
   const auto horizon = default_horizon(g, d);
 
   const bfw_machine uniform(0.5);
-  const auto uniform_rounds = convergence_rounds(g, uniform, 12, 5, horizon);
+  const auto uniform_rounds = seeded_rounds(g, uniform, 12, 5, horizon);
   const auto known = make_known_diameter_bfw(d);
-  const auto known_rounds = convergence_rounds(g, known, 12, 5, horizon);
+  const auto known_rounds = seeded_rounds(g, known, 12, 5, horizon);
 
   const double uniform_median =
       support::summarize(uniform_rounds).median;
@@ -143,7 +159,7 @@ TEST(ConvergenceTest, SingleInitialLeaderConvergesImmediately) {
 TEST(ConvergenceTest, ConvergenceRoundsVectorShape) {
   const auto g = graph::make_complete(6);
   const bfw_machine machine(0.5);
-  const auto rounds = convergence_rounds(g, machine, 20, 77, 10000);
+  const auto rounds = seeded_rounds(g, machine, 20, 77, 10000);
   ASSERT_EQ(rounds.size(), 20U);
   for (double r : rounds) {
     EXPECT_GE(r, 0.0);

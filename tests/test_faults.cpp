@@ -23,6 +23,7 @@
 
 #include "analysis/recovery.hpp"
 #include "beeping/engine.hpp"
+#include "core/adversarial.hpp"
 #include "core/bfw.hpp"
 #include "core/convergence.hpp"
 #include "core/faults.hpp"
@@ -676,9 +677,8 @@ TEST(RecoveryHarnessTest, MeasuresBurstEpochsDeterministically) {
   plan.name = "burst";
   plan.fault_seed = 3;
   plan.burst(64, 5, 24);
-  analysis::recovery_options options;
-  options.max_rounds = 50'000;
-  const auto first = analysis::measure_recovery(g, machine, plan, 77, options);
+  const core::election_options options{.max_rounds = 50'000, .faults = &plan};
+  const auto first = analysis::measure_recovery(g, machine, 77, options);
   EXPECT_GE(first.epochs(), 1U);
   EXPECT_GE(first.faults_applied, 5U);
   ASSERT_FALSE(first.points.empty());
@@ -687,11 +687,11 @@ TEST(RecoveryHarnessTest, MeasuresBurstEpochsDeterministically) {
   // Bit-exact replay: same (plan, seed) - identical epochs, identical
   // final state, on a different gear and under tiling.
   for (const gear_config& gear : all_gears()) {
-    analysis::recovery_options again = options;
+    core::election_options again = options;
     again.fast_path = gear.fast;
     again.compiled_kernel = gear.compiled;
     again.exec = {gear.threads, gear.tile_words};
-    const auto replay = analysis::measure_recovery(g, machine, plan, 77, again);
+    const auto replay = analysis::measure_recovery(g, machine, 77, again);
     ASSERT_EQ(replay.points.size(), first.points.size()) << gear.label;
     for (std::size_t i = 0; i < first.points.size(); ++i) {
       EXPECT_EQ(replay.points[i].fault_round, first.points[i].fault_round)
@@ -707,6 +707,35 @@ TEST(RecoveryHarnessTest, MeasuresBurstEpochsDeterministically) {
         << gear.label;
     EXPECT_EQ(replay.faults_applied, first.faults_applied) << gear.label;
   }
+
+  // measure_recovery binds its trial through run_election's
+  // core::election_trial: with no plan its one epoch is the plain
+  // election, from an explicit start configuration and under tiling.
+  // (Kept inside this test rather than a TEST of its own: gtest names
+  // the battery cases by the bytes of their graph_case, whose string
+  // pointer shifts with every test registered before them.)
+  const std::size_t n = 65;
+  const auto path = graph::make_path(n);
+  const core::election_options plain{
+      .exec = {2, 1}, .initial = core::two_leaders_at_path_ends(n)};
+  const auto election = core::run_election(path, machine, 31, plain);
+  ASSERT_TRUE(election.converged);
+  EXPECT_GT(election.rounds, 0U);
+
+  const auto recovery = analysis::measure_recovery(path, machine, 31, plain);
+  ASSERT_EQ(recovery.epochs(), 1U);
+  EXPECT_TRUE(recovery.points[0].recovered);
+  EXPECT_EQ(recovery.points[0].fault_round, 0U);
+  EXPECT_EQ(recovery.points[0].rounds_to_recover, election.rounds);
+  EXPECT_EQ(recovery.faults_applied, 0U);
+  EXPECT_TRUE(recovery.outcome.converged);
+  EXPECT_EQ(recovery.outcome.rounds, election.rounds);
+  EXPECT_EQ(recovery.outcome.total_coins, election.total_coins);
+  EXPECT_EQ(recovery.outcome.leader, election.leader);
+  EXPECT_TRUE(election.leader == 0 || election.leader == n - 1)
+      << "leader " << election.leader;
+  EXPECT_EQ(recovery.outcome.engine_threads, 2U);
+  EXPECT_EQ(recovery.outcome.engine_tile_words, 1U);
 }
 
 TEST(FaultedSweepTest, ShardedFaultedSweepMergesBitIdentical) {

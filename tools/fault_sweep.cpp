@@ -82,13 +82,11 @@ int run_differential(std::uint64_t seed) {
 
   std::vector<gear_point> gears;
   const auto run_gear = [&](std::string name,
-                            const analysis::recovery_options& options) {
-    gears.push_back(
-        {std::move(name),
-         analysis::measure_recovery(g, machine, plan, seed, options)});
+                            const core::election_options& options) {
+    gears.push_back({std::move(name),
+                     analysis::measure_recovery(g, machine, seed, options)});
   };
-  analysis::recovery_options base;
-  base.max_rounds = 4096;
+  const core::election_options base{.max_rounds = 4096, .faults = &plan};
   run_gear("plane+compiled", base);
   {
     auto options = base;
@@ -236,11 +234,9 @@ int main(int argc, char** argv) {
   // sharded: one trial, epoch-by-epoch).
   const graph::graph g = graph::make_grid(12, 12);
   const core::bfw_machine machine(0.5);
-  analysis::recovery_options recovery_opts;
-  recovery_opts.max_rounds = 4096;
-  const analysis::recovery_result recovery =
-      analysis::measure_recovery(g, machine, crash_burst_plan(), seed,
-                                 recovery_opts);
+  const core::fault_plan plan = crash_burst_plan();
+  const analysis::recovery_result recovery = analysis::measure_recovery(
+      g, machine, seed, {.max_rounds = 4096, .faults = &plan});
   support::table epochs({"epoch", "disrupted at", "recovered",
                          "rounds to recover"});
   epochs.set_title("crash-burst recovery epochs (grid 12x12, one trial)");
